@@ -35,7 +35,6 @@ from .quadrature import (
     entropic_moment_numeric,
     fourier_transform,
     integrate,
-    momentum_density,
     momentum_profile,
     renyi_numeric,
     shannon_numeric,
@@ -48,7 +47,6 @@ from .specfun import (
     hermite_scaled,
     log_gamma,
     pochhammer,
-    upper_incomplete_gamma,
 )
 from .strong_nonlinear import (
     CriticalPoint,
@@ -60,6 +58,13 @@ from .strong_nonlinear import (
     g_series_transform,
     harmonic_weight,
 )
-from .uncertainty import ConjugatePair, XiResult, conjugate_order, xi_renyi, xi_tsallis
+from .uncertainty import (
+    ConjugatePair,
+    XiResult,
+    conjugate_order,
+    log_moment,
+    xi_renyi,
+    xi_tsallis,
+)
 
 __version__ = "0.1.0"

@@ -21,15 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams, density_position, effective_frequency, energy
-from .position_entropy import (
-    BudgetExceededError,
-    EntropyOrder,
-    disequilibrium,
-    entropic_moment,
-)
+from .position_entropy import BudgetExceededError, disequilibrium
 from .quadrature import (
-    entropic_moment_numeric,
+    GridSpec,
+    fourier_transform,
+    grid_nodes,
+    integrate,
     momentum_profile,
+    position_half_width,
     shannon_numeric,
 )
 from .strong_nonlinear import (
@@ -39,7 +38,7 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .tables import TABLE_IDS, verify_table
-from .uncertainty import xi_renyi, xi_tsallis
+from .uncertainty import log_moment, xi_renyi, xi_tsallis
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -62,8 +61,12 @@ def _parse_grid(text: str, kind=float) -> list:
             raise _UsageError(f"bad range {text!r}")
         count = int(round((stop - start) / step)) + 1
         vals = [round(start + k * step, 12) for k in range(count)]
-        return [kind(v) for v in vals if v <= stop + 1e-12]
-    return [kind(float(t)) for t in text.split(",")]
+        vals = [v for v in vals if v <= stop + 1e-12]
+    else:
+        vals = [float(t) for t in text.split(",")]
+    if kind is int and not all(v.is_integer() for v in vals):
+        raise _UsageError(f"expected integers, got {text!r}")
+    return [kind(v) for v in vals]
 
 
 def _fmt(x: float) -> str:
@@ -117,33 +120,26 @@ def _validated(args, need_alpha=False):
 
 def _custom_moment(args, params, n, alpha, space):
     """Moment on a user-specified grid (--grid-points / --half-width)."""
-    from .quadrature import (
-        GridSpec,
-        integrate,
-        momentum_density,
-        position_half_width,
-    )
-
     points = args.grid_points or 512
     if space == "position":
         half = args.half_width or position_half_width(params, n, min(alpha, 1.0))
         grid = GridSpec(half_width=half, points=points)
         return integrate(lambda x: np.power(density_position(params, n, x), alpha), grid)
-    prof_default = None
-    if args.half_width is None:
-        prof_default = momentum_density(params, n).grid.half_width
-    grid_p = GridSpec(half_width=args.half_width or prof_default, points=points)
-    prof = momentum_density(params, n, None, grid_p)
-    return float(prof.weights @ np.power(prof.gamma, alpha))
+    half = args.half_width
+    if half is None:
+        half = momentum_profile(params, n).grid.half_width
+    p, w = grid_nodes(GridSpec(half_width=half, points=points))
+    gamma = np.abs(fourier_transform(params, n, None, p)) ** 2
+    norm = float(w @ gamma)
+    if abs(norm - 1.0) > 5e-6:
+        raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
+    return float(w @ np.power(gamma, alpha))
 
 
 def _moment_value(args, params, n, alpha, space):
     if args.grid_points is not None or args.half_width is not None:
         return _custom_moment(args, params, n, alpha, space)
-    analytic = space == "position" and alpha >= 1 and EntropyOrder.of(alpha).analytic_eligible
-    if analytic:
-        return entropic_moment(params, n, int(alpha))
-    return entropic_moment_numeric(params, n, alpha, space)
+    return math.exp(log_moment(params, n, alpha, space)[0])
 
 
 def _scalar_command(args, header, fn):
@@ -240,8 +236,6 @@ def _profile_command(args):
     if points % 2 == 0:
         points += 1
     if args.kind == "density-position":
-        from .quadrature import position_half_width
-
         half = args.half_width or position_half_width(params, n, 1.0, tail_log=25.0)
         xs = np.linspace(-half, half, points)
         dens = np.asarray(density_position(params, n, xs))
@@ -249,8 +243,6 @@ def _profile_command(args):
         prof = momentum_profile(params, n)
         half = args.half_width or 0.75 * prof.grid.half_width
         xs = np.linspace(-half, half, points)
-        from .quadrature import fourier_transform
-
         dens = np.abs(fourier_transform(params, n, None, xs)) ** 2
     else:  # approx-momentum
         prof_half = momentum_profile(params, n).grid.half_width if args.half_width is None else None

@@ -26,6 +26,7 @@ __all__ = [
     "StateSpectrum",
     "energy",
     "effective_frequency",
+    "log_norm_constant",
     "norm_constant",
     "state_spectrum",
     "wavefunction",

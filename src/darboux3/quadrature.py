@@ -30,15 +30,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .model import (
     ModelParams,
     density_position,
     effective_frequency,
+    log_norm_constant,
     wavefunction,
 )
+from .specfun import bisect_sign_change, hermite_zeros
 
 __all__ = [
     "GridSpec",
@@ -51,11 +52,9 @@ __all__ = [
     "tsallis_numeric",
     "shannon_numeric",
     "fourier_transform",
-    "momentum_density",
     "momentum_profile",
 ]
 
-_RULES = ("gauss_legendre_panels", "gauss_hermite", "uniform_simpson")
 _ORDER = 16          # Gauss-Legendre points per panel
 _TAIL_LOG = 42.0     # envelope at the cut below e^-42 ~ 5.7e-19 of peak
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -63,19 +62,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature/truncation description for a symmetric interval [-L, L]."""
+    """Gauss-Legendre panel grid on the symmetric interval [-L, L]."""
 
     half_width: float
     points: int
-    rule: str = "gauss_legendre_panels"
 
     def __post_init__(self):
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.points < 32:
             raise ValueError(f"points must be at least 32, got {self.points}")
-        if self.rule not in _RULES:
-            raise ValueError(f"rule must be one of {_RULES}, got {self.rule!r}")
 
 
 @lru_cache(maxsize=8)
@@ -133,28 +129,14 @@ def _segment_panels(
 def grid_nodes(grid: GridSpec):
     """Nodes and weights realising a :class:`GridSpec` on [-L, L]."""
     L, pts = grid.half_width, grid.points
-    if grid.rule == "gauss_legendre_panels":
-        n_panels = max(2, pts // _ORDER)
-        edges = np.linspace(-L, L, n_panels + 1)
-        panels = [(float(a), float(b), 0) for a, b in zip(edges[:-1], edges[1:])]
-        return _panel_nodes(panels)
-    if grid.rule == "uniform_simpson":
-        m = pts if pts % 2 == 1 else pts + 1
-        x = np.linspace(-L, L, m)
-        h = x[1] - x[0]
-        w = np.full(m, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return x, w * h / 3.0
-    # gauss_hermite: integrate f over R via sum w_i e^(x_i^2) f(s x_i),
-    # scaled so the outermost node sits at the requested half-width
-    x0, w0 = hermgauss(pts)
-    s = L / float(x0[-1])
-    return s * x0, s * np.exp(np.log(w0) + x0 * x0)
+    n_panels = max(2, pts // _ORDER)
+    edges = np.linspace(-L, L, n_panels + 1)
+    panels = [(float(a), float(b), 0) for a, b in zip(edges[:-1], edges[1:])]
+    return _panel_nodes(panels)
 
 
 def integrate(f, grid: GridSpec) -> float:
-    """Integrate ``f`` over [-L, L] (over R for the gauss_hermite rule)."""
+    """Integrate ``f`` over [-L, L]."""
     x, w = grid_nodes(grid)
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
@@ -168,15 +150,6 @@ def integrate(f, grid: GridSpec) -> float:
 # --------------------------------------------------------------------------
 # position space
 # --------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def _hermite_zeros(n: int) -> np.ndarray:
-    if n == 0:
-        return np.array([])
-    z = hermgauss(n)[0]
-    z.setflags(write=False)
-    return z
-
 
 def position_half_width(
     params: ModelParams, n: int, alpha_min: float = 0.5, tail_log: float = _TAIL_LOG
@@ -201,7 +174,7 @@ def _position_moment_nodes(
     """Panel nodes/weights on [0, L] for integrating rho^alpha (even integrand)."""
     om = effective_frequency(params, n)
     L = position_half_width(params, n, min(alpha, 1.0))
-    zeros = _hermite_zeros(n) / math.sqrt(om)
+    zeros = hermite_zeros(n) / math.sqrt(om)
     zeros = np.array(sorted(z for z in zeros if 0.0 < z < 0.999 * L))
     bounds = np.unique(np.concatenate([[0.0, L], zeros]))
     k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
@@ -281,19 +254,6 @@ def _ft_component(params, n, x, wx, psi_x, p):
     return math.sqrt(2.0 / math.pi) * out
 
 
-def _bisect_zero(g, a, b, ga, gb, iters=80):
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if gm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(m)):
-            return m
-        if (ga < 0) != (gm < 0):
-            b, gb = m, gm
-        else:
-            a, ga = m, gm
-    return 0.5 * (a + b)
-
-
 def _momentum_tail_start(params: ModelParams, n: int) -> float:
     om = effective_frequency(params, n)
     return math.sqrt((2 * n + 1) * om) + 4.0 * math.sqrt(om)
@@ -313,8 +273,6 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
         for k in range(1, n):
             g, g_prev = 2.0 * y0 * g + 2.0 * k * g_prev, g
         g_n = g_prev if n == 0 else g
-        from .model import log_norm_constant
-
         log_amp = (
             2.0 * log_norm_constant(params, n)
             + math.log(lam)
@@ -368,8 +326,8 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
         if float(np.max(np.abs(vals[max(0, i - 2) : i + 4]))) > noise
     ]
     zero_list = [
-        _bisect_zero(lambda q: float(comp(np.array([q]))[0]),
-                     float(scan[i]), float(scan[i + 1]), float(vals[i]), float(vals[i + 1]))
+        bisect_sign_change(lambda q: float(comp(np.array([q]))[0]),
+                           float(scan[i]), float(scan[i + 1]), float(vals[i]))
         for i in flips
     ]
     zeros = np.array(sorted(z for z in zero_list if 1e-12 < z < 0.999 * L_p))
@@ -423,31 +381,6 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
 def momentum_profile(params: ModelParams, n: int, refine: int = 1) -> MomentumProfile:
     """Half-line momentum profile (p >= 0 nodes; densities are even in p)."""
     return _profile_cached(params.omega, params.lam, n, refine)
-
-
-def momentum_density(
-    params: ModelParams, n: int, grid_x: GridSpec | None = None, grid_p: GridSpec | None = None
-) -> MomentumProfile:
-    """Tabulated momentum density gamma(p) = |FT Psi_n|^2.
-
-    With explicit grids the density is evaluated on the requested nodes;
-    by default a structure-aware node set (zero-split panels, probed tail
-    cut) is built, which is what the entropy integrals reuse.
-    """
-    if grid_x is None and grid_p is None:
-        return momentum_profile(params, n)
-    prof = momentum_profile(params, n)
-    if grid_p is None:
-        return prof
-    p_nodes, p_w = grid_nodes(grid_p)
-    ft = fourier_transform(params, n, grid_x, p_nodes)
-    gamma = np.abs(ft) ** 2
-    norm = float(p_w @ gamma)
-    if abs(norm - 1.0) > 5e-6:
-        raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
-    return MomentumProfile(
-        params=params, n=n, grid=grid_p, p=p_nodes, gamma=gamma, weights=p_w, psi=ft
-    )
 
 
 def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):

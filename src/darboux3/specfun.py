@@ -1,10 +1,10 @@
 """Self-contained special-function kernel.
 
-Hermite polynomials (plain and sign/log-magnitude scaled), log-gamma,
-Pochhammer symbols, the upper incomplete gamma function and the Dawson F
-function.  Everything here is deterministic, pure and free of external
-dependencies beyond numpy array handling, so the rest of the package can
-treat these as exact primitives.
+Hermite polynomials (plain and sign/log-magnitude scaled) and their zeros,
+log-gamma, Pochhammer symbols, the Dawson F function and the package's one
+sign-change bisection.  Everything here is deterministic, pure and free of
+external dependencies beyond numpy, so the rest of the package can treat
+these as exact primitives.
 
 Combinatorially large factors (2^(2*alpha*n), Gamma powers, factorials,
 Pochhammer products) are carried across module boundaries as
@@ -16,19 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "ScaledValue",
     "scaled_sum",
     "hermite",
+    "hermite_sign_logabs",
     "hermite_scaled",
+    "hermite_zeros",
     "log_gamma",
     "pochhammer",
-    "upper_incomplete_gamma",
     "dawson",
+    "dawson_vec",
+    "bisect_sign_change",
 ]
 
 
@@ -73,23 +78,6 @@ class ScaledValue:
         if self.sign == 0 or other.sign == 0:
             return ScaledValue(0, float("-inf"))
         return ScaledValue(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    def times_real(self, x: float) -> "ScaledValue":
-        return self * ScaledValue.from_real(x)
-
-    def pow(self, exponent: float) -> "ScaledValue":
-        """Raise to a power.  Non-integer exponents require a positive base."""
-        if self.sign == 0:
-            if exponent <= 0:
-                raise ZeroDivisionError("0 raised to a non-positive power")
-            return ScaledValue(0, float("-inf"))
-        if self.sign < 0:
-            if exponent != int(exponent):
-                raise ValueError("non-integer power of a negative ScaledValue")
-            sign = -1 if int(exponent) % 2 else 1
-        else:
-            sign = 1
-        return ScaledValue(sign, self.log_mag * exponent)
 
 
 def scaled_sum(values: Iterable[ScaledValue]) -> ScaledValue:
@@ -172,6 +160,14 @@ def hermite_scaled(n: int, x: float) -> ScaledValue:
         else ScaledValue(0, float("-inf"))
 
 
+@lru_cache(maxsize=64)
+def hermite_zeros(n: int) -> np.ndarray:
+    """Zeros of H_n in increasing order (empty for n = 0); cached, read-only."""
+    z = hermgauss(n)[0] if n else np.array([])
+    z.setflags(write=False)
+    return z
+
+
 # --------------------------------------------------------------------------
 # log-gamma (Lanczos, g = 7, 9 coefficients)
 # --------------------------------------------------------------------------
@@ -234,70 +230,6 @@ def pochhammer(z: float, a: int) -> ScaledValue:
 
 
 # --------------------------------------------------------------------------
-# upper incomplete gamma
-# --------------------------------------------------------------------------
-
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 10_000
-
-
-def _lower_gamma_series(s: float, x: float) -> float:
-    """gamma(s, x) = x^s e^-x sum_k x^k / (s (s+1) ... (s+k)); x < s + 1."""
-    ap = s
-    delta = 1.0 / s
-    total = delta
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + s * math.log(x))
-
-
-def _upper_gamma_cf(s: float, x: float) -> float:
-    """Gamma(s, x) by modified Lentz continued fraction; x >= s + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return h * math.exp(-x + s * math.log(x))
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) = integral_x^inf t^(s-1) e^-t dt, for s > 0, x >= 0.
-
-    Series for small x, continued fraction for large x; relative error
-    below 1e-12 over the ranges this package uses.
-    """
-    if not (s > 0.0) or not math.isfinite(s):
-        raise ValueError(f"upper_incomplete_gamma requires s > 0, got s={s}")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got x={x}")
-    gamma_s = math.exp(log_gamma(s))
-    if x == 0.0:
-        return gamma_s
-    if x < s + 1.0:
-        return gamma_s - _lower_gamma_series(s, x)
-    return _upper_gamma_cf(s, x)
-
-
-# --------------------------------------------------------------------------
 # Dawson F function
 # --------------------------------------------------------------------------
 
@@ -355,3 +287,27 @@ def dawson_vec(x) -> np.ndarray:
     for i, v in enumerate(flat_in):
         flat_out[i] = dawson(float(v))
     return out if xa.ndim else float(flat_out[0])
+
+
+# --------------------------------------------------------------------------
+# root finding
+# --------------------------------------------------------------------------
+
+def bisect_sign_change(f, a: float, b: float, fa: float, xtol: float = 0.0) -> float:
+    """Root of ``f`` in [a, b], where f(a) = ``fa`` and f(b) differ in sign.
+
+    Halves the bracket until ``f`` is exactly zero at the midpoint or the
+    bracket is narrower than ``xtol`` or than rounding (1e-15 relative).
+    """
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if b - a < max(xtol, 1e-15 * max(1.0, abs(m))):
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) != (fm < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)

@@ -45,7 +45,7 @@ from .model import (
     log_norm_constant,
     norm_constant,
 )
-from .specfun import dawson, dawson_vec, hermite
+from .specfun import bisect_sign_change, dawson, dawson_vec, hermite, hermite_zeros
 
 __all__ = [
     "DensitySplit",
@@ -210,14 +210,14 @@ def _series_residual_ok(n: int) -> bool:
     return True
 
 
-def g_series_transform(params: ModelParams, n: int, p, *, n_cap: int = _MAX_SERIES_N):
+def g_series_transform(params: ModelParams, n: int, p):
     """General-n FT of phi_n via the half-line-moment recursion.
 
     Agrees with :func:`approx_momentum_closed` for n <= 3 to 1e-10 relative;
     raises if ``n`` exceeds the cap or the recursion fails its residual check.
     """
-    if n < 0 or n > n_cap:
-        raise ValueError(f"series transform supports 0 <= n <= {n_cap}, got {n}")
+    if n < 0 or n > _MAX_SERIES_N:
+        raise ValueError(f"series transform supports 0 <= n <= {_MAX_SERIES_N}, got {n}")
     if not _series_residual_ok(n):
         raise ArithmeticError(
             f"half-line moment recursion lost more than 6 digits at n={n}"
@@ -310,7 +310,7 @@ def density_critical_points(
     return sorted(pts, key=lambda c: c.x)
 
 
-def _extremum_function(params: ModelParams, n: int, x: float) -> float:
+def _extremum_function(params: ModelParams, n: int, x):
     """4 n sqrt(Om) (lam x^2 + 1) H_(n-1) - 2 x (lam (x^2 Om - 1) + Om) H_n,
     whose roots are the density critical points with Hermite zeros removed."""
     lam = params.lam
@@ -328,23 +328,16 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
     m_pts = 400 * (n + 2)
     grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)  # x = 0 handled separately
-    vals = np.array([_extremum_function(params, n, float(t)) for t in grid])
+    vals = _extremum_function(params, n, grid)
     hz = set(np.round(np.abs(hermite_zeros(n)) / math.sqrt(om), 9))
     found = []
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0.0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = float(vals[i])
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = _extremum_function(params, n, m)
-                if (fa < 0) != (fm < 0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            r = 0.5 * (a + b)
-            if round(r, 9) not in hz and r > 1e-9:
-                found.append(r)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        r = bisect_sign_change(
+            lambda t: _extremum_function(params, n, t),
+            float(grid[i]), float(grid[i + 1]), float(vals[i]),
+        )
+        if round(r, 9) not in hz and r > 1e-9:
+            found.append(r)
     pts = [CriticalPoint(0.0, _classify(params, n, 0.0))]
     for r in found:
         k = _classify(params, n, r)
@@ -355,13 +348,6 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
             pts.append(CriticalPoint(float(z), "minimum"))
             pts.append(CriticalPoint(-float(z), "minimum"))
     return sorted(pts, key=lambda c: c.x)
-
-
-def hermite_zeros(n: int) -> list[float]:
-    """Zeros of H_n (empty for n = 0)."""
-    from numpy.polynomial.hermite import hermgauss
-
-    return [] if n == 0 else [float(z) for z in hermgauss(n)[0]]
 
 
 def bifurcation_threshold(params: ModelParams, n: int) -> float:
@@ -384,17 +370,10 @@ def bifurcation_threshold(params: ModelParams, n: int) -> float:
         return (16.0 * d2b - d2a) / 15.0  # Richardson: O(h^6) residual
 
     lo, hi = 0.05 * params.omega, 4.0 * params.omega
-    if not curvature(lo) < 0.0 < curvature(hi):
+    c_lo = curvature(lo)
+    if not c_lo < 0.0 < curvature(hi):
         raise ArithmeticError("threshold bracket failed; curvature signs unexpected")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if curvature(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * params.omega:
-            break
-    bisected = 0.5 * (lo + hi)
+    bisected = bisect_sign_change(curvature, lo, hi, c_lo, xtol=1e-12 * params.omega)
     if abs(bisected - closed) > 1e-10 * (1.0 + closed):
         raise ArithmeticError(
             f"threshold mismatch: closed {closed!r} vs bisected {bisected!r}"

@@ -17,14 +17,14 @@ the Tsallis alpha = 2/3 slack without gating).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .model import ModelParams, effective_frequency, energy
-from .position_entropy import EntropyOrder, renyi_position, tsallis_position
 from .quadrature import renyi_numeric, shannon_numeric, tsallis_numeric
-from .uncertainty import xi_renyi, xi_tsallis
+from .uncertainty import log_moment, xi_renyi, xi_tsallis
 
 __all__ = ["TABLE_IDS", "CellCheck", "TableReport", "load_reference", "verify_table"]
 
@@ -70,14 +70,12 @@ def _ulp_tolerance(text: str) -> float:
 def _entropy_cell(kind: str, space: str, lam: float):
     def compute(n: float, alpha: float) -> float:
         params = ModelParams(1.0, lam)
-        level = int(n)
         if alpha == 1.0:
-            return shannon_numeric(params, level, space)
-        if space == "position" and EntropyOrder.of(alpha).analytic_eligible and alpha >= 2:
-            fn = renyi_position if kind == "renyi" else tsallis_position
-            return fn(params, level, int(alpha))
-        fn = renyi_numeric if kind == "renyi" else tsallis_numeric
-        return fn(params, level, alpha, space)
+            return shannon_numeric(params, int(n), space)
+        log_w = log_moment(params, int(n), alpha, space)[0]
+        if kind == "renyi":
+            return log_w / (1.0 - alpha)
+        return (1.0 - math.exp(log_w)) / (alpha - 1.0)
 
     return compute
 

@@ -16,10 +16,9 @@ both with 1/alpha + 1/beta = 2; the Tsallis form additionally requires
 1/2 < alpha <= 1.  Zero slack means the state saturates the inequality
 (the harmonic ground state does; the deformed one does not).
 
-Position-side entropies take the closed-form path whenever the order is an
-integer >= 2 and silently fall back to quadrature otherwise; the result
-records which engine produced the position side.  The momentum side is
-always numeric.
+Both sides take their entropic moments from :func:`log_moment`, which
+holds the package's one rule for choosing the closed form or quadrature;
+the result records which engine produced the position side.
 """
 
 from __future__ import annotations
@@ -29,9 +28,16 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .position_entropy import EntropyOrder, log_entropic_moment
-from .quadrature import entropic_moment_numeric, renyi_numeric
+from .quadrature import entropic_moment_numeric
 
-__all__ = ["ConjugatePair", "XiResult", "conjugate_order", "xi_renyi", "xi_tsallis"]
+__all__ = [
+    "ConjugatePair",
+    "XiResult",
+    "conjugate_order",
+    "log_moment",
+    "xi_renyi",
+    "xi_tsallis",
+]
 
 #: inequality slack below this is treated as a numerical failure, not physics
 _NEGATIVE_TOL = 1e-9
@@ -63,12 +69,18 @@ def conjugate_order(alpha: float) -> ConjugatePair:
     return ConjugatePair(alpha=float(alpha), beta=alpha / (2.0 * alpha - 1.0))
 
 
-def _log_moment_position(params: ModelParams, n: int, alpha: float) -> tuple[float, str]:
-    """ln W in position space: closed form when eligible, else quadrature."""
-    order = EntropyOrder.of(alpha)
-    if order.analytic_eligible:
+def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
+    """ln W, W = integral density^alpha in ``space``, and the engine used.
+
+    This is the package's one engine rule.  Position space at integer
+    alpha >= 1 takes the exact closed form (:func:`log_entropic_moment`,
+    engine "analytic"); every other order, and momentum space at every
+    order, takes quadrature (:func:`entropic_moment_numeric`, engine
+    "quadrature").
+    """
+    if space == "position" and EntropyOrder.of(alpha).analytic_eligible:
         return log_entropic_moment(params, n, int(alpha)), "analytic"
-    return math.log(entropic_moment_numeric(params, n, alpha, "position")), "quadrature"
+    return math.log(entropic_moment_numeric(params, n, alpha, space)), "quadrature"
 
 
 def _check_slack(value: float, what: str) -> float:
@@ -84,9 +96,9 @@ def xi_renyi(params: ModelParams, n: int, alpha: float) -> XiResult:
     pair = conjugate_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
-    log_w_pos, method = _log_moment_position(params, n, pair.alpha)
+    log_w_pos, method = log_moment(params, n, pair.alpha, "position")
     r_pos = log_w_pos / (1.0 - pair.alpha)
-    r_mom = renyi_numeric(params, n, pair.beta, "momentum")
+    r_mom = log_moment(params, n, pair.beta, "momentum")[0] / (1.0 - pair.beta)
     bound = (
         math.log(math.pi)
         + math.log(pair.alpha) / (2.0 * pair.alpha - 2.0)
@@ -106,12 +118,12 @@ def xi_tsallis(params: ModelParams, n: int, alpha: float) -> XiResult:
     if alpha == 1.0:
         return XiResult(0.0, "analytic")
     pair = conjugate_order(alpha)
-    log_w_pos, method = _log_moment_position(params, n, pair.alpha)
-    w_mom = entropic_moment_numeric(params, n, pair.beta, "momentum")
+    log_w_pos, method = log_moment(params, n, pair.alpha, "position")
+    log_w_mom = log_moment(params, n, pair.beta, "momentum")[0]
     left = (pair.alpha / math.pi) ** (1.0 / (4.0 * pair.alpha)) * math.exp(
         log_w_pos / (2.0 * pair.alpha)
     )
-    right = (pair.beta / math.pi) ** (1.0 / (4.0 * pair.beta)) * w_mom ** (
-        1.0 / (2.0 * pair.beta)
+    right = (pair.beta / math.pi) ** (1.0 / (4.0 * pair.beta)) * math.exp(
+        log_w_mom / (2.0 * pair.beta)
     )
     return XiResult(_check_slack(left - right, "Tsallis"), method)

@@ -14,6 +14,17 @@ def deformed():
     return ModelParams(omega=1.0, lam=0.4)
 
 
+def gauss_hermite_nodes(half_width, points):
+    """Gauss-Hermite rule for integrals over R as nodes and plain weights
+    w_i e^(x_i^2), scaled so the outermost node sits at ``half_width``
+    (test oracle)."""
+    from numpy.polynomial.hermite import hermgauss
+
+    x0, w0 = hermgauss(points)
+    s = half_width / float(x0[-1])
+    return s * x0, s * np.exp(np.log(w0) + x0 * x0)
+
+
 def gauss_tail_quad(f, a, b, panels=400, order=24):
     """Dense composite Gauss-Legendre reference integrator (test oracle)."""
     from numpy.polynomial.legendre import leggauss

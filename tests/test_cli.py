@@ -83,6 +83,14 @@ class TestComputeCommands:
             0.9189385332, abs=1e-9
         )
 
+    def test_custom_grid_momentum_normalisation(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "moment", "--space", "momentum", "--alpha", "1", "--lambda", "0.4",
+            "--n", "0", "--grid-points", "640", "--half-width", "10",
+        )
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(1.0, abs=1e-8)
+
     def test_shannon_and_moment(self, capsys):
         code, out, _ = run_cli(capsys, "shannon", "--lambda", "0", "--n", "0")
         assert code == 0
@@ -119,6 +127,13 @@ class TestExitCodes:
     def test_usage_error_alpha_one(self, capsys):
         code, _, _ = run_cli(capsys, "renyi", "--alpha", "1", "--n", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["1.5", "0:2:0.5"])
+    def test_usage_error_non_integer_n(self, capsys, n):
+        code, out, err = run_cli(capsys, "energy", "--lambda", "0.4", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
 
     def test_usage_error_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "table", "not_a_table")

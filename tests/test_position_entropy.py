@@ -20,8 +20,10 @@ from darboux3.position_entropy import (
     EntropyOrder,
     _expansion_cached,
 )
-from darboux3.quadrature import GridSpec, entropic_moment_numeric, grid_nodes
+from darboux3.quadrature import entropic_moment_numeric
 from darboux3.specfun import hermite, log_gamma, pochhammer
+
+from conftest import gauss_hermite_nodes
 
 
 class TestParity:
@@ -86,7 +88,7 @@ class TestExpansionCoefficients:
         om = effective_frequency(params, 3)
         alpha = 2
         co = expansion_coefficients(3, alpha, 6)
-        x, w = grid_nodes(GridSpec(half_width=9.0, points=120, rule="gauss_hermite"))
+        x, w = gauss_hermite_nodes(9.0, 120)
         t = x * math.sqrt(alpha * om)  # integration variable of the projection
         target = hermite(3, math.sqrt(om) * x) ** (2 * alpha)
         amp = co.log_A.to_real() * alpha ** (-alpha * co.nu)

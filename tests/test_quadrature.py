@@ -11,7 +11,6 @@ from darboux3 import (
     entropic_moment_numeric,
     fourier_transform,
     integrate,
-    momentum_density,
     momentum_profile,
     renyi_numeric,
     shannon_numeric,
@@ -28,8 +27,6 @@ class TestGridSpec:
             GridSpec(half_width=-1.0, points=64)
         with pytest.raises(ValueError):
             GridSpec(half_width=5.0, points=16)
-        with pytest.raises(ValueError):
-            GridSpec(half_width=5.0, points=64, rule="trapezoid")
 
 
 class TestIntegrate:
@@ -50,19 +47,13 @@ class TestIntegrate:
         b = integrate(lambda x: np.exp(-x * x) * np.cos(3 * x), GridSpec(8.0, 640))
         assert abs(a - b) <= 1e-10 * abs(b)
 
-    def test_other_rules(self):
-        target = math.sqrt(math.pi)
-        for rule, pts in (("uniform_simpson", 1001), ("gauss_hermite", 64)):
-            val = integrate(lambda x: np.exp(-x * x), GridSpec(8.0, pts, rule))
-            assert val == pytest.approx(target, rel=1e-10)
-
     def test_nonfinite_sample_rejected(self):
-        def f(x):
-            with np.errstate(divide="ignore"):
-                return 1.0 / x
+        def f(x):  # NaN on every negative node
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.log(x)
 
         with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, GridSpec(8.0, 320, "uniform_simpson"))
+            integrate(f, GridSpec(8.0, 320))
 
 
 class TestMomentNumeric:
@@ -176,23 +167,16 @@ class TestFourierTransform:
 
 class TestMomentumDensity:
     def test_harmonic_ground_gaussian(self, harmonic):
-        prof = momentum_density(harmonic, 0)
+        prof = momentum_profile(harmonic, 0)
         expect = np.exp(-prof.p**2) / math.sqrt(math.pi)
         assert np.max(np.abs(prof.gamma - expect)) < 1e-13
 
     def test_values_table_shape(self, deformed):
-        prof = momentum_density(deformed, 2)
+        prof = momentum_profile(deformed, 2)
         vals = prof.values
         assert vals.shape == (len(prof.p), 2)
         np.testing.assert_array_equal(vals[:, 0], prof.p)
         np.testing.assert_array_equal(vals[:, 1], prof.gamma)
-
-    def test_explicit_grid_path(self, deformed):
-        grid_p = GridSpec(half_width=10.0, points=640)
-        prof = momentum_density(deformed, 0, None, grid_p)
-        assert prof.grid == grid_p
-        norm = float(prof.weights @ prof.gamma)
-        assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_localisation_variance_ordering(self, harmonic, deformed):
         def variance(prof):

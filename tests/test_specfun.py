@@ -7,14 +7,17 @@ from scipy.integrate import quad
 
 from darboux3.specfun import (
     ScaledValue,
+    bisect_sign_change,
     dawson,
     hermite,
     hermite_scaled,
+    hermite_zeros,
     log_gamma,
     pochhammer,
     scaled_sum,
-    upper_incomplete_gamma,
 )
+
+from conftest import gauss_hermite_nodes
 
 mp.mp.dps = 30
 
@@ -38,9 +41,7 @@ class TestScaledValue:
         a = ScaledValue.from_real(-3.0)
         b = ScaledValue.from_real(0.5)
         assert (a * b).to_real() == pytest.approx(-1.5, rel=1e-14)
-        assert a.pow(3).to_real() == pytest.approx(-27.0, rel=1e-14)
-        with pytest.raises(ValueError):
-            a.pow(0.5)
+        assert (a * a * a).to_real() == pytest.approx(-27.0, rel=1e-14)
 
     def test_scaled_sum_cancellation(self):
         vals = [ScaledValue.from_real(v) for v in (1e120, -1e120, 3.25)]
@@ -67,9 +68,7 @@ class TestHermite:
             assert np.max(np.abs(lhs) / scale) < 1e-12
 
     def test_orthogonality_gauss_hermite(self):
-        from darboux3.quadrature import GridSpec, grid_nodes
-
-        x, w = grid_nodes(GridSpec(half_width=8.0, points=64, rule="gauss_hermite"))
+        x, w = gauss_hermite_nodes(8.0, 64)
         for m in range(13):
             for n in range(m, 13):
                 val = float(w @ (hermite(m, x) * hermite(n, x) * np.exp(-x * x)))
@@ -147,33 +146,36 @@ class TestPochhammer:
                 assert lhs.log_mag == pytest.approx(rhs.log_mag, abs=1e-10)
 
 
-class TestUpperIncompleteGamma:
-    @pytest.mark.parametrize("x", [0.1, 1.0, 4.5, 20.0])
-    def test_s_one_is_exponential(self, x):
-        assert upper_incomplete_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-13)
+class TestHermiteZeros:
+    @pytest.mark.parametrize("n", [0, 1, 6, 25])
+    def test_sorted_read_only_sign_changes(self, n):
+        z = hermite_zeros(n)
+        assert len(z) == n and not z.flags.writeable
+        assert np.all(np.diff(z) > 0.0)
+        below = np.sign(hermite(n, z - 1e-9 * np.maximum(np.abs(z), 1.0)))
+        above = np.sign(hermite(n, z + 1e-9 * np.maximum(np.abs(z), 1.0)))
+        assert np.all(below * above < 0.0)
 
-    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5, 9.0])
-    def test_at_zero_full_gamma(self, s):
-        assert upper_incomplete_gamma(s, 0.0) == pytest.approx(
-            math.exp(log_gamma(s)), rel=1e-13
+
+class TestBisectSignChange:
+    def test_converges_to_rounding(self):
+        assert bisect_sign_change(math.cos, 0.0, 3.0, 1.0) == pytest.approx(
+            math.pi / 2.0, abs=2e-15
         )
 
-    def test_quadrature_oracle(self):
-        oracle, err = quad(lambda t: t**1.5 * math.exp(-t), 1.3, 80.0, limit=300)
-        assert err < 1e-12
-        assert upper_incomplete_gamma(2.5, 1.3) == pytest.approx(oracle, abs=1e-10)
+    def test_stops_at_xtol(self):
+        root = bisect_sign_change(math.cos, 0.0, 3.0, 1.0, xtol=1e-3)
+        assert abs(root - math.pi / 2.0) < 1e-3
 
-    def test_monotone_decreasing_in_x(self):
-        for s in (0.4, 1.0, 3.7):
-            xs = np.linspace(0.0, 12.0, 60)
-            vals = [upper_incomplete_gamma(s, float(x)) for x in xs]
-            assert all(a > b for a, b in zip(vals[:-1], vals[1:]))
+    def test_exact_zero_at_midpoint(self):
+        calls = []
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(-1.0, 2.0)
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(1.0, -0.5)
+        def f(x):
+            calls.append(x)
+            return x - 1.0
+
+        assert bisect_sign_change(f, 0.0, 2.0, -1.0) == 1.0
+        assert calls == [1.0]
 
 
 class TestDawson:

@@ -187,8 +187,6 @@ class TestSeriesEngine:
     def test_order_cap(self, deformed):
         with pytest.raises(ValueError):
             g_series_transform(deformed, 9, 0.3)
-        with pytest.raises(ValueError):
-            g_series_transform(deformed, 3, 0.3, n_cap=2)
 
 
 class TestApproximationConvergence:

@@ -3,11 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from darboux3 import ModelParams, conjugate_order, xi_renyi, xi_tsallis
+from darboux3 import ModelParams, conjugate_order, log_moment, xi_renyi, xi_tsallis
 from darboux3.quadrature import entropic_moment_numeric, renyi_numeric
 from darboux3.position_entropy import renyi_position
 
 RENYI_TABLE_ALPHAS = (0.6, 0.7, 0.8, 0.9, 1.125, 4.0 / 3.0, 1.75, 3.0)
+
+
+class TestLogMoment:
+    @pytest.mark.parametrize(
+        "alpha, space, engine",
+        [
+            (1.0, "position", "analytic"),
+            (3.0, "position", "analytic"),
+            (2.5, "position", "quadrature"),
+            (0.5, "position", "quadrature"),
+            (2.0, "momentum", "quadrature"),
+        ],
+    )
+    def test_engine_rule(self, deformed, alpha, space, engine):
+        log_w, used = log_moment(deformed, 2, alpha, space)
+        assert used == engine
+        numeric = math.log(entropic_moment_numeric(deformed, 2, alpha, space))
+        assert log_w == pytest.approx(numeric, abs=1e-10)
 
 
 class TestConjugateOrder:
