@@ -9,14 +9,7 @@ lam for highly excited states.
 
 import numpy as np
 
-from darboux3 import (
-    ModelParams,
-    disequilibrium,
-    entropic_moment,
-    entropic_moment_numeric,
-    renyi_position,
-    tsallis_position,
-)
+from darboux3 import ModelParams, entropic_moment, entropic_moment_numeric, entropy
 
 harmonic = ModelParams(1.0, 0.0)
 deformed = ModelParams(1.0, 0.4)
@@ -24,17 +17,18 @@ deformed = ModelParams(1.0, 0.4)
 print("Renyi entropy, position space, order 2:")
 for n in (0, 1, 5, 20):
     print(
-        f"  n={n:2d}: harmonic {renyi_position(harmonic, n, 2):.3f}   "
-        f"lam=0.4 {renyi_position(deformed, n, 2):.3f}"
+        f"  n={n:2d}: harmonic {entropy(harmonic, n, 2, 'position', 'renyi'):.3f}   "
+        f"lam=0.4 {entropy(deformed, n, 2, 'position', 'renyi'):.3f}"
     )
 
 print("\nTsallis entropy approaches its 1/(alpha-1) bound as states delocalise:")
 for n in (0, 5, 20):
-    print(f"  n={n:2d}: T2(lam=0.4) = {tsallis_position(deformed, n, 2):.4f}  (bound 1)")
+    t2 = entropy(deformed, n, 2, "position", "tsallis")
+    print(f"  n={n:2d}: T2(lam=0.4) = {t2:.4f}  (bound 1)")
 
 print("\ndisequilibrium W2 and the cross-check against direct quadrature:")
 for n in (0, 3, 8):
-    analytic = disequilibrium(deformed, n)
+    analytic = entropic_moment(deformed, n, 2)
     numeric = entropic_moment_numeric(deformed, n, 2.0, "position")
     print(f"  n={n}: analytic {analytic:.12f}  quadrature {numeric:.12f}")
 
@@ -46,7 +40,7 @@ for alpha in (0.5, 0.8, 1.75):
 print("\nthe lam-dip of highly excited states (order 2):")
 lams = np.linspace(0.0, 0.12, 25)
 for n in (13, 20):
-    vals = [renyi_position(ModelParams(1.0, float(l)), n, 2) for l in lams]
+    vals = [entropy(ModelParams(1.0, float(l)), n, 2, "position", "renyi") for l in lams]
     k = int(np.argmin(np.array(vals)[8:])) + 8
     print(
         f"  n={n}: R(0) = {vals[0]:.4f}, local min {vals[k]:.4f} at lam = {lams[k]:.3f},"

@@ -9,35 +9,27 @@ lobes appear.
 
 import numpy as np
 
-from darboux3 import (
-    ModelParams,
-    momentum_profile,
-    renyi_numeric,
-    shannon_numeric,
-    tsallis_numeric,
-)
+from darboux3 import ModelParams, entropy, momentum_profile, shannon_numeric
 
 print("momentum Renyi/Tsallis entropies at order 2 vs lam (n = 0):")
 for lam in (0.0, 0.25, 0.5, 1.0, 1.5):
     p = ModelParams(1.0, lam)
     print(
-        f"  lam={lam:4}: R = {renyi_numeric(p, 0, 2.0, 'momentum'):.4f}   "
-        f"T = {tsallis_numeric(p, 0, 2.0, 'momentum'):.4f}"
+        f"  lam={lam:4}: R = {entropy(p, 0, 2.0, 'momentum', 'renyi'):.4f}   "
+        f"T = {entropy(p, 0, 2.0, 'momentum', 'tsallis'):.4f}"
     )
 
 print("\nharmonic states are Fourier self-dual (position == momentum):")
 h = ModelParams(1.0, 0.0)
 for n in (0, 3):
-    d = abs(
-        renyi_numeric(h, n, 0.8, "position") - renyi_numeric(h, n, 0.8, "momentum")
-    )
+    d = abs(entropy(h, n, 0.8, "position", "renyi") - entropy(h, n, 0.8, "momentum", "renyi"))
     print(f"  n={n}: |difference| = {d:.2e}")
 
 print("\nShannon limits bracket correctly:")
 p = ModelParams(1.0, 0.4)
 s = shannon_numeric(p, 2, "momentum")
-print(f"  S = {s:.6f} in [{renyi_numeric(p, 2, 1.0001, 'momentum'):.6f}, "
-      f"{renyi_numeric(p, 2, 0.9999, 'momentum'):.6f}]")
+print(f"  S = {s:.6f} in [{entropy(p, 2, 1.0001, 'momentum', 'renyi'):.6f}, "
+      f"{entropy(p, 2, 0.9999, 'momentum', 'renyi'):.6f}]")
 
 print("\nParseval check and the side lobes of the strongly nonlinear regime:")
 for lam in (0.4, 100.0):
@@ -49,7 +41,7 @@ for lam in (0.4, 100.0):
     print(f"  lam={lam:6}: integral gamma = {norm:.12f}, side maxima (p > 0): {lobes}")
 
 print("\nthe momentum entropy peaks at a finite n when lam > 0:")
-vals = [renyi_numeric(ModelParams(1.0, 0.4), n, 2.0, "momentum") for n in range(9)]
+vals = [entropy(ModelParams(1.0, 0.4), n, 2.0, "momentum", "renyi") for n in range(9)]
 for n, v in enumerate(vals):
     marker = "  <- peak" if v == max(vals) else ""
     print(f"  n={n}: {v:.4f}{marker}")

@@ -21,13 +21,10 @@ from .position_entropy import (
     BudgetExceededError,
     EntropyOrder,
     ExpansionCoefficients,
-    disequilibrium,
     entropic_moment,
     entropic_moment_special,
     expansion_coefficients,
     parity_nu,
-    renyi_position,
-    tsallis_position,
 )
 from .quadrature import (
     GridSpec,
@@ -36,15 +33,12 @@ from .quadrature import (
     fourier_transform,
     integrate,
     momentum_profile,
-    renyi_numeric,
     shannon_numeric,
-    tsallis_numeric,
 )
 from .specfun import (
     ScaledValue,
     dawson,
     hermite,
-    hermite_scaled,
     log_gamma,
     pochhammer,
 )
@@ -62,6 +56,8 @@ from .uncertainty import (
     ConjugatePair,
     XiResult,
     conjugate_order,
+    entropy,
+    entropy_from_log_moment,
     log_moment,
     xi_renyi,
     xi_tsallis,

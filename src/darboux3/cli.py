@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Subcommands compute any library quantity over parameter grids and emit CSV
-on stdout (header row, 12 significant digits, LF endings, rows ordered n
-outer, lambda middle, alpha inner).  ``profile`` writes plot-ready density
+on stdout (header row, 12 significant digits, LF endings, rows in the
+order :func:`_grid_command` sets).  ``profile`` writes plot-ready density
 curves to a file and ``table`` replays one embedded reference table and
 reports a pass/fail matrix.
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ModelParams, density_position, effective_frequency, energy
-from .position_entropy import BudgetExceededError, disequilibrium
+from .position_entropy import BudgetExceededError, entropic_moment
 from .quadrature import (
     GridSpec,
     fourier_transform,
@@ -38,13 +38,13 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .tables import TABLE_IDS, verify_table
-from .uncertainty import log_moment, xi_renyi, xi_tsallis
+from .uncertainty import entropy_from_log_moment, log_moment, xi_renyi, xi_tsallis
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -98,7 +98,6 @@ def _common_flags(sp, alpha=False, space=False, grid=False):
         sp.add_argument("--grid-points", type=int, default=None)
         sp.add_argument("--half-width", type=float, default=None)
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("csv",), default="csv")
 
 
 def _validated(args, need_alpha=False):
@@ -115,17 +114,27 @@ def _validated(args, need_alpha=False):
         alphas = _parse_grid(args.alpha)
         if any(a <= 0 for a in alphas):
             raise _UsageError("--alpha values must be positive")
+    points, half = getattr(args, "grid_points", None), getattr(args, "half_width", None)
+    if points is not None and points < 1:
+        raise _UsageError(f"--grid-points must be at least 1, got {points}")
+    if half is not None and not (half > 0 and math.isfinite(half)):
+        raise _UsageError(f"--half-width must be positive and finite, got {half}")
     return lams, ns, alphas
 
 
-def _custom_moment(args, params, n, alpha, space):
-    """Moment on a user-specified grid (--grid-points / --half-width)."""
-    points = args.grid_points or 512
-    if space == "position":
-        half = args.half_width or position_half_width(params, n, min(alpha, 1.0))
-        grid = GridSpec(half_width=half, points=points)
-        return integrate(lambda x: np.power(density_position(params, n, x), alpha), grid)
+def _log_moment(args, params, n, alpha):
+    """ln W for one cell: :func:`log_moment`, or quadrature on the user's
+    grid when --grid-points or --half-width is given."""
+    if args.grid_points is None and args.half_width is None:
+        return log_moment(params, n, alpha, args.space)[0]
+    points = 512 if args.grid_points is None else args.grid_points
     half = args.half_width
+    if args.space == "position":
+        if half is None:
+            half = position_half_width(params, n, min(alpha, 1.0))
+        grid = GridSpec(half_width=half, points=points)
+        w = integrate(lambda x: np.power(density_position(params, n, x), alpha), grid)
+        return math.log(w)
     if half is None:
         half = momentum_profile(params, n).grid.half_width
     p, w = grid_nodes(GridSpec(half_width=half, points=points))
@@ -133,77 +142,51 @@ def _custom_moment(args, params, n, alpha, space):
     norm = float(w @ gamma)
     if abs(norm - 1.0) > 5e-6:
         raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
-    return float(w @ np.power(gamma, alpha))
+    return math.log(float(w @ np.power(gamma, alpha)))
 
 
-def _moment_value(args, params, n, alpha, space):
-    if args.grid_points is not None or args.half_width is not None:
-        return _custom_moment(args, params, n, alpha, space)
-    return math.exp(log_moment(params, n, alpha, space)[0])
+def _grid_command(args, header, cells, need_alpha):
+    """Emit one CSV over the parameter grid; the package's one row order.
 
-
-def _scalar_command(args, header, fn):
-    lams, ns, _ = _validated(args)
-    rows = [[n, lam, fn(ModelParams(args.omega, lam), n)] for n in ns for lam in lams]
-    _emit(header, rows, args.out)
-
-
-def _entropy_command(args, kind):
-    lams, ns, alphas = _validated(args, need_alpha=True)
+    Rows run n outer, lambda middle and, with ``need_alpha``, alpha inner;
+    each starts with those grid columns (n, lambda[, alpha]), followed by
+    the ``header`` columns.  ``cells(args, params, n, alpha)`` returns the
+    value columns of the rows of one grid point (several rows for critical
+    points; ``alpha`` is None without ``need_alpha``).
+    """
+    lams, ns, alphas = _validated(args, need_alpha)
     rows = []
     for n in ns:
         for lam in lams:
             params = ModelParams(args.omega, lam)
-            for a in alphas:
-                if a == 1.0:
-                    raise _UsageError(f"{kind} order 1 is Shannon; use the shannon command")
-                w = _moment_value(args, params, n, a, args.space)
-                v = math.log(w) / (1.0 - a) if kind == "renyi" else (1.0 - w) / (a - 1.0)
-                rows.append([n, lam, a, args.space, v])
-    _emit(["n", "lambda", "alpha", "space", kind], rows, args.out)
+            for a in alphas if need_alpha else [None]:
+                grid = [n, lam, a] if need_alpha else [n, lam]
+                rows += [grid + tail for tail in cells(args, params, n, a)]
+    lead = ["n", "lambda", "alpha"] if need_alpha else ["n", "lambda"]
+    _emit(lead + header, rows, args.out)
 
 
-def _moment_command(args):
-    lams, ns, alphas = _validated(args, need_alpha=True)
-    rows = []
-    for n in ns:
-        for lam in lams:
-            params = ModelParams(args.omega, lam)
-            for a in alphas:
-                rows.append([n, lam, a, args.space, _moment_value(args, params, n, a, args.space)])
-    _emit(["n", "lambda", "alpha", "space", "moment"], rows, args.out)
+def _entropy_cells(args, params, n, a):
+    if a == 1.0:
+        raise _UsageError(f"{args.command} order 1 is Shannon; use the shannon command")
+    log_w = _log_moment(args, params, n, a)
+    return [[args.space, entropy_from_log_moment(log_w, a, args.command)]]
 
 
-def _shannon_command(args):
-    lams, ns, _ = _validated(args)
-    rows = [
-        [n, lam, args.space, shannon_numeric(ModelParams(args.omega, lam), n, args.space)]
-        for n in ns
-        for lam in lams
-    ]
-    _emit(["n", "lambda", "space", "shannon"], rows, args.out)
+def _xi_cells(args, params, n, a):
+    r = (xi_renyi if args.command == "xi-renyi" else xi_tsallis)(params, n, a)
+    return [[r.value, r.position_method]]
 
 
-def _xi_command(args, kind):
-    lams, ns, alphas = _validated(args, need_alpha=True)
-    rows = []
-    for n in ns:
-        for lam in lams:
-            params = ModelParams(args.omega, lam)
-            for a in alphas:
-                r = xi_renyi(params, n, a) if kind == "renyi" else xi_tsallis(params, n, a)
-                rows.append([n, lam, a, r.value, r.position_method])
-    _emit(["n", "lambda", "alpha", "xi", "position_method"], rows, args.out)
+def _weight_cells(args, params, n, a):
+    s = harmonic_weight(params, n)
+    return [[s.f, s.complement]]
 
 
-def _weight_command(args):
-    lams, ns, _ = _validated(args)
-    rows = []
-    for n in ns:
-        for lam in lams:
-            s = harmonic_weight(ModelParams(args.omega, lam), n)
-            rows.append([n, lam, s.f, s.complement])
-    _emit(["n", "lambda", "f", "complement"], rows, args.out)
+def _critical_cells(args, params, n, a):
+    # closed forms where they exist, bracketed root-finding elsewhere
+    points = density_critical_points(params, n, numeric=n not in (0, 2))
+    return [[c.x, c.kind] for c in points]
 
 
 def _threshold_command(args):
@@ -214,16 +197,6 @@ def _threshold_command(args):
     _emit(["n", "omega", "lambda_c"], rows, args.out)
 
 
-def _critical_command(args):
-    lams, ns, _ = _validated(args)
-    rows = []
-    for n in ns:
-        for lam in lams:
-            for c in density_critical_points(ModelParams(args.omega, lam), n):
-                rows.append([n, lam, c.x, c.kind])
-    _emit(["n", "lambda", "x", "kind"], rows, args.out)
-
-
 def _profile_command(args):
     lams, ns, _ = _validated(args)
     if len(lams) != 1 or len(ns) != 1:
@@ -232,22 +205,20 @@ def _profile_command(args):
         raise _UsageError("profile requires --out <path>")
     lam, n = lams[0], ns[0]
     params = ModelParams(args.omega, lam)
-    points = args.grid_points or 801
+    points = 801 if args.grid_points is None else args.grid_points
     if points % 2 == 0:
         points += 1
+    half = args.half_width
+    if half is None and args.kind == "density-position":
+        half = position_half_width(params, n, 1.0, tail_log=25.0)
+    elif half is None:
+        half = 0.75 * momentum_profile(params, n).grid.half_width
+    xs = np.linspace(-half, half, points)
     if args.kind == "density-position":
-        half = args.half_width or position_half_width(params, n, 1.0, tail_log=25.0)
-        xs = np.linspace(-half, half, points)
         dens = np.asarray(density_position(params, n, xs))
     elif args.kind == "density-momentum":
-        prof = momentum_profile(params, n)
-        half = args.half_width or 0.75 * prof.grid.half_width
-        xs = np.linspace(-half, half, points)
         dens = np.abs(fourier_transform(params, n, None, xs)) ** 2
     else:  # approx-momentum
-        prof_half = momentum_profile(params, n).grid.half_width if args.half_width is None else None
-        half = args.half_width or 0.75 * prof_half
-        xs = np.linspace(-half, half, points)
         dens = np.abs(np.asarray(approx_momentum_closed(params, n, xs))) ** 2
     sym = np.max(np.abs(dens - dens[::-1]))
     if sym > 1e-10 * max(float(np.max(dens)), 1e-300):
@@ -316,24 +287,29 @@ def build_parser() -> _Parser:
     return ap
 
 
-_DISPATCH = {
-    "energy": lambda a: _scalar_command(a, ["n", "lambda", "energy"], energy),
-    "omega": lambda a: _scalar_command(
-        a, ["n", "lambda", "omega_eff"], effective_frequency
+# command: (value columns, cells(args, params, n, alpha), need_alpha)
+_GRID_COMMANDS = {
+    "energy": (["energy"], lambda a, p, n, al: [[energy(p, n)]], False),
+    "omega": (["omega_eff"], lambda a, p, n, al: [[effective_frequency(p, n)]], False),
+    "disequilibrium": (
+        ["disequilibrium"], lambda a, p, n, al: [[entropic_moment(p, n, 2)]], False
     ),
-    "disequilibrium": lambda a: _scalar_command(
-        a, ["n", "lambda", "disequilibrium"], disequilibrium
+    "weight-f": (["f", "complement"], _weight_cells, False),
+    "renyi": (["space", "renyi"], _entropy_cells, True),
+    "tsallis": (["space", "tsallis"], _entropy_cells, True),
+    "moment": (
+        ["space", "moment"],
+        lambda a, p, n, al: [[a.space, math.exp(_log_moment(a, p, n, al))]],
+        True,
     ),
-    "weight-f": _weight_command,
-    "renyi": lambda a: _entropy_command(a, "renyi"),
-    "tsallis": lambda a: _entropy_command(a, "tsallis"),
-    "moment": _moment_command,
-    "shannon": _shannon_command,
-    "xi-renyi": lambda a: _xi_command(a, "renyi"),
-    "xi-tsallis": lambda a: _xi_command(a, "tsallis"),
-    "threshold": _threshold_command,
-    "critical-points": _critical_command,
-    "profile": _profile_command,
+    "shannon": (
+        ["space", "shannon"],
+        lambda a, p, n, al: [[a.space, shannon_numeric(p, n, a.space)]],
+        False,
+    ),
+    "xi-renyi": (["xi", "position_method"], _xi_cells, True),
+    "xi-tsallis": (["xi", "position_method"], _xi_cells, True),
+    "critical-points": (["x", "kind"], _critical_cells, False),
 }
 
 
@@ -346,12 +322,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "table":
             return _table_command(args)
-        _DISPATCH[args.command](args)
+        if args.command == "threshold":
+            _threshold_command(args)
+        elif args.command == "profile":
+            _profile_command(args)
+        else:
+            _grid_command(args, *_GRID_COMMANDS[args.command])
         return 0
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError included
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (ArithmeticError, BudgetExceededError) as exc:

@@ -15,7 +15,7 @@ oscillator through the same code path; there is no special branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,22 +48,18 @@ class ModelParams:
         Nonlinearity (mass-profile) parameter, must be non-negative.
         Negative values are rejected; they change the spectral problem
         qualitatively and are out of scope here.
-    hbar : float
-        Fixed to 1; kept as an explicit field so the unit convention is
-        visible at call sites.
+
+    Units have hbar = 1 throughout.
     """
 
     omega: float = 1.0
     lam: float = 0.0
-    hbar: float = field(default=1.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-        if self.hbar != 1.0:
-            raise ValueError("hbar is fixed to 1 in this package")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ therefore evaluated as an iterated convolution of a single weight vector,
 which reorders but does not alter the finite sum.  Every quantity entering
 c_j is rational, so the accumulation is done in exact rational arithmetic;
 the alternating signs of the weight vector and of the (-j)_i factors then
-cause no cancellation error at all.  Rényi, Tsallis and disequilibrium
-values derive from log W directly.
+cause no cancellation error at all.  ``uncertainty.entropy`` turns log W
+into Rényi and Tsallis entropies.
 """
 
 from __future__ import annotations
@@ -47,12 +47,7 @@ __all__ = [
     "entropic_moment",
     "log_entropic_moment",
     "entropic_moment_special",
-    "renyi_position",
-    "tsallis_position",
-    "disequilibrium",
 ]
-
-_LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 #: Work-unit budget for a single coefficient evaluation (convolution and
 #: projection multiply-accumulates).  Guards against absurd inputs; the
@@ -337,26 +332,3 @@ def entropic_moment_special(params: ModelParams, n: int, alpha, case: str) -> fl
         return coeffs.c_sign[0] * math.exp(log_w)
     raise ValueError(f"unknown case {case!r}; expected 'harmonic', 'ground' or 'both'")
 
-
-def renyi_position(params: ModelParams, n: int, alpha) -> float:
-    """Rényi entropy (1/(1-alpha)) ln W in position space, integer alpha >= 2.
-
-    alpha = 1 is the Shannon limit and lives on the quadrature path.
-    """
-    a = _check_alpha_int(alpha)
-    if a < 2:
-        raise ValueError("renyi_position requires integer alpha >= 2")
-    return log_entropic_moment(params, n, a) / (1.0 - a)
-
-
-def tsallis_position(params: ModelParams, n: int, alpha) -> float:
-    """Tsallis entropy (1 - W) / (alpha - 1) in position space, integer alpha >= 2."""
-    a = _check_alpha_int(alpha)
-    if a < 2:
-        raise ValueError("tsallis_position requires integer alpha >= 2")
-    return (1.0 - entropic_moment(params, n, a)) / (a - 1.0)
-
-
-def disequilibrium(params: ModelParams, n: int) -> float:
-    """Disequilibrium D = W^(2), the second entropic moment."""
-    return entropic_moment(params, n, 2)

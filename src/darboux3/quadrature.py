@@ -1,8 +1,8 @@
 """Numerical integration backbone.
 
 Position-space entropic moments for arbitrary real order, the numerical
-Fourier transform to momentum space, tabulated momentum densities, and the
-momentum-space Rényi / Tsallis / Shannon entropies.
+Fourier transform to momentum space, tabulated momentum densities, and
+entropic moments and Shannon entropies in either space.
 
 Scheme
 ------
@@ -48,8 +48,6 @@ __all__ = [
     "integrate",
     "position_half_width",
     "entropic_moment_numeric",
-    "renyi_numeric",
-    "tsallis_numeric",
     "shannon_numeric",
     "fourier_transform",
     "momentum_profile",
@@ -425,7 +423,7 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
 
 
 # --------------------------------------------------------------------------
-# entropies from numeric moments
+# numeric moments and Shannon entropy
 # --------------------------------------------------------------------------
 
 def entropic_moment_numeric(
@@ -453,22 +451,3 @@ def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine
         return -2.0 * float(prof.weights @ val)
     raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
 
-
-def renyi_numeric(
-    params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
-) -> float:
-    """Rényi entropy (1/(1-alpha)) ln W from the numeric moment."""
-    if alpha == 1.0:
-        raise ValueError("Rényi order 1 is the Shannon limit; use shannon_numeric")
-    w = entropic_moment_numeric(params, n, alpha, space, refine)
-    return math.log(w) / (1.0 - alpha)
-
-
-def tsallis_numeric(
-    params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
-) -> float:
-    """Tsallis entropy (W - 1) / (1 - alpha) from the numeric moment."""
-    if alpha == 1.0:
-        raise ValueError("Tsallis order 1 is the Shannon limit; use shannon_numeric")
-    w = entropic_moment_numeric(params, n, alpha, space, refine)
-    return (w - 1.0) / (1.0 - alpha)

@@ -27,7 +27,6 @@ __all__ = [
     "scaled_sum",
     "hermite",
     "hermite_sign_logabs",
-    "hermite_scaled",
     "hermite_zeros",
     "log_gamma",
     "pochhammer",
@@ -109,7 +108,7 @@ def hermite(n: int, x):
 
     Uses the three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1}.
     Accepts scalars or arrays; overflow for very large ``n`` returns inf
-    (callers that need large orders use :func:`hermite_scaled`).
+    (callers that need large orders use :func:`hermite_sign_logabs`).
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
@@ -151,13 +150,6 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore"):
         log_abs = np.where(h != 0.0, np.log(np.abs(np.where(h != 0.0, h, 1.0))), -np.inf)
     return sign, log_abs + log_scale
-
-
-def hermite_scaled(n: int, x: float) -> ScaledValue:
-    """H_n(x) as a :class:`ScaledValue` (sign plus log-magnitude)."""
-    sign, log_abs = hermite_sign_logabs(n, x)
-    return ScaledValue.from_log(int(sign[0]), float(log_abs[0])) if sign[0] != 0 \
-        else ScaledValue(0, float("-inf"))
 
 
 @lru_cache(maxsize=64)

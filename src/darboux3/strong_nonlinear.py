@@ -328,7 +328,13 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
     m_pts = 400 * (n + 2)
     grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)  # x = 0 handled separately
-    vals = _extremum_function(params, n, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _extremum_function(params, n, grid)
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        raise ArithmeticError(
+            f"critical-point scan for n={n} has {bad} non-finite samples (Hermite overflow)"
+        )
     hz = set(np.round(np.abs(hermite_zeros(n)) / math.sqrt(om), 9))
     found = []
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):

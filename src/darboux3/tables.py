@@ -17,14 +17,12 @@ the Tsallis alpha = 2/3 slack without gating).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .model import ModelParams, effective_frequency, energy
-from .quadrature import renyi_numeric, shannon_numeric, tsallis_numeric
-from .uncertainty import log_moment, xi_renyi, xi_tsallis
+from .uncertainty import entropy, xi_renyi, xi_tsallis
 
 __all__ = ["TABLE_IDS", "CellCheck", "TableReport", "load_reference", "verify_table"]
 
@@ -68,16 +66,7 @@ def _ulp_tolerance(text: str) -> float:
 
 
 def _entropy_cell(kind: str, space: str, lam: float):
-    def compute(n: float, alpha: float) -> float:
-        params = ModelParams(1.0, lam)
-        if alpha == 1.0:
-            return shannon_numeric(params, int(n), space)
-        log_w = log_moment(params, int(n), alpha, space)[0]
-        if kind == "renyi":
-            return log_w / (1.0 - alpha)
-        return (1.0 - math.exp(log_w)) / (alpha - 1.0)
-
-    return compute
+    return lambda n, alpha: entropy(ModelParams(1.0, lam), int(n), alpha, space, kind)
 
 
 def _xi_cell(kind: str, lam: float):
@@ -89,15 +78,9 @@ def _xi_cell(kind: str, lam: float):
     return compute
 
 
-def _sweep_cell(column: str):
-    kind, level = column.split("_n")
-
-    def compute(lam: float, _col: float = 0.0) -> float:
-        params = ModelParams(1.0, lam)
-        fn = renyi_numeric if kind == "renyi" else tsallis_numeric
-        return fn(params, int(level), 2.0, "momentum")
-
-    return compute
+def _sweep_cell(lam: float, column: str) -> float:
+    kind, level = column.split("_n")  # e.g. "renyi_n0"
+    return entropy(ModelParams(1.0, lam), int(level), 2.0, "momentum", kind)
 
 
 _GATE_EDGE_ALPHAS = (0.5, 2.0)
@@ -127,7 +110,7 @@ def _defs() -> dict[str, _TableDef]:
         ),
         "mom_vs_lambda": _TableDef(
             "momentum_vs_lambda.csv",
-            lambda lam, col: _sweep_cell(col)(lam),
+            _sweep_cell,
             fixed_tolerance=1e-4,
             columns_are_names=True,
         ),

@@ -19,6 +19,7 @@ both with 1/alpha + 1/beta = 2; the Tsallis form additionally requires
 Both sides take their entropic moments from :func:`log_moment`, which
 holds the package's one rule for choosing the closed form or quadrature;
 the result records which engine produced the position side.
+:func:`entropy` turns the same ln W into Rényi and Tsallis entropies.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .position_entropy import EntropyOrder, log_entropic_moment
-from .quadrature import entropic_moment_numeric
+from .quadrature import entropic_moment_numeric, shannon_numeric
 
 __all__ = [
     "ConjugatePair",
     "XiResult",
     "conjugate_order",
+    "entropy",
+    "entropy_from_log_moment",
     "log_moment",
     "xi_renyi",
     "xi_tsallis",
@@ -83,6 +86,35 @@ def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[f
     return math.log(entropic_moment_numeric(params, n, alpha, space)), "quadrature"
 
 
+def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
+    """Rényi or Tsallis entropy of order ``alpha`` != 1 from ln W; see :func:`entropy`."""
+    if alpha == 1.0:
+        raise ValueError("order 1 is the Shannon limit; it has no ln W form")
+    if kind == "renyi":
+        return log_w / (1.0 - alpha)
+    if kind == "tsallis":
+        return (1.0 - math.exp(log_w)) / (alpha - 1.0)
+    raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
+
+
+def entropy(params: ModelParams, n: int, alpha: float, space: str, kind: str) -> float:
+    """Rényi or Tsallis entropy of order ``alpha`` in ``space``.
+
+    With W = integral density^alpha (from :func:`log_moment`),
+
+        Rényi   R_alpha = ln W / (1 - alpha),
+        Tsallis T_alpha = (1 - W) / (alpha - 1).
+
+    Both tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns
+    :func:`shannon_numeric` for either kind.
+    """
+    if kind not in ("renyi", "tsallis"):
+        raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
+    if alpha == 1.0:
+        return shannon_numeric(params, n, space)
+    return entropy_from_log_moment(log_moment(params, n, alpha, space)[0], alpha, kind)
+
+
 def _check_slack(value: float, what: str) -> float:
     if value < -_NEGATIVE_TOL:
         raise ArithmeticError(
@@ -97,8 +129,10 @@ def xi_renyi(params: ModelParams, n: int, alpha: float) -> XiResult:
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
     log_w_pos, method = log_moment(params, n, pair.alpha, "position")
-    r_pos = log_w_pos / (1.0 - pair.alpha)
-    r_mom = log_moment(params, n, pair.beta, "momentum")[0] / (1.0 - pair.beta)
+    r_pos = entropy_from_log_moment(log_w_pos, pair.alpha, "renyi")
+    r_mom = entropy_from_log_moment(
+        log_moment(params, n, pair.beta, "momentum")[0], pair.beta, "renyi"
+    )
     bound = (
         math.log(math.pi)
         + math.log(pair.alpha) / (2.0 * pair.alpha - 2.0)

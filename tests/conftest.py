@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from darboux3 import ModelParams
+from darboux3 import ModelParams, entropic_moment_numeric, entropy_from_log_moment
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,14 @@ def gauss_tail_quad(f, a, b, panels=400, order=24):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         total += half * float(w0 @ f(mid + half * x0))
     return total
+
+
+def quadrature_entropy(params, n, alpha, space, kind="renyi"):
+    """Rényi or Tsallis entropy from the quadrature moment at every order.
+
+    ``entropy`` takes the closed form at integer position orders; checks
+    that compare quadrature against another engine use this instead, so
+    they keep comparing two engines.
+    """
+    log_w = math.log(entropic_moment_numeric(params, n, alpha, space))
+    return entropy_from_log_moment(log_w, alpha, kind)

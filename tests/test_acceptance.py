@@ -22,11 +22,9 @@ from darboux3 import (
     entropic_moment,
     entropic_moment_numeric,
     harmonic_weight,
+    entropy,
     momentum_profile,
-    renyi_numeric,
-    renyi_position,
     shannon_numeric,
-    tsallis_numeric,
     xi_renyi,
     xi_tsallis,
 )
@@ -34,7 +32,7 @@ from darboux3.position_entropy import expansion_coefficients
 from darboux3.specfun import dawson
 from darboux3.tables import verify_table
 
-from conftest import gauss_tail_quad
+from conftest import gauss_tail_quad, quadrature_entropy
 from test_strong_nonlinear import _phi_transform_reference
 
 
@@ -166,7 +164,7 @@ def test_criterion_5_sweep_oracle_anchor():
     r_mom = 3.0 * math.log(w)
     # this plain-panel oracle ignores the |FT|^(4/3) cusp at the transform
     # zero, which limits it to ~1e-6; the 2e-8 pin above carries the digits
-    assert renyi_numeric(params, 0, 2.0 / 3.0, "momentum") == pytest.approx(r_mom, abs=2e-6)
+    assert entropy(params, 0, 2.0 / 3.0, "momentum", "renyi") == pytest.approx(r_mom, abs=2e-6)
     _report("5 sweep oracle anchor", "(disputed cells pinned to 1e-9 oracles)")
 
 
@@ -190,8 +188,8 @@ def test_criterion_6_harmonic_self_duality():
                 pos = shannon_numeric(params, n, "position")
                 mom = shannon_numeric(params, n, "momentum")
             else:
-                pos = renyi_numeric(params, n, alpha, "position")
-                mom = renyi_numeric(params, n, alpha, "momentum")
+                pos = quadrature_entropy(params, n, alpha, "position")
+                mom = quadrature_entropy(params, n, alpha, "momentum")
             worst = max(worst, abs(pos - mom))
     assert worst <= 1e-6
     _report("6 harmonic self-duality", f"(189 pairs, worst {worst:.1e})")
@@ -246,15 +244,15 @@ def test_criterion_8_property_suites():
         params = ModelParams(1.0, lam)
         for n in (0, 4, 12):
             orders = (0.5, 0.8, 1.25, 2.0, 3.0)
-            r_vals = [renyi_numeric(params, n, a, "position") for a in orders]
-            t_vals = [tsallis_numeric(params, n, a, "position") for a in orders]
+            r_vals = [quadrature_entropy(params, n, a, "position") for a in orders]
+            t_vals = [quadrature_entropy(params, n, a, "position", "tsallis") for a in orders]
             assert all(x >= y - 1e-12 for x, y in zip(r_vals[:-1], r_vals[1:]))
             assert all(x >= y - 1e-12 for x, y in zip(t_vals[:-1], t_vals[1:]))
     # Renyi order -> 1 brackets Shannon at 1e-3
     params = ModelParams(1.0, 0.4)
     s = shannon_numeric(params, 2, "position")
-    hi = renyi_numeric(params, 2, 1.0 - 1e-4, "position")
-    lo = renyi_numeric(params, 2, 1.0 + 1e-4, "position")
+    hi = entropy(params, 2, 1.0 - 1e-4, "position", "renyi")
+    lo = entropy(params, 2, 1.0 + 1e-4, "position", "renyi")
     assert lo <= s <= hi and hi - lo < 1e-3
     # Hermite-power reconstruction at rel 1e-8 (exact rational identity)
     from fractions import Fraction
@@ -283,7 +281,9 @@ def test_criterion_9_nonmonotone_regressions():
     # minimum sits above the lam = 0 value; the dip is local)
     for n in (13, 20):
         lams = np.linspace(0.0, 0.3, 121)
-        vals = np.array([renyi_position(ModelParams(1.0, float(l)), n, 2) for l in lams])
+        vals = np.array(
+            [entropy(ModelParams(1.0, float(l)), n, 2, "position", "renyi") for l in lams]
+        )
         d = np.diff(vals)
         has_fall_then_rise = np.any((d[:-1] < 0) & (d[1:] > 0)) or (
             np.any(d < 0) and d[-1] > 0
@@ -293,8 +293,8 @@ def test_criterion_9_nonmonotone_regressions():
         assert 0 < k < len(vals) - 1
     # interior maximum in n for momentum entropies at lam = 0.4
     params = ModelParams(1.0, 0.4)
-    r_vals = [renyi_numeric(params, n, 2.0, "momentum") for n in range(21)]
-    t_vals = [tsallis_numeric(params, n, 2.0, "momentum") for n in range(21)]
+    r_vals = [entropy(params, n, 2.0, "momentum", "renyi") for n in range(21)]
+    t_vals = [entropy(params, n, 2.0, "momentum", "tsallis") for n in range(21)]
     for vals in (r_vals, t_vals):
         k = int(np.argmax(vals))
         assert 0 < k < 20

@@ -35,3 +35,45 @@ def test_cross_module_imports_are_exported():
                 if not alias.name.startswith("_") and alias.name not in exported
             ]
     assert not unlisted
+
+
+def _benchmark_names(path):
+    """(module, name) pairs a benchmark file reads from the package: string
+    pairs such as the tracer's ``("quadrature", "momentum_profile", ...)``,
+    attributes of imported package modules and ``from darboux3.x import y``."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "darboux3"
+        for alias in node.names
+    }
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            first, second = node.elts[:2]
+            if (
+                isinstance(first, ast.Constant) and first.value in MODULES
+                and isinstance(second, ast.Constant) and isinstance(second.value, str)
+            ):
+                pairs.append((first.value, second.value))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                pairs.append((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("darboux3."):
+            pairs += [(node.module.split(".")[1], alias.name) for alias in node.names]
+    return pairs
+
+
+def test_benchmark_names_resolve():
+    """Every function the benchmark traces (``perfbench/tracing.py``) or
+    calls (``perfbench/workloads.py``) exists under its name."""
+    bench = PACKAGE_DIR.parents[1] / "perfbench"
+    traced = _benchmark_names(bench / "tracing.py")
+    called = _benchmark_names(bench / "workloads.py")
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced + called
+        if not hasattr(importlib.import_module(f"darboux3.{module}"), name)
+    ]
+    assert traced and called and not missing

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from darboux3 import ModelParams, density_critical_points
 from darboux3.cli import main
 from darboux3.tables import TABLE_IDS, load_reference, verify_table
 
@@ -113,6 +114,24 @@ class TestComputeCommands:
         kinds = [l.split(",")[-1] for l in out.splitlines()[1:]]
         assert kinds == ["maximum", "minimum", "maximum"]
 
+    def test_numeric_critical_points(self, capsys):
+        code, out, _ = run_cli(capsys, "critical-points", "--lambda", "0.4,2", "--n", "1,3")
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines()[1:]]
+        expect = [
+            [str(n), lam, f"{c.x:.12g}", c.kind]
+            for n in (1, 3)
+            for lam in ("0.4", "2")
+            for c in density_critical_points(ModelParams(1.0, float(lam)), n, numeric=True)
+        ]
+        assert rows == expect
+
+    def test_critical_points_overflow_is_numeric_failure(self, capsys):
+        code, out, err = run_cli(capsys, "critical-points", "--lambda", "0.4", "--n", "200")
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestExitCodes:
     def test_usage_error_bad_omega(self, capsys):
@@ -134,6 +153,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--half-width", "0"],
+            ["--half-width", "-3"],
+            ["--half-width", "inf"],
+            ["--half-width", "nan"],
+            ["--grid-points", "0"],
+            ["--grid-points", "-64"],
+        ],
+        ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
+    )
+    @pytest.mark.parametrize("command", ["moment", "profile"])
+    def test_usage_error_bad_grid_flags(self, capsys, tmp_path, command, flags):
+        out_file = tmp_path / "profile.csv"
+        argv = (
+            ["moment", "--space", "position", "--alpha", "2", "--grid-points", "64"]
+            if command == "moment"
+            else ["profile", "density-position", "--out", str(out_file)]
+        )
+        code, out, err = run_cli(capsys, *argv, "--lambda", "0.4", "--n", "0", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert not out_file.exists()
 
     def test_usage_error_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "table", "not_a_table")

@@ -27,10 +27,6 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(lam=-0.1)
 
-    def test_hbar_fixed(self):
-        with pytest.raises(ValueError):
-            ModelParams(hbar=2.0)
-
 
 class TestEnergy:
     def test_harmonic_limit(self, harmonic):

@@ -12,8 +12,7 @@ from darboux3 import (
     ModelParams,
     effective_frequency,
     energy,
-    renyi_numeric,
-    renyi_position,
+    entropy,
     shannon_numeric,
 )
 
@@ -36,18 +35,16 @@ def test_spectrum_scales_by_omega(pair):
 
 def test_position_renyi_shift(pair):
     params, unit, n, half_log = pair
-    assert renyi_position(params, n, 2) == pytest.approx(
-        renyi_position(unit, n, 2) - half_log, abs=TOL
-    )
-    assert renyi_numeric(params, n, 1.5, "position") == pytest.approx(
-        renyi_numeric(unit, n, 1.5, "position") - half_log, abs=TOL
-    )
+    for alpha in (2, 1.5):  # closed form, then quadrature
+        assert entropy(params, n, alpha, "position", "renyi") == pytest.approx(
+            entropy(unit, n, alpha, "position", "renyi") - half_log, abs=TOL
+        )
 
 
 def test_momentum_entropy_shift(pair):
     params, unit, n, half_log = pair
-    assert renyi_numeric(params, n, 0.7, "momentum") == pytest.approx(
-        renyi_numeric(unit, n, 0.7, "momentum") + half_log, abs=TOL
+    assert entropy(params, n, 0.7, "momentum", "renyi") == pytest.approx(
+        entropy(unit, n, 0.7, "momentum", "renyi") + half_log, abs=TOL
     )
     assert shannon_numeric(params, n, "momentum") == pytest.approx(
         shannon_numeric(unit, n, "momentum") + half_log, abs=TOL

@@ -6,14 +6,12 @@ import pytest
 
 from darboux3 import (
     ModelParams,
-    disequilibrium,
     effective_frequency,
     entropic_moment,
     entropic_moment_special,
+    entropy,
     expansion_coefficients,
     parity_nu,
-    renyi_position,
-    tsallis_position,
 )
 from darboux3.position_entropy import (
     BudgetExceededError,
@@ -245,58 +243,52 @@ def _renyi_expanded(params, n, alpha):
 
 class TestRenyiTsallis:
     def test_harmonic_ground_published(self, harmonic):
-        assert renyi_position(harmonic, 0, 2) == pytest.approx(0.919, abs=1.5e-3)
+        assert entropy(harmonic, 0, 2, "position", "renyi") == pytest.approx(0.919, abs=1.5e-3)
         exact = 0.5 * math.log(math.pi) + 0.5 * math.log(2.0)
-        assert renyi_position(harmonic, 0, 2) == pytest.approx(exact, abs=1e-14)
+        assert entropy(harmonic, 0, 2, "position", "renyi") == pytest.approx(exact, abs=1e-14)
 
     def test_deformed_ground_published(self, deformed):
-        assert renyi_position(deformed, 0, 2) == pytest.approx(1.201, abs=1.5e-3)
+        assert entropy(deformed, 0, 2, "position", "renyi") == pytest.approx(1.201, abs=1.5e-3)
 
     @pytest.mark.parametrize("lam,n,alpha", [(0.0, 0, 2), (0.4, 0, 2), (0.4, 7, 3), (1.3, 12, 2)])
     def test_matches_expanded_form(self, lam, n, alpha):
         p = ModelParams(1.0, lam)
-        assert renyi_position(p, n, alpha) == pytest.approx(
+        assert entropy(p, n, alpha, "position", "renyi") == pytest.approx(
             _renyi_expanded(p, n, alpha), abs=1e-12
         )
 
     def test_tsallis_published(self, harmonic, deformed):
-        assert tsallis_position(harmonic, 0, 2) == pytest.approx(
+        assert entropy(harmonic, 0, 2, "position", "tsallis") == pytest.approx(
             1.0 - 1.0 / math.sqrt(2.0 * math.pi), rel=1e-13
         )
-        assert tsallis_position(deformed, 0, 2) == pytest.approx(0.699, abs=1.5e-3)
-        assert tsallis_position(deformed, 20, 2) == pytest.approx(0.942, abs=1.5e-3)
+        assert entropy(deformed, 0, 2, "position", "tsallis") == pytest.approx(0.699, abs=1.5e-3)
+        assert entropy(deformed, 20, 2, "position", "tsallis") == pytest.approx(0.942, abs=1.5e-3)
 
     def test_tsallis_consistent_with_moment(self, deformed):
         for n, alpha in [(0, 2), (5, 3)]:
             w = entropic_moment(deformed, n, alpha)
-            assert tsallis_position(deformed, n, alpha) == pytest.approx(
+            assert entropy(deformed, n, alpha, "position", "tsallis") == pytest.approx(
                 (1.0 - w) / (alpha - 1.0), rel=1e-13
             )
-
-    def test_alpha_one_rejected(self, deformed):
-        with pytest.raises(ValueError):
-            renyi_position(deformed, 0, 1)
-        with pytest.raises(ValueError):
-            tsallis_position(deformed, 0, 1)
 
     def test_order_monotonicity(self):
         for lam in (0.0, 0.5, 2.0):
             p = ModelParams(1.0, lam)
             for n in range(21):
-                assert renyi_position(p, n, 2) >= renyi_position(p, n, 3)
-                assert tsallis_position(p, n, 2) >= tsallis_position(p, n, 3)
+                for kind in ("renyi", "tsallis"):
+                    assert entropy(p, n, 2, "position", kind) >= entropy(p, n, 3, "position", kind)
 
     def test_tsallis_bounded(self):
         for lam in (0.0, 0.4, 2.0, 20.0):
             p = ModelParams(1.0, lam)
             for n in (0, 3, 15):
                 for alpha in (2, 3, 4):
-                    assert tsallis_position(p, n, alpha) < 1.0 / (alpha - 1.0)
+                    assert entropy(p, n, alpha, "position", "tsallis") < 1.0 / (alpha - 1.0)
 
 
 class TestDisequilibrium:
     def test_harmonic_ground(self, harmonic):
-        assert disequilibrium(harmonic, 0) == pytest.approx(
+        assert entropic_moment(harmonic, 0, 2) == pytest.approx(
             math.sqrt(1.0 / (2.0 * math.pi)), rel=1e-14
         )
 
@@ -308,13 +300,13 @@ class TestDisequilibrium:
             * (3 * lam**2 + 8 * lam * om + 16 * om**2)
             / (4.0 * math.sqrt(2.0 * math.pi) * (lam + 2 * om) ** 2)
         )
-        assert disequilibrium(deformed, 0) == pytest.approx(closed, rel=1e-13)
-        assert disequilibrium(deformed, 0) == pytest.approx(
+        assert entropic_moment(deformed, 0, 2) == pytest.approx(closed, rel=1e-13)
+        assert entropic_moment(deformed, 0, 2) == pytest.approx(
             entropic_moment_numeric(deformed, 0, 2.0, "position"), rel=1e-9
         )
 
     def test_harmonic_first_excited_quadrature(self, harmonic):
-        assert disequilibrium(harmonic, 1) == pytest.approx(
+        assert entropic_moment(harmonic, 1, 2) == pytest.approx(
             entropic_moment_numeric(harmonic, 1, 2.0, "position"), rel=1e-10
         )
 
@@ -337,7 +329,7 @@ class TestDisequilibrium:
                     + ratio**2 * 3.0 * (co.c[0] - 2.0 * co.c[1] + co.c[2]) / 16.0
                 )
             )
-            assert disequilibrium(deformed, n) == pytest.approx(closed, rel=1e-12)
+            assert entropic_moment(deformed, n, 2) == pytest.approx(closed, rel=1e-12)
 
 
 class TestNonMonotoneDip:
@@ -347,7 +339,9 @@ class TestNonMonotoneDip:
         local minimum exists on (0, 0.3) for n >= 13 (for n < 16 it sits
         above the lam = 0 value; the phenomenon is local)."""
         lams = np.linspace(0.0, 0.3, 121)
-        vals = np.array([renyi_position(ModelParams(1.0, float(l)), n, 2) for l in lams])
+        vals = np.array(
+            [entropy(ModelParams(1.0, float(l)), n, 2, "position", "renyi") for l in lams]
+        )
         d = np.diff(vals)
         falls = np.where(d < 0)[0]
         assert falls.size > 0, "no decreasing segment found"

@@ -11,12 +11,14 @@ from darboux3 import (
     entropic_moment_numeric,
     fourier_transform,
     integrate,
+    entropy,
+    entropy_from_log_moment,
     momentum_profile,
-    renyi_numeric,
     shannon_numeric,
-    tsallis_numeric,
     wavefunction,
 )
+
+from conftest import quadrature_entropy
 
 TABLE_ALPHAS = (0.5, 4.0 / 7.0, 2.0 / 3.0, 0.8, 1.25, 1.5, 1.75, 2.0)
 
@@ -104,25 +106,25 @@ class TestMomentNumeric:
 
 class TestEntropiesNumeric:
     def test_published_position_value(self, harmonic):
-        assert renyi_numeric(harmonic, 0, 0.5, "position") == pytest.approx(1.266, abs=1.5e-3)
+        assert entropy(harmonic, 0, 0.5, "position", "renyi") == pytest.approx(1.266, abs=1.5e-3)
 
     def test_published_momentum_values(self, deformed):
-        assert renyi_numeric(deformed, 0, 2.0, "momentum") == pytest.approx(0.670, abs=1.5e-3)
-        assert renyi_numeric(ModelParams(1.0, 0.5), 0, 2.0, "momentum") == pytest.approx(
+        assert entropy(deformed, 0, 2.0, "momentum", "renyi") == pytest.approx(0.670, abs=1.5e-3)
+        assert entropy(ModelParams(1.0, 0.5), 0, 2.0, "momentum", "renyi") == pytest.approx(
             0.6207, abs=1e-4
         )
 
-    def test_alpha_one_rejected(self, harmonic):
-        with pytest.raises(ValueError):
-            renyi_numeric(harmonic, 0, 1.0, "position")
-        with pytest.raises(ValueError):
-            tsallis_numeric(harmonic, 0, 1.0, "momentum")
+    def test_alpha_one_rejected(self):
+        # order 1 has no ln W form; entropy() serves it as Shannon instead
+        for kind in ("renyi", "tsallis"):
+            with pytest.raises(ValueError):
+                entropy_from_log_moment(0.0, 1.0, kind)
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_alpha_limit_brackets_shannon(self, deformed, space):
         s = shannon_numeric(deformed, 3, space)
-        hi = renyi_numeric(deformed, 3, 1.0 - 1e-4, space)
-        lo = renyi_numeric(deformed, 3, 1.0 + 1e-4, space)
+        hi = entropy(deformed, 3, 1.0 - 1e-4, space, "renyi")
+        lo = entropy(deformed, 3, 1.0 + 1e-4, space, "renyi")
         assert lo <= s <= hi
         assert hi - lo < 1e-3
 
@@ -211,8 +213,8 @@ class TestSelfDuality:
     def test_harmonic_position_equals_momentum(self, harmonic):
         for n in (0, 1, 4, 9, 20):
             for alpha in TABLE_ALPHAS:
-                r_pos = renyi_numeric(harmonic, n, alpha, "position")
-                r_mom = renyi_numeric(harmonic, n, alpha, "momentum")
+                r_pos = quadrature_entropy(harmonic, n, alpha, "position")
+                r_mom = quadrature_entropy(harmonic, n, alpha, "momentum")
                 assert abs(r_pos - r_mom) < 1e-9
 
 
@@ -221,7 +223,7 @@ class TestLambdaLocalisation:
         lams = np.round(np.arange(0.0, 1.5001, 0.05), 10)
         for n in (0, 1, 2):
             vals = [
-                renyi_numeric(ModelParams(1.0, float(lam)), n, 2.0, "momentum")
+                entropy(ModelParams(1.0, float(lam)), n, 2.0, "momentum", "renyi")
                 for lam in lams
             ]
             assert all(a > b for a, b in zip(vals[:-1], vals[1:]))

@@ -10,7 +10,7 @@ from darboux3.specfun import (
     bisect_sign_change,
     dawson,
     hermite,
-    hermite_scaled,
+    hermite_sign_logabs,
     hermite_zeros,
     log_gamma,
     pochhammer,
@@ -78,24 +78,27 @@ class TestHermite:
 
 
 class TestHermiteScaled:
+    """hermite_sign_logabs: the recurrence rescaled at every step."""
+
     def test_h0(self):
-        assert hermite_scaled(0, 0.0) == ScaledValue(1, 0.0)
+        sign, log_abs = hermite_sign_logabs(0, 0.0)
+        assert (sign[0], log_abs[0]) == (1, 0.0)
 
     def test_h2_at_zero(self):
-        sv = hermite_scaled(2, 0.0)
-        assert sv.sign == -1
-        assert sv.log_mag == pytest.approx(math.log(2.0), abs=1e-15)
+        sign, log_abs = hermite_sign_logabs(2, 0.0)
+        assert sign[0] == -1
+        assert log_abs[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_matches_plain_at_order_25(self):
-        sv = hermite_scaled(25, 1.5)
-        assert sv.to_real() == pytest.approx(hermite(25, 1.5), rel=1e-12)
+        sign, log_abs = hermite_sign_logabs(25, 1.5)
+        assert sign[0] * math.exp(log_abs[0]) == pytest.approx(hermite(25, 1.5), rel=1e-12)
 
     @pytest.mark.parametrize("n,x", [(50, 0.3), (50, 4.2), (80, 2.0)])
     def test_large_order_against_mpmath(self, n, x):
-        sv = hermite_scaled(n, x)
+        sign, log_abs = hermite_sign_logabs(n, x)
         ref = mp.hermite(n, mp.mpf(x))
-        assert sv.sign == int(mp.sign(ref))
-        assert sv.log_mag == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
+        assert sign[0] == int(mp.sign(ref))
+        assert log_abs[0] == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
 
 
 class TestLogGamma:

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from darboux3 import ModelParams, conjugate_order, log_moment, xi_renyi, xi_tsallis
-from darboux3.quadrature import entropic_moment_numeric, renyi_numeric
-from darboux3.position_entropy import renyi_position
+from darboux3 import (
+    ModelParams,
+    conjugate_order,
+    entropy,
+    entropy_from_log_moment,
+    log_moment,
+    xi_renyi,
+    xi_tsallis,
+)
+from darboux3.quadrature import entropic_moment_numeric, shannon_numeric
 
 RENYI_TABLE_ALPHAS = (0.6, 0.7, 0.8, 0.9, 1.125, 4.0 / 3.0, 1.75, 3.0)
 
@@ -26,6 +33,33 @@ class TestLogMoment:
         assert used == engine
         numeric = math.log(entropic_moment_numeric(deformed, 2, alpha, space))
         assert log_w == pytest.approx(numeric, abs=1e-10)
+
+
+class TestEntropy:
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_harmonic_ground_closed_form(self, harmonic, space, alpha):
+        # W_alpha = pi^((1 - alpha)/2) / sqrt(alpha) in both spaces (self-dual)
+        w = math.pi ** ((1.0 - alpha) / 2.0) / math.sqrt(alpha)
+        assert entropy(harmonic, 0, alpha, space, "renyi") == pytest.approx(
+            math.log(w) / (1.0 - alpha), abs=1e-10
+        )
+        assert entropy(harmonic, 0, alpha, space, "tsallis") == pytest.approx(
+            (1.0 - w) / (alpha - 1.0), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_order_one_is_shannon(self, deformed, space):
+        shannon = shannon_numeric(deformed, 2, space)
+        for kind in ("renyi", "tsallis"):
+            assert entropy(deformed, 2, 1.0, space, kind) == shannon
+
+    def test_unknown_kind_rejected(self, deformed):
+        for alpha in (1.0, 2.0):
+            with pytest.raises(ValueError, match="kind"):
+                entropy(deformed, 0, alpha, "position", "shannon")
+        with pytest.raises(ValueError, match="kind"):
+            entropy_from_log_moment(0.0, 2.0, "shannon")
 
 
 class TestConjugateOrder:
@@ -75,8 +109,8 @@ class TestXiRenyi:
         alpha = 2.0
         beta = 2.0 / 3.0
         expect = (
-            renyi_position(deformed, 1, 2)
-            + renyi_numeric(deformed, 1, beta, "momentum")
+            entropy(deformed, 1, 2, "position", "renyi")
+            + entropy(deformed, 1, beta, "momentum", "renyi")
             - math.log(math.pi * alpha ** (1 / (2 * alpha - 2)) * beta ** (1 / (2 * beta - 2)))
         )
         assert xi_renyi(deformed, 1, alpha).value == pytest.approx(expect, abs=1e-13)
