@@ -15,11 +15,24 @@ located first (coarse parity-component scan plus bisection, each probe a
 single quadrature dot product); entropy integrals then reuse the profile
 nodes directly with no interpolation.
 
+Fourier transform
+-----------------
+Psi_n has parity (-1)^n, so its transform (2 pi)^(-1/2) integral
+e^(-ipx) Psi_n(x) dx is the cos transform for even n and -i times the sin
+transform for odd n.  One kernel, :func:`_ft_component`, computes the
+parity-allowed trig sum; :func:`fourier_transform` and the momentum
+profile both call it, so the transform is exactly real (even n) or exactly
+imaginary (odd n) by construction, with the factor -i for odd n.
+
 Oscillatory transforms use panel widths of at most pi / (2 p_max) so every
 panel resolves the e^(-ipx) phase.  Truncation half-widths are chosen so
 the integrand envelope at the cut is below ~1e-18 of its peak, with a
 probing pass on the momentum side to cover the slowly decaying large-lam
 tails.
+
+Both spaces integrate even densities on the half line; one dispatch,
+:func:`_half_line_density`, supplies the weights and the density for
+:func:`entropic_moment_numeric` and :func:`shannon_numeric`.
 """
 
 from __future__ import annotations
@@ -56,6 +69,7 @@ __all__ = [
 _ORDER = 16          # Gauss-Legendre points per panel
 _TAIL_LOG = 42.0     # envelope at the cut below e^-42 ~ 5.7e-19 of peak
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 @dataclass(frozen=True)
@@ -100,20 +114,32 @@ def _panel_nodes(panels: list[tuple[float, float, int]], order: int = _ORDER):
 
 
 def _split(a: float, b: float, width: float) -> list[tuple[float, float]]:
+    """Equal pieces of [a, b], each at most ``width`` wide."""
     k = max(1, int(math.ceil((b - a) / width)))
     edges = np.linspace(a, b, k + 1)
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _grow_split(a: float, b: float, width: float, grow: float) -> list[tuple[float, float]]:
+    """Pieces of [a, b] starting at ``width`` and growing by ``grow``."""
+    edges = [a]
+    while edges[-1] + width < b:
+        edges.append(edges[-1] + width)
+        width *= grow
+    edges.append(b)
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _segment_panels(
-    boundaries: np.ndarray, width: float, cusp_points: np.ndarray
+    boundaries: np.ndarray, split, cusp_points: np.ndarray
 ) -> list[tuple[float, float, int]]:
-    """Subdivide [boundaries] into panels of at most ``width``; panels whose
-    endpoint is a cusp get the cubic map on that side."""
+    """Subdivide [boundaries] into the panels ``split(a, b)`` returns for
+    each segment; panels whose endpoint is a cusp get the cubic map on
+    that side."""
     panels: list[tuple[float, float, int]] = []
     cusps = set(float(c) for c in cusp_points)
     for a, b in zip(boundaries[:-1], boundaries[1:]):
-        pieces = _split(float(a), float(b), width)
+        pieces = split(float(a), float(b))
         for i, (pa, pb) in enumerate(pieces):
             m = 0
             if i == 0 and float(a) in cusps:
@@ -180,21 +206,10 @@ def _position_moment_nodes(
     # fractional powers leave |x - x0|^(2 alpha) cusps at the density zeros
     cusp = not float(alpha).is_integer()
     cusp_pts = zeros if not cusp else np.concatenate([zeros, [0.0]]) if n % 2 else zeros
-    panels = _segment_panels(bounds, width, cusp_pts if cusp else np.array([]))
+    panels = _segment_panels(
+        bounds, lambda a, b: _split(a, b, width), cusp_pts if cusp else np.array([])
+    )
     return _panel_nodes(panels)
-
-
-def _moment_position(params: ModelParams, n: int, alpha: float, refine: int) -> float:
-    x, w = _position_moment_nodes(params, n, alpha, refine)
-    rho = density_position(params, n, x)
-    return 2.0 * float(w @ np.power(rho, alpha))
-
-
-def _shannon_position(params: ModelParams, n: int, refine: int) -> float:
-    x, w = _position_moment_nodes(params, n, 1.0, refine)
-    rho = np.asarray(density_position(params, n, x))
-    val = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
-    return -2.0 * float(w @ val)
 
 
 # --------------------------------------------------------------------------
@@ -211,12 +226,6 @@ class MomentumProfile:
     p: np.ndarray
     gamma: np.ndarray
     weights: np.ndarray
-    psi: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        """(m, 2) array of (p, gamma) pairs."""
-        return np.stack([self.p, self.gamma], axis=1)
 
 
 def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
@@ -234,22 +243,21 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
     return _panel_nodes(panels)
 
 
-def _ft_component(params, n, x, wx, psi_x, p):
-    """cos (even n) or sin (odd n) transform of Psi at momenta p.
+def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The package's one transform kernel: sum_j trig(p x_j) fw_j at the
+    momenta ``p`` (1-d), with cos for even n and sin for odd n (the
+    parity-allowed part).
 
-    Returns g(p) with FT(p) = (-i)^(n mod 2)-free convention:
-    even n: FT = sqrt(2/pi) * integral cos(px) Psi;  odd n: FT = -i * sqrt(2/pi) * integral sin(px) Psi.
-    This helper returns the real integral sqrt(2/pi) * integral trig(px) Psi(x) dx.
+    ``fw`` holds quadrature weights times Psi_n at the nodes ``x``; the sum
+    is unscaled, and callers apply the normalisation and the factor -i of
+    odd n.
     """
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.empty(pa.shape)
-    fw = wx * psi_x
+    out = np.empty(len(p))
     trig = np.cos if n % 2 == 0 else np.sin
     chunk = 256
-    for i in range(0, len(pa), chunk):
-        block = pa[i : i + chunk]
-        out[i : i + chunk] = trig(np.outer(block, x)) @ fw
-    return math.sqrt(2.0 / math.pi) * out
+    for i in range(0, len(p), chunk):
+        out[i : i + chunk] = trig(np.outer(p[i : i + chunk], x)) @ fw
+    return out
 
 
 def _momentum_tail_start(params: ModelParams, n: int) -> float:
@@ -285,22 +293,17 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
             )
         L_p = max(L_p, L_b)
 
-    def gamma_probe(p_val, p_res):
-        x, wx = _ft_x_nodes(params, n, p_res)
-        psi_x = np.asarray(wavefunction(params, n, x))
-        g = _ft_component(params, n, x, wx, psi_x, p_val)
-        return g * g
-
-    scale = float(gamma_probe(np.array([0.0, 0.5 * math.sqrt((2 * n + 1) * om)]), 1.0).max())
+    bulk = np.array([0.0, 0.5 * math.sqrt((2 * n + 1) * om)])
+    scale = float((np.abs(fourier_transform(params, n, None, bulk)) ** 2).max())
     for _ in range(40):
-        tail = float(gamma_probe(np.array([L_p]), L_p)[0])
+        tail = float((np.abs(fourier_transform(params, n, None, np.array([L_p]))) ** 2)[0])
         if tail * (1.0 + L_p) ** 2 <= math.exp(-_TAIL_LOG) * max(scale, 1e-300):
             break
         L_p *= 1.25
 
     x, wx = _ft_x_nodes(params, n, L_p, refine)
-    psi_x = np.asarray(wavefunction(params, n, x))
-    comp = lambda p: _ft_component(params, n, x, wx, psi_x, p)
+    fw = wx * np.asarray(wavefunction(params, n, x))
+    comp = lambda p: _SQRT_2_OVER_PI * _ft_component(n, x, fw, p)
 
     # locate transform zeros: dense scan over the structured region, then
     # a coarser scan across the monotone tail, bisection on sign changes;
@@ -316,7 +319,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
         )
     )
     vals = comp(scan)
-    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * float(np.sum(np.abs(wx * psi_x))))
+    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * float(np.sum(np.abs(fw))))
     sgn = np.sign(vals)
     flips = [
         i
@@ -336,25 +339,15 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     # every zero (and at 0 for odd n) so fractional powers stay spectral
     width = 0.45 * math.sqrt(om) / refine
     bounds = np.unique(np.concatenate([[0.0, min(p_feat, L_p)], zeros[zeros < p_feat]]))
-    panels = _segment_panels(bounds, width, zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]))
-    if L_p > p_feat:
+    panels = _segment_panels(
+        bounds,
+        lambda a, b: _split(a, b, width),
+        zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]),
+    )
+    if L_p > p_feat:  # monotone tail: panels grow geometrically
         tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
-        w0, grow = 2.0 * width, 1.35
-        for a, b in zip(tail_bounds[:-1], tail_bounds[1:]):
-            edges = [a]
-            wstep = w0
-            while edges[-1] + wstep < b:
-                edges.append(edges[-1] + wstep)
-                wstep *= grow
-            edges.append(b)
-            cusps = set((float(a), float(b))) & set(float(z) for z in zeros)
-            for i, (pa, pb) in enumerate(zip(edges[:-1], edges[1:])):
-                m = 0
-                if i == 0 and float(a) in cusps:
-                    m = -1
-                if i == len(edges) - 2 and float(b) in cusps and m == 0:
-                    m = +1
-                panels.append((pa, pb, m))
+        grow = lambda a, b: _grow_split(a, b, 2.0 * width, 1.35)
+        panels += _segment_panels(tail_bounds, grow, zeros)
 
     p_nodes, p_w = _panel_nodes(panels)
     g = comp(p_nodes)
@@ -365,15 +358,10 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
             f"momentum density normalisation off by {norm - 1.0:.2e} "
             f"for omega={omega}, lam={lam}, n={n}"
         )
-    phase = 1.0 + 0.0j if n % 2 == 0 else (-1j) ** n  # overall (-i)^n parity factor
-    psi_p = phase * g
     grid = GridSpec(half_width=float(L_p), points=max(32, len(p_nodes)))
     for arr in (p_nodes, p_w, gamma):
         arr.setflags(write=False)
-    psi_p.setflags(write=False)
-    return MomentumProfile(
-        params=params, n=n, grid=grid, p=p_nodes, gamma=gamma, weights=p_w, psi=psi_p
-    )
+    return MomentumProfile(params=params, n=n, grid=grid, p=p_nodes, gamma=gamma, weights=p_w)
 
 
 def momentum_profile(params: ModelParams, n: int, refine: int = 1) -> MomentumProfile:
@@ -382,43 +370,31 @@ def momentum_profile(params: ModelParams, n: int, refine: int = 1) -> MomentumPr
 
 
 def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
-    """(2 pi)^(-1/2) integral e^(-ipx) Psi_n(x) dx by quadrature on [-L, L].
+    """(2 pi)^(-1/2) integral e^(-ipx) Psi_n(x) dx by quadrature.
 
-    Purely real for even n and purely imaginary for odd n; the off-parity
-    part of the quadrature must stay below 1e-10 of the magnitude.
+    Exactly real for even n and exactly imaginary for odd n: the kernel
+    sums only the parity-allowed part.  With ``grid_x`` None the sum runs
+    over half-line panels resolving the phase up to max |p|; an explicit
+    :class:`GridSpec` integrates over its full line [-L, L] and warns when
+    it underresolves the phase.
     """
     pa = np.atleast_1d(np.asarray(p, dtype=float))
     p_max = float(np.max(np.abs(pa))) if len(pa) else 0.0
     if grid_x is None:
         x, wx = _ft_x_nodes(params, n, max(p_max, 1.0))
-        x = np.concatenate([-x[::-1], x])
-        wx = np.concatenate([wx[::-1], wx])
+        scale = _SQRT_2_OVER_PI
     else:
         x, wx = grid_nodes(grid_x)
+        scale = 1.0 / _SQRT_2PI
         if p_max * grid_x.half_width / grid_x.points > 0.5:
             warnings.warn(
                 "momentum grid underresolves the e^(-ipx) phase: "
                 f"p*L/points = {p_max * grid_x.half_width / grid_x.points:.2f} > 0.5",
                 stacklevel=2,
             )
-    psi_x = np.asarray(wavefunction(params, n, x))
-    fw = wx * psi_x
-    out = np.empty(pa.shape, dtype=complex)
-    chunk = 256
-    for i in range(0, len(pa), chunk):
-        block = pa[i : i + chunk]
-        out[i : i + chunk] = np.exp(-1j * np.outer(block, x)) @ fw
-    out /= _SQRT_2PI
-    mag = np.max(np.abs(out))
-    # impurity is enforced relative to the magnitude, with an absolute
-    # allowance at the dot-product rounding floor (tail-only evaluations)
-    noise = 8e-15 * float(np.sum(np.abs(fw))) / _SQRT_2PI
-    if mag > 0.0:
-        off = np.max(np.abs(out.imag)) if n % 2 == 0 else np.max(np.abs(out.real))
-        if off > max(1e-10 * mag, noise):
-            raise ArithmeticError(
-                f"parity impurity {off / mag:.2e} in Fourier transform (n={n})"
-            )
+    fw = wx * np.asarray(wavefunction(params, n, x))
+    g = scale * _ft_component(n, x, fw, pa)
+    out = g + 0j if n % 2 == 0 else -1j * g
     return out if np.asarray(p).ndim else complex(out[0])
 
 
@@ -426,28 +402,32 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
 # numeric moments and Shannon entropy
 # --------------------------------------------------------------------------
 
+def _half_line_density(
+    params: ModelParams, n: int, space: str, refine: int, alpha: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half-line weights and density in ``space`` (both densities are even);
+    the position nodes resolve density^alpha."""
+    if space == "position":
+        x, w = _position_moment_nodes(params, n, alpha, refine)
+        return w, np.asarray(density_position(params, n, x))
+    if space == "momentum":
+        prof = momentum_profile(params, n, refine)
+        return prof.weights, prof.gamma
+    raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
+
+
 def entropic_moment_numeric(
     params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
 ) -> float:
     """W = integral density^alpha over the grid, either space, any alpha > 0."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if space == "position":
-        return _moment_position(params, n, float(alpha), refine)
-    if space == "momentum":
-        prof = momentum_profile(params, n, refine)
-        return 2.0 * float(prof.weights @ np.power(prof.gamma, alpha))
-    raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
+    w, rho = _half_line_density(params, n, space, refine, float(alpha))
+    return 2.0 * float(w @ np.power(rho, alpha))
 
 
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
     """Shannon entropy -integral density ln density (0 ln 0 taken as 0)."""
-    if space == "position":
-        return _shannon_position(params, n, refine)
-    if space == "momentum":
-        prof = momentum_profile(params, n, refine)
-        g = prof.gamma
-        val = np.where(g > 0.0, g * np.log(np.where(g > 0.0, g, 1.0)), 0.0)
-        return -2.0 * float(prof.weights @ val)
-    raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
-
+    w, rho = _half_line_density(params, n, space, refine)
+    val = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
+    return -2.0 * float(w @ val)

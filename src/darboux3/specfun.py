@@ -52,12 +52,6 @@ class ScaledValue:
     log_mag: float
 
     @staticmethod
-    def from_real(x: float) -> "ScaledValue":
-        if x == 0.0:
-            return ScaledValue(0, float("-inf"))
-        return ScaledValue(1 if x > 0 else -1, math.log(abs(x)))
-
-    @staticmethod
     def from_log(sign: int, log_mag: float) -> "ScaledValue":
         if sign == 0:
             return ScaledValue(0, float("-inf"))
@@ -72,11 +66,6 @@ class ScaledValue:
         if self.log_mag > 709.0:
             return math.inf * self.sign
         return self.sign * math.exp(self.log_mag)
-
-    def __mul__(self, other: "ScaledValue") -> "ScaledValue":
-        if self.sign == 0 or other.sign == 0:
-            return ScaledValue(0, float("-inf"))
-        return ScaledValue(self.sign * other.sign, self.log_mag + other.log_mag)
 
 
 def scaled_sum(values: Iterable[ScaledValue]) -> ScaledValue:

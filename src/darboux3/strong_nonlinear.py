@@ -43,7 +43,7 @@ from .model import (
     density_position,
     effective_frequency,
     log_norm_constant,
-    norm_constant,
+    wavefunction,
 )
 from .specfun import bisect_sign_change, dawson, dawson_vec, hermite, hermite_zeros
 
@@ -85,15 +85,15 @@ def harmonic_weight(params: ModelParams, n: int) -> DensitySplit:
 
 
 def approx_wavefunction(params: ModelParams, n: int, x) -> float | np.ndarray:
-    """Large-nonlinearity approximant phi_n; integrates to 1 - f, not 1."""
+    """Large-nonlinearity approximant phi_n; integrates to 1 - f, not 1.
+
+    phi_n = sqrt(lam) |x| Psi_n / sqrt(1 + lam x^2), so it inherits the
+    log-space assembly of :func:`wavefunction` and stays finite at large n.
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    om = effective_frequency(params, n)
     out = (
-        math.sqrt(params.lam)
-        * norm_constant(params, n)
-        * np.abs(xa)
-        * np.exp(-0.5 * om * xa * xa)
-        * hermite(n, math.sqrt(om) * xa)
+        math.sqrt(params.lam) * np.abs(xa) * wavefunction(params, n, xa)
+        / np.sqrt(1.0 + params.lam * xa * xa)
     )
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 

@@ -61,9 +61,6 @@ class XiResult:
     value: float
     position_method: str  # "analytic" or "quadrature"
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def conjugate_order(alpha: float) -> ConjugatePair:
     """Conjugate pair of ``alpha``; requires alpha > 1/2."""

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -77,3 +78,38 @@ def test_benchmark_names_resolve():
         if not hasattr(importlib.import_module(f"darboux3.{module}"), name)
     ]
     assert traced and called and not missing
+
+
+def test_traced_cli_smoke(tmp_path, capsys):
+    """Cheap CLI requests under the benchmark's tracer: every traced call
+    whose tracer reads its arguments (such as ``fourier_transform``'s
+    fourth positional ``p``) records its detail."""
+    path = PACKAGE_DIR.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: importlib.import_module(f"darboux3.{name}") for name in MODULES}
+    modules["darboux3"] = darboux3
+    cli = modules["cli"]
+    requests = [
+        ["profile", "density-momentum", "--lambda", "0.4", "--n", "1",
+         "--grid-points", "33", "--out", str(tmp_path / "profile.csv")],
+        ["renyi", "--space", "momentum", "--alpha", "0.7", "--lambda", "0.4", "--n", "1"],
+        ["shannon", "--space", "momentum", "--lambda", "0.4", "--n", "1"],
+        ["moment", "--space", "position", "--alpha", "0.5", "--lambda", "0.4", "--n", "1"],
+    ]
+    tracer = tracing.Tracer(modules)
+    tracer.install(0)
+    try:
+        codes = [cli.main(argv) for argv in requests]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(requests)
+    readers = {f"{owner}.{name}" for owner, name, detail in tracing.TRACED if detail}
+    spans = [s for s in tracer.spans if s.name in readers]
+    assert {s.name for s in spans} >= {
+        "quadrature.fourier_transform", "quadrature.momentum_profile",
+        "quadrature.entropic_moment_numeric", "model.wavefunction",
+    }
+    assert [s.name for s in spans if s.detail is None] == []

@@ -22,29 +22,28 @@ from conftest import gauss_hermite_nodes
 mp.mp.dps = 30
 
 
+def _scaled(x: float) -> ScaledValue:
+    sign = 0 if x == 0.0 else (1 if x > 0 else -1)
+    return ScaledValue.from_log(sign, math.log(abs(x)) if x else 0.0)
+
+
 class TestScaledValue:
     def test_zero_round_trip(self):
-        assert ScaledValue.from_real(0.0).sign == 0
-        assert ScaledValue.from_real(0.0).to_real() == 0.0
+        assert _scaled(0.0).sign == 0
+        assert _scaled(0.0).to_real() == 0.0
 
     @pytest.mark.parametrize("x", [1e-120, -3.7, 1.0, 0.02, -7.3e99])
     def test_round_trip(self, x):
-        assert ScaledValue.from_real(x).to_real() == pytest.approx(x, rel=1e-14)
+        assert _scaled(x).to_real() == pytest.approx(x, rel=1e-14)
 
     @pytest.mark.parametrize("x", [1e-300, 2.5e299, -1e300])
     def test_round_trip_extreme(self, x):
         # |ln x| ~ 690 pins the float log at ~8e-14 relative; 1e-13 is the
         # attainable faithful bound at the edges of the double range
-        assert ScaledValue.from_real(x).to_real() == pytest.approx(x, rel=1e-13)
-
-    def test_product_and_power(self):
-        a = ScaledValue.from_real(-3.0)
-        b = ScaledValue.from_real(0.5)
-        assert (a * b).to_real() == pytest.approx(-1.5, rel=1e-14)
-        assert (a * a * a).to_real() == pytest.approx(-27.0, rel=1e-14)
+        assert _scaled(x).to_real() == pytest.approx(x, rel=1e-13)
 
     def test_scaled_sum_cancellation(self):
-        vals = [ScaledValue.from_real(v) for v in (1e120, -1e120, 3.25)]
+        vals = [_scaled(v) for v in (1e120, -1e120, 3.25)]
         assert scaled_sum(vals).to_real() == pytest.approx(3.25, rel=1e-10)
 
 
@@ -143,10 +142,10 @@ class TestPochhammer:
             z = rng.uniform(-10, 10)
             a, b = rng.integers(0, 21), rng.integers(0, 21)
             lhs = pochhammer(z, int(a + b))
-            rhs = pochhammer(z, int(a)) * pochhammer(z + a, int(b))
-            assert lhs.sign == rhs.sign
+            left, right = pochhammer(z, int(a)), pochhammer(z + a, int(b))
+            assert lhs.sign == left.sign * right.sign
             if lhs.sign != 0:
-                assert lhs.log_mag == pytest.approx(rhs.log_mag, abs=1e-10)
+                assert lhs.log_mag == pytest.approx(left.log_mag + right.log_mag, abs=1e-10)
 
 
 class TestHermiteZeros:

@@ -88,7 +88,7 @@ class TestApproxWavefunction:
         assert approx_wavefunction(deformed, 4, 0.0) == 0.0
 
     def test_norm_equals_complement(self):
-        for lam, n in ((0.5, 0), (10.0, 2), (100.0, 3)):
+        for lam, n in ((0.5, 0), (10.0, 2), (100.0, 3), (2.0, 200)):
             p = ModelParams(1.0, lam)
             om = effective_frequency(p, n)
             L = math.sqrt((95.0 + 4.0 * n * math.log(42.0)) / om)
