@@ -19,7 +19,6 @@ from .model import (
 )
 from .position_entropy import (
     BudgetExceededError,
-    EntropyOrder,
     ExpansionCoefficients,
     entropic_moment,
     entropic_moment_special,
@@ -36,11 +35,9 @@ from .quadrature import (
     shannon_numeric,
 )
 from .specfun import (
-    ScaledValue,
-    dawson,
+    dawson_vec,
     hermite,
     log_gamma,
-    pochhammer,
 )
 from .strong_nonlinear import (
     CriticalPoint,

@@ -112,8 +112,8 @@ def _validated(args, need_alpha=False):
     alphas = None
     if need_alpha:
         alphas = _parse_grid(args.alpha)
-        if any(a <= 0 for a in alphas):
-            raise _UsageError("--alpha values must be positive")
+        if not all(a > 0 and math.isfinite(a) for a in alphas):
+            raise _UsageError("--alpha values must be positive and finite")
     points, half = getattr(args, "grid_points", None), getattr(args, "half_width", None)
     if points is not None and points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got {points}")

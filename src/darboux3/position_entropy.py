@@ -9,21 +9,28 @@ is expanded as a series of even Hermite polynomials,
         = A * alpha^(-alpha*nu) * sum_j c_j / ((-1)^j 2^(2j) j!)
               * H_(2j)(sqrt(alpha*Omega) x),
 
-and the Gaussian-weighted moments of H_(2j) reduce the integral to a short
-double sum over k = 0..alpha, j = 0..k.  The expansion prefactor A and the
-coefficients c_j involve combinatorially large factors, so every product is
-assembled in sign/log-magnitude form and only same-scale terms are summed
-in linear space (compensated summation after factoring out the largest
-magnitude).
+and the Gaussian-weighted moments of H_(2j) reduce the integral to
+
+    W = sqrt(pi / (alpha Omega)) (Omega/pi)^(alpha/2)
+        (1 + (n + 1/2) lam / Omega)^(-alpha) * sum_(k=0..alpha) P_k r^k,
+
+a polynomial in r = lam / (alpha Omega) with
+
+    P_k = A / (alpha^(alpha nu) (2^n n!)^alpha) * C(alpha, k) (1/2)_k
+          * sum_(j<=k) (-1)^j C(k, j) c_j.
+
+Every ingredient is exact: A = 2^(2 alpha n) ((n - nu)/2)!^(2 alpha) is an
+integer, each c_j is rational and Gamma(k + 1/2) = sqrt(pi) (1/2)_k, so the
+P_k are exact rationals, built once per (n, alpha).  r is taken exactly
+from its double and the sum is exact too; the sum is rounded only when its
+logarithm is taken, so the large, alternating terms cause no cancellation
+error.
 
 The coefficient c_j is defined through a (2*alpha+1)-fold nested sum whose
 inner 2*alpha indices enter only through their total J; the nested sum is
 therefore evaluated as an iterated convolution of a single weight vector,
-which reorders but does not alter the finite sum.  Every quantity entering
-c_j is rational, so the accumulation is done in exact rational arithmetic;
-the alternating signs of the weight vector and of the (-j)_i factors then
-cause no cancellation error at all.  ``uncertainty.entropy`` turns log W
-into Rényi and Tsallis entropies.
+which reorders but does not alter the finite sum.  ``uncertainty.entropy``
+turns ln W into Rényi and Tsallis entropies.
 """
 
 from __future__ import annotations
@@ -33,13 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .model import ModelParams, effective_frequency, log_norm_constant
-from .specfun import ScaledValue, log_gamma, pochhammer, scaled_sum
+from .model import ModelParams, effective_frequency
+from .specfun import log_gamma
 
 __all__ = [
-    "EntropyOrder",
     "ExpansionCoefficients",
     "BudgetExceededError",
     "parity_nu",
@@ -59,25 +63,6 @@ class BudgetExceededError(RuntimeError):
     """Raised when a coefficient evaluation would exceed its work budget."""
 
 
-@dataclass(frozen=True)
-class EntropyOrder:
-    """Entropic order alpha plus its analytic eligibility.
-
-    The closed-form path exists only for integer alpha >= 1 (the expansion
-    above needs an integer 2*alpha-fold nesting); every other positive
-    order is served by quadrature.
-    """
-
-    alpha: float
-    analytic_eligible: bool
-
-    @staticmethod
-    def of(alpha: float) -> "EntropyOrder":
-        if not (alpha > 0.0) or not math.isfinite(alpha):
-            raise ValueError(f"entropic order must be positive, got {alpha}")
-        return EntropyOrder(float(alpha), alpha >= 1.0 and float(alpha).is_integer())
-
-
 def parity_nu(n: int) -> int:
     """Parity indicator nu = (1 - (-1)^n) / 2: 0 for even n, 1 for odd."""
     if n < 0:
@@ -89,19 +74,14 @@ def parity_nu(n: int) -> int:
 class ExpansionCoefficients:
     """Hermite-power expansion data for H_n^(2 alpha).
 
-    ``c`` holds c_j for j = 0..j_max as plain floats; ``c_sign``/``c_log``
-    carry the same values in sign/log-magnitude form for overflow-free
-    downstream assembly and ``c_exact`` the underlying exact rationals.
-    ``log_A`` is the prefactor A as a ScaledValue.
+    ``A`` is the integer prefactor 2^(2 alpha n) ((n - nu)/2)!^(2 alpha) and
+    ``c_exact`` holds c_j for j = 0..j_max as exact rationals.
     """
 
     n: int
     alpha: int
     nu: int
-    log_A: ScaledValue
-    c: np.ndarray
-    c_sign: np.ndarray
-    c_log: np.ndarray
+    A: int
     c_exact: tuple
 
 
@@ -122,12 +102,13 @@ def _poch_frac(z: Fraction, a: int) -> Fraction:
     return out
 
 
-def _log_of_fraction(q: Fraction) -> tuple[int, float]:
-    """(sign, ln|q|) of a rational; exact-integer logs, no overflow."""
-    if q == 0:
-        return 0, float("-inf")
-    sign = 1 if q > 0 else -1
-    return sign, math.log(abs(q.numerator)) - math.log(q.denominator)
+def _log_of_fraction(q: Fraction) -> float:
+    """ln q of a positive rational of any size: q = m 2^e with m the
+    correctly rounded quotient in [1/2, 2], so nothing overflows."""
+    num, den = q.numerator, q.denominator
+    e = num.bit_length() - den.bit_length()
+    m = (num << -e) / den if e < 0 else num / (den << e)
+    return math.log(m) + e * math.log(2.0)
 
 
 @lru_cache(maxsize=512)
@@ -183,9 +164,6 @@ def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionC
     pref = _poch_frac(half, alpha * nu) * binom ** (2 * alpha)
 
     # c_j = pref * sum_c (-j)_c / ((1/2)_c c!) * T[c]
-    c_sign = np.zeros(j_max + 1, dtype=int)
-    c_log = np.full(j_max + 1, -np.inf)
-    c_vals = np.zeros(j_max + 1)
     c_exact = []
     for j in range(j_max + 1):
         s = Fraction(0)
@@ -195,24 +173,10 @@ def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionC
                 / (_poch_frac(half, cc) * math.factorial(cc))
                 * big_t[cc]
             )
-        cj = pref * s
-        c_exact.append(cj)
-        sign, log_mag = _log_of_fraction(cj)
-        c_sign[j] = sign
-        c_log[j] = log_mag
-        if sign != 0:
-            with np.errstate(over="ignore"):
-                c_vals[j] = sign * math.exp(min(log_mag, 709.0))
+        c_exact.append(pref * s)
 
-    log_A = ScaledValue.from_log(
-        1, 2 * alpha * n * math.log(2.0) + 2 * alpha * log_gamma((n - nu) / 2.0 + 1.0)
-    )
-    for arr in (c_vals, c_sign, c_log):
-        arr.setflags(write=False)
-    return ExpansionCoefficients(
-        n=n, alpha=alpha, nu=nu, log_A=log_A, c=c_vals, c_sign=c_sign,
-        c_log=c_log, c_exact=tuple(c_exact),
-    )
+    big_a = 2 ** (2 * alpha * n) * math.factorial(m_cap) ** (2 * alpha)
+    return ExpansionCoefficients(n=n, alpha=alpha, nu=nu, A=big_a, c_exact=tuple(c_exact))
 
 
 def expansion_coefficients(
@@ -232,57 +196,50 @@ def expansion_coefficients(
     return _expansion_cached(n, _check_alpha_int(alpha), int(j_max), int(budget))
 
 
-def _eta_terms(params: ModelParams, n: int, alpha: int) -> list[ScaledValue]:
-    """The k = 0..alpha bracket terms of the moment formula, scaled."""
+def _moment_prefactor(coeffs: ExpansionCoefficients) -> Fraction:
+    """A / (alpha^(alpha nu) (2^n n!)^alpha), the exact rational part of
+    every P_k."""
+    n, a = coeffs.n, coeffs.alpha
+    return Fraction(coeffs.A, a ** (a * coeffs.nu) * (2**n * math.factorial(n)) ** a)
+
+
+@lru_cache(maxsize=512)
+def _moment_polynomial(n: int, alpha: int) -> tuple[Fraction, ...]:
+    """Exact coefficients P_0..P_alpha of the moment polynomial in r."""
     coeffs = expansion_coefficients(n, alpha, alpha)
-    om = effective_frequency(params, n)
-    ratio = params.lam / (alpha * om)
-    log_ratio = math.log(ratio) if ratio > 0.0 else -math.inf
-    terms: list[ScaledValue] = []
-    for k in range(alpha + 1):
-        if k > 0 and params.lam == 0.0:
-            break  # (lam / (alpha Omega))^k kills every k > 0 term
-        inner = []
-        for j in range(k + 1):
-            pj = pochhammer(float(-k), j)
-            if pj.sign == 0 or coeffs.c_sign[j] == 0:
-                continue
-            inner.append(
-                ScaledValue.from_log(
-                    int(coeffs.c_sign[j]) * pj.sign,
-                    coeffs.c_log[j] + pj.log_mag - log_gamma(j + 1.0),
-                )
-            )
-        bracket = scaled_sum(inner)
-        if bracket.sign == 0:
-            continue
-        log_binomial = log_gamma(alpha + 1.0) - log_gamma(k + 1.0) - log_gamma(alpha - k + 1.0)
-        log_power = k * log_ratio if k else 0.0
-        terms.append(
-            ScaledValue.from_log(
-                bracket.sign,
-                log_binomial + log_power + log_gamma(k + 0.5) + bracket.log_mag,
-            )
+    pref = _moment_prefactor(coeffs)
+    half = Fraction(1, 2)
+    return tuple(
+        pref
+        * math.comb(alpha, k)
+        * _poch_frac(half, k)
+        * sum(
+            ((-1) ** j * math.comb(k, j) * coeffs.c_exact[j] for j in range(k + 1)),
+            Fraction(0),
         )
-    return terms
+        for k in range(alpha + 1)
+    )
 
 
 def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
-    """ln W for integer alpha >= 1, assembled entirely in log space."""
+    """ln W for integer alpha >= 1: the exact moment polynomial at
+    r = lam / (alpha Omega), rounded only when its logarithm is taken."""
     a = _check_alpha_int(alpha)
-    coeffs = expansion_coefficients(n, a, a)
+    poly = _moment_polynomial(n, a)
     om = effective_frequency(params, n)
-    bracket = scaled_sum(_eta_terms(params, n, a))
-    if bracket.sign <= 0:
+    r = Fraction(params.lam / (a * om))
+    total = Fraction(0)
+    for p_k in reversed(poly):
+        total = total * r + p_k
+    if total <= 0:
         raise ArithmeticError(
             f"entropic moment bracket is non-positive for n={n}, alpha={a}"
         )
     return (
-        2.0 * a * log_norm_constant(params, n)
-        + coeffs.log_A.log_mag
-        - a * coeffs.nu * math.log(a)
-        - 0.5 * math.log(a * om)
-        + bracket.log_mag
+        0.5 * math.log(math.pi / (a * om))
+        + 0.5 * a * math.log(om / math.pi)
+        - a * math.log1p((n + 0.5) * params.lam / om)
+        + _log_of_fraction(total)
     )
 
 
@@ -324,11 +281,7 @@ def entropic_moment_special(params: ModelParams, n: int, alpha, case: str) -> fl
         log_w = (
             ((a - 1) / 2.0) * math.log(params.omega / math.pi)
             - 0.5 * math.log(a)
-            - a * (n * math.log(2.0) + log_gamma(n + 1.0))
-            + coeffs.log_A.log_mag
-            - a * coeffs.nu * math.log(a)
-            + coeffs.c_log[0]
+            + _log_of_fraction(_moment_prefactor(coeffs) * coeffs.c_exact[0])
         )
-        return coeffs.c_sign[0] * math.exp(log_w)
+        return math.exp(log_w)
     raise ValueError(f"unknown case {case!r}; expected 'harmonic', 'ground' or 'both'")
-

@@ -70,6 +70,7 @@ _ORDER = 16          # Gauss-Legendre points per panel
 _TAIL_LOG = 42.0     # envelope at the cut below e^-42 ~ 5.7e-19 of peak
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_FT_CHUNK_BYTES = 4 * 2**20  # the kernel's one (momenta x nodes) phase buffer
 
 
 @dataclass(frozen=True)
@@ -250,13 +251,18 @@ def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.nd
 
     ``fw`` holds quadrature weights times Psi_n at the nodes ``x``; the sum
     is unscaled, and callers apply the normalisation and the factor -i of
-    odd n.
+    odd n.  Momenta are taken in chunks whose phase matrix fills one
+    buffer of ``_FT_CHUNK_BYTES``, reused in place, so memory stays bounded
+    whatever the node count.
     """
     out = np.empty(len(p))
     trig = np.cos if n % 2 == 0 else np.sin
-    chunk = 256
+    chunk = max(1, _FT_CHUNK_BYTES // (8 * len(x)))
+    buf = np.empty((min(chunk, len(p)), len(x)))
     for i in range(0, len(p), chunk):
-        out[i : i + chunk] = trig(np.outer(p[i : i + chunk], x)) @ fw
+        phase = buf[: len(p[i : i + chunk])]
+        np.outer(p[i : i + chunk], x, out=phase)
+        out[i : i + chunk] = trig(phase, out=phase) @ fw
     return out
 
 
@@ -419,9 +425,9 @@ def _half_line_density(
 def entropic_moment_numeric(
     params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
 ) -> float:
-    """W = integral density^alpha over the grid, either space, any alpha > 0."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     w, rho = _half_line_density(params, n, space, refine, float(alpha))
     return 2.0 * float(w @ np.power(rho, alpha))
 

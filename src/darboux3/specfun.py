@@ -1,91 +1,29 @@
 """Self-contained special-function kernel.
 
 Hermite polynomials (plain and sign/log-magnitude scaled) and their zeros,
-log-gamma, Pochhammer symbols, the Dawson F function and the package's one
-sign-change bisection.  Everything here is deterministic, pure and free of
-external dependencies beyond numpy, so the rest of the package can treat
-these as exact primitives.
-
-Combinatorially large factors (2^(2*alpha*n), Gamma powers, factorials,
-Pochhammer products) are carried across module boundaries as
-:class:`ScaledValue` sign/log-magnitude pairs; conversion back to a plain
-float happens only when same-scale terms are finally summed.
+log-gamma, Dawson's F function and the package's one sign-change
+bisection.  Everything here is deterministic, pure and free of external
+dependencies beyond numpy, so the rest of the package can treat these as
+exact primitives.  Exact rational work (the entropic-moment polynomial and
+its Pochhammer symbols) lives with its one user in ``position_entropy``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
-    "ScaledValue",
-    "scaled_sum",
     "hermite",
     "hermite_sign_logabs",
     "hermite_zeros",
     "log_gamma",
-    "pochhammer",
-    "dawson",
     "dawson_vec",
     "bisect_sign_change",
 ]
-
-
-# --------------------------------------------------------------------------
-# sign / log-magnitude arithmetic
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    ``sign`` is -1, 0 or +1; ``sign == 0`` if and only if the represented
-    value is exactly zero, in which case ``log_mag`` carries no meaning.
-    """
-
-    sign: int
-    log_mag: float
-
-    @staticmethod
-    def from_log(sign: int, log_mag: float) -> "ScaledValue":
-        if sign == 0:
-            return ScaledValue(0, float("-inf"))
-        if sign not in (-1, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
-        return ScaledValue(sign, float(log_mag))
-
-    def to_real(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        # exp may overflow; +/-inf is the honest answer then
-        if self.log_mag > 709.0:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.log_mag)
-
-
-def scaled_sum(values: Iterable[ScaledValue]) -> ScaledValue:
-    """Sum ScaledValues: factor out the largest magnitude, then compensated
-    (Kahan) summation of the rescaled signed terms."""
-    vals = [v for v in values if v.sign != 0]
-    if not vals:
-        return ScaledValue(0, float("-inf"))
-    m = max(v.log_mag for v in vals)
-    total = 0.0
-    comp = 0.0
-    for v in vals:
-        term = v.sign * math.exp(v.log_mag - m)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if total == 0.0:
-        return ScaledValue(0, float("-inf"))
-    return ScaledValue(1 if total > 0 else -1, m + math.log(abs(total)))
 
 
 # --------------------------------------------------------------------------
@@ -184,90 +122,57 @@ def log_gamma(x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# Pochhammer symbol
-# --------------------------------------------------------------------------
-
-def pochhammer(z: float, a: int) -> ScaledValue:
-    """Rising factorial (z)_a = z (z+1) ... (z+a-1) as a ScaledValue.
-
-    (z)_0 = 1.  Exactly zero when z is a non-positive integer with -z < a
-    (one of the factors vanishes).  Valid for any real z, including the
-    negative non-integer values that appear in alternating sums.
-    """
-    if a < 0:
-        raise ValueError("Pochhammer offset must be a non-negative integer")
-    if a == 0:
-        return ScaledValue(1, 0.0)
-    if z <= 0.0 and z == math.floor(z) and -z < a:
-        return ScaledValue(0, float("-inf"))
-    sign = 1
-    log_mag = 0.0
-    for i in range(a):
-        f = z + i
-        if f < 0.0:
-            sign = -sign
-        log_mag += math.log(abs(f))
-    return ScaledValue(sign, log_mag)
-
-
-# --------------------------------------------------------------------------
 # Dawson F function
 # --------------------------------------------------------------------------
 
-# Sampling step for the exponentially convergent expansion; the truncation
-# error scales like exp(-(pi / (2 h))^2) ~ 7e-18 for h = 0.25.
+# Sampling step for Rybicki's exponentially convergent expansion; the
+# truncation error scales like exp(-(pi / (2 h))^2) ~ 7e-18 for h = 0.25.
 _DAWSON_H = 0.25
 _DAWSON_CUT = 7.0
+# Odd offsets j of the sampled sum around the even sample 2m nearest to
+# y / h: every term left out has |y - (2m + j) h| >= 8, so it is below e^-64.
+_DAWSON_OFFSETS = np.arange(-31, 32, 2)
 
 
-def _dawson_sampled(y: float) -> float:
-    """Rybicki's sampled expansion, valid for moderate positive y."""
-    h = _DAWSON_H
-    n_lo = int(math.floor((y - 7.5) / h))
-    n_hi = int(math.ceil((y + 7.5) / h))
-    total = 0.0
-    for m in range(n_lo, n_hi + 1):
-        if m % 2 == 0:
-            continue
-        d = y - m * h
-        total += math.exp(-d * d) / m
-    return total / math.sqrt(math.pi)
+def dawson_vec(x):
+    """Dawson's integral F(x) = e^(-x^2) * integral_0^x e^(t^2) dt, elementwise.
 
-
-def _dawson_asymptotic(y: float) -> float:
-    """F(y) ~ (1/2y) sum_k (2k-1)!! / (2 y^2)^k for large positive y."""
-    inv = 1.0 / (2.0 * y * y)
-    term = 1.0
-    total = 1.0
-    for k in range(1, 60):
-        term *= (2 * k - 1) * inv
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total / (2.0 * y)
-
-
-def dawson(x: float) -> float:
-    """Dawson's integral F(x) = e^(-x^2) * integral_0^x e^(t^2) dt.
-
-    Odd in x by construction; absolute error below 1e-12 everywhere.
+    Odd in x by construction; absolute error below 1e-12 everywhere.  Below
+    |x| = 7 it is Rybicki's sampled sum (1/sqrt(pi)) sum_(k odd)
+    e^(-(y - k h)^2) / k, y = |x|, over a fixed window of k around y / h,
+    summed in ascending k; above, the asymptotic series
+    (1/2y) sum_k (2k-1)!! / (2 y^2)^k.  Returns a float for 0-d input and
+    an array otherwise.
     """
-    if x == 0.0:
-        return 0.0
-    y = abs(x)
-    value = _dawson_asymptotic(y) if y > _DAWSON_CUT else _dawson_sampled(y)
-    return math.copysign(value, x)
-
-
-def dawson_vec(x) -> np.ndarray:
-    """Vectorized :func:`dawson` for array arguments."""
     xa = np.asarray(x, dtype=float)
-    out = np.empty_like(xa)
-    flat_in = xa.ravel()
-    flat_out = out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = dawson(float(v))
-    return out if xa.ndim else float(flat_out[0])
+    flat = xa.ravel()
+    y = np.abs(flat)
+    out = np.where(np.isnan(y), np.nan, 0.0)
+
+    near = np.flatnonzero((y > 0.0) & (y <= _DAWSON_CUT))
+    if near.size:
+        yn = y[near]
+        m = 2.0 * np.round(yn / (2.0 * _DAWSON_H)) + _DAWSON_OFFSETS[:, None]
+        d = yn - m * _DAWSON_H
+        out[near] = np.sum(np.exp(-d * d) / m, axis=0) / math.sqrt(math.pi)
+
+    far = np.flatnonzero(y > _DAWSON_CUT)
+    if far.size:
+        with np.errstate(over="ignore"):  # y^2 = inf gives the right limit 0
+            inv = 1.0 / (2.0 * y[far] ** 2)
+        term = np.ones_like(inv)
+        total = np.ones_like(inv)
+        live = np.ones(inv.shape, dtype=bool)
+        for k in range(1, 60):
+            term = term * (2 * k - 1) * inv
+            total = total + np.where(live, term, 0.0)
+            live &= term >= 1e-18 * total
+            if not live.any():
+                break
+        out[far] = total / (2.0 * y[far])
+
+    out = np.copysign(out, flat).reshape(xa.shape)
+    return float(out) if xa.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------

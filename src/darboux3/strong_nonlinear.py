@@ -45,7 +45,7 @@ from .model import (
     log_norm_constant,
     wavefunction,
 )
-from .specfun import bisect_sign_change, dawson, dawson_vec, hermite, hermite_zeros
+from .specfun import bisect_sign_change, dawson_vec, hermite, hermite_zeros
 
 __all__ = [
     "DensitySplit",
@@ -139,16 +139,18 @@ def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarr
 # general-n series engine
 # --------------------------------------------------------------------------
 
-def _half_line_moments(big_p: float, m_max: int) -> np.ndarray:
-    """Ihat_m = e^(-P^2/2) * integral_(iP)^inf u^m e^(-u^2/2) du, m = 0..m_max.
+def _half_line_moments(big_p: float, dawson_f: float, m_max: int) -> np.ndarray:
+    """Ihat_m = e^(-P^2/2) * integral_(iP)^inf u^m e^(-u^2/2) du, m = 0..m_max,
+    given ``dawson_f`` = F(P / sqrt(2)).
 
     Ihat_0 = sqrt(pi/2) e^(-P^2/2) - i sqrt(2) F(P / sqrt(2)); Ihat_1 = 1;
     Ihat_m = (iP)^(m-1) + (m-1) Ihat_(m-2)   (integration by parts).
     """
     out = np.empty(m_max + 1, dtype=complex)
-    out[0] = math.sqrt(math.pi / 2.0) * math.exp(-0.5 * big_p * big_p) - 1j * math.sqrt(
-        2.0
-    ) * dawson(big_p / math.sqrt(2.0))
+    out[0] = (
+        math.sqrt(math.pi / 2.0) * math.exp(-0.5 * big_p * big_p)
+        - 1j * math.sqrt(2.0) * dawson_f
+    )
     if m_max >= 1:
         out[1] = 1.0
     ip = 1j * big_p
@@ -168,10 +170,10 @@ def _hermite_imag(n_max: int, big_p: float) -> np.ndarray:
     return out
 
 
-def _series_value(n: int, big_p: float) -> complex:
+def _series_value(n: int, big_p: float, dawson_f: float) -> complex:
     """Par[ sum_k C(n,k) 2^(n-k) H_k(-iP) ghat_(n,k) ] with the e^(P^2/2)
-    factor already removed from the moments."""
-    moments = _half_line_moments(big_p, n + 1)
+    factor already removed from the moments; ``dawson_f`` = F(P / sqrt(2))."""
+    moments = _half_line_moments(big_p, dawson_f, n + 1)
     herms = _hermite_imag(n, big_p)
     total = 0j
     for k in range(n + 1):
@@ -201,8 +203,9 @@ def _series_reference(n: int, big_p: float) -> complex:
 @lru_cache(maxsize=64)
 def _series_residual_ok(n: int) -> bool:
     """Residual check of the recursion against contour quadrature at 8 probes."""
-    for big_p in (0.0, 0.3, 0.7, 1.2, 2.0, 3.0, 5.0, 8.0):
-        a = _series_value(n, big_p)
+    probes = np.array([0.0, 0.3, 0.7, 1.2, 2.0, 3.0, 5.0, 8.0])
+    for big_p, f in zip(probes.tolist(), dawson_vec(probes / math.sqrt(2.0)).tolist()):
+        a = _series_value(n, big_p, f)
         b = _series_reference(n, big_p)
         scale = max(abs(a), abs(b), 1e-30)
         if abs(a - b) / scale > 1e-6:
@@ -228,8 +231,11 @@ def g_series_transform(params: ModelParams, n: int, p):
         * math.exp(log_norm_constant(params, n))
         / om
     )
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.array([amp * _series_value(n, float(v) / math.sqrt(om)) for v in pa])
+    big_p = np.atleast_1d(np.asarray(p, dtype=float)) / math.sqrt(om)
+    dawson_f = dawson_vec(big_p / math.sqrt(2.0))
+    out = np.array(
+        [amp * _series_value(n, v, f) for v, f in zip(big_p.tolist(), dawson_f.tolist())]
+    )
     return out if np.asarray(p).ndim else complex(out[0])
 
 

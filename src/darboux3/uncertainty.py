@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelParams
-from .position_entropy import EntropyOrder, log_entropic_moment
+from .position_entropy import log_entropic_moment
 from .quadrature import entropic_moment_numeric, shannon_numeric
 
 __all__ = [
@@ -76,9 +76,9 @@ def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[f
     alpha >= 1 takes the exact closed form (:func:`log_entropic_moment`,
     engine "analytic"); every other order, and momentum space at every
     order, takes quadrature (:func:`entropic_moment_numeric`, engine
-    "quadrature").
+    "quadrature"), which rejects orders that are not positive and finite.
     """
-    if space == "position" and EntropyOrder.of(alpha).analytic_eligible:
+    if space == "position" and alpha >= 1.0 and float(alpha).is_integer():
         return log_entropic_moment(params, n, int(alpha)), "analytic"
     return math.log(entropic_moment_numeric(params, n, alpha, space)), "quadrature"
 

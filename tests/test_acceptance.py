@@ -29,7 +29,7 @@ from darboux3 import (
     xi_tsallis,
 )
 from darboux3.position_entropy import expansion_coefficients
-from darboux3.specfun import dawson
+from darboux3.specfun import dawson_vec
 from darboux3.tables import verify_table
 
 from conftest import gauss_tail_quad, quadrature_entropy
@@ -270,8 +270,8 @@ def test_criterion_8_property_suites():
     # Dawson ODE residual at 1e-8
     h = 1e-5
     for x in np.linspace(-3, 3, 25):
-        deriv = (dawson(float(x + h)) - dawson(float(x - h))) / (2 * h)
-        assert abs(deriv - (1.0 - 2.0 * x * dawson(float(x)))) < 1e-8
+        deriv = (dawson_vec(float(x + h)) - dawson_vec(float(x - h))) / (2 * h)
+        assert abs(deriv - (1.0 - 2.0 * x * dawson_vec(float(x)))) < 1e-8
     _report("8 property suites", f"({time.time() - t0:.0f}s standalone)")
 
 

@@ -147,6 +147,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "renyi", "--alpha", "1", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_usage_error_infinite_alpha(self, capsys, command, space):
+        code, out, err = run_cli(
+            capsys, command, "--space", space, "--alpha", "inf", "--lambda", "0.4", "--n", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "alpha" in err
+
     @pytest.mark.parametrize("n", ["1.5", "0:2:0.5"])
     def test_usage_error_non_integer_n(self, capsys, n):
         code, out, err = run_cli(capsys, "energy", "--lambda", "0.4", "--n", n)

@@ -13,13 +13,9 @@ from darboux3 import (
     expansion_coefficients,
     parity_nu,
 )
-from darboux3.position_entropy import (
-    BudgetExceededError,
-    EntropyOrder,
-    _expansion_cached,
-)
+from darboux3.position_entropy import BudgetExceededError, _expansion_cached
 from darboux3.quadrature import entropic_moment_numeric
-from darboux3.specfun import hermite, log_gamma, pochhammer
+from darboux3.specfun import hermite, log_gamma
 
 from conftest import gauss_hermite_nodes
 
@@ -28,18 +24,6 @@ class TestParity:
     @pytest.mark.parametrize("n,expect", [(0, 0), (7, 1), (12, 0), (1, 1)])
     def test_values(self, n, expect):
         assert parity_nu(n) == expect
-
-
-class TestEntropyOrder:
-    def test_analytic_eligibility(self):
-        assert EntropyOrder.of(2.0).analytic_eligible
-        assert EntropyOrder.of(1.0).analytic_eligible
-        assert not EntropyOrder.of(0.5).analytic_eligible
-        assert not EntropyOrder.of(1.75).analytic_eligible
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            EntropyOrder.of(0.0)
 
 
 def _hermite_even_rational(order, y_sq):
@@ -72,13 +56,13 @@ class TestExpansionCoefficients:
     def test_ground_state_is_delta(self):
         co = expansion_coefficients(0, 3, 3)
         assert co.nu == 0
-        np.testing.assert_allclose(co.c, [1.0, 0.0, 0.0, 0.0], atol=0.0)
+        assert co.c_exact == (1, 0, 0, 0)
 
     def test_first_excited_reproduces_square(self):
         # H_1(y)^2 = 4 y^2 exactly: coefficients (1/2, -1)
         co = expansion_coefficients(1, 1, 1)
-        np.testing.assert_allclose(co.c, [0.5, -1.0], atol=0.0)
-        assert co.log_A.to_real() == pytest.approx(4.0, rel=1e-14)
+        assert co.c_exact == (Fraction(1, 2), -1)
+        assert co.A == 4
 
     def test_projection_oracle_n3_alpha2(self):
         # project H_3(sqrt(Om) x)^4 onto H_(2j)(sqrt(2 Om) x) by Gauss-Hermite
@@ -89,13 +73,13 @@ class TestExpansionCoefficients:
         x, w = gauss_hermite_nodes(9.0, 120)
         t = x * math.sqrt(alpha * om)  # integration variable of the projection
         target = hermite(3, math.sqrt(om) * x) ** (2 * alpha)
-        amp = co.log_A.to_real() * alpha ** (-alpha * co.nu)
+        amp = co.A * alpha ** (-alpha * co.nu)
         for j in range(7):
             h = hermite(2 * j, t)
             num = float(w @ (target * h * np.exp(-t * t) * math.sqrt(alpha * om)))
             den = math.sqrt(math.pi) * 2.0 ** (2 * j) * math.factorial(2 * j)
             series_coeff = num / den
-            expect = amp * co.c[j] / ((-1.0) ** j * 2.0 ** (2 * j) * math.factorial(j))
+            expect = amp * float(co.c_exact[j]) / ((-1.0) ** j * 2.0 ** (2 * j) * math.factorial(j))
             assert series_coeff == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("n", range(0, 7))
@@ -120,7 +104,7 @@ class TestExpansionCoefficients:
                 target = y_sq**alpha * _hermite_reduced_rational(n, y_sq) ** (2 * alpha)
             # series: A alpha^(-alpha nu) sum_j c_j/((-1)^j 2^(2j) j!) H_2j(sqrt(alpha) y)
             total = Fraction(0)
-            for j in range(len(co.c)):
+            for j in range(len(co.c_exact)):
                 h2j = _hermite_even_rational(2 * j, alpha * y_sq)
                 coeff = Fraction((-1) ** j) * Fraction(2) ** (2 * j) * math.factorial(j)
                 total += co.c_exact[j] / coeff * h2j
@@ -130,7 +114,7 @@ class TestExpansionCoefficients:
 
     def test_termination(self):
         co = expansion_coefficients(4, 2, 13)
-        assert np.all(co.c[9:] == 0.0)
+        assert all(c == 0 for c in co.c_exact[9:])
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -140,9 +124,8 @@ class TestExpansionCoefficients:
         a = expansion_coefficients(5, 2, 7)
         _expansion_cached.cache_clear()
         b = expansion_coefficients(5, 2, 7)
-        np.testing.assert_array_equal(a.c, b.c)
-        np.testing.assert_array_equal(a.c_log, b.c_log)
-        assert a.log_A == b.log_A
+        assert a.c_exact == b.c_exact
+        assert a.A == b.A
 
 
 class TestEntropicMoment:
@@ -162,6 +145,12 @@ class TestEntropicMoment:
         for n, alpha in [(0, 2), (3, 2), (3, 3), (8, 3)]:
             w_num = entropic_moment_numeric(deformed, n, alpha, "position")
             assert entropic_moment(deformed, n, alpha) == pytest.approx(w_num, rel=1e-9)
+        for n in (30, 60):
+            for lam in (0.0, 30.0, 1000.0):
+                p = ModelParams(1.0, lam)
+                for alpha in (2, 3):
+                    w_num = entropic_moment_numeric(p, n, alpha, "position")
+                    assert entropic_moment(p, n, alpha) == pytest.approx(w_num, rel=1e-11)
 
     def test_rejects_non_integer(self, deformed):
         with pytest.raises(ValueError):
@@ -215,8 +204,11 @@ def _renyi_expanded(params, n, alpha):
     m = n + 0.5
     eta_sum = 0.0
     for k in range(alpha + 1):
+        # (-k)_j = (-1)^j k! / (k - j)!
         inner = sum(
-            float(co.c[j]) * pochhammer(float(-k), j).to_real() / math.factorial(j)
+            float(co.c_exact[j])
+            * (-1) ** j * math.factorial(k) / math.factorial(k - j)
+            / math.factorial(j)
             for j in range(k + 1)
         )
         eta_sum += (
@@ -225,7 +217,7 @@ def _renyi_expanded(params, n, alpha):
             * math.exp(log_gamma(k + 0.5))
             * inner
         )
-    log_a = co.log_A.log_mag
+    log_a = math.log(co.A)
     return (
         0.5 * math.log(math.pi / om)
         + (alpha * n * math.log(2.0) + 0.5 * math.log(alpha)) / (alpha - 1.0)
@@ -315,18 +307,19 @@ class TestDisequilibrium:
         for n in (0, 1, 4, 9):
             om = effective_frequency(deformed, n)
             co = expansion_coefficients(n, 2, 2)
+            c = [float(cj) for cj in co.c_exact]
             lam = deformed.lam
             ratio = lam / om
             closed = (
                 math.sqrt(om / math.pi)
                 / (2.0**n * math.factorial(n)) ** 2
                 / (1.0 + (n + 0.5) * ratio) ** 2
-                * co.log_A.to_real()
+                * co.A
                 / 2.0 ** (2 * co.nu + 0.5)
                 * (
-                    co.c[0]
-                    + ratio * (co.c[0] - co.c[1]) / 2.0
-                    + ratio**2 * 3.0 * (co.c[0] - 2.0 * co.c[1] + co.c[2]) / 16.0
+                    c[0]
+                    + ratio * (c[0] - c[1]) / 2.0
+                    + ratio**2 * 3.0 * (c[0] - 2.0 * c[1] + c[2]) / 16.0
                 )
             )
             assert entropic_moment(deformed, n, 2) == pytest.approx(closed, rel=1e-12)

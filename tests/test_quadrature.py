@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from darboux3 import (
     shannon_numeric,
     wavefunction,
 )
+
+from darboux3.quadrature import _ft_component
 
 from conftest import quadrature_entropy
 
@@ -102,6 +105,10 @@ class TestMomentNumeric:
             entropic_moment_numeric(deformed, 0, -1.0, "position")
         with pytest.raises(ValueError):
             entropic_moment_numeric(deformed, 0, 2.0, "phase-space")
+        for space in ("position", "momentum"):
+            for alpha in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="alpha"):
+                    entropic_moment_numeric(deformed, 0, alpha, space)
 
 
 class TestEntropiesNumeric:
@@ -159,6 +166,22 @@ class TestFourierTransform:
     def test_oscillation_warning(self, deformed):
         with pytest.warns(UserWarning, match="underresolve"):
             fourier_transform(deformed, 0, GridSpec(half_width=12.0, points=64), 40.0)
+
+    def test_kernel_memory_bounded(self):
+        # the phase matrix lives in one buffer of bounded size; chunks of
+        # 256 rows over all nodes took about 400 MB here
+        x = np.linspace(0.0, 40.0, 100_000)
+        fw = np.exp(-0.5 * x * x) * (x[1] - x[0])
+        p = np.linspace(0.0, 8.0, 300)
+        tracemalloc.start()
+        try:
+            out = _ft_component(0, x, fw, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        expect = np.sqrt(np.pi / 2.0) * np.exp(-0.5 * p * p) + 0.5 * (x[1] - x[0])
+        assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_parity_structure(self, deformed):
         # the kernel sums only the parity-allowed part: the other is exactly 0

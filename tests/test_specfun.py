@@ -1,50 +1,24 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from darboux3.position_entropy import _poch_frac
 from darboux3.specfun import (
-    ScaledValue,
     bisect_sign_change,
-    dawson,
+    dawson_vec,
     hermite,
     hermite_sign_logabs,
     hermite_zeros,
     log_gamma,
-    pochhammer,
-    scaled_sum,
 )
 
 from conftest import gauss_hermite_nodes
 
 mp.mp.dps = 30
-
-
-def _scaled(x: float) -> ScaledValue:
-    sign = 0 if x == 0.0 else (1 if x > 0 else -1)
-    return ScaledValue.from_log(sign, math.log(abs(x)) if x else 0.0)
-
-
-class TestScaledValue:
-    def test_zero_round_trip(self):
-        assert _scaled(0.0).sign == 0
-        assert _scaled(0.0).to_real() == 0.0
-
-    @pytest.mark.parametrize("x", [1e-120, -3.7, 1.0, 0.02, -7.3e99])
-    def test_round_trip(self, x):
-        assert _scaled(x).to_real() == pytest.approx(x, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [1e-300, 2.5e299, -1e300])
-    def test_round_trip_extreme(self, x):
-        # |ln x| ~ 690 pins the float log at ~8e-14 relative; 1e-13 is the
-        # attainable faithful bound at the edges of the double range
-        assert _scaled(x).to_real() == pytest.approx(x, rel=1e-13)
-
-    def test_scaled_sum_cancellation(self):
-        vals = [_scaled(v) for v in (1e120, -1e120, 3.25)]
-        assert scaled_sum(vals).to_real() == pytest.approx(3.25, rel=1e-10)
 
 
 class TestHermite:
@@ -122,30 +96,28 @@ class TestLogGamma:
 
 
 class TestPochhammer:
+    """_poch_frac, the package's one (exact) rising factorial."""
+
     def test_vanishing_rule(self):
-        assert pochhammer(-3.0, 5).sign == 0
+        assert _poch_frac(Fraction(-3), 5) == 0
 
     def test_empty_product(self):
-        for z in (-7.0, 0.0, 2.31):
-            assert pochhammer(z, 0) == ScaledValue(1, 0.0)
+        for z in (Fraction(-7), Fraction(0), Fraction(231, 100)):
+            assert _poch_frac(z, 0) == 1
 
     def test_direct_product(self):
-        assert pochhammer(0.5, 3).to_real() == pytest.approx(0.5 * 1.5 * 2.5, rel=1e-14)
+        assert _poch_frac(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
 
     def test_negative_integer_boundary(self):
         # (-5)_5 = (-5)(-4)(-3)(-2)(-1): the zero rule only bites for -z < a
-        assert pochhammer(-5.0, 5).to_real() == pytest.approx(-120.0, rel=1e-12)
+        assert _poch_frac(Fraction(-5), 5) == -120
 
     def test_composition(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            z = rng.uniform(-10, 10)
-            a, b = rng.integers(0, 21), rng.integers(0, 21)
-            lhs = pochhammer(z, int(a + b))
-            left, right = pochhammer(z, int(a)), pochhammer(z + a, int(b))
-            assert lhs.sign == left.sign * right.sign
-            if lhs.sign != 0:
-                assert lhs.log_mag == pytest.approx(left.log_mag + right.log_mag, abs=1e-10)
+            z = Fraction(int(rng.integers(-1000, 1001)), 100)
+            a, b = int(rng.integers(0, 21)), int(rng.integers(0, 21))
+            assert _poch_frac(z, a + b) == _poch_frac(z, a) * _poch_frac(z + a, b)
 
 
 class TestHermiteZeros:
@@ -182,11 +154,14 @@ class TestBisectSignChange:
 
 class TestDawson:
     def test_at_zero(self):
-        assert dawson(0.0) == 0.0
+        assert dawson_vec(0.0) == 0.0
+        assert dawson_vec(np.array([0.0, -0.0])).tolist() == [0.0, 0.0]
 
     def test_odd(self):
-        for x in (0.3, 1.7, 6.9, 12.0):
-            assert dawson(-x) == -dawson(x)
+        x = np.array([0.3, 1.7, 6.9, 12.0])
+        assert np.array_equal(dawson_vec(-x), -dawson_vec(x))
+        for v in x:
+            assert dawson_vec(-v) == -dawson_vec(v)
 
     def test_argmax_against_integral_oracle(self):
         # maximise the defining-integral quadrature over a fine grid
@@ -200,16 +175,18 @@ class TestDawson:
         assert grid[k] == pytest.approx(0.9241388730, abs=1e-3)
         # the true maximum is flat: a 5e-4 grid undershoots it by <= 5e-8
         assert vals[k] == pytest.approx(0.5410442246, abs=5e-8)
-        assert dawson(float(grid[k])) == pytest.approx(vals[k], abs=1e-12)
-        assert dawson(0.9241388730) == pytest.approx(0.5410442246, abs=1e-9)
+        assert dawson_vec(float(grid[k])) == pytest.approx(vals[k], abs=1e-12)
+        assert dawson_vec(0.9241388730) == pytest.approx(0.5410442246, abs=1e-9)
 
     def test_against_mpmath_grid(self):
-        for x in np.linspace(-10, 10, 101):
-            ref = float(0.5 * mp.sqrt(mp.pi) * mp.exp(-x * x) * mp.erfi(x))
-            assert abs(dawson(float(x)) - ref) < 1e-12
+        xs = np.linspace(-10, 10, 101)
+        ref = [float(0.5 * mp.sqrt(mp.pi) * mp.exp(-x * x) * mp.erfi(x)) for x in xs]
+        assert np.max(np.abs(dawson_vec(xs) - ref)) < 1e-12
+        for x, r in zip(xs, ref):  # 0-d input takes the same path
+            assert abs(dawson_vec(float(x)) - r) < 1e-12
 
     def test_ode_residual(self):
         h = 1e-5
         for x in np.linspace(-4, 4, 41):
-            deriv = (dawson(float(x + h)) - dawson(float(x - h))) / (2 * h)
-            assert abs(deriv - (1.0 - 2.0 * x * dawson(float(x)))) < 1e-8
+            deriv = (dawson_vec(float(x + h)) - dawson_vec(float(x - h))) / (2 * h)
+            assert abs(deriv - (1.0 - 2.0 * x * dawson_vec(float(x)))) < 1e-8

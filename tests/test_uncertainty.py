@@ -22,8 +22,10 @@ class TestLogMoment:
         "alpha, space, engine",
         [
             (1.0, "position", "analytic"),
+            (2.0, "position", "analytic"),
             (3.0, "position", "analytic"),
             (2.5, "position", "quadrature"),
+            (1.75, "position", "quadrature"),
             (0.5, "position", "quadrature"),
             (2.0, "momentum", "quadrature"),
         ],
@@ -33,6 +35,12 @@ class TestLogMoment:
         assert used == engine
         numeric = math.log(entropic_moment_numeric(deformed, 2, alpha, space))
         assert log_w == pytest.approx(numeric, abs=1e-10)
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_order_not_positive_and_finite(self, deformed, alpha, space):
+        with pytest.raises(ValueError, match="alpha"):
+            log_moment(deformed, 2, alpha, space)
 
 
 class TestEntropy:
