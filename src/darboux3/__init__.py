@@ -37,7 +37,6 @@ from .quadrature import (
 from .specfun import (
     dawson_vec,
     hermite,
-    log_gamma,
 )
 from .strong_nonlinear import (
     CriticalPoint,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import hermite_sign_logabs, log_gamma
+from .specfun import hermite_sign_logabs
 
 __all__ = [
     "ModelParams",
@@ -111,7 +111,7 @@ def log_norm_constant(params: ModelParams, n: int) -> float:
     m = n + 0.5
     return (
         0.25 * math.log(om / math.pi)
-        - 0.5 * (n * math.log(2.0) + log_gamma(n + 1.0))
+        - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
         - 0.5 * math.log1p(m * params.lam / om)
     )
 

@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .model import ModelParams, effective_frequency
-from .specfun import log_gamma
 
 __all__ = [
     "ExpansionCoefficients",
@@ -266,7 +265,8 @@ def entropic_moment_special(params: ModelParams, n: int, alpha, case: str) -> fl
             total += (
                 math.comb(a, k)
                 * (params.lam / (a * om)) ** k
-                * math.exp(log_gamma(k + 0.5))
+                * math.sqrt(math.pi)
+                * float(_poch_frac(Fraction(1, 2), k))  # Gamma(k + 1/2)
             )
         return (
             (om / math.pi) ** ((a - 1) / 2.0)

@@ -6,14 +6,15 @@ entropic moments and Shannon entropies in either space.
 
 Scheme
 ------
-All integrals use composite Gauss-Legendre panels.  Densities raised to a
-non-integer power have algebraic cusps |x - x0|^(2 alpha) at the density
-zeros, so panels are split exactly at the zeros and the two panels touching
-each zero get a cubic endpoint map (x = x0 + w u^3), which restores
-spectral convergence.  In momentum space the zeros of the transform are
-located first (coarse parity-component scan plus bisection, each probe a
-single quadrature dot product); entropy integrals then reuse the profile
-nodes directly with no interpolation.
+Position-space integrals use composite Gauss-Legendre panels.  Densities
+raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
+the density zeros, so panels are split exactly at the zeros and the two
+panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
+restores spectral convergence.  In momentum space the zeros of the
+transform are located first (one FFT scan of a uniform momentum grid plus
+bisection, each bisection probe a single kernel sum); the momentum panels
+are laid out the same way, and entropy integrals reuse the profile nodes
+directly with no interpolation.
 
 Fourier transform
 -----------------
@@ -24,11 +25,17 @@ parity-allowed trig sum; :func:`fourier_transform` and the momentum
 profile both call it, so the transform is exactly real (even n) or exactly
 imaginary (odd n) by construction, with the factor -i for odd n.
 
-Oscillatory transforms use panel widths of at most pi / (2 p_max) so every
-panel resolves the e^(-ipx) phase.  Truncation half-widths are chosen so
-the integrand envelope at the cut is below ~1e-18 of its peak, with a
-probing pass on the momentum side to cover the slowly decaying large-lam
-tails.
+The sum runs over half-line trapezoid nodes x_j = j h (weight h, h/2 at
+x = 0).  Psi_n is analytic in the strip |Im x| < 1/sqrt(lam), so the rule
+converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014): by
+Poisson summation its error at p is the transform at the first alias
+2 pi / h - p, and h puts that alias beyond the momentum where the
+transform is below rounding.  On these nodes the kernel sums at the
+momenta k dp, dp = 2 pi / (M h), are one real FFT of the weighted
+wavefunction folded modulo M; the profile's zero scan is that FFT.
+Truncation half-widths are chosen so the integrand envelope at the cut is
+below ~1e-18 of its peak, with a probing pass on the momentum side to
+cover the slowly decaying large-lam tails.
 
 Both spaces integrate even densities on the half line; one dispatch,
 :func:`_half_line_density`, supplies the weights and the density for
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .model import (
@@ -229,19 +237,29 @@ class MomentumProfile:
     weights: np.ndarray
 
 
+def _gaussian_cut(n: int, om: float) -> float:
+    """Momentum beyond which the Gaussian part of the transform is below
+    e^-(2 _TAIL_LOG) of its peak."""
+    return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + 1.0
+
+
 def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
-    """Half-line x nodes/weights resolving e^(-ipx) up to |p| = p_max."""
+    """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0).
+
+    By Poisson summation the rule's error at p is the transform at the
+    first alias 2 pi / h - p, so h puts that alias beyond ``band``, where
+    the transform is below rounding: the branch-point tail
+    e^(-p / sqrt(lam)) has fallen by e^-40 past 40 sqrt(lam), and the
+    Gaussian part is cut by :func:`_gaussian_cut`.
+    """
     om = effective_frequency(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    k_osc = math.sqrt((2 * n + 1) * om)
-    width = min(
-        math.pi / (2.0 * max(p_max, 1e-6)),
-        math.pi / (2.0 * k_osc),
-        0.7 / math.sqrt(om),
-        L / 4.0,
-    ) / refine
-    panels = [(a, b, 0) for a, b in _split(0.0, L, width)]
-    return _panel_nodes(panels)
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
+    h = 2.0 * math.pi / ((band + p_max) * refine)
+    x = h * np.arange(int(math.ceil(L / h)) + 1)
+    w = np.full(len(x), h)
+    w[0] = 0.5 * h
+    return x, w
 
 
 def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -266,6 +284,58 @@ def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.nd
     return out
 
 
+def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
+    """The :func:`_ft_component` sum over trapezoid nodes x_j = j h at the
+    momenta p_k = k dp, 0 <= k <= ceil(p_max / dp), with dp <= ``step``.
+
+    With dp = 2 pi / (M h) the phase p_k x_j = 2 pi k j / M is periodic in
+    j and in k with period M, so ``fw`` folded modulo M and one real FFT
+    give every sum exactly: the real part for cos, minus the imaginary part
+    for sin (negated again for k mod M past M / 2).
+    """
+    m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()  # FFT-friendly
+    dp = 2.0 * math.pi / (m * h)
+    p_index = np.arange(int(math.ceil(p_max / dp)) + 1)
+    if len(fw) > m:
+        fw = np.pad(fw, (0, -len(fw) % m)).reshape(-1, m).sum(axis=0)
+    f = np.fft.rfft(fw, m)  # zero-pads a shorter fw to M
+    k = p_index % m
+    r = np.minimum(k, m - k)
+    if n % 2 == 0:
+        vals = f.real[r]
+    else:
+        vals = np.where(k == r, -1.0, 1.0) * f.imag[r]
+    return dp * p_index, vals
+
+
+def _transform_zeros(n: int, x: np.ndarray, fw: np.ndarray, L_p: float, p_feat: float):
+    """Zeros of the transform in (0, 0.999 L_p), sorted, from the kernel
+    sum over the trapezoid nodes ``x`` with weighted wavefunction ``fw``.
+
+    One FFT scans a uniform momentum grid as fine as a dense scan of the
+    structured region [0, p_feat] (48 (n + 2) points) and of the tail
+    (600 points); bisection with the direct kernel sum refines each sign
+    change.  Sign flips whose neighbourhood sits at the quadrature noise
+    floor are underflow artefacts, not zeros.
+    """
+    comp = lambda q: _SQRT_2_OVER_PI * float(_ft_component(n, x, fw, np.array([q]))[0])
+    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
+    scan, vals = _fft_scan(n, fw, float(x[1]), L_p, step)
+    vals *= _SQRT_2_OVER_PI
+    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * float(np.sum(np.abs(fw))))
+    sgn = np.sign(vals)
+    flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    near = sliding_window_view(np.pad(np.abs(vals), (2, 3)), 6)[flips]  # |vals[i-2 : i+4]|
+    zero_list = [
+        bisect_sign_change(comp, float(scan[i]), float(scan[i + 1]), float(vals[i]))
+        for i in flips[near.max(axis=1, initial=0.0) > noise]
+    ]
+    zeros = np.array(sorted(z for z in zero_list if 1e-12 < z < 0.999 * L_p))
+    if len(zeros) > 1:  # drop duplicates from brackets straddling one root
+        zeros = np.concatenate([[zeros[0]], zeros[1:][np.diff(zeros) > 1e-9]])
+    return zeros
+
+
 def _momentum_tail_start(params: ModelParams, n: int) -> float:
     om = effective_frequency(params, n)
     return math.sqrt((2 * n + 1) * om) + 4.0 * math.sqrt(om)
@@ -278,7 +348,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
 
     # momentum cut: Gaussian-envelope estimate plus the branch-point tail
     # e^(-2p/sqrt(lam)) with its actual amplitude, then probe the real tail
-    L_p = 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + 1.0
+    L_p = _gaussian_cut(n, om)
     if lam > 0.0:
         y0 = math.sqrt(om / lam)
         g_prev, g = 1.0, 2.0 * y0  # G_k = |H_k(i y0)|, positive recurrence
@@ -309,54 +379,25 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
 
     x, wx = _ft_x_nodes(params, n, L_p, refine)
     fw = wx * np.asarray(wavefunction(params, n, x))
-    comp = lambda p: _SQRT_2_OVER_PI * _ft_component(n, x, fw, p)
-
-    # locate transform zeros: dense scan over the structured region, then
-    # a coarser scan across the monotone tail, bisection on sign changes;
-    # sign flips whose neighbourhood sits at the quadrature noise floor are
-    # underflow artefacts, not zeros
-    p_feat = _momentum_tail_start(params, n)
-    scan = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, min(p_feat, L_p), 48 * (n + 2)),
-                np.linspace(min(p_feat, L_p), L_p, 600),
-            ]
-        )
-    )
-    vals = comp(scan)
-    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * float(np.sum(np.abs(fw))))
-    sgn = np.sign(vals)
-    flips = [
-        i
-        for i in np.where((sgn[:-1] * sgn[1:]) < 0)[0]
-        if float(np.max(np.abs(vals[max(0, i - 2) : i + 4]))) > noise
-    ]
-    zero_list = [
-        bisect_sign_change(lambda q: float(comp(np.array([q]))[0]),
-                           float(scan[i]), float(scan[i + 1]), float(vals[i]))
-        for i in flips
-    ]
-    zeros = np.array(sorted(z for z in zero_list if 1e-12 < z < 0.999 * L_p))
-    if len(zeros) > 1:  # drop duplicates from brackets straddling one root
-        zeros = np.concatenate([[zeros[0]], zeros[1:][np.diff(zeros) > 1e-9]])
+    p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
+    zeros = _transform_zeros(n, x, fw, L_p, p_feat)
 
     # panels: boundaries at 0, the zeros and the feature edge; cubic maps at
     # every zero (and at 0 for odd n) so fractional powers stay spectral
     width = 0.45 * math.sqrt(om) / refine
-    bounds = np.unique(np.concatenate([[0.0, min(p_feat, L_p)], zeros[zeros < p_feat]]))
+    bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
     panels = _segment_panels(
         bounds,
         lambda a, b: _split(a, b, width),
         zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]),
     )
-    if L_p > p_feat:  # monotone tail: panels grow geometrically
-        tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
-        grow = lambda a, b: _grow_split(a, b, 2.0 * width, 1.35)
-        panels += _segment_panels(tail_bounds, grow, zeros)
+    # monotone tail: panels grow geometrically
+    tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
+    grow = lambda a, b: _grow_split(a, b, 2.0 * width, 1.35)
+    panels += _segment_panels(tail_bounds, grow, zeros)
 
     p_nodes, p_w = _panel_nodes(panels)
-    g = comp(p_nodes)
+    g = _SQRT_2_OVER_PI * _ft_component(n, x, fw, p_nodes)
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)
     if abs(norm - 1.0) > 5e-6:
@@ -380,7 +421,8 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
 
     Exactly real for even n and exactly imaginary for odd n: the kernel
     sums only the parity-allowed part.  With ``grid_x`` None the sum runs
-    over half-line panels resolving the phase up to max |p|; an explicit
+    over the half-line trapezoid nodes that are alias-free up to max |p|
+    (at least 1); an explicit
     :class:`GridSpec` integrates over its full line [-L, L] and warns when
     it underresolves the phase.
     """

@@ -1,8 +1,7 @@
 """Self-contained special-function kernel.
 
 Hermite polynomials (plain and sign/log-magnitude scaled) and their zeros,
-log-gamma, Dawson's F function and the package's one sign-change
-bisection.  Everything here is deterministic, pure and free of external
+Dawson's F function and the package's one sign-change bisection.  Everything here is deterministic, pure and free of external
 dependencies beyond numpy, so the rest of the package can treat these as
 exact primitives.  Exact rational work (the entropic-moment polynomial and
 its Pochhammer symbols) lives with its one user in ``position_entropy``.
@@ -20,7 +19,6 @@ __all__ = [
     "hermite",
     "hermite_sign_logabs",
     "hermite_zeros",
-    "log_gamma",
     "dawson_vec",
     "bisect_sign_change",
 ]
@@ -85,40 +83,6 @@ def hermite_zeros(n: int) -> np.ndarray:
     z = hermgauss(n)[0] if n else np.array([])
     z.setflags(write=False)
     return z
-
-
-# --------------------------------------------------------------------------
-# log-gamma (Lanczos, g = 7, 9 coefficients)
-# --------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, absolute error below 1e-13 at desk scale."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps full accuracy as x -> 0+
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_COEF[0]
-    for k, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        s += c / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(s)
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from darboux3 import (
 )
 from darboux3.position_entropy import BudgetExceededError, _expansion_cached
 from darboux3.quadrature import entropic_moment_numeric
-from darboux3.specfun import hermite, log_gamma
+from darboux3.specfun import hermite
 
 from conftest import gauss_hermite_nodes
 
@@ -214,7 +214,7 @@ def _renyi_expanded(params, n, alpha):
         eta_sum += (
             math.comb(alpha, k)
             * (params.lam / (alpha * om)) ** k
-            * math.exp(log_gamma(k + 0.5))
+            * math.exp(math.lgamma(k + 0.5))
             * inner
         )
     log_a = math.log(co.A)

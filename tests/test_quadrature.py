@@ -19,7 +19,9 @@ from darboux3 import (
     wavefunction,
 )
 
-from darboux3.quadrature import _ft_component
+from darboux3 import quadrature
+from darboux3.quadrature import _fft_scan, _ft_component, _ft_x_nodes
+from darboux3.specfun import hermite_zeros
 
 from conftest import quadrature_entropy
 
@@ -149,12 +151,40 @@ class TestFourierTransform:
             assert val.real == pytest.approx(expect, rel=1e-12)
             assert abs(val.imag) < 1e-14
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7, 20, 50])
     def test_hermite_functions_are_eigenfunctions(self, harmonic, n):
-        for p in (0.4, 1.1):
-            val = fourier_transform(harmonic, n, None, p)
-            expect = (-1j) ** n * wavefunction(harmonic, n, p)
-            assert abs(val - expect) < 1e-12
+        # at lam = 0 the transform is exactly (-i)^n psi_n(p)
+        p = np.linspace(0.0, momentum_profile(harmonic, n).grid.half_width, 64)
+        val = fourier_transform(harmonic, n, None, p)
+        expect = (-1j) ** n * wavefunction(harmonic, n, p)
+        assert np.max(np.abs(val - expect)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fft_scan_is_the_kernel_sum(self, n):
+        # M = 16 here: 64 nodes fold four times, and the momenta run past
+        # M / 2 and past one period M; folding is exact in both
+        rng = np.random.default_rng(7)
+        fw = rng.standard_normal(64)
+        h, step = 0.05, 8.0
+        x = h * np.arange(len(fw))
+        p_max = 2.5 * 2.0 * np.pi / h
+        p, vals = _fft_scan(n, fw, h, p_max, step)
+        assert p[1] - p[0] <= step and p[-1] >= p_max
+        assert np.max(np.abs(vals - _ft_component(n, x, fw, p))) < 1e-11
+
+    @pytest.mark.parametrize("lam,n", [(0.4, 3), (10.0, 20), (100.0, 0), (100.0, 6)])
+    def test_trapezoid_alias_bound(self, lam, n):
+        # the step puts the first Poisson alias beyond the transform's band,
+        # so halving it changes nothing on the profile's own nodes
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        gammas = []
+        for refine in (1, 2):
+            x, w = _ft_x_nodes(params, n, prof.grid.half_width, refine)
+            g = _ft_component(n, x, w * wavefunction(params, n, x), prof.p)
+            gammas.append(2.0 / np.pi * g * g)
+        assert np.max(np.abs(gammas[0] - gammas[1])) <= 1e-13 * np.max(prof.gamma)
+        assert np.max(np.abs(gammas[0] - prof.gamma)) <= 1e-13 * np.max(prof.gamma)
 
     def test_grid_refinement_oracle(self, deformed):
         base = fourier_transform(deformed, 0, None, 0.0)
@@ -216,17 +246,35 @@ class TestMomentumDensity:
         has_interior_min_then_max = np.any((dg[:-1] < 0) & (dg[1:] > 0))
         assert has_interior_min_then_max
 
-    @pytest.mark.parametrize("lam", [0.0, 0.4, 2.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, 2.0])
     def test_parseval(self, lam):
         p = ModelParams(1.0, lam)
-        for n in (0, 1, 7, 20):
+        for n in (0, 1, 7, 20) + ((50,) if lam in (0.0, 1.0) else ()):
             prof = momentum_profile(p, n)
             assert 2.0 * float(prof.weights @ prof.gamma) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_parseval_large_lam(self, n):
-        prof = momentum_profile(ModelParams(1.0, 100.0), n)
-        assert 2.0 * float(prof.weights @ prof.gamma) == pytest.approx(1.0, abs=1e-6)
+        for lam in (100.0, 1000.0) if n == 0 else (100.0,):
+            prof = momentum_profile(ModelParams(1.0, lam), n)
+            assert 2.0 * float(prof.weights @ prof.gamma) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_harmonic_zeros_found(self, harmonic, n, monkeypatch):
+        # the FFT scan brackets every zero of psi_n(p), the transform at lam = 0
+        found = []
+
+        def spy(*args):
+            found.append(zeros_of(*args))
+            return found[-1]
+
+        zeros_of = quadrature._transform_zeros
+        monkeypatch.setattr(quadrature, "_transform_zeros", spy)
+        quadrature._profile_cached.cache_clear()
+        momentum_profile(harmonic, n)
+        expect = hermite_zeros(n)[hermite_zeros(n) > 0.0]
+        assert len(found) == 1 and len(found[0]) == len(expect)
+        assert np.max(np.abs(found[0] - expect)) <= 1e-12
 
 
 class TestSelfDuality:

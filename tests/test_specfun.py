@@ -13,7 +13,6 @@ from darboux3.specfun import (
     hermite,
     hermite_sign_logabs,
     hermite_zeros,
-    log_gamma,
 )
 
 from conftest import gauss_hermite_nodes
@@ -72,27 +71,6 @@ class TestHermiteScaled:
         ref = mp.hermite(n, mp.mpf(x))
         assert sign[0] == int(mp.sign(ref))
         assert log_abs[0] == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-14)
-
-    def test_factorial(self):
-        assert log_gamma(11.0) == pytest.approx(math.log(3628800.0), abs=1e-13)
-
-    def test_accuracy_grid(self):
-        for x in np.concatenate([np.linspace(0.05, 3, 40), np.linspace(3, 40, 40)]):
-            assert abs(log_gamma(float(x)) - float(mp.loggamma(x))) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
 
 
 class TestPochhammer:
