@@ -50,8 +50,9 @@ for lam in (5.0, 20.0, 100.0):
     l1 = float(prof.weights @ np.abs(prof.gamma - approx))
     print(f"  lam={lam:6}: L1 = {l1:.5f}   f = {harmonic_weight(p, 0).f:.5f}")
 
-print("\nthe general-n series engine extends the closed forms (here n = 5):")
+print("\nthe transform of phi_n for any n extends the closed forms (here n = 5 and 12):")
 ps = np.array([0.0, 0.4, 0.9])
-vals = np.atleast_1d(g_series_transform(ModelParams(1.0, 10.0), 5, ps))
-for pv, v in zip(ps, vals):
-    print(f"  p={pv}: FT phi_5 = {v:.6e}")
+for n in (5, 12):
+    vals = np.atleast_1d(g_series_transform(ModelParams(1.0, 10.0), n, ps))
+    for pv, v in zip(ps, vals):
+        print(f"  p={pv}: FT phi_{n} = {v:.6e}")

@@ -21,9 +21,9 @@ Fourier transform
 Psi_n has parity (-1)^n, so its transform (2 pi)^(-1/2) integral
 e^(-ipx) Psi_n(x) dx is the cos transform for even n and -i times the sin
 transform for odd n.  One kernel, :func:`_ft_component`, computes the
-parity-allowed trig sum; :func:`fourier_transform` and the momentum
-profile both call it, so the transform is exactly real (even n) or exactly
-imaginary (odd n) by construction, with the factor -i for odd n.
+parity-allowed trig sum; :func:`fourier_transform`, the momentum profile
+and the strong-nonlinearity transform of phi_n all call it, so a transform
+is exactly real (even n) or exactly imaginary (odd n) by construction.
 
 The sum runs over half-line trapezoid nodes x_j = j h (weight h, h/2 at
 x = 0).  Psi_n is analytic in the strip |Im x| < 1/sqrt(lam), so the rule
@@ -169,11 +169,11 @@ def grid_nodes(grid: GridSpec):
 
 
 def integrate(f, grid: GridSpec) -> float:
-    """Integrate ``f`` over [-L, L]."""
+    """Integrate ``f`` over [-L, L]; ``f`` maps the node array elementwise."""
     x, w = grid_nodes(grid)
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
-        y = np.asarray([f(float(v)) for v in x], dtype=float)
+        raise ValueError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
         raise ValueError(f"non-finite integrand sample at x={bad}")
@@ -267,7 +267,7 @@ def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.nd
     momenta ``p`` (1-d), with cos for even n and sin for odd n (the
     parity-allowed part).
 
-    ``fw`` holds quadrature weights times Psi_n at the nodes ``x``; the sum
+    ``fw`` holds quadrature weights times Psi_n (or phi_n) at ``x``; the sum
     is unscaled, and callers apply the normalisation and the factor -i of
     odd n.  Momenta are taken in chunks whose phase matrix fills one
     buffer of ``_FT_CHUNK_BYTES``, reused in place, so memory stays bounded

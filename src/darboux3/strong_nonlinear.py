@@ -10,20 +10,19 @@ small the wave function is well approximated by the induced part alone,
 
     phi_n(x) = sqrt(lam) N |x| e^(-Omega x^2 / 2) H_n(sqrt(Omega) x),
 
-whose Fourier transform IS available in closed form through the Dawson F
-function; n = 0..3 are hard-coded and a general-n series engine evaluates
+whose Fourier transform has Dawson-function closed forms for n = 0..3
+(:func:`approx_momentum_closed`).  :func:`g_series_transform` computes it
+for any n with the package's one transform kernel,
+:func:`~darboux3.quadrature._ft_component`, over half-line Gauss-Legendre
+panels on [0, L] (L as for the momentum engine's nodes), each spanning at
+most pi of phase p x.  The |x| factor gives phi_n a kink at x = 0, so the
+trapezoid rule on its even or odd extension would converge only like h^2;
+on x > 0 phi_n is smooth and the panels converge spectrally.
 
-    FT phi_n = sqrt(lam / 2 pi) (N / Omega) e^(-P^2/2) *
-               Par[ sum_k C(n,k) 2^(n-k) H_k(-iP) g_(n,k)(P) ],   P = p / sqrt(Omega),
-
-where Par[.] keeps twice the real (even n) or i times twice the imaginary
-(odd n) part and g_(n,k)(P) = I_(n-k+1) - iP I_(n-k) with half-line moments
-I_m = integral_(iP)^inf u^m e^(-u^2/2) du.  The moments follow the exact
-two-term recursion I_m = (iP)^(m-1) e^(P^2/2) + (m-1) I_(m-2) down to
-I_0 (a Dawson term) and I_1 (a Gaussian); everything is carried with the
-e^(P^2/2) factor removed so nothing overflows.  The published form omits
-the 2^(n-k) factor of the Hermite translation identity; it is restored
-here (the n <= 3 closed forms and the numeric transform of phi agree).
+The paper's general-n g-series (Dawson values times polynomials of degree
+n + 1 in P = p / sqrt(Omega), so floating point loses accuracy like
+P^(n+2)) is kept as a test oracle, ``published_g_series`` in
+``tests/conftest.py``.
 
 This module also provides the density critical points and the exact
 maximum-splitting thresholds lam_c = omega/sqrt(2) (n = 0) and
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,8 +40,14 @@ from .model import (
     ModelParams,
     density_position,
     effective_frequency,
-    log_norm_constant,
     wavefunction,
+)
+from .quadrature import (
+    _SQRT_2_OVER_PI,
+    _ft_component,
+    _panel_nodes,
+    _split,
+    position_half_width,
 )
 from .specfun import bisect_sign_change, dawson_vec, hermite, hermite_zeros
 
@@ -57,8 +61,6 @@ __all__ = [
     "density_critical_points",
     "bifurcation_threshold",
 ]
-
-_MAX_SERIES_N = 8
 
 
 @dataclass(frozen=True)
@@ -136,106 +138,23 @@ def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarr
 
 
 # --------------------------------------------------------------------------
-# general-n series engine
+# transform of phi_n for any n
 # --------------------------------------------------------------------------
 
-def _half_line_moments(big_p: float, dawson_f: float, m_max: int) -> np.ndarray:
-    """Ihat_m = e^(-P^2/2) * integral_(iP)^inf u^m e^(-u^2/2) du, m = 0..m_max,
-    given ``dawson_f`` = F(P / sqrt(2)).
-
-    Ihat_0 = sqrt(pi/2) e^(-P^2/2) - i sqrt(2) F(P / sqrt(2)); Ihat_1 = 1;
-    Ihat_m = (iP)^(m-1) + (m-1) Ihat_(m-2)   (integration by parts).
-    """
-    out = np.empty(m_max + 1, dtype=complex)
-    out[0] = (
-        math.sqrt(math.pi / 2.0) * math.exp(-0.5 * big_p * big_p)
-        - 1j * math.sqrt(2.0) * dawson_f
-    )
-    if m_max >= 1:
-        out[1] = 1.0
-    ip = 1j * big_p
-    for m in range(2, m_max + 1):
-        out[m] = ip ** (m - 1) + (m - 1) * out[m - 2]
-    return out
-
-
-def _hermite_imag(n_max: int, big_p: float) -> np.ndarray:
-    """H_k(-iP) for k = 0..n_max (purely real/imaginary alternating)."""
-    out = np.empty(n_max + 1, dtype=complex)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = -2j * big_p
-    for k in range(1, n_max):
-        out[k + 1] = -2j * big_p * out[k] - 2.0 * k * out[k - 1]
-    return out
-
-
-def _series_value(n: int, big_p: float, dawson_f: float) -> complex:
-    """Par[ sum_k C(n,k) 2^(n-k) H_k(-iP) ghat_(n,k) ] with the e^(P^2/2)
-    factor already removed from the moments; ``dawson_f`` = F(P / sqrt(2))."""
-    moments = _half_line_moments(big_p, dawson_f, n + 1)
-    herms = _hermite_imag(n, big_p)
-    total = 0j
-    for k in range(n + 1):
-        ghat = moments[n - k + 1] - 1j * big_p * moments[n - k]
-        total += math.comb(n, k) * 2.0 ** (n - k) * herms[k] * ghat
-    return 2.0 * total.real if n % 2 == 0 else 2j * total.imag
-
-
-def _series_reference(n: int, big_p: float) -> complex:
-    """Direct quadrature of e^(-P^2/2) * Par[...] along u = iP + s, s >= 0:
-    the independent residual oracle for the recursion."""
-    from numpy.polynomial.legendre import leggauss
-
-    s_max = 10.0 + math.sqrt(2.0 * n + 1.0)
-    xs, ws = leggauss(240)
-    s = 0.5 * s_max * (xs + 1.0)
-    w = 0.5 * s_max * ws
-    u = 1j * big_p + s
-    total = 0j
-    for k in range(n + 1):
-        integrand = s * u ** (n - k) * np.exp(-0.5 * s * s - 1j * big_p * s)
-        g = np.sum(w * integrand)
-        total += math.comb(n, k) * 2.0 ** (n - k) * complex(_hermite_imag(k, big_p)[k]) * g
-    return 2.0 * total.real if n % 2 == 0 else 2j * total.imag
-
-
-@lru_cache(maxsize=64)
-def _series_residual_ok(n: int) -> bool:
-    """Residual check of the recursion against contour quadrature at 8 probes."""
-    probes = np.array([0.0, 0.3, 0.7, 1.2, 2.0, 3.0, 5.0, 8.0])
-    for big_p, f in zip(probes.tolist(), dawson_vec(probes / math.sqrt(2.0)).tolist()):
-        a = _series_value(n, big_p, f)
-        b = _series_reference(n, big_p)
-        scale = max(abs(a), abs(b), 1e-30)
-        if abs(a - b) / scale > 1e-6:
-            return False
-    return True
-
-
 def g_series_transform(params: ModelParams, n: int, p):
-    """General-n FT of phi_n via the half-line-moment recursion.
+    """FT of phi_n for any n >= 0, real for even n and imaginary for odd n.
 
-    Agrees with :func:`approx_momentum_closed` for n <= 3 to 1e-10 relative;
-    raises if ``n`` exceeds the cap or the recursion fails its residual check.
+    The kernel sum over half-line Gauss-Legendre panels (module docstring);
+    agrees with :func:`approx_momentum_closed` for n <= 3 to 1e-10 relative.
     """
-    if n < 0 or n > _MAX_SERIES_N:
-        raise ValueError(f"series transform supports 0 <= n <= {_MAX_SERIES_N}, got {n}")
-    if not _series_residual_ok(n):
-        raise ArithmeticError(
-            f"half-line moment recursion lost more than 6 digits at n={n}"
-        )
     om = effective_frequency(params, n)
-    amp = (
-        math.sqrt(params.lam / (2.0 * math.pi))
-        * math.exp(log_norm_constant(params, n))
-        / om
-    )
-    big_p = np.atleast_1d(np.asarray(p, dtype=float)) / math.sqrt(om)
-    dawson_f = dawson_vec(big_p / math.sqrt(2.0))
-    out = np.array(
-        [amp * _series_value(n, v, f) for v, f in zip(big_p.tolist(), dawson_f.tolist())]
-    )
+    pa = np.atleast_1d(np.asarray(p, dtype=float))
+    p_max = float(np.max(np.abs(pa))) if len(pa) else 0.0
+    L = position_half_width(params, n, 1.0, tail_log=88.0)
+    width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))  # phase <= pi per panel
+    x, w = _panel_nodes([(a, b, 0) for a, b in _split(0.0, L, width)])
+    g = _SQRT_2_OVER_PI * _ft_component(n, x, w * approx_wavefunction(params, n, x), pa)
+    out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # + 0.0: odd n gives +0j at p = 0
     return out if np.asarray(p).ndim else complex(out[0])
 
 

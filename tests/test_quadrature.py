@@ -62,6 +62,10 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="non-finite"):
             integrate(f, GridSpec(8.0, 320))
 
+    def test_unvectorised_integrand_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(320,\)"):
+            integrate(lambda x: 1.0, GridSpec(8.0, 320))
+
 
 class TestMomentNumeric:
     def test_disequilibrium_value(self, harmonic):

@@ -16,12 +16,12 @@ from darboux3 import (
     norm_constant,
 )
 from darboux3.specfun import hermite
-from conftest import gauss_tail_quad
+from conftest import gauss_tail_quad, phi_transform_exact, published_g_series
 
 
 def _phi_transform_reference(params, n, ps):
     """Numeric FT of the approximant phi_n: dense-panel trig quadrature
-    oracle, independent of both the closed forms and the series engine."""
+    oracle, independent of the closed forms."""
     om = effective_frequency(params, n)
     L = math.sqrt((95.0 + 2.0 * n * math.log(2.0 + 60.0)) / om)
     trig = np.cos if n % 2 == 0 else np.sin
@@ -176,17 +176,44 @@ class TestSeriesEngine:
         b = approx_momentum_closed(p, 2, 1.1)
         assert abs(a - b) <= 1e-10 * abs(b)
 
-    def test_n5_against_numeric_transform(self):
+    def test_n5_against_exact_oracle(self):
         p = ModelParams(1.0, 10.0)
         om = effective_frequency(p, 5)
         ps = np.linspace(0.0, 4.0 * math.sqrt(om) + 2.0, 25)
         series = np.atleast_1d(g_series_transform(p, 5, ps))
-        ref = _phi_transform_reference(p, 5, ps)
-        assert np.max(np.abs(series - ref)) / np.max(np.abs(series)) < 1e-6
+        ref = phi_transform_exact(p, 5, ps)
+        assert np.max(np.abs(series - ref)) / np.max(np.abs(ref)) < 1e-13
 
-    def test_order_cap(self, deformed):
+    @pytest.mark.parametrize("n", [0, 1, 3, 8, 20, 50])
+    def test_wide_domain_against_exact_oracle(self, n):
+        # P = p / sqrt(Omega); the sign of two momenta checks the parity
+        big_p = np.array([0, 0.5, 1, 2, 3, 5, 7, 9, 12, -15, 20, 30, 45, -74, 100.0])
+        inner = np.abs(big_p) <= 12.0
+        for lam in (0.05, 10.0, 1000.0):
+            p = ModelParams(1.0, lam)
+            ps = big_p * math.sqrt(effective_frequency(p, n))
+            got = np.atleast_1d(g_series_transform(p, n, ps))
+            ref = phi_transform_exact(p, n, ps)
+            err = np.abs(got - ref)
+            assert np.max(err[inner]) <= 1e-13 * np.max(np.abs(ref[inner]))
+            assert np.max(err[~inner] / np.abs(ref[~inner])) <= 2e-9
+
+    @pytest.mark.parametrize("lam", [0.05, 10.0, 1000.0])
+    def test_matches_published_series(self, lam):
+        p = ModelParams(1.0, lam)
+        for n in range(9):
+            ps = np.linspace(-6.0, 6.0, 25) * math.sqrt(effective_frequency(p, n))
+            got = np.atleast_1d(g_series_transform(p, n, ps))
+            ref = published_g_series(p, n, ps)
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_odd_order_is_positive_zero_at_origin(self, deformed):
+        v = g_series_transform(deformed, 5, 0.0)
+        assert v == 0.0 and math.copysign(1.0, v.imag) == 1.0
+
+    def test_negative_order(self, deformed):
         with pytest.raises(ValueError):
-            g_series_transform(deformed, 9, 0.3)
+            g_series_transform(deformed, -1, 0.3)
 
 
 class TestApproximationConvergence:
