@@ -29,7 +29,8 @@ error.
 The coefficient c_j is defined through a (2*alpha+1)-fold nested sum whose
 inner 2*alpha indices enter only through their total J; the nested sum is
 therefore evaluated as an iterated convolution of a single weight vector,
-which reorders but does not alter the finite sum.  ``uncertainty.entropy``
+which reorders but does not alter the finite sum.  The weights share one
+denominator, so the convolution runs on integers.  ``uncertainty.entropy``
 turns ln W into Rényi and Tsallis entropies.
 """
 
@@ -124,37 +125,40 @@ def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionC
 
     # Per-index weight v[t] = (-M)_t / ((nu+1/2)_t t!) * alpha^-t, t = 0..M:
     # the terminating series coefficients of the confluent form of H_n.
-    half = Fraction(1, 2)
-    v = [
-        _poch_frac(Fraction(-m_cap), t)
-        / (_poch_frac(nu + half, t) * math.factorial(t) * Fraction(alpha) ** t)
-        for t in range(m_cap + 1)
-    ]
+    # All share the denominator D = (2nu+1)(2nu+3)..(2nu+2M-1) M! alpha^M, and
+    # v[t+1] / v[t] = 2 (t - M) / ((2nu+1+2t)(t+1) alpha) divides exactly.
+    denom = math.prod(range(2 * nu + 1, 2 * nu + 2 * m_cap, 2)) * math.factorial(m_cap)
+    denom *= alpha**m_cap
+    v_num = [denom]
+    for t in range(m_cap):
+        v_num.append(v_num[-1] * 2 * (t - m_cap) // ((2 * nu + 1 + 2 * t) * (t + 1) * alpha))
 
     # V[J] = sum over the 2*alpha inner indices with total J: an iterated
-    # self-convolution; exact rationals, so the sign alternation is harmless
-    conv = [Fraction(1)]
+    # self-convolution, in integers over the denominator D^(2 alpha)
+    conv = [1]
     for _ in range(2 * alpha):
-        out = [Fraction(0)] * (len(conv) + m_cap)
+        out = [0] * (len(conv) + m_cap)
         for i, ci in enumerate(conv):
             if ci:
-                for t, vt in enumerate(v):
+                for t, vt in enumerate(v_num):
                     out[i + t] += ci * vt
         conv = out
 
-    # T[c] = sum_J V[J] * (alpha*nu + 1/2)_(J+c)
-    base = alpha * nu + half
+    # T[c] = sum_J V[J] * (alpha*nu + 1/2)_(J+c), with the integers
+    # q[r] = 2^r_max (alpha*nu + 1/2)_r
     r_max = (conv_len - 1) + j_max
-    poch_base = [Fraction(1)] * (r_max + 1)
-    for r in range(1, r_max + 1):
-        poch_base[r] = poch_base[r - 1] * (base + (r - 1))
+    q = [1 << r_max]
+    for r in range(r_max):
+        q.append(q[-1] * (2 * alpha * nu + 1 + 2 * r) // 2)
+    t_den = denom ** (2 * alpha) << r_max
     big_t = [
-        sum((conv[J] * poch_base[J + c] for J in range(conv_len)), Fraction(0))
+        Fraction(sum(conv[J] * q[J + c] for J in range(conv_len)), t_den)
         for c in range(j_max + 1)
     ]
 
     # prefactor (1/2)_(alpha*nu) * binom((n+nu-1)/2, M)^(2*alpha); the
     # generalized binomial is a falling factorial of M terms over M!
+    half = Fraction(1, 2)
     top = Fraction(n + nu - 1, 2)
     binom = Fraction(1)
     for i in range(m_cap):

@@ -10,7 +10,8 @@ Position-space integrals use composite Gauss-Legendre panels.  Densities
 raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
 the density zeros, so panels are split exactly at the zeros and the two
 panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
-restores spectral convergence.  In momentum space the zeros of the
+restores spectral convergence.  One routine, :func:`_panel_grid`, lays out
+every panel grid of the package with array operations.  In momentum space the zeros of the
 transform are located first (one FFT scan of a uniform momentum grid plus
 bisection, each bisection probe a single kernel sum); the momentum panels
 are laid out the same way, and entropy integrals reuse the profile nodes
@@ -102,70 +103,55 @@ def _gl_unit(order: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _panel_nodes(panels: list[tuple[float, float, int]], order: int = _ORDER):
-    """Nodes/weights for panels (a, b, map_end); map_end = -1 applies the
-    cubic endpoint map at a, +1 at b, 0 none."""
-    u, wu = _gl_unit(order)
-    xs = []
-    ws = []
-    for a, b, map_end in panels:
-        h = b - a
-        if map_end == 0:
-            xs.append(a + h * u)
-            ws.append(h * wu)
-        elif map_end < 0:
-            xs.append(a + h * u**3)
-            ws.append(3.0 * h * u**2 * wu)
-        else:
-            xs.append(b - h * u**3)
-            ws.append(3.0 * h * u**2 * wu)
-    return np.concatenate(xs), np.concatenate(ws)
+def _panel_grid(bounds, counts, cusps=()):
+    """Nodes/weights of Gauss-Legendre panels, built as arrays.
+
+    Segment s, [bounds[s], bounds[s + 1]] = [A, B], is cut into counts[s]
+    equal pieces with edges i ((B - A) / k) + A and the last edge B, as
+    ``np.linspace`` places them.  The first piece of a segment that starts
+    at one of the ``cusps`` gets the cubic endpoint map x = a + h u^3, the
+    last piece of one that ends at a cusp x = b - h u^3; a single piece
+    with cusps at both ends keeps the map at a.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    counts = np.asarray(counts).astype(np.intp)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    lo = (np.arange(len(seg)) - first[seg]) * (np.diff(bounds) / counts)[seg] + bounds[seg]
+    hi = np.empty_like(lo)
+    hi[:-1] = lo[1:]
+    hi[last] = bounds[1:]
+    cusp = np.isin(bounds, cusps)
+    at_a = np.zeros(len(lo), dtype=bool)
+    at_a[first] = cusp[:-1]
+    at_b = np.zeros(len(lo), dtype=bool)
+    at_b[last] = cusp[1:]
+    at_b &= ~at_a  # map at a wins
+    u, wu = _gl_unit(_ORDER)
+    h = (hi - lo)[:, None]
+    x = lo[:, None] + h * u
+    w = h * wu
+    x[at_a] = lo[at_a, None] + h[at_a] * u**3
+    x[at_b] = hi[at_b, None] - h[at_b] * u**3
+    w[at_a | at_b] = 3.0 * h[at_a | at_b] * u**2 * wu
+    return x.ravel(), w.ravel()
 
 
-def _split(a: float, b: float, width: float) -> list[tuple[float, float]]:
-    """Equal pieces of [a, b], each at most ``width`` wide."""
-    k = max(1, int(math.ceil((b - a) / width)))
-    edges = np.linspace(a, b, k + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _grow_split(a: float, b: float, width: float, grow: float) -> list[tuple[float, float]]:
-    """Pieces of [a, b] starting at ``width`` and growing by ``grow``."""
+def _grow_split(a: float, b: float, width: float, grow: float) -> list[float]:
+    """Edges of pieces of [a, b] starting at ``width`` and growing by ``grow``."""
     edges = [a]
     while edges[-1] + width < b:
         edges.append(edges[-1] + width)
         width *= grow
     edges.append(b)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _segment_panels(
-    boundaries: np.ndarray, split, cusp_points: np.ndarray
-) -> list[tuple[float, float, int]]:
-    """Subdivide [boundaries] into the panels ``split(a, b)`` returns for
-    each segment; panels whose endpoint is a cusp get the cubic map on
-    that side."""
-    panels: list[tuple[float, float, int]] = []
-    cusps = set(float(c) for c in cusp_points)
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        pieces = split(float(a), float(b))
-        for i, (pa, pb) in enumerate(pieces):
-            m = 0
-            if i == 0 and float(a) in cusps:
-                m = -1
-            if i == len(pieces) - 1 and float(b) in cusps:
-                m = +1 if m == 0 else m  # single-piece segment: map at a wins
-            panels.append((pa, pb, m))
-    return panels
+    return edges
 
 
 def grid_nodes(grid: GridSpec):
     """Nodes and weights realising a :class:`GridSpec` on [-L, L]."""
     L, pts = grid.half_width, grid.points
-    n_panels = max(2, pts // _ORDER)
-    edges = np.linspace(-L, L, n_panels + 1)
-    panels = [(float(a), float(b), 0) for a, b in zip(edges[:-1], edges[1:])]
-    return _panel_nodes(panels)
+    return _panel_grid([-L, L], [max(2, pts // _ORDER)])
 
 
 def integrate(f, grid: GridSpec) -> float:
@@ -207,18 +193,14 @@ def _position_moment_nodes(
     """Panel nodes/weights on [0, L] for integrating rho^alpha (even integrand)."""
     om = effective_frequency(params, n)
     L = position_half_width(params, n, min(alpha, 1.0))
-    zeros = hermite_zeros(n) / math.sqrt(om)
-    zeros = np.array(sorted(z for z in zeros if 0.0 < z < 0.999 * L))
+    zeros = hermite_zeros(n) / math.sqrt(om)  # increasing
+    zeros = zeros[(zeros > 0.0) & (zeros < 0.999 * L)]
     bounds = np.unique(np.concatenate([[0.0, L], zeros]))
     k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
     width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
     # fractional powers leave |x - x0|^(2 alpha) cusps at the density zeros
-    cusp = not float(alpha).is_integer()
-    cusp_pts = zeros if not cusp else np.concatenate([zeros, [0.0]]) if n % 2 else zeros
-    panels = _segment_panels(
-        bounds, lambda a, b: _split(a, b, width), cusp_pts if cusp else np.array([])
-    )
-    return _panel_nodes(panels)
+    cusps = () if float(alpha).is_integer() else np.append(zeros, 0.0) if n % 2 else zeros
+    return _panel_grid(bounds, np.ceil(np.diff(bounds) / width), cusps)
 
 
 # --------------------------------------------------------------------------
@@ -385,18 +367,17 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     # panels: boundaries at 0, the zeros and the feature edge; cubic maps at
     # every zero (and at 0 for odd n) so fractional powers stay spectral
     width = 0.45 * math.sqrt(om) / refine
-    bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
-    panels = _segment_panels(
-        bounds,
-        lambda a, b: _split(a, b, width),
-        zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]),
+    bulk = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
+    # monotone tail: panels grow geometrically, each one a segment of its own
+    tail = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
+    tail_edges = [
+        e for a, b in zip(tail[:-1], tail[1:]) for e in _grow_split(a, b, 2.0 * width, 1.35)[1:]
+    ]
+    p_nodes, p_w = _panel_grid(
+        np.concatenate([bulk, tail_edges]),
+        np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))]),
+        zeros if n % 2 == 0 else np.append(zeros, 0.0),
     )
-    # monotone tail: panels grow geometrically
-    tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
-    grow = lambda a, b: _grow_split(a, b, 2.0 * width, 1.35)
-    panels += _segment_panels(tail_bounds, grow, zeros)
-
-    p_nodes, p_w = _panel_nodes(panels)
     g = _SQRT_2_OVER_PI * _ft_component(n, x, fw, p_nodes)
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)
@@ -441,8 +422,13 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
                 stacklevel=2,
             )
     fw = wx * np.asarray(wavefunction(params, n, x))
-    g = scale * _ft_component(n, x, fw, pa)
-    out = g + 0j if n % 2 == 0 else -1j * g
+    return _with_parity_phase(n, scale * _ft_component(n, x, fw, pa), p)
+
+
+def _with_parity_phase(n: int, g: np.ndarray, p):
+    """The transform from its parity-allowed part ``g``: g for even n, -i g
+    for odd n, with +0 (not -0) as the zero part; complex for scalar ``p``."""
+    out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # -1j * 0.0 has imaginary part -0.0
     return out if np.asarray(p).ndim else complex(out[0])
 
 

@@ -61,13 +61,14 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     if n == 0:
         h = h_prev
     else:
-        h = 2.0 * xa
+        two_x = 2.0 * xa
+        h = two_x
         for k in range(1, n):
-            h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
-            m = np.maximum(np.abs(h), np.abs(h_prev))
-            big = m > 1e120
-            if np.any(big):
-                scale = np.where(big, m, 1.0)
+            h, h_prev = two_x * h - 2.0 * k * h_prev, h
+            # |h_prev| <= 1e120 after the previous step, so only h can be big
+            big = np.abs(h) > 1e120
+            if big.any():
+                scale = np.where(big, np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
                 h = h / scale
                 h_prev = h_prev / scale
                 log_scale = log_scale + np.where(big, np.log(scale), 0.0)

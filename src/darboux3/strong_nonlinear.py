@@ -45,8 +45,8 @@ from .model import (
 from .quadrature import (
     _SQRT_2_OVER_PI,
     _ft_component,
-    _panel_nodes,
-    _split,
+    _panel_grid,
+    _with_parity_phase,
     position_half_width,
 )
 from .specfun import bisect_sign_change, dawson_vec, hermite, hermite_zeros
@@ -152,10 +152,9 @@ def g_series_transform(params: ModelParams, n: int, p):
     p_max = float(np.max(np.abs(pa))) if len(pa) else 0.0
     L = position_half_width(params, n, 1.0, tail_log=88.0)
     width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))  # phase <= pi per panel
-    x, w = _panel_nodes([(a, b, 0) for a, b in _split(0.0, L, width)])
+    x, w = _panel_grid([0.0, L], [math.ceil(L / width)])
     g = _SQRT_2_OVER_PI * _ft_component(n, x, w * approx_wavefunction(params, n, x), pa)
-    out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # + 0.0: odd n gives +0j at p = 0
-    return out if np.asarray(p).ndim else complex(out[0])
+    return _with_parity_phase(n, g, p)
 
 
 # --------------------------------------------------------------------------

@@ -34,17 +34,22 @@ def gauss_hermite_nodes(half_width, points):
     return s * x0, s * np.exp(np.log(w0) + x0 * x0)
 
 
-def gauss_tail_quad(f, a, b, panels=400, order=24):
-    """Dense composite Gauss-Legendre reference integrator (test oracle)."""
+def gauss_tail_nodes(a, b, panels=400, order=24):
+    """Nodes and weights of a dense composite Gauss-Legendre rule on [a, b]
+    (test oracle)."""
     from numpy.polynomial.legendre import leggauss
 
     x0, w0 = leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * float(w0 @ f(mid + half * x0))
-    return total
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x0).ravel(), (half[:, None] * w0).ravel()
+
+
+def gauss_tail_quad(f, a, b, panels=400, order=24):
+    """Dense composite Gauss-Legendre reference integrator (test oracle);
+    ``f`` maps the node array elementwise."""
+    x, w = gauss_tail_nodes(a, b, panels, order)
+    return float(w @ f(x))
 
 
 def quadrature_entropy(params, n, alpha, space, kind="renyi"):
@@ -142,3 +147,160 @@ def published_g_series(params, n, ps):
         )
         out.append(amp * (2.0 * total.real if n % 2 == 0 else 2j * total.imag))
     return np.array(out)
+
+
+# --------------------------------------------------------------------------
+# the per-panel layout the package used before its panels were built as
+# arrays, kept as the reference that the array routine must reproduce bit
+# for bit
+# --------------------------------------------------------------------------
+
+def reference_panel_nodes(panels, order=16):
+    """Nodes/weights for panels (a, b, map_end), one panel at a time;
+    map_end = -1 applies the cubic endpoint map at a, +1 at b, 0 none."""
+    from darboux3.quadrature import _gl_unit
+
+    u, wu = _gl_unit(order)
+    xs = []
+    ws = []
+    for a, b, map_end in panels:
+        h = b - a
+        if map_end == 0:
+            xs.append(a + h * u)
+            ws.append(h * wu)
+        elif map_end < 0:
+            xs.append(a + h * u**3)
+            ws.append(3.0 * h * u**2 * wu)
+        else:
+            xs.append(b - h * u**3)
+            ws.append(3.0 * h * u**2 * wu)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def reference_split(a, b, width):
+    """Equal pieces of [a, b], each at most ``width`` wide."""
+    k = max(1, int(math.ceil((b - a) / width)))
+    edges = np.linspace(a, b, k + 1)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def reference_segment_panels(boundaries, split, cusp_points):
+    """Subdivide [boundaries] into the panels ``split(a, b)`` returns for
+    each segment; panels whose endpoint is a cusp get the cubic map on
+    that side."""
+    panels = []
+    cusps = set(float(c) for c in cusp_points)
+    for a, b in zip(boundaries[:-1], boundaries[1:]):
+        pieces = split(float(a), float(b))
+        for i, (pa, pb) in enumerate(pieces):
+            m = 0
+            if i == 0 and float(a) in cusps:
+                m = -1
+            if i == len(pieces) - 1 and float(b) in cusps:
+                m = +1 if m == 0 else m  # single-piece segment: map at a wins
+            panels.append((pa, pb, m))
+    return panels
+
+
+def reference_position_nodes(params, n, alpha, refine):
+    """``quadrature._position_moment_nodes`` on the per-panel layout."""
+    from darboux3.quadrature import position_half_width
+    from darboux3.specfun import hermite_zeros
+
+    om = effective_frequency(params, n)
+    L = position_half_width(params, n, min(alpha, 1.0))
+    zeros = hermite_zeros(n) / math.sqrt(om)
+    zeros = np.array(sorted(z for z in zeros if 0.0 < z < 0.999 * L))
+    bounds = np.unique(np.concatenate([[0.0, L], zeros]))
+    k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
+    width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
+    cusp = not float(alpha).is_integer()
+    cusp_pts = np.concatenate([zeros, [0.0]]) if n % 2 else zeros
+    panels = reference_segment_panels(
+        bounds, lambda a, b: reference_split(a, b, width), cusp_pts if cusp else np.array([])
+    )
+    return reference_panel_nodes(panels)
+
+
+def reference_profile_nodes(params, n, refine=1):
+    """The p nodes and weights of ``momentum_profile`` on the per-panel
+    layout, from the profile's own cut L_p and transform zeros."""
+    from darboux3.model import wavefunction
+    from darboux3.quadrature import (
+        _ft_x_nodes,
+        _grow_split,
+        _momentum_tail_start,
+        _transform_zeros,
+        momentum_profile,
+    )
+
+    om = effective_frequency(params, n)
+    L_p = momentum_profile(params, n, refine).grid.half_width
+    x, wx = _ft_x_nodes(params, n, L_p, refine)
+    fw = wx * np.asarray(wavefunction(params, n, x))
+    p_feat = _momentum_tail_start(params, n)
+    zeros = _transform_zeros(n, x, fw, L_p, p_feat)
+    width = 0.45 * math.sqrt(om) / refine
+    bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
+    panels = reference_segment_panels(
+        bounds,
+        lambda a, b: reference_split(a, b, width),
+        zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]),
+    )
+    tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
+
+    def grow(a, b):
+        edges = _grow_split(a, b, 2.0 * width, 1.35)
+        return list(zip(edges[:-1], edges[1:]))
+
+    panels += reference_segment_panels(tail_bounds, grow, zeros)
+    return reference_panel_nodes(panels)
+
+
+def reference_expansion(n, alpha, j_max):
+    """c_0..c_(j_max) of ``position_entropy.expansion_coefficients`` by
+    ``Fraction`` arithmetic at every step (test oracle)."""
+    from fractions import Fraction
+
+    from darboux3.position_entropy import _poch_frac
+
+    nu = n & 1
+    m_cap = (n - nu) // 2
+    conv_len = 2 * alpha * m_cap + 1
+    half = Fraction(1, 2)
+    v = [
+        _poch_frac(Fraction(-m_cap), t)
+        / (_poch_frac(nu + half, t) * math.factorial(t) * Fraction(alpha) ** t)
+        for t in range(m_cap + 1)
+    ]
+    conv = [Fraction(1)]
+    for _ in range(2 * alpha):
+        out = [Fraction(0)] * (len(conv) + m_cap)
+        for i, ci in enumerate(conv):
+            if ci:
+                for t, vt in enumerate(v):
+                    out[i + t] += ci * vt
+        conv = out
+    base = alpha * nu + half
+    r_max = (conv_len - 1) + j_max
+    poch_base = [Fraction(1)] * (r_max + 1)
+    for r in range(1, r_max + 1):
+        poch_base[r] = poch_base[r - 1] * (base + (r - 1))
+    big_t = [
+        sum((conv[J] * poch_base[J + c] for J in range(conv_len)), Fraction(0))
+        for c in range(j_max + 1)
+    ]
+    top = Fraction(n + nu - 1, 2)
+    binom = Fraction(1)
+    for i in range(m_cap):
+        binom *= top - i
+    binom /= math.factorial(m_cap)
+    pref = _poch_frac(half, alpha * nu) * binom ** (2 * alpha)
+    return tuple(
+        pref * sum(
+            (_poch_frac(Fraction(-j), cc) / (_poch_frac(half, cc) * math.factorial(cc)) * big_t[cc]
+             for cc in range(j + 1)),
+            Fraction(0),
+        )
+        for j in range(j_max + 1)
+    )

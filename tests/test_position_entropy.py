@@ -17,7 +17,7 @@ from darboux3.position_entropy import BudgetExceededError, _expansion_cached
 from darboux3.quadrature import entropic_moment_numeric
 from darboux3.specfun import hermite
 
-from conftest import gauss_hermite_nodes
+from conftest import gauss_hermite_nodes, reference_expansion
 
 
 class TestParity:
@@ -126,6 +126,15 @@ class TestExpansionCoefficients:
         b = expansion_coefficients(5, 2, 7)
         assert a.c_exact == b.c_exact
         assert a.A == b.A
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 60])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_integer_arithmetic_matches_fraction_loop(self, n, alpha):
+        # one common denominator, the same exact rationals
+        for j_max in (alpha, alpha + 4):
+            got = expansion_coefficients(n, alpha, j_max).c_exact
+            assert got == reference_expansion(n, alpha, j_max)
+            assert all(isinstance(c, Fraction) for c in got)
 
 
 class TestEntropicMoment:

@@ -8,6 +8,7 @@ from darboux3 import (
     GridSpec,
     ModelParams,
     density_position,
+    effective_frequency,
     entropic_moment,
     entropic_moment_numeric,
     fourier_transform,
@@ -20,10 +21,17 @@ from darboux3 import (
 )
 
 from darboux3 import quadrature
-from darboux3.quadrature import _fft_scan, _ft_component, _ft_x_nodes
+from darboux3.quadrature import _fft_scan, _ft_component, _ft_x_nodes, _panel_grid
 from darboux3.specfun import hermite_zeros
 
-from conftest import quadrature_entropy
+from conftest import (
+    quadrature_entropy,
+    reference_panel_nodes,
+    reference_position_nodes,
+    reference_profile_nodes,
+    reference_segment_panels,
+    reference_split,
+)
 
 TABLE_ALPHAS = (0.5, 4.0 / 7.0, 2.0 / 3.0, 0.8, 1.25, 1.5, 1.75, 2.0)
 
@@ -65,6 +73,79 @@ class TestIntegrate:
     def test_unvectorised_integrand_rejected(self):
         with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(320,\)"):
             integrate(lambda x: 1.0, GridSpec(8.0, 320))
+
+
+#: the 13 momentum-cold stratum midpoints and four corners, as (lam, n)
+PROFILE_PAIRS = [
+    (0.0628, 4), (0.0992, 0), (0.157, 7), (0.247, 3), (0.391, 10), (0.617, 6),
+    (0.975, 2), (1.54, 9), (2.43, 5), (3.84, 1), (6.06, 8), (9.57, 4), (15.1, 0),
+    (30.0, 0), (0.0, 5), (10.0, 20), (100.0, 6),
+]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want) == 2
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestPanelGrid:
+    """The array-built panels reproduce the per-panel layout bit for bit."""
+
+    @pytest.mark.parametrize("cusps", [[0.0, 1.0, 1.5], [1.5], [0.0, 3.0]])
+    def test_cusp_maps(self, cusps):
+        # [0, 1] and [1, 1.5] are single pieces: with cusps at both ends the
+        # map goes at a; [1.5, 3] is two pieces, one map at each cusp end
+        bounds = np.array([0.0, 1.0, 1.5, 3.0])
+        want = reference_panel_nodes(
+            reference_segment_panels(bounds, lambda a, b: reference_split(a, b, 1.0), cusps)
+        )
+        _assert_same(_panel_grid(bounds, np.ceil(np.diff(bounds) / 1.0), cusps), want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 33, 60])
+    def test_position_nodes(self, n):
+        for lam in (0.0, 0.4, 10.0, 1000.0):
+            for alpha in (0.3, 1.0, 2.0, 2.197, 3.5):
+                for refine in (1, 2):
+                    params = ModelParams(1.0, lam)
+                    _assert_same(
+                        quadrature._position_moment_nodes(params, n, alpha, refine),
+                        reference_position_nodes(params, n, alpha, refine),
+                    )
+
+    @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
+    def test_momentum_profile_nodes(self, lam, n):
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        _assert_same((prof.p, prof.weights), reference_profile_nodes(params, n))
+
+    @pytest.mark.parametrize("half_width,points", [(8.0, 320), (3.3, 33), (12.7, 1001)])
+    def test_grid_nodes(self, half_width, points):
+        edges = np.linspace(-half_width, half_width, max(2, points // 16) + 1)
+        want = reference_panel_nodes([(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
+        _assert_same(quadrature.grid_nodes(GridSpec(half_width, points)), want)
+
+    @pytest.mark.parametrize("lam", [0.05, 10.0, 1000.0])
+    def test_phi_transform_nodes(self, lam, monkeypatch):
+        from darboux3 import strong_nonlinear
+
+        grids = []
+
+        def spy(*args):
+            grids.append(_panel_grid(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(strong_nonlinear, "_panel_grid", spy)
+        params = ModelParams(1.0, lam)
+        for n in (0, 1, 8, 20):
+            for p_max in (0.5, 12.0, 40.0):
+                strong_nonlinear.g_series_transform(params, n, np.array([0.0, p_max]))
+                om = effective_frequency(params, n)
+                L = quadrature.position_half_width(params, n, 1.0, tail_log=88.0)
+                width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))
+                want = reference_panel_nodes(
+                    [(a, b, 0) for a, b in reference_split(0.0, L, width)]
+                )
+                _assert_same(grids.pop(), want)
 
 
 class TestMomentNumeric:
@@ -226,6 +307,22 @@ class TestFourierTransform:
                 allowed, off = (val.real, val.imag) if n % 2 == 0 else (val.imag, val.real)
                 assert np.all(off == 0.0)
                 assert np.max(np.abs(allowed)) > 0.0
+
+
+    def test_odd_transform_zero_part_is_plus_zero(self, deformed):
+        # -1j * 0.0 is -0j, which prints as -0.000000e+00j; both transforms
+        # give +0 imaginary at p = 0, for scalar and array input
+        from darboux3.strong_nonlinear import g_series_transform
+
+        for n in (1, 3):
+            for ft in (
+                lambda p: fourier_transform(deformed, n, None, p),
+                lambda p: fourier_transform(deformed, n, GridSpec(14.0, 1024), p),
+                lambda p: g_series_transform(deformed, n, p),
+            ):
+                assert math.copysign(1.0, ft(0.0).imag) == 1.0
+                assert math.copysign(1.0, ft(np.array([0.0, 0.7]))[0].imag) == 1.0
+                assert math.copysign(1.0, ft(0.0).real) == 1.0
 
 
 class TestMomentumDensity:

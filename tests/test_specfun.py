@@ -72,6 +72,17 @@ class TestHermiteScaled:
         assert sign[0] == int(mp.sign(ref))
         assert log_abs[0] == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
 
+    def test_rescaled_and_unscaled_elements_together(self):
+        # |H_k| passes 1e120 at a different step k for each x, so in one
+        # array some elements are rescaled while the others are not
+        x = np.array([0.5, 12.0, 30.0])
+        sign, log_abs = hermite_sign_logabs(300, x)
+        assert np.all(log_abs > math.log(1e120))
+        for s, la, xv in zip(sign, log_abs, x):
+            ref = mp.hermite(300, mp.mpf(float(xv)))
+            assert s == int(mp.sign(ref))
+            assert la == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
+
 
 class TestPochhammer:
     """_poch_frac, the package's one (exact) rising factorial."""

@@ -16,26 +16,19 @@ from darboux3 import (
     norm_constant,
 )
 from darboux3.specfun import hermite
-from conftest import gauss_tail_quad, phi_transform_exact, published_g_series
+from conftest import gauss_tail_nodes, gauss_tail_quad, phi_transform_exact, published_g_series
 
 
 def _phi_transform_reference(params, n, ps):
     """Numeric FT of the approximant phi_n: dense-panel trig quadrature
-    oracle, independent of the closed forms."""
+    oracle, independent of the closed forms, as one (momenta x nodes)
+    phase-matrix sum."""
     om = effective_frequency(params, n)
     L = math.sqrt((95.0 + 2.0 * n * math.log(2.0 + 60.0)) / om)
     trig = np.cos if n % 2 == 0 else np.sin
-    vals = np.array(
-        [
-            gauss_tail_quad(
-                lambda x, pv=pv: trig(pv * x) * approx_wavefunction(params, n, x),
-                0.0,
-                L,
-                panels=700,
-            )
-            for pv in ps
-        ]
-    ) * math.sqrt(2.0 / math.pi)
+    x, w = gauss_tail_nodes(0.0, L, panels=700)
+    vals = trig(np.outer(ps, x)) @ (w * approx_wavefunction(params, n, x))
+    vals *= math.sqrt(2.0 / math.pi)
     return vals + 0j if n % 2 == 0 else -1j * vals
 
 
