@@ -1,37 +1,44 @@
 """Closed-form entropic moments and entropies in position space.
 
 For integer order alpha >= 1 the alpha-th entropic moment
-W = integral rho_n(x)^alpha dx of a Darboux III eigenstate has a finite
-closed form: the 2*alpha-th power of the Hermite polynomial in the density
-is expanded as a series of even Hermite polynomials,
+W = integral rho_n(x)^alpha dx of a Darboux III eigenstate is a
+Gaussian-moment sum of one integer polynomial.  H_n has integer
+coefficients, so with y = sqrt(Omega) x
 
-    H_n(sqrt(Omega) x)^(2 alpha)
-        = A * alpha^(-alpha*nu) * sum_j c_j / ((-1)^j 2^(2j) j!)
-              * H_(2j)(sqrt(alpha*Omega) x),
+    H_n(y)^(2 alpha) = sum_(m=0..alpha n) q_m y^(2m),   q_m integers,
 
-and the Gaussian-weighted moments of H_(2j) reduce the integral to
+and rho_n^alpha is (1 + lam x^2)^alpha e^(-alpha Omega x^2) times that
+polynomial.  Expanding (1 + lam x^2)^alpha binomially and integrating each
+monomial against the Gaussian, with
+integral y^(2r) e^(-alpha y^2) dy = sqrt(pi) (1/2)_r alpha^(-r - 1/2), gives
 
     W = sqrt(pi / (alpha Omega)) (Omega/pi)^(alpha/2)
         (1 + (n + 1/2) lam / Omega)^(-alpha) * sum_(k=0..alpha) P_k r^k,
 
 a polynomial in r = lam / (alpha Omega) with
 
-    P_k = A / (alpha^(alpha nu) (2^n n!)^alpha) * C(alpha, k) (1/2)_k
-          * sum_(j<=k) (-1)^j C(k, j) c_j.
+    P_k = C(alpha, k) / (2^n n!)^alpha
+          * sum_m q_m (1/2)_(m+k) alpha^(-m).
 
-Every ingredient is exact: A = 2^(2 alpha n) ((n - nu)/2)!^(2 alpha) is an
-integer, each c_j is rational and Gamma(k + 1/2) = sqrt(pi) (1/2)_k, so the
-P_k are exact rationals, built once per (n, alpha).  r is taken exactly
-from its double and the sum is exact too; the sum is rounded only when its
-logarithm is taken, so the large, alternating terms cause no cancellation
-error.
+The sum runs over Python integers on one denominator, since
+2^r (1/2)_r = (2r - 1)!!, so the P_k are exact rationals, built once per
+(n, alpha).  r is taken exactly from its double and the polynomial is
+summed exactly; it is rounded only when its logarithm is taken, so the
+large, alternating terms cause no cancellation error.
 
-The coefficient c_j is defined through a (2*alpha+1)-fold nested sum whose
-inner 2*alpha indices enter only through their total J; the nested sum is
-therefore evaluated as an iterated convolution of a single weight vector,
-which reorders but does not alter the finite sum.  The weights share one
-denominator, so the convolution runs on integers.  ``uncertainty.entropy``
-turns ln W into Rényi and Tsallis entropies.
+The same q_m give the even-Hermite expansion of the power,
+
+    H_n(y)^(2 alpha) = A alpha^(-alpha nu)
+        * sum_j c_j / ((-1)^j 2^(2j) j!) H_(2j)(sqrt(alpha) y),
+
+with the integer A = 2^(2 alpha n) ((n - nu)/2)!^(2 alpha): inverting
+y^(2m) into H_(2j)(sqrt(alpha) y) yields
+
+    c_j = (-4)^j j! alpha^(alpha nu) / A
+          * sum_(m>=j) q_m (2m)! / ((4 alpha)^m (m - j)! (2j)!),
+
+which vanishes for j > alpha n.  ``uncertainty.entropy`` turns ln W into
+Rényi and Tsallis entropies.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ __all__ = [
     "entropic_moment_special",
 ]
 
-#: Work-unit budget for a single coefficient evaluation (convolution and
-#: projection multiply-accumulates).  Guards against absurd inputs; the
-#: factored evaluation needs ~(2 alpha M)^2 + j_max * (2 alpha M) units.
+#: Work-unit budget for one moment polynomial or coefficient evaluation.
+#: Guards against absurd inputs; the estimate, with M = floor(n/2), is
+#: (2 alpha M + 1)^2 2 alpha + (j_max + 1)(j_max + 2 alpha M + 1) units,
+#: with j_max = alpha for the moment polynomial.
 DEFAULT_TERM_BUDGET = 10**8
 
 
@@ -111,11 +119,10 @@ def _log_of_fraction(q: Fraction) -> float:
     return math.log(m) + e * math.log(2.0)
 
 
-@lru_cache(maxsize=512)
-def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionCoefficients:
-    nu = parity_nu(n)
-    m_cap = (n - nu) // 2
-    conv_len = 2 * alpha * m_cap + 1
+def _check_budget(n: int, alpha: int, j_max: int, budget: int) -> None:
+    """Raise :class:`BudgetExceededError` when the work estimate (see
+    ``DEFAULT_TERM_BUDGET``) exceeds ``budget``."""
+    conv_len = 2 * alpha * (n // 2) + 1
     work = conv_len * conv_len * 2 * alpha + (j_max + 1) * (j_max + conv_len)
     if work > budget:
         raise BudgetExceededError(
@@ -123,62 +130,45 @@ def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionC
             f"needs ~{work} work units, budget is {budget}"
         )
 
-    # Per-index weight v[t] = (-M)_t / ((nu+1/2)_t t!) * alpha^-t, t = 0..M:
-    # the terminating series coefficients of the confluent form of H_n.
-    # All share the denominator D = (2nu+1)(2nu+3)..(2nu+2M-1) M! alpha^M, and
-    # v[t+1] / v[t] = 2 (t - M) / ((2nu+1+2t)(t+1) alpha) divides exactly.
-    denom = math.prod(range(2 * nu + 1, 2 * nu + 2 * m_cap, 2)) * math.factorial(m_cap)
-    denom *= alpha**m_cap
-    v_num = [denom]
-    for t in range(m_cap):
-        v_num.append(v_num[-1] * 2 * (t - m_cap) // ((2 * nu + 1 + 2 * t) * (t + 1) * alpha))
 
-    # V[J] = sum over the 2*alpha inner indices with total J: an iterated
-    # self-convolution, in integers over the denominator D^(2 alpha)
-    conv = [1]
+@lru_cache(maxsize=512)
+def _hermite_power(n: int, alpha: int) -> tuple[int, ...]:
+    """Integers q_0..q_(alpha n) with H_n(y)^(2 alpha) = sum_m q_m y^(2m)."""
+    # coefficients of y^0..y^k of H_k from H_(k+1) = 2y H_k - 2k H_(k-1)
+    h_prev, h = [], [1]
+    for k in range(n):
+        h, h_prev = [2 * a - 2 * k * b for a, b in zip([0] + h, h_prev + [0, 0])], h
+    nu = parity_nu(n)
+    h = h[nu::2]  # H_n = y^nu sum_i h_i y^(2i)
+    power = [1]
     for _ in range(2 * alpha):
-        out = [0] * (len(conv) + m_cap)
-        for i, ci in enumerate(conv):
-            if ci:
-                for t, vt in enumerate(v_num):
-                    out[i + t] += ci * vt
-        conv = out
+        out = [0] * (len(power) + len(h) - 1)
+        for i, p_i in enumerate(power):
+            for t, h_t in enumerate(h):
+                out[i + t] += p_i * h_t
+        power = out
+    return (0,) * (alpha * nu) + tuple(power)
 
-    # T[c] = sum_J V[J] * (alpha*nu + 1/2)_(J+c), with the integers
-    # q[r] = 2^r_max (alpha*nu + 1/2)_r
-    r_max = (conv_len - 1) + j_max
-    q = [1 << r_max]
-    for r in range(r_max):
-        q.append(q[-1] * (2 * alpha * nu + 1 + 2 * r) // 2)
-    t_den = denom ** (2 * alpha) << r_max
-    big_t = [
-        Fraction(sum(conv[J] * q[J + c] for J in range(conv_len)), t_den)
-        for c in range(j_max + 1)
-    ]
 
-    # prefactor (1/2)_(alpha*nu) * binom((n+nu-1)/2, M)^(2*alpha); the
-    # generalized binomial is a falling factorial of M terms over M!
-    half = Fraction(1, 2)
-    top = Fraction(n + nu - 1, 2)
-    binom = Fraction(1)
-    for i in range(m_cap):
-        binom *= top - i
-    binom /= math.factorial(m_cap)
-    pref = _poch_frac(half, alpha * nu) * binom ** (2 * alpha)
-
-    # c_j = pref * sum_c (-j)_c / ((1/2)_c c!) * T[c]
+@lru_cache(maxsize=512)
+def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionCoefficients:
+    _check_budget(n, alpha, j_max, budget)
+    nu = parity_nu(n)
+    q = _hermite_power(n, alpha)
+    top = alpha * n
+    fact = [1]
+    for i in range(1, 2 * top + 1):
+        fact.append(fact[-1] * i)
+    big_a = 2 ** (2 * alpha * n) * fact[(n - nu) // 2] ** (2 * alpha)
+    # c_j over the denominator A (4 alpha)^(alpha n): every term is an integer
+    den = big_a * (4 * alpha) ** top
     c_exact = []
     for j in range(j_max + 1):
-        s = Fraction(0)
-        for cc in range(j + 1):
-            s += (
-                _poch_frac(Fraction(-j), cc)
-                / (_poch_frac(half, cc) * math.factorial(cc))
-                * big_t[cc]
-            )
-        c_exact.append(pref * s)
-
-    big_a = 2 ** (2 * alpha * n) * math.factorial(m_cap) ** (2 * alpha)
+        s = sum(
+            q[m] * (fact[2 * m] // (fact[m - j] * fact[2 * j])) * (4 * alpha) ** (top - m)
+            for m in range(j, top + 1)
+        )
+        c_exact.append(Fraction((-4) ** j * math.factorial(j) * alpha ** (alpha * nu) * s, den))
     return ExpansionCoefficients(n=n, alpha=alpha, nu=nu, A=big_a, c_exact=tuple(c_exact))
 
 
@@ -188,9 +178,9 @@ def expansion_coefficients(
     """Coefficients c_0..c_(j_max) and prefactor A of the Hermite-power
     expansion of H_n^(2 alpha).
 
-    ``j_max = alpha`` suffices for the entropic moments (only j <= k <= alpha
-    terms survive); larger ``j_max`` supports the pointwise reconstruction
-    of the density power itself.
+    The harmonic case of :func:`entropic_moment_special` reads c_0; larger
+    ``j_max`` supports the pointwise reconstruction of the density power
+    itself.
     """
     if n < 0:
         raise ValueError("quantum number must be non-negative")
@@ -199,26 +189,26 @@ def expansion_coefficients(
     return _expansion_cached(n, _check_alpha_int(alpha), int(j_max), int(budget))
 
 
-def _moment_prefactor(coeffs: ExpansionCoefficients) -> Fraction:
-    """A / (alpha^(alpha nu) (2^n n!)^alpha), the exact rational part of
-    every P_k."""
-    n, a = coeffs.n, coeffs.alpha
-    return Fraction(coeffs.A, a ** (a * coeffs.nu) * (2**n * math.factorial(n)) ** a)
-
-
 @lru_cache(maxsize=512)
 def _moment_polynomial(n: int, alpha: int) -> tuple[Fraction, ...]:
     """Exact coefficients P_0..P_alpha of the moment polynomial in r."""
-    coeffs = expansion_coefficients(n, alpha, alpha)
-    pref = _moment_prefactor(coeffs)
-    half = Fraction(1, 2)
+    _check_budget(n, alpha, alpha, DEFAULT_TERM_BUDGET)
+    q = _hermite_power(n, alpha)
+    top = alpha * n + alpha  # largest m + k
+    # 2^top alpha^(alpha n) (1/2)_(m+k) alpha^(-m)
+    #     = (2(m+k) - 1)!! 2^(top-m-k) alpha^(alpha n - m), an integer
+    dfact = [1]
+    for r in range(top):
+        dfact.append(dfact[-1] * (2 * r + 1))
+    den = (2**n * math.factorial(n)) ** alpha * alpha ** (alpha * n) << top
     return tuple(
-        pref
-        * math.comb(alpha, k)
-        * _poch_frac(half, k)
-        * sum(
-            ((-1) ** j * math.comb(k, j) * coeffs.c_exact[j] for j in range(k + 1)),
-            Fraction(0),
+        Fraction(
+            math.comb(alpha, k)
+            * sum(
+                (q_m * dfact[m + k] << (top - m - k)) * alpha ** (alpha * n - m)
+                for m, q_m in enumerate(q)
+            ),
+            den,
         )
         for k in range(alpha + 1)
     )
@@ -281,11 +271,15 @@ def entropic_moment_special(params: ModelParams, n: int, alpha, case: str) -> fl
     if case == "harmonic":
         if params.lam != 0.0:
             raise ValueError("case 'harmonic' requires lam = 0")
+        # P_0 = A c_0 / (alpha^(alpha nu) (2^n n!)^alpha), through the c_j
         coeffs = expansion_coefficients(n, a, a)
+        p_0 = coeffs.c_exact[0] * Fraction(
+            coeffs.A, a ** (a * coeffs.nu) * (2**n * math.factorial(n)) ** a
+        )
         log_w = (
             ((a - 1) / 2.0) * math.log(params.omega / math.pi)
             - 0.5 * math.log(a)
-            + _log_of_fraction(_moment_prefactor(coeffs) * coeffs.c_exact[0])
+            + _log_of_fraction(p_0)
         )
         return math.exp(log_w)
     raise ValueError(f"unknown case {case!r}; expected 'harmonic', 'ground' or 'both'")

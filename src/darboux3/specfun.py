@@ -51,11 +51,14 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log|H_n(x)| elementwise, recurrence with per-step rescaling.
 
     Stable for orders far beyond the overflow point of :func:`hermite`.
-    Returns ``(sign, log_abs)`` with ``log_abs = -inf`` at exact zeros.
+    Returns ``(sign, log_abs)`` with ``log_abs = -inf`` at exact zeros;
+    a NaN or infinite x raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.isfinite(xa).all():
+        raise ValueError(f"non-finite Hermite argument at x={xa[~np.isfinite(xa)][0]}")
     h_prev = np.ones_like(xa)
     log_scale = np.zeros_like(xa)
     if n == 0:

@@ -304,3 +304,25 @@ def reference_expansion(n, alpha, j_max):
         )
         for j in range(j_max + 1)
     )
+
+
+def reference_moment_polynomial(n, alpha):
+    """P_0..P_alpha of ``position_entropy._moment_polynomial`` from the c_j of
+    ``reference_expansion``: P_k = pref C(alpha, k) (1/2)_k
+    sum_j (-1)^j C(k, j) c_j, pref = A / (alpha^(alpha nu) (2^n n!)^alpha)
+    (test oracle)."""
+    from fractions import Fraction
+
+    from darboux3.position_entropy import _poch_frac
+
+    nu = n & 1
+    big_a = 2 ** (2 * alpha * n) * math.factorial((n - nu) // 2) ** (2 * alpha)
+    pref = Fraction(big_a, alpha ** (alpha * nu) * (2**n * math.factorial(n)) ** alpha)
+    c = reference_expansion(n, alpha, alpha)
+    return tuple(
+        pref
+        * math.comb(alpha, k)
+        * _poch_frac(Fraction(1, 2), k)
+        * sum(((-1) ** j * math.comb(k, j) * c[j] for j in range(k + 1)), Fraction(0))
+        for k in range(alpha + 1)
+    )

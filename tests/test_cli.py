@@ -132,6 +132,11 @@ class TestComputeCommands:
         assert out == ""
         assert "non-finite" in err
 
+    def test_moment_budget_is_numeric_failure(self, capsys):
+        code, _, err = run_cli(capsys, "disequilibrium", "--n", "3000")
+        assert code == 3
+        assert "budget" in err
+
 
 class TestExitCodes:
     def test_usage_error_bad_omega(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +14,16 @@ from darboux3 import (
     expansion_coefficients,
     parity_nu,
 )
-from darboux3.position_entropy import BudgetExceededError, _expansion_cached
+from darboux3.position_entropy import (
+    BudgetExceededError,
+    _expansion_cached,
+    _hermite_power,
+    _moment_polynomial,
+)
 from darboux3.quadrature import entropic_moment_numeric
 from darboux3.specfun import hermite
 
-from conftest import gauss_hermite_nodes, reference_expansion
+from conftest import gauss_hermite_nodes, reference_expansion, reference_moment_polynomial
 
 
 class TestParity:
@@ -50,6 +56,49 @@ def _hermite_reduced_rational(n, y_sq):
         else:
             g_prev, g = g, 2 * y_sq * g - 2 * k * g_prev
     return g
+
+
+class TestHermitePower:
+    @pytest.mark.parametrize("n", range(0, 13))
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_reproduces_hermite_power(self, n, alpha):
+        """sum_m q_m y^(2m) equals H_n(y)^(2 alpha) exactly at rational y^2."""
+        q = _hermite_power(n, alpha)
+        assert len(q) == alpha * n + 1
+        assert all(isinstance(q_m, int) for q_m in q)
+        rng = np.random.default_rng(7 + 13 * n + alpha)
+        for _ in range(20):
+            y_sq = Fraction(int(rng.integers(1, 500)), int(rng.integers(1, 20)))
+            if n % 2 == 0:
+                target = _hermite_even_rational(n, y_sq) ** (2 * alpha)
+            else:
+                target = y_sq**alpha * _hermite_reduced_rational(n, y_sq) ** (2 * alpha)
+            assert sum(q_m * y_sq**m for m, q_m in enumerate(q)) == target
+
+
+class TestMomentPolynomial:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 60])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_moment_polynomial_matches_expansion_route(self, n, alpha):
+        # the Gaussian-moment sum and the route through the c_j agree exactly
+        got = _moment_polynomial(n, alpha)
+        assert got == reference_moment_polynomial(n, alpha)
+        assert all(isinstance(p_k, Fraction) for p_k in got)
+
+
+class TestBudgetGuard:
+    def test_moment_path_rejects_large_n_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            entropic_moment(ModelParams(1.0, 0.4), 3000, 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n,alpha", [(3000, 2), (1000, 5)])
+    def test_both_paths_reject_the_same_input(self, n, alpha):
+        with pytest.raises(BudgetExceededError):
+            _moment_polynomial(n, alpha)
+        with pytest.raises(BudgetExceededError):
+            expansion_coefficients(n, alpha, alpha)
 
 
 class TestExpansionCoefficients:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from darboux3 import ModelParams, density_position, wavefunction
 from darboux3.position_entropy import _poch_frac
 from darboux3.specfun import (
     bisect_sign_change,
@@ -82,6 +83,20 @@ class TestHermiteScaled:
             ref = mp.hermite(300, mp.mpf(float(xv)))
             assert s == int(mp.sign(ref))
             assert la == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_rejected(self, n, bad):
+        with pytest.raises(ValueError, match="non-finite Hermite argument"):
+            hermite_sign_logabs(n, bad)
+        with pytest.raises(ValueError, match=f"x={bad}"):
+            hermite_sign_logabs(n, np.array([0.5, bad, 2.0]))
+        p = ModelParams(1.0, 0.4)
+        for f in (wavefunction, density_position):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(p, n, bad)
+            with pytest.raises(ValueError, match="non-finite"):
+                f(p, n, np.array([0.0, bad]))
 
 
 class TestPochhammer:
