@@ -135,10 +135,11 @@ def _log_envelope(params: ModelParams, n: int, xa: np.ndarray):
     """sign(H_n) and ln|Psi_n| elementwise (log-space assembly)."""
     om = effective_frequency(params, n)
     sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * xa)
+    x = np.clip(xa, -1e100, 1e100)  # x^2 finite; Psi_n = 0 there for any Omega > 1e-190
     log_psi = (
         log_norm_constant(params, n)
-        + 0.5 * np.log1p(params.lam * xa * xa)
-        - 0.5 * om * xa * xa
+        + 0.5 * np.log1p(params.lam * x * x)
+        - 0.5 * om * x * x
         + log_h
     )
     return sign, log_psi

@@ -1,10 +1,12 @@
 """Self-contained special-function kernel.
 
-Hermite polynomials (plain and sign/log-magnitude scaled) and their zeros,
-Dawson's F function and the package's one sign-change bisection.  Everything here is deterministic, pure and free of external
-dependencies beyond numpy, so the rest of the package can treat these as
-exact primitives.  Exact rational work (the entropic-moment polynomial and
-its Pochhammer symbols) lives with its one user in ``position_entropy``.
+Hermite polynomials (plain, and one power-of-two-scaled recurrence that
+serves every runtime caller) and their zeros, Dawson's F function and the
+package's one sign-change bisection.  Everything here is deterministic, pure
+and free of external dependencies beyond numpy, so the rest of the package
+can treat these as exact primitives.  Exact rational work (the
+entropic-moment polynomial and its Pochhammer symbols) lives with its one
+user in ``position_entropy``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "hermite",
+    "hermite_pair_scaled",
     "hermite_sign_logabs",
     "hermite_zeros",
     "dawson_vec",
@@ -32,8 +35,9 @@ def hermite(n: int, x):
     """Evaluate the physicists' Hermite polynomial H_n(x).
 
     Uses the three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1}.
-    Accepts scalars or arrays; overflow for very large ``n`` returns inf
-    (callers that need large orders use :func:`hermite_sign_logabs`).
+    Accepts scalars or arrays; overflow for very large ``n`` returns inf.
+    The package itself calls :func:`hermite_pair_scaled`; this plain form
+    is the test suite's independent oracle.
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
@@ -47,38 +51,50 @@ def hermite(n: int, x):
     return float(h) if xa.ndim == 0 else h
 
 
-def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log|H_n(x)| elementwise, recurrence with per-step rescaling.
+_SCALE_BITS = 512  # |x H_k| < 2^512: far from overflow even times strong_nonlinear's factors
 
-    Stable for orders far beyond the overflow point of :func:`hermite`.
-    Returns ``(sign, log_abs)`` with ``log_abs = -inf`` at exact zeros;
-    a NaN or infinite x raises ``ValueError``.
+
+def hermite_pair_scaled(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H_(n-1)(x), H_n(x)) 2^(-e) and the integer exponents e, elementwise.
+
+    The recurrence H_(k+1) = 2 x H_k - 2 k H_(k-1) from H_(-1) = 0, H_0 = 1,
+    rescaled by exact powers of two whenever |x H_k| (|H_k| for |x| < 1)
+    would pass 2^512, so no finite x and no order overflows.  Where no
+    rescale fires, e = 0 and the pair is the plain recurrence's, bit for
+    bit.  A NaN or infinite x raises ``ValueError``.  Returns 1-d arrays.
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.isfinite(xa).all():
+    x_max = float(np.max(np.abs(xa), initial=1.0))  # NaN if any x is NaN
+    if not math.isfinite(x_max):
         raise ValueError(f"non-finite Hermite argument at x={xa[~np.isfinite(xa)][0]}")
-    h_prev = np.ones_like(xa)
-    log_scale = np.zeros_like(xa)
-    if n == 0:
-        h = h_prev
-    else:
-        two_x = 2.0 * xa
-        h = two_x
-        for k in range(1, n):
-            h, h_prev = two_x * h - 2.0 * k * h_prev, h
-            # |h_prev| <= 1e120 after the previous step, so only h can be big
-            big = np.abs(h) > 1e120
-            if big.any():
-                scale = np.where(big, np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
-                h = h / scale
-                h_prev = h_prev / scale
-                log_scale = log_scale + np.where(big, np.log(scale), 0.0)
-    sign = np.sign(h).astype(int)
+    lowest = math.ldexp(1.0, _SCALE_BITS - math.frexp(x_max)[1])  # the smallest limit
+    e = np.zeros(xa.shape, dtype=int)
+    h_prev, h = np.zeros_like(xa), np.ones_like(xa)
+    t = np.empty_like(xa)
+    for k in range(n):
+        if np.abs(h, out=t).max(initial=0.0) > lowest:
+            # where |h| passes its limit 2^cap, bring max(|h|, |h_prev|) to ~2^(cap - 256)
+            cap = _SCALE_BITS - np.frexp(np.maximum(np.abs(xa), 1.0))[1]
+            top = np.frexp(np.maximum(t, np.abs(h_prev)))[1]
+            shift = np.where(t > np.ldexp(1.0, cap), top - cap + _SCALE_BITS // 2, 0)
+            h, h_prev = np.ldexp(h, -shift), np.ldexp(h_prev, -shift)
+            e += shift
+        np.multiply(xa, h, out=t)  # 2 x h - 2 k h_prev, into h_prev's buffer
+        t *= 2.0
+        h_prev *= 2.0 * k
+        np.subtract(t, h_prev, out=h_prev)
+        h, h_prev = h_prev, h
+    return h_prev, h, e
+
+
+def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|H_n(x)| elementwise from :func:`hermite_pair_scaled`;
+    ``log_abs = -inf`` at exact zeros, a NaN or infinite x raises."""
+    _, h, e = hermite_pair_scaled(n, x)
     with np.errstate(divide="ignore"):
-        log_abs = np.where(h != 0.0, np.log(np.abs(np.where(h != 0.0, h, 1.0))), -np.inf)
-    return sign, log_abs + log_scale
+        return np.sign(h).astype(int), np.log(np.abs(h)) + e * math.log(2.0)
 
 
 @lru_cache(maxsize=64)
@@ -147,21 +163,40 @@ def dawson_vec(x):
 # root finding
 # --------------------------------------------------------------------------
 
-def bisect_sign_change(f, a: float, b: float, fa: float, xtol: float = 0.0) -> float:
-    """Root of ``f`` in [a, b], where f(a) = ``fa`` and f(b) differ in sign.
+def bisect_sign_change(f, a, b, fa, xtol: float = 0.0):
+    """Roots of ``f`` in the brackets [a, b], where f(a) = ``fa`` and f(b)
+    differ in sign.
 
-    Halves the bracket until ``f`` is exactly zero at the midpoint or the
+    Halves each bracket until ``f`` is exactly zero at its midpoint or the
     bracket is narrower than ``xtol`` or than rounding (1e-15 relative).
+    Scalar a, b, fa give a float, with ``f`` called on floats (no numpy
+    per-call cost on a single bracket); equal-length arrays give an array,
+    with ``f`` called once per halving on the midpoints still open.
     """
+    if np.ndim(a) == 0:
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            if b - a < max(xtol, 1e-15 * max(1.0, abs(m))):
+                return m
+            fm = f(m)
+            if fm == 0.0:
+                return m
+            if (fa < 0.0) != (fm < 0.0):
+                b = m
+            else:
+                a, fa = m, fm
+        return 0.5 * (a + b)
+    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
+    live = np.ones(a.shape, dtype=bool)  # a closed bracket keeps its a, b
     for _ in range(200):
         m = 0.5 * (a + b)
-        if b - a < max(xtol, 1e-15 * max(1.0, abs(m))):
-            return m
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b = m
-        else:
-            a, fa = m, fm
+        live &= b - a >= np.maximum(xtol, 1e-15 * np.maximum(1.0, np.abs(m)))
+        if not live.any():
+            break
+        fm = np.zeros_like(m)
+        fm[live] = f(m[live])
+        live &= fm != 0.0
+        left = (fa < 0.0) != (fm < 0.0)
+        b = np.where(live & left, m, b)
+        a, fa = np.where(live & ~left, m, a), np.where(live & ~left, fm, fa)
     return 0.5 * (a + b)

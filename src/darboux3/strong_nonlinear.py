@@ -24,9 +24,21 @@ n + 1 in P = p / sqrt(Omega), so floating point loses accuracy like
 P^(n+2)) is kept as a test oracle, ``published_g_series`` in
 ``tests/conftest.py``.
 
-This module also provides the density critical points and the exact
-maximum-splitting thresholds lam_c = omega/sqrt(2) (n = 0) and
-lam_c = 5 omega/sqrt(26) (n = 2).
+The density critical points follow from the exact derivative
+
+    rho_n'(x) = N^2 e^(-Omega x^2) H_n(sqrt(Omega) x) E(x),
+    E(x) = 4 n sqrt(Omega) (lam x^2 + 1) H_(n-1) - 2 x (lam (Omega x^2 - 1) + Omega) H_n,
+
+with no finite differences:
+
+* The zeros of H_n are density zeros, hence minima.
+* At a simple root r of E, rho''(r) has the sign of H_n E'(r), and E'
+  has the sign opposite to E at the left end of the root's bracket, so r
+  is a maximum exactly when H_n(sqrt(Omega) r) and E there agree in sign.
+* At x = 0 and even n, rho''(0) = 2 N^2 H_n(0)^2 (lam - (2n + 1) Omega),
+  so the origin is a maximum below lam = (2n + 1) Omega_n(lam) and a
+  minimum above.  For n = 0 and 2 that equation is solved by the
+  maximum-splitting thresholds lam_c = omega/sqrt(2) and 5 omega/sqrt(26).
 """
 
 from __future__ import annotations
@@ -36,12 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    density_position,
-    effective_frequency,
-    wavefunction,
-)
+from .model import ModelParams, effective_frequency, wavefunction
 from .quadrature import (
     _SQRT_2_OVER_PI,
     _ft_component,
@@ -49,7 +56,7 @@ from .quadrature import (
     _with_parity_phase,
     position_half_width,
 )
-from .specfun import bisect_sign_change, dawson_vec, hermite, hermite_zeros
+from .specfun import bisect_sign_change, dawson_vec, hermite_pair_scaled, hermite_zeros
 
 __all__ = [
     "DensitySplit",
@@ -161,32 +168,29 @@ def g_series_transform(params: ModelParams, n: int, p):
 # density critical points and thresholds
 # --------------------------------------------------------------------------
 
-def _second_derivative_density(params: ModelParams, n: int, x: float, h: float) -> float:
-    """Five-point central second derivative of rho_n at x."""
-    f = lambda t: density_position(params, n, t)
-    return (
-        -f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x) + 16.0 * f(x - h) - f(x - 2 * h)
-    ) / (12.0 * h * h)
-
-
-def _classify(params: ModelParams, n: int, x: float) -> str:
+def _origin_kind(params: ModelParams, n: int) -> str:
+    """Kind of the critical point x = 0 (module docstring): a density zero
+    for odd n, else the sign of rho''(0), that is of lam - (2n + 1) Omega."""
+    if n % 2:
+        return "minimum"
     om = effective_frequency(params, n)
-    h = 0.02 / math.sqrt(om)
-    d2 = _second_derivative_density(params, n, x, h)
-    scale = density_position(params, n, x) * om + abs(d2)
-    if abs(d2) <= 1e-7 * max(scale, 1e-300):
-        return "undulation"
-    return "maximum" if d2 < 0.0 else "minimum"
-
-
-def _classify_origin(params: ModelParams, n: int) -> str:
-    """At x = 0 the sign of rho'' is the sign of lam - Omega (n = 0) or
-    lam - 5 Omega (n = 2), read off the exact second-derivative formulas."""
-    om = effective_frequency(params, n)
-    disc = params.lam - om if n == 0 else params.lam - 5.0 * om
-    if abs(disc) <= 5e-12 * (params.lam + om):
+    disc = params.lam - (2 * n + 1) * om
+    if abs(disc) <= 5e-12 * (params.lam + (2 * n + 1) * om):
         return "undulation"
     return "minimum" if disc > 0.0 else "maximum"
+
+
+def _symmetric_points(params: ModelParams, n: int, positive) -> list[CriticalPoint]:
+    """The origin, every (x, kind) of ``positive`` (x > 0) with its mirror
+    image, and the density zeros x = +-y_k / sqrt(Omega) at the Hermite
+    zeros y_k (to 9 decimals), which are minima; sorted by position."""
+    om = effective_frequency(params, n)
+    zeros = sorted(set(np.round(np.abs(hermite_zeros(n)) / math.sqrt(om), 9)))
+    positive = positive + [(float(z), "minimum") for z in zeros if z > 1e-9]
+    pts = [CriticalPoint(0.0, _origin_kind(params, n))]
+    for x, kind in positive:
+        pts += [CriticalPoint(x, kind), CriticalPoint(-x, kind)]
+    return sorted(pts, key=lambda c: c.x)
 
 
 def density_critical_points(
@@ -194,10 +198,8 @@ def density_critical_points(
 ) -> list[CriticalPoint]:
     """Critical points of rho_n, sorted by position.
 
-    Closed forms for n in {0, 2} (the origin plus the splitting pair and,
-    for n = 2, the outer maxima); ``numeric=True`` enables bracketed
-    root-finding on the extremum polynomial for any n (Hermite zeros, which
-    are density minima, are appended directly).
+    Closed forms for n in {0, 2}; ``numeric=True`` bisects the roots of the
+    extremum function E for any n.  Kinds as in the module docstring.
     """
     if numeric:
         return _critical_points_numeric(params, n)
@@ -205,46 +207,31 @@ def density_critical_points(
         raise ValueError("closed-form critical points exist for n in {0, 2}; use numeric=True")
     lam = params.lam
     om = effective_frequency(params, n)
-    pts = [CriticalPoint(0.0, _classify_origin(params, n))]
     if n == 0:
-        if lam > 0.0 and lam > om:
-            xr = math.sqrt((lam - om) / (lam * om))
-            pts = [CriticalPoint(-xr, _classify(params, n, xr))] + pts + [
-                CriticalPoint(xr, _classify(params, n, xr))
-            ]
-        return pts
-    root = math.sqrt(41.0 * lam * lam + 12.0 * lam * om + 4.0 * om * om)
-    outer_sq = 0.25 * (7.0 / om - (2.0 / lam if lam > 0.0 else 0.0) + (root / (lam * om) if lam > 0.0 else 0.0))
+        maxima = [math.sqrt((lam - om) / (lam * om))] if lam > om else []
+        return _symmetric_points(params, n, [(x, "maximum") for x in maxima])
     if lam == 0.0:
-        outer_sq = 0.25 * (7.0 / om + 3.0 / om)  # lam -> 0 limit of the pair
-    inner_sq = 0.25 * (7.0 / om - 2.0 / lam - root / (lam * om)) if lam > 0.0 else -1.0
-    x_out = math.sqrt(outer_sq)
-    pts = [CriticalPoint(-x_out, _classify(params, n, x_out))] + pts + [
-        CriticalPoint(x_out, _classify(params, n, x_out))
-    ]
-    if inner_sq > 0.0:
-        x_in = math.sqrt(inner_sq)
-        pts = (
-            [pts[0]]
-            + [CriticalPoint(-x_in, _classify(params, n, x_in))]
-            + [pts[1]]
-            + [CriticalPoint(x_in, _classify(params, n, x_in))]
-            + [pts[2]]
-        )
-    return sorted(pts, key=lambda c: c.x)
+        maxima = [math.sqrt(0.25 * (7.0 / om + 3.0 / om))]  # lam -> 0 limit of the pair
+    else:
+        root = math.sqrt(41.0 * lam * lam + 12.0 * lam * om + 4.0 * om * om)
+        outer_sq = 0.25 * (7.0 / om - 2.0 / lam + root / (lam * om))
+        inner_sq = 0.25 * (7.0 / om - 2.0 / lam - root / (lam * om))
+        maxima = [math.sqrt(outer_sq)] + ([math.sqrt(inner_sq)] if inner_sq > 0.0 else [])
+    return _symmetric_points(params, n, [(x, "maximum") for x in maxima])
 
 
-def _extremum_function(params: ModelParams, n: int, x):
-    """4 n sqrt(Om) (lam x^2 + 1) H_(n-1) - 2 x (lam (x^2 Om - 1) + Om) H_n,
-    whose roots are the density critical points with Hermite zeros removed."""
+def _extremum_function(params: ModelParams, n: int, x: np.ndarray):
+    """E(x) 2^(-e) and H_n(sqrt(Om) x) 2^(-e) elementwise, e from
+    :func:`~darboux3.specfun.hermite_pair_scaled`, where
+    E = 4 n sqrt(Om) (lam x^2 + 1) H_(n-1) - 2 x (lam (x^2 Om - 1) + Om) H_n."""
     lam = params.lam
     om = effective_frequency(params, n)
     s = math.sqrt(om)
-    h_n = hermite(n, s * x)
-    h_nm1 = hermite(n - 1, s * x) if n >= 1 else 0.0
-    return 4.0 * n * s * (lam * x * x + 1.0) * h_nm1 - 2.0 * x * (
+    h_nm1, h_n, _ = hermite_pair_scaled(n, s * x)
+    extremum = 4.0 * n * s * (lam * x * x + 1.0) * h_nm1 - 2.0 * x * (
         lam * (x * x * om - 1.0) + om
     ) * h_n
+    return extremum, h_n
 
 
 def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]:
@@ -252,58 +239,33 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
     m_pts = 400 * (n + 2)
     grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)  # x = 0 handled separately
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _extremum_function(params, n, grid)
-    bad = int(np.count_nonzero(~np.isfinite(vals)))
-    if bad:
-        raise ArithmeticError(
-            f"critical-point scan for n={n} has {bad} non-finite samples (Hermite overflow)"
-        )
-    hz = set(np.round(np.abs(hermite_zeros(n)) / math.sqrt(om), 9))
-    found = []
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        r = bisect_sign_change(
-            lambda t: _extremum_function(params, n, t),
-            float(grid[i]), float(grid[i + 1]), float(vals[i]),
-        )
-        if round(r, 9) not in hz and r > 1e-9:
-            found.append(r)
-    pts = [CriticalPoint(0.0, _classify(params, n, 0.0))]
-    for r in found:
-        k = _classify(params, n, r)
-        pts.append(CriticalPoint(r, k))
-        pts.append(CriticalPoint(-r, k))
-    for z in sorted(hz):
-        if z > 1e-9:
-            pts.append(CriticalPoint(float(z), "minimum"))
-            pts.append(CriticalPoint(-float(z), "minimum"))
-    return sorted(pts, key=lambda c: c.x)
+    vals, _ = _extremum_function(params, n, grid)
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    roots = bisect_sign_change(
+        lambda t: _extremum_function(params, n, t)[0], grid[i], grid[i + 1], vals[i]
+    )
+    _, h_n = _extremum_function(params, n, roots)
+    kinds = np.where(np.sign(h_n) == np.sign(vals[i]), "maximum", "minimum")
+    return _symmetric_points(params, n, list(zip(roots.tolist(), kinds.tolist())))
 
 
 def bifurcation_threshold(params: ModelParams, n: int) -> float:
     """Nonlinearity lam_c where the central maximum of rho_n degenerates.
 
     Closed forms omega/sqrt(2) (n = 0) and 5 omega/sqrt(26) (n = 2), always
-    cross-checked against a bisection on the sign of the numerically
-    differentiated rho''(0); both must agree to 1e-10.
+    cross-checked against a bisection on lam - (2n + 1) Omega_n(lam), the
+    sign of rho''(0); both must agree to 1e-10.
     """
     if n not in (0, 2):
         raise ValueError(f"thresholds are known for n in {{0, 2}}, got {n}")
     closed = params.omega / math.sqrt(2.0) if n == 0 else 5.0 * params.omega / math.sqrt(26.0)
 
-    def curvature(lam: float) -> float:
-        q = ModelParams(params.omega, lam)
-        om = effective_frequency(q, n)
-        h = 0.01 / math.sqrt(om)
-        d2a = _second_derivative_density(q, n, 0.0, h)
-        d2b = _second_derivative_density(q, n, 0.0, h / 2.0)
-        return (16.0 * d2b - d2a) / 15.0  # Richardson: O(h^6) residual
-
+    excess = lambda lam: lam - (2 * n + 1) * effective_frequency(ModelParams(params.omega, lam), n)
     lo, hi = 0.05 * params.omega, 4.0 * params.omega
-    c_lo = curvature(lo)
-    if not c_lo < 0.0 < curvature(hi):
-        raise ArithmeticError("threshold bracket failed; curvature signs unexpected")
-    bisected = bisect_sign_change(curvature, lo, hi, c_lo, xtol=1e-12 * params.omega)
+    e_lo = excess(lo)
+    if not e_lo < 0.0 < excess(hi):
+        raise ArithmeticError("threshold bracket failed; rho''(0) signs unexpected")
+    bisected = bisect_sign_change(excess, lo, hi, e_lo, xtol=1e-12 * params.omega)
     if abs(bisected - closed) > 1e-10 * (1.0 + closed):
         raise ArithmeticError(
             f"threshold mismatch: closed {closed!r} vs bisected {bisected!r}"

@@ -97,6 +97,8 @@ def test_traced_cli_smoke(tmp_path, capsys):
         ["renyi", "--space", "momentum", "--alpha", "0.7", "--lambda", "0.4", "--n", "1"],
         ["shannon", "--space", "momentum", "--lambda", "0.4", "--n", "1"],
         ["moment", "--space", "position", "--alpha", "0.5", "--lambda", "0.4", "--n", "1"],
+        ["critical-points", "--lambda", "2", "--n", "3"],
+        ["threshold", "--n", "0,2"],
     ]
     tracer = tracing.Tracer(modules)
     tracer.install(0)

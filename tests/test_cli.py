@@ -126,11 +126,16 @@ class TestComputeCommands:
         ]
         assert rows == expect
 
-    def test_critical_points_overflow_is_numeric_failure(self, capsys):
+    def test_critical_points_order_200(self, capsys):
         code, out, err = run_cli(capsys, "critical-points", "--lambda", "0.4", "--n", "200")
-        assert code == 3
-        assert out == ""
-        assert "non-finite" in err
+        assert (code, err) == (0, "")
+        rows = [l.split(",") for l in out.splitlines()[1:]]
+        xs = [float(r[2]) for r in rows]
+        kinds = [r[3] for r in rows]
+        assert xs == sorted(xs) and xs == [-x for x in reversed(xs)]
+        assert kinds == kinds[::-1]
+        assert kinds[0] == "maximum"
+        assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
     def test_moment_budget_is_numeric_failure(self, capsys):
         code, _, err = run_cli(capsys, "disequilibrium", "--n", "3000")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from darboux3.specfun import (
     bisect_sign_change,
     dawson_vec,
     hermite,
+    hermite_pair_scaled,
     hermite_sign_logabs,
     hermite_zeros,
 )
@@ -84,6 +86,36 @@ class TestHermiteScaled:
             assert s == int(mp.sign(ref))
             assert la == pytest.approx(float(mp.log(abs(ref))), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 50, 300])
+    def test_huge_arguments(self, n):
+        # H_n(x) = (2x)^n (1 - n(n-1)/(4x^2) + ...): exact to double precision
+        x = np.array([1e150, 1e200, 1e300, 1.7e308])
+        x = np.concatenate([x, -x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sign, log_abs = hermite_sign_logabs(n, x)
+            assert wavefunction(ModelParams(1.0, 0.4), n, 1e200) == 0.0
+        assert np.array_equal(sign, np.sign(x).astype(int) ** n)
+        want = n * (math.log(2.0) + np.log(np.abs(x)))
+        assert np.all(np.abs(log_abs - want) <= 1e-15 * want)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 60])
+    def test_pair_is_plain_recurrence_below_rescale(self, n):
+        x = np.linspace(-40.0, 40.0, 801)
+        h_nm1, h_n, e = hermite_pair_scaled(n, x)
+        assert not e.any()
+        assert np.array_equal(h_n, hermite(n, x))
+        assert np.array_equal(h_nm1, hermite(n - 1, x) if n else np.zeros_like(x))
+
+    def test_pair_rescaled_against_mpmath(self):
+        x = np.array([0.5, 12.0, 30.0, -1e200])
+        h_nm1, h_n, e = hermite_pair_scaled(300, x)
+        assert np.all(e > 0)
+        for a, b, k, xv in zip(h_nm1, h_n, e, x):
+            for got, order in ((a, 299), (b, 300)):
+                ref = mp.hermite(order, mp.mpf(float(xv))) / mp.mpf(2) ** int(k)
+                assert got == pytest.approx(float(ref), rel=1e-12)
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_rejected(self, n, bad):
@@ -154,6 +186,22 @@ class TestBisectSignChange:
 
         assert bisect_sign_change(f, 0.0, 2.0, -1.0) == 1.0
         assert calls == [1.0]
+
+    def test_array_of_brackets(self):
+        a = np.array([0.0, 3.0, 6.0, 0.0])
+        b = np.array([3.0, 6.0, 9.0, 2.0])
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return np.where(x == 1.0, 0.0, np.cos(x))
+
+        roots = bisect_sign_change(f, a, b, np.cos(a))
+        for i in range(3):
+            assert roots[i] == bisect_sign_change(math.cos, a[i], b[i], math.cos(a[i]))
+        assert roots[3] == 1.0  # exact zero at the first midpoint
+        assert sizes[0] == 4 and sizes[1] == 3
+        assert sizes == sorted(sizes, reverse=True)
 
 
 class TestDawson:

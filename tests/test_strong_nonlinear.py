@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +10,7 @@ from darboux3 import (
     approx_wavefunction,
     bifurcation_threshold,
     density_critical_points,
+    density_position,
     effective_frequency,
     g_series_transform,
     harmonic_weight,
@@ -241,17 +243,22 @@ class TestCriticalPoints:
         assert origin.kind == "undulation"
 
     def test_n2_above_threshold_structure(self):
-        pts = density_critical_points(ModelParams(1.0, 2.0), 2)
+        # outer maxima, density zeros at +-1/sqrt(2 Omega), split inner maxima
+        p = ModelParams(1.0, 2.0)
+        pts = density_critical_points(p, 2)
         kinds = [c.kind for c in pts]
-        assert kinds == ["maximum", "maximum", "minimum", "maximum", "maximum"]
+        assert kinds == ["maximum", "minimum", "maximum", "minimum", "maximum", "minimum", "maximum"]
+        zero = 1.0 / math.sqrt(2.0 * effective_frequency(p, 2))
+        assert pts[-2].x == pytest.approx(zero, abs=1e-9)
+        assert pts[1].x == -pts[-2].x
 
     def test_numeric_matches_closed_form(self):
-        closed = density_critical_points(ModelParams(1.0, 2.0), 2)
-        numeric = density_critical_points(ModelParams(1.0, 2.0), 2, numeric=True)
-        closed_x = sorted(c.x for c in closed)
-        numeric_x = sorted(c.x for c in numeric if c.kind != "minimum" or c.x == 0.0)
-        for cx in closed_x:
-            assert min(abs(cx - nx) for nx in numeric_x) < 1e-8
+        for lam in (0.0, 0.4, 2.0, 30.0):
+            closed = density_critical_points(ModelParams(1.0, lam), 2)
+            numeric = density_critical_points(ModelParams(1.0, lam), 2, numeric=True)
+            assert [c.kind for c in numeric] == [c.kind for c in closed]
+            for c, d in zip(closed, numeric):
+                assert abs(c.x - d.x) < 1e-8
 
     def test_unsupported_order_needs_numeric(self, deformed):
         with pytest.raises(ValueError):
@@ -265,6 +272,69 @@ class TestCriticalPoints:
         above = density_critical_points(ModelParams(1.0, lam_c * (1.0 + 1e-9)), 0)
         assert sum(c.kind == "maximum" for c in below) == 1
         assert sum(c.kind == "maximum" for c in above) == 2
+
+
+def _rho_second_derivative_mp(omega, lam, n, x, dps=50):
+    """rho_n''(x) / N^2 by 50-digit mpmath differentiation of
+    (1 + lam x^2) e^(-Omega x^2) H_n(sqrt(Omega) x)^2."""
+    with mp.workdps(dps):
+        m = mp.mpf(n) + mp.mpf(1) / 2
+        lam_m, omega_m = mp.mpf(lam), mp.mpf(omega)
+        om = omega_m**2 / (mp.sqrt((lam_m * m) ** 2 + omega_m**2) + lam_m * m)
+        rho = lambda t: (1 + lam_m * t * t) * mp.exp(-om * t * t) * mp.hermite(n, mp.sqrt(om) * t) ** 2
+        return mp.diff(rho, mp.mpf(x), 2)
+
+
+def _richardson_curvature(omega, lam, n):
+    """Five-point central rho''(0), Richardson-extrapolated in the step."""
+    q = ModelParams(omega, lam)
+    h = 0.01 / math.sqrt(effective_frequency(q, n))
+
+    def d2(s):
+        f = lambda t: density_position(q, n, t)
+        return (-f(2 * s) + 16.0 * f(s) - 30.0 * f(0.0) + 16.0 * f(-s) - f(-2 * s)) / (12.0 * s * s)
+
+    return (16.0 * d2(h / 2.0) - d2(h)) / 15.0
+
+
+class TestCriticalPointKinds:
+    """Kinds against independent oracles: mpmath rho'' and the ordering."""
+
+    def test_origin_at_24_is_minimum(self):
+        # lam = 1 > 49 Omega_24: rho''(0) > 0 although maxima sit at +-0.0177
+        pts = density_critical_points(ModelParams(1.0, 1.0), 24, numeric=True)
+        i = [c.x for c in pts].index(0.0)
+        assert [c.kind for c in pts[i - 1 : i + 2]] == ["maximum", "minimum", "maximum"]
+        assert pts[i + 1].x == pytest.approx(0.01767, abs=1e-5)
+        assert _rho_second_derivative_mp(1.0, 1.0, 24, 0) > 0
+        assert _rho_second_derivative_mp(1.0, 1.0, 24, pts[i + 1].x) < 0
+
+    def test_seeded_points_against_mpmath(self):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            n = int(rng.integers(1, 16))
+            lam = float(10.0 ** rng.uniform(-1.5, 1.5))
+            pts = [c for c in density_critical_points(ModelParams(1.0, lam), n, numeric=True)
+                   if c.x > 0.0]
+            c = pts[int(rng.integers(len(pts)))]
+            d2 = _rho_second_derivative_mp(1.0, lam, n, c.x)
+            assert (d2 < 0) == (c.kind == "maximum"), (n, lam, c)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.4, 1.0, 2.0, 10.0, 30.0])
+    def test_kinds_alternate_outermost_maximum(self, lam):
+        for n in range(31):
+            pts = density_critical_points(ModelParams(1.0, lam), n, numeric=True)
+            kinds = [c.kind for c in pts if c.x >= 0.0]
+            assert kinds[-1] == "maximum", n
+            assert all(a != b for a, b in zip(kinds, kinds[1:])), (n, kinds)
+            assert "undulation" not in kinds
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_finite_difference_curvature_flips_at_threshold(self, omega, n):
+        lam_c = bifurcation_threshold(ModelParams(omega, 0.0), n)
+        assert _richardson_curvature(omega, lam_c * (1.0 - 1e-6), n) < 0.0
+        assert _richardson_curvature(omega, lam_c * (1.0 + 1e-6), n) > 0.0
 
 
 class TestThresholds:
