@@ -14,7 +14,7 @@ from darboux3 import (
     density_position,
     effective_frequency,
     energy,
-    state_spectrum,
+    norm_constant,
 )
 
 print("energy levels E_n (omega = 1)")
@@ -30,10 +30,13 @@ for lam in (0.0, 0.2, 0.4):
     row = "".join(f"{effective_frequency(params, n):10.5f}" for n in range(6))
     print(f"{lam:7.1f} {row}")
 
-print("\nper-level bundle at lam = 0.4:")
+print("\nper-level quantities at lam = 0.4:")
+params = ModelParams(1.0, 0.4)
 for n in range(4):
-    s = state_spectrum(ModelParams(1.0, 0.4), n)
-    print(f"  n={n}: E={s.energy:.6f}  Omega={s.effective_frequency:.6f}  N={s.norm_constant:.6f}")
+    print(
+        f"  n={n}: E={energy(params, n):.6f}  Omega={effective_frequency(params, n):.6f}"
+        f"  N={norm_constant(params, n):.6f}"
+    )
 
 xs = np.linspace(-6.0, 6.0, 601)
 dens = {lam: density_position(ModelParams(1.0, lam), 0, xs) for lam in (0.0, 0.5, 2.0)}

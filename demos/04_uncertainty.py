@@ -10,8 +10,7 @@ from darboux3 import ModelParams, conjugate_order, xi_renyi, xi_tsallis
 
 print("conjugate pairs:")
 for alpha in (0.6, 0.8, 1.0, 2.0, 3.0):
-    pair = conjugate_order(alpha)
-    print(f"  alpha = {pair.alpha:5.3f}  ->  beta = {pair.beta:.6f}")
+    print(f"  alpha = {alpha:5.3f}  ->  beta = {conjugate_order(alpha):.6f}")
 
 harmonic = ModelParams(1.0, 0.0)
 deformed = ModelParams(1.0, 0.4)

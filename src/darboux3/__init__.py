@@ -9,12 +9,10 @@ uncertainty functions, and the large-nonlinearity approximation machinery.
 
 from .model import (
     ModelParams,
-    StateSpectrum,
     density_position,
     effective_frequency,
     energy,
     norm_constant,
-    state_spectrum,
     wavefunction,
 )
 from .position_entropy import (
@@ -30,7 +28,6 @@ from .quadrature import (
     MomentumProfile,
     entropic_moment_numeric,
     fourier_transform,
-    integrate,
     momentum_profile,
     shannon_numeric,
 )
@@ -49,7 +46,6 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .uncertainty import (
-    ConjugatePair,
     XiResult,
     conjugate_order,
     entropy,

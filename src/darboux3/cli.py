@@ -24,10 +24,9 @@ from .model import ModelParams, density_position, effective_frequency, energy
 from .position_entropy import BudgetExceededError, entropic_moment
 from .quadrature import (
     GridSpec,
+    _momentum_cut,
     fourier_transform,
     grid_nodes,
-    integrate,
-    momentum_profile,
     position_half_width,
     shannon_numeric,
 )
@@ -132,11 +131,10 @@ def _log_moment(args, params, n, alpha):
     if args.space == "position":
         if half is None:
             half = position_half_width(params, n, min(alpha, 1.0))
-        grid = GridSpec(half_width=half, points=points)
-        w = integrate(lambda x: np.power(density_position(params, n, x), alpha), grid)
-        return math.log(w)
+        x, w = grid_nodes(GridSpec(half_width=half, points=points))
+        return math.log(float(w @ np.power(density_position(params, n, x), alpha)))
     if half is None:
-        half = momentum_profile(params, n).grid.half_width
+        half = _momentum_cut(params, n)
     p, w = grid_nodes(GridSpec(half_width=half, points=points))
     gamma = np.abs(fourier_transform(params, n, None, p)) ** 2
     norm = float(w @ gamma)
@@ -212,7 +210,7 @@ def _profile_command(args):
     if half is None and args.kind == "density-position":
         half = position_half_width(params, n, 1.0, tail_log=25.0)
     elif half is None:
-        half = 0.75 * momentum_profile(params, n).grid.half_width
+        half = 0.75 * _momentum_cut(params, n)
     xs = np.linspace(-half, half, points)
     if args.kind == "density-position":
         dens = np.asarray(density_position(params, n, xs))

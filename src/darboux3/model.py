@@ -23,12 +23,10 @@ from .specfun import hermite_sign_logabs
 
 __all__ = [
     "ModelParams",
-    "StateSpectrum",
     "energy",
     "effective_frequency",
     "log_norm_constant",
     "norm_constant",
-    "state_spectrum",
     "wavefunction",
     "density_position",
 ]
@@ -60,16 +58,6 @@ class ModelParams:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be non-negative and finite, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class StateSpectrum:
-    """Per-level derived quantities for quantum number ``n``."""
-
-    n: int
-    energy: float
-    effective_frequency: float
-    norm_constant: float
 
 
 def _check_level(n: int) -> None:
@@ -121,21 +109,14 @@ def norm_constant(params: ModelParams, n: int) -> float:
     return math.exp(log_norm_constant(params, n))
 
 
-def state_spectrum(params: ModelParams, n: int) -> StateSpectrum:
-    """Bundle E_n, Omega_n and N for level ``n``."""
-    return StateSpectrum(
-        n=n,
-        energy=energy(params, n),
-        effective_frequency=effective_frequency(params, n),
-        norm_constant=norm_constant(params, n),
-    )
-
-
 def _log_envelope(params: ModelParams, n: int, xa: np.ndarray):
     """sign(H_n) and ln|Psi_n| elementwise (log-space assembly)."""
     om = effective_frequency(params, n)
-    sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * xa)
-    x = np.clip(xa, -1e100, 1e100)  # x^2 finite; Psi_n = 0 there for any Omega > 1e-190
+    # |x| <= 1e100 keeps sqrt(Omega) x and x^2 finite, and Psi_n = 0 beyond
+    # it for any Omega > 1e-190; infinite x stays so that the Hermite
+    # recurrence rejects it (as it does NaN)
+    x = np.clip(xa, -1e100, 1e100)
+    sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * (x if np.isfinite(xa).all() else xa))
     log_psi = (
         log_norm_constant(params, n)
         + 0.5 * np.log1p(params.lam * x * x)

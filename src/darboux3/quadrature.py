@@ -34,9 +34,13 @@ Poisson summation its error at p is the transform at the first alias
 transform is below rounding.  On these nodes the kernel sums at the
 momenta k dp, dp = 2 pi / (M h), are one real FFT of the weighted
 wavefunction folded modulo M; the profile's zero scan is that FFT.
-Truncation half-widths are chosen so the integrand envelope at the cut is
-below ~1e-18 of its peak, with a probing pass on the momentum side to
-cover the slowly decaying large-lam tails.
+
+Truncation
+----------
+Position half-widths put the integrand envelope at the cut below ~1e-18
+of its peak.  The momentum cut, :func:`_momentum_cut`, follows from the
+branch-point tail law of the transform (W_1/2 loses at most 1e-11), so a
+profile builds its nodes and Psi_n once.
 
 Both spaces integrate even densities on the half line; one dispatch,
 :func:`_half_line_density`, supplies the weights and the density for
@@ -67,7 +71,6 @@ __all__ = [
     "GridSpec",
     "MomentumProfile",
     "grid_nodes",
-    "integrate",
     "position_half_width",
     "entropic_moment_numeric",
     "shannon_numeric",
@@ -80,6 +83,7 @@ _TAIL_LOG = 42.0     # envelope at the cut below e^-42 ~ 5.7e-19 of peak
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _FT_CHUNK_BYTES = 4 * 2**20  # the kernel's one (momenta x nodes) phase buffer
+_W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 
 
 @dataclass(frozen=True)
@@ -152,18 +156,6 @@ def grid_nodes(grid: GridSpec):
     """Nodes and weights realising a :class:`GridSpec` on [-L, L]."""
     L, pts = grid.half_width, grid.points
     return _panel_grid([-L, L], [max(2, pts // _ORDER)])
-
-
-def integrate(f, grid: GridSpec) -> float:
-    """Integrate ``f`` over [-L, L]; ``f`` maps the node array elementwise."""
-    x, w = grid_nodes(grid)
-    y = np.asarray(f(x), dtype=float)
-    if y.shape != x.shape:
-        raise ValueError(f"integrand returned shape {y.shape} for nodes of shape {x.shape}")
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise ValueError(f"non-finite integrand sample at x={bad}")
-    return float(w @ y)
 
 
 # --------------------------------------------------------------------------
@@ -323,42 +315,71 @@ def _momentum_tail_start(params: ModelParams, n: int) -> float:
     return math.sqrt((2 * n + 1) * om) + 4.0 * math.sqrt(om)
 
 
+def _log_tail_amplitude(params: ModelParams, n: int) -> float:
+    """ln(gamma(p) p^3 e^(2p/sqrt(lam))) as p -> infinity, lam > 0.
+
+    The branch point of sqrt(1 + lam x^2) at x = -i/sqrt(lam) fixes the
+    transform's tail (Watson's lemma on the cut): gamma(p) ~ sqrt(lam) N^2
+    e^(Omega/lam) |H_n(i y)|^2 p^-3 e^(-2p/sqrt(lam)), y = sqrt(Omega/lam).
+    ln|H_n(i y)| sums ln t_k over the positive ratios t_k = |H_k / H_(k-1)|,
+    t_1 = 2y, t_(k+1) = 2y + 2k / t_k, so no order overflows.
+    """
+    lam = params.lam
+    om = effective_frequency(params, n)
+    y = math.sqrt(om / lam)
+    log_h, t = 0.0, 2.0 * y
+    for k in range(1, n + 1):
+        log_h += math.log(t)
+        t = 2.0 * y + 2.0 * k / t
+    return 2.0 * log_norm_constant(params, n) + om / lam + 2.0 * log_h + 0.5 * math.log(lam)
+
+
+def _position_second_moment(params: ModelParams, n: int) -> float:
+    """<x^2> of rho_n, from the Hermite moments of y^2 and y^4."""
+    om = effective_frequency(params, n)
+    m = n + 0.5
+    quartic = 0.75 * (2 * n * n + 2 * n + 1) / (om * om)
+    return (m / om + params.lam * quartic) / (1.0 + m * params.lam / om)
+
+
+def _momentum_cut(params: ModelParams, n: int) -> float:
+    """The profile's momentum cut L_p: :func:`_gaussian_cut`, or beyond it
+    the branch-point tail law cut for W_1/2.
+
+    Under the law of :func:`_log_tail_amplitude`, gamma^(1/2) = B p^(-3/2)
+    e^(-p/s) with s = sqrt(lam), so the two tails of W_1/2 past L hold
+    2 integral_L^inf gamma^(1/2) dp <= 2 B s L^(-3/2) e^(-L/s).  A
+    normalised density has W_1/2 >= 1 / sqrt(max gamma), and max gamma <=
+    ||Psi||_1^2 / (2 pi) <= <x^2>^(1/2) (Cauchy-Schwarz with the weight
+    1 + x^2 / <x^2>), so L_p is the root of
+    L/s + 1.5 ln L = ln(2 B s / _W_HALF_TAIL) + ln<x^2> / 4, past which
+    W_1/2 loses at most _W_HALF_TAIL of itself.  The left side is
+    increasing and concave in L, so Newton's iterates from below the root
+    rise monotonically to it.
+    """
+    om = effective_frequency(params, n)
+    L = _gaussian_cut(n, om)
+    if params.lam == 0.0:
+        return L
+    s = math.sqrt(params.lam)
+    k = (
+        0.5 * _log_tail_amplitude(params, n)
+        + math.log(2.0 * s / _W_HALF_TAIL)
+        + 0.25 * math.log(_position_second_moment(params, n))
+    )
+    for _ in range(50):
+        step = (k - L / s - 1.5 * math.log(L)) / (1.0 / s + 1.5 / L)
+        if step <= 1e-12 * L:
+            break
+        L += step
+    return L
+
+
 @lru_cache(maxsize=512)
 def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumProfile:
     params = ModelParams(omega, lam)
     om = effective_frequency(params, n)
-
-    # momentum cut: Gaussian-envelope estimate plus the branch-point tail
-    # e^(-2p/sqrt(lam)) with its actual amplitude, then probe the real tail
-    L_p = _gaussian_cut(n, om)
-    if lam > 0.0:
-        y0 = math.sqrt(om / lam)
-        g_prev, g = 1.0, 2.0 * y0  # G_k = |H_k(i y0)|, positive recurrence
-        for k in range(1, n):
-            g, g_prev = 2.0 * y0 * g + 2.0 * k * g_prev, g
-        g_n = g_prev if n == 0 else g
-        log_amp = (
-            2.0 * log_norm_constant(params, n)
-            + math.log(lam)
-            + 2.0 * math.log(max(g_n, 1e-300))
-            + om / lam
-            + math.log(10.0)
-        )
-        L_b = 0.5 * math.sqrt(lam) * _TAIL_LOG
-        for _ in range(4):
-            L_b = 0.5 * math.sqrt(lam) * max(
-                1.0, _TAIL_LOG + log_amp - 3.0 * math.log(max(L_b, 1.0))
-            )
-        L_p = max(L_p, L_b)
-
-    bulk = np.array([0.0, 0.5 * math.sqrt((2 * n + 1) * om)])
-    scale = float((np.abs(fourier_transform(params, n, None, bulk)) ** 2).max())
-    for _ in range(40):
-        tail = float((np.abs(fourier_transform(params, n, None, np.array([L_p]))) ** 2)[0])
-        if tail * (1.0 + L_p) ** 2 <= math.exp(-_TAIL_LOG) * max(scale, 1e-300):
-            break
-        L_p *= 1.25
-
+    L_p = _momentum_cut(params, n)
     x, wx = _ft_x_nodes(params, n, L_p, refine)
     fw = wx * np.asarray(wavefunction(params, n, x))
     p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
@@ -384,6 +405,16 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     if abs(norm - 1.0) > 5e-6:
         raise ArithmeticError(
             f"momentum density normalisation off by {norm - 1.0:.2e} "
+            f"for omega={omega}, lam={lam}, n={n}"
+        )
+    # the cut's guarantee, checked on the computed transform: W_1/2's tail
+    # past the last node, |g| there times the decay length sqrt(lam) +
+    # Omega / p of the branch-point and Gaussian tails, stays within ten
+    # times the design share (it is below the share itself at every tested cut)
+    tail_share = abs(g[-1]) * (math.sqrt(lam) + om / L_p) / float(p_w @ np.abs(g))
+    if tail_share > 10.0 * _W_HALF_TAIL:
+        raise ArithmeticError(
+            f"momentum cut {L_p:.6g} short: W_1/2 tail {tail_share:.2e} of the total "
             f"for omega={omega}, lam={lam}, n={n}"
         )
     grid = GridSpec(half_width=float(L_p), points=max(32, len(p_nodes)))

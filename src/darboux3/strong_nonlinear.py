@@ -183,10 +183,10 @@ def _origin_kind(params: ModelParams, n: int) -> str:
 def _symmetric_points(params: ModelParams, n: int, positive) -> list[CriticalPoint]:
     """The origin, every (x, kind) of ``positive`` (x > 0) with its mirror
     image, and the density zeros x = +-y_k / sqrt(Omega) at the Hermite
-    zeros y_k (to 9 decimals), which are minima; sorted by position."""
-    om = effective_frequency(params, n)
-    zeros = sorted(set(np.round(np.abs(hermite_zeros(n)) / math.sqrt(om), 9)))
-    positive = positive + [(float(z), "minimum") for z in zeros if z > 1e-9]
+    zeros y_k, which are minima; sorted by position."""
+    y = hermite_zeros(n)  # exactly antisymmetric, with an exact 0 for odd n
+    zeros = y[y > 0.0] / math.sqrt(effective_frequency(params, n))
+    positive = positive + [(float(z), "minimum") for z in zeros]
     pts = [CriticalPoint(0.0, _origin_kind(params, n))]
     for x, kind in positive:
         pts += [CriticalPoint(x, kind), CriticalPoint(-x, kind)]

@@ -32,7 +32,6 @@ from .position_entropy import log_entropic_moment
 from .quadrature import entropic_moment_numeric, shannon_numeric
 
 __all__ = [
-    "ConjugatePair",
     "XiResult",
     "conjugate_order",
     "entropy",
@@ -47,14 +46,6 @@ _NEGATIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ConjugatePair:
-    """Order pair with 1/alpha + 1/beta = 2 (beta = alpha / (2 alpha - 1))."""
-
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class XiResult:
     """Uncertainty-function value plus the engine used for the position side."""
 
@@ -62,11 +53,12 @@ class XiResult:
     position_method: str  # "analytic" or "quadrature"
 
 
-def conjugate_order(alpha: float) -> ConjugatePair:
-    """Conjugate pair of ``alpha``; requires alpha > 1/2."""
+def conjugate_order(alpha: float) -> float:
+    """The order beta with 1/alpha + 1/beta = 2, beta = alpha / (2 alpha - 1);
+    requires alpha > 1/2."""
     if not (alpha > 0.5) or not math.isfinite(alpha):
         raise ValueError(f"conjugate order requires alpha > 1/2, got {alpha}")
-    return ConjugatePair(alpha=float(alpha), beta=alpha / (2.0 * alpha - 1.0))
+    return alpha / (2.0 * alpha - 1.0)
 
 
 def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
@@ -122,18 +114,16 @@ def _check_slack(value: float, what: str) -> float:
 
 def xi_renyi(params: ModelParams, n: int, alpha: float) -> XiResult:
     """Slack of the Rényi uncertainty relation at position order ``alpha``."""
-    pair = conjugate_order(alpha)
+    beta = conjugate_order(alpha)
     if alpha == 1.0:
         raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
-    log_w_pos, method = log_moment(params, n, pair.alpha, "position")
-    r_pos = entropy_from_log_moment(log_w_pos, pair.alpha, "renyi")
-    r_mom = entropy_from_log_moment(
-        log_moment(params, n, pair.beta, "momentum")[0], pair.beta, "renyi"
-    )
+    log_w_pos, method = log_moment(params, n, alpha, "position")
+    r_pos = entropy_from_log_moment(log_w_pos, alpha, "renyi")
+    r_mom = entropy_from_log_moment(log_moment(params, n, beta, "momentum")[0], beta, "renyi")
     bound = (
         math.log(math.pi)
-        + math.log(pair.alpha) / (2.0 * pair.alpha - 2.0)
-        + math.log(pair.beta) / (2.0 * pair.beta - 2.0)
+        + math.log(alpha) / (2.0 * alpha - 2.0)
+        + math.log(beta) / (2.0 * beta - 2.0)
     )
     return XiResult(_check_slack(r_pos + r_mom - bound, "Rényi"), method)
 
@@ -148,13 +138,9 @@ def xi_tsallis(params: ModelParams, n: int, alpha: float) -> XiResult:
         raise ValueError(f"Tsallis slack requires 1/2 < alpha <= 1, got {alpha}")
     if alpha == 1.0:
         return XiResult(0.0, "analytic")
-    pair = conjugate_order(alpha)
-    log_w_pos, method = log_moment(params, n, pair.alpha, "position")
-    log_w_mom = log_moment(params, n, pair.beta, "momentum")[0]
-    left = (pair.alpha / math.pi) ** (1.0 / (4.0 * pair.alpha)) * math.exp(
-        log_w_pos / (2.0 * pair.alpha)
-    )
-    right = (pair.beta / math.pi) ** (1.0 / (4.0 * pair.beta)) * math.exp(
-        log_w_mom / (2.0 * pair.beta)
-    )
+    beta = conjugate_order(alpha)
+    log_w_pos, method = log_moment(params, n, alpha, "position")
+    log_w_mom = log_moment(params, n, beta, "momentum")[0]
+    left = (alpha / math.pi) ** (1.0 / (4.0 * alpha)) * math.exp(log_w_pos / (2.0 * alpha))
+    right = (beta / math.pi) ** (1.0 / (4.0 * beta)) * math.exp(log_w_mom / (2.0 * beta))
     return XiResult(_check_slack(left - right, "Tsallis"), method)

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from darboux3 import ModelParams, density_critical_points
+from darboux3 import ModelParams, density_critical_points, effective_frequency, quadrature
 from darboux3.cli import main
+from darboux3.specfun import hermite_zeros
 from darboux3.tables import TABLE_IDS, load_reference, verify_table
 
 
@@ -126,6 +127,12 @@ class TestComputeCommands:
         ]
         assert rows == expect
 
+    def test_critical_points_print_twelve_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "critical-points", "--lambda", "0.4", "--n", "2")
+        zero = hermite_zeros(2)[1] / math.sqrt(effective_frequency(ModelParams(1.0, 0.4), 2))
+        assert code == 0 and f"2,0.4,{zero:.12g},minimum" in out.splitlines()
+        assert "2,0.4,1.09868411347,minimum" in out.splitlines()
+
     def test_critical_points_order_200(self, capsys):
         code, out, err = run_cli(capsys, "critical-points", "--lambda", "0.4", "--n", "200")
         assert (code, err) == (0, "")
@@ -200,6 +207,19 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert not out_file.exists()
 
+    def test_short_momentum_cut_is_numeric_failure(self, capsys, monkeypatch):
+        cut = quadrature._momentum_cut
+        monkeypatch.setattr(quadrature, "_momentum_cut", lambda p, n: 0.5 * cut(p, n))
+        quadrature._profile_cached.cache_clear()
+        try:
+            code, out, err = run_cli(
+                capsys, "renyi", "--space", "momentum", "--alpha", "0.7", "--lambda", "1", "--n", "5"
+            )
+        finally:
+            quadrature._profile_cached.cache_clear()
+        assert code == 3 and out == ""
+        assert "numeric failure in darboux3.quadrature: momentum cut" in err
+
     def test_usage_error_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "table", "not_a_table")
         assert code == 2
@@ -258,6 +278,35 @@ class TestProfiles:
         np.testing.assert_allclose(
             data[:, 1], expect, rtol=1e-9, atol=1e-12 * float(np.max(expect))
         )
+
+    def test_momentum_half_width_skips_the_profile(self, tmp_path, capsys, monkeypatch):
+        # the default momentum half-widths read the derived cut; they build
+        # no momentum profile
+        built = []
+        cached = quadrature._profile_cached
+
+        def spy(*args):
+            built.append(args)
+            return cached(*args)
+
+        monkeypatch.setattr(quadrature, "_profile_cached", spy)
+        cut = quadrature._momentum_cut(ModelParams(1.0, 0.4), 1)
+        out = tmp_path / "gamma.csv"
+        code, _, _ = run_cli(
+            capsys, "profile", "density-momentum", "--lambda", "0.4", "--n", "1",
+            "--grid-points", "33", "--out", str(out),
+        )
+        assert code == 0 and built == []
+        assert out.read_text().splitlines()[1].split(",")[0] == f"{-0.75 * cut:.12g}"
+        code, _, _ = run_cli(
+            capsys, "moment", "--space", "momentum", "--alpha", "2", "--grid-points", "2048",
+            "--lambda", "0.4", "--n", "1",
+        )
+        assert code == 0 and built == []
+        code, _, _ = run_cli(
+            capsys, "moment", "--space", "momentum", "--alpha", "2", "--lambda", "0.4", "--n", "1",
+        )
+        assert code == 0 and built == [(1.0, 0.4, 1, 1)]
 
     def test_profile_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "profile", "density-position", "--n", "0")

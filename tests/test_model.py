@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from darboux3 import (
     effective_frequency,
     energy,
     norm_constant,
-    state_spectrum,
     wavefunction,
 )
 from darboux3.quadrature import entropic_moment_numeric
@@ -134,6 +134,26 @@ class TestWavefunction:
     def test_underflow_is_exact_zero(self, harmonic):
         assert wavefunction(harmonic, 0, 60.0) == 0.0
 
+    @pytest.mark.parametrize("x", [1.7e308, -1.7e308, 1e200])
+    def test_overflowing_hermite_argument_is_exact_zero(self, x):
+        # sqrt(Omega) x = 2 x passes the double range at 1.7e308
+        params = ModelParams(4.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wavefunction(params, 3, x) == 0.0
+            assert density_position(params, 3, x) == 0.0
+            vals = wavefunction(params, 3, np.array([x, 0.3]))
+        assert vals[0] == 0.0 and vals[1] == wavefunction(params, 3, 0.3) != 0.0
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_raises(self, x):
+        params = ModelParams(4.0, 0.0)
+        for f in (wavefunction, density_position):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(params, 3, x)
+            with pytest.raises(ValueError, match="non-finite"):
+                f(params, 3, np.array([0.5, x]))
+
 
 class TestDensity:
     def test_ground_state_origin(self, harmonic):
@@ -157,11 +177,6 @@ class TestDensity:
         peak = density_position(deformed, 2, 0.0)
         assert val < 1e-28 * peak
 
-    def test_spectrum_bundle(self, deformed):
-        s = state_spectrum(deformed, 3)
-        assert s.n == 3
-        assert s.energy == energy(deformed, 3)
-        assert s.effective_frequency == effective_frequency(deformed, 3)
-        assert s.norm_constant == norm_constant(deformed, 3)
-        assert 0.0 < s.effective_frequency <= deformed.omega
-        assert s.energy < 3.5
+    def test_level_bounds(self, deformed):
+        assert 0.0 < effective_frequency(deformed, 3) <= deformed.omega
+        assert energy(deformed, 3) < 3.5

@@ -12,10 +12,10 @@ from darboux3 import (
     entropic_moment,
     entropic_moment_numeric,
     fourier_transform,
-    integrate,
     entropy,
     entropy_from_log_moment,
     momentum_profile,
+    norm_constant,
     shannon_numeric,
     wavefunction,
 )
@@ -44,35 +44,28 @@ class TestGridSpec:
             GridSpec(half_width=5.0, points=16)
 
 
-class TestIntegrate:
+def _grid_integral(f, half_width, points):
+    x, w = quadrature.grid_nodes(GridSpec(half_width, points))
+    return float(w @ f(x))
+
+
+class TestGridNodes:
     def test_gaussian(self):
-        val = integrate(lambda x: np.exp(-x * x), GridSpec(8.0, 320))
+        val = _grid_integral(lambda x: np.exp(-x * x), 8.0, 320)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
     def test_odd_integrand(self):
-        val = integrate(lambda x: x * np.exp(-x * x), GridSpec(8.0, 320))
+        val = _grid_integral(lambda x: x * np.exp(-x * x), 8.0, 320)
         assert abs(val) < 1e-14
 
     def test_density_normalisation(self, deformed):
-        val = integrate(lambda x: density_position(deformed, 0, x), GridSpec(14.0, 480))
+        val = _grid_integral(lambda x: density_position(deformed, 0, x), 14.0, 480)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_doubling_convergence(self):
-        a = integrate(lambda x: np.exp(-x * x) * np.cos(3 * x), GridSpec(8.0, 320))
-        b = integrate(lambda x: np.exp(-x * x) * np.cos(3 * x), GridSpec(8.0, 640))
+        a = _grid_integral(lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 320)
+        b = _grid_integral(lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 640)
         assert abs(a - b) <= 1e-10 * abs(b)
-
-    def test_nonfinite_sample_rejected(self):
-        def f(x):  # NaN on every negative node
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.log(x)
-
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate(f, GridSpec(8.0, 320))
-
-    def test_unvectorised_integrand_rejected(self):
-        with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(320,\)"):
-            integrate(lambda x: 1.0, GridSpec(8.0, 320))
 
 
 #: the 13 momentum-cold stratum midpoints and four corners, as (lam, n)
@@ -376,6 +369,118 @@ class TestMomentumDensity:
         expect = hermite_zeros(n)[hermite_zeros(n) > 0.0]
         assert len(found) == 1 and len(found[0]) == len(expect)
         assert np.max(np.abs(found[0] - expect)) <= 1e-12
+
+
+def _tail_law(params, n, p):
+    """ln of the branch-point tail law of gamma at momenta ``p`` (test oracle:
+    |H_n(i y)| from numpy's Hermite series at a complex argument)."""
+    from numpy.polynomial.hermite import hermval
+
+    lam, om = params.lam, effective_frequency(params, n)
+    h = abs(hermval(1j * math.sqrt(om / lam), [0.0] * n + [1.0]))
+    const = 2.0 * math.log(norm_constant(params, n)) + om / lam + 2.0 * math.log(h)
+    return const + 0.5 * math.log(lam) - 3.0 * np.log(p) - 2.0 * p / math.sqrt(lam)
+
+
+class TestMomentumCut:
+    """The cut is the root of the order-1/2 tail bound under the branch-point
+    law, and the profile is built from it in one pass."""
+
+    @pytest.mark.parametrize(
+        "lam,n", [(0.4, 0), (1.0, 5), (2.0, 3), (10.0, 0), (30.0, 0), (30.0, 6), (100.0, 0)]
+    )
+    def test_tail_law_oracle_at_last_node(self, lam, n):
+        # the law is the leading term: its 1/p corrections and the kernel's
+        # phase rounding (a few 1e-3 at large lam) leave -0.01 to +0.36 in
+        # ln gamma at these cuts
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        gap = math.log(prof.gamma[-1]) - _tail_law(params, n, prof.p[-1])
+        assert -0.05 <= gap <= 0.4
+
+    @pytest.mark.parametrize(
+        "lam,n", [(0.4, 0), (1.0, 5), (10.0, 0), (30.0, 0), (30.0, 6), (100.0, 0)]
+    )
+    def test_half_order_tail_below_design(self, lam, n):
+        # both tails of the law's gamma^(1/2) past L_p hold at most 1e-11 of W_1/2
+        from scipy.integrate import quad
+
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        L = prof.grid.half_width
+        tail, _ = quad(
+            lambda p: math.exp(0.5 * _tail_law(params, n, p)), L, L + 80.0 * math.sqrt(lam),
+            epsrel=1e-10, epsabs=0.0,
+        )
+        w_half = 2.0 * float(prof.weights @ np.sqrt(prof.gamma))
+        assert 2.0 * tail <= 1e-11 * w_half
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.4, 2.0, 30.0, 1000.0])
+    def test_second_moment_and_half_order_floor(self, lam):
+        # <x^2> in closed form against quadrature, and the floor
+        # W_1/2 >= <x^2>^(-1/4) the cut's margin rests on
+        params = ModelParams(1.0, lam)
+        for n in (0, 1, 4, 9):
+            x, w = quadrature._position_moment_nodes(params, n, 1.0, 2)
+            x2 = 2.0 * float(w @ (x * x * density_position(params, n, x)))
+            assert quadrature._position_second_moment(params, n) == pytest.approx(x2, rel=1e-12)
+            if lam <= 30.0:
+                w_half = entropic_moment_numeric(params, n, 0.5, "momentum")
+                assert w_half >= x2**-0.25
+
+    @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
+    def test_profile_cut_is_the_derived_cut(self, lam, n):
+        params = ModelParams(1.0, lam)
+        cut = quadrature._momentum_cut(params, n)
+        assert momentum_profile(params, n).grid.half_width == cut
+        gauss = quadrature._gaussian_cut(n, effective_frequency(params, n))
+        assert cut >= gauss
+        if cut > gauss:  # the root of L/s + 1.5 ln L = k, to rounding
+            s = math.sqrt(lam)
+            k = (
+                0.5 * quadrature._log_tail_amplitude(params, n)
+                + math.log(2.0 * s / quadrature._W_HALF_TAIL)
+                + 0.25 * math.log(quadrature._position_second_moment(params, n))
+            )
+            assert cut / s + 1.5 * math.log(cut) == pytest.approx(k, rel=1e-13)
+
+    @pytest.mark.parametrize("lam,n", [(0.4, 0), (2.0, 3), (30.0, 6), (1.0, 50)])
+    def test_tail_amplitude_against_complex_hermite(self, lam, n):
+        params = ModelParams(1.0, lam)
+        want = _tail_law(params, n, 1.0) + 2.0 / math.sqrt(lam)  # the law at p = 1
+        assert quadrature._log_tail_amplitude(params, n) == pytest.approx(want, rel=1e-13)
+
+    def test_one_pass_no_fourier_transform(self, monkeypatch):
+        calls = {"ft": 0, "psi": 0}
+        psi = quadrature.wavefunction
+
+        def ft_spy(*args, **kwargs):
+            calls["ft"] += 1
+            return fourier_transform(*args, **kwargs)
+
+        def psi_spy(*args, **kwargs):
+            calls["psi"] += 1
+            return psi(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "fourier_transform", ft_spy)
+        monkeypatch.setattr(quadrature, "wavefunction", psi_spy)
+        quadrature._profile_cached.cache_clear()
+        for lam, n in ((0.0, 2), (0.4, 0), (2.0, 3), (30.0, 6)):
+            calls.update(ft=0, psi=0)
+            momentum_profile(ModelParams(1.0, lam), n)
+            assert calls == {"ft": 0, "psi": 1}
+        quadrature._profile_cached.cache_clear()
+
+    @pytest.mark.parametrize("lam,n", [(0.4, 0), (1.0, 5), (30.0, 6)])
+    def test_short_cut_raises(self, lam, n, monkeypatch):
+        cut = quadrature._momentum_cut
+        monkeypatch.setattr(quadrature, "_momentum_cut", lambda p, k: 0.5 * cut(p, k))
+        quadrature._profile_cached.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError, match="momentum cut .* short"):
+                momentum_profile(ModelParams(1.0, lam), n)
+        finally:
+            quadrature._profile_cached.cache_clear()
 
 
 class TestSelfDuality:

@@ -17,7 +17,7 @@ from darboux3 import (
     momentum_profile,
     norm_constant,
 )
-from darboux3.specfun import hermite
+from darboux3.specfun import hermite, hermite_zeros
 from conftest import gauss_tail_nodes, gauss_tail_quad, phi_transform_exact, published_g_series
 
 
@@ -259,6 +259,20 @@ class TestCriticalPoints:
             assert [c.kind for c in numeric] == [c.kind for c in closed]
             for c, d in zip(closed, numeric):
                 assert abs(c.x - d.x) < 1e-8
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4, 30.0])
+    def test_density_zeros_are_scaled_hermite_zeros(self, lam):
+        # the minima at density zeros are y_k / sqrt(Omega) exactly, with no
+        # rounding, for the closed form (n = 2) and the numeric path
+        params = ModelParams(1.0, lam)
+        for n, numeric in ((2, False), (2, True), (5, True), (8, True)):
+            y = hermite_zeros(n)
+            want = y[y > 0.0] / math.sqrt(effective_frequency(params, n))
+            pts = density_critical_points(params, n, numeric=numeric)
+            got = [c.x for c in pts if c.x > 0.0 and c.kind == "minimum"]
+            zeros = [x for x in got if np.min(np.abs(want - x)) == 0.0]
+            assert zeros == sorted(want.tolist())
+            assert [c.x for c in pts if c.x < 0.0 and c.x in -want] == sorted((-want).tolist())
 
     def test_unsupported_order_needs_numeric(self, deformed):
         with pytest.raises(ValueError):

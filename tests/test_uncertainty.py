@@ -72,17 +72,17 @@ class TestEntropy:
 
 class TestConjugateOrder:
     def test_fixed_point(self):
-        assert conjugate_order(1.0).beta == pytest.approx(1.0, abs=1e-15)
+        assert conjugate_order(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_maps_to_two_thirds(self):
-        assert conjugate_order(2.0).beta == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert conjugate_order(2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_point_six_maps_to_three(self):
-        assert conjugate_order(0.6).beta == pytest.approx(3.0, rel=1e-12)
+        assert conjugate_order(0.6) == pytest.approx(3.0, rel=1e-12)
 
     def test_involution(self):
         for alpha in (0.51, 0.6, 0.9, 1.4, 2.0, 7.0):
-            back = conjugate_order(conjugate_order(alpha).beta).beta
+            back = conjugate_order(conjugate_order(alpha))
             assert back == pytest.approx(alpha, abs=1e-14)
 
     def test_domain(self):
