@@ -11,11 +11,13 @@ raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
 the density zeros, so panels are split exactly at the zeros and the two
 panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
 restores spectral convergence.  One routine, :func:`_panel_grid`, lays out
-every panel grid of the package with array operations.  In momentum space the zeros of the
-transform are located first (one FFT scan of a uniform momentum grid plus
-bisection, each bisection probe a single kernel sum); the momentum panels
-are laid out the same way, and entropy integrals reuse the profile nodes
-directly with no interpolation.
+every panel grid of the package with array operations.  In momentum space
+the zeros of the transform are located first: one FFT scan of a uniform
+momentum grid brackets them, and Newton's method, kept inside each bracket,
+refines all of them together, with g and g' from one kernel call per step
+(two or three calls at every tested profile).  The momentum panels are laid
+out the same way, and entropy integrals reuse the profile nodes directly
+with no interpolation.
 
 Fourier transform
 -----------------
@@ -23,12 +25,25 @@ Psi_n has parity (-1)^n, so its transform (2 pi)^(-1/2) integral
 e^(-ipx) Psi_n(x) dx is the cos transform for even n and -i times the sin
 transform for odd n.  One kernel, :func:`_ft_component`, computes the
 parity-allowed trig sum; :func:`fourier_transform`, the momentum profile
-and the strong-nonlinearity transform of phi_n all call it, so a transform
-is exactly real (even n) or exactly imaginary (odd n) by construction.
+(its zero refinement and its final sum) and the strong-nonlinearity
+transform of phi_n all call it, so a transform is exactly real (even n) or
+exactly imaginary (odd n) by construction.
 
-The sum runs over half-line trapezoid nodes x_j = j h (weight h, h/2 at
-x = 0).  Psi_n is analytic in the strip |Im x| < 1/sqrt(lam), so the rule
-converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014): by
+The kernel sums over a separable node lattice x = X_J + d_b, the index split
+j = J B + b of Cooley & Tukey (Math. Comp. 19, 1965).  Angle addition turns
+the P N cosines of a direct sum at P momenta over N nodes into
+P (B + N / B) cosines and sines, cos/sin(p d_b) times the weights as two
+matrix products and cos/sin(p X_J) to combine the blocks, with no
+approximation.  Each phase p x is taken with the rounding error of its
+product (Dekker's exact two-product), so the sum is within a few eps
+sum |fw| of the exact sum over its nodes, whatever the size of p x.
+
+The transform of Psi_n sums over half-line trapezoid nodes x_j = j h
+(weight h, h/2 at x = 0) in blocks of B = ceil(sqrt(N)), which minimises
+P (B + N / B); those of phi_n and of an explicit :class:`GridSpec` sum over
+equal Gauss-Legendre panels, one panel per block.  Psi_n is analytic in
+the strip |Im x| < 1/sqrt(lam), so the trapezoid rule converges
+exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014): by
 Poisson summation its error at p is the transform at the first alias
 2 pi / h - p, and h puts that alias beyond the momentum where the
 transform is below rounding.  On these nodes the kernel sums at the
@@ -38,9 +53,10 @@ wavefunction folded modulo M; the profile's zero scan is that FFT.
 Truncation
 ----------
 Position half-widths put the integrand envelope at the cut below ~1e-18
-of its peak.  The momentum cut, :func:`_momentum_cut`, follows from the
-branch-point tail law of the transform (W_1/2 loses at most 1e-11), so a
-profile builds its nodes and Psi_n once.
+of its peak.  The momentum cut, :func:`_momentum_cut`, is the Gaussian cut
+below the saddle crossover p_c = Omega / sqrt(lam) (a shifted-line bound)
+and past it follows from the branch-point tail law of the transform
+(W_1/2 loses at most 1e-11), so a profile builds its nodes and Psi_n once.
 
 Both spaces integrate even densities on the half line; one dispatch,
 :func:`_half_line_density`, supplies the weights and the density for
@@ -65,7 +81,7 @@ from .model import (
     log_norm_constant,
     wavefunction,
 )
-from .specfun import bisect_sign_change, hermite_zeros
+from .specfun import hermite_zeros
 
 __all__ = [
     "GridSpec",
@@ -82,8 +98,9 @@ _ORDER = 16          # Gauss-Legendre points per panel
 _TAIL_LOG = 42.0     # envelope at the cut below e^-42 ~ 5.7e-19 of peak
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_FT_CHUNK_BYTES = 4 * 2**20  # the kernel's one (momenta x nodes) phase buffer
+_FT_CHUNK_BYTES = 4 * 2**20  # the kernel's arrays for one chunk of momenta
 _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
+_ZERO_CALLS = 8  # kernel calls the zero refinement may make
 
 
 @dataclass(frozen=True)
@@ -218,44 +235,109 @@ def _gaussian_cut(n: int, om: float) -> float:
 
 
 def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
-    """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0).
+    """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0),
+    as the lattice (origins, offsets, weights) of :func:`_ft_component`.
 
     By Poisson summation the rule's error at p is the transform at the
     first alias 2 pi / h - p, so h puts that alias beyond ``band``, where
     the transform is below rounding: the branch-point tail
     e^(-p / sqrt(lam)) has fallen by e^-40 past 40 sqrt(lam), and the
-    Gaussian part is cut by :func:`_gaussian_cut`.
+    Gaussian part is cut by :func:`_gaussian_cut`.  The N nodes split as
+    j = J B + b (Cooley & Tukey, Math. Comp. 19, 1965) with B = ceil(sqrt N)
+    offsets b h, which minimises the kernel's P (B + N / B) trig calls; the
+    nodes that pad the last block have weight 0.
     """
     om = effective_frequency(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
     band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
     h = 2.0 * math.pi / ((band + p_max) * refine)
-    x = h * np.arange(int(math.ceil(L / h)) + 1)
-    w = np.full(len(x), h)
+    count = int(math.ceil(L / h)) + 1
+    b = math.isqrt(count - 1) + 1  # ceil(sqrt(count)) for count >= 1
+    w = np.full(-(-count // b) * b, h)
     w[0] = 0.5 * h
-    return x, w
+    w[count:] = 0.0
+    return b * h * np.arange(len(w) // b), h * np.arange(b), w.reshape(-1, b)
 
 
-def _ft_component(n: int, x: np.ndarray, fw: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The package's one transform kernel: sum_j trig(p x_j) fw_j at the
-    momenta ``p`` (1-d), with cos for even n and sin for odd n (the
-    parity-allowed part).
+def _gl_blocks(a: float, b: float, panels: int):
+    """``panels`` equal Gauss-Legendre panels on [a, b] as the lattice
+    (origins, offsets, weights) of :func:`_ft_component`."""
+    u, wu = _gl_unit(_ORDER)
+    width = (b - a) / panels
+    return a + width * np.arange(panels), width * u, np.tile(width * wu, (panels, 1))
 
-    ``fw`` holds quadrature weights times Psi_n (or phi_n) at ``x``; the sum
-    is unscaled, and callers apply the normalisation and the factor -i of
-    odd n.  Momenta are taken in chunks whose phase matrix fills one
-    buffer of ``_FT_CHUNK_BYTES``, reused in place, so memory stays bounded
-    whatever the node count.
+
+def _ft_component(n, origins: np.ndarray, offsets: np.ndarray, fw: np.ndarray, p: np.ndarray):
+    """The package's one transform kernel: sum_(J, b) trig(p x) fw[..., J, b]
+    over the node lattice x = origins[J] + offsets[b], at the momenta ``p``
+    (1-d), with cos for even n and sin for odd n (the parity-allowed part).
+
+    ``fw`` holds quadrature weights times Psi_n (or phi_n) at the nodes, one
+    row per origin; a leading axis stacks several such functions, each
+    with its own entry of ``n``.  The sum is unscaled, and callers apply
+    the normalisation and the factor -i of odd n.  Angle addition,
+    cos(p (X + d)) = cos pX cos pd - sin pX sin pd and
+    sin(p (X + d)) = sin pX cos pd + cos pX sin pd, turns the P x J B trig
+    calls of a direct sum into P (J + B) and two matrix products, with no
+    approximation.  Each phase keeps the rounding error of its product
+    (:func:`_cos_sin_outer`), so the sum is within a few eps sum |fw| of
+    the exact sum over the lattice.  Momenta are taken in chunks whose
+    arrays fit ``_FT_CHUNK_BYTES``, so memory stays bounded whatever the
+    node count.
     """
-    out = np.empty(len(p))
-    trig = np.cos if n % 2 == 0 else np.sin
-    chunk = max(1, _FT_CHUNK_BYTES // (8 * len(x)))
-    buf = np.empty((min(chunk, len(p)), len(x)))
+    fw = np.asarray(fw, dtype=float)
+    rows, blocks = fw.shape[:-2], len(origins)
+    f = fw.reshape(-1, len(offsets))  # (K J, B)
+    k = f.shape[0] // blocks
+    odd = [m % 2 == 1 for m in (n if rows else [n])]
+    out = np.empty((k, len(p)))
+    chunk = max(1, _FT_CHUNK_BYTES // (8 * (4 * len(offsets) + (3 * k + 4) * blocks)))
+    offsets_split, origins_split = _split(offsets), _split(origins)
     for i in range(0, len(p), chunk):
-        phase = buf[: len(p[i : i + chunk])]
-        np.outer(p[i : i + chunk], x, out=phase)
-        out[i : i + chunk] = trig(phase, out=phase) @ fw
-    return out
+        q = p[i : i + chunk]
+        q_split = _split(q)
+        cd, sd = _cos_sin_outer(offsets, offsets_split, q, q_split)
+        c = (f @ cd).reshape(k, blocks, len(q))  # per block: sum_b cos(p d_b) fw
+        s = (f @ sd).reshape(k, blocks, len(q))
+        cx, sx = _cos_sin_outer(origins, origins_split, q, q_split)
+        for r in range(k):
+            if odd[r]:
+                c[r] *= sx
+                s[r] *= cx
+                c[r] += s[r]
+            else:
+                c[r] *= cx
+                s[r] *= sx
+                c[r] -= s[r]
+        out[:, i : i + chunk] = c.sum(axis=1)
+    return out.reshape(rows + (len(p),)) + 0.0  # + 0.0: the odd sum at p = 0 is +0
+
+
+def _split(a: np.ndarray):
+    """Dekker's split a = hi + lo, each half with at most 26 significant bits."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _cos_sin_outer(x: np.ndarray, x_split, q: np.ndarray, q_split):
+    """cos and sin of the phases x_i q_k, (len(x), len(q)), each to within
+    rounding of the exact product, from x and q and their :func:`_split`
+    halves: the product's own rounding error e, from Dekker's two-product,
+    enters as cos(t + e) = cos t - e sin t.  (x_lo q is rounded, but only
+    at 2^-26 of e.)"""
+    (xh, xl), (qh, ql) = x_split, q_split
+    t = np.multiply.outer(x, q)
+    e = np.multiply.outer(xh, qh)
+    e -= t
+    e += np.multiply.outer(xh, ql)
+    e += np.multiply.outer(xl, q)
+    c, s = np.cos(t), np.sin(t, out=t)
+    es = e * s
+    e *= c
+    c -= es
+    s += e
+    return c, s
 
 
 def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
@@ -282,29 +364,52 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     return dp * p_index, vals
 
 
-def _transform_zeros(n: int, x: np.ndarray, fw: np.ndarray, L_p: float, p_feat: float):
+def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
     """Zeros of the transform in (0, 0.999 L_p), sorted, from the kernel
-    sum over the trapezoid nodes ``x`` with weighted wavefunction ``fw``.
+    sum over the trapezoid lattice ``origins`` + ``offsets`` (step
+    offsets[1]) with weighted wavefunction ``fw``.
 
     One FFT scans a uniform momentum grid as fine as a dense scan of the
     structured region [0, p_feat] (48 (n + 2) points) and of the tail
-    (600 points); bisection with the direct kernel sum refines each sign
-    change.  Sign flips whose neighbourhood sits at the quadrature noise
-    floor are underflow artefacts, not zeros.
+    (600 points).  Sign flips whose neighbourhood sits at the quadrature
+    noise floor are underflow artefacts, not zeros.  Every kept bracket is
+    refined at once by Newton's method from its regula falsi point, with g
+    and g' = -+ sum x fw sin/cos(p x) from one kernel call per step; a step
+    that leaves its bracket bisects it instead.  A zero is done when |g|
+    is within the kernel's rounding bound, eps (B + J) sum |fw| for sums of
+    B and of J terms, and takes one last Newton step from there.
     """
-    comp = lambda q: _SQRT_2_OVER_PI * float(_ft_component(n, x, fw, np.array([q]))[0])
     step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
-    scan, vals = _fft_scan(n, fw, float(x[1]), L_p, step)
+    scan, vals = _fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step)
     vals *= _SQRT_2_OVER_PI
-    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * float(np.sum(np.abs(fw))))
+    abs_fw = float(np.sum(np.abs(fw)))
+    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * abs_fw)
     sgn = np.sign(vals)
     flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
     near = sliding_window_view(np.pad(np.abs(vals), (2, 3)), 6)[flips]  # |vals[i-2 : i+4]|
-    zero_list = [
-        bisect_sign_change(comp, float(scan[i]), float(scan[i + 1]), float(vals[i]))
-        for i in flips[near.max(axis=1, initial=0.0) > noise]
-    ]
-    zeros = np.array(sorted(z for z in zero_list if 1e-12 < z < 0.999 * L_p))
+    i = flips[near.max(axis=1, initial=0.0) > noise]
+    a, b, fa, fb = scan[i], scan[i + 1], vals[i], vals[i + 1]
+    z = a - fa * (b - a) / (fb - fa)
+    bound = np.finfo(float).eps * (len(origins) + len(offsets)) * abs_fw
+    pair = np.stack([fw, (origins[:, None] + offsets) * fw])
+    slope_sign = 1.0 if n % 2 else -1.0  # g' = -+ the kernel sum of x fw
+    converged = not len(z)
+    for _ in range(_ZERO_CALLS):
+        if converged:
+            break
+        g, dg = _ft_component((n, n + 1), origins, offsets, pair, z)
+        right = (g < 0.0) == (fa < 0.0)  # the root lies right of z
+        a, b = np.where(right, z, a), np.where(right, b, z)
+        newton = z - slope_sign * g / dg
+        done = np.abs(g) <= bound
+        z = np.where(done | (a < newton) & (newton < b), newton, 0.5 * (a + b))
+        converged = done.all()
+    if not converged:
+        raise ArithmeticError(
+            f"momentum zero refinement did not reach the rounding bound {bound:.2e} "
+            f"in {_ZERO_CALLS} kernel calls"
+        )
+    zeros = np.sort(z[(z > 1e-12) & (z < 0.999 * L_p)])
     if len(zeros) > 1:  # drop duplicates from brackets straddling one root
         zeros = np.concatenate([[zeros[0]], zeros[1:][np.diff(zeros) > 1e-9]])
     return zeros
@@ -344,9 +449,20 @@ def _position_second_moment(params: ModelParams, n: int) -> float:
 
 def _momentum_cut(params: ModelParams, n: int) -> float:
     """The profile's momentum cut L_p: :func:`_gaussian_cut`, or beyond it
-    the branch-point tail law cut for W_1/2.
+    and past the saddle crossover p_c = Omega / sqrt(lam) the branch-point
+    tail law cut for W_1/2.
 
-    Under the law of :func:`_log_tail_amplitude`, gamma^(1/2) = B p^(-3/2)
+    Psi_n is analytic in the strip |Im x| < 1/sqrt(lam), so moving the line
+    of integration to Im x = -c inside it gives the shifted-line bound
+    |g(p)| <= (2 pi)^(-1/2) e^(-p c) integral |Psi_n(x - ic)| dx, where the
+    integral is e^(Omega c^2 / 2) times factors polynomial in c.  With
+    c = p / Omega, inside the strip for p < p_c, the bound is the Gaussian
+    decay e^(-p^2 / (2 Omega)) the Gaussian cut is built on (as at lam = 0),
+    and taken with c = L / Omega over all of [L, inf) it bounds the whole
+    tail past L.  So a Gaussian cut below p_c is the cut; the law, which
+    holds for p >> p_c only, would put it near p_c / 2 there.
+
+    Past p_c, under the law of :func:`_log_tail_amplitude`, gamma^(1/2) = B p^(-3/2)
     e^(-p/s) with s = sqrt(lam), so the two tails of W_1/2 past L hold
     2 integral_L^inf gamma^(1/2) dp <= 2 B s L^(-3/2) e^(-L/s).  A
     normalised density has W_1/2 >= 1 / sqrt(max gamma), and max gamma <=
@@ -359,9 +475,9 @@ def _momentum_cut(params: ModelParams, n: int) -> float:
     """
     om = effective_frequency(params, n)
     L = _gaussian_cut(n, om)
-    if params.lam == 0.0:
-        return L
     s = math.sqrt(params.lam)
+    if L * s < om:  # below the crossover, lam = 0 included
+        return L
     k = (
         0.5 * _log_tail_amplitude(params, n)
         + math.log(2.0 * s / _W_HALF_TAIL)
@@ -380,10 +496,10 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     params = ModelParams(omega, lam)
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
-    x, wx = _ft_x_nodes(params, n, L_p, refine)
-    fw = wx * np.asarray(wavefunction(params, n, x))
+    lattice = _ft_x_nodes(params, n, L_p, refine)
+    fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
     p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
-    zeros = _transform_zeros(n, x, fw, L_p, p_feat)
+    zeros = _transform_zeros(n, *lattice[:2], fw, L_p, p_feat)
 
     # panels: boundaries at 0, the zeros and the feature edge; cubic maps at
     # every zero (and at 0 for odd n) so fractional powers stay spectral
@@ -399,7 +515,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
         np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))]),
         zeros if n % 2 == 0 else np.append(zeros, 0.0),
     )
-    g = _SQRT_2_OVER_PI * _ft_component(n, x, fw, p_nodes)
+    g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, p_nodes)
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)
     if abs(norm - 1.0) > 5e-6:
@@ -429,38 +545,58 @@ def momentum_profile(params: ModelParams, n: int, refine: int = 1) -> MomentumPr
 
 
 def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
-    """(2 pi)^(-1/2) integral e^(-ipx) Psi_n(x) dx by quadrature.
+    """(2 pi)^(-1/2) integral e^(-ipx) Psi_n(x) dx by quadrature, in the
+    shape of ``p`` (complex for scalar ``p``).
 
     Exactly real for even n and exactly imaginary for odd n: the kernel
     sums only the parity-allowed part.  With ``grid_x`` None the sum runs
     over the half-line trapezoid nodes that are alias-free up to max |p|
     (at least 1); an explicit
     :class:`GridSpec` integrates over its full line [-L, L] and warns when
-    it underresolves the phase.
+    it underresolves the phase.  A NaN or infinite momentum raises
+    ``ValueError``.
     """
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    p_max = float(np.max(np.abs(pa))) if len(pa) else 0.0
+    pa = _momenta(p)
+    p_max = float(np.max(np.abs(pa), initial=0.0))
     if grid_x is None:
-        x, wx = _ft_x_nodes(params, n, max(p_max, 1.0))
+        lattice = _ft_x_nodes(params, n, max(p_max, 1.0))
         scale = _SQRT_2_OVER_PI
     else:
-        x, wx = grid_nodes(grid_x)
+        L = grid_x.half_width
+        lattice = _gl_blocks(-L, L, max(2, grid_x.points // _ORDER))
         scale = 1.0 / _SQRT_2PI
-        if p_max * grid_x.half_width / grid_x.points > 0.5:
+        if p_max * L / grid_x.points > 0.5:
             warnings.warn(
                 "momentum grid underresolves the e^(-ipx) phase: "
-                f"p*L/points = {p_max * grid_x.half_width / grid_x.points:.2f} > 0.5",
+                f"p*L/points = {p_max * L / grid_x.points:.2f} > 0.5",
                 stacklevel=2,
             )
-    fw = wx * np.asarray(wavefunction(params, n, x))
-    return _with_parity_phase(n, scale * _ft_component(n, x, fw, pa), p)
+    fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+    return _with_parity_phase(n, scale * _ft_component(n, *lattice[:2], fw, pa), p)
+
+
+def _lattice_values(f, origins, offsets, weights):
+    """weights times ``f`` at the lattice nodes origins[J] + offsets[b]."""
+    x = (origins[:, None] + offsets).ravel()
+    return weights * np.asarray(f(x)).reshape(weights.shape)
+
+
+def _momenta(p) -> np.ndarray:
+    """The momenta ``p`` as a flat float array for the kernel; a NaN or
+    infinite momentum raises ``ValueError``."""
+    pa = np.asarray(p, dtype=float).ravel()
+    bad = pa[~np.isfinite(pa)]
+    if len(bad):
+        raise ValueError(f"momentum must be finite, got p={bad[0]}")
+    return pa
 
 
 def _with_parity_phase(n: int, g: np.ndarray, p):
-    """The transform from its parity-allowed part ``g``: g for even n, -i g
-    for odd n, with +0 (not -0) as the zero part; complex for scalar ``p``."""
+    """The transform from its parity-allowed part ``g`` at the flattened
+    momenta ``p``: g for even n, -i g for odd n, with +0 (not -0) as the
+    zero part, in the shape of ``p`` (complex for scalar ``p``)."""
     out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # -1j * 0.0 has imaginary part -0.0
-    return out if np.asarray(p).ndim else complex(out[0])
+    return out.reshape(np.shape(p)) if np.ndim(p) else complex(out[0])
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,10 @@ small the wave function is well approximated by the induced part alone,
 whose Fourier transform has Dawson-function closed forms for n = 0..3
 (:func:`approx_momentum_closed`).  :func:`g_series_transform` computes it
 for any n with the package's one transform kernel,
-:func:`~darboux3.quadrature._ft_component`, over half-line Gauss-Legendre
-panels on [0, L] (L as for the momentum engine's nodes), each spanning at
-most pi of phase p x.  The |x| factor gives phi_n a kink at x = 0, so the
+:func:`~darboux3.quadrature._ft_component`, over equal half-line
+Gauss-Legendre panels on [0, L] (L as for the momentum engine's nodes),
+each spanning at most pi of phase p x and each one block of the kernel's
+lattice.  The |x| factor gives phi_n a kink at x = 0, so the
 trapezoid rule on its even or odd extension would converge only like h^2;
 on x > 0 phi_n is smooth and the panels converge spectrally.
 
@@ -52,7 +53,9 @@ from .model import ModelParams, effective_frequency, wavefunction
 from .quadrature import (
     _SQRT_2_OVER_PI,
     _ft_component,
-    _panel_grid,
+    _gl_blocks,
+    _lattice_values,
+    _momenta,
     _with_parity_phase,
     position_half_width,
 )
@@ -149,18 +152,21 @@ def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarr
 # --------------------------------------------------------------------------
 
 def g_series_transform(params: ModelParams, n: int, p):
-    """FT of phi_n for any n >= 0, real for even n and imaginary for odd n.
+    """FT of phi_n for any n >= 0, real for even n and imaginary for odd n,
+    in the shape of ``p`` (complex for scalar ``p``).
 
     The kernel sum over half-line Gauss-Legendre panels (module docstring);
     agrees with :func:`approx_momentum_closed` for n <= 3 to 1e-10 relative.
+    A NaN or infinite momentum raises ``ValueError``.
     """
     om = effective_frequency(params, n)
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    p_max = float(np.max(np.abs(pa))) if len(pa) else 0.0
+    pa = _momenta(p)
+    p_max = float(np.max(np.abs(pa), initial=0.0))
     L = position_half_width(params, n, 1.0, tail_log=88.0)
     width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))  # phase <= pi per panel
-    x, w = _panel_grid([0.0, L], [math.ceil(L / width)])
-    g = _SQRT_2_OVER_PI * _ft_component(n, x, w * approx_wavefunction(params, n, x), pa)
+    lattice = _gl_blocks(0.0, L, math.ceil(L / width))
+    fw = _lattice_values(lambda x: approx_wavefunction(params, n, x), *lattice)
+    g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, pa)
     return _with_parity_phase(n, g, p)
 
 

@@ -229,6 +229,7 @@ def reference_profile_nodes(params, n, refine=1):
     from darboux3.quadrature import (
         _ft_x_nodes,
         _grow_split,
+        _lattice_values,
         _momentum_tail_start,
         _transform_zeros,
         momentum_profile,
@@ -236,10 +237,10 @@ def reference_profile_nodes(params, n, refine=1):
 
     om = effective_frequency(params, n)
     L_p = momentum_profile(params, n, refine).grid.half_width
-    x, wx = _ft_x_nodes(params, n, L_p, refine)
-    fw = wx * np.asarray(wavefunction(params, n, x))
+    origins, offsets, wx = _ft_x_nodes(params, n, L_p, refine)
+    fw = _lattice_values(lambda x: wavefunction(params, n, x), origins, offsets, wx)
     p_feat = _momentum_tail_start(params, n)
-    zeros = _transform_zeros(n, x, fw, L_p, p_feat)
+    zeros = _transform_zeros(n, origins, offsets, fw, L_p, p_feat)
     width = 0.45 * math.sqrt(om) / refine
     bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
     panels = reference_segment_panels(
@@ -255,6 +256,32 @@ def reference_profile_nodes(params, n, refine=1):
 
     panels += reference_segment_panels(tail_bounds, grow, zeros)
     return reference_panel_nodes(panels)
+
+
+# --------------------------------------------------------------------------
+# the transform kernel's references: the direct (momenta x nodes) sum the
+# package used before its angle-addition kernel, and the same sum in long
+# double
+# --------------------------------------------------------------------------
+
+def lattice_nodes(origins, offsets, dtype=float):
+    """The nodes origins[J] + offsets[b] of a kernel lattice, flattened, with
+    the sum taken in ``dtype`` (long double keeps it exact to 2^-64)."""
+    return (np.asarray(origins, dtype=dtype)[:, None] + np.asarray(offsets, dtype=dtype)).ravel()
+
+
+def reference_ft_sum(n, x, fw, p, dtype=float):
+    """sum_j trig(p x_j) fw_j, cos for even n and sin for odd n, as one
+    (momenta x nodes) phase matrix per chunk of 64 momenta, in ``dtype``
+    (test oracle; ``np.longdouble`` rounds the phases p x_j 2^11 times more
+    finely than double)."""
+    x, fw = np.asarray(x, dtype=dtype), np.asarray(fw, dtype=dtype).ravel()
+    p = np.asarray(p, dtype=dtype)
+    trig = np.cos if n % 2 == 0 else np.sin
+    out = np.empty(len(p), dtype=dtype)
+    for i in range(0, len(p), 64):
+        out[i : i + 64] = trig(np.multiply.outer(p[i : i + 64], x)) @ fw
+    return out
 
 
 def reference_expansion(n, alpha, j_max):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,11 +22,19 @@ from darboux3 import (
 )
 
 from darboux3 import quadrature
-from darboux3.quadrature import _fft_scan, _ft_component, _ft_x_nodes, _panel_grid
+from darboux3.quadrature import (
+    _fft_scan,
+    _ft_component,
+    _ft_x_nodes,
+    _lattice_values,
+    _panel_grid,
+)
 from darboux3.specfun import hermite_zeros
 
 from conftest import (
+    lattice_nodes,
     quadrature_entropy,
+    reference_ft_sum,
     reference_panel_nodes,
     reference_position_nodes,
     reference_profile_nodes,
@@ -119,15 +128,18 @@ class TestPanelGrid:
 
     @pytest.mark.parametrize("lam", [0.05, 10.0, 1000.0])
     def test_phi_transform_nodes(self, lam, monkeypatch):
+        # the phi_n transform sums over equal Gauss-Legendre panels on
+        # [0, L], one lattice block each: the per-panel nodes and weights
+        # to rounding
         from darboux3 import strong_nonlinear
 
-        grids = []
+        lattices = []
 
-        def spy(*args):
-            grids.append(_panel_grid(*args))
-            return grids[-1]
+        def spy(n, origins, offsets, fw, p):
+            lattices.append((origins, offsets, fw))
+            return _ft_component(n, origins, offsets, fw, p)
 
-        monkeypatch.setattr(strong_nonlinear, "_panel_grid", spy)
+        monkeypatch.setattr(strong_nonlinear, "_ft_component", spy)
         params = ModelParams(1.0, lam)
         for n in (0, 1, 8, 20):
             for p_max in (0.5, 12.0, 40.0):
@@ -135,10 +147,16 @@ class TestPanelGrid:
                 om = effective_frequency(params, n)
                 L = quadrature.position_half_width(params, n, 1.0, tail_log=88.0)
                 width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))
-                want = reference_panel_nodes(
+                x, w = reference_panel_nodes(
                     [(a, b, 0) for a, b in reference_split(0.0, L, width)]
                 )
-                _assert_same(grids.pop(), want)
+                origins, offsets, fw = lattices.pop()
+                assert np.max(np.abs(lattice_nodes(origins, offsets) - x)) <= 4e-16 * L
+                # the per-panel widths b - a carry the rounding of the edges,
+                # eps L / width relative; the lattice width does not
+                phi = strong_nonlinear.approx_wavefunction(params, n, x)
+                tol = 4e-16 * (L / width) * np.max(np.abs(w * phi))
+                assert np.max(np.abs(fw.ravel() - w * phi)) <= tol
 
 
 class TestMomentNumeric:
@@ -244,11 +262,11 @@ class TestFourierTransform:
         rng = np.random.default_rng(7)
         fw = rng.standard_normal(64)
         h, step = 0.05, 8.0
-        x = h * np.arange(len(fw))
         p_max = 2.5 * 2.0 * np.pi / h
         p, vals = _fft_scan(n, fw, h, p_max, step)
         assert p[1] - p[0] <= step and p[-1] >= p_max
-        assert np.max(np.abs(vals - _ft_component(n, x, fw, p))) < 1e-11
+        kernel = _ft_component(n, 8 * h * np.arange(8), h * np.arange(8), fw.reshape(8, 8), p)
+        assert np.max(np.abs(vals - kernel)) < 1e-11
 
     @pytest.mark.parametrize("lam,n", [(0.4, 3), (10.0, 20), (100.0, 0), (100.0, 6)])
     def test_trapezoid_alias_bound(self, lam, n):
@@ -258,8 +276,9 @@ class TestFourierTransform:
         prof = momentum_profile(params, n)
         gammas = []
         for refine in (1, 2):
-            x, w = _ft_x_nodes(params, n, prof.grid.half_width, refine)
-            g = _ft_component(n, x, w * wavefunction(params, n, x), prof.p)
+            lattice = _ft_x_nodes(params, n, prof.grid.half_width, refine)
+            fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+            g = _ft_component(n, *lattice[:2], fw, prof.p)
             gammas.append(2.0 / np.pi * g * g)
         assert np.max(np.abs(gammas[0] - gammas[1])) <= 1e-13 * np.max(prof.gamma)
         assert np.max(np.abs(gammas[0] - prof.gamma)) <= 1e-13 * np.max(prof.gamma)
@@ -276,19 +295,21 @@ class TestFourierTransform:
             fourier_transform(deformed, 0, GridSpec(half_width=12.0, points=64), 40.0)
 
     def test_kernel_memory_bounded(self):
-        # the phase matrix lives in one buffer of bounded size; chunks of
-        # 256 rows over all nodes took about 400 MB here
-        x = np.linspace(0.0, 40.0, 100_000)
-        fw = np.exp(-0.5 * x * x) * (x[1] - x[0])
+        # the kernel's arrays fill one chunk of bounded size; chunks of
+        # 256 momenta over all nodes took about 400 MB here
+        h = 40.0 / 99_999
+        origins, offsets = 317 * h * np.arange(316), h * np.arange(317)
+        x = lattice_nodes(origins, offsets)  # the 100,000 nodes j h, and 172 more
+        fw = (np.exp(-0.5 * x * x) * h).reshape(316, 317)
         p = np.linspace(0.0, 8.0, 300)
         tracemalloc.start()
         try:
-            out = _ft_component(0, x, fw, p)
+            out = _ft_component(0, origins, offsets, fw, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
-        expect = np.sqrt(np.pi / 2.0) * np.exp(-0.5 * p * p) + 0.5 * (x[1] - x[0])
+        expect = np.sqrt(np.pi / 2.0) * np.exp(-0.5 * p * p) + 0.5 * h
         assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_parity_structure(self, deformed):
@@ -301,6 +322,39 @@ class TestFourierTransform:
                 assert np.all(off == 0.0)
                 assert np.max(np.abs(allowed)) > 0.0
 
+
+    @pytest.mark.parametrize(
+        "p", [0.7, [], [[0.3], [1.2]], [[0.3, 1.2]], [[0.3, 1.2], [2.0, 0.0]], [[[0.5]]]]
+    )
+    def test_momentum_shape_kept(self, deformed, p):
+        # every transform returns the shape of p: the flat sums, reshaped
+        from darboux3.strong_nonlinear import g_series_transform
+
+        for n in (2, 3):
+            for ft in (
+                lambda q: fourier_transform(deformed, n, None, q),
+                lambda q: fourier_transform(deformed, n, GridSpec(14.0, 1024), q),
+                lambda q: g_series_transform(deformed, n, q),
+            ):
+                val = ft(p)
+                if np.ndim(p) == 0:
+                    assert isinstance(val, complex)
+                    continue
+                assert val.shape == np.shape(p)
+                assert np.array_equal(val.ravel(), ft(np.ravel(p)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_momentum_rejected(self, deformed, bad):
+        from darboux3.strong_nonlinear import g_series_transform
+
+        for p in (bad, [0.5, bad], [[bad], [1.0]]):
+            for ft in (
+                lambda q: fourier_transform(deformed, 0, None, q),
+                lambda q: fourier_transform(deformed, 1, GridSpec(14.0, 1024), q),
+                lambda q: g_series_transform(deformed, 2, q),
+            ):
+                with pytest.raises(ValueError, match=f"momentum must be finite, got p={bad}"):
+                    ft(p)
 
     def test_odd_transform_zero_part_is_plus_zero(self, deformed):
         # -1j * 0.0 is -0j, which prints as -0.000000e+00j; both transforms
@@ -316,6 +370,116 @@ class TestFourierTransform:
                 assert math.copysign(1.0, ft(0.0).imag) == 1.0
                 assert math.copysign(1.0, ft(np.array([0.0, 0.7]))[0].imag) == 1.0
                 assert math.copysign(1.0, ft(0.0).real) == 1.0
+
+
+class TestTransformKernel:
+    """The angle-addition kernel against the direct sum it replaced and
+    against the same sum in long double."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_lattices_against_oracles(self, seed):
+        # the kernel is within 4 eps sum|fw| of the long-double sum; the
+        # direct double sum also rounds each phase p x, by up to eps |p x|
+        rng = np.random.default_rng(seed)
+        blocks, width = rng.integers(1, 50, size=2)
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        origins = np.sort(rng.uniform(-scale, scale, blocks))
+        offsets = rng.uniform(0.0, scale / blocks, width)
+        fw = rng.standard_normal((2, blocks, width)) * np.exp(rng.uniform(-3, 3, (blocks, 1)))
+        p = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 40)])
+        x_ld = lattice_nodes(origins, offsets, np.longdouble)
+        x = lattice_nodes(origins, offsets)
+        stacked = _ft_component((seed, seed + 1), origins, offsets, fw, p)
+        for row, n in enumerate((seed, seed + 1)):
+            g = _ft_component(n, origins, offsets, fw[row], p)
+            abs_fw = np.abs(fw[row]).ravel()
+            oracle = reference_ft_sum(n, x_ld, fw[row], p, np.longdouble)
+            for got in (g, stacked[row]):
+                assert np.max(np.abs(got - oracle)) <= 4.0 * self.EPS * abs_fw.sum()
+            direct = reference_ft_sum(n, x, fw[row], p)
+            bound = self.EPS * (4.0 * abs_fw.sum() + np.abs(np.multiply.outer(p, x)) @ abs_fw)
+            assert np.all(np.abs(g - direct) <= bound)
+            if n % 2:  # the odd sum at p = 0 is +0
+                assert g[0] == 0.0 and math.copysign(1.0, g[0]) == 1.0
+
+    def test_empty_momenta(self):
+        origins, offsets = np.arange(3.0), 0.25 * np.arange(4)
+        assert _ft_component(0, origins, offsets, np.ones((3, 4)), np.array([])).shape == (0,)
+        pair = _ft_component((0, 1), origins, offsets, np.ones((2, 3, 4)), np.array([]))
+        assert pair.shape == (2, 0)
+
+    @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
+    def test_profile_against_long_double(self, lam, n):
+        # on the profile's own lattice and momenta (every k-th, so that each
+        # case sums at most ~2e6 long-double terms), the transform is within
+        # 4 eps sum|fw| of the long-double sum
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        lattice = _ft_x_nodes(params, n, prof.grid.half_width)
+        fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+        p = prof.p[:: max(1, fw.size * len(prof.p) // 2_000_000)]
+        g = _ft_component(n, *lattice[:2], fw, p)
+        x = lattice_nodes(*lattice[:2], np.longdouble)
+        oracle = reference_ft_sum(n, x, fw, p, np.longdouble)
+        assert np.max(np.abs(g - oracle)) <= 4.0 * self.EPS * np.abs(fw).sum()
+
+    def test_every_transform_calls_the_kernel(self, deformed, monkeypatch):
+        from darboux3 import strong_nonlinear
+
+        callers = []
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _ft_component(*args)
+
+        monkeypatch.setattr(quadrature, "_ft_component", spy)
+        monkeypatch.setattr(strong_nonlinear, "_ft_component", spy)
+        quadrature._profile_cached.cache_clear()
+        try:
+            momentum_profile(deformed, 3)
+        finally:
+            quadrature._profile_cached.cache_clear()
+        assert callers[0] == "_transform_zeros" and callers[-1] == "_profile_cached"
+        assert set(callers) == {"_transform_zeros", "_profile_cached"}
+        for grid in (None, GridSpec(14.0, 1024)):
+            callers.clear()
+            fourier_transform(deformed, 3, grid, np.array([0.0, 1.5]))
+            assert callers == ["fourier_transform"]
+        callers.clear()
+        strong_nonlinear.g_series_transform(deformed, 3, np.array([0.0, 1.5]))
+        assert callers == ["g_series_transform"]
+
+    @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
+    def test_zero_refinement(self, lam, n, monkeypatch):
+        # every zero in at most 8 kernel calls, whatever the zero count, and
+        # within 1e-13 relative of long-double Newton steps from it: as close
+        # as the kernel's rounding, 4 eps sum|fw|, lets a root of g be
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[-1]))
+            return _ft_component(*args)
+
+        params = ModelParams(1.0, lam)
+        L_p = quadrature._momentum_cut(params, n)
+        lattice = _ft_x_nodes(params, n, L_p)
+        fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+        monkeypatch.setattr(quadrature, "_ft_component", spy)
+        zeros = quadrature._transform_zeros(
+            n, *lattice[:2], fw, L_p, quadrature._momentum_tail_start(params, n)
+        )
+        assert len(zeros) and len(calls) <= 8
+        x = lattice_nodes(*lattice[:2], np.longdouble)
+        z = zeros.astype(np.longdouble)
+        for _ in range(3):
+            g = reference_ft_sum(n, x, fw, z, np.longdouble)
+            dg = reference_ft_sum(n + 1, x, x * fw.ravel(), z, np.longdouble)
+            z -= g / (dg if n % 2 else -dg)
+        assert np.max(np.abs(zeros / z - 1.0)) <= 1e-13
+        slack = 4.0 * self.EPS * np.abs(fw).sum() / np.abs(dg)
+        assert np.all(np.abs(zeros - z) <= slack + 2.0 * self.EPS * zeros)
 
 
 class TestMomentumDensity:
@@ -382,6 +546,28 @@ def _tail_law(params, n, p):
     return const + 0.5 * math.log(lam) - 3.0 * np.log(p) - 2.0 * p / math.sqrt(lam)
 
 
+def _shifted_line_tail(params, n, L):
+    """The shifted-line bound on both tails of W_1/2 past L (test oracle):
+    |g(p)| <= (2 pi)^(-1/2) e^(-p c) M(c), M(c) = integral |Psi_n(x - ic)| dx,
+    with c = L / Omega, integrated over p in [L, inf), twice.  Psi_n(x - ic)
+    = (1 + (n + 1/2) lam / Omega)^(-1/2) sqrt(1 + lam (x - ic)^2)
+    Omega^(1/4) h_n(sqrt(Omega) (x - ic)), with the normalised Hermite
+    function h_n from its complex recurrence, summed by the trapezoid rule."""
+    om = effective_frequency(params, n)
+    c = L / om
+    assert c * math.sqrt(params.lam) < 1.0  # the line stays in the strip
+    reach = (12.0 + math.sqrt(2 * n + 1)) / math.sqrt(om)
+    x = np.linspace(-reach, reach, 4001)
+    z = math.sqrt(om) * (x - 1j * c)
+    h_prev, h = np.zeros_like(z), math.pi**-0.25 * np.exp(-0.5 * z * z)
+    for k in range(n):
+        h, h_prev = math.sqrt(2.0 / (k + 1)) * z * h - math.sqrt(k / (k + 1)) * h_prev, h
+    psi = np.sqrt(1.0 + params.lam * (x - 1j * c) ** 2) * om**0.25 * h
+    psi /= math.sqrt(1.0 + (n + 0.5) * params.lam / om)
+    m = float(np.sum(np.abs(psi))) * (x[1] - x[0])
+    return 2.0 * math.exp(-L * c) * m / (c * math.sqrt(2.0 * math.pi))
+
+
 class TestMomentumCut:
     """The cut is the root of the order-1/2 tail bound under the branch-point
     law, and the profile is built from it in one pass."""
@@ -443,6 +629,28 @@ class TestMomentumCut:
                 + 0.25 * math.log(quadrature._position_second_moment(params, n))
             )
             assert cut / s + 1.5 * math.log(cut) == pytest.approx(k, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-4, 1e-3])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_gaussian_cut_below_crossover(self, lam, n):
+        # below p_c = Omega / sqrt(lam) the cut is the Gaussian cut, as at
+        # lam = 0 (the branch-point law put it at 5e5 for lam = 1e-12); the
+        # shifted-line bound holds W_1/2's tails past it within 1e-11, and
+        # W_1/2 and W_2 move from their lam = 0 values by O(lam)
+        params, harmonic = ModelParams(1.0, lam), ModelParams(1.0, 0.0)
+        om = effective_frequency(params, n)
+        cut = quadrature._momentum_cut(params, n)
+        assert cut == quadrature._gaussian_cut(n, om) < om / math.sqrt(lam)
+        prof = momentum_profile(params, n)
+        assert prof.grid.half_width == cut
+        w_half = 2.0 * float(prof.weights @ np.sqrt(prof.gamma))
+        assert _shifted_line_tail(params, n, cut) <= 1e-11 * w_half
+        for alpha, at_zero in (
+            (0.5, entropic_moment_numeric(harmonic, n, 0.5, "position")),
+            (2.0, entropic_moment(harmonic, n, 2)),
+        ):
+            w = entropic_moment_numeric(params, n, alpha, "momentum")
+            assert abs(w / at_zero - 1.0) <= (n + 1) * lam + 1e-12
 
     @pytest.mark.parametrize("lam,n", [(0.4, 0), (2.0, 3), (30.0, 6), (1.0, 50)])
     def test_tail_amplitude_against_complex_hermite(self, lam, n):
