@@ -41,6 +41,7 @@ from .uncertainty import entropy_from_log_moment, log_moment, xi_renyi, xi_tsall
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
+MAX_RANGE_VALUES = 10**6  # per grid flag
 
 
 class _UsageError(ValueError):
@@ -53,12 +54,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str, kind=float) -> list:
-    """Parse '0.4' | '0,0.1,0.2' | 'start:stop:step' (inclusive range)."""
+    """Parse '0.4' | '0,0.1,0.2' | 'start:stop:step' (inclusive range).
+
+    A range is sized before it is built: one holding more than
+    ``MAX_RANGE_VALUES`` values is a usage error.
+    """
     if ":" in text:
         start, stop, step = (float(t) for t in text.split(":"))
-        if step <= 0 or stop < start:
+        if not (step > 0 and start <= stop):  # NaN fails both
             raise _UsageError(f"bad range {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if not steps < MAX_RANGE_VALUES:  # inf and NaN (inf - inf) too
+            raise _UsageError(f"range {text!r} holds more than {MAX_RANGE_VALUES} values")
+        count = int(round(steps)) + 1
         vals = [round(start + k * step, 12) for k in range(count)]
         vals = [v for v in vals if v <= stop + 1e-12]
     else:
@@ -85,31 +93,20 @@ def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
         sys.stdout.write(data)
 
 
-def _common_flags(sp, alpha=False, space=False, grid=False):
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--lambda", dest="lam", type=str, default="0")
-    sp.add_argument("--n", type=str, default="0")
-    if alpha:
-        sp.add_argument("--alpha", type=str, default="2")
-    if space:
-        sp.add_argument("--space", choices=("position", "momentum"), default="position")
-    if grid:
-        sp.add_argument("--grid-points", type=int, default=None)
-        sp.add_argument("--half-width", type=float, default=None)
-    sp.add_argument("--out", type=str, default=None)
-
-
-def _validated(args, need_alpha=False):
+def _validated(args):
+    """Check the command's flags in one fixed order; return its lambda, n
+    and alpha grids, None for a flag the command does not take."""
     if args.omega <= 0 or not math.isfinite(args.omega):
         raise _UsageError(f"--omega must be positive, got {args.omega}")
-    lams = _parse_grid(args.lam)
-    if any(l < 0 for l in lams):
-        raise _UsageError("--lambda values must be non-negative")
+    lams = alphas = None
+    if "lam" in args:
+        lams = _parse_grid(args.lam)
+        if any(l < 0 for l in lams):
+            raise _UsageError("--lambda values must be non-negative")
     ns = _parse_grid(args.n, kind=int)
     if any(n < 0 for n in ns):
         raise _UsageError("--n values must be non-negative integers")
-    alphas = None
-    if need_alpha:
+    if "alpha" in args:
         alphas = _parse_grid(args.alpha)
         if not all(a > 0 and math.isfinite(a) for a in alphas):
             raise _UsageError("--alpha values must be positive and finite")
@@ -143,24 +140,25 @@ def _log_moment(args, params, n, alpha):
     return math.log(float(w @ np.power(gamma, alpha)))
 
 
-def _grid_command(args, header, cells, need_alpha):
+def _grid_command(args, header, cells):
     """Emit one CSV over the parameter grid; the package's one row order.
 
-    Rows run n outer, lambda middle and, with ``need_alpha``, alpha inner;
-    each starts with those grid columns (n, lambda[, alpha]), followed by
-    the ``header`` columns.  ``cells(args, params, n, alpha)`` returns the
-    value columns of the rows of one grid point (several rows for critical
-    points; ``alpha`` is None without ``need_alpha``).
+    Rows run n outer, lambda middle and, for a command that takes
+    ``--alpha``, alpha inner; each starts with those grid columns
+    (n, lambda[, alpha]), followed by the ``header`` columns.
+    ``cells(args, params, n, alpha)`` returns the value columns of the rows
+    of one grid point (several rows for critical points; ``alpha`` is None
+    without ``--alpha``).
     """
-    lams, ns, alphas = _validated(args, need_alpha)
+    lams, ns, alphas = _validated(args)
     rows = []
     for n in ns:
         for lam in lams:
             params = ModelParams(args.omega, lam)
-            for a in alphas if need_alpha else [None]:
-                grid = [n, lam, a] if need_alpha else [n, lam]
+            for a in alphas or [None]:
+                grid = [n, lam] if a is None else [n, lam, a]
                 rows += [grid + tail for tail in cells(args, params, n, a)]
-    lead = ["n", "lambda", "alpha"] if need_alpha else ["n", "lambda"]
+    lead = ["n", "lambda"] if alphas is None else ["n", "lambda", "alpha"]
     _emit(lead + header, rows, args.out)
 
 
@@ -254,66 +252,91 @@ def _table_command(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    ap = _Parser(prog="darboux3", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
+# add_argument keywords of every flag and positional
+_FLAGS = {
+    "kind": dict(choices=("density-position", "density-momentum", "approx-momentum")),
+    "table": dict(type=str),
+    "--omega": dict(type=float, default=1.0),
+    "--lambda": dict(dest="lam", type=str, default="0"),
+    "--n": dict(type=str, default="0"),
+    "--alpha": dict(type=str, default="2"),
+    "--space": dict(choices=("position", "momentum"), default="position"),
+    "--grid-points": dict(type=int, default=None),
+    "--half-width": dict(type=float, default=None),
+    "--tolerance": dict(type=float, default=None),
+    "--out": dict(type=str, default=None),
+}
+_MOMENT_FLAGS = "--omega --lambda --n --alpha --space --grid-points --half-width --out"
+# command: the flags it reads, in the order its help and usage errors list
+# them; those of the top level list the commands in this order
+_COMMANDS = {
+    "energy": "--omega --lambda --n --out",
+    "omega": "--omega --lambda --n --out",
+    "disequilibrium": "--omega --lambda --n --out",
+    "weight-f": "--omega --lambda --n --out",
+    "renyi": _MOMENT_FLAGS,
+    "tsallis": _MOMENT_FLAGS,
+    "moment": _MOMENT_FLAGS,
+    "shannon": "--omega --lambda --n --space --out",
+    "xi-renyi": "--omega --lambda --n --alpha --out",
+    "xi-tsallis": "--omega --lambda --n --alpha --out",
+    "threshold": "--omega --n --out",
+    "critical-points": "--omega --lambda --n --out",
+    "profile": "kind --omega --lambda --n --grid-points --half-width --out",
+    "table": "table --tolerance --out",
+}
 
-    for name in ("energy", "omega", "disequilibrium", "weight-f"):
-        sp = sub.add_parser(name)
-        _common_flags(sp)
-    for name in ("renyi", "tsallis"):
-        sp = sub.add_parser(name)
-        _common_flags(sp, alpha=True, space=True, grid=True)
-    sp = sub.add_parser("moment")
-    _common_flags(sp, alpha=True, space=True, grid=True)
-    sp = sub.add_parser("shannon")
-    _common_flags(sp, space=True)
-    for name in ("xi-renyi", "xi-tsallis"):
-        sp = sub.add_parser(name)
-        _common_flags(sp, alpha=True)
-    sp = sub.add_parser("threshold")
-    _common_flags(sp)
-    sp = sub.add_parser("critical-points")
-    _common_flags(sp)
-    sp = sub.add_parser("profile")
-    sp.add_argument("kind", choices=("density-position", "density-momentum", "approx-momentum"))
-    _common_flags(sp, grid=True)
-    sp = sub.add_parser("table")
-    sp.add_argument("table", type=str)
-    sp.add_argument("--tolerance", type=float, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    return ap
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse one command line, building the parser of its command alone.
+
+    Whatever does not start with a command (nothing, an unknown command,
+    ``-h`` or a flag before the command) first goes through a top-level
+    parser whose positional takes the command and the rest of the line, as
+    a subparser would, so errors and help read as from a subparser tree.
+    """
+    extras = []
+    if not argv or argv[0] not in _COMMANDS:
+        top = _Parser(prog="darboux3", description=__doc__)
+        top.add_argument("command", choices=_COMMANDS, nargs=argparse.PARSER)
+        top_args, extras = top.parse_known_args(argv)
+        argv = top_args.command
+    command = argv[0]
+    parser = _Parser(prog=f"darboux3 {command}")
+    for flag in _COMMANDS[command].split():
+        parser.add_argument(flag, **_FLAGS[flag])
+    args, unknown = parser.parse_known_args(argv[1:])
+    if extras or unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras + unknown)}")
+    args.command = command
+    return args
 
 
-# command: (value columns, cells(args, params, n, alpha), need_alpha)
+# command: (value columns, cells(args, params, n, alpha))
 _GRID_COMMANDS = {
-    "energy": (["energy"], lambda a, p, n, al: [[energy(p, n)]], False),
-    "omega": (["omega_eff"], lambda a, p, n, al: [[effective_frequency(p, n)]], False),
-    "disequilibrium": (
-        ["disequilibrium"], lambda a, p, n, al: [[entropic_moment(p, n, 2)]], False
-    ),
-    "weight-f": (["f", "complement"], _weight_cells, False),
-    "renyi": (["space", "renyi"], _entropy_cells, True),
-    "tsallis": (["space", "tsallis"], _entropy_cells, True),
+    "energy": (["energy"], lambda a, p, n, al: [[energy(p, n)]]),
+    "omega": (["omega_eff"], lambda a, p, n, al: [[effective_frequency(p, n)]]),
+    "disequilibrium": (["disequilibrium"], lambda a, p, n, al: [[entropic_moment(p, n, 2)]]),
+    "weight-f": (["f", "complement"], _weight_cells),
+    "renyi": (["space", "renyi"], _entropy_cells),
+    "tsallis": (["space", "tsallis"], _entropy_cells),
     "moment": (
         ["space", "moment"],
         lambda a, p, n, al: [[a.space, math.exp(_log_moment(a, p, n, al))]],
-        True,
     ),
     "shannon": (
         ["space", "shannon"],
         lambda a, p, n, al: [[a.space, shannon_numeric(p, n, a.space)]],
-        False,
     ),
-    "xi-renyi": (["xi", "position_method"], _xi_cells, True),
-    "xi-tsallis": (["xi", "position_method"], _xi_cells, True),
-    "critical-points": (["x", "kind"], _critical_cells, False),
+    "xi-renyi": (["xi", "position_method"], _xi_cells),
+    "xi-tsallis": (["xi", "position_method"], _xi_cells),
+    "critical-points": (["x", "kind"], _critical_cells),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -353,3 +353,47 @@ def reference_moment_polynomial(n, alpha):
         * sum(((-1) ** j * math.comb(k, j) * c[j] for j in range(k + 1)), Fraction(0))
         for k in range(alpha + 1)
     )
+
+
+# --------------------------------------------------------------------------
+# the command line's reference parser: the tree of fourteen subparsers the
+# CLI built on every call before it built one command's parser alone
+# --------------------------------------------------------------------------
+
+def reference_build_parser():
+    """The whole subparser tree, every command with its flags (test oracle;
+    ``threshold`` still takes the ``--lambda`` it never read)."""
+    from darboux3.cli import _Parser
+
+    def common_flags(sp, alpha=False, space=False, grid=False):
+        sp.add_argument("--omega", type=float, default=1.0)
+        sp.add_argument("--lambda", dest="lam", type=str, default="0")
+        sp.add_argument("--n", type=str, default="0")
+        if alpha:
+            sp.add_argument("--alpha", type=str, default="2")
+        if space:
+            sp.add_argument("--space", choices=("position", "momentum"), default="position")
+        if grid:
+            sp.add_argument("--grid-points", type=int, default=None)
+            sp.add_argument("--half-width", type=float, default=None)
+        sp.add_argument("--out", type=str, default=None)
+
+    ap = _Parser(prog="darboux3")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("energy", "omega", "disequilibrium", "weight-f"):
+        common_flags(sub.add_parser(name))
+    for name in ("renyi", "tsallis", "moment"):
+        common_flags(sub.add_parser(name), alpha=True, space=True, grid=True)
+    common_flags(sub.add_parser("shannon"), space=True)
+    for name in ("xi-renyi", "xi-tsallis"):
+        common_flags(sub.add_parser(name), alpha=True)
+    for name in ("threshold", "critical-points"):
+        common_flags(sub.add_parser(name))
+    sp = sub.add_parser("profile")
+    sp.add_argument("kind", choices=("density-position", "density-momentum", "approx-momentum"))
+    common_flags(sp, grid=True)
+    sp = sub.add_parser("table")
+    sp.add_argument("table", type=str)
+    sp.add_argument("--tolerance", type=float, default=None)
+    sp.add_argument("--out", type=str, default=None)
+    return ap

@@ -1,3 +1,4 @@
+import argparse
 import math
 import re
 import subprocess
@@ -6,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from darboux3 import ModelParams, density_critical_points, effective_frequency, quadrature
-from darboux3.cli import main
+from conftest import reference_build_parser
+from darboux3 import ModelParams, cli, density_critical_points, effective_frequency, quadrature
+from darboux3.cli import MAX_RANGE_VALUES, _parse_args, _parse_grid, _UsageError, main
 from darboux3.specfun import hermite_zeros
 from darboux3.tables import TABLE_IDS, load_reference, verify_table
 
@@ -220,6 +222,46 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "numeric failure in darboux3.quadrature: momentum cut" in err
 
+    def test_threshold_rejects_lambda(self, capsys):
+        # the output is lambda_c itself, so no --lambda is read
+        code, out, err = run_cli(capsys, "threshold", "--n", "0", "--lambda", "5")
+        assert (code, out) == (2, "")
+        assert err == "usage error: unrecognized arguments: --lambda 5\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--n", "0:3:1e-9"],
+            ["--lambda", "0:1e9:1e-3"],
+            ["--n", f"0:{MAX_RANGE_VALUES}:1"],
+            ["--lambda", "0:inf:1"],
+        ],
+        ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}",
+    )
+    def test_usage_error_range_too_large(self, capsys, flags):
+        # sized before any value is built: the first two hold 3e9 and 1e12 values
+        code, out, err = run_cli(capsys, "energy", *flags)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"usage error: range {flags[1]!r} holds more than {MAX_RANGE_VALUES} values\n"
+        )
+
+    @pytest.mark.parametrize(
+        "largest, too_large",
+        [("0:9:1", "0:10:1"), ("0:0.9:0.1", "0:1:0.1"), ("0:9.4:1", "0:10.4:1")],
+    )
+    def test_range_limit_boundary(self, monkeypatch, largest, too_large):
+        monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 10)
+        assert len(_parse_grid(largest)) == 10
+        with pytest.raises(_UsageError, match="holds more than 10 values"):
+            _parse_grid(too_large)
+
+    @pytest.mark.parametrize("text", ["0:nan:1", "nan:1:1", "0:1:nan", "0:1:0", "1:0:1"])
+    def test_usage_error_bad_range(self, capsys, text):
+        code, out, err = run_cli(capsys, "energy", "--lambda", text)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: bad range {text!r}\n"
+
     def test_usage_error_unknown_table(self, capsys):
         code, _, _ = run_cli(capsys, "table", "not_a_table")
         assert code == 2
@@ -231,6 +273,167 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,lambda,energy")
+
+
+COMMANDS = [
+    "energy", "omega", "disequilibrium", "weight-f", "renyi", "tsallis", "moment", "shannon",
+    "xi-renyi", "xi-tsallis", "threshold", "critical-points", "profile", "table",
+]
+
+# every command with every flag it takes, in both --flag value and --flag=value
+# forms and with abbreviations; threshold takes no --lambda
+PARSE_VALID = [
+    ["energy"],
+    ["energy", "--omega", "2", "--lambda", "0:0.4:0.1", "--n", "0,1", "--out", "e.csv"],
+    ["omega", "--omega=0.5", "--lambda=0.4", "--n=3"],
+    ["disequilibrium", "--lam", "0.4", "--n", "2"],
+    ["weight-f", "--lambda", "10", "--n", "0:10:1", "--ou=w.csv"],
+    ["renyi", "--space", "momentum", "--alpha", "0.5,2", "--lambda", "0.4", "--n", "3"],
+    ["renyi", "--alpha", "2", "--grid-p", "1024", "--half", "12", "--sp", "position"],
+    ["tsallis", "--alpha=0.3", "--space=momentum", "--grid-points=512", "--half-width=9.5"],
+    ["moment", "--space", "momentum", "--alpha", "1", "--lambda", "0.4", "--grid-points", "640",
+     "--half-width", "10", "--omega", "3", "--out", "m.csv"],
+    ["shannon", "--space", "momentum", "--lambda", "0.4", "--n", "2"],
+    ["shannon", "--n", "0", "--lambda", "-0.3", "--out", "s.csv"],
+    ["xi-renyi", "--alpha", "2", "--lambda", "0:3:0.1", "--n", "0,1,2"],
+    ["xi-tsallis", "--al", "0.6,0.8", "--lambda", "0.4", "--n", "0:5:1", "--out", "x.csv"],
+    ["threshold", "--n", "0,2"],
+    ["threshold", "--omega", "2.5", "--n", "0:4:1", "--out", "t.csv"],
+    ["critical-points", "--lambda", "0.4", "--n", "3", "--omega", "1.5", "--out", "c.csv"],
+    ["profile", "density-position", "--lambda", "0.4", "--n", "2", "--out", "rho.csv"],
+    ["profile", "density-momentum", "--lambda", "100", "--half-width", "3", "--grid-points",
+     "601", "--out", "g.csv", "--omega", "2"],
+    ["profile", "approx-momentum", "--lambda=10", "--n=3", "--out=a.csv"],
+    ["table", "energy"],
+    ["table", "renyi_mom_d", "--tolerance", "1e-9", "--out", "reports/"],
+    ["table", "--tol=0.5", "not_a_table"],
+]
+
+# usage errors the parser itself reports
+PARSE_INVALID = [
+    [],
+    ["foo"],
+    ["ener"],
+    ["foo", "--n", "0"],
+    ["energy", "--bogus"],
+    ["energy", "--bogus", "1", "--n", "0", "--more"],
+    ["energy", "--n"],
+    ["energy", "--omega", "x"],
+    ["energy", "--o", "1"],
+    ["energy", "--alpha", "2"],
+    ["energy", "extra"],
+    ["renyi", "--space", "both"],
+    ["renyi", "--grid-points", "1.5"],
+    ["profile"],
+    ["profile", "density"],
+    ["profile", "--out", "p.csv"],
+    ["table"],
+    ["table", "energy", "--tolerance"],
+    ["table", "energy", "other"],
+    ["--n", "0"],
+    ["--bogus", "energy", "--n", "0"],
+    ["--bogus", "energy", "--more"],
+    ["--", "energy"],
+]
+
+
+def reference_usage_error(argv):
+    try:
+        reference_build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return f"usage error: {exc}\n"
+    raise AssertionError(f"the reference parser accepts {argv}")
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSE_VALID, ids=" ".join)
+    def test_namespace_matches_subparser_tree(self, argv):
+        expect = vars(reference_build_parser().parse_args(argv))
+        if argv[0] == "threshold":
+            del expect["lam"]
+        assert vars(_parse_args(argv)) == expect
+
+    def test_valid_corpus_covers_every_command(self):
+        tree = reference_build_parser()._subparsers._group_actions[0]
+        assert {argv[0] for argv in PARSE_VALID} == set(COMMANDS) == set(tree.choices)
+
+    @pytest.mark.parametrize("argv", PARSE_INVALID, ids=" ".join)
+    def test_usage_error_matches_subparser_tree(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == reference_usage_error(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[c] for c in COMMANDS[:9]]
+        + [["xi-tsallis", "--alpha", "0.8"], ["threshold"], ["critical-points"],
+           ["profile", "density-position", "--grid-points", "5", "--out", "rho.csv"],
+           ["table", "energy"]],
+        ids=" ".join,
+    )
+    def test_one_parser_per_call(self, capsys, tmp_path, monkeypatch, argv):
+        built = self._spy_parsers(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert built == [f"darboux3 {argv[0]}"]
+
+    @pytest.mark.parametrize(
+        "argv, progs",
+        [
+            ([], ["darboux3"]),
+            (["foo"], ["darboux3"]),
+            (["energy", "--bogus"], ["darboux3 energy"]),
+            (["--bogus", "energy"], ["darboux3", "darboux3 energy"]),
+        ],
+        ids=["no command", "foo", "energy --bogus", "--bogus energy"],
+    )
+    def test_usage_error_parsers(self, capsys, monkeypatch, argv, progs):
+        built = self._spy_parsers(monkeypatch)
+        code, _, _ = run_cli(capsys, *argv)
+        assert (code, built) == (2, progs)
+
+    @staticmethod
+    def _spy_parsers(monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        return built
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import darboux3.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["renyi", "--help"]], ids=" ".join)
+    def test_help(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "darboux3.cli", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        if argv[0] == "renyi":
+            assert proc.stdout.startswith("usage: darboux3 renyi [-h]")
+            names = ["--omega", "--lambda", "--n", "--alpha", "--space", "--grid-points",
+                     "--half-width", "--out"]
+        else:
+            assert proc.stdout.startswith("usage: darboux3 [-h]")
+            names = COMMANDS
+        assert all(name in proc.stdout for name in names)
 
 
 class TestProfiles:
