@@ -42,6 +42,7 @@ from .uncertainty import entropy_from_log_moment, log_moment, xi_renyi, xi_tsall
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 MAX_RANGE_VALUES = 10**6  # per grid flag
+MAX_GRID_POINTS = 10**6  # per grid command: n values x lambda values x alpha values
 
 
 class _UsageError(ValueError):
@@ -56,12 +57,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_grid(text: str, kind=float) -> list:
     """Parse '0.4' | '0,0.1,0.2' | 'start:stop:step' (inclusive range).
 
-    A range is sized before it is built: one holding more than
-    ``MAX_RANGE_VALUES`` values is a usage error.
+    A range needs a finite positive step and is sized before it is built:
+    one holding more than ``MAX_RANGE_VALUES`` values is a usage error.
     """
     if ":" in text:
         start, stop, step = (float(t) for t in text.split(":"))
-        if not (step > 0 and start <= stop):  # NaN fails both
+        if not (0 < step < math.inf and start <= stop):  # NaN fails both
             raise _UsageError(f"bad range {text!r}")
         steps = (stop - start) / step
         if not steps < MAX_RANGE_VALUES:  # inf and NaN (inf - inf) too
@@ -148,9 +149,13 @@ def _grid_command(args, header, cells):
     (n, lambda[, alpha]), followed by the ``header`` columns.
     ``cells(args, params, n, alpha)`` returns the value columns of the rows
     of one grid point (several rows for critical points; ``alpha`` is None
-    without ``--alpha``).
+    without ``--alpha``).  A grid of more than ``MAX_GRID_POINTS`` points is
+    a usage error before any row is computed.
     """
     lams, ns, alphas = _validated(args)
+    points = len(ns) * len(lams) * len(alphas or [None])
+    if points > MAX_GRID_POINTS:
+        raise _UsageError(f"grid holds {points} points, more than {MAX_GRID_POINTS}")
     rows = []
     for n in ns:
         for lam in lams:

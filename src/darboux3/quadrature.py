@@ -11,7 +11,14 @@ raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
 the density zeros, so panels are split exactly at the zeros and the two
 panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
 restores spectral convergence.  One routine, :func:`_panel_grid`, lays out
-every panel grid of the package with array operations.  In momentum space
+every panel grid of the package with array operations.  Position moments
+integrate in y = sqrt(Omega) x, where rho_n(x) dx =
+[(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa = lam / Omega,
+m = n + 1/2, h_n the normalised harmonic function): lambda enters only
+through that rational factor and the cut, so the panels up to the last
+Hermite zero and h_n on them are computed once per (n, order class,
+refine) and every lambda of a sweep evaluates H_n on its tail alone
+(:func:`_position_log_density`).  In momentum space
 the zeros of the transform are located first: one FFT scan of a uniform
 momentum grid brackets them, and Newton's method, kept inside each bracket,
 refines all of them together, with g and g' from one kernel call per step
@@ -58,9 +65,9 @@ below the saddle crossover p_c = Omega / sqrt(lam) (a shifted-line bound)
 and past it follows from the branch-point tail law of the transform
 (W_1/2 loses at most 1e-11), so a profile builds its nodes and Psi_n once.
 
-Both spaces integrate even densities on the half line; one dispatch,
-:func:`_half_line_density`, supplies the weights and the density for
-:func:`entropic_moment_numeric` and :func:`shannon_numeric`.
+Both spaces integrate even densities on the half line:
+:func:`entropic_moment_numeric` and :func:`shannon_numeric` take ln rho on
+the position nodes and gamma on the profile nodes.
 """
 
 from __future__ import annotations
@@ -74,14 +81,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .model import (
-    ModelParams,
-    density_position,
-    effective_frequency,
-    log_norm_constant,
-    wavefunction,
-)
-from .specfun import hermite_zeros
+from .model import ModelParams, effective_frequency, log_norm_constant, wavefunction
+from .specfun import hermite_sign_logabs, hermite_zeros
 
 __all__ = [
     "GridSpec",
@@ -143,19 +144,18 @@ def _panel_grid(bounds, counts, cusps=()):
     hi = np.empty_like(lo)
     hi[:-1] = lo[1:]
     hi[last] = bounds[1:]
-    cusp = np.isin(bounds, cusps)
-    at_a = np.zeros(len(lo), dtype=bool)
-    at_a[first] = cusp[:-1]
-    at_b = np.zeros(len(lo), dtype=bool)
-    at_b[last] = cusp[1:]
-    at_b &= ~at_a  # map at a wins
+    # np.isin(bounds, cusps), without its set-up cost on a few points
+    cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
+    at_a = first[cusp[:-1]]
+    at_b = last[cusp[1:] & ~(cusp[:-1] & (counts == 1))]  # map at a wins
     u, wu = _gl_unit(_ORDER)
     h = (hi - lo)[:, None]
     x = lo[:, None] + h * u
     w = h * wu
     x[at_a] = lo[at_a, None] + h[at_a] * u**3
     x[at_b] = hi[at_b, None] - h[at_b] * u**3
-    w[at_a | at_b] = 3.0 * h[at_a | at_b] * u**2 * wu
+    mapped = np.concatenate([at_a, at_b])
+    w[mapped] = 3.0 * h[mapped] * u**2 * wu
     return x.ravel(), w.ravel()
 
 
@@ -196,20 +196,72 @@ def position_half_width(
     return 1.1 * math.sqrt(L2)
 
 
-def _position_moment_nodes(
+@lru_cache(maxsize=16)
+def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
+    """The lambda-free bulk of one position layout class, [y, weights,
+    2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the first
+    call of the class fills it from its whole-line grid.  16 slots hold
+    every class of a CLI row (rows run n, lambda, then alpha)."""
+    return []
+
+
+def _position_log_density(
     params: ModelParams, n: int, alpha: float, refine: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Panel nodes/weights on [0, L] for integrating rho^alpha (even integrand)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-line nodes y = sqrt(Omega) x, their weights in x and ln rho_n
+    there, for integrating rho_n^alpha (an even integrand).
+
+    rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
+    kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
+    function, so ln rho_n = 2 ln N + ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2.
+    The panels split at the positive Hermite zeros, each at most
+    min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and out to
+    sqrt(Omega) L with L the :func:`position_half_width`; every zero lies
+    inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.  So the
+    bulk [0, z_last] and its Hermite values depend only on n, max(alpha, 1),
+    whether alpha is fractional and ``refine``: :func:`_position_bulk`
+    keeps them, and a call builds and evaluates only the tail
+    [z_last, sqrt(Omega) L].
+    """
     om = effective_frequency(params, n)
-    L = position_half_width(params, n, min(alpha, 1.0))
-    zeros = hermite_zeros(n) / math.sqrt(om)  # increasing
-    zeros = zeros[(zeros > 0.0) & (zeros < 0.999 * L)]
-    bounds = np.unique(np.concatenate([[0.0, L], zeros]))
-    k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
-    width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
-    # fractional powers leave |x - x0|^(2 alpha) cusps at the density zeros
-    cusps = () if float(alpha).is_integer() else np.append(zeros, 0.0) if n % 2 else zeros
-    return _panel_grid(bounds, np.ceil(np.diff(bounds) / width), cusps)
+    s = math.sqrt(om)
+    L = s * position_half_width(params, n, min(alpha, 1.0))
+    order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
+    width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
+    zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
+    # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
+    cusps = zeros if fractional else ()
+    bulk = _position_bulk(n, order, fractional, refine)
+    if bulk:
+        z_last = float(zeros[-1]) if n else 0.0
+        y_t, w_t = _panel_grid([z_last, L], [math.ceil((L - z_last) / width)], cusps)
+        y, w = np.concatenate([bulk[0], y_t]), np.concatenate([bulk[1], w_t])
+        log_h = np.concatenate([bulk[2], _log_hermite_gauss(n, y_t)])
+    else:
+        bounds = np.concatenate([[0.0], zeros[n % 2 :], [L]])
+        counts = np.ceil(np.diff(bounds) / width)
+        y, w = _panel_grid(bounds, counts, cusps)
+        log_h = _log_hermite_gauss(n, y)
+        k = _ORDER * int(counts[:-1].sum())
+        kept = [arr[:k].copy() for arr in (y, w, log_h)]
+        for arr in kept:
+            arr.setflags(write=False)
+        bulk.extend(kept)
+    kappa = params.lam / om
+    log_rho = np.multiply(y, y)
+    log_rho *= kappa
+    np.log1p(log_rho, out=log_rho)
+    log_rho += log_h
+    log_rho += 2.0 * log_norm_constant(params, n)
+    return y, w / s, log_rho
+
+
+def _log_hermite_gauss(n: int, y: np.ndarray) -> np.ndarray:
+    """2 ln|H_n(y)| - y^2 (-inf at an exact zero)."""
+    log_h = hermite_sign_logabs(n, y)[1]
+    log_h *= 2.0
+    log_h -= y * y
+    return log_h
 
 
 # --------------------------------------------------------------------------
@@ -603,18 +655,15 @@ def _with_parity_phase(n: int, g: np.ndarray, p):
 # numeric moments and Shannon entropy
 # --------------------------------------------------------------------------
 
-def _half_line_density(
-    params: ModelParams, n: int, space: str, refine: int, alpha: float = 1.0
+def _momentum_density(
+    params: ModelParams, n: int, space: str, refine: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Half-line weights and density in ``space`` (both densities are even);
-    the position nodes resolve density^alpha."""
-    if space == "position":
-        x, w = _position_moment_nodes(params, n, alpha, refine)
-        return w, np.asarray(density_position(params, n, x))
-    if space == "momentum":
-        prof = momentum_profile(params, n, refine)
-        return prof.weights, prof.gamma
-    raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
+    """Half-line weights and momentum density (even in p); any ``space``
+    but position or momentum raises."""
+    if space != "momentum":
+        raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
+    prof = momentum_profile(params, n, refine)
+    return prof.weights, prof.gamma
 
 
 def entropic_moment_numeric(
@@ -623,12 +672,19 @@ def entropic_moment_numeric(
     """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    w, rho = _half_line_density(params, n, space, refine, float(alpha))
-    return 2.0 * float(w @ np.power(rho, alpha))
+    if space == "position":
+        _, w, log_rho = _position_log_density(params, n, float(alpha), refine)
+        return 2.0 * float(w @ np.exp(alpha * log_rho))
+    w, gamma = _momentum_density(params, n, space, refine)
+    return 2.0 * float(w @ np.power(gamma, alpha))
 
 
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
     """Shannon entropy -integral density ln density (0 ln 0 taken as 0)."""
-    w, rho = _half_line_density(params, n, space, refine)
-    val = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
+    if space == "position":
+        _, w, log_rho = _position_log_density(params, n, 1.0, refine)
+        rho = np.exp(log_rho)
+        return -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
+    w, gamma = _momentum_density(params, n, space, refine)
+    val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
     return -2.0 * float(w @ val)

@@ -62,6 +62,12 @@ def hermite_pair_scaled(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     would pass 2^512, so no finite x and no order overflows.  Where no
     rescale fires, e = 0 and the pair is the plain recurrence's, bit for
     bit.  A NaN or infinite x raises ``ValueError``.  Returns 1-d arrays.
+
+    The array check for a rescale waits for the scalar majorant
+    b_k = |H_k(i x_max)| >= |H_k(x)|, b_(k+1) = 2 x_max b_k + 2 k b_(k-1),
+    to pass half the smallest limit (the half covers the rounding of both
+    recurrences), and from then on runs every step; a step before it is
+    four array passes.
     """
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
@@ -73,8 +79,12 @@ def hermite_pair_scaled(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     e = np.zeros(xa.shape, dtype=int)
     h_prev, h = np.zeros_like(xa), np.ones_like(xa)
     t = np.empty_like(xa)
+    b_prev, b, checking = 0.0, 1.0, False
     for k in range(n):
-        if np.abs(h, out=t).max(initial=0.0) > lowest:
+        if not checking:
+            checking = not b <= 0.5 * lowest  # an inf or NaN majorant checks too
+            b_prev, b = b, 2.0 * x_max * b + 2.0 * k * b_prev
+        if checking and np.abs(h, out=t).max(initial=0.0) > lowest:
             # where |h| passes its limit 2^cap, bring max(|h|, |h_prev|) to ~2^(cap - 256)
             cap = _SCALE_BITS - np.frexp(np.maximum(np.abs(xa), 1.0))[1]
             top = np.frexp(np.maximum(t, np.abs(h_prev)))[1]

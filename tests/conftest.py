@@ -203,7 +203,7 @@ def reference_segment_panels(boundaries, split, cusp_points):
 
 
 def reference_position_nodes(params, n, alpha, refine):
-    """``quadrature._position_moment_nodes`` on the per-panel layout."""
+    """:func:`reference_position_moment_nodes` on the per-panel layout."""
     from darboux3.quadrature import position_half_width
     from darboux3.specfun import hermite_zeros
 
@@ -220,6 +220,70 @@ def reference_position_nodes(params, n, alpha, refine):
         bounds, lambda a, b: reference_split(a, b, width), cusp_pts if cusp else np.array([])
     )
     return reference_panel_nodes(panels)
+
+
+def reference_position_moment_nodes(params, n, alpha, refine):
+    """The position moment nodes and weights on [0, L] in x, as the library
+    laid them out before it integrated in y = sqrt(Omega) x (array-built,
+    bit-equal to :func:`reference_position_nodes`)."""
+    from darboux3.quadrature import _panel_grid, position_half_width
+    from darboux3.specfun import hermite_zeros
+
+    om = effective_frequency(params, n)
+    L = position_half_width(params, n, min(alpha, 1.0))
+    zeros = hermite_zeros(n) / math.sqrt(om)  # increasing
+    zeros = zeros[(zeros > 0.0) & (zeros < 0.999 * L)]
+    bounds = np.unique(np.concatenate([[0.0, L], zeros]))
+    k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
+    width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
+    cusps = () if float(alpha).is_integer() else np.append(zeros, 0.0) if n % 2 else zeros
+    return _panel_grid(bounds, np.ceil(np.diff(bounds) / width), cusps)
+
+
+def reference_position_moment(params, n, alpha, refine=1):
+    """W_alpha by the x-grid path: ``density_position`` on
+    :func:`reference_position_moment_nodes` (test oracle)."""
+    from darboux3 import density_position
+
+    x, w = reference_position_moment_nodes(params, n, alpha, refine)
+    return 2.0 * float(w @ np.power(density_position(params, n, x), alpha))
+
+
+def reference_position_shannon(params, n, refine=1):
+    """Position Shannon entropy by the x-grid path (test oracle)."""
+    from darboux3 import density_position
+
+    x, w = reference_position_moment_nodes(params, n, 1.0, refine)
+    rho = np.asarray(density_position(params, n, x))
+    val = np.where(rho > 0.0, rho * np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
+    return -2.0 * float(w @ val)
+
+
+def reference_hermite_pair_scaled(n, x):
+    """(H_(n-1), H_n) 2^(-e) and e with the overflow check on every step,
+    as ``specfun.hermite_pair_scaled`` ran before its majorant gate (test
+    oracle; the same arithmetic, so equal bit for bit)."""
+    from darboux3.specfun import _SCALE_BITS
+
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    x_max = float(np.max(np.abs(xa), initial=1.0))
+    lowest = math.ldexp(1.0, _SCALE_BITS - math.frexp(x_max)[1])
+    e = np.zeros(xa.shape, dtype=int)
+    h_prev, h = np.zeros_like(xa), np.ones_like(xa)
+    t = np.empty_like(xa)
+    for k in range(n):
+        if np.abs(h, out=t).max(initial=0.0) > lowest:
+            cap = _SCALE_BITS - np.frexp(np.maximum(np.abs(xa), 1.0))[1]
+            top = np.frexp(np.maximum(t, np.abs(h_prev)))[1]
+            shift = np.where(t > np.ldexp(1.0, cap), top - cap + _SCALE_BITS // 2, 0)
+            h, h_prev = np.ldexp(h, -shift), np.ldexp(h_prev, -shift)
+            e += shift
+        np.multiply(xa, h, out=t)
+        t *= 2.0
+        h_prev *= 2.0 * k
+        np.subtract(t, h_prev, out=h_prev)
+        h, h_prev = h_prev, h
+    return h_prev, h, e
 
 
 def reference_profile_nodes(params, n, refine=1):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import reference_build_parser
 from darboux3 import ModelParams, cli, density_critical_points, effective_frequency, quadrature
-from darboux3.cli import MAX_RANGE_VALUES, _parse_args, _parse_grid, _UsageError, main
+from darboux3.cli import MAX_GRID_POINTS, MAX_RANGE_VALUES, _parse_args, _parse_grid, _UsageError, main
 from darboux3.specfun import hermite_zeros
 from darboux3.tables import TABLE_IDS, load_reference, verify_table
 
@@ -256,7 +256,32 @@ class TestExitCodes:
         with pytest.raises(_UsageError, match="holds more than 10 values"):
             _parse_grid(too_large)
 
-    @pytest.mark.parametrize("text", ["0:nan:1", "nan:1:1", "0:1:nan", "0:1:0", "1:0:1"])
+    def test_usage_error_grid_too_large(self, capsys):
+        # each flag is within its limit; the product (10^7 rows) is not
+        code, out, err = run_cli(capsys, "energy", "--lambda", "0:9999:1", "--n", "0:999:1")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: grid holds {10**7} points, more than {MAX_GRID_POINTS}\n"
+
+    @pytest.mark.parametrize(
+        "argv, points",
+        [
+            (["energy", "--lambda", "0:4:1", "--n", "0,1"], 10),
+            (["renyi", "--lambda", "0,1", "--n", "0", "--alpha", "1.5:3.5:0.5"], 10),
+            (["xi-renyi", "--lambda", "0", "--n", "0:4:1", "--alpha", "0.75,2"], 10),
+        ],
+    )
+    def test_grid_limit_boundary(self, capsys, monkeypatch, argv, points):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", points)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == points + 1
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", points - 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: grid holds {points} points, more than {points - 1}\n"
+
+    @pytest.mark.parametrize(
+        "text", ["0:nan:1", "nan:1:1", "0:1:nan", "0:1:0", "1:0:1", "0:1:inf", "0:inf:inf"]
+    )
     def test_usage_error_bad_range(self, capsys, text):
         code, out, err = run_cli(capsys, "energy", "--lambda", text)
         assert (code, out) == (2, "")

@@ -18,7 +18,7 @@ from darboux3.specfun import (
     hermite_zeros,
 )
 
-from conftest import gauss_hermite_nodes
+from conftest import gauss_hermite_nodes, reference_hermite_pair_scaled
 
 mp.mp.dps = 30
 
@@ -115,6 +115,25 @@ class TestHermiteScaled:
             for got, order in ((a, 299), (b, 300)):
                 ref = mp.hermite(order, mp.mpf(float(xv))) / mp.mpf(2) ** int(k)
                 assert got == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 300, 2000])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(-40.0, 40.0, 801),  # rescales past n of about 80
+            np.array([0.5, 12.0, 30.0, -1e200]),  # some elements rescale, some not
+            np.array([1e150, 1e200, 1e300, 1.7e308, -1.7e308]),  # 2 x_max = inf
+            np.array([0.0, 5e-324, -1e-300, 0.999]),  # x_max = 1, subnormal products
+            np.linspace(0.0, 20.0, 1000),
+        ],
+        ids=["wide", "mixed", "huge", "tiny", "position"],
+    )
+    def test_pair_matches_check_every_step(self, n, x):
+        # the majorant gate skips only checks that cannot fire: bit for bit
+        got, want = hermite_pair_scaled(n, x), reference_hermite_pair_scaled(n, x)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
