@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .model import ModelParams, density_position, effective_frequency, energy
 from .position_entropy import BudgetExceededError, entropic_moment
 from .quadrature import (
+    _NORM_TOL,
     GridSpec,
     _momentum_cut,
     fourier_transform,
@@ -54,12 +56,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_grid(text: str, kind=float) -> list:
-    """Parse '0.4' | '0,0.1,0.2' | 'start:stop:step' (inclusive range).
+class _Range(Sequence):
+    """value(k) for k in the range ``ks``, each computed when read."""
 
-    A range needs a finite positive step and is sized before it is built:
-    one holding more than ``MAX_RANGE_VALUES`` values is a usage error.
+    def __init__(self, value, ks: range):
+        self.value, self.ks = value, ks
+
+    def __len__(self):
+        return len(self.ks)
+
+    def __getitem__(self, i):
+        return _Range(self.value, self.ks[i]) if isinstance(i, slice) else self.value(self.ks[i])
+
+
+def _parse_grid(text: str, kind=float, bad=None, error: str = "") -> Sequence:
+    """Parse '0.4' | '0,0.1,0.2' | 'start:stop:step' (inclusive range) into
+    values of ``kind``; a value where ``bad`` holds is the usage error ``error``.
+
+    A range needs a finite positive step and is sized before any value is
+    computed: one of more than ``MAX_RANGE_VALUES`` values is a usage error.
+    Its values round(start + k step, 12) <= stop + 1e-12 rise with k, so its
+    first alone meets ``bad`` (a lower bound), and an integer start and
+    step give integers below 2^53; each is computed when read.
     """
+    exact = False
     if ":" in text:
         start, stop, step = (float(t) for t in text.split(":"))
         if not (0 < step < math.inf and start <= stop):  # NaN fails both
@@ -67,14 +87,18 @@ def _parse_grid(text: str, kind=float) -> list:
         steps = (stop - start) / step
         if not steps < MAX_RANGE_VALUES:  # inf and NaN (inf - inf) too
             raise _UsageError(f"range {text!r} holds more than {MAX_RANGE_VALUES} values")
-        count = int(round(steps)) + 1
-        vals = [round(start + k * step, 12) for k in range(count)]
-        vals = [v for v in vals if v <= stop + 1e-12]
+        raw = _Range(lambda k: round(start + k * step, 12), range(int(round(steps)) + 1))
+        while raw and raw[-1] > stop + 1e-12:
+            raw = raw[:-1]
+        exact = start.is_integer() and step.is_integer() and abs(start) + len(raw) * step < 2**53
     else:
-        vals = [float(t) for t in text.split(",")]
-    if kind is int and not all(v.is_integer() for v in vals):
+        raw = [float(t) for t in text.split(",")]
+    if kind is int and not (exact or all(v.is_integer() for v in raw)):
         raise _UsageError(f"expected integers, got {text!r}")
-    return [kind(v) for v in vals]
+    vals = _Range(lambda k: kind(raw[k]), range(len(raw)))
+    if bad and any(map(bad, vals[:1] if ":" in text else vals)):
+        raise _UsageError(error)
+    return vals
 
 
 def _fmt(x: float) -> str:
@@ -101,16 +125,11 @@ def _validated(args):
         raise _UsageError(f"--omega must be positive, got {args.omega}")
     lams = alphas = None
     if "lam" in args:
-        lams = _parse_grid(args.lam)
-        if any(l < 0 for l in lams):
-            raise _UsageError("--lambda values must be non-negative")
-    ns = _parse_grid(args.n, kind=int)
-    if any(n < 0 for n in ns):
-        raise _UsageError("--n values must be non-negative integers")
+        lams = _parse_grid(args.lam, float, lambda l: l < 0, "--lambda values must be non-negative")
+    ns = _parse_grid(args.n, int, lambda n: n < 0, "--n values must be non-negative integers")
     if "alpha" in args:
-        alphas = _parse_grid(args.alpha)
-        if not all(a > 0 and math.isfinite(a) for a in alphas):
-            raise _UsageError("--alpha values must be positive and finite")
+        bad = lambda a: not (a > 0 and math.isfinite(a))
+        alphas = _parse_grid(args.alpha, float, bad, "--alpha values must be positive and finite")
     points, half = getattr(args, "grid_points", None), getattr(args, "half_width", None)
     if points is not None and points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got {points}")
@@ -125,20 +144,20 @@ def _log_moment(args, params, n, alpha):
     if args.grid_points is None and args.half_width is None:
         return log_moment(params, n, alpha, args.space)[0]
     points = 512 if args.grid_points is None else args.grid_points
-    half = args.half_width
-    if args.space == "position":
-        if half is None:
-            half = position_half_width(params, n, min(alpha, 1.0))
-        x, w = grid_nodes(GridSpec(half_width=half, points=points))
-        return math.log(float(w @ np.power(density_position(params, n, x), alpha)))
-    if half is None:
+    position, half = args.space == "position", args.half_width
+    if half is None and position:
+        half = position_half_width(params, n, min(alpha, 1.0))
+    elif half is None:
         half = _momentum_cut(params, n)
-    p, w = grid_nodes(GridSpec(half_width=half, points=points))
-    gamma = np.abs(fourier_transform(params, n, None, p)) ** 2
-    norm = float(w @ gamma)
-    if abs(norm - 1.0) > 5e-6:
-        raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
-    return math.log(float(w @ np.power(gamma, alpha)))
+    u, w = grid_nodes(GridSpec(half_width=half, points=points))
+    if position:
+        dens = density_position(params, n, u)
+    else:
+        dens = np.abs(fourier_transform(params, n, None, u)) ** 2
+        norm = float(w @ dens)
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
+    return math.log(float(w @ np.power(dens, alpha)))
 
 
 def _grid_command(args, header, cells):
@@ -156,7 +175,7 @@ def _grid_command(args, header, cells):
     points = len(ns) * len(lams) * len(alphas or [None])
     if points > MAX_GRID_POINTS:
         raise _UsageError(f"grid holds {points} points, more than {MAX_GRID_POINTS}")
-    rows = []
+    rows, lams = [], list(lams)  # each lambda computed once, not once per n
     for n in ns:
         for lam in lams:
             params = ModelParams(args.omega, lam)

@@ -109,49 +109,37 @@ def norm_constant(params: ModelParams, n: int) -> float:
     return math.exp(log_norm_constant(params, n))
 
 
-def _log_envelope(params: ModelParams, n: int, xa: np.ndarray):
-    """sign(H_n) and ln|Psi_n| elementwise (log-space assembly)."""
+def _state_power(params: ModelParams, n: int, x, k: int) -> float | np.ndarray:
+    """Psi_n(x)^k for k = 1 or 2 as sign(H_n)^k exp(k ln|Psi_n|), and exactly 0
+    where that underflows: densities below 1e-300 are irrelevant to every
+    integral at this package's tolerances."""
+    _check_level(n)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     om = effective_frequency(params, n)
     # |x| <= 1e100 keeps sqrt(Omega) x and x^2 finite, and Psi_n = 0 beyond
     # it for any Omega > 1e-190; infinite x stays so that the Hermite
     # recurrence rejects it (as it does NaN)
-    x = np.clip(xa, -1e100, 1e100)
-    sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * (x if np.isfinite(xa).all() else xa))
-    log_psi = (
+    xc = np.clip(xa, -1e100, 1e100)
+    sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * (xc if np.isfinite(xa).all() else xa))
+    log_out = k * (
         log_norm_constant(params, n)
-        + 0.5 * np.log1p(params.lam * x * x)
-        - 0.5 * om * x * x
+        + 0.5 * np.log1p(params.lam * xc * xc)
+        - 0.5 * om * xc * xc
         + log_h
     )
-    return sign, log_psi
-
-
-def wavefunction(params: ModelParams, n: int, x) -> float | np.ndarray:
-    """Position-space eigenfunction Psi_n(x); parity (-1)^n under x -> -x.
-
-    Where the Gaussian envelope underflows double precision the exact value
-    0 is returned: densities below 1e-300 are irrelevant to every integral
-    at this package's tolerances.
-    """
-    _check_level(n)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    sign, log_psi = _log_envelope(params, n, xa)
     out = np.where(
-        (sign != 0) & (log_psi > _LOG_UNDERFLOW),
-        sign * np.exp(np.minimum(log_psi, 700.0)),
+        (sign != 0) & (log_out > _LOG_UNDERFLOW),
+        sign**k * np.exp(np.minimum(log_out, 700.0)),
         0.0,
     )
     return float(out[0]) if np.asarray(x).ndim == 0 else out
+
+
+def wavefunction(params: ModelParams, n: int, x) -> float | np.ndarray:
+    """Position-space eigenfunction Psi_n(x); parity (-1)^n under x -> -x."""
+    return _state_power(params, n, x, 1)
 
 
 def density_position(params: ModelParams, n: int, x) -> float | np.ndarray:
     """Position-space probability density rho_n(x) = |Psi_n(x)|^2."""
-    _check_level(n)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    sign, log_psi = _log_envelope(params, n, xa)
-    out = np.where(
-        (sign != 0) & (2.0 * log_psi > _LOG_UNDERFLOW),
-        np.exp(np.minimum(2.0 * log_psi, 700.0)),
-        0.0,
-    )
-    return float(out[0]) if np.asarray(x).ndim == 0 else out
+    return _state_power(params, n, x, 2)

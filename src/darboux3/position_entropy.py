@@ -94,12 +94,9 @@ class ExpansionCoefficients:
 
 
 def _check_alpha_int(alpha) -> int:
-    if isinstance(alpha, float) and not alpha.is_integer():
+    if (isinstance(alpha, float) and not alpha.is_integer()) or int(alpha) < 1:
         raise ValueError(f"analytic path requires integer alpha >= 1, got {alpha}")
-    a = int(alpha)
-    if a < 1:
-        raise ValueError(f"analytic path requires integer alpha >= 1, got {alpha}")
-    return a
+    return int(alpha)
 
 
 def _poch_frac(z: Fraction, a: int) -> Fraction:

@@ -2,11 +2,11 @@
 
 Hermite polynomials (plain, and one power-of-two-scaled recurrence that
 serves every runtime caller) and their zeros, Dawson's F function and the
-package's one sign-change bisection.  Everything here is deterministic, pure
-and free of external dependencies beyond numpy, so the rest of the package
-can treat these as exact primitives.  Exact rational work (the
-entropic-moment polynomial and its Pochhammer symbols) lives with its one
-user in ``position_entropy``.
+package's one sign-change bisection, which halves arrays of brackets.
+Everything here is deterministic, pure and free of external dependencies
+beyond numpy, so the rest of the package can treat these as exact
+primitives.  Exact rational work (the entropic-moment polynomial and its
+Pochhammer symbols) lives with its one user in ``position_entropy``.
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ def hermite(n: int, x):
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
     xa = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xa)
-    if n == 0:
-        return float(h_prev) if xa.ndim == 0 else h_prev
-    h = 2.0 * xa
-    for k in range(1, n):
+    h_prev, h = np.zeros_like(xa), np.ones_like(xa)  # H_(-1) = 0, H_0 = 1
+    for k in range(n):
         h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
     return float(h) if xa.ndim == 0 else h
 
@@ -100,11 +97,11 @@ def hermite_pair_scaled(n: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log|H_n(x)| elementwise from :func:`hermite_pair_scaled`;
+    """Float sign and log|H_n(x)| elementwise from :func:`hermite_pair_scaled`;
     ``log_abs = -inf`` at exact zeros, a NaN or infinite x raises."""
     _, h, e = hermite_pair_scaled(n, x)
     with np.errstate(divide="ignore"):
-        return np.sign(h).astype(int), np.log(np.abs(h)) + e * math.log(2.0)
+        return np.sign(h), np.log(np.abs(h)) + e * math.log(2.0)
 
 
 @lru_cache(maxsize=64)
@@ -173,34 +170,19 @@ def dawson_vec(x):
 # root finding
 # --------------------------------------------------------------------------
 
-def bisect_sign_change(f, a, b, fa, xtol: float = 0.0):
-    """Roots of ``f`` in the brackets [a, b], where f(a) = ``fa`` and f(b)
-    differ in sign.
+def bisect_sign_change(f, a, b, fa) -> np.ndarray:
+    """Roots of ``f`` in the brackets [a, b] (equal-length arrays), where
+    f(a) = ``fa`` and f(b) differ in sign.
 
-    Halves each bracket until ``f`` is exactly zero at its midpoint or the
-    bracket is narrower than ``xtol`` or than rounding (1e-15 relative).
-    Scalar a, b, fa give a float, with ``f`` called on floats (no numpy
-    per-call cost on a single bracket); equal-length arrays give an array,
-    with ``f`` called once per halving on the midpoints still open.
+    Halves every bracket at once, calling ``f`` once per halving on the
+    midpoints still open, until ``f`` is exactly zero at a bracket's
+    midpoint or the bracket is narrower than rounding (1e-15 relative).
     """
-    if np.ndim(a) == 0:
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if b - a < max(xtol, 1e-15 * max(1.0, abs(m))):
-                return m
-            fm = f(m)
-            if fm == 0.0:
-                return m
-            if (fa < 0.0) != (fm < 0.0):
-                b = m
-            else:
-                a, fa = m, fm
-        return 0.5 * (a + b)
     a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
     live = np.ones(a.shape, dtype=bool)  # a closed bracket keeps its a, b
     for _ in range(200):
         m = 0.5 * (a + b)
-        live &= b - a >= np.maximum(xtol, 1e-15 * np.maximum(1.0, np.abs(m)))
+        live &= b - a >= 1e-15 * np.maximum(1.0, np.abs(m))
         if not live.any():
             break
         fm = np.zeros_like(m)

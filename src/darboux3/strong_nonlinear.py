@@ -40,6 +40,8 @@ with no finite differences:
   so the origin is a maximum below lam = (2n + 1) Omega_n(lam) and a
   minimum above.  For n = 0 and 2 that equation is solved by the
   maximum-splitting thresholds lam_c = omega/sqrt(2) and 5 omega/sqrt(26).
+  Omega_n falls as lam grows, so lam - (2n + 1) Omega_n(lam) has slope
+  >= 1: its root is unique, and within a closed form's residual of it.
 """
 
 from __future__ import annotations
@@ -258,22 +260,14 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
 def bifurcation_threshold(params: ModelParams, n: int) -> float:
     """Nonlinearity lam_c where the central maximum of rho_n degenerates.
 
-    Closed forms omega/sqrt(2) (n = 0) and 5 omega/sqrt(26) (n = 2), always
-    cross-checked against a bisection on lam - (2n + 1) Omega_n(lam), the
-    sign of rho''(0); both must agree to 1e-10.
+    Closed forms omega/sqrt(2) (n = 0) and 5 omega/sqrt(26) (n = 2), each
+    checked to lie within 1e-10 (1 + lam_c) of the root of
+    lam - (2n + 1) Omega_n(lam), the sign of rho''(0), by its residual.
     """
     if n not in (0, 2):
         raise ValueError(f"thresholds are known for n in {{0, 2}}, got {n}")
     closed = params.omega / math.sqrt(2.0) if n == 0 else 5.0 * params.omega / math.sqrt(26.0)
-
     excess = lambda lam: lam - (2 * n + 1) * effective_frequency(ModelParams(params.omega, lam), n)
-    lo, hi = 0.05 * params.omega, 4.0 * params.omega
-    e_lo = excess(lo)
-    if not e_lo < 0.0 < excess(hi):
-        raise ArithmeticError("threshold bracket failed; rho''(0) signs unexpected")
-    bisected = bisect_sign_change(excess, lo, hi, e_lo, xtol=1e-12 * params.omega)
-    if abs(bisected - closed) > 1e-10 * (1.0 + closed):
-        raise ArithmeticError(
-            f"threshold mismatch: closed {closed!r} vs bisected {bisected!r}"
-        )
+    if not (math.isfinite(closed) and abs(excess(closed)) <= 1e-10 * (1.0 + closed)):
+        raise ArithmeticError(f"threshold {closed!r} is not a root of lam - (2n + 1) Omega_n(lam)")
     return closed

@@ -461,3 +461,47 @@ def reference_build_parser():
     sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--out", type=str, default=None)
     return ap
+
+
+def reference_parse_grid(text, kind=float):
+    """The grid parser that built every value list at once, before its
+    flag checks and the grid-size check ran (test oracle; usage errors
+    raise ``ValueError`` with the CLI's message)."""
+    from darboux3.cli import MAX_RANGE_VALUES
+
+    if ":" in text:
+        start, stop, step = (float(t) for t in text.split(":"))
+        if not (0 < step < math.inf and start <= stop):
+            raise ValueError(f"bad range {text!r}")
+        steps = (stop - start) / step
+        if not steps < MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} holds more than {MAX_RANGE_VALUES} values")
+        vals = [round(start + k * step, 12) for k in range(int(round(steps)) + 1)]
+        vals = [v for v in vals if v <= stop + 1e-12]
+    else:
+        vals = [float(t) for t in text.split(",")]
+    if kind is int and not all(v.is_integer() for v in vals):
+        raise ValueError(f"expected integers, got {text!r}")
+    return [kind(v) for v in vals]
+
+
+# --------------------------------------------------------------------------
+# root finding: the scalar bisection the package ran on a single bracket
+# --------------------------------------------------------------------------
+
+def reference_bisect(f, a, b, fa):
+    """Root of ``f`` in the single bracket [a, b], f(a) = ``fa``, halved on
+    floats until ``f`` is exactly zero at the midpoint or the bracket is
+    narrower than rounding (1e-15 relative) (test oracle)."""
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        if b - a < 1e-15 * max(1.0, abs(m)):
+            return m
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) != (fm < 0.0):
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import reference_build_parser
+from conftest import reference_build_parser, reference_parse_grid
 from darboux3 import ModelParams, cli, density_critical_points, effective_frequency, quadrature
 from darboux3.cli import MAX_GRID_POINTS, MAX_RANGE_VALUES, _parse_args, _parse_grid, _UsageError, main
 from darboux3.specfun import hermite_zeros
@@ -222,6 +222,44 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "numeric failure in darboux3.quadrature: momentum cut" in err
 
+    def test_threshold_tiny_omega(self, capsys):
+        # omega^2 underflows inside Omega_n; the closed form passes its residual check
+        code, out, err = run_cli(capsys, "threshold", "--omega", "1e-200", "--n", "0")
+        assert (code, err) == (0, "")
+        assert out == "n,omega,lambda_c\n0,1e-200,7.07106781187e-201\n"
+
+    def test_threshold_perturbed_frequency_exits_3(self, capsys, monkeypatch):
+        from darboux3 import strong_nonlinear
+
+        exact = strong_nonlinear.effective_frequency
+        monkeypatch.setattr(
+            strong_nonlinear, "effective_frequency", lambda p, m: exact(p, m) * (1.0 + 1e-8)
+        )
+        code, out, err = run_cli(capsys, "threshold", "--n", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure in darboux3.strong_nonlinear: threshold ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["energy", "--lambda", "0:999999:1", "--n", "0:999999:1"],
+             f"grid holds {10**12} points, more than {MAX_GRID_POINTS}"),
+            (["profile", "density-position", "--lambda", "0:999999:1"],
+             "profile needs exactly one --lambda and one --n"),
+            (["xi-renyi", "--n", "0:999999:1", "--lambda", "0:999999:1", "--alpha=-1:5:1"],
+             "--alpha values must be positive and finite"),
+        ],
+    )
+    def test_oversized_grid_builds_no_value_list(self, capsys, monkeypatch, argv, message):
+        # the sizes and the lower bounds are read off each flag's values: a
+        # few reads at the two ends of a range, not its 10^6 values
+        reads = []
+        getitem = cli._Range.__getitem__
+        monkeypatch.setattr(cli._Range, "__getitem__", lambda r, i: reads.append(i) or getitem(r, i))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+        assert len(reads) <= 20
+
     def test_threshold_rejects_lambda(self, capsys):
         # the output is lambda_c itself, so no --lambda is read
         code, out, err = run_cli(capsys, "threshold", "--n", "0", "--lambda", "5")
@@ -370,7 +408,42 @@ def reference_usage_error(argv):
     raise AssertionError(f"the reference parser accepts {argv}")
 
 
+# grid texts at the edges of the lazy range: rounding at either end, the
+# stop filter, integer and non-integer steps, NaN, infinities and errors
+GRID_TEXTS = [
+    "0", "0.4", "0,0.1,0.2", "-1,2", "2,-1", "nan", "1,nan", "inf", "-0.0", "1e308,-1e308",
+    "x", "1,,2", "0:1:0.1", "0:0.3:0.1", "0.1:0.7:0.2", "-1:1:0.5", "-0.5:0.5:0.25",
+    "0:9.4:1", "0:9.6:1", "0:10.4:1", "1e-13:1:0.1", "0.9999999999995:2:1", "-5e-13:1:1", "-6e-13:1:1",
+    "3:3:1", "0:3:1.0000000000001", "0:3:0.9999999999999", "0.5:4.5:1", "-3:3:1", "2:8:2",
+    "0:5:2.5", "0:1.7e308:1e308", "4095.9999999999995:4095.9999999999995:1", "1e20:1e20:1",
+    "9007199254740990:9007199254740999:1", "-1e-300:1:1", "0:0:1", "0:1e-12:1e-13",
+    "1:0:1", "0:1:0", "0:1:nan", "0:inf:1", "0:1", "0:1:1:1",
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("kind", [float, int])
+    @pytest.mark.parametrize("text", GRID_TEXTS)
+    def test_grid_matches_eager_parser(self, text, kind):
+        # the same values, types and messages as building every value at once
+        try:
+            want = reference_parse_grid(text, kind)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _parse_grid(text, kind)
+            assert str(got.value) == str(exc)
+            return
+        got = _parse_grid(text, kind)
+        assert len(got) == len(want)
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+        for bad in (lambda v: v < 0, lambda v: not (v > 0 and math.isfinite(v))):
+            try:
+                _parse_grid(text, kind, bad, "bad value")
+                caught = False
+            except _UsageError as exc:
+                caught = str(exc) == "bad value"
+            assert caught == any(bad(v) for v in want)
+
     @pytest.mark.parametrize("argv", PARSE_VALID, ids=" ".join)
     def test_namespace_matches_subparser_tree(self, argv):
         expect = vars(reference_build_parser().parse_args(argv))

@@ -1,0 +1,39 @@
+"""Smoke test of tools/cli_digest.py on three command lines."""
+
+import hashlib
+import importlib.util
+import re
+from pathlib import Path
+
+from darboux3.cli import _COMMANDS, main
+from darboux3.tables import TABLE_IDS
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+_SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
+cli_digest = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(cli_digest)
+
+
+def test_digest_of_stdout_and_exit_code(capsys):
+    argv = "energy --lambda 0.4 --n 0"
+    line = cli_digest.digest_line(argv)
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    want = hashlib.sha256(captured.out.encode() + b"\0" + captured.err.encode() + b"\0")
+    assert line == f"{want.hexdigest()}  0  {argv}"
+
+
+def test_digest_takes_written_files_and_usage_errors():
+    written = cli_digest.digest_line("profile density-position --lambda 0.4 --n 2 --out {out}/a.csv")
+    renamed = cli_digest.digest_line("profile density-position --lambda 0.4 --n 2 --out {out}/b.csv")
+    assert re.fullmatch(r"[0-9a-f]{64}  0  profile .*a\.csv", written)
+    assert written.split()[0] != renamed.split()[0]  # the file's name enters the digest
+    assert written == cli_digest.digest_line("profile density-position --lambda 0.4 --n 2 --out {out}/a.csv")
+    usage = cli_digest.digest_line("energy --lambda -0.5")
+    assert usage.split("  ")[1:] == ["2", "energy --lambda -0.5"]
+
+
+def test_list_covers_every_command_and_table():
+    argvs = cli_digest._argvs()
+    assert {a.split()[0] for a in argvs if a} >= set(_COMMANDS)
+    assert {a.split()[1] for a in argvs if a.startswith("table ")} >= set(TABLE_IDS)

@@ -18,7 +18,7 @@ from darboux3.specfun import (
     hermite_zeros,
 )
 
-from conftest import gauss_hermite_nodes, reference_hermite_pair_scaled
+from conftest import gauss_hermite_nodes, reference_bisect, reference_hermite_pair_scaled
 
 mp.mp.dps = 30
 
@@ -58,6 +58,12 @@ class TestHermiteScaled:
     def test_h0(self):
         sign, log_abs = hermite_sign_logabs(0, 0.0)
         assert (sign[0], log_abs[0]) == (1, 0.0)
+
+    def test_sign_is_float_sign_of_scaled_value(self):
+        x = np.array([-2.0, -1.0 / math.sqrt(2.0), 0.0, 0.3, 5.0])
+        sign, _ = hermite_sign_logabs(3, x)
+        assert sign.dtype == np.float64
+        assert np.array_equal(sign, np.sign(hermite_pair_scaled(3, x)[1]))
 
     def test_h2_at_zero(self):
         sign, log_abs = hermite_sign_logabs(2, 0.0)
@@ -188,23 +194,20 @@ class TestHermiteZeros:
 
 class TestBisectSignChange:
     def test_converges_to_rounding(self):
-        assert bisect_sign_change(math.cos, 0.0, 3.0, 1.0) == pytest.approx(
-            math.pi / 2.0, abs=2e-15
-        )
-
-    def test_stops_at_xtol(self):
-        root = bisect_sign_change(math.cos, 0.0, 3.0, 1.0, xtol=1e-3)
-        assert abs(root - math.pi / 2.0) < 1e-3
+        root = bisect_sign_change(np.cos, [0.0], [3.0], [1.0])
+        assert root.shape == (1,)
+        assert root[0] == reference_bisect(math.cos, 0.0, 3.0, 1.0)
+        assert root[0] == pytest.approx(math.pi / 2.0, abs=2e-15)
 
     def test_exact_zero_at_midpoint(self):
         calls = []
 
         def f(x):
-            calls.append(x)
+            calls.append(x.tolist())
             return x - 1.0
 
-        assert bisect_sign_change(f, 0.0, 2.0, -1.0) == 1.0
-        assert calls == [1.0]
+        assert bisect_sign_change(f, [0.0], [2.0], [-1.0]).tolist() == [1.0]
+        assert calls == [[1.0]]
 
     def test_array_of_brackets(self):
         a = np.array([0.0, 3.0, 6.0, 0.0])
@@ -217,7 +220,7 @@ class TestBisectSignChange:
 
         roots = bisect_sign_change(f, a, b, np.cos(a))
         for i in range(3):
-            assert roots[i] == bisect_sign_change(math.cos, a[i], b[i], math.cos(a[i]))
+            assert roots[i] == reference_bisect(math.cos, a[i], b[i], math.cos(a[i]))
         assert roots[3] == 1.0  # exact zero at the first midpoint
         assert sizes[0] == 4 and sizes[1] == 3
         assert sizes == sorted(sizes, reverse=True)

@@ -17,6 +17,7 @@ from darboux3 import (
     momentum_profile,
     norm_constant,
 )
+from darboux3 import strong_nonlinear
 from darboux3.specfun import hermite, hermite_zeros
 from conftest import gauss_tail_nodes, gauss_tail_quad, phi_transform_exact, published_g_series
 
@@ -370,3 +371,30 @@ class TestThresholds:
     def test_unsupported(self, deformed):
         with pytest.raises(ValueError):
             bifurcation_threshold(deformed, 1)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_residual_below_rounding_over_omega_decades(self, n):
+        # lam - (2n + 1) Omega_n(lam) has slope >= 1, so |lam_c - root| is
+        # at most the residual, which stays at rounding (<= 6.6e-16 lam_c)
+        for e in range(-150, 151):
+            omega = 10.0**e
+            lam_c = bifurcation_threshold(ModelParams(omega, 0.0), n)
+            residual = lam_c - (2 * n + 1) * effective_frequency(ModelParams(omega, lam_c), n)
+            assert abs(residual) <= 1e-15 * lam_c, (omega, residual)
+
+    def test_tiny_omega(self):
+        # omega^2 underflows, so Omega_n = 0 here; the closed form stands
+        assert bifurcation_threshold(ModelParams(1e-200, 0.0), 0) == 1e-200 / math.sqrt(2.0)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_perturbed_frequency_fails_the_residual(self, monkeypatch, n):
+        exact = strong_nonlinear.effective_frequency
+        monkeypatch.setattr(
+            strong_nonlinear, "effective_frequency", lambda p, m: exact(p, m) * (1.0 + 1e-8)
+        )
+        with pytest.raises(ArithmeticError, match="is not a root"):
+            bifurcation_threshold(ModelParams(1.0, 0.0), n)
+
+    def test_overflowing_closed_form_is_a_numeric_failure(self):
+        with pytest.raises(ArithmeticError):
+            bifurcation_threshold(ModelParams(1e308, 0.0), 2)
