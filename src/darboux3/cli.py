@@ -175,11 +175,11 @@ def _grid_command(args, header, cells):
     points = len(ns) * len(lams) * len(alphas or [None])
     if points > MAX_GRID_POINTS:
         raise _UsageError(f"grid holds {points} points, more than {MAX_GRID_POINTS}")
-    rows, lams = [], list(lams)  # each lambda computed once, not once per n
+    rows, lams, inner = [], list(lams), list(alphas or [None])  # each value computed once
     for n in ns:
         for lam in lams:
             params = ModelParams(args.omega, lam)
-            for a in alphas or [None]:
+            for a in inner:
                 grid = [n, lam] if a is None else [n, lam, a]
                 rows += [grid + tail for tail in cells(args, params, n, a)]
     lead = ["n", "lambda"] if alphas is None else ["n", "lambda", "alpha"]
