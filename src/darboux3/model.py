@@ -113,9 +113,8 @@ def _state_power(params: ModelParams, n: int, x, k: int) -> float | np.ndarray:
     """Psi_n(x)^k for k = 1 or 2 as sign(H_n)^k exp(k ln|Psi_n|), and exactly 0
     where that underflows: densities below 1e-300 are irrelevant to every
     integral at this package's tolerances."""
-    _check_level(n)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    om = effective_frequency(params, n)
+    om = effective_frequency(params, n)  # checks the level
     # |x| <= 1e100 keeps sqrt(Omega) x and x^2 finite, and Psi_n = 0 beyond
     # it for any Omega > 1e-190; infinite x stays so that the Hermite
     # recurrence rejects it (as it does NaN)

@@ -268,6 +268,7 @@ def bifurcation_threshold(params: ModelParams, n: int) -> float:
         raise ValueError(f"thresholds are known for n in {{0, 2}}, got {n}")
     closed = params.omega / math.sqrt(2.0) if n == 0 else 5.0 * params.omega / math.sqrt(26.0)
     excess = lambda lam: lam - (2 * n + 1) * effective_frequency(ModelParams(params.omega, lam), n)
-    if not (math.isfinite(closed) and abs(excess(closed)) <= 1e-10 * (1.0 + closed)):
-        raise ArithmeticError(f"threshold {closed!r} is not a root of lam - (2n + 1) Omega_n(lam)")
+    normal = np.finfo(float).tiny <= closed < math.inf  # a subnormal closed form has lost digits
+    if not (normal and abs(excess(closed)) <= 1e-10 * (1.0 + closed)):
+        raise ArithmeticError(f"threshold {closed!r} fails its normal-range or residual check")
     return closed

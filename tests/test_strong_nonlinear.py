@@ -392,9 +392,12 @@ class TestThresholds:
         monkeypatch.setattr(
             strong_nonlinear, "effective_frequency", lambda p, m: exact(p, m) * (1.0 + 1e-8)
         )
-        with pytest.raises(ArithmeticError, match="is not a root"):
+        with pytest.raises(ArithmeticError, match="residual check"):
             bifurcation_threshold(ModelParams(1.0, 0.0), n)
 
-    def test_overflowing_closed_form_is_a_numeric_failure(self):
-        with pytest.raises(ArithmeticError):
-            bifurcation_threshold(ModelParams(1e308, 0.0), 2)
+    @pytest.mark.parametrize("omega, n", [(1e308, 2), (1e-310, 0), (2e-308, 2)])
+    def test_closed_form_outside_normal_range_is_a_numeric_failure(self, omega, n):
+        # 5 omega / sqrt(26) overflows; omega / sqrt(2) and 5 omega / sqrt(26)
+        # are subnormal there, so not to full precision
+        with pytest.raises(ArithmeticError, match="normal-range"):
+            bifurcation_threshold(ModelParams(omega, 0.0), n)
