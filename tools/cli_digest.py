@@ -1,7 +1,7 @@
 """Digest the command line's output over a fixed list of command lines.
 
-Runs every command line of ``ARGVS`` in-process through ``darboux3.cli.main``
-and prints one line per command line:
+Runs every command line of :func:`_argvs` in-process, one after another,
+through ``darboux3.cli.main`` and prints one line per command line:
 
     <sha256 over stdout, stderr and the files written>  <exit code>  <argv>
 
@@ -14,8 +14,8 @@ codes agree, so comparing the outputs of
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_digest.py > old.txt
 
 with ``diff`` lists every command line whose output moved.  ``--match TEXT``
-keeps only the command lines containing TEXT.  The whole list takes about a
-minute on one core.
+keeps only the command lines containing TEXT.  The whole list takes a few
+seconds on one core.
 """
 
 from __future__ import annotations
