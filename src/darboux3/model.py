@@ -110,9 +110,9 @@ def norm_constant(params: ModelParams, n: int) -> float:
 
 
 def _state_power(params: ModelParams, n: int, x, k: int) -> float | np.ndarray:
-    """Psi_n(x)^k for k = 1 or 2 as sign(H_n)^k exp(k ln|Psi_n|), and exactly 0
-    where that underflows: densities below 1e-300 are irrelevant to every
-    integral at this package's tolerances."""
+    """Psi_n(x)^k for k = 1 or 2, as sign(H_n) exp(ln|Psi_n|) or
+    exp(2 ln|Psi_n|), and exactly 0 where that underflows: densities below
+    1e-300 are irrelevant to every integral at this package's tolerances."""
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     om = effective_frequency(params, n)  # checks the level
     # |x| <= 1e100 keeps sqrt(Omega) x and x^2 finite, and Psi_n = 0 beyond
@@ -120,17 +120,16 @@ def _state_power(params: ModelParams, n: int, x, k: int) -> float | np.ndarray:
     # recurrence rejects it (as it does NaN)
     xc = np.clip(xa, -1e100, 1e100)
     sign, log_h = hermite_sign_logabs(n, math.sqrt(om) * (xc if np.isfinite(xa).all() else xa))
-    log_out = k * (
+    log_out = (
         log_norm_constant(params, n)
         + 0.5 * np.log1p(params.lam * xc * xc)
         - 0.5 * om * xc * xc
         + log_h
     )
-    out = np.where(
-        (sign != 0) & (log_out > _LOG_UNDERFLOW),
-        sign**k * np.exp(np.minimum(log_out, 700.0)),
-        0.0,
-    )
+    if k == 2:
+        log_out *= 2.0
+    mag = np.exp(np.minimum(log_out, 700.0))
+    out = np.where((sign != 0) & (log_out > _LOG_UNDERFLOW), sign * mag if k == 1 else mag, 0.0)
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 

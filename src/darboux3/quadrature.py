@@ -15,9 +15,9 @@ every panel grid of the package with array operations.  Position moments
 integrate in y = sqrt(Omega) x, where rho_n(x) dx =
 [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa = lam / Omega,
 m = n + 1/2, h_n the normalised harmonic function): lambda enters only
-through that rational factor and the cut, so a cached builder lays out
-the panels up to the last Hermite zero and evaluates h_n on them once per
-(n, order class, refine), and every call adds and evaluates its own tail
+through that rational factor and the cut, so the panels up to the last
+Hermite zero and h_n on them are computed once per (n, order class,
+refine) and every lambda of a sweep evaluates H_n on its tail alone
 (:func:`_position_log_density`).  In momentum space
 the zeros of the transform are located first: one FFT scan of a uniform
 momentum grid brackets them, and Newton's method, kept inside each bracket,
@@ -198,21 +198,12 @@ def position_half_width(
 
 
 @lru_cache(maxsize=16)
-def _position_bulk(n: int, order: float, fractional: bool, refine: int):
-    """The lambda-free part of one position layout class: the panel width,
-    the cusps (H_n's zeros z >= 0 for a fractional order, else none), z_last
-    (0 for n = 0) and, read-only, y, weights and 2 ln|H_n(y)| - y^2 on
-    [0, z_last].  16 slots hold every class of a CLI row (n, lambda, alpha)."""
-    width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
-    zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
-    # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
-    cusps = zeros if fractional else ()
-    bounds = np.concatenate([[0.0], zeros[n % 2 :]])
-    y, w = _panel_grid(bounds, np.ceil(np.diff(bounds) / width), cusps)
-    log_h = _log_hermite_gauss(n, y)
-    for arr in (y, w, log_h):
-        arr.setflags(write=False)
-    return width, cusps, float(bounds[-1]), y, w, log_h
+def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
+    """The lambda-free bulk of one position layout class, [y, weights,
+    2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the first
+    call of the class fills it from its whole-line grid.  16 slots hold
+    every class of a CLI row (rows run n, lambda, then alpha)."""
+    return []
 
 
 def _position_log_density(
@@ -230,17 +221,33 @@ def _position_log_density(
     inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.  So the
     bulk [0, z_last] and its Hermite values depend only on n, max(alpha, 1),
     whether alpha is fractional and ``refine``: :func:`_position_bulk`
-    builds and keeps them, and a call builds and evaluates only the tail
+    keeps them, and a call builds and evaluates only the tail
     [z_last, sqrt(Omega) L].
     """
     om = effective_frequency(params, n)
     s = math.sqrt(om)
     L = s * position_half_width(params, n, min(alpha, 1.0))
-    fractional = not float(alpha).is_integer()
-    width, cusps, z_last, *bulk = _position_bulk(n, max(alpha, 1.0), fractional, refine)
-    y_t, w_t = _panel_grid([z_last, L], [math.ceil((L - z_last) / width)], cusps)
-    y, w = np.concatenate([bulk[0], y_t]), np.concatenate([bulk[1], w_t])
-    log_h = np.concatenate([bulk[2], _log_hermite_gauss(n, y_t)])
+    order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
+    width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
+    zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
+    # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
+    cusps = zeros if fractional else ()
+    bulk = _position_bulk(n, order, fractional, refine)
+    if bulk:
+        z_last = float(zeros[-1]) if n else 0.0
+        y_t, w_t = _panel_grid([z_last, L], [math.ceil((L - z_last) / width)], cusps)
+        y, w = np.concatenate([bulk[0], y_t]), np.concatenate([bulk[1], w_t])
+        log_h = np.concatenate([bulk[2], _log_hermite_gauss(n, y_t)])
+    else:
+        bounds = np.concatenate([[0.0], zeros[n % 2 :], [L]])
+        counts = np.ceil(np.diff(bounds) / width)
+        y, w = _panel_grid(bounds, counts, cusps)
+        log_h = _log_hermite_gauss(n, y)
+        k = _ORDER * int(counts[:-1].sum())
+        kept = [arr[:k].copy() for arr in (y, w, log_h)]
+        for arr in kept:
+            arr.setflags(write=False)
+        bulk.extend(kept)
     kappa = params.lam / om
     log_rho = np.multiply(y, y)
     log_rho *= kappa

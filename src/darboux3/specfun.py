@@ -42,8 +42,11 @@ def hermite(n: int, x):
     if n < 0:
         raise ValueError("Hermite order must be non-negative")
     xa = np.asarray(x, dtype=float)
-    h_prev, h = np.zeros_like(xa), np.ones_like(xa)  # H_(-1) = 0, H_0 = 1
-    for k in range(n):
+    h_prev = np.ones_like(xa)
+    if n == 0:
+        return float(h_prev) if xa.ndim == 0 else h_prev
+    h = 2.0 * xa
+    for k in range(1, n):
         h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
     return float(h) if xa.ndim == 0 else h
 

@@ -261,14 +261,17 @@ def bifurcation_threshold(params: ModelParams, n: int) -> float:
     """Nonlinearity lam_c where the central maximum of rho_n degenerates.
 
     Closed forms omega/sqrt(2) (n = 0) and 5 omega/sqrt(26) (n = 2), each
-    checked to lie within 1e-10 (1 + lam_c) of the root of
-    lam - (2n + 1) Omega_n(lam), the sign of rho''(0), by its residual.
+    checked by the residual of lam - (2n + 1) Omega_n(lam), the sign of
+    rho''(0).  That expression is homogeneous of degree 1 in (lam, omega), so
+    it is evaluated at omega = 1 and lam = lam_c / omega, where the residual
+    must be within 1e-10 lam: one relative bound at every omega.
     """
     if n not in (0, 2):
         raise ValueError(f"thresholds are known for n in {{0, 2}}, got {n}")
     closed = params.omega / math.sqrt(2.0) if n == 0 else 5.0 * params.omega / math.sqrt(26.0)
-    excess = lambda lam: lam - (2 * n + 1) * effective_frequency(ModelParams(params.omega, lam), n)
     normal = np.finfo(float).tiny <= closed < math.inf  # a subnormal closed form has lost digits
-    if not (normal and abs(excess(closed)) <= 1e-10 * (1.0 + closed)):
+    lam = closed / params.omega
+    excess = lambda: lam - (2 * n + 1) * effective_frequency(ModelParams(1.0, lam), n)
+    if not (normal and abs(excess()) <= 1e-10 * lam):
         raise ArithmeticError(f"threshold {closed!r} fails its normal-range or residual check")
     return closed

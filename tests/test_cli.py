@@ -222,11 +222,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "numeric failure in darboux3.quadrature: momentum cut" in err
 
-    def test_threshold_tiny_omega(self, capsys):
-        # omega^2 underflows inside Omega_n; the closed form passes its residual check
-        code, out, err = run_cli(capsys, "threshold", "--omega", "1e-200", "--n", "0")
+    @pytest.mark.parametrize(
+        "omega, row",
+        [("1e-200", "0,1e-200,7.07106781187e-201"), ("1e200", "0,1e+200,7.07106781187e+199")],
+    )
+    def test_threshold_extreme_omega(self, capsys, omega, row):
+        # omega^2 under- or overflows there; the residual is checked at omega = 1
+        code, out, err = run_cli(capsys, "threshold", "--omega", omega, "--n", "0")
         assert (code, err) == (0, "")
-        assert out == "n,omega,lambda_c\n0,1e-200,7.07106781187e-201\n"
+        assert out == f"n,omega,lambda_c\n{row}\n"
 
     def test_threshold_perturbed_frequency_exits_3(self, capsys, monkeypatch):
         from darboux3 import strong_nonlinear

@@ -254,46 +254,35 @@ class TestScaledPosition:
         return calls
 
     @pytest.mark.parametrize("n", [0, 3, 30])
-    def test_sweep_builds_bulk_once(self, monkeypatch, n):
-        # a 16-lambda sweep builds its layout class's bulk on the first call
-        # and evaluates H_n there once; every call evaluates its own tail
+    def test_sweep_evaluates_bulk_once(self, monkeypatch, n):
+        # a 16-lambda sweep: the first call evaluates H_n on the whole half
+        # line, the others on their tail [z_last, sqrt(Omega) L] only
         quadrature._position_bulk.cache_clear()
         hermite = self._spy(monkeypatch, "hermite_sign_logabs")
         z_last = float(hermite_zeros(n)[-1]) if n else 0.0
-        tails = []
         for lam in np.linspace(0.0, 7.0, 16):
             params = ModelParams(1.0, float(lam))
             y, _, _ = quadrature._position_log_density(params, n, 0.714, 1)
-            tails.append(y[y > z_last])
-        info = quadrature._position_bulk.cache_info()
-        assert (info.misses, info.hits) == (1, 15)
-        bulk_y = quadrature._position_bulk(n, 1.0, True, 1)[3]
-        evaluated = [args[1] for args in hermite]
-        assert len(evaluated) == 17
-        for got, want in zip(evaluated, [bulk_y] + tails):
-            assert np.array_equal(got, want)
-        assert sum(map(len, evaluated)) == len(bulk_y) + sum(map(len, tails))
+            evaluated = hermite[-1][1]
+            if len(hermite) == 1:
+                assert np.array_equal(evaluated, y)
+            else:
+                assert np.array_equal(evaluated, y[y > z_last])
+        assert len(hermite) == 16
+        assert quadrature._position_bulk.cache_info().misses == 1
 
-    def test_ground_state_bulk_is_empty(self):
-        # H_0 has no zeros: the whole half line is tail
-        width, cusps, z_last, y, w, log_h = quadrature._position_bulk(0, 1.0, True, 1)
-        assert (width, len(cusps), z_last) == (0.7, 0, 0.0)
-        assert len(y) == len(w) == len(log_h) == 0
-
-    def test_miss_builds_bulk_then_tail(self, monkeypatch):
+    def test_miss_builds_one_grid(self, monkeypatch):
         quadrature._position_bulk.cache_clear()
         grids = self._spy(monkeypatch, "_panel_grid")
         hermite = self._spy(monkeypatch, "hermite_sign_logabs")
-        y, _, _ = quadrature._position_log_density(ModelParams(1.0, 0.4), 7, 2.5, 1)
-        assert len(grids) == len(hermite) == 2
-        assert len(grids[0][0]) == 4  # 0 and the three positive zeros of H_7
-        assert len(grids[1][0]) == 2  # the tail [z_last, sqrt(Omega) L]
-        assert np.array_equal(np.concatenate([hermite[0][1], hermite[1][1]]), y)
-        for bulk in quadrature._position_bulk(7, 2.5, True, 1)[3:]:
-            assert not bulk.flags.writeable
+        params = ModelParams(1.0, 0.4)
+        y, _, _ = quadrature._position_log_density(params, 7, 2.5, 1)
+        assert len(grids) == len(hermite) == 1
+        assert len(grids[0][0]) == 5  # 0, the three positive zeros of H_7, the cut
+        assert np.array_equal(hermite[0][1], y)
         quadrature._position_log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
-        assert len(grids) == len(hermite) == 3
-        assert len(grids[2][0]) == 2  # the tail alone
+        assert len(grids) == len(hermite) == 2
+        assert len(grids[1][0]) == 2  # the tail alone
 
     @pytest.mark.parametrize("n", [0, 1, 6, 33])
     def test_hit_equals_miss(self, n):

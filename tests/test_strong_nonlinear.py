@@ -383,17 +383,18 @@ class TestThresholds:
             assert abs(residual) <= 1e-15 * lam_c, (omega, residual)
 
     def test_tiny_omega(self):
-        # omega^2 underflows, so Omega_n = 0 here; the closed form stands
+        # omega^2 underflows here, but the residual is taken at omega = 1
         assert bifurcation_threshold(ModelParams(1e-200, 0.0), 0) == 1e-200 / math.sqrt(2.0)
 
+    @pytest.mark.parametrize("omega", [1.0, 1e-200, 1e150])
     @pytest.mark.parametrize("n", [0, 2])
-    def test_perturbed_frequency_fails_the_residual(self, monkeypatch, n):
+    def test_perturbed_frequency_fails_the_residual(self, monkeypatch, n, omega):
         exact = strong_nonlinear.effective_frequency
         monkeypatch.setattr(
             strong_nonlinear, "effective_frequency", lambda p, m: exact(p, m) * (1.0 + 1e-8)
         )
         with pytest.raises(ArithmeticError, match="residual check"):
-            bifurcation_threshold(ModelParams(1.0, 0.0), n)
+            bifurcation_threshold(ModelParams(omega, 0.0), n)
 
     @pytest.mark.parametrize("omega, n", [(1e308, 2), (1e-310, 0), (2e-308, 2)])
     def test_closed_form_outside_normal_range_is_a_numeric_failure(self, omega, n):

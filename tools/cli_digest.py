@@ -13,14 +13,12 @@ codes agree, so comparing the outputs of
     PYTHONPATH=src python tools/cli_digest.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_digest.py > old.txt
 
-with ``diff`` lists every command line whose output moved.  ``--match TEXT``
-keeps only the command lines containing TEXT.  The whole list takes a few
-seconds on one core.
+with ``diff`` lists every command line whose output moved.  The whole list
+takes a few seconds on one core.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -130,12 +128,8 @@ def digest_line(argv: str) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--match", default="", help="only command lines containing this text")
-    args = ap.parse_args()
     for argv in _argvs():
-        if args.match in argv:
-            print(digest_line(argv), flush=True)
+        print(digest_line(argv), flush=True)
     return 0
 
 
