@@ -221,8 +221,9 @@ def _position_log_density(
     inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.  So the
     bulk [0, z_last] and its Hermite values depend only on n, max(alpha, 1),
     whether alpha is fractional and ``refine``: :func:`_position_bulk`
-    keeps them, and a call builds and evaluates only the tail
-    [z_last, sqrt(Omega) L].
+    keeps them.  The first call of a class builds and evaluates the whole
+    half line in one pass and keeps its bulk; every later call builds and
+    evaluates only the tail [z_last, sqrt(Omega) L].
     """
     om = effective_frequency(params, n)
     s = math.sqrt(om)
