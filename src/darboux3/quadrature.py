@@ -21,10 +21,11 @@ refine) and every lambda of a sweep evaluates H_n on its tail alone
 (:func:`_position_log_density`).  In momentum space
 the zeros of the transform are located first: one FFT scan of a uniform
 momentum grid brackets them, and Newton's method, kept inside each bracket,
-refines all of them together, with g and g' from one kernel call per step
-(two or three calls at every tested profile).  The momentum panels are laid
-out the same way, and entropy integrals reuse the profile nodes directly
-with no interpolation.
+refines all of them together (:func:`~darboux3.specfun.bracketed_newton`,
+which refines the density's critical points too), with g and g' from one
+kernel call per step (two or three calls at every tested profile).  The
+momentum panels are laid out the same way, and entropy integrals reuse the
+profile nodes directly with no interpolation.
 
 Fourier transform
 -----------------
@@ -82,7 +83,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .model import ModelParams, effective_frequency, log_norm_constant, wavefunction
-from .specfun import hermite_sign_logabs, hermite_zeros
+from .specfun import bracketed_newton, hermite_sign_logabs, hermite_zeros
 
 __all__ = [
     "GridSpec",
@@ -425,11 +426,10 @@ def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
     structured region [0, p_feat] (48 (n + 2) points) and of the tail
     (600 points).  Sign flips whose neighbourhood sits at the quadrature
     noise floor are underflow artefacts, not zeros.  Every kept bracket is
-    refined at once by Newton's method from its regula falsi point, with g
-    and g' = -+ sum x fw sin/cos(p x) from one kernel call per step; a step
-    that leaves its bracket bisects it instead.  A zero is done when |g|
-    is within the kernel's rounding bound, eps (B + J) sum |fw| for sums of
-    B and of J terms, and takes one last Newton step from there.
+    refined at once by :func:`~darboux3.specfun.bracketed_newton`, with g
+    and g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
+    |g| is within the kernel's rounding bound, eps (B + J) sum |fw| for
+    sums of B and of J terms.
     """
     step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
     scan, vals = _fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step)
@@ -440,27 +440,17 @@ def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
     flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
     near = sliding_window_view(np.pad(np.abs(vals), (2, 3)), 6)[flips]  # |vals[i-2 : i+4]|
     i = flips[near.max(axis=1, initial=0.0) > noise]
-    a, b, fa, fb = scan[i], scan[i + 1], vals[i], vals[i + 1]
-    z = a - fa * (b - a) / (fb - fa)
     bound = np.finfo(float).eps * (len(origins) + len(offsets)) * abs_fw
     pair = np.stack([fw, (origins[:, None] + offsets) * fw])
     slope_sign = 1.0 if n % 2 else -1.0  # g' = -+ the kernel sum of x fw
-    converged = not len(z)
-    for _ in range(_ZERO_CALLS):
-        if converged:
-            break
+
+    def g_slope_bound(z):
         g, dg = _ft_component((n, n + 1), origins, offsets, pair, z)
-        right = (g < 0.0) == (fa < 0.0)  # the root lies right of z
-        a, b = np.where(right, z, a), np.where(right, b, z)
-        newton = z - slope_sign * g / dg
-        done = np.abs(g) <= bound
-        z = np.where(done | (a < newton) & (newton < b), newton, 0.5 * (a + b))
-        converged = done.all()
-    if not converged:
-        raise ArithmeticError(
-            f"momentum zero refinement did not reach the rounding bound {bound:.2e} "
-            f"in {_ZERO_CALLS} kernel calls"
-        )
+        return g, slope_sign * dg, bound
+
+    z = bracketed_newton(
+        g_slope_bound, scan[i], scan[i + 1], vals[i], vals[i + 1], _ZERO_CALLS, "momentum zeros"
+    )
     zeros = np.sort(z[(z > 1e-12) & (z < 0.999 * L_p)])
     if len(zeros) > 1:  # drop duplicates from brackets straddling one root
         zeros = np.concatenate([[zeros[0]], zeros[1:][np.diff(zeros) > 1e-9]])

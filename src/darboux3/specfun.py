@@ -2,7 +2,8 @@
 
 Hermite polynomials (plain, and one power-of-two-scaled recurrence that
 serves every runtime caller) and their zeros, Dawson's F function and the
-package's one sign-change bisection, which halves arrays of brackets.
+package's one root refinement, Newton's method kept inside each of an
+array of brackets.
 Everything here is deterministic, pure and free of external dependencies
 beyond numpy, so the rest of the package can treat these as exact
 primitives.  Exact rational work (the entropic-moment polynomial and its
@@ -23,7 +24,7 @@ __all__ = [
     "hermite_sign_logabs",
     "hermite_zeros",
     "dawson_vec",
-    "bisect_sign_change",
+    "bracketed_newton",
 ]
 
 
@@ -173,25 +174,34 @@ def dawson_vec(x):
 # root finding
 # --------------------------------------------------------------------------
 
-def bisect_sign_change(f, a, b, fa) -> np.ndarray:
+def bracketed_newton(f, a, b, fa, fb, calls: int, what: str) -> np.ndarray:
     """Roots of ``f`` in the brackets [a, b] (equal-length arrays), where
-    f(a) = ``fa`` and f(b) differ in sign.
+    f(a) = ``fa`` and f(b) = ``fb`` differ in sign.
 
-    Halves every bracket at once, calling ``f`` once per halving on the
-    midpoints still open, until ``f`` is exactly zero at a bracket's
-    midpoint or the bracket is narrower than rounding (1e-15 relative).
+    ``f(z)`` returns f, f' and a rounding bound on |f| at the points z.
+    Every bracket starts at its regula falsi point and all take Newton
+    steps at once, one call of ``f`` per step; a step that leaves its
+    bracket bisects the bracket instead.  A root is done when |f| is within
+    its bound and takes one last Newton step from there.  Returns once every
+    root is done at the same call; raises ``ArithmeticError``, naming the
+    roots ``what``, if that takes more than ``calls`` calls.
     """
-    a, b, fa = (np.array(v, dtype=float) for v in (a, b, fa))
-    live = np.ones(a.shape, dtype=bool)  # a closed bracket keeps its a, b
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        live &= b - a >= 1e-15 * np.maximum(1.0, np.abs(m))
-        if not live.any():
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
+    z = a - fa * (b - a) / (fb - fa)
+    converged = not len(z)
+    for _ in range(calls):
+        if converged:
             break
-        fm = np.zeros_like(m)
-        fm[live] = f(m[live])
-        live &= fm != 0.0
-        left = (fa < 0.0) != (fm < 0.0)
-        b = np.where(live & left, m, b)
-        a, fa = np.where(live & ~left, m, a), np.where(live & ~left, fm, fa)
-    return 0.5 * (a + b)
+        g, dg, bound = f(z)
+        right = (g < 0.0) == (fa < 0.0)  # the root lies right of z
+        a, b = np.where(right, z, a), np.where(right, b, z)
+        newton = z - g / dg
+        done = np.abs(g) <= bound
+        z = np.where(done | (a < newton) & (newton < b), newton, 0.5 * (a + b))
+        converged = done.all()
+    if not converged:
+        raise ArithmeticError(
+            f"{np.count_nonzero(~done)} of {len(z)} {what} did not reach their rounding bound "
+            f"in {calls} calls"
+        )
+    return z

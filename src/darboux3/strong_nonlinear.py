@@ -30,7 +30,10 @@ The density critical points follow from the exact derivative
     rho_n'(x) = N^2 e^(-Omega x^2) H_n(sqrt(Omega) x) E(x),
     E(x) = 4 n sqrt(Omega) (lam x^2 + 1) H_(n-1) - 2 x (lam (Omega x^2 - 1) + Omega) H_n,
 
-with no finite differences:
+with no finite differences.  A grid scan of E brackets its roots, and
+:func:`~darboux3.specfun.bracketed_newton` refines them all at once with E'
+in closed form from the same Hermite pair, until |E| is within the rounding
+bound of its uncancelled terms.  The kinds:
 
 * The zeros of H_n are density zeros, hence minima.
 * At a simple root r of E, rho''(r) has the sign of H_n E'(r), and E'
@@ -61,7 +64,7 @@ from .quadrature import (
     _with_parity_phase,
     position_half_width,
 )
-from .specfun import bisect_sign_change, dawson_vec, hermite_pair_scaled, hermite_zeros
+from .specfun import bracketed_newton, dawson_vec, hermite_pair_scaled, hermite_zeros
 
 __all__ = [
     "DensitySplit",
@@ -73,6 +76,8 @@ __all__ = [
     "density_critical_points",
     "bifurcation_threshold",
 ]
+
+_ROOT_CALLS = 8  # E evaluations the critical-point refinement may make
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,9 @@ def density_critical_points(
 ) -> list[CriticalPoint]:
     """Critical points of rho_n, sorted by position.
 
-    Closed forms for n in {0, 2}; ``numeric=True`` bisects the roots of the
-    extremum function E for any n.  Kinds as in the module docstring.
+    Closed forms for n in {0, 2}; ``numeric=True`` refines the roots of the
+    extremum function E for any n by bracketed Newton steps.  Kinds as in
+    the module docstring.
     """
     if numeric:
         return _critical_points_numeric(params, n)
@@ -228,18 +234,33 @@ def density_critical_points(
     return _symmetric_points(params, n, [(x, "maximum") for x in maxima])
 
 
-def _extremum_function(params: ModelParams, n: int, x: np.ndarray):
-    """E(x) 2^(-e) and H_n(sqrt(Om) x) 2^(-e) elementwise, e from
-    :func:`~darboux3.specfun.hermite_pair_scaled`, where
-    E = 4 n sqrt(Om) (lam x^2 + 1) H_(n-1) - 2 x (lam (x^2 Om - 1) + Om) H_n."""
+def _extremum_function(params: ModelParams, n: int, x: np.ndarray, *, newton: bool = False):
+    """E(x) and H_n(sqrt(Om) x), or with ``newton`` E, E' and a rounding bound
+    on |E|, each times 2^(-e) elementwise, e from
+    :func:`~darboux3.specfun.hermite_pair_scaled`, where E = A H_(n-1) - B H_n,
+    A = 4 n sqrt(Om) (lam x^2 + 1) and B = 2 x (lam (Om x^2 - 1) + Om).
+
+    With y = sqrt(Om) x, d/dx H_k(y) = 2 k sqrt(Om) H_(k-1)(y) and
+    2 (n - 1) H_(n-2) = 2 y H_(n-1) - H_n (for n = 1 as well), so
+    E' = (A' + 2 Om x A - 2 n sqrt(Om) B) H_(n-1) - (sqrt(Om) A + B') H_n.
+    The bound is 4 (n + 2) eps times the uncancelled terms,
+    |A H_(n-1)| + 2 |x| (lam (Om x^2 + 1) + Om) |H_n|.
+    """
     lam = params.lam
     om = effective_frequency(params, n)
     s = math.sqrt(om)
     h_nm1, h_n, _ = hermite_pair_scaled(n, s * x)
-    extremum = 4.0 * n * s * (lam * x * x + 1.0) * h_nm1 - 2.0 * x * (
-        lam * (x * x * om - 1.0) + om
+    x2 = x * x
+    a = 4.0 * n * s * (lam * x2 + 1.0)
+    b = 2.0 * x * (lam * (x2 * om - 1.0) + om)
+    extremum = a * h_nm1 - b * h_n
+    if not newton:
+        return extremum, h_n
+    slope = (8.0 * n * s * lam * x + 2.0 * om * x * a - 2.0 * n * s * b) * h_nm1 - (
+        s * a + 2.0 * (lam * (3.0 * om * x2 - 1.0) + om)
     ) * h_n
-    return extremum, h_n
+    terms = np.abs(a * h_nm1) + 2.0 * np.abs(x) * (lam * (om * x2 + 1.0) + om) * np.abs(h_n)
+    return extremum, slope, 4.0 * (n + 2) * np.finfo(float).eps * terms
 
 
 def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]:
@@ -249,8 +270,9 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)  # x = 0 handled separately
     vals, _ = _extremum_function(params, n, grid)
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-    roots = bisect_sign_change(
-        lambda t: _extremum_function(params, n, t)[0], grid[i], grid[i + 1], vals[i]
+    roots = bracketed_newton(
+        lambda t: _extremum_function(params, n, t, newton=True),
+        grid[i], grid[i + 1], vals[i], vals[i + 1], _ROOT_CALLS, "density critical points",
     )
     _, h_n = _extremum_function(params, n, roots)
     kinds = np.where(np.sign(h_n) == np.sign(vals[i]), "maximum", "minimum")
@@ -268,7 +290,9 @@ def bifurcation_threshold(params: ModelParams, n: int) -> float:
     """
     if n not in (0, 2):
         raise ValueError(f"thresholds are known for n in {{0, 2}}, got {n}")
-    closed = params.omega / math.sqrt(2.0) if n == 0 else 5.0 * params.omega / math.sqrt(26.0)
+    num, den = (1.0, 2.0) if n == 0 else (5.0, 26.0)
+    k = 3 if params.omega > 1.0 else 0  # 5 omega / 8 cannot overflow; powers of two are exact
+    closed = math.ldexp(num * math.ldexp(params.omega, -k) / math.sqrt(den), k)
     normal = np.finfo(float).tiny <= closed < math.inf  # a subnormal closed form has lost digits
     lam = closed / params.omega
     excess = lambda: lam - (2 * n + 1) * effective_frequency(ModelParams(1.0, lam), n)

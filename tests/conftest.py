@@ -505,3 +505,20 @@ def reference_bisect(f, a, b, fa):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def extremum_roots(params, n):
+    """The roots x > 0 of the extremum function E among the numeric critical
+    points (every positive one that is not a density zero), and the rounding
+    width of each, its bound on |E| over |E'|: no float evaluation of E
+    places a root closer than that.  The width is above 1e-13 x only next to
+    the splitting of the central maximum, where lam - (2n + 1) Omega cancels."""
+    from darboux3 import density_critical_points, strong_nonlinear
+    from darboux3.specfun import hermite_zeros
+
+    y = hermite_zeros(n)
+    zeros = set((y[y > 0.0] / math.sqrt(effective_frequency(params, n))).tolist())
+    x = np.array([c.x for c in density_critical_points(params, n, numeric=True)
+                  if c.x > 0.0 and c.x not in zeros])
+    _, slope, bound = strong_nonlinear._extremum_function(params, n, x, newton=True)
+    return x, bound / np.abs(slope)

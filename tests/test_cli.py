@@ -232,6 +232,12 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out == f"n,omega,lambda_c\n{row}\n"
 
+    def test_threshold_largest_omega(self, capsys):
+        # 5 omega overflows at omega = 1e308, but lam_c = 9.8e307 is a normal float
+        code, out, err = run_cli(capsys, "threshold", "--omega", "1e308", "--n", "0,2")
+        assert (code, err) == (0, "")
+        assert out == "n,omega,lambda_c\n0,1e+308,7.07106781187e+307\n2,1e+308,9.80580675691e+307\n"
+
     def test_threshold_perturbed_frequency_exits_3(self, capsys, monkeypatch):
         from darboux3 import strong_nonlinear
 

@@ -1,4 +1,5 @@
-"""Smoke test of tools/cli_digest.py on three command lines."""
+"""tools/cli_digest.py: a smoke test on three command lines, and the whole
+list against the golden digest ``tests/cli_digest.txt``."""
 
 import hashlib
 import importlib.util
@@ -9,6 +10,7 @@ from darboux3.cli import _COMMANDS, main
 from darboux3.tables import TABLE_IDS
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+_GOLDEN = Path(__file__).resolve().parent / "cli_digest.txt"
 _SPEC = importlib.util.spec_from_file_location("cli_digest", _PATH)
 cli_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(cli_digest)
@@ -37,3 +39,16 @@ def test_list_covers_every_command_and_table():
     argvs = cli_digest._argvs()
     assert {a.split()[0] for a in argvs if a} >= set(_COMMANDS)
     assert {a.split()[1] for a in argvs if a.startswith("table ")} >= set(TABLE_IDS)
+
+
+def test_live_digest_matches_the_golden_file():
+    # the golden file pins one machine's bytes (see its header)
+    golden = [line for line in _GOLDEN.read_text().splitlines() if not line.startswith("#")]
+    live = [cli_digest.digest_line(argv) for argv in cli_digest._argvs()]
+    moved = [
+        f"{argv}\n  golden: {old}\n  live:   {new}"
+        for argv, old, new in zip(cli_digest._argvs(), golden, live)
+        if old != new
+    ]
+    assert not moved, "command lines whose digest moved:\n" + "\n".join(moved)
+    assert len(live) == len(golden)

@@ -1,15 +1,19 @@
 """Exact omega scaling: rho(x; omega, lam) = sqrt(omega) rho(sqrt(omega) x; 1, lam/omega).
 
 Energies and effective frequencies therefore scale by omega, position
-entropies shift by -ln(omega)/2 and momentum entropies by +ln(omega)/2.
+entropies shift by -ln(omega)/2, momentum entropies by +ln(omega)/2, and
+the density's critical points scale as x_c(omega, lam) = x_c(1, lam/omega) / sqrt(omega).
 """
 
 import math
 
 import pytest
 
+from conftest import extremum_roots
+
 from darboux3 import (
     ModelParams,
+    density_critical_points,
     effective_frequency,
     energy,
     entropy,
@@ -49,3 +53,22 @@ def test_momentum_entropy_shift(pair):
     assert shannon_numeric(params, n, "momentum") == pytest.approx(
         shannon_numeric(unit, n, "momentum") + half_log, abs=TOL
     )
+
+
+@pytest.mark.parametrize("omega", [0.4, 2.5, 7.0])
+def test_critical_points_scale(omega):
+    # 1e-13 relative, widened by the rounding widths of roots of E next to
+    # the splitting of the central maximum (lam / omega = 1 at omega = 0.4)
+    root = math.sqrt(omega)
+    for n in range(31):
+        for lam in (0.0, 0.05, 0.4, 3.0, 40.0):
+            params, unit = ModelParams(omega, lam), ModelParams(1.0, lam / omega)
+            got = density_critical_points(params, n, numeric=True)
+            want = density_critical_points(unit, n, numeric=True)
+            assert [c.kind for c in got] == [c.kind for c in want], (n, lam)
+            width = dict(zip(*extremum_roots(params, n)))
+            unit_width = dict(zip(*extremum_roots(unit, n)))
+            for c, d in zip(got, want):
+                tol = 1e-13 * abs(c.x) + width.get(abs(c.x), 0.0)
+                tol += unit_width.get(abs(d.x), 0.0) / root
+                assert abs(c.x - d.x / root) <= tol, (n, lam, c, d)

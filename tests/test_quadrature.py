@@ -542,8 +542,9 @@ class TestTransformKernel:
             momentum_profile(deformed, 3)
         finally:
             quadrature._profile_cached.cache_clear()
-        assert callers[0] == "_transform_zeros" and callers[-1] == "_profile_cached"
-        assert set(callers) == {"_transform_zeros", "_profile_cached"}
+        # g_slope_bound: the function _transform_zeros hands to bracketed_newton
+        assert callers[0] == "g_slope_bound" and callers[-1] == "_profile_cached"
+        assert set(callers) == {"g_slope_bound", "_profile_cached"}
         for grid in (None, GridSpec(14.0, 1024)):
             callers.clear()
             fourier_transform(deformed, 3, grid, np.array([0.0, 1.5]))

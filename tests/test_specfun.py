@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from darboux3 import ModelParams, density_position, wavefunction
 from darboux3.position_entropy import _poch_frac
 from darboux3.specfun import (
-    bisect_sign_change,
+    bracketed_newton,
     dawson_vec,
     hermite,
     hermite_pair_scaled,
@@ -192,38 +192,63 @@ class TestHermiteZeros:
         assert np.all(below * above < 0.0)
 
 
-class TestBisectSignChange:
-    def test_converges_to_rounding(self):
-        root = bisect_sign_change(np.cos, [0.0], [3.0], [1.0])
-        assert root.shape == (1,)
-        assert root[0] == reference_bisect(math.cos, 0.0, 3.0, 1.0)
-        assert root[0] == pytest.approx(math.pi / 2.0, abs=2e-15)
+def _cos_with_bound(calls):
+    """cos, its derivative and a rounding bound, counting calls: a float z
+    is within eps |z| / 2 of the root, so |cos z| may be as large."""
 
-    def test_exact_zero_at_midpoint(self):
+    def f(z):
+        calls.append(len(z))
+        return np.cos(z), -np.sin(z), np.finfo(float).eps * np.maximum(np.abs(z), 1.0)
+
+    return f
+
+
+class TestBracketedNewton:
+    def test_cos_on_0_3(self):
+        calls = []
+        f = _cos_with_bound(calls)
+        root = bracketed_newton(f, [0.0], [3.0], [1.0], [math.cos(3.0)], 8, "roots")
+        assert root.shape == (1,)
+        assert root[0] == pytest.approx(math.pi / 2.0, abs=2.3e-16)
+        assert len(calls) <= 5
+
+    def test_exact_zero_at_the_start_point(self):
         calls = []
 
         def f(x):
             calls.append(x.tolist())
-            return x - 1.0
+            return x - 1.0, np.ones_like(x), 0.0
 
-        assert bisect_sign_change(f, [0.0], [2.0], [-1.0]).tolist() == [1.0]
+        # the regula falsi point of [0, 2] is the root 1 itself
+        assert bracketed_newton(f, [0.0], [2.0], [-1.0], [1.0], 8, "roots").tolist() == [1.0]
         assert calls == [[1.0]]
 
     def test_array_of_brackets(self):
-        a = np.array([0.0, 3.0, 6.0, 0.0])
+        a = np.array([0.0, 3.0, 6.0, 1.0])
         b = np.array([3.0, 6.0, 9.0, 2.0])
-        sizes = []
+        calls = []
+        roots = bracketed_newton(_cos_with_bound(calls), a, b, np.cos(a), np.cos(b), 8, "roots")
+        want = np.array([0.5, 1.5, 2.5, 0.5]) * math.pi
+        assert np.max(np.abs(roots - want)) <= 8.9e-16
+        for i in range(4):  # the scalar bisection finds the same roots
+            bisected = reference_bisect(math.cos, a[i], b[i], math.cos(a[i]))
+            assert roots[i] == pytest.approx(bisected, rel=1e-15)
+        assert set(calls) == {4}  # one call per step, on every bracket
 
-        def f(x):
-            sizes.append(len(x))
-            return np.where(x == 1.0, 0.0, np.cos(x))
+    def test_budget_spent_raises(self):
+        calls = []
+        f = _cos_with_bound(calls)
+        exact = lambda z: f(z)[:2] + (0.0,)  # cos has no float zero
+        message = "^1 of 1 zeros of cos did not reach .* in 2 calls$"
+        with pytest.raises(ArithmeticError, match=message):
+            bracketed_newton(exact, [0.0], [3.0], [1.0], [math.cos(3.0)], 2, "zeros of cos")
+        assert len(calls) == 2
 
-        roots = bisect_sign_change(f, a, b, np.cos(a))
-        for i in range(3):
-            assert roots[i] == reference_bisect(math.cos, a[i], b[i], math.cos(a[i]))
-        assert roots[3] == 1.0  # exact zero at the first midpoint
-        assert sizes[0] == 4 and sizes[1] == 3
-        assert sizes == sorted(sizes, reverse=True)
+    def test_no_brackets_no_calls(self):
+        calls = []
+        empty = np.array([])
+        roots = bracketed_newton(_cos_with_bound(calls), empty, empty, empty, empty, 8, "roots")
+        assert roots.shape == (0,) and calls == []
 
 
 class TestDawson:

@@ -19,7 +19,14 @@ from darboux3 import (
 )
 from darboux3 import strong_nonlinear
 from darboux3.specfun import hermite, hermite_zeros
-from conftest import gauss_tail_nodes, gauss_tail_quad, phi_transform_exact, published_g_series
+from conftest import (
+    extremum_roots,
+    gauss_tail_nodes,
+    gauss_tail_quad,
+    phi_transform_exact,
+    published_g_series,
+    reference_bisect,
+)
 
 
 def _phi_transform_reference(params, n, ps):
@@ -352,6 +359,83 @@ class TestCriticalPointKinds:
         assert _richardson_curvature(omega, lam_c * (1.0 + 1e-6), n) > 0.0
 
 
+def _extremum_mp(omega, lam, n, x):
+    """E(x) of the module docstring at 40 digits, Omega included."""
+    with mp.workdps(40):
+        m = mp.mpf(n) + mp.mpf(1) / 2
+        lam_m, omega_m, x = mp.mpf(lam), mp.mpf(omega), mp.mpf(x)
+        om = omega_m**2 / (mp.sqrt((lam_m * m) ** 2 + omega_m**2) + lam_m * m)
+        s = mp.sqrt(om)
+        h_nm1 = mp.hermite(n - 1, s * x) if n else 0
+        return 4 * n * s * (lam_m * x * x + 1) * h_nm1 - 2 * x * (
+            lam_m * (om * x * x - 1) + om
+        ) * mp.hermite(n, s * x)
+
+
+class TestCriticalPointRefinement:
+    """The roots of E from bracketed Newton steps (strong_nonlinear module
+    docstring) against 40-digit roots, the rounding bound and the bisection
+    the package ran before."""
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 30.0, 1000.0])
+    @pytest.mark.parametrize("n", [1, 5, 15, 30, 60])
+    def test_roots_and_bound_against_mpmath(self, n, lam, omega):
+        params = ModelParams(omega, lam)
+        roots, width = extremum_roots(params, n)
+        assert len(roots)
+        e, _, bound = strong_nonlinear._extremum_function(params, n, roots, newton=True)
+        _, _, scale = strong_nonlinear.hermite_pair_scaled(
+            n, math.sqrt(effective_frequency(params, n)) * roots
+        )
+        for x, w, e_x, b_x, k in zip(roots, width, e, bound, scale.tolist()):
+            with mp.workdps(40):
+                r = mp.findroot(lambda t: _extremum_mp(omega, lam, n, t), mp.mpf(x), verify=False)
+                exact = _extremum_mp(omega, lam, n, x) * mp.ldexp(1, -k)
+            # 1e-13 relative, or the root's rounding width near the splitting
+            assert abs(float(r) - x) <= max(1e-13 * x, w), (x, float(r))
+            # E's float error at the float root, the rounding of Omega included
+            assert abs(float(exact - e_x)) <= b_x, (x, e_x, float(exact), b_x)
+
+    def test_sweep_converges_within_budget(self, monkeypatch):
+        # past the budget the refinement raises; every case here takes at
+        # most 6 of its 8 calls of E
+        calls = []
+        newton = strong_nonlinear.bracketed_newton
+
+        def counted(f, *args):
+            calls.append(0)
+
+            def f_counted(z):
+                calls[-1] += 1
+                return f(z)
+
+            return newton(f_counted, *args)
+
+        monkeypatch.setattr(strong_nonlinear, "bracketed_newton", counted)
+        for omega in (1.0, 0.37, 2.5):
+            for lam in (0.01, 0.4, 1.0, 10.0, 1000.0):
+                for n in range(61):
+                    density_critical_points(ModelParams(omega, lam), n, numeric=True)
+        assert len(calls) == 3 * 5 * 61 and max(calls) <= 6
+
+    def test_spent_budget_names_the_critical_points(self, monkeypatch):
+        monkeypatch.setattr(strong_nonlinear, "_ROOT_CALLS", 1)
+        with pytest.raises(ArithmeticError, match="density critical points did not reach"):
+            density_critical_points(ModelParams(1.0, 1.0), 5, numeric=True)
+
+    @pytest.mark.parametrize("lam", [0.05, 1.0, 30.0])
+    def test_agrees_with_reference_bisect(self, lam):
+        for n in (1, 4, 9, 20, 40):
+            params = ModelParams(1.0, lam)
+            roots, width = extremum_roots(params, n)
+            e = lambda t: float(strong_nonlinear._extremum_function(params, n, np.array([t]))[0][0])
+            for x, w in zip(roots, width):
+                a, b = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
+                assert e(a) * e(b) < 0.0
+                assert abs(reference_bisect(e, a, b, e(a)) - x) <= max(1e-13 * x, w), (n, x)
+
+
 class TestThresholds:
     def test_n0(self):
         assert bifurcation_threshold(ModelParams(1.0, 0.0), 0) == pytest.approx(
@@ -396,9 +480,19 @@ class TestThresholds:
         with pytest.raises(ArithmeticError, match="residual check"):
             bifurcation_threshold(ModelParams(omega, 0.0), n)
 
-    @pytest.mark.parametrize("omega, n", [(1e308, 2), (1e-310, 0), (2e-308, 2)])
+    @pytest.mark.parametrize("omega, n", [(1e-310, 0), (2e-308, 2)])
     def test_closed_form_outside_normal_range_is_a_numeric_failure(self, omega, n):
-        # 5 omega / sqrt(26) overflows; omega / sqrt(2) and 5 omega / sqrt(26)
-        # are subnormal there, so not to full precision
+        # omega / sqrt(2) and 5 omega / sqrt(26) are subnormal there, so not
+        # to full precision
         with pytest.raises(ArithmeticError, match="normal-range"):
             bifurcation_threshold(ModelParams(omega, 0.0), n)
+
+    def test_no_overflow_at_the_largest_omega(self):
+        # 5 omega overflows from omega ~ 3.6e307 on; the power-of-two
+        # prescale keeps every bit of 5 omega / sqrt(26) where it did not
+        big = np.finfo(float).max
+        lam_c = bifurcation_threshold(ModelParams(big, 0.0), 2)
+        assert lam_c == pytest.approx(big * (5.0 / math.sqrt(26.0)), rel=5e-16)
+        for omega in 10.0 ** np.linspace(0.0, 307.0, 401):
+            want = 5.0 * omega / math.sqrt(26.0)
+            assert bifurcation_threshold(ModelParams(float(omega), 0.0), 2) == want

@@ -14,7 +14,8 @@ codes agree, so comparing the outputs of
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_digest.py > old.txt
 
 with ``diff`` lists every command line whose output moved.  The whole list
-takes a few seconds on one core.
+takes a few seconds on one core.  ``tests/cli_digest.txt`` is this output
+under a header, and the test suite diffs the live digest against it.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def _argvs() -> list[str]:
         "energy -h",
         # numeric failures (exit 3)
         "renyi --space momentum --alpha 2 --lambda 0.4 --n 0 --grid-points 64 --half-width 2",
+        # the largest omega decade, where 5 omega would overflow
         "threshold --omega 1e308 --n 0,2",
         "threshold --omega 1e308 --n 2",
     ]
