@@ -64,7 +64,7 @@ __all__ = [
 #: Guards against absurd inputs; the estimate, with M = floor(n/2), is
 #: (2 alpha M + 1)^2 2 alpha + (j_max + 1)(j_max + 2 alpha M + 1) units,
 #: with j_max = alpha for the moment polynomial.
-DEFAULT_TERM_BUDGET = 10**8
+_TERM_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
@@ -116,15 +116,15 @@ def _log_of_fraction(q: Fraction) -> float:
     return math.log(m) + e * math.log(2.0)
 
 
-def _check_budget(n: int, alpha: int, j_max: int, budget: int) -> None:
-    """Raise :class:`BudgetExceededError` when the work estimate (see
-    ``DEFAULT_TERM_BUDGET``) exceeds ``budget``."""
+def _check_budget(n: int, alpha: int, j_max: int) -> None:
+    """Raise :class:`BudgetExceededError` when the work estimate exceeds
+    ``_TERM_BUDGET``."""
     conv_len = 2 * alpha * (n // 2) + 1
     work = conv_len * conv_len * 2 * alpha + (j_max + 1) * (j_max + conv_len)
-    if work > budget:
+    if work > _TERM_BUDGET:
         raise BudgetExceededError(
             f"coefficient evaluation for n={n}, alpha={alpha}, j_max={j_max} "
-            f"needs ~{work} work units, budget is {budget}"
+            f"needs ~{work} work units, budget is {_TERM_BUDGET}"
         )
 
 
@@ -148,8 +148,8 @@ def _hermite_power(n: int, alpha: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=512)
-def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionCoefficients:
-    _check_budget(n, alpha, j_max, budget)
+def _expansion_cached(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
+    _check_budget(n, alpha, j_max)
     nu = parity_nu(n)
     q = _hermite_power(n, alpha)
     top = alpha * n
@@ -169,9 +169,7 @@ def _expansion_cached(n: int, alpha: int, j_max: int, budget: int) -> ExpansionC
     return ExpansionCoefficients(n=n, alpha=alpha, nu=nu, A=big_a, c_exact=tuple(c_exact))
 
 
-def expansion_coefficients(
-    n: int, alpha: int, j_max: int, *, budget: int = DEFAULT_TERM_BUDGET
-) -> ExpansionCoefficients:
+def expansion_coefficients(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
     """Coefficients c_0..c_(j_max) and prefactor A of the Hermite-power
     expansion of H_n^(2 alpha).
 
@@ -183,13 +181,13 @@ def expansion_coefficients(
         raise ValueError("quantum number must be non-negative")
     if j_max < 0:
         raise ValueError("j_max must be non-negative")
-    return _expansion_cached(n, _check_alpha_int(alpha), int(j_max), int(budget))
+    return _expansion_cached(n, _check_alpha_int(alpha), int(j_max))
 
 
 @lru_cache(maxsize=512)
 def _moment_polynomial(n: int, alpha: int) -> tuple[Fraction, ...]:
     """Exact coefficients P_0..P_alpha of the moment polynomial in r."""
-    _check_budget(n, alpha, alpha, DEFAULT_TERM_BUDGET)
+    _check_budget(n, alpha, alpha)
     q = _hermite_power(n, alpha)
     top = alpha * n + alpha  # largest m + k
     # 2^top alpha^(alpha n) (1/2)_(m+k) alpha^(-m)

@@ -56,7 +56,7 @@ Poisson summation its error at p is the transform at the first alias
 2 pi / h - p, and h puts that alias beyond the momentum where the
 transform is below rounding.  On these nodes the kernel sums at the
 momenta k dp, dp = 2 pi / (M h), are one real FFT of the weighted
-wavefunction folded modulo M; the profile's zero scan is that FFT.
+wavefunction zero-padded to M; the profile's zero scan is that FFT.
 
 Truncation
 ----------
@@ -134,8 +134,11 @@ def _panel_grid(bounds, counts, cusps=()):
     equal pieces with edges i ((B - A) / k) + A and the last edge B, as
     ``np.linspace`` places them.  The first piece of a segment that starts
     at one of the ``cusps`` gets the cubic endpoint map x = a + h u^3, the
-    last piece of one that ends at a cusp x = b - h u^3; a single piece
-    with cusps at both ends keeps the map at a.
+    last piece of one that ends at a cusp x = b - h u^3.  A piece maps one
+    end only, so callers give a segment between two cusps two pieces at
+    least: position panels are at most a quarter of the Hermite zero
+    spacing, at least pi / sqrt(2n + 1) (Sturm comparison), and
+    :func:`_profile_cached` splits such a momentum segment.
     """
     bounds = np.asarray(bounds, dtype=float)
     counts = np.asarray(counts).astype(np.intp)
@@ -149,7 +152,7 @@ def _panel_grid(bounds, counts, cusps=()):
     # np.isin(bounds, cusps), without its set-up cost on a few points
     cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
     at_a = first[cusp[:-1]]
-    at_b = last[cusp[1:] & ~(cusp[:-1] & (counts == 1))]  # map at a wins
+    at_b = last[cusp[1:]]
     u, wu = _gl_unit(_ORDER)
     h = (hi - lo)[:, None]
     x = lo[:, None] + h * u
@@ -398,16 +401,17 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     momenta p_k = k dp, 0 <= k <= ceil(p_max / dp), with dp <= ``step``.
 
     With dp = 2 pi / (M h) the phase p_k x_j = 2 pi k j / M is periodic in
-    j and in k with period M, so ``fw`` folded modulo M and one real FFT
-    give every sum exactly: the real part for cos, minus the imaginary part
-    for sin (negated again for k mod M past M / 2).
+    k with period M, so one real FFT of ``fw`` zero-padded to M gives every
+    sum exactly: the real part for cos, minus the imaginary part for sin
+    (negated again for k mod M past M / 2).  ``fw`` must hold at most M
+    nodes; a profile's N nodes span N h ~ L and M >= 2 pi / (h step), so
+    N / M <= N h step / (2 pi), below 0.1 over omega in [1e-3, 1e4],
+    lam / omega in [0, 1e4], n <= 100 and refine <= 4.
     """
     m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()  # FFT-friendly
     dp = 2.0 * math.pi / (m * h)
     p_index = np.arange(int(math.ceil(p_max / dp)) + 1)
-    if len(fw) > m:
-        fw = np.pad(fw, (0, -len(fw) % m)).reshape(-1, m).sum(axis=0)
-    f = np.fft.rfft(fw, m)  # zero-pads a shorter fw to M
+    f = np.fft.rfft(fw, m)  # zero-pads fw to M
     k = p_index % m
     r = np.minimum(k, m - k)
     if n % 2 == 0:
@@ -552,11 +556,13 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     tail_edges = [
         e for a, b in zip(tail[:-1], tail[1:]) for e in _grow_split(a, b, 2.0 * width, 1.35)[1:]
     ]
-    p_nodes, p_w = _panel_grid(
-        np.concatenate([bulk, tail_edges]),
-        np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))]),
-        zeros if n % 2 == 0 else np.append(zeros, 0.0),
-    )
+    bounds = np.concatenate([bulk, tail_edges])
+    counts = np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))])
+    cusps = zeros if n % 2 == 0 else np.append(zeros, 0.0)
+    # zeros closer than a panel width (from n = 24 at lam = 0) get two panels
+    at_cusp = (bounds[:, None] == cusps).any(axis=1)
+    counts = np.maximum(counts, 1 + (at_cusp[:-1] & at_cusp[1:]))
+    p_nodes, p_w = _panel_grid(bounds, counts, cusps)
     g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, p_nodes)
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .model import ModelParams, effective_frequency, energy
@@ -31,11 +32,14 @@ __all__ = ["TABLE_IDS", "CellCheck", "TableReport", "load_reference", "verify_ta
 class CellCheck:
     row: str
     col: str
-    reference: float
     reference_text: str
     computed: float
     tolerance: float
     gating: bool
+
+    @property
+    def reference(self) -> float:
+        return float(self.reference_text)
 
     @property
     def passed(self) -> bool:
@@ -44,7 +48,6 @@ class CellCheck:
 
 @dataclass(frozen=True)
 class TableReport:
-    table_id: str
     cells: list[CellCheck]
 
     @property
@@ -65,65 +68,48 @@ def _ulp_tolerance(text: str) -> float:
     return 1.5 * 10.0 ** (-decimals)
 
 
-def _entropy_cell(kind: str, space: str, lam: float):
-    return lambda n, alpha: entropy(ModelParams(1.0, lam), int(n), alpha, space, kind)
+def _lambda_rows(level):
+    """compute(lam, n) of a table with lambda rows and level columns."""
+    return lambda lam, n: level(ModelParams(1.0, float(lam)), int(n))
 
 
-def _xi_cell(kind: str, lam: float):
-    def compute(n: float, alpha: float) -> float:
-        params = ModelParams(1.0, lam)
-        fn = xi_renyi if kind == "renyi" else xi_tsallis
-        return fn(params, int(n), alpha).value
-
-    return compute
+def _order_columns(lam: float, moment):
+    """compute(n, alpha) of a table at one lambda, level rows, order columns."""
+    return lambda n, alpha: moment(ModelParams(1.0, lam), int(n), float(alpha))
 
 
-def _sweep_cell(lam: float, column: str) -> float:
+def _slack(fn):
+    return lambda params, n, alpha: fn(params, n, alpha).value
+
+
+def _sweep_cell(lam: str, column: str) -> float:
     kind, level = column.split("_n")  # e.g. "renyi_n0"
-    return entropy(ModelParams(1.0, lam), int(level), 2.0, "momentum", kind)
-
-
-_GATE_EDGE_ALPHAS = (0.5, 2.0)
+    return entropy(ModelParams(1.0, float(lam)), int(level), 2.0, "momentum", kind)
 
 
 @dataclass(frozen=True)
 class _TableDef:
     filename: str
-    compute: object  # compute(row_value, col_value_or_name) -> float
-    fixed_tolerance: float | None = None
-    gate_columns: tuple | None = None  # None: all columns gate
-    gating: bool = True
-    columns_are_names: bool = False
+    compute: object  # compute(row label, column label) -> float, labels as printed
+    fixed_tolerance: float | None = None  # None: 1.5 units in the last printed digit
+    gate_columns: tuple | None = None  # labels of the gating columns; None: all
 
 
 def _defs() -> dict[str, _TableDef]:
     defs: dict[str, _TableDef] = {
-        "energy": _TableDef(
-            "energy.csv",
-            lambda lam, n: energy(ModelParams(1.0, lam), int(n)),
-            fixed_tolerance=1e-5,
-        ),
-        "omega": _TableDef(
-            "omega.csv",
-            lambda lam, n: effective_frequency(ModelParams(1.0, lam), int(n)),
-            fixed_tolerance=1e-5,
-        ),
-        "mom_vs_lambda": _TableDef(
-            "momentum_vs_lambda.csv",
-            _sweep_cell,
-            fixed_tolerance=1e-4,
-            columns_are_names=True,
-        ),
+        "energy": _TableDef("energy.csv", _lambda_rows(energy), 1e-5),
+        "omega": _TableDef("omega.csv", _lambda_rows(effective_frequency), 1e-5),
+        "mom_vs_lambda": _TableDef("momentum_vs_lambda.csv", _sweep_cell, 1e-4),
         "xi_vs_lambda_a": _TableDef(
             "xi_renyi_vs_lambda.csv",
-            lambda lam, n: xi_renyi(ModelParams(1.0, lam), int(n), 2.0).value,
-            fixed_tolerance=1e-5,
+            _lambda_rows(lambda params, n: xi_renyi(params, n, 2.0).value),
+            1e-5,
         ),
         "xi_vs_lambda_b": _TableDef(
             "xi_vs_lambda_b.csv",
-            lambda lam, n: xi_tsallis(ModelParams(1.0, lam), int(n), 2.0 / 3.0).value,
-            fixed_tolerance=1e-5,
-            gating=False,
+            _lambda_rows(lambda params, n: xi_tsallis(params, n, 2.0 / 3.0).value),
+            1e-5,
+            gate_columns=(),
         ),
     }
     for kind in ("renyi", "tsallis"):
@@ -132,15 +118,15 @@ def _defs() -> dict[str, _TableDef]:
                 system = "harmonic" if suffix == "h" else "darboux"
                 defs[f"{kind}_{tag}_{suffix}"] = _TableDef(
                     f"{kind}_{tag}_{system}.csv",
-                    _entropy_cell(kind, space, lam),
-                    fixed_tolerance=1.5e-3,
-                    gate_columns=_GATE_EDGE_ALPHAS,
+                    _order_columns(lam, partial(entropy, space=space, kind=kind)),
+                    1.5e-3,
+                    gate_columns=("0.5", "2"),
                 )
-    for kind in ("renyi", "tsallis"):
+    for kind, fn in (("renyi", xi_renyi), ("tsallis", xi_tsallis)):
         for suffix, lam in (("h", 0.0), ("d", 0.4)):
             system = "harmonic" if suffix == "h" else "darboux"
             defs[f"xi_{kind}_{suffix}"] = _TableDef(
-                f"xi_{kind}_{system}.csv", _xi_cell(kind, lam)
+                f"xi_{kind}_{system}.csv", _order_columns(lam, _slack(fn))
             )
     return defs
 
@@ -153,16 +139,8 @@ def load_reference(table_id: str):
     """(column labels, rows) of the packaged reference CSV; cells as text."""
     spec = _TABLES[table_id]
     path = resources.files("darboux3").joinpath("reference", spec.filename)
-    header = None
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if header is None:
-            header = cells
-        else:
-            rows.append(cells)
+    lines = [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines]
     return header, rows
 
 
@@ -174,28 +152,21 @@ def verify_table(table_id: str, tolerance_override: float | None = None) -> Tabl
     header, rows = load_reference(table_id)
     cells: list[CellCheck] = []
     for row in rows:
-        row_val = float(row[0])
-        for col_name, text in zip(header[1:], row[1:]):
-            col = col_name if spec.columns_are_names else float(col_name)
-            computed = spec.compute(row_val, col)
+        for col, text in zip(header[1:], row[1:]):
             if tolerance_override is not None:
                 tol = tolerance_override
             elif spec.fixed_tolerance is not None:
                 tol = spec.fixed_tolerance
             else:
                 tol = _ulp_tolerance(text)
-            gating = spec.gating and (
-                spec.gate_columns is None or float(col_name) in spec.gate_columns
-            )
             cells.append(
                 CellCheck(
                     row=row[0],
-                    col=col_name,
-                    reference=float(text),
+                    col=col,
                     reference_text=text,
-                    computed=computed,
+                    computed=spec.compute(row[0], col),
                     tolerance=tol,
-                    gating=gating,
+                    gating=spec.gate_columns is None or col in spec.gate_columns,
                 )
             )
-    return TableReport(table_id=table_id, cells=cells)
+    return TableReport(cells=cells)

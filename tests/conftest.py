@@ -177,9 +177,10 @@ def reference_panel_nodes(panels, order=16):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def reference_split(a, b, width):
-    """Equal pieces of [a, b], each at most ``width`` wide."""
-    k = max(1, int(math.ceil((b - a) / width)))
+def reference_split(a, b, width, pieces=1):
+    """Equal pieces of [a, b], each at most ``width`` wide, and at least
+    ``pieces`` of them."""
+    k = max(pieces, int(math.ceil((b - a) / width)))
     edges = np.linspace(a, b, k + 1)
     return list(zip(edges[:-1], edges[1:]))
 
@@ -187,7 +188,7 @@ def reference_split(a, b, width):
 def reference_segment_panels(boundaries, split, cusp_points):
     """Subdivide [boundaries] into the panels ``split(a, b)`` returns for
     each segment; panels whose endpoint is a cusp get the cubic map on
-    that side."""
+    that side (a panel maps one end only, so none may touch two cusps)."""
     panels = []
     cusps = set(float(c) for c in cusp_points)
     for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -197,7 +198,8 @@ def reference_segment_panels(boundaries, split, cusp_points):
             if i == 0 and float(a) in cusps:
                 m = -1
             if i == len(pieces) - 1 and float(b) in cusps:
-                m = +1 if m == 0 else m  # single-piece segment: map at a wins
+                assert m == 0, f"panel [{pa}, {pb}] touches a cusp at both ends"
+                m = +1
             panels.append((pa, pb, m))
     return panels
 
@@ -306,20 +308,49 @@ def reference_profile_nodes(params, n, refine=1):
     p_feat = _momentum_tail_start(params, n)
     zeros = _transform_zeros(n, origins, offsets, fw, L_p, p_feat)
     width = 0.45 * math.sqrt(om) / refine
+    cusps = zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]])
+
+    def pieces(a, b):  # a segment between two cusps takes two panels at least
+        return 2 if a in cusps and b in cusps else 1
+
     bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
     panels = reference_segment_panels(
-        bounds,
-        lambda a, b: reference_split(a, b, width),
-        zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]]),
+        bounds, lambda a, b: reference_split(a, b, width, pieces(a, b)), cusps
     )
     tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
 
     def grow(a, b):
         edges = _grow_split(a, b, 2.0 * width, 1.35)
+        if len(edges) < pieces(a, b) + 1:
+            edges = np.linspace(a, b, 3)
         return list(zip(edges[:-1], edges[1:]))
 
-    panels += reference_segment_panels(tail_bounds, grow, zeros)
+    panels += reference_segment_panels(tail_bounds, grow, cusps)
     return reference_panel_nodes(panels)
+
+
+def scan_size(params, n, refine=1):
+    """(padded node count N, FFT length M) of a momentum profile's zero
+    scan, from the layout rules of ``_ft_x_nodes``, ``_transform_zeros`` and
+    ``_fft_scan``, without building the lattice."""
+    from darboux3.quadrature import (
+        _gaussian_cut,
+        _momentum_cut,
+        _momentum_tail_start,
+        position_half_width,
+    )
+
+    om = effective_frequency(params, n)
+    L_p = _momentum_cut(params, n)
+    L = position_half_width(params, n, 1.0, tail_log=88.0)
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
+    h = 2.0 * math.pi / ((band + L_p) * refine)
+    count = int(math.ceil(L / h)) + 1
+    b = math.isqrt(count - 1) + 1
+    p_feat = _momentum_tail_start(params, n)
+    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
+    m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
+    return -(-count // b) * b, m
 
 
 # --------------------------------------------------------------------------

@@ -166,8 +166,9 @@ class TestExpansionCoefficients:
         assert all(c == 0 for c in co.c_exact[9:])
 
     def test_budget_guard(self):
+        # 2.5e8 work units against the budget of 1e8, rejected before any work
         with pytest.raises(BudgetExceededError):
-            expansion_coefficients(20, 3, 60, budget=10)
+            expansion_coefficients(1000, 5, 5)
 
     def test_cache_transparency(self):
         a = expansion_coefficients(5, 2, 7)

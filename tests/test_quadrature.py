@@ -43,6 +43,7 @@ from conftest import (
     reference_profile_nodes,
     reference_segment_panels,
     reference_split,
+    scan_size,
 )
 
 TABLE_ALPHAS = (0.5, 4.0 / 7.0, 2.0 / 3.0, 0.8, 1.25, 1.5, 1.75, 2.0)
@@ -88,6 +89,19 @@ PROFILE_PAIRS = [
 ]
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of ``quadrature.<name>``."""
+    calls = []
+    original = getattr(quadrature, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quadrature, name, spy)
+    return calls
+
+
 def _assert_same(got, want):
     assert len(got) == len(want) == 2
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -96,11 +110,11 @@ def _assert_same(got, want):
 class TestPanelGrid:
     """The array-built panels reproduce the per-panel layout bit for bit."""
 
-    @pytest.mark.parametrize("cusps", [[0.0, 1.0, 1.5], [1.5], [0.0, 3.0]])
+    @pytest.mark.parametrize("cusps", [[0.0, 2.0, 4.0], [2.5], [0.0, 2.5]])
     def test_cusp_maps(self, cusps):
-        # [0, 1] and [1, 1.5] are single pieces: with cusps at both ends the
-        # map goes at a; [1.5, 3] is two pieces, one map at each cusp end
-        bounds = np.array([0.0, 1.0, 1.5, 3.0])
+        # [2, 2.5] is a single piece with a cusp at one end at most; [0, 2]
+        # and [2.5, 4] are two pieces, one map at each cusp end
+        bounds = np.array([0.0, 2.0, 2.5, 4.0])
         want = reference_panel_nodes(
             reference_segment_panels(bounds, lambda a, b: reference_split(a, b, 1.0), cusps)
         )
@@ -169,6 +183,39 @@ class TestPanelGrid:
                 phi = strong_nonlinear.approx_wavefunction(params, n, x)
                 tol = 4e-16 * (L / width) * np.max(np.abs(w * phi))
                 assert np.max(np.abs(fw.ravel() - w * phi)) <= tol
+
+
+def _has_double_cusp_piece(bounds, counts, cusps=()):
+    """Whether a ``_panel_grid`` layout has a one-piece segment with a cusp
+    at both ends."""
+    at_cusp = np.isin(bounds, cusps)
+    return bool(np.any((np.asarray(counts) == 1) & at_cusp[:-1] & at_cusp[1:]))
+
+
+class TestCuspLayout:
+    """A panel maps one end only, so no panel touches a cusp at both ends."""
+
+    def test_position_layout(self, monkeypatch):
+        # Hermite zeros lie at least pi / sqrt(2n + 1) apart: four panels or more
+        grids = _spy(monkeypatch, "_panel_grid")
+        for n in range(61):
+            quadrature._position_bulk.cache_clear()
+            for alpha in (0.3, 1.0, 2.197, 3.5):
+                for lam in (0.0, 0.4, 30.0, 1000.0):
+                    for refine in (1, 2):
+                        quadrature._position_log_density(ModelParams(1.0, lam), n, alpha, refine)
+        assert len(grids) == 61 * 4 * 4 * 2
+        assert not any(_has_double_cusp_piece(*args) for args in grids)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 0.4, 3.0])
+    def test_momentum_layout(self, monkeypatch, lam):
+        # from n = 24 at lam = 0 some zeros lie closer than a panel width
+        grids = _spy(monkeypatch, "_panel_grid")
+        quadrature._profile_cached.cache_clear()
+        for n in range(51):
+            momentum_profile(ModelParams(1.0, lam), n)
+        assert len(grids) == 51
+        assert not any(_has_double_cusp_piece(*args) for args in grids)
 
 
 class TestMomentNumeric:
@@ -241,24 +288,12 @@ class TestScaledPosition:
                 want = reference_position_shannon(params, n, refine)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @staticmethod
-    def _spy(monkeypatch, name):
-        calls = []
-        original = getattr(quadrature, name)
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(quadrature, name, spy)
-        return calls
-
     @pytest.mark.parametrize("n", [0, 3, 30])
     def test_sweep_evaluates_bulk_once(self, monkeypatch, n):
         # a 16-lambda sweep: the first call evaluates H_n on the whole half
         # line, the others on their tail [z_last, sqrt(Omega) L] only
         quadrature._position_bulk.cache_clear()
-        hermite = self._spy(monkeypatch, "hermite_sign_logabs")
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
         z_last = float(hermite_zeros(n)[-1]) if n else 0.0
         for lam in np.linspace(0.0, 7.0, 16):
             params = ModelParams(1.0, float(lam))
@@ -273,8 +308,8 @@ class TestScaledPosition:
 
     def test_miss_builds_one_grid(self, monkeypatch):
         quadrature._position_bulk.cache_clear()
-        grids = self._spy(monkeypatch, "_panel_grid")
-        hermite = self._spy(monkeypatch, "hermite_sign_logabs")
+        grids = _spy(monkeypatch, "_panel_grid")
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
         params = ModelParams(1.0, 0.4)
         y, _, _ = quadrature._position_log_density(params, 7, 2.5, 1)
         assert len(grids) == len(hermite) == 1
@@ -358,16 +393,47 @@ class TestFourierTransform:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fft_scan_is_the_kernel_sum(self, n):
-        # M = 16 here: 64 nodes fold four times, and the momenta run past
-        # M / 2 and past one period M; folding is exact in both
+        # M = 16 here: 9 nodes are zero-padded to M and 16 fill it, and the
+        # momenta run past M / 2 and past one period M
         rng = np.random.default_rng(7)
-        fw = rng.standard_normal(64)
         h, step = 0.05, 8.0
         p_max = 2.5 * 2.0 * np.pi / h
-        p, vals = _fft_scan(n, fw, h, p_max, step)
-        assert p[1] - p[0] <= step and p[-1] >= p_max
-        kernel = _ft_component(n, 8 * h * np.arange(8), h * np.arange(8), fw.reshape(8, 8), p)
-        assert np.max(np.abs(vals - kernel)) < 1e-11
+        for blocks in (3, 4):
+            fw = rng.standard_normal((blocks, blocks))
+            p, vals = _fft_scan(n, fw.ravel(), h, p_max, step)
+            assert p[1] - p[0] <= step and p[-1] >= p_max
+            lattice = blocks * h * np.arange(blocks), h * np.arange(blocks)
+            kernel = _ft_component(n, *lattice, fw, p)
+            assert np.max(np.abs(vals - kernel)) < 1e-11
+
+    def test_scan_nodes_fit_one_fft_length(self, monkeypatch):
+        # the scan zero-pads fw to M, so it needs padded N <= M: the oracle
+        # matches the live scan on small profiles, then sweeps the domain
+        sizes = []
+
+        def spy(n, fw, h, p_max, step):
+            p, vals = scan(n, fw, h, p_max, step)
+            sizes.append((len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h))))
+            return p, vals
+
+        scan = quadrature._fft_scan
+        monkeypatch.setattr(quadrature, "_fft_scan", spy)
+        quadrature._profile_cached.cache_clear()
+        cases = []
+        for om in (1e-3, 1.0, 1e4):
+            for lam, n in ((0.0, 3), (0.4, 20), (30.0, 1)):
+                for refine in (1, 2):
+                    cases.append((ModelParams(om, lam * om), n, refine))
+                    momentum_profile(*cases[-1])
+        assert sizes == [scan_size(*case) for case in cases]
+        worst = 0.0
+        for om in (1e-3, 0.03, 1.0, 31.6, 1e4):
+            for lam in [0.0] + [10.0 ** (k / 4) for k in range(-16, 17)]:
+                for n in range(101):
+                    for refine in (1, 2, 4):
+                        nodes, m = scan_size(ModelParams(om, lam * om), n, refine)
+                        worst = max(worst, nodes / m)
+        assert worst < 0.1
 
     @pytest.mark.parametrize("lam,n", [(0.4, 3), (10.0, 20), (100.0, 0), (100.0, 6)])
     def test_trapezoid_alias_bound(self, lam, n):
@@ -800,6 +866,25 @@ class TestSelfDuality:
                 r_pos = quadrature_entropy(harmonic, n, alpha, "position")
                 r_mom = quadrature_entropy(harmonic, n, alpha, "momentum")
                 assert abs(r_pos - r_mom) < 1e-9
+
+
+class TestCloseMomentumZeros:
+    """Past n = 23 the profile splits segments between close zeros in two."""
+
+    @pytest.mark.parametrize("n", [24, 25, 30, 40, 50])
+    def test_harmonic_against_closed_form(self, harmonic, n):
+        # self-duality: at omega = 1 the momentum density is the position one
+        for alpha in (2, 3):
+            got = entropic_moment_numeric(harmonic, n, alpha, "momentum")
+            assert got == pytest.approx(entropic_moment(harmonic, n, alpha), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("lam,n", [(0.4, 30), (3.0, 50)])
+    def test_orders_against_refined_panels(self, lam, n):
+        params = ModelParams(1.0, lam)
+        for alpha in (0.3, 0.8, 1.3, 1.8, 2.3, 2.8, 3.3):
+            got = entropic_moment_numeric(params, n, alpha, "momentum")
+            want = entropic_moment_numeric(params, n, alpha, "momentum", refine=4)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestLambdaLocalisation:

@@ -53,6 +53,8 @@ def _argvs() -> list[str]:
         "tsallis --space momentum --n 0,5 --lambda 0.4,9.57 --alpha 0.6,3",
         "moment --space momentum --n 0,1,6 --lambda 0.1,1,30 --alpha 1,2.5",
         "shannon --space momentum --n 0:3:1 --lambda 0,0.4,5",
+        # zeros closer than a panel width, from n = 24 at lam = 0
+        "renyi --space momentum --n 24,30,50 --lambda 0,0.4,10 --alpha 0.3,2,3",
         # slacks
         "xi-renyi --n 0:3:1 --lambda 0,0.05,0.4,2,30 --alpha 0.75,1.25,2",
         "xi-tsallis --n 0,2,6 --lambda 0,0.4,7 --alpha 0.6,0.8,1",
