@@ -18,14 +18,15 @@ m = n + 1/2, h_n the normalised harmonic function): lambda enters only
 through that rational factor and the cut, so the panels up to the last
 Hermite zero and h_n on them are computed once per (n, order class,
 refine) and every lambda of a sweep evaluates H_n on its tail alone
-(:func:`_position_log_density`).  In momentum space
-the zeros of the transform are located first: one FFT scan of a uniform
-momentum grid brackets them, and Newton's method, kept inside each bracket,
-refines all of them together (:func:`~darboux3.specfun.bracketed_newton`,
-which refines the density's critical points too), with g and g' from one
-kernel call per step (two or three calls at every tested profile).  The
-momentum panels are laid out the same way, and entropy integrals reuse the
-profile nodes directly with no interpolation.
+(:func:`_position_log_density`), whose panels grow geometrically past the
+last lobe of h_n, as the momentum tail's do.  In momentum space the zeros
+of the transform are located first: one FFT scan of a uniform momentum
+grid brackets them, and Newton's method, kept inside each bracket, refines
+all of them together (:func:`~darboux3.specfun.bracketed_newton`, which
+refines the density's critical points too), with g and g' from one kernel
+call per step (two or three calls at every tested profile).  The momentum
+panels are laid out the same way, and entropy integrals reuse the profile
+nodes directly with no interpolation.
 
 Fourier transform
 -----------------
@@ -104,6 +105,12 @@ _FT_CHUNK_BYTES = 4 * 2**20  # the kernel's arrays for one chunk of momenta
 _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 _ZERO_CALLS = 8  # kernel calls the zero refinement may make
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
+_GROW = 1.35  # width ratio of successive tail panels, in either space
+
+_GL_U, _GL_W = leggauss(_ORDER)
+_GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0  # Gauss-Legendre nodes/weights on [0, 1]
+_GL_U.setflags(write=False)
+_GL_W.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -118,13 +125,6 @@ class GridSpec:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
         if self.points < 32:
             raise ValueError(f"points must be at least 32, got {self.points}")
-
-
-@lru_cache(maxsize=8)
-def _gl_unit(order: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    x, w = leggauss(order)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _panel_grid(bounds, counts, cusps=()):
@@ -153,7 +153,7 @@ def _panel_grid(bounds, counts, cusps=()):
     cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
     at_a = first[cusp[:-1]]
     at_b = last[cusp[1:]]
-    u, wu = _gl_unit(_ORDER)
+    u, wu = _GL_U, _GL_W
     h = (hi - lo)[:, None]
     x = lo[:, None] + h * u
     w = h * wu
@@ -220,14 +220,24 @@ def _position_log_density(
     kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
     function, so ln rho_n = 2 ln N + ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2.
     The panels split at the positive Hermite zeros, each at most
-    min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and out to
-    sqrt(Omega) L with L the :func:`position_half_width`; every zero lies
-    inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.  So the
-    bulk [0, z_last] and its Hermite values depend only on n, max(alpha, 1),
-    whether alpha is fractional and ``refine``: :func:`_position_bulk`
-    keeps them.  The first call of a class builds and evaluates the whole
-    half line in one pass and keeps its bulk; every later call builds and
-    evaluates only the tail [z_last, sqrt(Omega) L].
+    width = min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and
+    run out to sqrt(Omega) L with L the :func:`position_half_width`; every
+    zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
+    So the bulk [0, z_last] and its Hermite values depend only on n,
+    max(alpha, 1), whether alpha is fractional and ``refine``:
+    :func:`_position_bulk` keeps them.  The first call of a class builds and
+    evaluates the whole half line in one pass and keeps its bulk; every
+    later call builds and evaluates only the tail [z_last, sqrt(Omega) L].
+
+    The tail has no zeros.  The last lobe of h_n ends within one Airy
+    length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
+    so the tail keeps equal pieces of width d <= width through
+    y_g = sqrt(2n + 1) + 1, and past y_g each piece is ``_GROW`` times the
+    one before it, as in the momentum tail.  Such a piece [a, a + w] has
+    a / w >= min(y_g / (_GROW d), 1 / (_GROW - 1)) > 2.1, so the branch
+    points +-i / sqrt(kappa) of (1 + kappa y^2)^alpha lie outside its
+    Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
+    whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
     om = effective_frequency(params, n)
     s = math.sqrt(om)
@@ -235,20 +245,24 @@ def _position_log_density(
     order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
     width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
+    z_last = float(zeros[-1]) if n else 0.0
+    d = (L - z_last) / math.ceil((L - z_last) / width)
+    y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
+    equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
+    tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
     # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
     cusps = zeros if fractional else ()
     bulk = _position_bulk(n, order, fractional, refine)
     if bulk:
-        z_last = float(zeros[-1]) if n else 0.0
-        y_t, w_t = _panel_grid([z_last, L], [math.ceil((L - z_last) / width)], cusps)
+        y_t, w_t = _panel_grid(tail, np.ones(len(tail) - 1), cusps)
         y, w = np.concatenate([bulk[0], y_t]), np.concatenate([bulk[1], w_t])
         log_h = np.concatenate([bulk[2], _log_hermite_gauss(n, y_t)])
     else:
-        bounds = np.concatenate([[0.0], zeros[n % 2 :], [L]])
-        counts = np.ceil(np.diff(bounds) / width)
-        y, w = _panel_grid(bounds, counts, cusps)
+        head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, the zeros up to z_last
+        counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
+        y, w = _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
         log_h = _log_hermite_gauss(n, y)
-        k = _ORDER * int(counts[:-1].sum())
+        k = len(y) - _ORDER * (len(tail) - 1)
         kept = [arr[:k].copy() for arr in (y, w, log_h)]
         for arr in kept:
             arr.setflags(write=False)
@@ -318,9 +332,8 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
 def _gl_blocks(a: float, b: float, panels: int):
     """``panels`` equal Gauss-Legendre panels on [a, b] as the lattice
     (origins, offsets, weights) of :func:`_ft_component`."""
-    u, wu = _gl_unit(_ORDER)
     width = (b - a) / panels
-    return a + width * np.arange(panels), width * u, np.tile(width * wu, (panels, 1))
+    return a + width * np.arange(panels), width * _GL_U, np.tile(width * _GL_W, (panels, 1))
 
 
 def _ft_component(n, origins: np.ndarray, offsets: np.ndarray, fw: np.ndarray, p: np.ndarray):
@@ -403,22 +416,23 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     With dp = 2 pi / (M h) the phase p_k x_j = 2 pi k j / M is periodic in
     k with period M, so one real FFT of ``fw`` zero-padded to M gives every
     sum exactly: the real part for cos, minus the imaginary part for sin
-    (negated again for k mod M past M / 2).  ``fw`` must hold at most M
-    nodes; a profile's N nodes span N h ~ L and M >= 2 pi / (h step), so
-    N / M <= N h step / (2 pi), below 0.1 over omega in [1e-3, 1e4],
-    lam / omega in [0, 1e4], n <= 100 and refine <= 4.
+    (negated again for k past M / 2).  ``fw`` must hold at most M nodes and
+    k must stay below M: a profile has N / M <= N h step / (2 pi), N h ~ L,
+    and k / M <= L_p h / (2 pi) <= 1/2 up to the ceiling while its cut L_p
+    is within the band, as 2 pi / h = (band + L_p) refine.  Over omega in
+    [1e-3, 1e4], lam / omega in [0, 1e4], n <= 100 and refine <= 4, L_p is
+    within the band, N / M below 0.1 and k / M at 0.5005 or less.
     """
     m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()  # FFT-friendly
     dp = 2.0 * math.pi / (m * h)
-    p_index = np.arange(int(math.ceil(p_max / dp)) + 1)
+    k = np.arange(int(math.ceil(p_max / dp)) + 1)
     f = np.fft.rfft(fw, m)  # zero-pads fw to M
-    k = p_index % m
     r = np.minimum(k, m - k)
     if n % 2 == 0:
         vals = f.real[r]
     else:
         vals = np.where(k == r, -1.0, 1.0) * f.imag[r]
-    return dp * p_index, vals
+    return dp * k, vals
 
 
 def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
@@ -554,7 +568,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     # monotone tail: panels grow geometrically, each one a segment of its own
     tail = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
     tail_edges = [
-        e for a, b in zip(tail[:-1], tail[1:]) for e in _grow_split(a, b, 2.0 * width, 1.35)[1:]
+        e for a, b in zip(tail[:-1], tail[1:]) for e in _grow_split(a, b, 2.0 * width, _GROW)[1:]
     ]
     bounds = np.concatenate([bulk, tail_edges])
     counts = np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))])

@@ -158,9 +158,8 @@ def published_g_series(params, n, ps):
 def reference_panel_nodes(panels, order=16):
     """Nodes/weights for panels (a, b, map_end), one panel at a time;
     map_end = -1 applies the cubic endpoint map at a, +1 at b, 0 none."""
-    from darboux3.quadrature import _gl_unit
-
-    u, wu = _gl_unit(order)
+    x, w = np.polynomial.legendre.leggauss(order)
+    u, wu = (x + 1.0) / 2.0, w / 2.0
     xs = []
     ws = []
     for a, b, map_end in panels:
@@ -204,50 +203,70 @@ def reference_segment_panels(boundaries, split, cusp_points):
     return panels
 
 
-def reference_position_nodes(params, n, alpha, refine):
-    """:func:`reference_position_moment_nodes` on the per-panel layout."""
+def reference_position_tail(a, b, width, y_g, graded=True):
+    """Edges of the position tail [a, b], a the last Hermite zero: equal
+    pieces at most ``width`` wide, as ``np.linspace`` places them, through
+    ``y_g``, then pieces growing by 1.35 (all equal unless ``graded``)."""
+    from darboux3.quadrature import _grow_split
+
+    k = int(math.ceil((b - a) / width))
+    edges = np.linspace(a, b, k + 1)
+    if not graded:
+        return edges
+    j = math.floor((y_g - a) / ((b - a) / k))
+    return np.concatenate([edges[: j + 1], _grow_split(float(edges[j]), b, (b - a) / k, 1.35)[1:]])
+
+
+def _position_layout(params, n, alpha, refine, graded=True):
+    """(bulk bounds [0, zeros..., z_last], tail edges [z_last, ..., L], the
+    bulk panel width, the cusps) of the position moment layout in x."""
     from darboux3.quadrature import position_half_width
-    from darboux3.specfun import hermite_zeros
-
-    om = effective_frequency(params, n)
-    L = position_half_width(params, n, min(alpha, 1.0))
-    zeros = hermite_zeros(n) / math.sqrt(om)
-    zeros = np.array(sorted(z for z in zeros if 0.0 < z < 0.999 * L))
-    bounds = np.unique(np.concatenate([[0.0, L], zeros]))
-    k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
-    width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
-    cusp = not float(alpha).is_integer()
-    cusp_pts = np.concatenate([zeros, [0.0]]) if n % 2 else zeros
-    panels = reference_segment_panels(
-        bounds, lambda a, b: reference_split(a, b, width), cusp_pts if cusp else np.array([])
-    )
-    return reference_panel_nodes(panels)
-
-
-def reference_position_moment_nodes(params, n, alpha, refine):
-    """The position moment nodes and weights on [0, L] in x, as the library
-    laid them out before it integrated in y = sqrt(Omega) x (array-built,
-    bit-equal to :func:`reference_position_nodes`)."""
-    from darboux3.quadrature import _panel_grid, position_half_width
     from darboux3.specfun import hermite_zeros
 
     om = effective_frequency(params, n)
     L = position_half_width(params, n, min(alpha, 1.0))
     zeros = hermite_zeros(n) / math.sqrt(om)  # increasing
     zeros = zeros[(zeros > 0.0) & (zeros < 0.999 * L)]
-    bounds = np.unique(np.concatenate([[0.0, L], zeros]))
+    head = np.concatenate([[0.0], zeros])
     k_osc = 2.0 * max(alpha, 1.0) * math.sqrt((2 * n + 1) * om)
     width = min(0.7 / math.sqrt(om), math.pi / (2.0 * k_osc), L / 6.0) / refine
+    y_g = (math.sqrt(2 * n + 1) + 1.0) / math.sqrt(om)
+    tail = reference_position_tail(float(head[-1]), L, width, y_g, graded)
     cusps = () if float(alpha).is_integer() else np.append(zeros, 0.0) if n % 2 else zeros
-    return _panel_grid(bounds, np.ceil(np.diff(bounds) / width), cusps)
+    return head, tail, width, cusps
 
 
-def reference_position_moment(params, n, alpha, refine=1):
+def reference_position_nodes(params, n, alpha, refine):
+    """:func:`reference_position_moment_nodes` on the per-panel layout."""
+    head, tail, width, cusps = _position_layout(params, n, alpha, refine)
+    L = tail[-1]
+
+    def split(a, b):  # the tail [z_last, L] on its own edges
+        return list(zip(tail[:-1], tail[1:])) if b == L else reference_split(a, b, width)
+
+    panels = reference_segment_panels(np.append(head, L), split, cusps)
+    return reference_panel_nodes(panels)
+
+
+def reference_position_moment_nodes(params, n, alpha, refine, graded=True):
+    """The position moment nodes and weights on [0, L] in x, as the library
+    lays them out in y = sqrt(Omega) x (array-built, bit-equal to
+    :func:`reference_position_nodes`): equal panels between the Hermite
+    zeros, and the tail of :func:`reference_position_tail` (with
+    ``graded`` False, the equal tail the layout had before)."""
+    from darboux3.quadrature import _panel_grid
+
+    head, tail, width, cusps = _position_layout(params, n, alpha, refine, graded)
+    counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
+    return _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
+
+
+def reference_position_moment(params, n, alpha, refine=1, graded=True):
     """W_alpha by the x-grid path: ``density_position`` on
     :func:`reference_position_moment_nodes` (test oracle)."""
     from darboux3 import density_position
 
-    x, w = reference_position_moment_nodes(params, n, alpha, refine)
+    x, w = reference_position_moment_nodes(params, n, alpha, refine, graded)
     return 2.0 * float(w @ np.power(density_position(params, n, x), alpha))
 
 
@@ -330,9 +349,9 @@ def reference_profile_nodes(params, n, refine=1):
 
 
 def scan_size(params, n, refine=1):
-    """(padded node count N, FFT length M) of a momentum profile's zero
-    scan, from the layout rules of ``_ft_x_nodes``, ``_transform_zeros`` and
-    ``_fft_scan``, without building the lattice."""
+    """(padded node count N, FFT length M, top momentum index K) of a
+    momentum profile's zero scan, from the layout rules of ``_ft_x_nodes``,
+    ``_transform_zeros`` and ``_fft_scan``, without building the lattice."""
     from darboux3.quadrature import (
         _gaussian_cut,
         _momentum_cut,
@@ -350,7 +369,7 @@ def scan_size(params, n, refine=1):
     p_feat = _momentum_tail_start(params, n)
     step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
     m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
-    return -(-count // b) * b, m
+    return -(-count // b) * b, m, int(math.ceil(L_p / (2.0 * math.pi / (m * h))))
 
 
 # --------------------------------------------------------------------------

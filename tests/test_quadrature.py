@@ -307,17 +307,21 @@ class TestScaledPosition:
         assert quadrature._position_bulk.cache_info().misses == 1
 
     def test_miss_builds_one_grid(self, monkeypatch):
+        # the miss lays out the bulk between 0 and the three positive zeros
+        # of H_7, then the tail edges, one panel each; the hit, the tail alone
         quadrature._position_bulk.cache_clear()
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         params = ModelParams(1.0, 0.4)
         y, _, _ = quadrature._position_log_density(params, 7, 2.5, 1)
         assert len(grids) == len(hermite) == 1
-        assert len(grids[0][0]) == 5  # 0, the three positive zeros of H_7, the cut
+        bounds, counts = grids[0][:2]
+        assert np.array_equal(bounds[:4], np.append(0.0, hermite_zeros(7)[4:]))
+        assert np.all(counts[:3] > 1) and np.all(counts[3:] == 1)
         assert np.array_equal(hermite[0][1], y)
         quadrature._position_log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
         assert len(grids) == len(hermite) == 2
-        assert len(grids[1][0]) == 2  # the tail alone
+        assert grids[1][0][0] == bounds[3] and np.all(grids[1][1] == 1)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 33])
     def test_hit_equals_miss(self, n):
@@ -343,6 +347,54 @@ class TestScaledPosition:
         w1 = entropic_moment_numeric(params, 0, 0.3, "position", refine=1)
         w8 = entropic_moment_numeric(params, 0, 0.3, "position", refine=8)
         assert w1 == pytest.approx(w8, rel=1e-9, abs=0.0)
+
+
+class TestGradedTail:
+    """Past y_g = sqrt(2n + 1) + 1 the position tail's panels grow by 1.35."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 30, 47, 60])
+    def test_integer_orders_against_closed_form(self, n):
+        for lam in (0.0, 0.4, 7.0, 100.0, 1000.0):
+            params = ModelParams(1.0, lam)
+            for alpha in (2, 3):
+                got = entropic_moment_numeric(params, n, float(alpha), "position")
+                assert got == pytest.approx(entropic_moment(params, n, alpha), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 12, 20, 33, 47, 60])
+    def test_fractional_orders_against_equal_tail(self, n):
+        # the x-grid path on the equal tail the layout had before; at lam = 30
+        # and n = 0 the branch points +-i / sqrt(kappa) lie within one panel
+        # width of the origin
+        for refine in (1, 2):
+            for lam in (0.0, 0.5, 2.0, 8.0, 30.0):
+                params = ModelParams(1.0, lam)
+                for alpha in (0.3, 0.5, 0.75, 1.5, 2.197, 3.4):
+                    got = entropic_moment_numeric(params, n, alpha, "position", refine)
+                    want = reference_position_moment(params, n, alpha, refine, graded=False)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_panel_count_is_logarithmic(self, monkeypatch):
+        # the pieces through y_g keep the equal width d; past it each is 1.35
+        # times the one before (the last is cut at L), so they number about
+        # log(1 + 0.35 (L - y_g) / d) / log(1.35), not (L - y_g) / d
+        grids = _spy(monkeypatch, "_panel_grid")
+        for n in range(0, 61, 4):
+            y_g = math.sqrt(2 * n + 1) + 1.0
+            for alpha in (0.3, 1.0, 3.4):
+                for lam in (0.0, 1.0, 1000.0):
+                    for refine in (1, 2):
+                        params = ModelParams(1.0, lam)
+                        quadrature._position_log_density(params, n, alpha, refine)
+                        quadrature._position_log_density(params, n, alpha, refine)  # a hit
+                        tail = grids[-1][0]  # the hit builds the tail alone
+                        L, widths = tail[-1], np.diff(tail)
+                        d, past = widths[0], tail[:-1] > y_g
+                        assert widths[~past] == pytest.approx(d, rel=1e-10)
+                        assert np.allclose(widths[past][1:-1] / widths[past][:-2], 1.35, rtol=1e-10)
+                        assert widths[past][-1] < 1.35 * widths[past][-2]
+                        grown = np.count_nonzero(past)
+                        assert grown <= 1 + math.log(1 + 0.35 * (L - y_g) / d) / math.log(1.35)
+                        assert len(widths) - grown <= (y_g - tail[0]) / d + 1
 
 
 class TestEntropiesNumeric:
@@ -394,10 +446,11 @@ class TestFourierTransform:
     @pytest.mark.parametrize("n", [0, 1])
     def test_fft_scan_is_the_kernel_sum(self, n):
         # M = 16 here: 9 nodes are zero-padded to M and 16 fill it, and the
-        # momenta run past M / 2 and past one period M
+        # momenta run past M / 2 but stay inside one period M, as a
+        # profile's do (test_scan_nodes_fit_one_fft_length)
         rng = np.random.default_rng(7)
         h, step = 0.05, 8.0
-        p_max = 2.5 * 2.0 * np.pi / h
+        p_max = 0.9 * 2.0 * np.pi / h
         for blocks in (3, 4):
             fw = rng.standard_normal((blocks, blocks))
             p, vals = _fft_scan(n, fw.ravel(), h, p_max, step)
@@ -407,13 +460,15 @@ class TestFourierTransform:
             assert np.max(np.abs(vals - kernel)) < 1e-11
 
     def test_scan_nodes_fit_one_fft_length(self, monkeypatch):
-        # the scan zero-pads fw to M, so it needs padded N <= M: the oracle
-        # matches the live scan on small profiles, then sweeps the domain
+        # the scan zero-pads fw to M and reads the FFT at k without a
+        # reduction mod M, so it needs padded N <= M and k < M: the oracle
+        # matches the live scan on small profiles, then sweeps the domain,
+        # where k stays within M / 2 up to the ceiling
         sizes = []
 
         def spy(n, fw, h, p_max, step):
             p, vals = scan(n, fw, h, p_max, step)
-            sizes.append((len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h))))
+            sizes.append((len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h)), len(p) - 1))
             return p, vals
 
         scan = quadrature._fft_scan
@@ -431,8 +486,9 @@ class TestFourierTransform:
             for lam in [0.0] + [10.0 ** (k / 4) for k in range(-16, 17)]:
                 for n in range(101):
                     for refine in (1, 2, 4):
-                        nodes, m = scan_size(ModelParams(om, lam * om), n, refine)
+                        nodes, m, top = scan_size(ModelParams(om, lam * om), n, refine)
                         worst = max(worst, nodes / m)
+                        assert top <= m // 2 + 1
         assert worst < 0.1
 
     @pytest.mark.parametrize("lam,n", [(0.4, 3), (10.0, 20), (100.0, 0), (100.0, 6)])
