@@ -105,7 +105,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
+def _emit(header: list[str], rows: list[list], out_path: str | Path | None) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -113,7 +113,7 @@ def _emit(header: list[str], rows: list[list], out_path: str | None) -> None:
         w.writerow([_fmt(v) if isinstance(v, float) else str(v) for v in row])
     data = buf.getvalue()
     if out_path:
-        Path(out_path).write_text(data)
+        Path(out_path).write_text(data, newline="")
     else:
         sys.stdout.write(data)
 
@@ -146,7 +146,7 @@ def _log_moment(args, params, n, alpha):
     points = 512 if args.grid_points is None else args.grid_points
     position, half = args.space == "position", args.half_width
     if half is None and position:
-        half = position_half_width(params, n, min(alpha, 1.0))
+        half = position_half_width(params, n, alpha)
     elif half is None:
         half = _momentum_cut(params, n)
     u, w = grid_nodes(GridSpec(half_width=half, points=points))
@@ -252,14 +252,13 @@ def _table_command(args) -> int:
     report = verify_table(args.table, args.tolerance)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    recomputed = [["row", "col", "reference", "computed", "tolerance", "pass", "gating"]]
-    for c in report.cells:
-        recomputed.append(
-            [c.row, c.col, c.reference_text, _fmt(c.computed), _fmt(c.tolerance),
-             "pass" if c.passed else "FAIL", "gating" if c.gating else "info"]
-        )
-    with open(out_dir / f"{args.table}_recomputed.csv", "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(recomputed)
+    rows = [
+        [c.row, c.col, c.reference_text, _fmt(c.computed), _fmt(c.tolerance),
+         "pass" if c.passed else "FAIL", "gating" if c.gating else "info"]
+        for c in report.cells
+    ]
+    header = ["row", "col", "reference", "computed", "tolerance", "pass", "gating"]
+    _emit(header, rows, out_dir / f"{args.table}_recomputed.csv")
     n_pass = sum(1 for c in report.cells if c.passed)
     print(f"table {args.table}: {n_pass}/{len(report.cells)} cells within tolerance")
     for c in report.cells:
@@ -361,10 +360,6 @@ _GRID_COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
         if args.command == "table":
             return _table_command(args)
         if args.command == "threshold":

@@ -103,7 +103,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _FT_CHUNK_BYTES = 4 * 2**20  # the kernel's arrays for one chunk of momenta
 _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
-_ZERO_CALLS = 8  # kernel calls the zero refinement may make
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
 
@@ -130,18 +129,18 @@ class GridSpec:
 def _panel_grid(bounds, counts, cusps=()):
     """Nodes/weights of Gauss-Legendre panels, built as arrays.
 
-    Segment s, [bounds[s], bounds[s + 1]] = [A, B], is cut into counts[s]
-    equal pieces with edges i ((B - A) / k) + A and the last edge B, as
-    ``np.linspace`` places them.  The first piece of a segment that starts
-    at one of the ``cusps`` gets the cubic endpoint map x = a + h u^3, the
-    last piece of one that ends at a cusp x = b - h u^3.  A piece maps one
-    end only, so callers give a segment between two cusps two pieces at
-    least: position panels are at most a quarter of the Hermite zero
-    spacing, at least pi / sqrt(2n + 1) (Sturm comparison), and
-    :func:`_profile_cached` splits such a momentum segment.
+    Segment s, [bounds[s], bounds[s + 1]] = [A, B], is cut into k =
+    counts[s] equal pieces with edges i ((B - A) / k) + A and the last edge
+    B, as ``np.linspace`` places them.  The first piece of a segment that
+    starts at one of the ``cusps`` gets the cubic endpoint map
+    x = a + h u^3, the last piece of one that ends at a cusp x = b - h u^3.
+    A piece maps one end only, so a segment with cusps at both ends is cut
+    into two pieces at least.
     """
     bounds = np.asarray(bounds, dtype=float)
-    counts = np.asarray(counts).astype(np.intp)
+    # np.isin(bounds, cusps), without its set-up cost on a few points
+    cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
+    counts = np.maximum(np.asarray(counts).astype(np.intp), 1 + (cusp[:-1] & cusp[1:]))
     seg = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     last = first + counts - 1
@@ -149,8 +148,6 @@ def _panel_grid(bounds, counts, cusps=()):
     hi = np.empty_like(lo)
     hi[:-1] = lo[1:]
     hi[last] = bounds[1:]
-    # np.isin(bounds, cusps), without its set-up cost on a few points
-    cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
     at_a = first[cusp[:-1]]
     at_b = last[cusp[1:]]
     u, wu = _GL_U, _GL_W
@@ -185,11 +182,12 @@ def grid_nodes(grid: GridSpec):
 # --------------------------------------------------------------------------
 
 def position_half_width(
-    params: ModelParams, n: int, alpha_min: float = 0.5, tail_log: float = _TAIL_LOG
+    params: ModelParams, n: int, alpha: float, tail_log: float = _TAIL_LOG
 ) -> float:
-    """Half-width L with density^alpha envelope below e^-tail_log of peak."""
+    """Half-width L with the density^alpha envelope below e^-tail_log of its
+    peak; orders alpha > 1 take the order-1 width."""
     om = effective_frequency(params, n)
-    a = min(alpha_min, 1.0) if alpha_min > 0 else 0.5
+    a = min(alpha, 1.0)
     L2 = tail_log / (a * om) + (2 * n + 1) / om
     for _ in range(8):
         L = math.sqrt(L2)
@@ -241,7 +239,7 @@ def _position_log_density(
     """
     om = effective_frequency(params, n)
     s = math.sqrt(om)
-    L = s * position_half_width(params, n, min(alpha, 1.0))
+    L = s * position_half_width(params, n, alpha)
     order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
     width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
@@ -436,8 +434,8 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
 
 
 def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
-    """Zeros of the transform in (0, 0.999 L_p), sorted, from the kernel
-    sum over the trapezoid lattice ``origins`` + ``offsets`` (step
+    """Zeros of the transform in (0, 0.999 L_p), increasing, from the
+    kernel sum over the trapezoid lattice ``origins`` + ``offsets`` (step
     offsets[1]) with weighted wavefunction ``fw``.
 
     One FFT scans a uniform momentum grid as fine as a dense scan of the
@@ -447,7 +445,10 @@ def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
     refined at once by :func:`~darboux3.specfun.bracketed_newton`, with g
     and g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
     |g| is within the kernel's rounding bound, eps (B + J) sum |fw| for
-    sums of B and of J terms.
+    sums of B and of J terms.  The brackets are disjoint scan cells in
+    order, none at p = 0 (g(0) = 0 exactly for odd n), and a root leaves
+    its bracket only by its last step, at most bound / |g'|: the zeros come
+    out positive and increasing.  The cut keeps L_p the last layout bound.
     """
     step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
     scan, vals = _fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step)
@@ -467,12 +468,9 @@ def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
         return g, slope_sign * dg, bound
 
     z = bracketed_newton(
-        g_slope_bound, scan[i], scan[i + 1], vals[i], vals[i + 1], _ZERO_CALLS, "momentum zeros"
+        g_slope_bound, scan[i], scan[i + 1], vals[i], vals[i + 1], "momentum zeros"
     )
-    zeros = np.sort(z[(z > 1e-12) & (z < 0.999 * L_p)])
-    if len(zeros) > 1:  # drop duplicates from brackets straddling one root
-        zeros = np.concatenate([[zeros[0]], zeros[1:][np.diff(zeros) > 1e-9]])
-    return zeros
+    return z[z < 0.999 * L_p]
 
 
 def _momentum_tail_start(params: ModelParams, n: int) -> float:
@@ -573,9 +571,6 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     bounds = np.concatenate([bulk, tail_edges])
     counts = np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))])
     cusps = zeros if n % 2 == 0 else np.append(zeros, 0.0)
-    # zeros closer than a panel width (from n = 24 at lam = 0) get two panels
-    at_cusp = (bounds[:, None] == cusps).any(axis=1)
-    counts = np.maximum(counts, 1 + (at_cusp[:-1] & at_cusp[1:]))
     p_nodes, p_w = _panel_grid(bounds, counts, cusps)
     g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, p_nodes)
     gamma = g * g
@@ -595,7 +590,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
             f"momentum cut {L_p:.6g} short: W_1/2 tail {tail_share:.2e} of the total "
             f"for omega={omega}, lam={lam}, n={n}"
         )
-    grid = GridSpec(half_width=float(L_p), points=max(32, len(p_nodes)))
+    grid = GridSpec(half_width=float(L_p), points=len(p_nodes))
     for arr in (p_nodes, p_w, gamma):
         arr.setflags(write=False)
     return MomentumProfile(grid=grid, p=p_nodes, gamma=gamma, weights=p_w)

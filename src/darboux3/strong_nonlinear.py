@@ -77,8 +77,6 @@ __all__ = [
     "bifurcation_threshold",
 ]
 
-_ROOT_CALLS = 8  # E evaluations the critical-point refinement may make
-
 
 @dataclass(frozen=True)
 class DensitySplit:
@@ -272,7 +270,7 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     roots = bracketed_newton(
         lambda t: _extremum_function(params, n, t, newton=True),
-        grid[i], grid[i + 1], vals[i], vals[i + 1], _ROOT_CALLS, "density critical points",
+        grid[i], grid[i + 1], vals[i], vals[i + 1], "density critical points",
     )
     _, h_n = _extremum_function(params, n, roots)
     kinds = np.where(np.sign(h_n) == np.sign(vals[i]), "maximum", "minimum")

@@ -224,7 +224,7 @@ def _position_layout(params, n, alpha, refine, graded=True):
     from darboux3.specfun import hermite_zeros
 
     om = effective_frequency(params, n)
-    L = position_half_width(params, n, min(alpha, 1.0))
+    L = position_half_width(params, n, alpha)
     zeros = hermite_zeros(n) / math.sqrt(om)  # increasing
     zeros = zeros[(zeros > 0.0) & (zeros < 0.999 * L)]
     head = np.concatenate([[0.0], zeros])

@@ -110,15 +110,15 @@ def _assert_same(got, want):
 class TestPanelGrid:
     """The array-built panels reproduce the per-panel layout bit for bit."""
 
-    @pytest.mark.parametrize("cusps", [[0.0, 2.0, 4.0], [2.5], [0.0, 2.5]])
+    @pytest.mark.parametrize("cusps", [[0.0, 2.0, 4.0], [2.5], [0.0, 2.5], [2.0, 2.5]])
     def test_cusp_maps(self, cusps):
-        # [2, 2.5] is a single piece with a cusp at one end at most; [0, 2]
-        # and [2.5, 4] are two pieces, one map at each cusp end
+        # [0, 2] and [2.5, 4] are two pieces, one map at each cusp end;
+        # [2, 2.5] is given one piece, and cusps at both its ends make it two
         bounds = np.array([0.0, 2.0, 2.5, 4.0])
-        want = reference_panel_nodes(
-            reference_segment_panels(bounds, lambda a, b: reference_split(a, b, 1.0), cusps)
-        )
-        _assert_same(_panel_grid(bounds, np.ceil(np.diff(bounds) / 1.0), cusps), want)
+        counts = np.ceil(np.diff(bounds) / 1.0)
+        split = _reference_pieces(bounds, counts, cusps)
+        want = reference_panel_nodes(reference_segment_panels(bounds, split, cusps))
+        _assert_same(_panel_grid(bounds, counts, cusps), want)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 33, 60])
     def test_position_nodes(self, n):
@@ -192,8 +192,22 @@ def _has_double_cusp_piece(bounds, counts, cusps=()):
     return bool(np.any((np.asarray(counts) == 1) & at_cusp[:-1] & at_cusp[1:]))
 
 
+def _reference_pieces(bounds, counts, cusps):
+    """``reference_segment_panels``' split for the ``_panel_grid`` layout
+    (bounds, counts, cusps): counts[s] equal pieces, as ``np.linspace``
+    places them, and two at least between two cusps."""
+    pieces = {}
+    for a, b, k in zip(bounds[:-1], bounds[1:], counts):
+        k = max(int(k), 2 if a in cusps and b in cusps else 1)
+        edges = np.linspace(a, b, k + 1)
+        pieces[float(a), float(b)] = list(zip(edges[:-1], edges[1:]))
+    return lambda a, b: pieces[a, b]
+
+
 class TestCuspLayout:
-    """A panel maps one end only, so no panel touches a cusp at both ends."""
+    """A panel maps one end only, so no panel touches a cusp at both ends:
+    position layouts never give ``_panel_grid`` a one-piece segment between
+    two cusps, and ``_panel_grid`` cuts the momentum layout's in two."""
 
     def test_position_layout(self, monkeypatch):
         # Hermite zeros lie at least pi / sqrt(2n + 1) apart: four panels or more
@@ -209,13 +223,18 @@ class TestCuspLayout:
 
     @pytest.mark.parametrize("lam", [0.0, 0.05, 0.4, 3.0])
     def test_momentum_layout(self, monkeypatch, lam):
-        # from n = 24 at lam = 0 some zeros lie closer than a panel width
+        # from n = 24 at lam = 0 some zeros lie closer than a panel width;
+        # the per-panel reference asserts that no panel touches two cusps
         grids = _spy(monkeypatch, "_panel_grid")
         quadrature._profile_cached.cache_clear()
         for n in range(51):
             momentum_profile(ModelParams(1.0, lam), n)
         assert len(grids) == 51
-        assert not any(_has_double_cusp_piece(*args) for args in grids)
+        assert any(_has_double_cusp_piece(*args) for args in grids)
+        for bounds, counts, cusps in grids:
+            split = _reference_pieces(bounds, counts, cusps)
+            want = reference_panel_nodes(reference_segment_panels(bounds, split, cusps))
+            _assert_same(_panel_grid(bounds, counts, cusps), want)
 
 
 class TestMomentNumeric:
@@ -679,7 +698,9 @@ class TestTransformKernel:
     def test_zero_refinement(self, lam, n, monkeypatch):
         # every zero in at most 8 kernel calls, whatever the zero count, and
         # within 1e-13 relative of long-double Newton steps from it: as close
-        # as the kernel's rounding, 4 eps sum|fw|, lets a root of g be
+        # as the kernel's rounding, 4 eps sum|fw|, lets a root of g be.  The
+        # brackets are ordered, disjoint and none at p = 0, so the zeros come
+        # out increasing inside (0, 0.999 L_p) with no sort and no merge
         calls = []
 
         def spy(*args):
@@ -695,6 +716,7 @@ class TestTransformKernel:
             n, *lattice[:2], fw, L_p, quadrature._momentum_tail_start(params, n)
         )
         assert len(zeros) and len(calls) <= 8
+        assert zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0) and zeros[-1] < 0.999 * L_p
         x = lattice_nodes(*lattice[:2], np.longdouble)
         z = zeros.astype(np.longdouble)
         for _ in range(3):

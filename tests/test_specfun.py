@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from darboux3 import ModelParams, density_position, wavefunction
+from darboux3 import ModelParams, density_position, specfun, wavefunction
 from darboux3.position_entropy import _poch_frac
 from darboux3.specfun import (
     bracketed_newton,
@@ -207,7 +207,7 @@ class TestBracketedNewton:
     def test_cos_on_0_3(self):
         calls = []
         f = _cos_with_bound(calls)
-        root = bracketed_newton(f, [0.0], [3.0], [1.0], [math.cos(3.0)], 8, "roots")
+        root = bracketed_newton(f, [0.0], [3.0], [1.0], [math.cos(3.0)], "roots")
         assert root.shape == (1,)
         assert root[0] == pytest.approx(math.pi / 2.0, abs=2.3e-16)
         assert len(calls) <= 5
@@ -220,14 +220,14 @@ class TestBracketedNewton:
             return x - 1.0, np.ones_like(x), 0.0
 
         # the regula falsi point of [0, 2] is the root 1 itself
-        assert bracketed_newton(f, [0.0], [2.0], [-1.0], [1.0], 8, "roots").tolist() == [1.0]
+        assert bracketed_newton(f, [0.0], [2.0], [-1.0], [1.0], "roots").tolist() == [1.0]
         assert calls == [[1.0]]
 
     def test_array_of_brackets(self):
         a = np.array([0.0, 3.0, 6.0, 1.0])
         b = np.array([3.0, 6.0, 9.0, 2.0])
         calls = []
-        roots = bracketed_newton(_cos_with_bound(calls), a, b, np.cos(a), np.cos(b), 8, "roots")
+        roots = bracketed_newton(_cos_with_bound(calls), a, b, np.cos(a), np.cos(b), "roots")
         want = np.array([0.5, 1.5, 2.5, 0.5]) * math.pi
         assert np.max(np.abs(roots - want)) <= 8.9e-16
         for i in range(4):  # the scalar bisection finds the same roots
@@ -235,19 +235,20 @@ class TestBracketedNewton:
             assert roots[i] == pytest.approx(bisected, rel=1e-15)
         assert set(calls) == {4}  # one call per step, on every bracket
 
-    def test_budget_spent_raises(self):
+    def test_budget_spent_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_NEWTON_CALLS", 2)
         calls = []
         f = _cos_with_bound(calls)
         exact = lambda z: f(z)[:2] + (0.0,)  # cos has no float zero
         message = "^1 of 1 zeros of cos did not reach .* in 2 calls$"
         with pytest.raises(ArithmeticError, match=message):
-            bracketed_newton(exact, [0.0], [3.0], [1.0], [math.cos(3.0)], 2, "zeros of cos")
+            bracketed_newton(exact, [0.0], [3.0], [1.0], [math.cos(3.0)], "zeros of cos")
         assert len(calls) == 2
 
     def test_no_brackets_no_calls(self):
         calls = []
         empty = np.array([])
-        roots = bracketed_newton(_cos_with_bound(calls), empty, empty, empty, empty, 8, "roots")
+        roots = bracketed_newton(_cos_with_bound(calls), empty, empty, empty, empty, "roots")
         assert roots.shape == (0,) and calls == []
 
 
@@ -283,6 +284,16 @@ class TestDawson:
         assert np.max(np.abs(dawson_vec(xs) - ref)) < 1e-12
         for x, r in zip(xs, ref):  # 0-d input takes the same path
             assert abs(dawson_vec(float(x)) - r) < 1e-12
+
+    def test_huge_arguments_without_warnings(self):
+        # the asymptotic branch overflows 2 y^2 and 2 y to inf, which gives
+        # the limit 0, without a floating-point warning
+        x = np.array([1e8, 1e154, 1e300, 1e308, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dawson_vec(np.concatenate([x, -x]))
+        assert np.all(np.abs(got[:5] - 0.5 / x) <= 1e-15 * 0.5 / x + 1e-308)
+        assert np.array_equal(got[5:], -got[:5]) and got[4] == 0.0
 
     def test_ode_residual(self):
         h = 1e-5

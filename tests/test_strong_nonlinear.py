@@ -17,7 +17,7 @@ from darboux3 import (
     momentum_profile,
     norm_constant,
 )
-from darboux3 import strong_nonlinear
+from darboux3 import specfun, strong_nonlinear
 from darboux3.specfun import hermite, hermite_zeros
 from conftest import (
     extremum_roots,
@@ -420,7 +420,7 @@ class TestCriticalPointRefinement:
         assert len(calls) == 3 * 5 * 61 and max(calls) <= 6
 
     def test_spent_budget_names_the_critical_points(self, monkeypatch):
-        monkeypatch.setattr(strong_nonlinear, "_ROOT_CALLS", 1)
+        monkeypatch.setattr(specfun, "_NEWTON_CALLS", 1)
         with pytest.raises(ArithmeticError, match="density critical points did not reach"):
             density_critical_points(ModelParams(1.0, 1.0), 5, numeric=True)
 
