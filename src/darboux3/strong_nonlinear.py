@@ -30,15 +30,27 @@ The density critical points follow from the exact derivative
     rho_n'(x) = N^2 e^(-Omega x^2) H_n(sqrt(Omega) x) E(x),
     E(x) = 4 n sqrt(Omega) (lam x^2 + 1) H_(n-1) - 2 x (lam (Omega x^2 - 1) + Omega) H_n,
 
-with no finite differences.  A grid scan of E brackets its roots, and
-:func:`~darboux3.specfun.bracketed_newton` refines them all at once with E'
-in closed form from the same Hermite pair, until |E| is within the rounding
-bound of its uncancelled terms.  The kinds:
+with no finite differences.  The zeros of H_n bracket the roots of E: at a
+zero z, E(z) = A H_(n-1)(z) with A > 0, and the zeros of H_(n-1) interlace
+those of H_n (Szego, Orthogonal Polynomials, ch. 3), so E changes sign
+across each gap between consecutive zeros, 0 included for odd n, and past
+the last.  E has degree n + 3 (n + 1 at lam = 0) and parity (-1)^(n+1), so
+each of those gaps holds exactly one root, and for even n, where E(0) = 0,
+the gap (0, z_1) holds one exactly when the origin is a minimum (below).
+The scan of E takes the zeros, 16 equal cells in each gap, cells of the
+last gap's width out to four oscillator lengths past the classical turning
+point and, past the splitting, 16 points halving toward 0; a scan that
+brackets another number of roots raises ``ArithmeticError``, and a scan
+value of exactly 0 is a root.  :func:`~darboux3.specfun.bracketed_newton`
+refines the roots all at once with E' in closed form from the same Hermite
+pair, until |E| is within the rounding bound of its uncancelled terms.
+The kinds:
 
 * The zeros of H_n are density zeros, hence minima.
 * At a simple root r of E, rho''(r) has the sign of H_n E'(r), and E'
   has the sign opposite to E at the left end of the root's bracket, so r
   is a maximum exactly when H_n(sqrt(Omega) r) and E there agree in sign.
+  H_n has the sign (-1)^k at r, k the number of its zeros right of r.
 * At x = 0 and even n, rho''(0) = 2 N^2 H_n(0)^2 (lam - (2n + 1) Omega),
   so the origin is a maximum below lam = (2n + 1) Omega_n(lam) and a
   minimum above.  For n = 0 and 2 that equation is solved by the
@@ -261,19 +273,53 @@ def _extremum_function(params: ModelParams, n: int, x: np.ndarray, *, newton: bo
     return extremum, slope, 4.0 * (n + 2) * np.finfo(float).eps * terms
 
 
+_CELLS = 16  # equal scan cells per gap between Hermite zeros
+_HALVINGS = 16  # scan points halving toward x = 0 past the splitting
+
+
+def _reach(om: float, n: int) -> float:
+    """Scan end: four oscillator lengths past the classical turning point."""
+    return (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
+
+
+def _scan_grid(om: float, n: int, knots: np.ndarray, split: bool) -> np.ndarray:
+    """Scan points for the roots of E (module docstring) from ``knots``, 0
+    and the positive zeros; for even n no point at 0, with ``split`` the
+    points halving toward it.  With no gap (n <= 1) the cells past the last
+    knot are 1 / (16 sqrt(Omega)) wide."""
+    gaps = np.diff(knots)
+    step = (gaps[-1] if len(gaps) else 1.0 / math.sqrt(om)) / _CELLS
+    outer = knots[-1] + step * np.arange(1, math.ceil((_reach(om, n) - knots[-1]) / step) + 1)
+    cells = knots[:-1, None] + gaps[:, None] * (np.arange(_CELLS) / _CELLS)
+    grid = np.concatenate([cells.ravel(), knots[-1:], outer])
+    if n % 2:
+        return grid
+    halved = grid[1] * 2.0 ** -np.arange(_HALVINGS, 0, -1) if split else []
+    return np.concatenate([halved, grid[1:]])
+
+
 def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]:
     om = effective_frequency(params, n)
-    reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
-    m_pts = 400 * (n + 2)
-    grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)  # x = 0 handled separately
+    y = hermite_zeros(n)
+    zeros = y[y > 0.0] / math.sqrt(om)
+    split = n % 2 == 0 and _origin_kind(params, n) == "minimum"
+    grid = _scan_grid(om, n, np.concatenate([[0.0], zeros]), split)
     vals, _ = _extremum_function(params, n, grid)
-    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    # a flip of sign, or an exact zero at the right end, brackets a root
+    i = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0) | (vals[1:] == 0.0))
+    expected = len(zeros) + n % 2 + split
+    if len(i) != expected:
+        raise ArithmeticError(
+            f"scan bracketed {len(i)} roots of the extremum function, not {expected}, "
+            f"for omega={params.omega}, lam={params.lam}, n={n}"
+        )
+    # H_n has the sign (-1)^k between its zeros, k of them to the right
+    h_sign = 1 - 2 * ((len(zeros) - np.searchsorted(zeros, grid[i], side="right")) % 2)
+    kinds = np.where(h_sign == np.sign(vals[i]), "maximum", "minimum")
     roots = bracketed_newton(
         lambda t: _extremum_function(params, n, t, newton=True),
         grid[i], grid[i + 1], vals[i], vals[i + 1], "density critical points",
     )
-    _, h_n = _extremum_function(params, n, roots)
-    kinds = np.where(np.sign(h_n) == np.sign(vals[i]), "maximum", "minimum")
     return _symmetric_points(params, n, list(zip(roots.tolist(), kinds.tolist())))
 
 

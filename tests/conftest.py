@@ -572,3 +572,27 @@ def extremum_roots(params, n):
                   if c.x > 0.0 and c.x not in zeros])
     _, slope, bound = strong_nonlinear._extremum_function(params, n, x, newton=True)
     return x, bound / np.abs(slope)
+
+
+def dense_scan_brackets(params, n):
+    """Brackets (a, b, kind) of the roots x > 0 of the extremum function E
+    from the scan the package ran before its grid was sized by the Hermite
+    zeros: 400 (n + 2) equal steps out to (sqrt(2n + 1) + 4) / sqrt(Omega),
+    the first at half a step (test oracle).  The kind comes from the sign of
+    rho' = N^2 e^(-Omega x^2) H_n E at both ends, H_n from the plain
+    recurrence: "maximum" for + to -, "minimum" for - to +, else "mixed"."""
+    from darboux3 import strong_nonlinear
+    from darboux3.specfun import hermite
+
+    om = effective_frequency(params, n)
+    reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
+    m_pts = 400 * (n + 2)
+    grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)
+    vals, _ = strong_nonlinear._extremum_function(params, n, grid)
+    i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    slope = np.sign(vals) * np.sign(hermite(n, math.sqrt(om) * grid))
+    kinds = np.select(
+        [(slope[i] > 0) & (slope[i + 1] < 0), (slope[i] < 0) & (slope[i + 1] > 0)],
+        ["maximum", "minimum"], "mixed",
+    )
+    return list(zip(grid[i].tolist(), grid[i + 1].tolist(), kinds.tolist()))

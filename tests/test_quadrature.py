@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import tracemalloc
 
@@ -749,6 +750,17 @@ class TestMomentumDensity:
         dg = np.diff(g[body])
         has_interior_min_then_max = np.any((dg[:-1] < 0) & (dg[1:] > 0))
         assert has_interior_min_then_max
+
+    def test_first_profile_imports_no_masked_arrays(self):
+        # numpy's unique imports numpy.ma on its first call: 9-14 ms in a one-shot request
+        code = (
+            "import sys\n"
+            "from darboux3 import ModelParams, momentum_profile\n"
+            "momentum_profile(ModelParams(1, 2), 3)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("lam", [0.0, 0.4, 1.0, 2.0])
     def test_parseval(self, lam):

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -17,9 +18,10 @@ from darboux3 import (
     momentum_profile,
     norm_constant,
 )
-from darboux3 import specfun, strong_nonlinear
+from darboux3 import cli, specfun, strong_nonlinear
 from darboux3.specfun import hermite, hermite_zeros
 from conftest import (
+    dense_scan_brackets,
     extremum_roots,
     gauss_tail_nodes,
     gauss_tail_quad,
@@ -434,6 +436,93 @@ class TestCriticalPointRefinement:
                 a, b = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
                 assert e(a) * e(b) < 0.0
                 assert abs(reference_bisect(e, a, b, e(a)) - x) <= max(1e-13 * x, w), (n, x)
+
+
+SWEEP_OMEGAS = (1.0, 0.37, 2.5)
+
+
+def _split_lams(omega):
+    """Both splitting thresholds (n = 0 and 2) times 1 -+ 1e-9, as
+    (lam, n, lam is past the threshold) triples."""
+    return [(bifurcation_threshold(ModelParams(omega, 0.0), n) * (1.0 + s * 1e-9), n, s > 0)
+            for n in (0, 2) for s in (-1, 1)]
+
+
+@lru_cache(maxsize=None)
+def _sweep(omega):
+    """(lam, n, knots, critical points) over ten lam in [0, 1000], the
+    splitting thresholds among them, and n <= 60; knots are 0 and the
+    positive scaled Hermite zeros."""
+    lams = [0.0, 0.05, 0.4, 2.0, 30.0, 1000.0] + [lam for lam, _, _ in _split_lams(omega)]
+    out = []
+    for lam in lams:
+        params = ModelParams(omega, lam)
+        for n in range(61):
+            y = hermite_zeros(n)
+            knots = np.append(0.0, y[y > 0.0] / math.sqrt(effective_frequency(params, n)))
+            out.append((lam, n, knots, density_critical_points(params, n, numeric=True)))
+    return out
+
+
+class TestScanGrid:
+    """The scan of E sized by the Hermite zeros (strong_nonlinear module
+    docstring): one root per gap, the dense scan's counts and kinds, exact
+    zeros on the scan and the count check."""
+
+    def test_grid_holds_the_zeros(self):
+        params = ModelParams(1.0, 0.4)
+        om = effective_frequency(params, 7)
+        y = hermite_zeros(7)
+        knots = y[y >= 0.0] / math.sqrt(om)
+        grid = strong_nonlinear._scan_grid(om, 7, knots, False)
+        assert np.all(np.diff(grid) > 0.0) and grid[-1] >= strong_nonlinear._reach(om, 7)
+        assert np.isin(knots, grid).all()
+        assert np.diff(np.searchsorted(grid, knots)).tolist() == [16] * 3
+
+    @pytest.mark.parametrize("omega", SWEEP_OMEGAS)
+    def test_one_root_per_gap(self, omega):
+        # every gap between knots and the outer gap hold one root; (0, z_1)
+        # for even n holds one exactly when the origin is a minimum
+        for lam, n, knots, pts in _sweep(omega):
+            roots = [c.x for c in pts if c.x > 0.0 and c.x not in knots]
+            counts = np.histogram(roots, np.append(knots, np.inf))[0]
+            origin = strong_nonlinear._origin_kind(ModelParams(omega, lam), n)
+            first = int(n % 2 == 1 or origin == "minimum")
+            assert counts.tolist() == [first] + [1] * (len(knots) - 1), (lam, n)
+
+    @pytest.mark.parametrize("omega", SWEEP_OMEGAS)
+    def test_counts_and_kinds_match_dense_scan(self, omega):
+        # the dense scan starts at half of one of its 400 (n + 2) steps, so
+        # it misses the inner maxima just past a splitting, at ~4e-5 / sqrt(Omega)
+        past_split = {(lam, n) for lam, n, past in _split_lams(omega) if past}
+        for lam, n, knots, pts in _sweep(omega):
+            got = [(c.x, c.kind) for c in pts if c.x > 0.0 and c.x not in knots]
+            want = dense_scan_brackets(ModelParams(omega, lam), n)
+            if (lam, n) in past_split:
+                x, kind = got.pop(0)
+                om = effective_frequency(ModelParams(omega, lam), n)
+                assert kind == "maximum" and x * math.sqrt(om) < 1e-4, (lam, n)
+                assert all(x < a for a, _, _ in want), (lam, n)
+            assert [k for _, k in got] == [k for _, _, k in want], (lam, n)
+            assert all(a < x < b for (x, _), (a, b, _) in zip(got, want)), (lam, n)
+
+    def test_exact_zero_on_the_scan_is_a_root(self):
+        # at lam = 0, n = 1 the maximum x = 1 is a scan point where E is exactly 0
+        params = ModelParams(1.0, 0.0)
+        grid = strong_nonlinear._scan_grid(1.0, 1, np.array([0.0]), False)
+        assert strong_nonlinear._extremum_function(params, 1, grid)[0][grid == 1.0].tolist() == [0.0]
+        pts = density_critical_points(params, 1, numeric=True)
+        assert [(c.x, c.kind) for c in pts] == [(-1.0, "maximum"), (0.0, "minimum"), (1.0, "maximum")]
+
+    def test_short_scan_raises(self, monkeypatch, capsys):
+        # a scan that stops at the last zero misses the outer maximum
+        monkeypatch.setattr(strong_nonlinear, "_reach", lambda om, n: 0.0)
+        with pytest.raises(ArithmeticError, match=r"1 roots .* not 2, for omega=1.0, lam=0.4, n=3$"):
+            density_critical_points(ModelParams(1.0, 0.4), 3, numeric=True)
+        assert cli.main(["critical-points", "--lambda", "0.4", "--n", "3"]) == 3
+        assert "numeric failure in darboux3.strong_nonlinear: scan bracketed 1 roots" in (
+            capsys.readouterr().err
+        )
 
 
 class TestThresholds:
