@@ -203,12 +203,6 @@ def _weight_cells(args, params, n, a):
     return [[s.f, s.complement]]
 
 
-def _critical_cells(args, params, n, a):
-    # closed forms where they exist, bracketed root-finding elsewhere
-    points = density_critical_points(params, n, numeric=n not in (0, 2))
-    return [[c.x, c.kind] for c in points]
-
-
 def _threshold_command(args):
     _, ns, _ = _validated(args)
     rows = [
@@ -353,7 +347,10 @@ _GRID_COMMANDS = {
     ),
     "xi-renyi": (["xi", "position_method"], _xi_cells),
     "xi-tsallis": (["xi", "position_method"], _xi_cells),
-    "critical-points": (["x", "kind"], _critical_cells),
+    "critical-points": (
+        ["x", "kind"],
+        lambda a, p, n, al: [[c.x, c.kind] for c in density_critical_points(p, n)],
+    ),
 }
 
 

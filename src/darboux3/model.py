@@ -5,6 +5,7 @@ deformation of the harmonic oscillator, mass profile mu(x) = 1 + lam * x^2.
 In units with hbar = 1 its bound states have
 
     E_n      = -lam (n + 1/2)^2 + (n + 1/2) sqrt(lam^2 (n + 1/2)^2 + omega^2)
+             = (n + 1/2) Omega_n
     Omega_n  = sqrt(omega^2 - 2 lam E_n)            (effective frequency)
     Psi_n(x) = N sqrt(1 + lam x^2) exp(-Omega x^2 / 2) H_n(sqrt(Omega) x)
 
@@ -66,17 +67,9 @@ def _check_level(n: int) -> None:
 
 
 def energy(params: ModelParams, n: int) -> float:
-    """Energy eigenvalue E_n.
-
-    Evaluated as (n + 1/2) * omega^2 / (sqrt(lam^2 (n+1/2)^2 + omega^2)
-    + lam (n+1/2)); algebraically identical to the textbook form
-    -lam (n+1/2)^2 + (n+1/2) sqrt(lam^2 (n+1/2)^2 + omega^2) but free of
-    subtractive cancellation at large lam * n.
-    """
-    _check_level(n)
-    m = n + 0.5
-    root = math.sqrt((params.lam * m) ** 2 + params.omega**2)
-    return m * params.omega**2 / (root + params.lam * m)
+    """Energy eigenvalue E_n = (n + 1/2) Omega_n (module docstring); like
+    Omega_n, free of the textbook form's cancellation at large lam * n."""
+    return (n + 0.5) * effective_frequency(params, n)
 
 
 def effective_frequency(params: ModelParams, n: int) -> float:

@@ -10,8 +10,11 @@ Position-space integrals use composite Gauss-Legendre panels.  Densities
 raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
 the density zeros, so panels are split exactly at the zeros and the two
 panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
-restores spectral convergence.  One routine, :func:`_panel_grid`, lays out
-every panel grid of the package with array operations.  Position moments
+restores spectral convergence.  :func:`_panel_grid` lays out these panels,
+the momentum profile's and those of :func:`grid_nodes`; :func:`_gl_blocks`
+lays out the equal-panel lattices of the phi_n transform and of
+:func:`fourier_transform` on a :class:`GridSpec`.  Both use array
+operations.  Position moments
 integrate in y = sqrt(Omega) x, where rho_n(x) dx =
 [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa = lam / Omega,
 m = n + 1/2, h_n the normalised harmonic function): lambda enters only

@@ -25,7 +25,8 @@ n + 1 in P = p / sqrt(Omega), so floating point loses accuracy like
 P^(n+2)) is kept as a test oracle, ``published_g_series`` in
 ``tests/conftest.py``.
 
-The density critical points follow from the exact derivative
+:func:`density_critical_points` picks its engine: closed forms for n in
+{0, 2}, else (or with ``numeric=True``) the roots of the exact derivative
 
     rho_n'(x) = N^2 e^(-Omega x^2) H_n(sqrt(Omega) x) E(x),
     E(x) = 4 n sqrt(Omega) (lam x^2 + 1) H_(n-1) - 2 x (lam (Omega x^2 - 1) + Omega) H_n,
@@ -221,14 +222,12 @@ def density_critical_points(
 ) -> list[CriticalPoint]:
     """Critical points of rho_n, sorted by position.
 
-    Closed forms for n in {0, 2}; ``numeric=True`` refines the roots of the
-    extremum function E for any n by bracketed Newton steps.  Kinds as in
-    the module docstring.
+    Closed forms for n in {0, 2}; every other n, and any n with
+    ``numeric=True``, refines the roots of the extremum function E by
+    bracketed Newton steps.  Kinds as in the module docstring.
     """
-    if numeric:
+    if numeric or n not in (0, 2):
         return _critical_points_numeric(params, n)
-    if n not in (0, 2):
-        raise ValueError("closed-form critical points exist for n in {0, 2}; use numeric=True")
     lam = params.lam
     om = effective_frequency(params, n)
     if n == 0:
@@ -245,8 +244,8 @@ def density_critical_points(
 
 
 def _extremum_function(params: ModelParams, n: int, x: np.ndarray, *, newton: bool = False):
-    """E(x) and H_n(sqrt(Om) x), or with ``newton`` E, E' and a rounding bound
-    on |E|, each times 2^(-e) elementwise, e from
+    """E(x), or with ``newton`` E, E' and a rounding bound on |E|, each
+    times 2^(-e) elementwise, e from
     :func:`~darboux3.specfun.hermite_pair_scaled`, where E = A H_(n-1) - B H_n,
     A = 4 n sqrt(Om) (lam x^2 + 1) and B = 2 x (lam (Om x^2 - 1) + Om).
 
@@ -265,7 +264,7 @@ def _extremum_function(params: ModelParams, n: int, x: np.ndarray, *, newton: bo
     b = 2.0 * x * (lam * (x2 * om - 1.0) + om)
     extremum = a * h_nm1 - b * h_n
     if not newton:
-        return extremum, h_n
+        return extremum
     slope = (8.0 * n * s * lam * x + 2.0 * om * x * a - 2.0 * n * s * b) * h_nm1 - (
         s * a + 2.0 * (lam * (3.0 * om * x2 - 1.0) + om)
     ) * h_n
@@ -304,7 +303,7 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
     zeros = y[y > 0.0] / math.sqrt(om)
     split = n % 2 == 0 and _origin_kind(params, n) == "minimum"
     grid = _scan_grid(om, n, np.concatenate([[0.0], zeros]), split)
-    vals, _ = _extremum_function(params, n, grid)
+    vals = _extremum_function(params, n, grid)
     # a flip of sign, or an exact zero at the right end, brackets a root
     i = np.flatnonzero((np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0) | (vals[1:] == 0.0))
     expected = len(zeros) + n % 2 + split

@@ -588,7 +588,7 @@ def dense_scan_brackets(params, n):
     reach = (math.sqrt(2.0 * n + 1.0) + 4.0) / math.sqrt(om)
     m_pts = 400 * (n + 2)
     grid = np.linspace(0.5 * reach / m_pts, reach, m_pts)
-    vals, _ = strong_nonlinear._extremum_function(params, n, grid)
+    vals = strong_nonlinear._extremum_function(params, n, grid)
     i = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     slope = np.sign(vals) * np.sign(hermite(n, math.sqrt(om) * grid))
     kinds = np.select(

@@ -284,11 +284,24 @@ class TestCriticalPoints:
             assert zeros == sorted(want.tolist())
             assert [c.x for c in pts if c.x < 0.0 and c.x in -want] == sorted((-want).tolist())
 
-    def test_unsupported_order_needs_numeric(self, deformed):
-        with pytest.raises(ValueError):
-            density_critical_points(deformed, 1)
-        pts = density_critical_points(deformed, 1, numeric=True)
-        assert any(c.kind == "maximum" for c in pts)
+    @pytest.mark.parametrize("omega", [1.0, 0.37, 2.5])
+    def test_library_picks_the_engine(self, omega, monkeypatch):
+        # the numeric engine for every n but 0 and 2, which have closed forms
+        cases = [ModelParams(omega, lam) for lam in (0.0, 0.05, 0.4, 2.0, 30.0)]
+        for params in cases:
+            for n in (1, 3, 4, 5, 7, 12):
+                want = density_critical_points(params, n, numeric=True)
+                assert density_critical_points(params, n) == want, (params, n)
+
+        def numeric(params, n):
+            raise AssertionError(f"numeric engine for n = {n}")
+
+        monkeypatch.setattr(strong_nonlinear, "_critical_points_numeric", numeric)
+        for params in cases:
+            for n in (0, 2):
+                assert any(c.kind == "maximum" for c in density_critical_points(params, n))
+        with pytest.raises(AssertionError, match="numeric engine for n = 2"):
+            density_critical_points(cases[0], 2, numeric=True)
 
     def test_maxima_count_jumps_at_threshold(self):
         lam_c = bifurcation_threshold(ModelParams(1.0, 0.0), 0)
@@ -431,7 +444,7 @@ class TestCriticalPointRefinement:
         for n in (1, 4, 9, 20, 40):
             params = ModelParams(1.0, lam)
             roots, width = extremum_roots(params, n)
-            e = lambda t: float(strong_nonlinear._extremum_function(params, n, np.array([t]))[0][0])
+            e = lambda t: float(strong_nonlinear._extremum_function(params, n, np.array([t]))[0])
             for x, w in zip(roots, width):
                 a, b = x * (1.0 - 1e-7), x * (1.0 + 1e-7)
                 assert e(a) * e(b) < 0.0
@@ -510,7 +523,7 @@ class TestScanGrid:
         # at lam = 0, n = 1 the maximum x = 1 is a scan point where E is exactly 0
         params = ModelParams(1.0, 0.0)
         grid = strong_nonlinear._scan_grid(1.0, 1, np.array([0.0]), False)
-        assert strong_nonlinear._extremum_function(params, 1, grid)[0][grid == 1.0].tolist() == [0.0]
+        assert strong_nonlinear._extremum_function(params, 1, grid)[grid == 1.0].tolist() == [0.0]
         pts = density_critical_points(params, 1, numeric=True)
         assert [(c.x, c.kind) for c in pts] == [(-1.0, "maximum"), (0.0, "minimum"), (1.0, "maximum")]
 
