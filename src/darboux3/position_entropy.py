@@ -21,10 +21,17 @@ a polynomial in r = lam / (alpha Omega) with
           * sum_m q_m (1/2)_(m+k) alpha^(-m).
 
 The sum runs over Python integers on one denominator, since
-2^r (1/2)_r = (2r - 1)!!, so the P_k are exact rationals, built once per
-(n, alpha).  r is taken exactly from its double and the polynomial is
-summed exactly; it is rounded only when its logarithm is taken, so the
-large, alternating terms cause no cancellation error.
+2^r (1/2)_r = (2r - 1)!!, so the P_k = N_k / D are exact rationals, built
+once per (n, alpha).  r = a / b is taken exactly from its double and
+sum_k N_k a^k b^(alpha - k) is summed on integers; it is rounded only when
+its logarithm is taken, so the large, alternating terms cause no
+cancellation error.
+
+The q_m come from one big-integer power (Kronecker substitution; von zur
+Gathen & Gerhard, Modern Computer Algebra).  The coefficients h_i of H_n
+in y^2 alternate in sign, so (sum_i |h_i| t^i)^(2 alpha) has coefficients
+(-1)^m q_m >= 0, none above (sum_i |h_i|)^(2 alpha); at t = 2^w, with w
+bits for that bound, they sit in disjoint w-bit slots of one integer.
 
 The same q_m give the even-Hermite expansion of the power,
 
@@ -60,10 +67,12 @@ __all__ = [
     "entropic_moment_special",
 ]
 
-#: Work-unit budget for one moment polynomial or coefficient evaluation.
-#: Guards against absurd inputs; the estimate, with M = floor(n/2), is
+#: Input-size guard for one moment polynomial or coefficient evaluation,
+#: checked before H_n^(2 alpha) is built.  With M = floor(n/2) the size is
 #: (2 alpha M + 1)^2 2 alpha + (j_max + 1)(j_max + 2 alpha M + 1) units,
-#: with j_max = alpha for the moment polynomial.
+#: with j_max = alpha for the moment polynomial: the operation count of a
+#: schoolbook Hermite power, kept as a measure of (n, alpha, j_max) so the
+#: same inputs are refused.
 _TERM_BUDGET = 10**8
 
 
@@ -117,8 +126,8 @@ def _log_of_fraction(q: Fraction) -> float:
 
 
 def _check_budget(n: int, alpha: int, j_max: int) -> None:
-    """Raise :class:`BudgetExceededError` when the work estimate exceeds
-    ``_TERM_BUDGET``."""
+    """Raise :class:`BudgetExceededError` when the size of the input, as
+    measured by ``_TERM_BUDGET``'s comment, exceeds it."""
     conv_len = 2 * alpha * (n // 2) + 1
     work = conv_len * conv_len * 2 * alpha + (j_max + 1) * (j_max + conv_len)
     if work > _TERM_BUDGET:
@@ -131,20 +140,23 @@ def _check_budget(n: int, alpha: int, j_max: int) -> None:
 @lru_cache(maxsize=512)
 def _hermite_power(n: int, alpha: int) -> tuple[int, ...]:
     """Integers q_0..q_(alpha n) with H_n(y)^(2 alpha) = sum_m q_m y^(2m)."""
-    # coefficients of y^0..y^k of H_k from H_(k+1) = 2y H_k - 2k H_(k-1)
-    h_prev, h = [], [1]
-    for k in range(n):
-        h, h_prev = [2 * a - 2 * k * b for a, b in zip([0] + h, h_prev + [0, 0])], h
+    # H_n = y^nu sum_i h_i y^(2i) with h_(M-m) = (-1)^m n! 2^(n-2m) / (m! (n-2m)!);
+    # the |h_i| from the ratio of consecutive coefficients, largest power first
     nu = parity_nu(n)
-    h = h[nu::2]  # H_n = y^nu sum_i h_i y^(2i)
-    power = [1]
-    for _ in range(2 * alpha):
-        out = [0] * (len(power) + len(h) - 1)
-        for i, p_i in enumerate(power):
-            for t, h_t in enumerate(h):
-                out[i + t] += p_i * h_t
-        power = out
-    return (0,) * (alpha * nu) + tuple(power)
+    h = [1 << n]
+    for m in range((n - nu) // 2):
+        h.append(h[-1] * (n - 2 * m) * (n - 2 * m - 1) // (4 * (m + 1)))
+    h.reverse()
+    # (sum_i |h_i| t^i)^(2 alpha) at t = 2^(8 width) (module docstring):
+    # slots of ``width`` bytes hold (-1)^m q_m <= (sum_i |h_i|)^(2 alpha)
+    width = (2 * alpha * sum(h).bit_length() + 7) // 8
+    packed = int.from_bytes(b"".join(h_i.to_bytes(width, "little") for h_i in h), "little")
+    slots = 2 * alpha * (len(h) - 1) + 1
+    digits = (packed ** (2 * alpha)).to_bytes(slots * width, "little")
+    return (0,) * (alpha * nu) + tuple(
+        (-1) ** m * int.from_bytes(digits[m * width : (m + 1) * width], "little")
+        for m in range(slots)
+    )
 
 
 @lru_cache(maxsize=512)
@@ -185,8 +197,9 @@ def expansion_coefficients(n: int, alpha: int, j_max: int) -> ExpansionCoefficie
 
 
 @lru_cache(maxsize=512)
-def _moment_polynomial(n: int, alpha: int) -> tuple[Fraction, ...]:
-    """Exact coefficients P_0..P_alpha of the moment polynomial in r."""
+def _moment_polynomial(n: int, alpha: int) -> tuple[tuple[int, ...], int]:
+    """Integers N_0..N_alpha and D with P_k = N_k / D, the coefficients of
+    the moment polynomial in r."""
     _check_budget(n, alpha, alpha)
     q = _hermite_power(n, alpha)
     top = alpha * n + alpha  # largest m + k
@@ -195,30 +208,27 @@ def _moment_polynomial(n: int, alpha: int) -> tuple[Fraction, ...]:
     dfact = [1]
     for r in range(top):
         dfact.append(dfact[-1] * (2 * r + 1))
+    scaled = [q_m * alpha ** (alpha * n - m) for m, q_m in enumerate(q)]
     den = (2**n * math.factorial(n)) ** alpha * alpha ** (alpha * n) << top
-    return tuple(
-        Fraction(
-            math.comb(alpha, k)
-            * sum(
-                (q_m * dfact[m + k] << (top - m - k)) * alpha ** (alpha * n - m)
-                for m, q_m in enumerate(q)
-            ),
-            den,
-        )
+    nums = tuple(
+        math.comb(alpha, k)
+        * sum(s_m * dfact[m + k] << (top - m - k) for m, s_m in enumerate(scaled))
         for k in range(alpha + 1)
     )
+    return nums, den
 
 
 def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
     """ln W for integer alpha >= 1: the exact moment polynomial at
     r = lam / (alpha Omega), rounded only when its logarithm is taken."""
     a = _check_alpha_int(alpha)
-    poly = _moment_polynomial(n, a)
+    nums, den = _moment_polynomial(n, a)
     om = effective_frequency(params, n)
-    r = Fraction(params.lam / (a * om))
-    total = Fraction(0)
-    for p_k in reversed(poly):
-        total = total * r + p_k
+    r_num, r_den = (params.lam / (a * om)).as_integer_ratio()
+    # D r_den^alpha sum_k P_k r^k, by Horner on integers
+    total = 0
+    for k, n_k in enumerate(reversed(nums)):
+        total = total * r_num + n_k * r_den**k
     if total <= 0:
         raise ArithmeticError(
             f"entropic moment bracket is non-positive for n={n}, alpha={a}"
@@ -227,7 +237,7 @@ def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
         0.5 * math.log(math.pi / (a * om))
         + 0.5 * a * math.log(om / math.pi)
         - a * math.log1p((n + 0.5) * params.lam / om)
-        + _log_of_fraction(total)
+        + _log_of_fraction(Fraction(total, den * r_den**a))
     )
 
 

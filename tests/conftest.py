@@ -398,6 +398,46 @@ def reference_ft_sum(n, x, fw, p, dtype=float):
     return out
 
 
+def reference_hermite_power(n, alpha):
+    """q_0..q_(alpha n) of ``position_entropy._hermite_power``: the integer
+    Hermite recurrence, then 2 alpha schoolbook convolutions (test oracle)."""
+    # coefficients of y^0..y^k of H_k from H_(k+1) = 2y H_k - 2k H_(k-1)
+    h_prev, h = [], [1]
+    for k in range(n):
+        h, h_prev = [2 * a - 2 * k * b for a, b in zip([0] + h, h_prev + [0, 0])], h
+    nu = n & 1
+    h = h[nu::2]  # H_n = y^nu sum_i h_i y^(2i)
+    power = [1]
+    for _ in range(2 * alpha):
+        out = [0] * (len(power) + len(h) - 1)
+        for i, p_i in enumerate(power):
+            for t, h_t in enumerate(h):
+                out[i + t] += p_i * h_t
+        power = out
+    return (0,) * (alpha * nu) + tuple(power)
+
+
+def reference_log_entropic_moment(params, n, alpha, poly):
+    """``position_entropy.log_entropic_moment`` with the moment polynomial
+    ``poly`` (P_0..P_alpha as ``Fraction``s) summed by ``Fraction`` Horner
+    at r = Fraction(lam / (alpha Omega)) (test oracle)."""
+    from fractions import Fraction
+
+    from darboux3.position_entropy import _log_of_fraction
+
+    om = effective_frequency(params, n)
+    r = Fraction(params.lam / (alpha * om))
+    total = Fraction(0)
+    for p_k in reversed(poly):
+        total = total * r + p_k
+    return (
+        0.5 * math.log(math.pi / (alpha * om))
+        + 0.5 * alpha * math.log(om / math.pi)
+        - alpha * math.log1p((n + 0.5) * params.lam / om)
+        + _log_of_fraction(total)
+    )
+
+
 def reference_expansion(n, alpha, j_max):
     """c_0..c_(j_max) of ``position_entropy.expansion_coefficients`` by
     ``Fraction`` arithmetic at every step (test oracle)."""

@@ -19,11 +19,18 @@ from darboux3.position_entropy import (
     _expansion_cached,
     _hermite_power,
     _moment_polynomial,
+    log_entropic_moment,
 )
 from darboux3.quadrature import entropic_moment_numeric
 from darboux3.specfun import hermite
 
-from conftest import gauss_hermite_nodes, reference_expansion, reference_moment_polynomial
+from conftest import (
+    gauss_hermite_nodes,
+    reference_expansion,
+    reference_hermite_power,
+    reference_log_entropic_moment,
+    reference_moment_polynomial,
+)
 
 
 class TestParity:
@@ -59,6 +66,14 @@ def _hermite_reduced_rational(n, y_sq):
 
 
 class TestHermitePower:
+    @pytest.mark.parametrize(
+        "n,alpha",
+        [(n, a) for a in (1, 2, 3, 5) for n in range(61)] + [(100, 2), (150, 2)],
+    )
+    def test_matches_schoolbook_convolutions(self, n, alpha):
+        # large enough coefficients that a slot too narrow or a lost sign shows
+        assert _hermite_power(n, alpha) == reference_hermite_power(n, alpha)
+
     @pytest.mark.parametrize("n", range(0, 13))
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_reproduces_hermite_power(self, n, alpha):
@@ -81,9 +96,21 @@ class TestMomentPolynomial:
     @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
     def test_moment_polynomial_matches_expansion_route(self, n, alpha):
         # the Gaussian-moment sum and the route through the c_j agree exactly
-        got = _moment_polynomial(n, alpha)
+        nums, den = _moment_polynomial(n, alpha)
+        assert all(isinstance(x, int) for x in (*nums, den))
+        got = tuple(Fraction(n_k, den) for n_k in nums)
         assert got == reference_moment_polynomial(n, alpha)
-        assert all(isinstance(p_k, Fraction) for p_k in got)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 33, 60])
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_integer_horner_matches_fraction_horner(self, n, alpha):
+        # summing on integers and normalising once rounds the same rational
+        poly = reference_moment_polynomial(n, alpha)
+        for omega in (1.0, 0.37, 2.5):
+            for lam in (0.0, 1e-6, 0.04, 0.4, 7.0, 30.0, 1e3):
+                params = ModelParams(omega, lam)
+                want = reference_log_entropic_moment(params, n, alpha, poly)
+                assert log_entropic_moment(params, n, alpha) == want, (omega, lam)
 
 
 class TestBudgetGuard:
