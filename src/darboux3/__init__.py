@@ -51,6 +51,7 @@ from .uncertainty import (
     entropy,
     entropy_from_log_moment,
     log_moment,
+    log_moments,
     xi_renyi,
     xi_tsallis,
 )

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import math
+import shutil
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -30,6 +31,7 @@ from .quadrature import (
     fourier_transform,
     grid_nodes,
     position_half_width,
+    position_shannons,
     shannon_numeric,
 )
 from .strong_nonlinear import (
@@ -39,7 +41,7 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .tables import TABLE_IDS, verify_table
-from .uncertainty import entropy_from_log_moment, log_moment, xi_renyi, xi_tsallis
+from .uncertainty import entropy_from_log_moment, log_moments, xi_renyi, xi_tsallis
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -52,8 +54,15 @@ class _UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    _width = None  # the help width, read from the terminal once per parser
+
     def error(self, message):  # single-line diagnostic, exit code 2
         raise _UsageError(message)
+
+    def _get_formatter(self):  # add_argument builds one per flag
+        if self._width is None:
+            self._width = shutil.get_terminal_size().columns - 2
+        return self.formatter_class(prog=self.prog, width=self._width)
 
 
 class _Range(Sequence):
@@ -138,11 +147,17 @@ def _validated(args):
     return lams, ns, alphas
 
 
-def _log_moment(args, params, n, alpha):
-    """ln W for one cell: :func:`log_moment`, or quadrature on the user's
-    grid when --grid-points or --half-width is given."""
+def _log_moments(args, n, lams, alpha):
+    """ln W for each lambda of one (n, alpha) column: :func:`log_moments`,
+    or quadrature on the user's grid, cell by cell, when --grid-points or
+    --half-width is given."""
     if args.grid_points is None and args.half_width is None:
-        return log_moment(params, n, alpha, args.space)[0]
+        return log_moments(args.omega, lams, n, alpha, args.space)[0]
+    return [_grid_log_moment(args, ModelParams(args.omega, lam), n, alpha) for lam in lams]
+
+
+def _grid_log_moment(args, params, n, alpha):
+    """ln W for one cell by quadrature on the user's grid."""
     points = 512 if args.grid_points is None else args.grid_points
     position, half = args.space == "position", args.half_width
     if half is None and position:
@@ -160,7 +175,7 @@ def _log_moment(args, params, n, alpha):
     return math.log(float(w @ np.power(dens, alpha)))
 
 
-def _grid_command(args, header, cells):
+def _grid_command(args, header, cells=None, column=None):
     """Emit one CSV over the parameter grid; the package's one row order.
 
     Rows run n outer, lambda middle and, for a command that takes
@@ -168,8 +183,11 @@ def _grid_command(args, header, cells):
     (n, lambda[, alpha]), followed by the ``header`` columns.
     ``cells(args, params, n, alpha)`` returns the value columns of the rows
     of one grid point (several rows for critical points; ``alpha`` is None
-    without ``--alpha``).  A grid of more than ``MAX_GRID_POINTS`` points is
-    a usage error before any row is computed.
+    without ``--alpha``).  A command with ``column(args, n, lams, alpha)``
+    instead computes each (n, alpha) column over every lambda at once, and
+    it returns those value columns for each lambda in turn.  A grid of more
+    than ``MAX_GRID_POINTS`` points is a usage error before any row is
+    computed.
     """
     lams, ns, alphas = _validated(args)
     points = len(ns) * len(lams) * len(alphas or [None])
@@ -177,20 +195,34 @@ def _grid_command(args, header, cells):
         raise _UsageError(f"grid holds {points} points, more than {MAX_GRID_POINTS}")
     rows, lams, inner = [], list(lams), list(alphas or [None])  # each value computed once
     for n in ns:
-        for lam in lams:
+        cols = None if column is None else [column(args, n, lams, a) for a in inner]
+        for i, lam in enumerate(lams):
             params = ModelParams(args.omega, lam)
-            for a in inner:
+            for j, a in enumerate(inner):
                 grid = [n, lam] if a is None else [n, lam, a]
-                rows += [grid + tail for tail in cells(args, params, n, a)]
+                tails = cells(args, params, n, a) if cols is None else cols[j][i]
+                rows += [grid + tail for tail in tails]
     lead = ["n", "lambda"] if alphas is None else ["n", "lambda", "alpha"]
     _emit(lead + header, rows, args.out)
 
 
-def _entropy_cells(args, params, n, a):
+def _entropy_column(args, n, lams, a):
     if a == 1.0:
         raise _UsageError(f"{args.command} order 1 is Shannon; use the shannon command")
-    log_w = _log_moment(args, params, n, a)
-    return [[args.space, entropy_from_log_moment(log_w, a, args.command)]]
+    log_ws = _log_moments(args, n, lams, a)
+    return [[[args.space, entropy_from_log_moment(v, a, args.command)]] for v in log_ws]
+
+
+def _moment_column(args, n, lams, a):
+    return [[[args.space, math.exp(v)]] for v in _log_moments(args, n, lams, a)]
+
+
+def _shannon_column(args, n, lams, a):
+    if args.space == "position":
+        values = position_shannons(args.omega, lams, n)
+    else:
+        values = (shannon_numeric(ModelParams(args.omega, lam), n, args.space) for lam in lams)
+    return [[[args.space, s]] for s in values]
 
 
 def _xi_cells(args, params, n, a):
@@ -329,22 +361,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-# command: (value columns, cells(args, params, n, alpha))
+# command: (value columns, cells(args, params, n, alpha)) or
+# (value columns, None, column(args, n, lams, alpha))
 _GRID_COMMANDS = {
     "energy": (["energy"], lambda a, p, n, al: [[energy(p, n)]]),
     "omega": (["omega_eff"], lambda a, p, n, al: [[effective_frequency(p, n)]]),
     "disequilibrium": (["disequilibrium"], lambda a, p, n, al: [[entropic_moment(p, n, 2)]]),
     "weight-f": (["f", "complement"], _weight_cells),
-    "renyi": (["space", "renyi"], _entropy_cells),
-    "tsallis": (["space", "tsallis"], _entropy_cells),
-    "moment": (
-        ["space", "moment"],
-        lambda a, p, n, al: [[a.space, math.exp(_log_moment(a, p, n, al))]],
-    ),
-    "shannon": (
-        ["space", "shannon"],
-        lambda a, p, n, al: [[a.space, shannon_numeric(p, n, a.space)]],
-    ),
+    "renyi": (["space", "renyi"], None, _entropy_column),
+    "tsallis": (["space", "tsallis"], None, _entropy_column),
+    "moment": (["space", "moment"], None, _moment_column),
+    "shannon": (["space", "shannon"], None, _shannon_column),
     "xi-renyi": (["xi", "position_method"], _xi_cells),
     "xi-tsallis": (["xi", "position_method"], _xi_cells),
     "critical-points": (

@@ -20,16 +20,18 @@ integrate in y = sqrt(Omega) x, where rho_n(x) dx =
 m = n + 1/2, h_n the normalised harmonic function): lambda enters only
 through that rational factor and the cut, so the panels up to the last
 Hermite zero and h_n on them are computed once per (n, order class,
-refine) and every lambda of a sweep evaluates H_n on its tail alone
-(:func:`_position_log_density`), whose panels grow geometrically past the
-last lobe of h_n, as the momentum tail's do.  In momentum space the zeros
-of the transform are located first: one FFT scan of a uniform momentum
-grid brackets them, and Newton's method, kept inside each bracket, refines
-all of them together (:func:`~darboux3.specfun.bracketed_newton`, which
-refines the density's critical points too), with g and g' from one kernel
-call per step (two or three calls at every tested profile).  The momentum
-panels are laid out the same way, and entropy integrals reuse the profile
-nodes directly with no interpolation.
+refine).  The tails of a lambda sweep, whose panels grow geometrically past
+the last lobe of h_n as the momentum tail's do, are laid out by one
+:func:`_panel_grid` call and evaluated by one Hermite pass
+(:func:`_position_log_density`, :func:`position_moments`).  In momentum
+space the zeros of the transform are located first: one FFT scan of a
+uniform momentum grid brackets them, and Newton's method, kept inside each
+bracket, refines all of them together
+(:func:`~darboux3.specfun.bracketed_newton`, which refines the density's
+critical points too), with g and g' from one kernel call per step (two or
+three calls at every tested profile).  The momentum panels are laid out the
+same way, and entropy integrals reuse the profile nodes directly with no
+interpolation.
 
 Fourier transform
 -----------------
@@ -96,6 +98,8 @@ __all__ = [
     "position_half_width",
     "entropic_moment_numeric",
     "shannon_numeric",
+    "position_moments",
+    "position_shannons",
     "fourier_transform",
     "momentum_profile",
 ]
@@ -108,6 +112,7 @@ _FT_CHUNK_BYTES = 4 * 2**20  # the kernel's arrays for one chunk of momenta
 _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
+_TAIL_CHUNK_NODES = 2**16  # position tail nodes one Hermite pass takes at most
 
 _GL_U, _GL_W = leggauss(_ORDER)
 _GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0  # Gauss-Legendre nodes/weights on [0, 1]
@@ -206,16 +211,16 @@ def position_half_width(
 def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
     """The lambda-free bulk of one position layout class, [y, weights,
     2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the first
-    call of the class fills it from its whole-line grid.  16 slots hold
-    every class of a CLI row (rows run n, lambda, then alpha)."""
+    lambda of the class fills it from its whole-line grid.  A CLI grid
+    computes one (n, alpha) column at a time, so it needs one slot at a
+    time; 16 serve callers that interleave orders."""
     return []
 
 
-def _position_log_density(
-    params: ModelParams, n: int, alpha: float, refine: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-line nodes y = sqrt(Omega) x, their weights in x and ln rho_n
-    there, for integrating rho_n^alpha (an even integrand).
+def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int):
+    """For each lambda of ``lams`` in turn, the half-line nodes
+    y = sqrt(Omega) x, their weights in x and ln rho_n there, for
+    integrating rho_n^alpha (an even integrand).
 
     rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
     kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
@@ -226,9 +231,14 @@ def _position_log_density(
     zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
     So the bulk [0, z_last] and its Hermite values depend only on n,
     max(alpha, 1), whether alpha is fractional and ``refine``:
-    :func:`_position_bulk` keeps them.  The first call of a class builds and
-    evaluates the whole half line in one pass and keeps its bulk; every
-    later call builds and evaluates only the tail [z_last, sqrt(Omega) L].
+    :func:`_position_bulk` keeps them.  The first lambda of a class builds
+    and evaluates the whole half line in one pass and keeps its bulk; every
+    other lambda builds only its tail [z_last, sqrt(Omega) L].  Those tails
+    are chained into one :func:`_panel_grid` call, whose junction panels
+    (from one tail's end back to z_last) are dropped, and one Hermite pass
+    evaluates them all, ``_TAIL_CHUNK_NODES`` nodes at most at a time.
+    Every value is elementwise, so each lambda gets the nodes, weights and
+    ln rho_n a sweep of its own would, bit for bit.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -240,41 +250,75 @@ def _position_log_density(
     Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
     whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
-    om = effective_frequency(params, n)
-    s = math.sqrt(om)
-    L = s * position_half_width(params, n, alpha)
     order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
     width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
     z_last = float(zeros[-1]) if n else 0.0
-    d = (L - z_last) / math.ceil((L - z_last) / width)
     y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
-    equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
-    tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
     # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
     cusps = zeros if fractional else ()
     bulk = _position_bulk(n, order, fractional, refine)
-    if bulk:
-        y_t, w_t = _panel_grid(tail, np.ones(len(tail) - 1), cusps)
-        y, w = np.concatenate([bulk[0], y_t]), np.concatenate([bulk[1], w_t])
-        log_h = np.concatenate([bulk[2], _log_hermite_gauss(n, y_t)])
-    else:
-        head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, the zeros up to z_last
-        counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
-        y, w = _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
-        log_h = _log_hermite_gauss(n, y)
-        k = len(y) - _ORDER * (len(tail) - 1)
-        kept = [arr[:k].copy() for arr in (y, w, log_h)]
-        for arr in kept:
-            arr.setflags(write=False)
-        bulk.extend(kept)
-    kappa = params.lam / om
+    batch, nodes = [], 0
+    for lam in lams:
+        params = ModelParams(omega, lam)
+        om = effective_frequency(params, n)
+        L = math.sqrt(om) * position_half_width(params, n, alpha)
+        d = (L - z_last) / math.ceil((L - z_last) / width)
+        equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
+        tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
+        if not bulk:  # the class's first lambda: its whole half line
+            head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, the zeros up to z_last
+            counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
+            y, w = _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
+            log_h = _log_hermite_gauss(n, y)
+            k = len(y) - _ORDER * (len(tail) - 1)
+            kept = [arr[:k].copy() for arr in (y, w, log_h)]
+            for arr in kept:
+                arr.setflags(write=False)
+            bulk.extend(kept)
+            yield _log_density(params, n, om, y, w, log_h)
+            continue
+        batch.append((params, om, tail))
+        nodes += _ORDER * (len(tail) - 1)
+        if nodes >= _TAIL_CHUNK_NODES:
+            yield from _tail_log_densities(n, bulk, cusps, batch)
+            batch, nodes = [], 0
+    yield from _tail_log_densities(n, bulk, cusps, batch)
+
+
+def _tail_log_densities(n: int, bulk: list, cusps, batch: list):
+    """:func:`_position_log_density`'s output for each (params, Omega, tail
+    bounds) of ``batch``, from one :func:`_panel_grid` call and one Hermite
+    pass over all the tails."""
+    if not batch:
+        return
+    tails = [tail for _, _, tail in batch]
+    bounds = np.concatenate(tails)
+    y, w = _panel_grid(bounds, np.ones(len(bounds) - 1), cusps)
+    if len(tails) > 1:  # drop the junctions, each from one tail's end back to z_last
+        keep = np.ones(len(bounds) - 1, dtype=bool)
+        keep[np.cumsum([len(tail) for tail in tails[:-1]]) - 1] = False
+        y, w = y.reshape(-1, _ORDER)[keep].ravel(), w.reshape(-1, _ORDER)[keep].ravel()
+    log_h = _log_hermite_gauss(n, y)
+    start = 0
+    for params, om, tail in batch:
+        stop = start + _ORDER * (len(tail) - 1)
+        y_t = np.concatenate([bulk[0], y[start:stop]])
+        w_t = np.concatenate([bulk[1], w[start:stop]])
+        h_t = np.concatenate([bulk[2], log_h[start:stop]])
+        yield _log_density(params, n, om, y_t, w_t, h_t)
+        start = stop
+
+
+def _log_density(params: ModelParams, n: int, om: float, y, w, log_h):
+    """(y, w / sqrt(Omega), ln rho_n(y)) from the nodes y, their weights in
+    y and 2 ln|H_n(y)| - y^2 there."""
     log_rho = np.multiply(y, y)
-    log_rho *= kappa
+    log_rho *= params.lam / om
     np.log1p(log_rho, out=log_rho)
     log_rho += log_h
     log_rho += 2.0 * log_norm_constant(params, n)
-    return y, w / s, log_rho
+    return y, w / math.sqrt(om), log_rho
 
 
 def _log_hermite_gauss(n: int, y: np.ndarray) -> np.ndarray:
@@ -676,15 +720,38 @@ def _momentum_density(
     return prof.weights, prof.gamma
 
 
+def _check_order(alpha: float) -> None:
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def position_moments(omega: float, lams, n: int, alpha: float, refine: int = 1):
+    """W = integral rho_n^alpha dx for each lambda of ``lams`` in turn, at
+    one (omega, n, alpha, refine), any finite alpha > 0: the tails of the
+    whole sweep are laid out and evaluated together
+    (:func:`_position_log_density`)."""
+    _check_order(alpha)
+    return (
+        2.0 * float(w @ np.exp(alpha * log_rho))
+        for _, w, log_rho in _position_log_density(omega, lams, n, float(alpha), refine)
+    )
+
+
+def position_shannons(omega: float, lams, n: int, refine: int = 1):
+    """The position Shannon entropy -integral rho_n ln rho_n dx (0 ln 0
+    taken as 0) for each lambda of ``lams`` in turn, as :func:`position_moments`."""
+    for _, w, log_rho in _position_log_density(omega, lams, n, 1.0, refine):
+        rho = np.exp(log_rho)
+        yield -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
+
+
 def entropic_moment_numeric(
     params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
 ) -> float:
     """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if space == "position":
-        _, w, log_rho = _position_log_density(params, n, float(alpha), refine)
-        return 2.0 * float(w @ np.exp(alpha * log_rho))
+        return next(position_moments(params.omega, [params.lam], n, alpha, refine))
+    _check_order(alpha)
     w, gamma = _momentum_density(params, n, space, refine)
     return 2.0 * float(w @ np.power(gamma, alpha))
 
@@ -692,9 +759,7 @@ def entropic_moment_numeric(
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
     """Shannon entropy -integral density ln density (0 ln 0 taken as 0)."""
     if space == "position":
-        _, w, log_rho = _position_log_density(params, n, 1.0, refine)
-        rho = np.exp(log_rho)
-        return -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
+        return next(position_shannons(params.omega, [params.lam], n, refine))
     w, gamma = _momentum_density(params, n, space, refine)
     val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
     return -2.0 * float(w @ val)

@@ -111,7 +111,8 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of H_n in increasing order (empty for n = 0); cached, read-only."""
-    z = hermgauss(n)[0] if n else np.array([])
+    with np.errstate(all="ignore"):  # the weights, unused here, overflow from n = 371 on
+        z = hermgauss(n)[0] if n else np.array([])
     z.setflags(write=False)
     return z
 

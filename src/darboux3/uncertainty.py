@@ -16,8 +16,9 @@ both with 1/alpha + 1/beta = 2; the Tsallis form additionally requires
 1/2 < alpha <= 1.  Zero slack means the state saturates the inequality
 (the harmonic ground state does; the deformed one does not).
 
-Both sides take their entropic moments from :func:`log_moment`, which
-holds the package's one rule for choosing the closed form or quadrature;
+Both sides take their entropic moments from :func:`log_moment`, the
+one-lambda case of :func:`log_moments`, which holds the package's one rule
+for choosing the closed form or quadrature;
 the result records which engine produced the position side.
 :func:`entropy` turns the same ln W into Rényi and Tsallis entropies.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .position_entropy import log_entropic_moment
-from .quadrature import entropic_moment_numeric, shannon_numeric
+from .quadrature import entropic_moment_numeric, position_moments, shannon_numeric
 
 __all__ = [
     "XiResult",
@@ -37,6 +38,7 @@ __all__ = [
     "entropy",
     "entropy_from_log_moment",
     "log_moment",
+    "log_moments",
     "xi_renyi",
     "xi_tsallis",
 ]
@@ -61,18 +63,32 @@ def conjugate_order(alpha: float) -> float:
     return alpha / (2.0 * alpha - 1.0)
 
 
-def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
-    """ln W, W = integral density^alpha in ``space``, and the engine used.
+def log_moments(
+    omega: float, lams, n: int, alpha: float, space: str
+) -> tuple[list[float], str]:
+    """ln W, W = integral density^alpha in ``space``, for each lambda of
+    ``lams``, and the engine used.
 
     This is the package's one engine rule.  Position space at integer
     alpha >= 1 takes the exact closed form (:func:`log_entropic_moment`,
-    engine "analytic"); every other order, and momentum space at every
-    order, takes quadrature (:func:`entropic_moment_numeric`, engine
-    "quadrature"), which rejects orders that are not positive and finite.
+    engine "analytic") at each lambda; every other position order takes the
+    quadrature of the whole sweep at once (:func:`position_moments`), and
+    momentum space one profile per lambda (:func:`entropic_moment_numeric`),
+    both engine "quadrature"; quadrature rejects orders that are not
+    positive and finite.
     """
+    params = (ModelParams(omega, lam) for lam in lams)
     if space == "position" and alpha >= 1.0 and float(alpha).is_integer():
-        return log_entropic_moment(params, n, int(alpha)), "analytic"
-    return math.log(entropic_moment_numeric(params, n, alpha, space)), "quadrature"
+        return [log_entropic_moment(p, n, int(alpha)) for p in params], "analytic"
+    if space == "position":
+        return [math.log(w) for w in position_moments(omega, lams, n, alpha)], "quadrature"
+    return [math.log(entropic_moment_numeric(p, n, alpha, space)) for p in params], "quadrature"
+
+
+def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
+    """ln W and the engine at one lambda: :func:`log_moments`' one-lambda case."""
+    log_w, engine = log_moments(params.omega, [params.lam], n, alpha, space)
+    return log_w[0], engine
 
 
 def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:

@@ -339,6 +339,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "table", "not_a_table")
         assert code == 2
 
+    def test_high_order_zeros_print_no_warning(self):
+        # hermgauss's weights overflow from n = 371 on; the zeros do not
+        proc = subprocess.run(
+            [sys.executable, "-m", "darboux3.cli", "renyi", "--n", "380", "--alpha", "0.5",
+             "--lambda", "0.4"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("n,lambda,alpha,space,renyi\n380,0.4,0.5,position,")
+
     def test_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "darboux3.cli", "energy", "--n", "0"],
@@ -512,6 +522,28 @@ class TestParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         return built
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["renyi", "--space", "momentum", "--alpha", "0.7"], ["energy", "-h"]],
+        ids=" ".join,
+    )
+    def test_one_terminal_size_query_per_parser(self, monkeypatch, capsys, argv):
+        # every add_argument builds a help formatter; the width is read once
+        sizes = []
+        query = cli.shutil.get_terminal_size
+
+        def spy(*args):
+            sizes.append(args)
+            return query(*args)
+
+        monkeypatch.setattr(cli.shutil, "get_terminal_size", spy)
+        try:
+            _parse_args(argv)
+        except SystemExit:  # -h
+            pass
+        capsys.readouterr()
+        assert len(sizes) == 1
 
     def test_import_builds_no_parser(self):
         code = (

@@ -103,6 +103,11 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _log_density(params, n, alpha, refine):
+    """``_position_log_density``'s (y, w, ln rho) for the one lambda of ``params``."""
+    return next(quadrature._position_log_density(params.omega, [params.lam], n, alpha, refine))
+
+
 def _assert_same(got, want):
     assert len(got) == len(want) == 2
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -134,7 +139,7 @@ class TestPanelGrid:
                     params = ModelParams(1.0, lam)
                     x, w = reference_position_moment_nodes(params, n, alpha, refine)
                     _assert_same((x, w), reference_position_nodes(params, n, alpha, refine))
-                    y, w_y, _ = quadrature._position_log_density(params, n, alpha, refine)
+                    y, w_y, _ = _log_density(params, n, alpha, refine)
                     s = math.sqrt(effective_frequency(params, n))
                     assert len(y) == len(x)
                     L, panels = float(x[-1]), len(x) // 16
@@ -218,7 +223,7 @@ class TestCuspLayout:
             for alpha in (0.3, 1.0, 2.197, 3.5):
                 for lam in (0.0, 0.4, 30.0, 1000.0):
                     for refine in (1, 2):
-                        quadrature._position_log_density(ModelParams(1.0, lam), n, alpha, refine)
+                        _log_density(ModelParams(1.0, lam), n, alpha, refine)
         assert len(grids) == 61 * 4 * 4 * 2
         assert not any(_has_double_cusp_piece(*args) for args in grids)
 
@@ -310,14 +315,14 @@ class TestScaledPosition:
 
     @pytest.mark.parametrize("n", [0, 3, 30])
     def test_sweep_evaluates_bulk_once(self, monkeypatch, n):
-        # a 16-lambda sweep: the first call evaluates H_n on the whole half
+        # 16 one-lambda calls: the first evaluates H_n on the whole half
         # line, the others on their tail [z_last, sqrt(Omega) L] only
         quadrature._position_bulk.cache_clear()
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         z_last = float(hermite_zeros(n)[-1]) if n else 0.0
         for lam in np.linspace(0.0, 7.0, 16):
             params = ModelParams(1.0, float(lam))
-            y, _, _ = quadrature._position_log_density(params, n, 0.714, 1)
+            y, _, _ = _log_density(params, n, 0.714, 1)
             evaluated = hermite[-1][1]
             if len(hermite) == 1:
                 assert np.array_equal(evaluated, y)
@@ -333,13 +338,13 @@ class TestScaledPosition:
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         params = ModelParams(1.0, 0.4)
-        y, _, _ = quadrature._position_log_density(params, 7, 2.5, 1)
+        y, _, _ = _log_density(params, 7, 2.5, 1)
         assert len(grids) == len(hermite) == 1
         bounds, counts = grids[0][:2]
         assert np.array_equal(bounds[:4], np.append(0.0, hermite_zeros(7)[4:]))
         assert np.all(counts[:3] > 1) and np.all(counts[3:] == 1)
         assert np.array_equal(hermite[0][1], y)
-        quadrature._position_log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
+        _log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
         assert len(grids) == len(hermite) == 2
         assert grids[1][0][0] == bounds[3] and np.all(grids[1][1] == 1)
 
@@ -349,10 +354,10 @@ class TestScaledPosition:
         for alpha in (0.3, 1.0, 2.567):
             for lam in (0.0, 0.9, 7.0):
                 params = ModelParams(1.0, lam)
-                quadrature._position_log_density(ModelParams(1.0, 3.0), n, alpha, 2)
-                hit = quadrature._position_log_density(params, n, alpha, 2)
+                _log_density(ModelParams(1.0, 3.0), n, alpha, 2)
+                hit = _log_density(params, n, alpha, 2)
                 quadrature._position_bulk.cache_clear()
-                miss = quadrature._position_log_density(params, n, alpha, 2)
+                miss = _log_density(params, n, alpha, 2)
                 for a, b in zip(hit, miss):
                     assert np.array_equal(a, b)
 
@@ -367,6 +372,69 @@ class TestScaledPosition:
         w1 = entropic_moment_numeric(params, 0, 0.3, "position", refine=1)
         w8 = entropic_moment_numeric(params, 0, 0.3, "position", refine=8)
         assert w1 == pytest.approx(w8, rel=1e-9, abs=0.0)
+
+
+#: 16 lambdas in [0, 1e3], 0 among them
+SWEEP_LAMS = [0.0] + [float(v) for v in np.geomspace(1e-3, 1e3, 15)]
+
+
+class TestSweepBatch:
+    """A lambda sweep's tails go through one ``_panel_grid`` call and one
+    Hermite pass, and every value is the one a call of its own gives."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
+    def test_batch_equals_cells(self, n, omega):
+        # the sweep evaluates the first lambda's whole half line, then every
+        # other tail together; each cell after it, its own tail alone.  At
+        # n = 200 the Hermite recurrence rescales.
+        for refine in (1, 2):
+            for alpha in (0.3, 0.714, 1.0, 2.567, 3.0):
+                quadrature._position_bulk.cache_clear()
+                sweep = list(quadrature.position_moments(omega, SWEEP_LAMS, n, alpha, refine))
+                cells = [
+                    entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
+                    for lam in SWEEP_LAMS
+                ]
+                assert sweep == cells
+            quadrature._position_bulk.cache_clear()
+            sweep = list(quadrature.position_shannons(omega, SWEEP_LAMS, n, refine))
+            cells = [
+                shannon_numeric(ModelParams(omega, lam), n, "position", refine)
+                for lam in SWEEP_LAMS
+            ]
+            assert sweep == cells
+
+    @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
+    def test_cli_sweep_makes_two_hermite_passes(self, monkeypatch, capsys, command):
+        # a cold 16-lambda column at one fractional order: the first lambda's
+        # whole half line, then every other tail in one pass
+        from darboux3 import cli
+
+        argv = [command, "--alpha", "0.714", "--lambda", "0:1.5:0.1", "--n", "6"]
+        quadrature._position_bulk.cache_clear()
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        grids = _spy(monkeypatch, "_panel_grid")
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 17
+        assert len(hermite) == len(grids) == 2
+        assert cli.main(argv) == 0  # the bulk is cached: one pass for all 16 tails
+        assert len(hermite) == len(grids) == 3
+
+    def test_chunks_give_the_same_bytes(self, monkeypatch, capsys):
+        # a node budget of 500 holds two or three tails: the sweep goes
+        # through in several passes, with the same output
+        from darboux3 import cli
+
+        argv = ["renyi", "--alpha", "0.3,0.714,2.567", "--lambda", "0:30:2", "--n", "0,7"]
+        assert cli.main(argv) == 0
+        whole = capsys.readouterr().out
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert len(hermite) >= 2 * 3 * 5
+        assert max(len(args[1]) for args in hermite) < 500 + 16 * 20
 
 
 class TestGradedTail:
@@ -404,8 +472,8 @@ class TestGradedTail:
                 for lam in (0.0, 1.0, 1000.0):
                     for refine in (1, 2):
                         params = ModelParams(1.0, lam)
-                        quadrature._position_log_density(params, n, alpha, refine)
-                        quadrature._position_log_density(params, n, alpha, refine)  # a hit
+                        _log_density(params, n, alpha, refine)
+                        _log_density(params, n, alpha, refine)  # a hit
                         tail = grids[-1][0]  # the hit builds the tail alone
                         L, widths = tail[-1], np.diff(tail)
                         d, past = widths[0], tail[:-1] > y_g
@@ -865,7 +933,7 @@ class TestMomentumCut:
         # W_1/2 >= <x^2>^(-1/4) the cut's margin rests on
         params = ModelParams(1.0, lam)
         for n in (0, 1, 4, 9):
-            y, w, log_rho = quadrature._position_log_density(params, n, 1.0, 2)
+            y, w, log_rho = _log_density(params, n, 1.0, 2)
             x2 = 2.0 * float(w @ (y * y * np.exp(log_rho))) / effective_frequency(params, n)
             assert quadrature._position_second_moment(params, n) == pytest.approx(x2, rel=1e-12)
             if lam <= 30.0:

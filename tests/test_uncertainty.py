@@ -9,6 +9,7 @@ from darboux3 import (
     entropy,
     entropy_from_log_moment,
     log_moment,
+    log_moments,
     xi_renyi,
     xi_tsallis,
 )
@@ -41,6 +42,25 @@ class TestLogMoment:
     def test_rejects_order_not_positive_and_finite(self, deformed, alpha, space):
         with pytest.raises(ValueError, match="alpha"):
             log_moment(deformed, 2, alpha, space)
+
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    def test_sweep_equals_cells(self, omega, space):
+        # log_moment is log_moments' one-lambda case: every cell of a sweep
+        # has the same ln W, to the bit, and the same engine
+        lams = [0.0, 0.05, 0.4, 2.0, 7.5] + ([30.0, 1e3] if space == "position" else [])
+        for n in (0, 1, 6):
+            for alpha in (0.3, 0.714, 1.0, 2.0, 2.567, 3.0):
+                log_ws, engine = log_moments(omega, lams, n, alpha, space)
+                cells = [log_moment(ModelParams(omega, lam), n, alpha, space) for lam in lams]
+                assert [(v, engine) for v in log_ws] == cells
+
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_sweep_rejects_bad_order(self, space):
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                log_moments(1.0, [0.0, 0.4], 2, alpha, space)
 
 
 class TestEntropy:
