@@ -142,6 +142,8 @@ def _validated(args):
     points, half = getattr(args, "grid_points", None), getattr(args, "half_width", None)
     if points is not None and points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got {points}")
+    if points is not None and points < 32 and "alpha" in args:  # a GridSpec's least
+        raise _UsageError(f"--grid-points must be at least 32, got {points}")
     if half is not None and not (half > 0 and math.isfinite(half)):
         raise _UsageError(f"--half-width must be positive and finite, got {half}")
     return lams, ns, alphas

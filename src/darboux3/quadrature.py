@@ -21,7 +21,8 @@ m = n + 1/2, h_n the normalised harmonic function): lambda enters only
 through that rational factor and the cut, so the panels up to the last
 Hermite zero and h_n on them are computed once per (n, order class,
 refine).  The tails of a lambda sweep, whose panels grow geometrically past
-the last lobe of h_n as the momentum tail's do, are laid out by one
+the last lobe of h_n as the momentum tail's do, are chained behind the
+bulk's panels while those are not yet computed, and laid out by one
 :func:`_panel_grid` call and evaluated by one Hermite pass
 (:func:`_position_log_density`, :func:`position_moments`).  In momentum
 space the zeros of the transform are located first: one FFT scan of a
@@ -210,8 +211,8 @@ def position_half_width(
 @lru_cache(maxsize=16)
 def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
     """The lambda-free bulk of one position layout class, [y, weights,
-    2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the first
-    lambda of the class fills it from its whole-line grid.  A CLI grid
+    2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the class's
+    head, leading a sweep's chain of tails, fills it.  A CLI grid
     computes one (n, alpha) column at a time, so it needs one slot at a
     time; 16 serve callers that interleave orders."""
     return []
@@ -231,14 +232,15 @@ def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int)
     zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
     So the bulk [0, z_last] and its Hermite values depend only on n,
     max(alpha, 1), whether alpha is fractional and ``refine``:
-    :func:`_position_bulk` keeps them.  The first lambda of a class builds
-    and evaluates the whole half line in one pass and keeps its bulk; every
-    other lambda builds only its tail [z_last, sqrt(Omega) L].  Those tails
-    are chained into one :func:`_panel_grid` call, whose junction panels
-    (from one tail's end back to z_last) are dropped, and one Hermite pass
-    evaluates them all, ``_TAIL_CHUNK_NODES`` nodes at most at a time.
-    Every value is elementwise, so each lambda gets the nodes, weights and
-    ln rho_n a sweep of its own would, bit for bit.
+    :func:`_position_bulk` keeps them, and each lambda builds only its tail
+    [z_last, sqrt(Omega) L].  The tails are chained into one
+    :func:`_panel_grid` call, whose junction panels (from one tail's end
+    back to z_last) are dropped, and one Hermite pass, ``_TAIL_CHUNK_NODES``
+    tail nodes at most at a time.  While the bulk is not kept, the head
+    [0, zeros..., z_last] leads the chain, and the first lambda's whole half
+    line is the chain up to its tail's end.  Every value is elementwise, so
+    each lambda gets the nodes, weights and ln rho_n a sweep of its own
+    would, bit for bit.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -258,75 +260,54 @@ def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int)
     # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
     cusps = zeros if fractional else ()
     bulk = _position_bulk(n, order, fractional, refine)
-    batch, nodes = [], 0
-    for lam in lams:
-        params = ModelParams(omega, lam)
-        om = effective_frequency(params, n)
-        L = math.sqrt(om) * position_half_width(params, n, alpha)
-        d = (L - z_last) / math.ceil((L - z_last) / width)
-        equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
-        tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
-        if not bulk:  # the class's first lambda: its whole half line
-            head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, the zeros up to z_last
-            counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
-            y, w = _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
-            log_h = _log_hermite_gauss(n, y)
-            k = len(y) - _ORDER * (len(tail) - 1)
-            kept = [arr[:k].copy() for arr in (y, w, log_h)]
-            for arr in kept:
+    lams = iter(lams)
+    while True:
+        batch, nodes = [], 0
+        for lam in lams:
+            params = ModelParams(omega, lam)
+            om = effective_frequency(params, n)
+            L = math.sqrt(om) * position_half_width(params, n, alpha)
+            d = (L - z_last) / math.ceil((L - z_last) / width)
+            equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
+            tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
+            batch.append((params, om, tail))
+            nodes += _ORDER * (len(tail) - 1)
+            if nodes >= _TAIL_CHUNK_NODES:
+                break
+        if not batch:
+            return
+        cold = not bulk
+        tails = [tail for _, _, tail in batch]
+        head = np.concatenate([[0.0], zeros[n % 2 :]]) if cold else tails[0][:1]  # 0, ..., z_last
+        bounds = np.concatenate([head[:-1], *tails])
+        counts = np.ones(len(bounds) - 1)
+        if cold:
+            counts[: len(head) - 1] = np.ceil(np.diff(head) / width)
+        y, w = _panel_grid(bounds, counts, cusps)
+        k = len(y) - _ORDER * (len(bounds) - len(head))  # the head's nodes
+        if len(tails) > 1:  # drop the junctions, each from one tail's end back to z_last
+            keep = np.ones(len(y) // _ORDER, dtype=bool)
+            keep[k // _ORDER + np.cumsum([len(tail) for tail in tails[:-1]]) - 1] = False
+            y, w = y.reshape(-1, _ORDER)[keep].ravel(), w.reshape(-1, _ORDER)[keep].ravel()
+        log_h = 2.0 * hermite_sign_logabs(n, y)[1] - y * y  # -inf at an exact zero of H_n
+        chain = y, w, log_h
+        if cold:
+            bulk += [arr[:k].copy() for arr in chain]
+            for arr in bulk:
                 arr.setflags(write=False)
-            bulk.extend(kept)
-            yield _log_density(params, n, om, y, w, log_h)
-            continue
-        batch.append((params, om, tail))
-        nodes += _ORDER * (len(tail) - 1)
-        if nodes >= _TAIL_CHUNK_NODES:
-            yield from _tail_log_densities(n, bulk, cusps, batch)
-            batch, nodes = [], 0
-    yield from _tail_log_densities(n, bulk, cusps, batch)
-
-
-def _tail_log_densities(n: int, bulk: list, cusps, batch: list):
-    """:func:`_position_log_density`'s output for each (params, Omega, tail
-    bounds) of ``batch``, from one :func:`_panel_grid` call and one Hermite
-    pass over all the tails."""
-    if not batch:
-        return
-    tails = [tail for _, _, tail in batch]
-    bounds = np.concatenate(tails)
-    y, w = _panel_grid(bounds, np.ones(len(bounds) - 1), cusps)
-    if len(tails) > 1:  # drop the junctions, each from one tail's end back to z_last
-        keep = np.ones(len(bounds) - 1, dtype=bool)
-        keep[np.cumsum([len(tail) for tail in tails[:-1]]) - 1] = False
-        y, w = y.reshape(-1, _ORDER)[keep].ravel(), w.reshape(-1, _ORDER)[keep].ravel()
-    log_h = _log_hermite_gauss(n, y)
-    start = 0
-    for params, om, tail in batch:
-        stop = start + _ORDER * (len(tail) - 1)
-        y_t = np.concatenate([bulk[0], y[start:stop]])
-        w_t = np.concatenate([bulk[1], w[start:stop]])
-        h_t = np.concatenate([bulk[2], log_h[start:stop]])
-        yield _log_density(params, n, om, y_t, w_t, h_t)
-        start = stop
-
-
-def _log_density(params: ModelParams, n: int, om: float, y, w, log_h):
-    """(y, w / sqrt(Omega), ln rho_n(y)) from the nodes y, their weights in
-    y and 2 ln|H_n(y)| - y^2 there."""
-    log_rho = np.multiply(y, y)
-    log_rho *= params.lam / om
-    np.log1p(log_rho, out=log_rho)
-    log_rho += log_h
-    log_rho += 2.0 * log_norm_constant(params, n)
-    return y, w / math.sqrt(om), log_rho
-
-
-def _log_hermite_gauss(n: int, y: np.ndarray) -> np.ndarray:
-    """2 ln|H_n(y)| - y^2 (-inf at an exact zero)."""
-    log_h = hermite_sign_logabs(n, y)[1]
-    log_h *= 2.0
-    log_h -= y * y
-    return log_h
+        stop = k
+        for i, (params, om, tail) in enumerate(batch):
+            start, stop = stop, stop + _ORDER * (len(tail) - 1)
+            if cold and i == 0:  # the first lambda's whole half line, head and tail
+                y_t, w_t, h_t = y[:stop], w[:stop], log_h[:stop]
+            else:
+                y_t, w_t, h_t = [np.concatenate([b, a[start:stop]]) for b, a in zip(bulk, chain)]
+            log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
+            log_rho *= params.lam / om
+            np.log1p(log_rho, out=log_rho)
+            log_rho += h_t
+            log_rho += 2.0 * log_norm_constant(params, n)
+            yield y_t, w_t / math.sqrt(om), log_rho
 
 
 # --------------------------------------------------------------------------
@@ -726,9 +707,9 @@ def _check_order(alpha: float) -> None:
 
 
 def position_moments(omega: float, lams, n: int, alpha: float, refine: int = 1):
-    """W = integral rho_n^alpha dx for each lambda of ``lams`` in turn, at
-    one (omega, n, alpha, refine), any finite alpha > 0: the tails of the
-    whole sweep are laid out and evaluated together
+    """W = integral rho_n^alpha dx for each lambda of ``lams`` (any iterable)
+    in turn, at one (omega, n, alpha, refine), any finite alpha > 0: the
+    sweep's tails are laid out and evaluated together
     (:func:`_position_log_density`)."""
     _check_order(alpha)
     return (

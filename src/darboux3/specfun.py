@@ -110,9 +110,12 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of H_n in increasing order (empty for n = 0); cached, read-only."""
+    """Zeros of H_n in increasing order (empty for n = 0); cached, read-only.
+    ``ArithmeticError`` where ``hermgauss`` leaves one not finite (n >= 741)."""
     with np.errstate(all="ignore"):  # the weights, unused here, overflow from n = 371 on
         z = hermgauss(n)[0] if n else np.array([])
+    if not np.isfinite(z).all():
+        raise ArithmeticError(f"Hermite zeros of order n={n} are not finite")
     z.setflags(write=False)
     return z
 

@@ -209,6 +209,30 @@ class TestExitCodes:
         assert err.startswith("usage error:")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
+    def test_usage_error_names_grid_points_flag(self, capsys, command):
+        # a GridSpec takes 32 points at least; the message names the flag
+        code, out, err = run_cli(capsys, command, "--grid-points", "20")
+        assert (code, out) == (2, "")
+        assert err == "usage error: --grid-points must be at least 32, got 20\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["renyi", "--n", "800", "--alpha", "0.5", "--lambda", "0.4"],
+            ["shannon", "--n", "800", "--lambda", "0.4"],
+            ["critical-points", "--n", "800"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_non_finite_hermite_zeros_are_numeric_failure(self, capsys, argv):
+        # hermgauss leaves NaN zeros from n = 741 on
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure in darboux3.specfun: Hermite zeros of order n=800 are not finite\n"
+        )
+
     def test_short_momentum_cut_is_numeric_failure(self, capsys, monkeypatch):
         cut = quadrature._momentum_cut
         monkeypatch.setattr(quadrature, "_momentum_cut", lambda p, n: 0.5 * cut(p, n))

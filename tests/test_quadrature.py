@@ -405,10 +405,24 @@ class TestSweepBatch:
             ]
             assert sweep == cells
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_sweeps_take_an_iterator(self, monkeypatch, n):
+        # a generator of lambdas, read a few tails at a time, gives the list's values
+        monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
+        sweeps = [
+            lambda lams: quadrature.position_moments(1.0, lams, n, 0.714),
+            lambda lams: quadrature.position_shannons(1.0, lams, n),
+        ]
+        for sweep in sweeps:
+            quadrature._position_bulk.cache_clear()
+            want = list(sweep(SWEEP_LAMS))
+            quadrature._position_bulk.cache_clear()
+            assert list(sweep(lam for lam in SWEEP_LAMS)) == want
+
     @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
-    def test_cli_sweep_makes_two_hermite_passes(self, monkeypatch, capsys, command):
-        # a cold 16-lambda column at one fractional order: the first lambda's
-        # whole half line, then every other tail in one pass
+    def test_cli_sweep_makes_one_hermite_pass(self, monkeypatch, capsys, command):
+        # a cold 16-lambda column at one fractional order: the bulk's head
+        # leads the chain of all 16 tails into one pass
         from darboux3 import cli
 
         argv = [command, "--alpha", "0.714", "--lambda", "0:1.5:0.1", "--n", "6"]
@@ -417,13 +431,15 @@ class TestSweepBatch:
         grids = _spy(monkeypatch, "_panel_grid")
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 17
+        assert len(hermite) == len(grids) == 1
+        assert cli.main(argv) == 0  # the bulk is cached: one pass for the 16 tails alone
         assert len(hermite) == len(grids) == 2
-        assert cli.main(argv) == 0  # the bulk is cached: one pass for all 16 tails
-        assert len(hermite) == len(grids) == 3
+        assert grids[1][0][0] == float(hermite_zeros(6)[-1])
 
     def test_chunks_give_the_same_bytes(self, monkeypatch, capsys):
         # a node budget of 500 holds two or three tails: the sweep goes
-        # through in several passes, with the same output
+        # through in several passes, the bulk leading the first, with the
+        # same output
         from darboux3 import cli
 
         argv = ["renyi", "--alpha", "0.3,0.714,2.567", "--lambda", "0:30:2", "--n", "0,7"]
@@ -431,10 +447,12 @@ class TestSweepBatch:
         whole = capsys.readouterr().out
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
+        quadrature._position_bulk.cache_clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         assert len(hermite) >= 2 * 3 * 5
-        assert max(len(args[1]) for args in hermite) < 500 + 16 * 20
+        head = len(quadrature._position_bulk(7, 2.567, True, 1)[0])  # the largest bulk
+        assert max(len(args[1]) for args in hermite) < head + 500 + 16 * 20
 
 
 class TestGradedTail:

@@ -191,6 +191,12 @@ class TestHermiteZeros:
         above = np.sign(hermite(n, z + 1e-9 * np.maximum(np.abs(z), 1.0)))
         assert np.all(below * above < 0.0)
 
+    def test_non_finite_zeros_raise(self):
+        # hermgauss's own Newton step overflows from n = 741 on and leaves NaNs
+        assert np.isfinite(hermite_zeros(740)).all()
+        with pytest.raises(ArithmeticError, match="order n=741 are not finite"):
+            hermite_zeros(741)
+
 
 def _cos_with_bound(calls):
     """cos, its derivative and a rounding bound, counting calls: a float z
