@@ -154,7 +154,8 @@ def _log_moments(args, n, lams, alpha):
     or quadrature on the user's grid, cell by cell, when --grid-points or
     --half-width is given."""
     if args.grid_points is None and args.half_width is None:
-        return log_moments(args.omega, lams, n, alpha, args.space)[0]
+        cells = [(lam, alpha) for lam in lams]
+        return [log_w for log_w, _ in log_moments(args.omega, cells, n, args.space)]
     return [_grid_log_moment(args, ModelParams(args.omega, lam), n, alpha) for lam in lams]
 
 
@@ -277,6 +278,8 @@ def _profile_command(args):
 def _table_command(args) -> int:
     if args.table not in TABLE_IDS:
         raise _UsageError(f"unknown table {args.table!r}; known: {', '.join(TABLE_IDS)}")
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise _UsageError(f"--tolerance must be non-negative and finite, got {args.tolerance}")
     report = verify_table(args.table, args.tolerance)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,25 +14,23 @@ restores spectral convergence.  :func:`_panel_grid` lays out these panels,
 the momentum profile's and those of :func:`grid_nodes`; :func:`_gl_blocks`
 lays out the equal-panel lattices of the phi_n transform and of
 :func:`fourier_transform` on a :class:`GridSpec`.  Both use array
-operations.  Position moments
-integrate in y = sqrt(Omega) x, where rho_n(x) dx =
-[(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa = lam / Omega,
-m = n + 1/2, h_n the normalised harmonic function): lambda enters only
-through that rational factor and the cut, so the panels up to the last
+operations.  Position moments integrate in y = sqrt(Omega) x, where
+rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
+lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
+enters only through that factor and the cut, so the panels up to the last
 Hermite zero and h_n on them are computed once per (n, order class,
-refine).  The tails of a lambda sweep, whose panels grow geometrically past
-the last lobe of h_n as the momentum tail's do, are chained behind the
-bulk's panels while those are not yet computed, and laid out by one
-:func:`_panel_grid` call and evaluated by one Hermite pass
-(:func:`_position_log_density`, :func:`position_moments`).  In momentum
-space the zeros of the transform are located first: one FFT scan of a
-uniform momentum grid brackets them, and Newton's method, kept inside each
-bracket, refines all of them together
-(:func:`~darboux3.specfun.bracketed_newton`, which refines the density's
-critical points too), with g and g' from one kernel call per step (two or
-three calls at every tested profile).  The momentum panels are laid out the
-same way, and entropy integrals reuse the profile nodes directly with no
-interpolation.
+refine).  The (lam, alpha) cells of a lambda sweep or a table row share
+one :func:`_panel_grid` call and one Hermite pass over their tails, whose
+panels grow geometrically past the last lobe of h_n as the momentum
+tail's do, each class's head leading its first tail while not yet kept
+(:func:`_position_log_density`).  In momentum space the zeros of the
+transform are located first: one FFT scan of a uniform momentum grid
+brackets them, and Newton's method, kept inside each bracket, refines all
+of them together (:func:`~darboux3.specfun.bracketed_newton`, which
+refines the density's critical points too), with g and g' from one kernel
+call per step (two or three calls at every tested profile).  The momentum
+panels are laid out the same way, and entropy integrals reuse the profile
+nodes directly with no interpolation.
 
 Fourier transform
 -----------------
@@ -80,6 +78,7 @@ the position nodes and gamma on the profile nodes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -212,16 +211,16 @@ def position_half_width(
 def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
     """The lambda-free bulk of one position layout class, [y, weights,
     2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the class's
-    head, leading a sweep's chain of tails, fills it.  A CLI grid
-    computes one (n, alpha) column at a time, so it needs one slot at a
-    time; 16 serve callers that interleave orders."""
+    head, leading a cell's tail in a pass, fills it.  A CLI column needs
+    one slot and a table row up to 5 (orders below 1 share one, and
+    Shannon's is one); 16 serve callers that interleave rows."""
     return []
 
 
-def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int):
-    """For each lambda of ``lams`` in turn, the half-line nodes
+def _position_log_density(omega: float, cells, n: int, refine: int):
+    """For each (lam, alpha) of ``cells`` in turn, the half-line nodes
     y = sqrt(Omega) x, their weights in x and ln rho_n there, for
-    integrating rho_n^alpha (an even integrand).
+    integrating rho_n^alpha (an even integrand); alpha must be finite, > 0.
 
     rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
     kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
@@ -230,17 +229,18 @@ def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int)
     width = min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and
     run out to sqrt(Omega) L with L the :func:`position_half_width`; every
     zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
-    So the bulk [0, z_last] and its Hermite values depend only on n,
-    max(alpha, 1), whether alpha is fractional and ``refine``:
-    :func:`_position_bulk` keeps them, and each lambda builds only its tail
+    So the bulk [0, z_last] and its Hermite values depend only on the
+    layout class (n, max(alpha, 1), whether alpha is fractional, ``refine``):
+    :func:`_position_bulk` keeps them, and each cell builds only its tail
     [z_last, sqrt(Omega) L].  The tails are chained into one
     :func:`_panel_grid` call, whose junction panels (from one tail's end
-    back to z_last) are dropped, and one Hermite pass, ``_TAIL_CHUNK_NODES``
-    tail nodes at most at a time.  While the bulk is not kept, the head
-    [0, zeros..., z_last] leads the chain, and the first lambda's whole half
-    line is the chain up to its tail's end.  Every value is elementwise, so
-    each lambda gets the nodes, weights and ln rho_n a sweep of its own
-    would, bit for bit.
+    back to the next cell's start) are dropped, and one Hermite pass,
+    ``_TAIL_CHUNK_NODES`` tail nodes at most at a time.  The first cell of
+    a class whose bulk is not kept has the head [0, zeros..., z_last] in
+    front of its tail, and the head's nodes fill the bulk.  Only fractional
+    orders map the cusps at the zeros, so a change of kind starts a new
+    pass.  Every value is elementwise, so each cell gets the nodes, weights
+    and ln rho_n a call of its own would, bit for bit.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -252,56 +252,60 @@ def _position_log_density(omega: float, lams, n: int, alpha: float, refine: int)
     Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
     whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
-    order, fractional = max(alpha, 1.0), not float(alpha).is_integer()
-    width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
     z_last = float(zeros[-1]) if n else 0.0
     y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
-    # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
-    cusps = zeros if fractional else ()
-    bulk = _position_bulk(n, order, fractional, refine)
-    lams = iter(lams)
-    while True:
-        batch, nodes = [], 0
-        for lam in lams:
+    head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, ..., z_last
+    cells = iter(cells)
+    cell = next(cells, None)
+    while cell is not None:
+        # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
+        fractional = not float(cell[1]).is_integer()
+        batch, bounds, counts, nodes = [], [], [], 0
+        while cell is not None and nodes < _TAIL_CHUNK_NODES:
+            lam, alpha = cell[0], float(cell[1])
+            if alpha.is_integer() == fractional:  # a change of kind starts a new pass
+                break
+            _check_order(alpha)
+            order = max(alpha, 1.0)
+            width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
             params = ModelParams(omega, lam)
             om = effective_frequency(params, n)
             L = math.sqrt(om) * position_half_width(params, n, alpha)
             d = (L - z_last) / math.ceil((L - z_last) / width)
             equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
             tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
-            batch.append((params, om, tail))
             nodes += _ORDER * (len(tail) - 1)
-            if nodes >= _TAIL_CHUNK_NODES:
-                break
-        if not batch:
-            return
-        cold = not bulk
-        tails = [tail for _, _, tail in batch]
-        head = np.concatenate([[0.0], zeros[n % 2 :]]) if cold else tails[0][:1]  # 0, ..., z_last
-        bounds = np.concatenate([head[:-1], *tails])
-        counts = np.ones(len(bounds) - 1)
-        if cold:
-            counts[: len(head) - 1] = np.ceil(np.diff(head) / width)
-        y, w = _panel_grid(bounds, counts, cusps)
-        k = len(y) - _ORDER * (len(bounds) - len(head))  # the head's nodes
-        if len(tails) > 1:  # drop the junctions, each from one tail's end back to z_last
+            counts += [[1.0]] if batch else []  # a junction back to this cell's start
+            bulk = _position_bulk(n, order, fractional, refine)
+            k = None  # the head's nodes, if the cell leads with its class's head
+            if not bulk and all(b is not bulk for _, _, b, _, _ in batch):
+                bounds.append(head[:-1])
+                counts.append(np.ceil(np.diff(head) / width))
+                k = _ORDER * int(counts[-1].sum())
+            bounds.append(tail)
+            counts.append(np.ones(len(tail) - 1))
+            batch.append((params, om, bulk, k, (k or 0) + _ORDER * (len(tail) - 1)))
+            cell = next(cells, None)
+        cusps = zeros if fractional else ()
+        y, w = _panel_grid(np.concatenate(bounds), np.concatenate(counts), cusps)
+        if len(batch) > 1:  # drop the junctions
+            ends = np.cumsum([size for *_, size in batch]) // _ORDER
             keep = np.ones(len(y) // _ORDER, dtype=bool)
-            keep[k // _ORDER + np.cumsum([len(tail) for tail in tails[:-1]]) - 1] = False
+            keep[ends[:-1] + np.arange(len(batch) - 1)] = False
             y, w = y.reshape(-1, _ORDER)[keep].ravel(), w.reshape(-1, _ORDER)[keep].ravel()
         log_h = 2.0 * hermite_sign_logabs(n, y)[1] - y * y  # -inf at an exact zero of H_n
         chain = y, w, log_h
-        if cold:
-            bulk += [arr[:k].copy() for arr in chain]
-            for arr in bulk:
-                arr.setflags(write=False)
-        stop = k
-        for i, (params, om, tail) in enumerate(batch):
-            start, stop = stop, stop + _ORDER * (len(tail) - 1)
-            if cold and i == 0:  # the first lambda's whole half line, head and tail
-                y_t, w_t, h_t = y[:stop], w[:stop], log_h[:stop]
-            else:
+        stop = 0
+        for params, om, bulk, k, size in batch:
+            start, stop = stop, stop + size
+            if k is None:
                 y_t, w_t, h_t = [np.concatenate([b, a[start:stop]]) for b, a in zip(bulk, chain)]
+            else:  # the cell's whole half line, head and tail
+                y_t, w_t, h_t = [a[start:stop] for a in chain]
+                bulk += [a[start : start + k].copy() for a in chain]
+                for arr in bulk:
+                    arr.setflags(write=False)
             log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
             log_rho *= params.lam / om
             np.log1p(log_rho, out=log_rho)
@@ -706,22 +710,19 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def position_moments(omega: float, lams, n: int, alpha: float, refine: int = 1):
-    """W = integral rho_n^alpha dx for each lambda of ``lams`` (any iterable)
-    in turn, at one (omega, n, alpha, refine), any finite alpha > 0: the
-    sweep's tails are laid out and evaluated together
-    (:func:`_position_log_density`)."""
-    _check_order(alpha)
-    return (
-        2.0 * float(w @ np.exp(alpha * log_rho))
-        for _, w, log_rho in _position_log_density(omega, lams, n, float(alpha), refine)
-    )
+def position_moments(omega: float, cells, n: int, refine: int = 1):
+    """W = integral rho_n^alpha dx for each (lam, alpha) of ``cells`` (any
+    iterable) in turn, at one (omega, n, refine), any finite alpha > 0, the
+    cells' tails laid out and evaluated together (:func:`_position_log_density`)."""
+    cells, orders = itertools.tee(cells)
+    for (_, alpha), (_, w, log_rho) in zip(orders, _position_log_density(omega, cells, n, refine)):
+        yield 2.0 * float(w @ np.exp(float(alpha) * log_rho))
 
 
 def position_shannons(omega: float, lams, n: int, refine: int = 1):
     """The position Shannon entropy -integral rho_n ln rho_n dx (0 ln 0
     taken as 0) for each lambda of ``lams`` in turn, as :func:`position_moments`."""
-    for _, w, log_rho in _position_log_density(omega, lams, n, 1.0, refine):
+    for _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
         rho = np.exp(log_rho)
         yield -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
 
@@ -731,7 +732,7 @@ def entropic_moment_numeric(
 ) -> float:
     """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
     if space == "position":
-        return next(position_moments(params.omega, [params.lam], n, alpha, refine))
+        return next(position_moments(params.omega, [(params.lam, alpha)], n, refine))
     _check_order(alpha)
     w, gamma = _momentum_density(params, n, space, refine)
     return 2.0 * float(w @ np.power(gamma, alpha))

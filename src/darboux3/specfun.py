@@ -16,7 +16,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
     "hermite",
@@ -110,14 +109,29 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of H_n in increasing order (empty for n = 0); cached, read-only.
-    ``ArithmeticError`` where ``hermgauss`` leaves one not finite (n >= 741)."""
-    with np.errstate(all="ignore"):  # the weights, unused here, overflow from n = 371 on
-        z = hermgauss(n)[0] if n else np.array([])
+    """Zeros of H_n in increasing order (empty for n = 0); cached, read-only:
+    ``hermgauss(n)[0]`` bit for bit, without the weights.  ``ArithmeticError``
+    where a zero is not finite (n >= 741)."""
+    z = np.array([])
+    if n:
+        s = np.sqrt(0.5 * np.arange(1, n))  # sqrt(k / 2), as ``hermcompanion`` builds it
+        with np.errstate(all="ignore"):  # the Newton step overflows from n = 741 on
+            x = np.linalg.eigvalsh(np.diag(s, 1) + np.diag(s, -1))  # the Jacobi matrix
+            x -= _normed_hermite(x, n) / (_normed_hermite(x, n - 1) * math.sqrt(2 * n))
+            z = (x - x[::-1]) / 2
     if not np.isfinite(z).all():
         raise ArithmeticError(f"Hermite zeros of order n={n} are not finite")
     z.setflags(write=False)
     return z
+
+
+def _normed_hermite(x: np.ndarray, n: int):
+    """H_n(x) / sqrt(2^n n! sqrt(pi)) by ``hermgauss``'s recurrence, step for step."""
+    c0, c1, nd = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi)), float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
+        nd -= 1.0
+    return c0 + c1 * x * math.sqrt(2) if n else c1
 
 
 # --------------------------------------------------------------------------

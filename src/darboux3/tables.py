@@ -17,13 +17,14 @@ the Tsallis alpha = 2/3 slack without gating).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 
 from .model import ModelParams, effective_frequency, energy
-from .uncertainty import entropy, xi_renyi, xi_tsallis
+from .uncertainty import _entropy_row, _xi_row, entropy, xi_renyi, xi_tsallis
 
 __all__ = ["TABLE_IDS", "CellCheck", "TableReport", "load_reference", "verify_table"]
 
@@ -69,28 +70,28 @@ def _ulp_tolerance(text: str) -> float:
 
 
 def _lambda_rows(level):
-    """compute(lam, n) of a table with lambda rows and level columns."""
-    return lambda lam, n: level(ModelParams(1.0, float(lam)), int(n))
+    """compute(lam, ns) of a table with lambda rows and level columns."""
+    return lambda lam, ns: [level(ModelParams(1.0, float(lam)), int(n)) for n in ns]
 
 
-def _order_columns(lam: float, moment):
-    """compute(n, alpha) of a table at one lambda, level rows, order columns."""
-    return lambda n, alpha: moment(ModelParams(1.0, lam), int(n), float(alpha))
+def _order_columns(lam: float, row):
+    """compute(n, alphas) of a table at one lambda, level rows, order columns."""
+    return lambda n, alphas: row(ModelParams(1.0, lam), int(n), [float(a) for a in alphas])
 
 
-def _slack(fn):
-    return lambda params, n, alpha: fn(params, n, alpha).value
+def _slacks(kind: str):
+    return lambda params, n, alphas: [r.value for r in _xi_row(params, n, alphas, kind)]
 
 
-def _sweep_cell(lam: str, column: str) -> float:
-    kind, level = column.split("_n")  # e.g. "renyi_n0"
-    return entropy(ModelParams(1.0, float(lam)), int(level), 2.0, "momentum", kind)
+def _sweep_row(lam: str, columns) -> list[float]:
+    cells = [column.split("_n") for column in columns]  # e.g. "renyi_n0"
+    return [entropy(ModelParams(1.0, float(lam)), int(n), 2.0, "momentum", k) for k, n in cells]
 
 
 @dataclass(frozen=True)
 class _TableDef:
     filename: str
-    compute: object  # compute(row label, column label) -> float, labels as printed
+    compute: object  # compute(row label, column labels) -> the row's values, labels as printed
     fixed_tolerance: float | None = None  # None: 1.5 units in the last printed digit
     gate_columns: tuple | None = None  # labels of the gating columns; None: all
 
@@ -99,7 +100,7 @@ def _defs() -> dict[str, _TableDef]:
     defs: dict[str, _TableDef] = {
         "energy": _TableDef("energy.csv", _lambda_rows(energy), 1e-5),
         "omega": _TableDef("omega.csv", _lambda_rows(effective_frequency), 1e-5),
-        "mom_vs_lambda": _TableDef("momentum_vs_lambda.csv", _sweep_cell, 1e-4),
+        "mom_vs_lambda": _TableDef("momentum_vs_lambda.csv", _sweep_row, 1e-4),
         "xi_vs_lambda_a": _TableDef(
             "xi_renyi_vs_lambda.csv",
             _lambda_rows(lambda params, n: xi_renyi(params, n, 2.0).value),
@@ -118,15 +119,15 @@ def _defs() -> dict[str, _TableDef]:
                 system = "harmonic" if suffix == "h" else "darboux"
                 defs[f"{kind}_{tag}_{suffix}"] = _TableDef(
                     f"{kind}_{tag}_{system}.csv",
-                    _order_columns(lam, partial(entropy, space=space, kind=kind)),
+                    _order_columns(lam, partial(_entropy_row, space=space, kind=kind)),
                     1.5e-3,
                     gate_columns=("0.5", "2"),
                 )
-    for kind, fn in (("renyi", xi_renyi), ("tsallis", xi_tsallis)):
+    for kind in ("renyi", "tsallis"):
         for suffix, lam in (("h", 0.0), ("d", 0.4)):
             system = "harmonic" if suffix == "h" else "darboux"
             defs[f"xi_{kind}_{suffix}"] = _TableDef(
-                f"xi_{kind}_{system}.csv", _order_columns(lam, _slack(fn))
+                f"xi_{kind}_{system}.csv", _order_columns(lam, _slacks(kind))
             )
     return defs
 
@@ -145,14 +146,17 @@ def load_reference(table_id: str):
 
 
 def verify_table(table_id: str, tolerance_override: float | None = None) -> TableReport:
-    """Recompute every cell of a reference table and compare."""
+    """Recompute a reference table, one row per compute call, and compare
+    every cell; a negative or non-finite tolerance raises ``ValueError``."""
     if table_id not in _TABLES:
         raise KeyError(f"unknown table id {table_id!r}; known: {', '.join(TABLE_IDS)}")
+    if tolerance_override is not None and not 0.0 <= tolerance_override < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tolerance_override}")
     spec = _TABLES[table_id]
     header, rows = load_reference(table_id)
     cells: list[CellCheck] = []
     for row in rows:
-        for col, text in zip(header[1:], row[1:]):
+        for col, text, computed in zip(header[1:], row[1:], spec.compute(row[0], header[1:])):
             if tolerance_override is not None:
                 tol = tolerance_override
             elif spec.fixed_tolerance is not None:
@@ -164,7 +168,7 @@ def verify_table(table_id: str, tolerance_override: float | None = None) -> Tabl
                     row=row[0],
                     col=col,
                     reference_text=text,
-                    computed=spec.compute(row[0], col),
+                    computed=computed,
                     tolerance=tol,
                     gating=spec.gate_columns is None or col in spec.gate_columns,
                 )

@@ -16,11 +16,11 @@ both with 1/alpha + 1/beta = 2; the Tsallis form additionally requires
 1/2 < alpha <= 1.  Zero slack means the state saturates the inequality
 (the harmonic ground state does; the deformed one does not).
 
-Both sides take their entropic moments from :func:`log_moment`, the
-one-lambda case of :func:`log_moments`, which holds the package's one rule
-for choosing the closed form or quadrature;
-the result records which engine produced the position side.
-:func:`entropy` turns the same ln W into Rényi and Tsallis entropies.
+Both sides take their entropic moments from :func:`log_moments`, the
+package's one rule for choosing the closed form or quadrature; the result
+records which engine produced the position side.  :func:`entropy` turns
+the same ln W into Rényi and Tsallis entropies.  Each is the one-order case
+of a row helper that takes a table row's ln W from one call.
 """
 
 from __future__ import annotations
@@ -63,32 +63,34 @@ def conjugate_order(alpha: float) -> float:
     return alpha / (2.0 * alpha - 1.0)
 
 
-def log_moments(
-    omega: float, lams, n: int, alpha: float, space: str
-) -> tuple[list[float], str]:
-    """ln W, W = integral density^alpha in ``space``, for each lambda of
-    ``lams``, and the engine used.
+def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, str]]:
+    """ln W, W = integral density^alpha in ``space``, and the engine used,
+    for each (lam, alpha) of ``cells``: a CLI column, a table row or one cell.
 
     This is the package's one engine rule.  Position space at integer
     alpha >= 1 takes the exact closed form (:func:`log_entropic_moment`,
-    engine "analytic") at each lambda; every other position order takes the
-    quadrature of the whole sweep at once (:func:`position_moments`), and
-    momentum space one profile per lambda (:func:`entropic_moment_numeric`),
-    both engine "quadrature"; quadrature rejects orders that are not
-    positive and finite.
+    engine "analytic"); the other position cells share one quadrature
+    pass (:func:`position_moments`), and momentum space takes one profile
+    per lambda (:func:`entropic_moment_numeric`), both engine "quadrature";
+    quadrature rejects orders that are not positive and finite.
     """
-    params = (ModelParams(omega, lam) for lam in lams)
-    if space == "position" and alpha >= 1.0 and float(alpha).is_integer():
-        return [log_entropic_moment(p, n, int(alpha)) for p in params], "analytic"
-    if space == "position":
-        return [math.log(w) for w in position_moments(omega, lams, n, alpha)], "quadrature"
-    return [math.log(entropic_moment_numeric(p, n, alpha, space)) for p in params], "quadrature"
+    cells = list(cells)
+    exact = [space == "position" and a >= 1.0 and float(a).is_integer() for _, a in cells]
+    rest = [cell for cell, e in zip(cells, exact) if not e]
+    numeric = iter(
+        position_moments(omega, rest, n) if space == "position"
+        else [entropic_moment_numeric(ModelParams(omega, lam), n, a, space) for lam, a in rest]
+    )
+    return [
+        (log_entropic_moment(ModelParams(omega, lam), n, int(a)), "analytic") if e
+        else (math.log(next(numeric)), "quadrature")
+        for (lam, a), e in zip(cells, exact)
+    ]
 
 
 def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
-    """ln W and the engine at one lambda: :func:`log_moments`' one-lambda case."""
-    log_w, engine = log_moments(params.omega, [params.lam], n, alpha, space)
-    return log_w[0], engine
+    """ln W and the engine at one cell: :func:`log_moments`' one-cell case."""
+    return log_moments(params.omega, [(params.lam, alpha)], n, space)[0]
 
 
 def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
@@ -103,21 +105,24 @@ def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
 
 
 def entropy(params: ModelParams, n: int, alpha: float, space: str, kind: str) -> float:
-    """Rényi or Tsallis entropy of order ``alpha`` in ``space``.
+    """Rényi ln W / (1 - alpha) or Tsallis (1 - W) / (alpha - 1) entropy in
+    ``space``, W = integral density^alpha (from :func:`log_moments`).  Both
+    tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns
+    :func:`shannon_numeric` for either kind."""
+    return _entropy_row(params, n, [alpha], space, kind)[0]
 
-    With W = integral density^alpha (from :func:`log_moment`),
 
-        Rényi   R_alpha = ln W / (1 - alpha),
-        Tsallis T_alpha = (1 - W) / (alpha - 1).
-
-    Both tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns
-    :func:`shannon_numeric` for either kind.
-    """
+def _entropy_row(params: ModelParams, n: int, alphas, space: str, kind: str) -> list[float]:
+    """:func:`entropy` at each order of ``alphas``, one lambda: one :func:`log_moments` call."""
     if kind not in ("renyi", "tsallis"):
         raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
-    if alpha == 1.0:
-        return shannon_numeric(params, n, space)
-    return entropy_from_log_moment(log_moment(params, n, alpha, space)[0], alpha, kind)
+    cells = [(params.lam, a) for a in alphas if a != 1.0]
+    log_ws = iter(log_moments(params.omega, cells, n, space))
+    return [
+        shannon_numeric(params, n, space) if a == 1.0
+        else entropy_from_log_moment(next(log_ws)[0], a, kind)
+        for a in alphas
+    ]
 
 
 def _check_slack(value: float, what: str) -> float:
@@ -130,33 +135,46 @@ def _check_slack(value: float, what: str) -> float:
 
 def xi_renyi(params: ModelParams, n: int, alpha: float) -> XiResult:
     """Slack of the Rényi uncertainty relation at position order ``alpha``."""
+    return _xi_row(params, n, [alpha], "renyi")[0]
+
+
+def xi_tsallis(params: ModelParams, n: int, alpha: float) -> XiResult:
+    """Slack of the Tsallis (Sobolev) uncertainty relation, 1/2 < alpha <= 1,
+    through the entropic moments: (1 - a) T_a + 1 = W_a.  At alpha = 1 both
+    sides coincide and the slack is exactly zero."""
+    return _xi_row(params, n, [alpha], "tsallis")[0]
+
+
+def _xi_row(params: ModelParams, n: int, alphas, kind: str) -> list[XiResult]:
+    """The Rényi or Tsallis slack at each position order of ``alphas``, one
+    lambda: the position ln W from one :func:`log_moments` call."""
+    for alpha in alphas:  # every order is checked before any is computed
+        if kind == "renyi" and alpha == 1.0:
+            raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
+        if kind == "tsallis" and not (0.5 < alpha <= 1.0):
+            raise ValueError(f"Tsallis slack requires 1/2 < alpha <= 1, got {alpha}")
+        conjugate_order(alpha)  # raises for alpha <= 1/2
+    cells = [(params.lam, a) for a in alphas if a != 1.0]
+    position = iter(log_moments(params.omega, cells, n, "position"))
+    return [
+        XiResult(0.0, "analytic") if a == 1.0 else _slack(params, n, a, *next(position), kind)
+        for a in alphas  # at alpha = 1 the Tsallis sides coincide
+    ]
+
+
+def _slack(params: ModelParams, n: int, alpha: float, log_w_pos: float, method: str, kind: str):
+    """The slack at one order, from its position ln W and engine."""
     beta = conjugate_order(alpha)
-    if alpha == 1.0:
-        raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
-    log_w_pos, method = log_moment(params, n, alpha, "position")
+    log_w_mom = log_moment(params, n, beta, "momentum")[0]
+    if kind == "tsallis":
+        left = (alpha / math.pi) ** (1.0 / (4.0 * alpha)) * math.exp(log_w_pos / (2.0 * alpha))
+        right = (beta / math.pi) ** (1.0 / (4.0 * beta)) * math.exp(log_w_mom / (2.0 * beta))
+        return XiResult(_check_slack(left - right, "Tsallis"), method)
     r_pos = entropy_from_log_moment(log_w_pos, alpha, "renyi")
-    r_mom = entropy_from_log_moment(log_moment(params, n, beta, "momentum")[0], beta, "renyi")
+    r_mom = entropy_from_log_moment(log_w_mom, beta, "renyi")
     bound = (
         math.log(math.pi)
         + math.log(alpha) / (2.0 * alpha - 2.0)
         + math.log(beta) / (2.0 * beta - 2.0)
     )
     return XiResult(_check_slack(r_pos + r_mom - bound, "Rényi"), method)
-
-
-def xi_tsallis(params: ModelParams, n: int, alpha: float) -> XiResult:
-    """Slack of the Tsallis (Sobolev) uncertainty relation, 1/2 < alpha <= 1.
-
-    Written directly through the entropic moments: (1 - a) T_a + 1 = W_a.
-    At alpha = 1 both sides coincide and the slack is exactly zero.
-    """
-    if not (0.5 < alpha <= 1.0):
-        raise ValueError(f"Tsallis slack requires 1/2 < alpha <= 1, got {alpha}")
-    if alpha == 1.0:
-        return XiResult(0.0, "analytic")
-    beta = conjugate_order(alpha)
-    log_w_pos, method = log_moment(params, n, alpha, "position")
-    log_w_mom = log_moment(params, n, beta, "momentum")[0]
-    left = (alpha / math.pi) ** (1.0 / (4.0 * alpha)) * math.exp(log_w_pos / (2.0 * alpha))
-    right = (beta / math.pi) ** (1.0 / (4.0 * beta)) * math.exp(log_w_mom / (2.0 * beta))
-    return XiResult(_check_slack(left - right, "Tsallis"), method)

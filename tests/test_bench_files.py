@@ -2,6 +2,7 @@
 how it was run and on what, holds its runs, and has its partner (a change's
 record and its ``_parent`` record come in pairs)."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,3 +26,39 @@ def test_record(name):
     stem = name.removesuffix(".json")
     partner = stem.removesuffix("_parent") if stem.endswith("_parent") else stem + "_parent"
     assert f"{partner}.json" in BENCH_FILES
+
+
+def _bench_pairs():
+    """tools/bench_pairs.py, loaded as a module."""
+    path = ROOT / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned(p50s, rows):
+    """A record of one workload's runs, seeds 1, 2, ... in the order given."""
+    runs = [
+        {"order": 2 * seed, "workload": "table-replay", "seed": seed, "trace": 0,
+         "result": {"correct": True, "attempted": 14, "failed": 0, "metrics": {
+             "request_p50_s": {"value": p50, "unit": "s"},
+             "rows_per_s": {"value": rate, "unit": "1/s"}}}}
+        for seed, (p50, rate) in enumerate(zip(p50s, rows), start=1)
+    ]
+    return {"command": "canned", "machine": {"nproc": 1}, "runs": runs[::-1]}
+
+
+def test_bench_pairs_summary(monkeypatch):
+    # medians, the parent's quartiles and the pairs won, from two canned
+    # records; no benchmark is started
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("started a run"))
+    parent = _canned([0.030, 0.028, 0.032, 0.029, 0.031], [4000.0, 4300.0, 4100.0, 4200.0, 3900.0])
+    change = _canned([0.024, 0.029, 0.025, 0.023, 0.026], [5000.0, 4200.0, 5100.0, 5300.0, 4900.0])
+    better = {"request_p50_s": "lower", "rows_per_s": "higher"}
+    assert bench_pairs.summary(change, parent, better) == [
+        "table-replay request_p50_s: 0.03 [0.0285, 0.0315] -> 0.025 (-16.7 %), "
+        "change better in 4/5",
+        "table-replay rows_per_s: 4100 [3950, 4250] -> 5000 (+22.0 %), change better in 4/5",
+    ]

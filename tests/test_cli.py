@@ -216,6 +216,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "usage error: --grid-points must be at least 32, got 20\n"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
+    def test_usage_error_bad_tolerance(self, capsys, tmp_path, tolerance):
+        # a negative or non-finite tolerance failed or passed every gating cell
+        # (--tolerance=-inf: argparse takes a bare -inf for a flag)
+        code, out, err = run_cli(
+            capsys, "table", "energy", f"--tolerance={tolerance}", "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: --tolerance must be non-negative and finite")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_table("energy", tolerance_override=float(tolerance))
+
+    def test_zero_tolerance_is_legal(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "table", "energy", "--tolerance", "0", "--out", str(tmp_path))
+        assert code in (0, 1) and out.startswith("table energy:")
+
     @pytest.mark.parametrize(
         "argv",
         [

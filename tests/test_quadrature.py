@@ -104,8 +104,8 @@ def _spy(monkeypatch, name):
 
 
 def _log_density(params, n, alpha, refine):
-    """``_position_log_density``'s (y, w, ln rho) for the one lambda of ``params``."""
-    return next(quadrature._position_log_density(params.omega, [params.lam], n, alpha, refine))
+    """``_position_log_density``'s (y, w, ln rho) for the one cell (lambda of ``params``, ``alpha``)."""
+    return next(quadrature._position_log_density(params.omega, [(params.lam, alpha)], n, refine))
 
 
 def _assert_same(got, want):
@@ -391,7 +391,8 @@ class TestSweepBatch:
         for refine in (1, 2):
             for alpha in (0.3, 0.714, 1.0, 2.567, 3.0):
                 quadrature._position_bulk.cache_clear()
-                sweep = list(quadrature.position_moments(omega, SWEEP_LAMS, n, alpha, refine))
+                column = [(lam, alpha) for lam in SWEEP_LAMS]
+                sweep = list(quadrature.position_moments(omega, column, n, refine))
                 cells = [
                     entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
                     for lam in SWEEP_LAMS
@@ -410,14 +411,14 @@ class TestSweepBatch:
         # a generator of lambdas, read a few tails at a time, gives the list's values
         monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
         sweeps = [
-            lambda lams: quadrature.position_moments(1.0, lams, n, 0.714),
-            lambda lams: quadrature.position_shannons(1.0, lams, n),
+            (lambda cells: quadrature.position_moments(1.0, cells, n), [(lam, 0.714) for lam in SWEEP_LAMS]),
+            (lambda lams: quadrature.position_shannons(1.0, lams, n), SWEEP_LAMS),
         ]
-        for sweep in sweeps:
+        for sweep, cells in sweeps:
             quadrature._position_bulk.cache_clear()
-            want = list(sweep(SWEEP_LAMS))
+            want = list(sweep(cells))
             quadrature._position_bulk.cache_clear()
-            assert list(sweep(lam for lam in SWEEP_LAMS)) == want
+            assert list(sweep(cell for cell in cells)) == want
 
     @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
     def test_cli_sweep_makes_one_hermite_pass(self, monkeypatch, capsys, command):
@@ -453,6 +454,66 @@ class TestSweepBatch:
         assert len(hermite) >= 2 * 3 * 5
         head = len(quadrature._position_bulk(7, 2.567, True, 1)[0])  # the largest bulk
         assert max(len(args[1]) for args in hermite) < head + 500 + 16 * 20
+
+
+#: a table row's orders: below 1 (one layout class), and one class each above 1
+ROW_ORDERS = (0.3, 0.5, 4.0 / 7.0, 0.714, 0.8, 1.25, 1.5, 1.75, 2.567)
+
+
+class TestRowPass:
+    """The (lam, alpha) cells of a table row share one ``_panel_grid`` call
+    and one Hermite pass, whatever their layout classes, and every value is
+    the one a call of its own gives."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
+    def test_row_equals_cells(self, monkeypatch, n, omega):
+        # each class's head leads its first tail while the bulk is cold; a
+        # budget of 500 nodes or 1 splits the row into several passes
+        lam = 0.4
+        row = [(lam, alpha) for alpha in ROW_ORDERS]
+        for refine in (1, 2):
+            cells = [
+                entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
+                for alpha in ROW_ORDERS
+            ]
+            for budget in (2**16, 500, 1):
+                monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", budget)
+                quadrature._position_bulk.cache_clear()
+                assert list(quadrature.position_moments(omega, row, n, refine)) == cells  # cold
+                assert list(quadrature.position_moments(omega, row, n, refine)) == cells  # warm
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_cold_row_makes_one_pass(self, monkeypatch, n):
+        # five layout classes, each head in front of its first tail
+        quadrature._position_bulk.cache_clear()
+        grids = _spy(monkeypatch, "_panel_grid")
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        list(quadrature.position_moments(1.0, [(0.4, alpha) for alpha in ROW_ORDERS], n))
+        assert len(grids) == len(hermite) == 1
+        assert quadrature._position_bulk.cache_info().currsize == 5
+
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_mixed_kinds_give_the_cells(self, monkeypatch, n):
+        # integer orders map no cusps, so each change of kind starts a pass
+        orders = [0.5, 1.0, 2.0, 1.5, 3.0, 0.714, 2.567, 4.0]
+        cells = [entropic_moment_numeric(ModelParams(1.0, 0.4), n, a, "position") for a in orders]
+        quadrature._position_bulk.cache_clear()
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        assert list(quadrature.position_moments(1.0, [(0.4, a) for a in orders], n)) == cells
+        assert len(hermite) == 6  # F | I I | F | I | F F | I
+
+    def test_position_table_makes_two_passes_per_row(self, monkeypatch, capsys, tmp_path):
+        # each of the 21 rows: its 7 fractional orders in one pass, Shannon in
+        # another (order 2 takes the closed form); one of each per cell before
+        from darboux3 import cli
+
+        quadrature._position_bulk.cache_clear()
+        grids = _spy(monkeypatch, "_panel_grid")
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        assert cli.main(["table", "renyi_pos_d", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("table renyi_pos_d: PASS\n")
+        assert len(grids) == len(hermite) == 42
 
 
 class TestGradedTail:

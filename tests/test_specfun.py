@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
 from darboux3 import ModelParams, density_position, specfun, wavefunction
@@ -191,8 +192,16 @@ class TestHermiteZeros:
         above = np.sign(hermite(n, z + 1e-9 * np.maximum(np.abs(z), 1.0)))
         assert np.all(below * above < 0.0)
 
+    @pytest.mark.parametrize("n", [*range(1, 121), 200, 371, 500, 740])
+    def test_hermgauss_zeros_bit_for_bit(self, n):
+        # the eigenvalue solve and Newton step of hermgauss, without its weights
+        # (which overflow from n = 371 on)
+        with np.errstate(all="ignore"):
+            want = hermgauss(n)[0]
+        assert np.array_equal(hermite_zeros.__wrapped__(n), want)
+
     def test_non_finite_zeros_raise(self):
-        # hermgauss's own Newton step overflows from n = 741 on and leaves NaNs
+        # the Newton step of hermgauss overflows from n = 741 on and leaves NaNs
         assert np.isfinite(hermite_zeros(740)).all()
         with pytest.raises(ArithmeticError, match="order n=741 are not finite"):
             hermite_zeros(741)
