@@ -50,7 +50,6 @@ from .uncertainty import (
     conjugate_order,
     entropy,
     entropy_from_log_moment,
-    log_moment,
     log_moments,
     xi_renyi,
     xi_tsallis,

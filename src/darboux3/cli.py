@@ -18,6 +18,7 @@ import math
 import shutil
 import sys
 from collections.abc import Sequence
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .tables import TABLE_IDS, verify_table
-from .uncertainty import entropy_from_log_moment, log_moments, xi_renyi, xi_tsallis
+from .uncertainty import _xi_slacks, entropy_from_log_moment, log_moments
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -149,14 +150,13 @@ def _validated(args):
     return lams, ns, alphas
 
 
-def _log_moments(args, n, lams, alpha):
-    """ln W for each lambda of one (n, alpha) column: :func:`log_moments`,
-    or quadrature on the user's grid, cell by cell, when --grid-points or
+def _log_moments(args, n, cells):
+    """ln W at each (lam, alpha) of ``cells``: :func:`log_moments`, or
+    quadrature on the user's grid, cell by cell, when --grid-points or
     --half-width is given."""
     if args.grid_points is None and args.half_width is None:
-        cells = [(lam, alpha) for lam in lams]
         return [log_w for log_w, _ in log_moments(args.omega, cells, n, args.space)]
-    return [_grid_log_moment(args, ModelParams(args.omega, lam), n, alpha) for lam in lams]
+    return [_grid_log_moment(args, ModelParams(args.omega, lam), n, a) for lam, a in cells]
 
 
 def _grid_log_moment(args, params, n, alpha):
@@ -178,49 +178,53 @@ def _grid_log_moment(args, params, n, alpha):
     return math.log(float(w @ np.power(dens, alpha)))
 
 
-def _grid_command(args, header, cells=None, column=None):
+def _grid_command(args, header, block):
     """Emit one CSV over the parameter grid; the package's one row order.
 
     Rows run n outer, lambda middle and, for a command that takes
     ``--alpha``, alpha inner; each starts with those grid columns
     (n, lambda[, alpha]), followed by the ``header`` columns.
-    ``cells(args, params, n, alpha)`` returns the value columns of the rows
-    of one grid point (several rows for critical points; ``alpha`` is None
-    without ``--alpha``).  A command with ``column(args, n, lams, alpha)``
-    instead computes each (n, alpha) column over every lambda at once, and
-    it returns those value columns for each lambda in turn.  A grid of more
-    than ``MAX_GRID_POINTS`` points is a usage error before any row is
-    computed.
+    ``block(args, n, cells)`` computes one n's grid points, the
+    (lam, alpha) ``cells`` in row order (alpha None without ``--alpha``),
+    and returns the value columns of each point's rows (several rows for
+    critical points).  A grid of more than ``MAX_GRID_POINTS`` points is a
+    usage error before any row is computed.
     """
     lams, ns, alphas = _validated(args)
     points = len(ns) * len(lams) * len(alphas or [None])
     if points > MAX_GRID_POINTS:
         raise _UsageError(f"grid holds {points} points, more than {MAX_GRID_POINTS}")
-    rows, lams, inner = [], list(lams), list(alphas or [None])  # each value computed once
+    inner = list(alphas or [None])  # each value computed once
+    cells = [(lam, a) for lam in lams for a in inner]
+    rows = []
     for n in ns:
-        cols = None if column is None else [column(args, n, lams, a) for a in inner]
-        for i, lam in enumerate(lams):
-            params = ModelParams(args.omega, lam)
-            for j, a in enumerate(inner):
-                grid = [n, lam] if a is None else [n, lam, a]
-                tails = cells(args, params, n, a) if cols is None else cols[j][i]
-                rows += [grid + tail for tail in tails]
+        for (lam, a), tails in zip(cells, block(args, n, cells)):
+            grid = [n, lam] if a is None else [n, lam, a]
+            rows += [grid + tail for tail in tails]
     lead = ["n", "lambda"] if alphas is None else ["n", "lambda", "alpha"]
     _emit(lead + header, rows, args.out)
 
 
-def _entropy_column(args, n, lams, a):
-    if a == 1.0:
+def _each(point):  # the block of a command that computes point(params, n) point by point
+    return lambda args, n, cells: [point(ModelParams(args.omega, lam), n) for lam, _ in cells]
+
+
+def _entropy_block(args, n, cells):
+    if any(a == 1.0 for _, a in cells):
         raise _UsageError(f"{args.command} order 1 is Shannon; use the shannon command")
-    log_ws = _log_moments(args, n, lams, a)
-    return [[[args.space, entropy_from_log_moment(v, a, args.command)]] for v in log_ws]
+    log_ws = _log_moments(args, n, cells)
+    return [
+        [[args.space, entropy_from_log_moment(v, a, args.command)]]
+        for v, (_, a) in zip(log_ws, cells)
+    ]
 
 
-def _moment_column(args, n, lams, a):
-    return [[[args.space, math.exp(v)]] for v in _log_moments(args, n, lams, a)]
+def _moment_block(args, n, cells):
+    return [[[args.space, math.exp(v)]] for v in _log_moments(args, n, cells)]
 
 
-def _shannon_column(args, n, lams, a):
+def _shannon_block(args, n, cells):
+    lams = [lam for lam, _ in cells]
     if args.space == "position":
         values = position_shannons(args.omega, lams, n)
     else:
@@ -228,14 +232,9 @@ def _shannon_column(args, n, lams, a):
     return [[[args.space, s]] for s in values]
 
 
-def _xi_cells(args, params, n, a):
-    r = (xi_renyi if args.command == "xi-renyi" else xi_tsallis)(params, n, a)
-    return [[r.value, r.position_method]]
-
-
-def _weight_cells(args, params, n, a):
-    s = harmonic_weight(params, n)
-    return [[s.f, s.complement]]
+def _xi_block(args, n, cells):
+    slacks = _xi_slacks(args.omega, cells, n, args.command.removeprefix("xi-"))
+    return [[[r.value, r.position_method]] for r in slacks]
 
 
 def _threshold_command(args):
@@ -366,22 +365,21 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-# command: (value columns, cells(args, params, n, alpha)) or
-# (value columns, None, column(args, n, lams, alpha))
+# command: (value columns, block(args, n, cells))
 _GRID_COMMANDS = {
-    "energy": (["energy"], lambda a, p, n, al: [[energy(p, n)]]),
-    "omega": (["omega_eff"], lambda a, p, n, al: [[effective_frequency(p, n)]]),
-    "disequilibrium": (["disequilibrium"], lambda a, p, n, al: [[entropic_moment(p, n, 2)]]),
-    "weight-f": (["f", "complement"], _weight_cells),
-    "renyi": (["space", "renyi"], None, _entropy_column),
-    "tsallis": (["space", "tsallis"], None, _entropy_column),
-    "moment": (["space", "moment"], None, _moment_column),
-    "shannon": (["space", "shannon"], None, _shannon_column),
-    "xi-renyi": (["xi", "position_method"], _xi_cells),
-    "xi-tsallis": (["xi", "position_method"], _xi_cells),
+    "energy": (["energy"], _each(lambda p, n: [[energy(p, n)]])),
+    "omega": (["omega_eff"], _each(lambda p, n: [[effective_frequency(p, n)]])),
+    "disequilibrium": (["disequilibrium"], _each(lambda p, n: [[entropic_moment(p, n, 2)]])),
+    "weight-f": (["f", "complement"], _each(lambda p, n: [list(astuple(harmonic_weight(p, n)))])),
+    "renyi": (["space", "renyi"], _entropy_block),
+    "tsallis": (["space", "tsallis"], _entropy_block),
+    "moment": (["space", "moment"], _moment_block),
+    "shannon": (["space", "shannon"], _shannon_block),
+    "xi-renyi": (["xi", "position_method"], _xi_block),
+    "xi-tsallis": (["xi", "position_method"], _xi_block),
     "critical-points": (
         ["x", "kind"],
-        lambda a, p, n, al: [[c.x, c.kind] for c in density_critical_points(p, n)],
+        _each(lambda p, n: [[c.x, c.kind] for c in density_critical_points(p, n)]),
     ),
 }
 

@@ -19,18 +19,19 @@ rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
 lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
 enters only through that factor and the cut, so the panels up to the last
 Hermite zero and h_n on them are computed once per (n, order class,
-refine).  The (lam, alpha) cells of a lambda sweep or a table row share
-one :func:`_panel_grid` call and one Hermite pass over their tails, whose
-panels grow geometrically past the last lobe of h_n as the momentum
-tail's do, each class's head leading its first tail while not yet kept
-(:func:`_position_log_density`).  In momentum space the zeros of the
-transform are located first: one FFT scan of a uniform momentum grid
-brackets them, and Newton's method, kept inside each bracket, refines all
-of them together (:func:`~darboux3.specfun.bracketed_newton`, which
-refines the density's critical points too), with g and g' from one kernel
-call per step (two or three calls at every tested profile).  The momentum
-panels are laid out the same way, and entropy integrals reuse the profile
-nodes directly with no interpolation.
+refine).  The (lam, alpha) cells of one n's CLI grid or table row lay
+their tails out as disjoint segments of one :func:`_panel_grid` call and
+share one Hermite pass; tail panels grow geometrically past the last lobe
+of h_n as the momentum tail's do, and each class's head leads its first
+tail while not yet kept (:func:`_position_log_density`).  In momentum
+space the zeros of the transform are located first: one FFT scan of a
+uniform momentum grid brackets them, and Newton's method, kept inside
+each bracket, refines all of them together
+(:func:`~darboux3.specfun.bracketed_newton`, which refines the density's
+critical points too), with g and g' from one kernel call per step (two or
+three calls at every tested profile).  The momentum panels are laid out
+the same way, and entropy integrals reuse the profile nodes directly with
+no interpolation.
 
 Fourier transform
 -----------------
@@ -78,7 +79,6 @@ the position nodes and gamma on the profile nodes.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -134,30 +134,30 @@ class GridSpec:
             raise ValueError(f"points must be at least 32, got {self.points}")
 
 
-def _panel_grid(bounds, counts, cusps=()):
+def _panel_grid(a, b, counts, cusps=()):
     """Nodes/weights of Gauss-Legendre panels, built as arrays.
 
-    Segment s, [bounds[s], bounds[s + 1]] = [A, B], is cut into k =
-    counts[s] equal pieces with edges i ((B - A) / k) + A and the last edge
-    B, as ``np.linspace`` places them.  The first piece of a segment that
-    starts at one of the ``cusps`` gets the cubic endpoint map
-    x = a + h u^3, the last piece of one that ends at a cusp x = b - h u^3.
-    A piece maps one end only, so a segment with cusps at both ends is cut
-    into two pieces at least.
+    Segment s, [a[s], b[s]] = [A, B], is cut into k = counts[s] equal
+    pieces with edges i ((B - A) / k) + A and the last edge B, as
+    ``np.linspace`` places them; the segments need not touch.  The first
+    piece of a segment that starts at one of the ``cusps`` gets the cubic
+    endpoint map x = A + h u^3, the last piece of one that ends at a cusp
+    x = B - h u^3.  A piece maps one end only, so a segment with cusps at
+    both ends is cut into two pieces at least.
     """
-    bounds = np.asarray(bounds, dtype=float)
-    # np.isin(bounds, cusps), without its set-up cost on a few points
-    cusp = (bounds[:, None] == np.asarray(cusps, dtype=float)).any(axis=1)
-    counts = np.maximum(np.asarray(counts).astype(np.intp), 1 + (cusp[:-1] & cusp[1:]))
+    a, b, cusps = (np.asarray(v, dtype=float) for v in (a, b, cusps))
+    # np.isin(a, cusps), without its set-up cost on a few points
+    cusp_a, cusp_b = ((v[:, None] == cusps).any(axis=1) for v in (a, b))
+    counts = np.maximum(np.asarray(counts).astype(np.intp), 1 + (cusp_a & cusp_b))
     seg = np.repeat(np.arange(len(counts)), counts)
     first = np.cumsum(counts) - counts
     last = first + counts - 1
-    lo = (np.arange(len(seg)) - first[seg]) * (np.diff(bounds) / counts)[seg] + bounds[seg]
+    lo = (np.arange(len(seg)) - first[seg]) * ((b - a) / counts)[seg] + a[seg]
     hi = np.empty_like(lo)
     hi[:-1] = lo[1:]
-    hi[last] = bounds[1:]
-    at_a = first[cusp[:-1]]
-    at_b = last[cusp[1:]]
+    hi[last] = b
+    at_a = first[cusp_a]
+    at_b = last[cusp_b]
     u, wu = _GL_U, _GL_W
     h = (hi - lo)[:, None]
     x = lo[:, None] + h * u
@@ -182,7 +182,7 @@ def _grow_split(a: float, b: float, width: float, grow: float) -> list[float]:
 def grid_nodes(grid: GridSpec):
     """Nodes and weights realising a :class:`GridSpec` on [-L, L]."""
     L, pts = grid.half_width, grid.points
-    return _panel_grid([-L, L], [max(2, pts // _ORDER)])
+    return _panel_grid([-L], [L], [max(2, pts // _ORDER)])
 
 
 # --------------------------------------------------------------------------
@@ -211,15 +211,15 @@ def position_half_width(
 def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
     """The lambda-free bulk of one position layout class, [y, weights,
     2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the class's
-    head, leading a cell's tail in a pass, fills it.  A CLI column needs
-    one slot and a table row up to 5 (orders below 1 share one, and
-    Shannon's is one); 16 serve callers that interleave rows."""
+    head, leading a cell's tail in a pass, fills it.  A table row needs up
+    to 5 slots (orders below 1 share one, and Shannon's is one), and a CLI
+    grid one per class of its orders; 16 serve callers that interleave rows."""
     return []
 
 
 def _position_log_density(omega: float, cells, n: int, refine: int):
-    """For each (lam, alpha) of ``cells`` in turn, the half-line nodes
-    y = sqrt(Omega) x, their weights in x and ln rho_n there, for
+    """For each (lam, alpha) of ``cells`` in turn, alpha and the half-line
+    nodes y = sqrt(Omega) x, their weights in x and ln rho_n there, for
     integrating rho_n^alpha (an even integrand); alpha must be finite, > 0.
 
     rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
@@ -232,15 +232,15 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     So the bulk [0, z_last] and its Hermite values depend only on the
     layout class (n, max(alpha, 1), whether alpha is fractional, ``refine``):
     :func:`_position_bulk` keeps them, and each cell builds only its tail
-    [z_last, sqrt(Omega) L].  The tails are chained into one
-    :func:`_panel_grid` call, whose junction panels (from one tail's end
-    back to the next cell's start) are dropped, and one Hermite pass,
-    ``_TAIL_CHUNK_NODES`` tail nodes at most at a time.  The first cell of
-    a class whose bulk is not kept has the head [0, zeros..., z_last] in
-    front of its tail, and the head's nodes fill the bulk.  Only fractional
-    orders map the cusps at the zeros, so a change of kind starts a new
-    pass.  Every value is elementwise, so each cell gets the nodes, weights
-    and ln rho_n a call of its own would, bit for bit.
+    [z_last, sqrt(Omega) L].  The tails are disjoint segments of one
+    :func:`_panel_grid` call and one Hermite pass, ``_TAIL_CHUNK_NODES``
+    tail nodes at most at a time.  The first cell of a class whose bulk is
+    not kept has the head [0, zeros..., z_last] in front of its tail, and
+    the head's nodes fill the bulk, which the call holds for the class's
+    later cells.  Only fractional orders map the cusps
+    at the zeros, so a change of kind starts a new pass.  Every value is
+    elementwise, so each cell gets the nodes, weights and ln rho_n a call of
+    its own would, bit for bit.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -256,12 +256,13 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     z_last = float(zeros[-1]) if n else 0.0
     y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
     head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, ..., z_last
+    kept = {}  # each layout class's bulk, held for the whole call
     cells = iter(cells)
     cell = next(cells, None)
     while cell is not None:
         # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
         fractional = not float(cell[1]).is_integer()
-        batch, bounds, counts, nodes = [], [], [], 0
+        batch, segments, nodes = [], [], 0
         while cell is not None and nodes < _TAIL_CHUNK_NODES:
             lam, alpha = cell[0], float(cell[1])
             if alpha.is_integer() == fractional:  # a change of kind starts a new pass
@@ -276,34 +277,27 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
             equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
             tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
             nodes += _ORDER * (len(tail) - 1)
-            counts += [[1.0]] if batch else []  # a junction back to this cell's start
-            bulk = _position_bulk(n, order, fractional, refine)
-            k = None  # the head's nodes, if the cell leads with its class's head
-            if not bulk and all(b is not bulk for _, _, b, _, _ in batch):
-                bounds.append(head[:-1])
-                counts.append(np.ceil(np.diff(head) / width))
-                k = _ORDER * int(counts[-1].sum())
-            bounds.append(tail)
-            counts.append(np.ones(len(tail) - 1))
-            batch.append((params, om, bulk, k, (k or 0) + _ORDER * (len(tail) - 1)))
+            k, bulk = None, kept.get((order, fractional))  # k: the nodes of a head it leads with
+            if bulk is None:  # the class's first cell leads with its head while the bulk is cold
+                bulk = kept[order, fractional] = _position_bulk(n, order, fractional, refine)
+                if not bulk:
+                    segments.append((head[:-1], head[1:], np.ceil(np.diff(head) / width)))
+                    k = _ORDER * int(segments[-1][2].sum())
+            segments.append((tail[:-1], tail[1:], np.ones(len(tail) - 1)))
+            batch.append((alpha, params, om, bulk, k, (k or 0) + _ORDER * (len(tail) - 1)))
             cell = next(cells, None)
-        cusps = zeros if fractional else ()
-        y, w = _panel_grid(np.concatenate(bounds), np.concatenate(counts), cusps)
-        if len(batch) > 1:  # drop the junctions
-            ends = np.cumsum([size for *_, size in batch]) // _ORDER
-            keep = np.ones(len(y) // _ORDER, dtype=bool)
-            keep[ends[:-1] + np.arange(len(batch) - 1)] = False
-            y, w = y.reshape(-1, _ORDER)[keep].ravel(), w.reshape(-1, _ORDER)[keep].ravel()
+        starts, ends, counts = (np.concatenate(parts) for parts in zip(*segments))
+        y, w = _panel_grid(starts, ends, counts, zeros if fractional else ())
         log_h = 2.0 * hermite_sign_logabs(n, y)[1] - y * y  # -inf at an exact zero of H_n
-        chain = y, w, log_h
+        grid = y, w, log_h
         stop = 0
-        for params, om, bulk, k, size in batch:
+        for alpha, params, om, bulk, k, size in batch:
             start, stop = stop, stop + size
             if k is None:
-                y_t, w_t, h_t = [np.concatenate([b, a[start:stop]]) for b, a in zip(bulk, chain)]
+                y_t, w_t, h_t = [np.concatenate([b, a[start:stop]]) for b, a in zip(bulk, grid)]
             else:  # the cell's whole half line, head and tail
-                y_t, w_t, h_t = [a[start:stop] for a in chain]
-                bulk += [a[start : start + k].copy() for a in chain]
+                y_t, w_t, h_t = [a[start:stop] for a in grid]
+                bulk += [a[start : start + k].copy() for a in grid]
                 for arr in bulk:
                     arr.setflags(write=False)
             log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
@@ -311,7 +305,7 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
             np.log1p(log_rho, out=log_rho)
             log_rho += h_t
             log_rho += 2.0 * log_norm_constant(params, n)
-            yield y_t, w_t / math.sqrt(om), log_rho
+            yield alpha, y_t, w_t / math.sqrt(om), log_rho
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +328,7 @@ def _gaussian_cut(n: int, om: float) -> float:
     return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + 1.0
 
 
-def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
+def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan_step: float = 0.0):
     """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0),
     as the lattice (origins, offsets, weights) of :func:`_ft_component`.
 
@@ -346,6 +340,11 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
     j = J B + b (Cooley & Tukey, Math. Comp. 19, 1965) with B = ceil(sqrt N)
     offsets b h, which minimises the kernel's P (B + N / B) trig calls; the
     nodes that pad the last block have weight 0.
+
+    Before allocating, it raises ``ArithmeticError`` where N, or the length
+    M of a zero scan at ``scan_step`` (:func:`_fft_scan`), passes what
+    lam / Omega = 1e3, n = 50 need at refine 1: N = 1,993,744 and M = 2^27.
+    At lam = 1e6, n = 2 they would be 2.2e8 and 2^32.
     """
     om = effective_frequency(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
@@ -353,7 +352,13 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1):
     h = 2.0 * math.pi / ((band + p_max) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1  # ceil(sqrt(count)) for count >= 1
-    w = np.full(-(-count // b) * b, h)
+    size, m = -(-count // b) * b, _fft_length(h, scan_step) if scan_step else 0
+    if size > 1_993_744 or m > 2**27:
+        raise ArithmeticError(
+            f"momentum transform at omega={params.omega}, lam={params.lam}, n={n} needs N = {size}"
+            f" nodes and M = {m} scan points, more than lam/omega = 1e3, n = 50 need"
+        )
+    w = np.full(size, h)
     w[0] = 0.5 * h
     w[count:] = 0.0
     return b * h * np.arange(len(w) // b), h * np.arange(b), w.reshape(-1, b)
@@ -453,7 +458,7 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     [1e-3, 1e4], lam / omega in [0, 1e4], n <= 100 and refine <= 4, L_p is
     within the band, N / M below 0.1 and k / M at 0.5005 or less.
     """
-    m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()  # FFT-friendly
+    m = _fft_length(h, step)
     dp = 2.0 * math.pi / (m * h)
     k = np.arange(int(math.ceil(p_max / dp)) + 1)
     f = np.fft.rfft(fw, m)  # zero-pads fw to M
@@ -465,24 +470,27 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     return dp * k, vals
 
 
-def _transform_zeros(n: int, origins, offsets, fw, L_p: float, p_feat: float):
+def _fft_length(h: float, step: float) -> int:
+    """:func:`_fft_scan`'s length M, the least power of two with 2 pi / (M h) <= step."""
+    return 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
+
+
+def _transform_zeros(n: int, origins, offsets, fw, L_p: float, step: float):
     """Zeros of the transform in (0, 0.999 L_p), increasing, from the
     kernel sum over the trapezoid lattice ``origins`` + ``offsets`` (step
     offsets[1]) with weighted wavefunction ``fw``.
 
-    One FFT scans a uniform momentum grid as fine as a dense scan of the
-    structured region [0, p_feat] (48 (n + 2) points) and of the tail
-    (600 points).  Sign flips whose neighbourhood sits at the quadrature
-    noise floor are underflow artefacts, not zeros.  Every kept bracket is
-    refined at once by :func:`~darboux3.specfun.bracketed_newton`, with g
-    and g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
+    One FFT scans a uniform momentum grid with a step of ``step`` or less.
+    Sign flips whose neighbourhood sits at the quadrature noise floor are
+    underflow artefacts, not zeros.  Every kept bracket is refined at once
+    by :func:`~darboux3.specfun.bracketed_newton`, with g and
+    g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
     |g| is within the kernel's rounding bound, eps (B + J) sum |fw| for
     sums of B and of J terms.  The brackets are disjoint scan cells in
     order, none at p = 0 (g(0) = 0 exactly for odd n), and a root leaves
     its bracket only by its last step, at most bound / |g'|: the zeros come
     out positive and increasing.  The cut keeps L_p the last layout bound.
     """
-    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
     scan, vals = _fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step)
     vals *= _SQRT_2_OVER_PI
     abs_fw = float(np.sum(np.abs(fw)))
@@ -586,10 +594,12 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     params = ModelParams(omega, lam)
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
-    lattice = _ft_x_nodes(params, n, L_p, refine)
-    fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
     p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
-    zeros = _transform_zeros(n, *lattice[:2], fw, L_p, p_feat)
+    # the zero scan is as fine as 48 (n + 2) points on [0, p_feat] and 600 on the tail
+    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
+    lattice = _ft_x_nodes(params, n, L_p, refine, step)
+    fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+    zeros = _transform_zeros(n, *lattice[:2], fw, L_p, step)
 
     # panels: boundaries at 0, the zeros and the feature edge; cubic maps at
     # every zero (and at 0 for odd n) so fractional powers stay spectral
@@ -605,7 +615,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     bounds = np.concatenate([bulk, tail_edges])
     counts = np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))])
     cusps = zeros if n % 2 == 0 else np.append(zeros, 0.0)
-    p_nodes, p_w = _panel_grid(bounds, counts, cusps)
+    p_nodes, p_w = _panel_grid(bounds[:-1], bounds[1:], counts, cusps)
     g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, p_nodes)
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)
@@ -714,15 +724,14 @@ def position_moments(omega: float, cells, n: int, refine: int = 1):
     """W = integral rho_n^alpha dx for each (lam, alpha) of ``cells`` (any
     iterable) in turn, at one (omega, n, refine), any finite alpha > 0, the
     cells' tails laid out and evaluated together (:func:`_position_log_density`)."""
-    cells, orders = itertools.tee(cells)
-    for (_, alpha), (_, w, log_rho) in zip(orders, _position_log_density(omega, cells, n, refine)):
-        yield 2.0 * float(w @ np.exp(float(alpha) * log_rho))
+    for alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine):
+        yield 2.0 * float(w @ np.exp(alpha * log_rho))
 
 
 def position_shannons(omega: float, lams, n: int, refine: int = 1):
     """The position Shannon entropy -integral rho_n ln rho_n dx (0 ln 0
     taken as 0) for each lambda of ``lams`` in turn, as :func:`position_moments`."""
-    for _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
+    for _, _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
         rho = np.exp(log_rho)
         yield -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
 

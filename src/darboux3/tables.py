@@ -24,7 +24,7 @@ from functools import partial
 from importlib import resources
 
 from .model import ModelParams, effective_frequency, energy
-from .uncertainty import _entropy_row, _xi_row, entropy, xi_renyi, xi_tsallis
+from .uncertainty import _entropies, _xi_slacks, entropy, xi_renyi, xi_tsallis
 
 __all__ = ["TABLE_IDS", "CellCheck", "TableReport", "load_reference", "verify_table"]
 
@@ -74,13 +74,14 @@ def _lambda_rows(level):
     return lambda lam, ns: [level(ModelParams(1.0, float(lam)), int(n)) for n in ns]
 
 
-def _order_columns(lam: float, row):
-    """compute(n, alphas) of a table at one lambda, level rows, order columns."""
-    return lambda n, alphas: row(ModelParams(1.0, lam), int(n), [float(a) for a in alphas])
+def _order_columns(lam: float, values):
+    """compute(n, alphas) of a table at one lambda, level rows, order
+    columns: ``values(omega, cells, n)`` at the row's (lam, alpha) cells."""
+    return lambda n, alphas: values(1.0, [(lam, float(a)) for a in alphas], int(n))
 
 
 def _slacks(kind: str):
-    return lambda params, n, alphas: [r.value for r in _xi_row(params, n, alphas, kind)]
+    return lambda omega, cells, n: [r.value for r in _xi_slacks(omega, cells, n, kind)]
 
 
 def _sweep_row(lam: str, columns) -> list[float]:
@@ -119,7 +120,7 @@ def _defs() -> dict[str, _TableDef]:
                 system = "harmonic" if suffix == "h" else "darboux"
                 defs[f"{kind}_{tag}_{suffix}"] = _TableDef(
                     f"{kind}_{tag}_{system}.csv",
-                    _order_columns(lam, partial(_entropy_row, space=space, kind=kind)),
+                    _order_columns(lam, partial(_entropies, space=space, kind=kind)),
                     1.5e-3,
                     gate_columns=("0.5", "2"),
                 )

@@ -19,8 +19,9 @@ both with 1/alpha + 1/beta = 2; the Tsallis form additionally requires
 Both sides take their entropic moments from :func:`log_moments`, the
 package's one rule for choosing the closed form or quadrature; the result
 records which engine produced the position side.  :func:`entropy` turns
-the same ln W into Rényi and Tsallis entropies.  Each is the one-order case
-of a row helper that takes a table row's ln W from one call.
+the same ln W into Rényi and Tsallis entropies.  Each is the one-cell case
+of a helper that takes a list of (lam, alpha) cells at one n, a CLI grid's
+or a table row's, and its ln W from one :func:`log_moments` call per side.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "conjugate_order",
     "entropy",
     "entropy_from_log_moment",
-    "log_moment",
     "log_moments",
     "xi_renyi",
     "xi_tsallis",
@@ -65,7 +65,7 @@ def conjugate_order(alpha: float) -> float:
 
 def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, str]]:
     """ln W, W = integral density^alpha in ``space``, and the engine used,
-    for each (lam, alpha) of ``cells``: a CLI column, a table row or one cell.
+    for each (lam, alpha) of ``cells``: a CLI grid, a table row or one cell.
 
     This is the package's one engine rule.  Position space at integer
     alpha >= 1 takes the exact closed form (:func:`log_entropic_moment`,
@@ -88,11 +88,6 @@ def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, st
     ]
 
 
-def log_moment(params: ModelParams, n: int, alpha: float, space: str) -> tuple[float, str]:
-    """ln W and the engine at one cell: :func:`log_moments`' one-cell case."""
-    return log_moments(params.omega, [(params.lam, alpha)], n, space)[0]
-
-
 def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
     """Rényi or Tsallis entropy of order ``alpha`` != 1 from ln W; see :func:`entropy`."""
     if alpha == 1.0:
@@ -109,19 +104,18 @@ def entropy(params: ModelParams, n: int, alpha: float, space: str, kind: str) ->
     ``space``, W = integral density^alpha (from :func:`log_moments`).  Both
     tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns
     :func:`shannon_numeric` for either kind."""
-    return _entropy_row(params, n, [alpha], space, kind)[0]
+    return _entropies(params.omega, [(params.lam, alpha)], n, space, kind)[0]
 
 
-def _entropy_row(params: ModelParams, n: int, alphas, space: str, kind: str) -> list[float]:
-    """:func:`entropy` at each order of ``alphas``, one lambda: one :func:`log_moments` call."""
+def _entropies(omega: float, cells: list, n: int, space: str, kind: str) -> list[float]:
+    """:func:`entropy` at each (lam, alpha) of ``cells``: one :func:`log_moments` call."""
     if kind not in ("renyi", "tsallis"):
         raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
-    cells = [(params.lam, a) for a in alphas if a != 1.0]
-    log_ws = iter(log_moments(params.omega, cells, n, space))
+    log_ws = iter(log_moments(omega, [cell for cell in cells if cell[1] != 1.0], n, space))
     return [
-        shannon_numeric(params, n, space) if a == 1.0
+        shannon_numeric(ModelParams(omega, lam), n, space) if a == 1.0
         else entropy_from_log_moment(next(log_ws)[0], a, kind)
-        for a in alphas
+        for lam, a in cells
     ]
 
 
@@ -135,37 +129,35 @@ def _check_slack(value: float, what: str) -> float:
 
 def xi_renyi(params: ModelParams, n: int, alpha: float) -> XiResult:
     """Slack of the Rényi uncertainty relation at position order ``alpha``."""
-    return _xi_row(params, n, [alpha], "renyi")[0]
+    return _xi_slacks(params.omega, [(params.lam, alpha)], n, "renyi")[0]
 
 
 def xi_tsallis(params: ModelParams, n: int, alpha: float) -> XiResult:
     """Slack of the Tsallis (Sobolev) uncertainty relation, 1/2 < alpha <= 1,
     through the entropic moments: (1 - a) T_a + 1 = W_a.  At alpha = 1 both
     sides coincide and the slack is exactly zero."""
-    return _xi_row(params, n, [alpha], "tsallis")[0]
+    return _xi_slacks(params.omega, [(params.lam, alpha)], n, "tsallis")[0]
 
 
-def _xi_row(params: ModelParams, n: int, alphas, kind: str) -> list[XiResult]:
-    """The Rényi or Tsallis slack at each position order of ``alphas``, one
-    lambda: the position ln W from one :func:`log_moments` call."""
-    for alpha in alphas:  # every order is checked before any is computed
+def _xi_slacks(omega: float, cells: list, n: int, kind: str) -> list[XiResult]:
+    """The Rényi or Tsallis slack at each (lam, alpha) of ``cells``, alpha
+    the position order: each side's ln W from one :func:`log_moments` call."""
+    for _, alpha in cells:  # every order is checked before any is computed
         if kind == "renyi" and alpha == 1.0:
             raise ValueError("alpha = 1 is the Shannon case; the Rényi slack needs alpha != 1")
         if kind == "tsallis" and not (0.5 < alpha <= 1.0):
             raise ValueError(f"Tsallis slack requires 1/2 < alpha <= 1, got {alpha}")
         conjugate_order(alpha)  # raises for alpha <= 1/2
-    cells = [(params.lam, a) for a in alphas if a != 1.0]
-    position = iter(log_moments(params.omega, cells, n, "position"))
-    return [
-        XiResult(0.0, "analytic") if a == 1.0 else _slack(params, n, a, *next(position), kind)
-        for a in alphas  # at alpha = 1 the Tsallis sides coincide
-    ]
+    live = [cell for cell in cells if cell[1] != 1.0]  # at alpha = 1 the Tsallis sides coincide
+    position = log_moments(omega, live, n, "position")
+    momentum = log_moments(omega, [(lam, conjugate_order(a)) for lam, a in live], n, "momentum")
+    slacks = (_slack(a, *pos, mom[0], kind) for (_, a), pos, mom in zip(live, position, momentum))
+    return [XiResult(0.0, "analytic") if a == 1.0 else next(slacks) for _, a in cells]
 
 
-def _slack(params: ModelParams, n: int, alpha: float, log_w_pos: float, method: str, kind: str):
-    """The slack at one order, from its position ln W and engine."""
+def _slack(alpha: float, log_w_pos: float, method: str, log_w_mom: float, kind: str) -> XiResult:
+    """The slack at one order from its position ln W and engine and the conjugate momentum ln W."""
     beta = conjugate_order(alpha)
-    log_w_mom = log_moment(params, n, beta, "momentum")[0]
     if kind == "tsallis":
         left = (alpha / math.pi) ** (1.0 / (4.0 * alpha)) * math.exp(log_w_pos / (2.0 * alpha))
         right = (beta / math.pi) ** (1.0 / (4.0 * beta)) * math.exp(log_w_mom / (2.0 * beta))

@@ -184,13 +184,14 @@ def reference_split(a, b, width, pieces=1):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def reference_segment_panels(boundaries, split, cusp_points):
-    """Subdivide [boundaries] into the panels ``split(a, b)`` returns for
-    each segment; panels whose endpoint is a cusp get the cubic map on
-    that side (a panel maps one end only, so none may touch two cusps)."""
+def reference_segment_panels(starts, ends, split, cusp_points):
+    """Subdivide the segments [starts[s], ends[s]] into the panels
+    ``split(a, b)`` returns for each; panels whose endpoint is a cusp get
+    the cubic map on that side (a panel maps one end only, so none may
+    touch two cusps)."""
     panels = []
     cusps = set(float(c) for c in cusp_points)
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
+    for a, b in zip(starts, ends):
         pieces = split(float(a), float(b))
         for i, (pa, pb) in enumerate(pieces):
             m = 0
@@ -244,7 +245,8 @@ def reference_position_nodes(params, n, alpha, refine):
     def split(a, b):  # the tail [z_last, L] on its own edges
         return list(zip(tail[:-1], tail[1:])) if b == L else reference_split(a, b, width)
 
-    panels = reference_segment_panels(np.append(head, L), split, cusps)
+    bounds = np.append(head, L)
+    panels = reference_segment_panels(bounds[:-1], bounds[1:], split, cusps)
     return reference_panel_nodes(panels)
 
 
@@ -258,7 +260,8 @@ def reference_position_moment_nodes(params, n, alpha, refine, graded=True):
 
     head, tail, width, cusps = _position_layout(params, n, alpha, refine, graded)
     counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(tail) - 1)])
-    return _panel_grid(np.concatenate([head, tail[1:]]), counts, cusps)
+    bounds = np.concatenate([head, tail[1:]])
+    return _panel_grid(bounds[:-1], bounds[1:], counts, cusps)
 
 
 def reference_position_moment(params, n, alpha, refine=1, graded=True):
@@ -325,7 +328,7 @@ def reference_profile_nodes(params, n, refine=1):
     origins, offsets, wx = _ft_x_nodes(params, n, L_p, refine)
     fw = _lattice_values(lambda x: wavefunction(params, n, x), origins, offsets, wx)
     p_feat = _momentum_tail_start(params, n)
-    zeros = _transform_zeros(n, origins, offsets, fw, L_p, p_feat)
+    zeros = _transform_zeros(n, origins, offsets, fw, L_p, reference_scan_step(params, n, L_p))
     width = 0.45 * math.sqrt(om) / refine
     cusps = zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]])
 
@@ -334,7 +337,7 @@ def reference_profile_nodes(params, n, refine=1):
 
     bounds = np.unique(np.concatenate([[0.0, p_feat], zeros[zeros < p_feat]]))
     panels = reference_segment_panels(
-        bounds, lambda a, b: reference_split(a, b, width, pieces(a, b)), cusps
+        bounds[:-1], bounds[1:], lambda a, b: reference_split(a, b, width, pieces(a, b)), cusps
     )
     tail_bounds = np.unique(np.concatenate([[p_feat, L_p], zeros[zeros >= p_feat]]))
 
@@ -344,20 +347,24 @@ def reference_profile_nodes(params, n, refine=1):
             edges = np.linspace(a, b, 3)
         return list(zip(edges[:-1], edges[1:]))
 
-    panels += reference_segment_panels(tail_bounds, grow, cusps)
+    panels += reference_segment_panels(tail_bounds[:-1], tail_bounds[1:], grow, cusps)
     return reference_panel_nodes(panels)
+
+
+def reference_scan_step(params, n, L_p):
+    """The step bound of a momentum profile's zero scan: 48 (n + 2) points
+    on [0, p_feat] and 600 on the tail [p_feat, L_p]."""
+    from darboux3.quadrature import _momentum_tail_start
+
+    p_feat = _momentum_tail_start(params, n)
+    return min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
 
 
 def scan_size(params, n, refine=1):
     """(padded node count N, FFT length M, top momentum index K) of a
     momentum profile's zero scan, from the layout rules of ``_ft_x_nodes``,
-    ``_transform_zeros`` and ``_fft_scan``, without building the lattice."""
-    from darboux3.quadrature import (
-        _gaussian_cut,
-        _momentum_cut,
-        _momentum_tail_start,
-        position_half_width,
-    )
+    the profile's scan step and ``_fft_scan``, without building the lattice."""
+    from darboux3.quadrature import _gaussian_cut, _momentum_cut, position_half_width
 
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
@@ -366,8 +373,7 @@ def scan_size(params, n, refine=1):
     h = 2.0 * math.pi / ((band + L_p) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1
-    p_feat = _momentum_tail_start(params, n)
-    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
+    step = reference_scan_step(params, n, L_p)
     m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
     return -(-count // b) * b, m, int(math.ceil(L_p / (2.0 * math.pi / (m * h))))
 

@@ -1,5 +1,6 @@
 import argparse
 import math
+import os
 import re
 import subprocess
 import sys
@@ -389,6 +390,24 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("n,lambda,alpha,space,renyi\n380,0.4,0.5,position,")
+
+    def test_lambda_past_the_supported_lattice_exits_3(self):
+        # lam = 1e6 would need N = 2.2e8 transform nodes and a scan of M = 2^32
+        # points; under a 1 GiB address-space cap a regression fails here
+        # rather than exhausting the machine's memory
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from darboux3.cli import main\n"
+            "sys.exit(main(['xi-tsallis', '--alpha', '0.75', '--lambda', '1e6', '--n', '2']))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # one thread's buffers under the cap
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(
+            "numeric failure in darboux3.quadrature: momentum transform at omega=1.0, "
+            "lam=1000000.0, n=2 needs N = 216457656 nodes and M = 4294967296 scan points"
+        )
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -42,6 +42,7 @@ from conftest import (
     reference_position_nodes,
     reference_position_shannon,
     reference_profile_nodes,
+    reference_scan_step,
     reference_segment_panels,
     reference_split,
     scan_size,
@@ -105,7 +106,8 @@ def _spy(monkeypatch, name):
 
 def _log_density(params, n, alpha, refine):
     """``_position_log_density``'s (y, w, ln rho) for the one cell (lambda of ``params``, ``alpha``)."""
-    return next(quadrature._position_log_density(params.omega, [(params.lam, alpha)], n, refine))
+    cells = [(params.lam, alpha)]
+    return next(quadrature._position_log_density(params.omega, cells, n, refine))[1:]
 
 
 def _assert_same(got, want):
@@ -120,11 +122,28 @@ class TestPanelGrid:
     def test_cusp_maps(self, cusps):
         # [0, 2] and [2.5, 4] are two pieces, one map at each cusp end;
         # [2, 2.5] is given one piece, and cusps at both its ends make it two
-        bounds = np.array([0.0, 2.0, 2.5, 4.0])
-        counts = np.ceil(np.diff(bounds) / 1.0)
-        split = _reference_pieces(bounds, counts, cusps)
-        want = reference_panel_nodes(reference_segment_panels(bounds, split, cusps))
-        _assert_same(_panel_grid(bounds, counts, cusps), want)
+        a, b = np.array([0.0, 2.0, 2.5]), np.array([2.0, 2.5, 4.0])
+        counts = np.ceil((b - a) / 1.0)
+        split = _reference_pieces(a, b, counts, cusps)
+        want = reference_panel_nodes(reference_segment_panels(a, b, split, cusps))
+        _assert_same(_panel_grid(a, b, counts, cusps), want)
+
+    @pytest.mark.parametrize(
+        "cusps", [[], [0.0, 9.0], [2.0, 3.7], [5.0, 6.0], [0.0, 2.0, 3.0, 3.7, 5.0, 6.0, 9.0]]
+    )
+    def test_disjoint_segments(self, cusps):
+        # segments that touch, and segments with gaps between them, in one
+        # call: the separate calls' nodes and weights, concatenated, bit for
+        # bit, with the cusp maps at either end ([3, 3.7] and [5, 6] take
+        # two pieces when both ends are cusps)
+        a = np.array([0.0, 2.0, 3.0, 5.0, 6.5])
+        b = np.array([2.0, 2.7, 3.7, 6.0, 9.0])
+        counts = np.array([2, 1, 1, 1, 3])
+        one = _panel_grid(a, b, counts, cusps)
+        parts = [_panel_grid([s], [e], [k], cusps) for s, e, k in zip(a, b, counts)]
+        _assert_same(one, [np.concatenate(part) for part in zip(*parts)])
+        split = _reference_pieces(a, b, counts, cusps)
+        _assert_same(one, reference_panel_nodes(reference_segment_panels(a, b, split, cusps)))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 33, 60])
     def test_position_nodes(self, n):
@@ -191,19 +210,19 @@ class TestPanelGrid:
                 assert np.max(np.abs(fw.ravel() - w * phi)) <= tol
 
 
-def _has_double_cusp_piece(bounds, counts, cusps=()):
+def _has_double_cusp_piece(starts, ends, counts, cusps=()):
     """Whether a ``_panel_grid`` layout has a one-piece segment with a cusp
     at both ends."""
-    at_cusp = np.isin(bounds, cusps)
-    return bool(np.any((np.asarray(counts) == 1) & at_cusp[:-1] & at_cusp[1:]))
+    at_cusp = np.isin(starts, cusps) & np.isin(ends, cusps)
+    return bool(np.any((np.asarray(counts) == 1) & at_cusp))
 
 
-def _reference_pieces(bounds, counts, cusps):
+def _reference_pieces(starts, ends, counts, cusps):
     """``reference_segment_panels``' split for the ``_panel_grid`` layout
-    (bounds, counts, cusps): counts[s] equal pieces, as ``np.linspace``
-    places them, and two at least between two cusps."""
+    (starts, ends, counts, cusps): counts[s] equal pieces, as
+    ``np.linspace`` places them, and two at least between two cusps."""
     pieces = {}
-    for a, b, k in zip(bounds[:-1], bounds[1:], counts):
+    for a, b, k in zip(starts, ends, counts):
         k = max(int(k), 2 if a in cusps and b in cusps else 1)
         edges = np.linspace(a, b, k + 1)
         pieces[float(a), float(b)] = list(zip(edges[:-1], edges[1:]))
@@ -237,10 +256,11 @@ class TestCuspLayout:
             momentum_profile(ModelParams(1.0, lam), n)
         assert len(grids) == 51
         assert any(_has_double_cusp_piece(*args) for args in grids)
-        for bounds, counts, cusps in grids:
-            split = _reference_pieces(bounds, counts, cusps)
-            want = reference_panel_nodes(reference_segment_panels(bounds, split, cusps))
-            _assert_same(_panel_grid(bounds, counts, cusps), want)
+        for starts, ends, counts, cusps in grids:
+            assert np.array_equal(starts[1:], ends[:-1])  # one chain of segments
+            split = _reference_pieces(starts, ends, counts, cusps)
+            want = reference_panel_nodes(reference_segment_panels(starts, ends, split, cusps))
+            _assert_same(_panel_grid(starts, ends, counts, cusps), want)
 
 
 class TestMomentNumeric:
@@ -340,13 +360,14 @@ class TestScaledPosition:
         params = ModelParams(1.0, 0.4)
         y, _, _ = _log_density(params, 7, 2.5, 1)
         assert len(grids) == len(hermite) == 1
-        bounds, counts = grids[0][:2]
-        assert np.array_equal(bounds[:4], np.append(0.0, hermite_zeros(7)[4:]))
+        starts, ends, counts = grids[0][:3]
+        assert np.array_equal(starts[1:], ends[:-1])  # the head runs on into the tail
+        assert np.array_equal(starts[:4], np.append(0.0, hermite_zeros(7)[4:]))
         assert np.all(counts[:3] > 1) and np.all(counts[3:] == 1)
         assert np.array_equal(hermite[0][1], y)
         _log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
         assert len(grids) == len(hermite) == 2
-        assert grids[1][0][0] == bounds[3] and np.all(grids[1][1] == 1)
+        assert grids[1][0][0] == starts[3] and np.all(grids[1][2] == 1)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 33])
     def test_hit_equals_miss(self, n):
@@ -423,7 +444,7 @@ class TestSweepBatch:
     @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
     def test_cli_sweep_makes_one_hermite_pass(self, monkeypatch, capsys, command):
         # a cold 16-lambda column at one fractional order: the bulk's head
-        # leads the chain of all 16 tails into one pass
+        # leads all 16 tails into one pass
         from darboux3 import cli
 
         argv = [command, "--alpha", "0.714", "--lambda", "0:1.5:0.1", "--n", "6"]
@@ -437,9 +458,23 @@ class TestSweepBatch:
         assert len(hermite) == len(grids) == 2
         assert grids[1][0][0] == float(hermite_zeros(6)[-1])
 
+    @pytest.mark.parametrize("command", ["xi-renyi", "renyi"])
+    @pytest.mark.parametrize("ns", ["3", "0,3,7"])
+    def test_cli_grid_makes_one_pass_per_n(self, monkeypatch, capsys, command, ns):
+        # 16 lambdas x 4 fractional orders: each n's 64 position cells share
+        # one cold pass (xi-renyi made one per cell, renyi one per order)
+        from darboux3 import cli
+
+        argv = [command, "--alpha", "0.6,0.7,0.8,1.5", "--lambda", "0:1.5:0.1", "--n", ns]
+        quadrature._position_bulk.cache_clear()
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 64 * len(ns.split(","))
+        assert len(hermite) == len(ns.split(","))
+
     def test_chunks_give_the_same_bytes(self, monkeypatch, capsys):
-        # a node budget of 500 holds two or three tails: the sweep goes
-        # through in several passes, the bulk leading the first, with the
+        # a node budget of 500 holds two or three tails: each n's grid goes
+        # through in several passes, the heads leading the first, with the
         # same output
         from darboux3 import cli
 
@@ -492,6 +527,25 @@ class TestRowPass:
         list(quadrature.position_moments(1.0, [(0.4, alpha) for alpha in ROW_ORDERS], n))
         assert len(grids) == len(hermite) == 1
         assert quadrature._position_bulk.cache_info().currsize == 5
+
+    def test_more_classes_than_cache_slots_lead_once(self, monkeypatch):
+        # 20 classes, more than the bulk cache's 16 slots, interleaved lambda
+        # by lambda as a CLI grid lists them: each class's head is evaluated
+        # once in the call, so the pass takes the Hermite points of 20 cold
+        # columns, and every value is the one-cell value
+        orders = [1.05 + 0.1 * k for k in range(20)]
+        lams = [0.0, 0.25, 0.5, 0.75, 1.0]
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        for a in orders:
+            quadrature._position_bulk.cache_clear()
+            list(quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6))
+        columns = sum(len(args[1]) for args in hermite)
+        hermite.clear()
+        quadrature._position_bulk.cache_clear()
+        grid = [(lam, a) for lam in lams for a in orders]
+        values = list(quadrature.position_moments(1.0, grid, 6))
+        assert len(hermite) == 1 and len(hermite[0][1]) == columns
+        assert values == [entropic_moment_numeric(ModelParams(1.0, lam), 6, a) for lam, a in grid]
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_mixed_kinds_give_the_cells(self, monkeypatch, n):
@@ -553,7 +607,9 @@ class TestGradedTail:
                         params = ModelParams(1.0, lam)
                         _log_density(params, n, alpha, refine)
                         _log_density(params, n, alpha, refine)  # a hit
-                        tail = grids[-1][0]  # the hit builds the tail alone
+                        starts, ends = grids[-1][:2]  # the hit builds the tail alone
+                        assert np.array_equal(starts[1:], ends[:-1])
+                        tail = np.append(starts, ends[-1])
                         L, widths = tail[-1], np.diff(tail)
                         d, past = widths[0], tail[:-1] > y_g
                         assert widths[~past] == pytest.approx(d, rel=1e-10)
@@ -657,6 +713,19 @@ class TestFourierTransform:
                         worst = max(worst, nodes / m)
                         assert top <= m // 2 + 1
         assert worst < 0.1
+
+    def test_lattice_past_the_supported_corner_raises(self):
+        # lam / omega = 1e3, n = 50 at refine 1 needs N = 1,993,744 nodes and
+        # M = 2^27 scan points whatever omega, and is built; refine 2 there
+        # needs more, and raises before allocating
+        for om in (1e-3, 0.37, 1.0, 1e4):
+            params = ModelParams(om, 1e3 * om)
+            L_p = quadrature._momentum_cut(params, 50)
+            step = reference_scan_step(params, 50, L_p)
+            assert scan_size(params, 50)[:2] == (1_993_744, 2**27)
+            assert quadrature._ft_x_nodes(params, 50, L_p, 1, step)[2].size == 1_993_744
+            with pytest.raises(ArithmeticError, match="N = 3988009 nodes and M = 268435456 "):
+                quadrature._ft_x_nodes(params, 50, L_p, 2, step)
 
     @pytest.mark.parametrize("lam,n", [(0.4, 3), (10.0, 20), (100.0, 0), (100.0, 6)])
     def test_trapezoid_alias_bound(self, lam, n):
@@ -861,7 +930,7 @@ class TestTransformKernel:
         fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
         monkeypatch.setattr(quadrature, "_ft_component", spy)
         zeros = quadrature._transform_zeros(
-            n, *lattice[:2], fw, L_p, quadrature._momentum_tail_start(params, n)
+            n, *lattice[:2], fw, L_p, reference_scan_step(params, n, L_p)
         )
         assert len(zeros) and len(calls) <= 8
         assert zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0) and zeros[-1] < 0.999 * L_p

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ from darboux3 import (
     conjugate_order,
     entropy,
     entropy_from_log_moment,
-    log_moment,
     log_moments,
     xi_renyi,
     xi_tsallis,
 )
+from darboux3 import cli, quadrature
 from darboux3.quadrature import entropic_moment_numeric, shannon_numeric
+from darboux3.uncertainty import _entropies, _xi_slacks
 
 RENYI_TABLE_ALPHAS = (0.6, 0.7, 0.8, 0.9, 1.125, 4.0 / 3.0, 1.75, 3.0)
 
@@ -32,7 +34,7 @@ class TestLogMoment:
         ],
     )
     def test_engine_rule(self, deformed, alpha, space, engine):
-        log_w, used = log_moment(deformed, 2, alpha, space)
+        [(log_w, used)] = log_moments(deformed.omega, [(deformed.lam, alpha)], 2, space)
         assert used == engine
         numeric = math.log(entropic_moment_numeric(deformed, 2, alpha, space))
         assert log_w == pytest.approx(numeric, abs=1e-10)
@@ -41,19 +43,19 @@ class TestLogMoment:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_order_not_positive_and_finite(self, deformed, alpha, space):
         with pytest.raises(ValueError, match="alpha"):
-            log_moment(deformed, 2, alpha, space)
+            log_moments(deformed.omega, [(deformed.lam, alpha)], 2, space)
 
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     def test_sweep_equals_cells(self, omega, space):
-        # log_moment is log_moments' one-lambda case: every cell of a sweep
-        # has the same ln W, to the bit, and the same engine
+        # every cell of a sweep has the ln W of a one-cell call, to the bit,
+        # and the same engine
         lams = [0.0, 0.05, 0.4, 2.0, 7.5] + ([30.0, 1e3] if space == "position" else [])
         for n in (0, 1, 6):
             for alpha in (0.3, 0.714, 1.0, 2.0, 2.567, 3.0):
                 log_ws = log_moments(omega, [(lam, alpha) for lam in lams], n, space)
-                cells = [log_moment(ModelParams(omega, lam), n, alpha, space) for lam in lams]
+                cells = [log_moments(omega, [(lam, alpha)], n, space)[0] for lam in lams]
                 assert log_ws == cells
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -88,6 +90,35 @@ class TestEntropy:
                 entropy(deformed, 0, alpha, "position", "shannon")
         with pytest.raises(ValueError, match="kind"):
             entropy_from_log_moment(0.0, 2.0, "shannon")
+
+
+class TestCellLists:
+    """A list of (lam, alpha) cells at one n gives each cell its one-cell
+    value, to the bit, whatever the mix of engines in the list."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
+    def test_slacks_equal_one_cell_calls(self, omega, kind):
+        # integer orders take the closed form, fractional ones the quadrature,
+        # and the Tsallis alpha = 1 is exactly 0
+        orders = (0.6, 2.0, 0.75, 3.0, 1.25) if kind == "renyi" else (0.6, 1.0, 0.75, 0.9, 1.0)
+        one = xi_renyi if kind == "renyi" else xi_tsallis
+        cells = [(lam, a) for lam in (0.0, 0.4, 2.0, 7.0) for a in orders]
+        args = argparse.Namespace(omega=omega, command=f"xi-{kind}")
+        for n in (0, 3):
+            want = [one(ModelParams(omega, lam), n, a) for lam, a in cells]
+            quadrature._position_bulk.cache_clear()
+            assert _xi_slacks(omega, cells, n, kind) == want
+            assert cli._xi_block(args, n, cells) == [[[r.value, r.position_method]] for r in want]
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_entropies_equal_one_cell_calls(self, omega, space):
+        cells = [(lam, a) for lam in (0.0, 0.4, 2.0) for a in (0.6, 1.0, 2.0, 2.5)]
+        for n in (0, 3):
+            want = [entropy(ModelParams(omega, lam), n, a, space, "tsallis") for lam, a in cells]
+            quadrature._position_bulk.cache_clear()
+            assert _entropies(omega, cells, n, space, "tsallis") == want
 
 
 class TestConjugateOrder:

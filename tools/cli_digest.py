@@ -109,6 +109,11 @@ def _argvs() -> list[str]:
     # thresholds by decades of omega, and the n = 0 overflow edge
     lines += [f"threshold --omega 1e{e} --n 0,2" for e in range(-320, 309)]
     lines += [f"threshold --omega 1e{e} --n 0" for e in range(150, 156)]
+    # one n's grid of (lam, alpha) cells: slacks, and orders of mixed kinds
+    lines += [
+        "xi-renyi --alpha 0.6,0.7,0.8,1.5 --lambda 0:1.5:0.1 --n 3",
+        "renyi --alpha 0.5,2,2.5 --lambda 0:1.5:0.1 --n 3",
+    ]
     return lines
 
 
