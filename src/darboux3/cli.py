@@ -47,7 +47,7 @@ from .uncertainty import _xi_slacks, entropy_from_log_moment, log_moments
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
 MAX_RANGE_VALUES = 10**6  # per grid flag
-MAX_GRID_POINTS = 10**6  # per grid command: n values x lambda values x alpha values
+MAX_GRID_POINTS = 10**6  # n x lambda x alpha values per grid command, and --grid-points
 
 
 class _UsageError(ValueError):
@@ -145,6 +145,8 @@ def _validated(args):
         raise _UsageError(f"--grid-points must be at least 1, got {points}")
     if points is not None and points < 32 and "alpha" in args:  # a GridSpec's least
         raise _UsageError(f"--grid-points must be at least 32, got {points}")
+    if points is not None and points > MAX_GRID_POINTS:
+        raise _UsageError(f"--grid-points must be at most {MAX_GRID_POINTS}, got {points}")
     if half is not None and not (half > 0 and math.isfinite(half)):
         raise _UsageError(f"--half-width must be positive and finite, got {half}")
     return lams, ns, alphas

@@ -137,7 +137,6 @@ def _check_budget(n: int, alpha: int, j_max: int) -> None:
         )
 
 
-@lru_cache(maxsize=512)
 def _hermite_power(n: int, alpha: int) -> tuple[int, ...]:
     """Integers q_0..q_(alpha n) with H_n(y)^(2 alpha) = sum_m q_m y^(2m)."""
     # H_n = y^nu sum_i h_i y^(2i) with h_(M-m) = (-1)^m n! 2^(n-2m) / (m! (n-2m)!);

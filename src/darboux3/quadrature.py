@@ -18,15 +18,16 @@ operations.  Position moments integrate in y = sqrt(Omega) x, where
 rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
 lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
 enters only through that factor and the cut, so the panels up to the last
-Hermite zero and h_n on them are computed once per (n, order class,
-refine).  The (lam, alpha) cells of one n's CLI grid or table row lay
-their tails out as disjoint segments of one :func:`_panel_grid` call and
-share one Hermite pass; tail panels grow geometrically past the last lobe
-of h_n as the momentum tail's do, and each class's head leads its first
-tail while not yet kept (:func:`_position_log_density`).  In momentum
-space the zeros of the transform are located first: one FFT scan of a
-uniform momentum grid brackets them, and Newton's method, kept inside
-each bracket, refines all of them together
+Hermite zero and h_n on them depend only on (n, order class, refine).
+The (lam, alpha) cells of one n's CLI grid or table row are sorted by
+class into passes of bounded size: a pass lays its cells' tails out as
+disjoint segments of one :func:`_panel_grid` call, each class's head once
+in front of its first tail, and evaluates them in one Hermite pass; tail
+panels grow geometrically past the last lobe of h_n as the momentum
+tail's do (:func:`_position_log_density`).  In momentum space the zeros of
+the transform are located first: one FFT scan of a uniform momentum grid
+brackets them, and Newton's method, kept inside each bracket, refines all
+of them together
 (:func:`~darboux3.specfun.bracketed_newton`, which refines the density's
 critical points too), with g and g' from one kernel call per step (two or
 three calls at every tested profile).  The momentum panels are laid out
@@ -112,7 +113,7 @@ _FT_CHUNK_BYTES = 4 * 2**20  # the kernel's arrays for one chunk of momenta
 _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
-_TAIL_CHUNK_NODES = 2**16  # position tail nodes one Hermite pass takes at most
+_PASS_NODES = 2**16  # position head and tail nodes one Hermite pass takes at most
 
 _GL_U, _GL_W = leggauss(_ORDER)
 _GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0  # Gauss-Legendre nodes/weights on [0, 1]
@@ -207,20 +208,11 @@ def position_half_width(
     return 1.1 * math.sqrt(L2)
 
 
-@lru_cache(maxsize=16)
-def _position_bulk(n: int, order: float, fractional: bool, refine: int) -> list:
-    """The lambda-free bulk of one position layout class, [y, weights,
-    2 ln|H_n(y)| - y^2] on [0, z_last], read-only; empty until the class's
-    head, leading a cell's tail in a pass, fills it.  A table row needs up
-    to 5 slots (orders below 1 share one, and Shannon's is one), and a CLI
-    grid one per class of its orders; 16 serve callers that interleave rows."""
-    return []
-
-
 def _position_log_density(omega: float, cells, n: int, refine: int):
-    """For each (lam, alpha) of ``cells`` in turn, alpha and the half-line
-    nodes y = sqrt(Omega) x, their weights in x and ln rho_n there, for
-    integrating rho_n^alpha (an even integrand); alpha must be finite, > 0.
+    """For each (lam, alpha) of ``cells``, its index in ``cells``, alpha and
+    the half-line nodes y = sqrt(Omega) x, their weights in x and ln rho_n
+    there, for integrating rho_n^alpha (an even integrand); every alpha must
+    be finite and > 0.  The cells come class by class (see below).
 
     rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
     kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
@@ -229,18 +221,16 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     width = min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and
     run out to sqrt(Omega) L with L the :func:`position_half_width`; every
     zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
-    So the bulk [0, z_last] and its Hermite values depend only on the
-    layout class (n, max(alpha, 1), whether alpha is fractional, ``refine``):
-    :func:`_position_bulk` keeps them, and each cell builds only its tail
-    [z_last, sqrt(Omega) L].  The tails are disjoint segments of one
-    :func:`_panel_grid` call and one Hermite pass, ``_TAIL_CHUNK_NODES``
-    tail nodes at most at a time.  The first cell of a class whose bulk is
-    not kept has the head [0, zeros..., z_last] in front of its tail, and
-    the head's nodes fill the bulk, which the call holds for the class's
-    later cells.  Only fractional orders map the cusps
-    at the zeros, so a change of kind starts a new pass.  Every value is
-    elementwise, so each cell gets the nodes, weights and ln rho_n a call of
-    its own would, bit for bit.
+    So the head [0, zeros..., z_last] and its Hermite values depend only on
+    the layout class (n, max(alpha, 1), whether alpha is fractional,
+    ``refine``), and each cell adds its tail [z_last, sqrt(Omega) L].  The
+    cells are sorted by class, fractional classes first (only they map the
+    cusps at the zeros), and go through passes of one kind: the tails are
+    disjoint segments of one :func:`_panel_grid` call and one Hermite pass,
+    which takes ``_PASS_NODES`` head and tail nodes at most, and each class
+    in a pass has its head laid out once, in front of its first tail.
+    Nothing is kept between calls.  Every value is elementwise, so each cell
+    gets the nodes, weights and ln rho_n a call of its own would, bit for bit.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -252,60 +242,52 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
     whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
+    cells = [(i, lam, float(alpha)) for i, (lam, alpha) in enumerate(cells)]
+    for cell in cells:
+        _check_order(cell[2])
+    cells.sort(key=lambda cell: (cell[2].is_integer(), max(cell[2], 1.0)))  # stable
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
     z_last = float(zeros[-1]) if n else 0.0
     y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
     head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, ..., z_last
-    kept = {}  # each layout class's bulk, held for the whole call
-    cells = iter(cells)
-    cell = next(cells, None)
-    while cell is not None:
+    i = 0
+    while i < len(cells):
         # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
-        fractional = not float(cell[1]).is_integer()
-        batch, segments, nodes = [], [], 0
-        while cell is not None and nodes < _TAIL_CHUNK_NODES:
-            lam, alpha = cell[0], float(cell[1])
-            if alpha.is_integer() == fractional:  # a change of kind starts a new pass
-                break
-            _check_order(alpha)
+        integer = cells[i][2].is_integer()
+        batch, segments, heads, nodes = [], [], {}, 0
+        while i < len(cells) and cells[i][2].is_integer() == integer and nodes < _PASS_NODES:
+            index, lam, alpha = cells[i]
+            i += 1
             order = max(alpha, 1.0)
             width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
+            if order not in heads:  # the class's first cell in this pass leads with its head
+                segments.append((head[:-1], head[1:], np.ceil(np.diff(head) / width)))
+                heads[order] = nodes, _ORDER * int(segments[-1][2].sum())
+                nodes += heads[order][1]
             params = ModelParams(omega, lam)
             om = effective_frequency(params, n)
             L = math.sqrt(om) * position_half_width(params, n, alpha)
             d = (L - z_last) / math.ceil((L - z_last) / width)
             equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
             tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
-            nodes += _ORDER * (len(tail) - 1)
-            k, bulk = None, kept.get((order, fractional))  # k: the nodes of a head it leads with
-            if bulk is None:  # the class's first cell leads with its head while the bulk is cold
-                bulk = kept[order, fractional] = _position_bulk(n, order, fractional, refine)
-                if not bulk:
-                    segments.append((head[:-1], head[1:], np.ceil(np.diff(head) / width)))
-                    k = _ORDER * int(segments[-1][2].sum())
             segments.append((tail[:-1], tail[1:], np.ones(len(tail) - 1)))
-            batch.append((alpha, params, om, bulk, k, (k or 0) + _ORDER * (len(tail) - 1)))
-            cell = next(cells, None)
+            start, nodes = nodes, nodes + _ORDER * (len(tail) - 1)
+            batch.append((index, alpha, params, om, heads[order], start, nodes))
         starts, ends, counts = (np.concatenate(parts) for parts in zip(*segments))
-        y, w = _panel_grid(starts, ends, counts, zeros if fractional else ())
+        y, w = _panel_grid(starts, ends, counts, () if integer else zeros)
         log_h = 2.0 * hermite_sign_logabs(n, y)[1] - y * y  # -inf at an exact zero of H_n
         grid = y, w, log_h
-        stop = 0
-        for alpha, params, om, bulk, k, size in batch:
-            start, stop = stop, stop + size
-            if k is None:
-                y_t, w_t, h_t = [np.concatenate([b, a[start:stop]]) for b, a in zip(bulk, grid)]
-            else:  # the cell's whole half line, head and tail
-                y_t, w_t, h_t = [a[start:stop] for a in grid]
-                bulk += [a[start : start + k].copy() for a in grid]
-                for arr in bulk:
-                    arr.setflags(write=False)
+        for index, alpha, params, om, (at, k), start, stop in batch:
+            if at + k == start:  # the head right before the tail: one slice
+                y_t, w_t, h_t = (a[at:stop] for a in grid)
+            else:
+                y_t, w_t, h_t = (np.concatenate([a[at : at + k], a[start:stop]]) for a in grid)
             log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
             log_rho *= params.lam / om
             np.log1p(log_rho, out=log_rho)
             log_rho += h_t
             log_rho += 2.0 * log_norm_constant(params, n)
-            yield alpha, y_t, w_t / math.sqrt(om), log_rho
+            yield index, alpha, y_t, w_t / math.sqrt(om), log_rho
 
 
 # --------------------------------------------------------------------------
@@ -720,20 +702,25 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def position_moments(omega: float, cells, n: int, refine: int = 1):
+def position_moments(omega: float, cells, n: int, refine: int = 1) -> list[float]:
     """W = integral rho_n^alpha dx for each (lam, alpha) of ``cells`` (any
-    iterable) in turn, at one (omega, n, refine), any finite alpha > 0, the
-    cells' tails laid out and evaluated together (:func:`_position_log_density`)."""
-    for alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine):
-        yield 2.0 * float(w @ np.exp(alpha * log_rho))
+    iterable), in their order, at one (omega, n, refine), any finite
+    alpha > 0, the cells laid out and evaluated together (:func:`_position_log_density`)."""
+    values = {
+        i: 2.0 * float(w @ np.exp(alpha * log_rho))
+        for i, alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine)
+    }
+    return [values[i] for i in range(len(values))]
 
 
-def position_shannons(omega: float, lams, n: int, refine: int = 1):
+def position_shannons(omega: float, lams, n: int, refine: int = 1) -> list[float]:
     """The position Shannon entropy -integral rho_n ln rho_n dx (0 ln 0
-    taken as 0) for each lambda of ``lams`` in turn, as :func:`position_moments`."""
-    for _, _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
+    taken as 0) for each lambda of ``lams``, as :func:`position_moments`."""
+    values = {}
+    for i, _, _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
         rho = np.exp(log_rho)
-        yield -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
+        values[i] = -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
+    return [values[i] for i in range(len(values))]
 
 
 def entropic_moment_numeric(
@@ -741,7 +728,7 @@ def entropic_moment_numeric(
 ) -> float:
     """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
     if space == "position":
-        return next(position_moments(params.omega, [(params.lam, alpha)], n, refine))
+        return position_moments(params.omega, [(params.lam, alpha)], n, refine)[0]
     _check_order(alpha)
     w, gamma = _momentum_density(params, n, space, refine)
     return 2.0 * float(w @ np.power(gamma, alpha))
@@ -750,7 +737,7 @@ def entropic_moment_numeric(
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
     """Shannon entropy -integral density ln density (0 ln 0 taken as 0)."""
     if space == "position":
-        return next(position_shannons(params.omega, [params.lam], n, refine))
+        return position_shannons(params.omega, [params.lam], n, refine)[0]
     w, gamma = _momentum_density(params, n, space, refine)
     val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
     return -2.0 * float(w @ val)

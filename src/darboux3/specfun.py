@@ -111,16 +111,16 @@ def hermite_sign_logabs(n: int, x) -> tuple[np.ndarray, np.ndarray]:
 def hermite_zeros(n: int) -> np.ndarray:
     """Zeros of H_n in increasing order (empty for n = 0); cached, read-only:
     ``hermgauss(n)[0]`` bit for bit, without the weights.  ``ArithmeticError``
-    where a zero is not finite (n >= 741)."""
+    before anything is allocated from n = 741 on, where some are not finite."""
+    if n > 740:  # the Newton step overflows to inf or NaN there
+        raise ArithmeticError(f"Hermite zeros of order n={n} are not finite")
     z = np.array([])
     if n:
         s = np.sqrt(0.5 * np.arange(1, n))  # sqrt(k / 2), as ``hermcompanion`` builds it
-        with np.errstate(all="ignore"):  # the Newton step overflows from n = 741 on
+        with np.errstate(all="ignore"):  # its products overflow from n = 730 on
             x = np.linalg.eigvalsh(np.diag(s, 1) + np.diag(s, -1))  # the Jacobi matrix
             x -= _normed_hermite(x, n) / (_normed_hermite(x, n - 1) * math.sqrt(2 * n))
             z = (x - x[::-1]) / 2
-    if not np.isfinite(z).all():
-        raise ArithmeticError(f"Hermite zeros of order n={n} are not finite")
     z.setflags(write=False)
     return z
 

@@ -1,6 +1,7 @@
 """The committed benchmark records at the repository root: each parses, says
 how it was run and on what, holds its runs, and has its partner (a change's
-record and its ``_parent`` record come in pairs)."""
+record and its ``_parent`` record come in pairs).  And the tools under
+``tools/`` that summarise records and count cache traffic."""
 
 import importlib.util
 import json
@@ -28,10 +29,10 @@ def test_record(name):
     assert f"{partner}.json" in BENCH_FILES
 
 
-def _bench_pairs():
-    """tools/bench_pairs.py, loaded as a module."""
-    path = ROOT / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+def _tool(name):
+    """tools/<name>.py, loaded as a module."""
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -52,7 +53,7 @@ def _canned(p50s, rows):
 def test_bench_pairs_summary(monkeypatch):
     # medians, the parent's quartiles and the pairs won, from two canned
     # records; no benchmark is started
-    bench_pairs = _bench_pairs()
+    bench_pairs = _tool("bench_pairs")
     monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("started a run"))
     parent = _canned([0.030, 0.028, 0.032, 0.029, 0.031], [4000.0, 4300.0, 4100.0, 4200.0, 3900.0])
     change = _canned([0.024, 0.029, 0.025, 0.023, 0.026], [5000.0, 4200.0, 5100.0, 5300.0, 4900.0])
@@ -62,3 +63,12 @@ def test_bench_pairs_summary(monkeypatch):
         "change better in 4/5",
         "table-replay rows_per_s: 4100 [3950, 4250] -> 5000 (+22.0 %), change better in 4/5",
     ]
+
+
+def test_cache_traffic_counts_one_round():
+    # position-grid's seed-1 round: 48 of its requests make one position
+    # pass each, and compute the Hermite zeros once, since every cache is
+    # cleared before each request
+    traffic = _tool("cache_traffic").traffic("position-grid", 1)
+    assert traffic["hermite_passes"] == 48
+    assert traffic["caches"]["darboux3.specfun.hermite_zeros"] == [0, 48]

@@ -217,6 +217,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "usage error: --grid-points must be at least 32, got 20\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["renyi", "--alpha", "0.5"], ["profile", "density-position", "--out", "{out}"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_usage_error_grid_points_past_the_cap(self, capsys, tmp_path, argv):
+        # one flag sized a panel grid or a profile of any length
+        out_file = tmp_path / "p.csv"
+        argv = [str(out_file) if a == "{out}" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--grid-points", str(MAX_GRID_POINTS + 1))
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --grid-points must be at most {MAX_GRID_POINTS}, got 1000001\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
     def test_usage_error_bad_tolerance(self, capsys, tmp_path, tolerance):
         # a negative or non-finite tolerance failed or passed every gating cell
@@ -390,6 +404,27 @@ class TestExitCodes:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("n,lambda,alpha,space,renyi\n380,0.4,0.5,position,")
+
+    def test_high_order_zeros_refused_before_allocating(self):
+        # n = 1e5 would diagonalise a dense 1e5 x 1e5 matrix (75 GiB) and then
+        # find its zeros not finite; under a 1 GiB address-space cap a
+        # regression fails here rather than exhausting the machine's memory
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from darboux3.cli import main\n"
+            "from darboux3.specfun import hermite_zeros\n"
+            "try:\n"
+            "    hermite_zeros(10**5)\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n"
+            "sys.exit(main(['renyi', '--alpha', '0.5', '--n', '100000']))\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # one thread's buffers under the cap
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        message = "Hermite zeros of order n=100000 are not finite"
+        assert (proc.returncode, proc.stdout) == (3, message + "\n")
+        assert proc.stderr == f"numeric failure in darboux3.specfun: {message}\n"
 
     def test_lambda_past_the_supported_lattice_exits_3(self):
         # lam = 1e6 would need N = 2.2e8 transform nodes and a scan of M = 2^32

@@ -107,7 +107,9 @@ def _spy(monkeypatch, name):
 def _log_density(params, n, alpha, refine):
     """``_position_log_density``'s (y, w, ln rho) for the one cell (lambda of ``params``, ``alpha``)."""
     cells = [(params.lam, alpha)]
-    return next(quadrature._position_log_density(params.omega, cells, n, refine))[1:]
+    [(index, _, *nodes)] = quadrature._position_log_density(params.omega, cells, n, refine)
+    assert index == 0
+    return nodes
 
 
 def _assert_same(got, want):
@@ -238,7 +240,6 @@ class TestCuspLayout:
         # Hermite zeros lie at least pi / sqrt(2n + 1) apart: four panels or more
         grids = _spy(monkeypatch, "_panel_grid")
         for n in range(61):
-            quadrature._position_bulk.cache_clear()
             for alpha in (0.3, 1.0, 2.197, 3.5):
                 for lam in (0.0, 0.4, 30.0, 1000.0):
                     for refine in (1, 2):
@@ -318,7 +319,7 @@ SCALED_ORDERS = (0.3, 0.5, 0.714, 1.0, 1.5, 2.0, 2.567, 3.456)
 
 
 class TestScaledPosition:
-    """Position moments in y = sqrt(Omega) x, with the lambda-free bulk cached."""
+    """Position moments in y = sqrt(Omega) x."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 60])
     def test_against_x_grid(self, n):
@@ -333,28 +334,9 @@ class TestScaledPosition:
                 want = reference_position_shannon(params, n, refine)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", [0, 3, 30])
-    def test_sweep_evaluates_bulk_once(self, monkeypatch, n):
-        # 16 one-lambda calls: the first evaluates H_n on the whole half
-        # line, the others on their tail [z_last, sqrt(Omega) L] only
-        quadrature._position_bulk.cache_clear()
-        hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        z_last = float(hermite_zeros(n)[-1]) if n else 0.0
-        for lam in np.linspace(0.0, 7.0, 16):
-            params = ModelParams(1.0, float(lam))
-            y, _, _ = _log_density(params, n, 0.714, 1)
-            evaluated = hermite[-1][1]
-            if len(hermite) == 1:
-                assert np.array_equal(evaluated, y)
-            else:
-                assert np.array_equal(evaluated, y[y > z_last])
-        assert len(hermite) == 16
-        assert quadrature._position_bulk.cache_info().misses == 1
-
-    def test_miss_builds_one_grid(self, monkeypatch):
-        # the miss lays out the bulk between 0 and the three positive zeros
-        # of H_7, then the tail edges, one panel each; the hit, the tail alone
-        quadrature._position_bulk.cache_clear()
+    def test_cell_builds_one_grid(self, monkeypatch):
+        # the head between 0 and the three positive zeros of H_7, then the
+        # tail edges, one panel each
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         params = ModelParams(1.0, 0.4)
@@ -365,22 +347,6 @@ class TestScaledPosition:
         assert np.array_equal(starts[:4], np.append(0.0, hermite_zeros(7)[4:]))
         assert np.all(counts[:3] > 1) and np.all(counts[3:] == 1)
         assert np.array_equal(hermite[0][1], y)
-        _log_density(ModelParams(1.0, 0.5), 7, 2.5, 1)
-        assert len(grids) == len(hermite) == 2
-        assert grids[1][0][0] == starts[3] and np.all(grids[1][2] == 1)
-
-    @pytest.mark.parametrize("n", [0, 1, 6, 33])
-    def test_hit_equals_miss(self, n):
-        # the tail a hit builds is the miss's last segment, bit for bit
-        for alpha in (0.3, 1.0, 2.567):
-            for lam in (0.0, 0.9, 7.0):
-                params = ModelParams(1.0, lam)
-                _log_density(ModelParams(1.0, 3.0), n, alpha, 2)
-                hit = _log_density(params, n, alpha, 2)
-                quadrature._position_bulk.cache_clear()
-                miss = _log_density(params, n, alpha, 2)
-                for a, b in zip(hit, miss):
-                    assert np.array_equal(a, b)
 
     @pytest.mark.xfail(
         strict=True,
@@ -407,11 +373,9 @@ class TestSweepBatch:
     @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
     def test_batch_equals_cells(self, n, omega):
         # the sweep evaluates the first lambda's whole half line, then every
-        # other tail together; each cell after it, its own tail alone.  At
-        # n = 200 the Hermite recurrence rescales.
+        # other tail together.  At n = 200 the Hermite recurrence rescales.
         for refine in (1, 2):
             for alpha in (0.3, 0.714, 1.0, 2.567, 3.0):
-                quadrature._position_bulk.cache_clear()
                 column = [(lam, alpha) for lam in SWEEP_LAMS]
                 sweep = list(quadrature.position_moments(omega, column, n, refine))
                 cells = [
@@ -419,7 +383,6 @@ class TestSweepBatch:
                     for lam in SWEEP_LAMS
                 ]
                 assert sweep == cells
-            quadrature._position_bulk.cache_clear()
             sweep = list(quadrature.position_shannons(omega, SWEEP_LAMS, n, refine))
             cells = [
                 shannon_numeric(ModelParams(omega, lam), n, "position", refine)
@@ -430,33 +393,29 @@ class TestSweepBatch:
     @pytest.mark.parametrize("n", [0, 7])
     def test_sweeps_take_an_iterator(self, monkeypatch, n):
         # a generator of lambdas, read a few tails at a time, gives the list's values
-        monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
+        monkeypatch.setattr(quadrature, "_PASS_NODES", 500)
         sweeps = [
             (lambda cells: quadrature.position_moments(1.0, cells, n), [(lam, 0.714) for lam in SWEEP_LAMS]),
             (lambda lams: quadrature.position_shannons(1.0, lams, n), SWEEP_LAMS),
         ]
         for sweep, cells in sweeps:
-            quadrature._position_bulk.cache_clear()
-            want = list(sweep(cells))
-            quadrature._position_bulk.cache_clear()
-            assert list(sweep(cell for cell in cells)) == want
+            assert sweep(cell for cell in cells) == sweep(cells)
 
     @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
     def test_cli_sweep_makes_one_hermite_pass(self, monkeypatch, capsys, command):
-        # a cold 16-lambda column at one fractional order: the bulk's head
-        # leads all 16 tails into one pass
+        # a 16-lambda column at one fractional order: the head leads all 16
+        # tails into one pass, on every call
         from darboux3 import cli
 
         argv = [command, "--alpha", "0.714", "--lambda", "0:1.5:0.1", "--n", "6"]
-        quadrature._position_bulk.cache_clear()
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         grids = _spy(monkeypatch, "_panel_grid")
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 17
         assert len(hermite) == len(grids) == 1
-        assert cli.main(argv) == 0  # the bulk is cached: one pass for the 16 tails alone
+        assert cli.main(argv) == 0  # nothing is kept: the head leads again
         assert len(hermite) == len(grids) == 2
-        assert grids[1][0][0] == float(hermite_zeros(6)[-1])
+        assert grids[1][0][0] == 0.0
 
     @pytest.mark.parametrize("command", ["xi-renyi", "renyi"])
     @pytest.mark.parametrize("ns", ["3", "0,3,7"])
@@ -466,29 +425,33 @@ class TestSweepBatch:
         from darboux3 import cli
 
         argv = [command, "--alpha", "0.6,0.7,0.8,1.5", "--lambda", "0:1.5:0.1", "--n", ns]
-        quadrature._position_bulk.cache_clear()
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 64 * len(ns.split(","))
         assert len(hermite) == len(ns.split(","))
 
     def test_chunks_give_the_same_bytes(self, monkeypatch, capsys):
-        # a node budget of 500 holds two or three tails: each n's grid goes
-        # through in several passes, the heads leading the first, with the
-        # same output
+        # a node budget of 500 holds one to three cells: each n's grid goes
+        # through in several passes, each class's head leading its first tail
+        # in each, with the same output.  A pass closes once it holds 500
+        # nodes, so it holds fewer than 500 and one cell's head and tail.
         from darboux3 import cli
 
         argv = ["renyi", "--alpha", "0.3,0.714,2.567", "--lambda", "0:30:2", "--n", "0,7"]
         assert cli.main(argv) == 0
         whole = capsys.readouterr().out
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", 500)
-        quadrature._position_bulk.cache_clear()
+        for n in (0, 7):
+            for lam in range(0, 32, 2):
+                for alpha in (0.3, 0.714, 2.567):
+                    _log_density(ModelParams(1.0, lam), n, alpha, 1)
+        cell = max(len(args[1]) for args in hermite)  # the largest head and tail
+        hermite.clear()
+        monkeypatch.setattr(quadrature, "_PASS_NODES", 500)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
         assert len(hermite) >= 2 * 3 * 5
-        head = len(quadrature._position_bulk(7, 2.567, True, 1)[0])  # the largest bulk
-        assert max(len(args[1]) for args in hermite) < head + 500 + 16 * 20
+        assert max(len(args[1]) for args in hermite) < 500 + cell
 
 
 #: a table row's orders: below 1 (one layout class), and one class each above 1
@@ -503,8 +466,8 @@ class TestRowPass:
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
     def test_row_equals_cells(self, monkeypatch, n, omega):
-        # each class's head leads its first tail while the bulk is cold; a
-        # budget of 500 nodes or 1 splits the row into several passes
+        # each class's head leads its first tail; a budget of 500 nodes or 1
+        # splits the row into several passes
         lam = 0.4
         row = [(lam, alpha) for alpha in ROW_ORDERS]
         for refine in (1, 2):
@@ -513,56 +476,100 @@ class TestRowPass:
                 for alpha in ROW_ORDERS
             ]
             for budget in (2**16, 500, 1):
-                monkeypatch.setattr(quadrature, "_TAIL_CHUNK_NODES", budget)
-                quadrature._position_bulk.cache_clear()
-                assert list(quadrature.position_moments(omega, row, n, refine)) == cells  # cold
-                assert list(quadrature.position_moments(omega, row, n, refine)) == cells  # warm
+                monkeypatch.setattr(quadrature, "_PASS_NODES", budget)
+                assert quadrature.position_moments(omega, row, n, refine) == cells
 
     @pytest.mark.parametrize("n", [0, 7])
-    def test_cold_row_makes_one_pass(self, monkeypatch, n):
+    def test_row_makes_one_pass(self, monkeypatch, n):
         # five layout classes, each head in front of its first tail
-        quadrature._position_bulk.cache_clear()
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        list(quadrature.position_moments(1.0, [(0.4, alpha) for alpha in ROW_ORDERS], n))
+        quadrature.position_moments(1.0, [(0.4, alpha) for alpha in ROW_ORDERS], n)
         assert len(grids) == len(hermite) == 1
-        assert quadrature._position_bulk.cache_info().currsize == 5
+        if n:  # the heads start at 0 (at n = 0 they are empty and the tails start there)
+            assert np.count_nonzero(grids[0][0] == 0.0) == 5
 
-    def test_more_classes_than_cache_slots_lead_once(self, monkeypatch):
-        # 20 classes, more than the bulk cache's 16 slots, interleaved lambda
-        # by lambda as a CLI grid lists them: each class's head is evaluated
-        # once in the call, so the pass takes the Hermite points of 20 cold
-        # columns, and every value is the one-cell value
+    def test_interleaved_classes_lead_once(self, monkeypatch):
+        # 20 classes interleaved lambda by lambda, as a CLI grid lists them:
+        # each class's head is evaluated once in the call, so the pass takes
+        # the Hermite points of 20 columns, and every value is the one-cell value
         orders = [1.05 + 0.1 * k for k in range(20)]
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         for a in orders:
-            quadrature._position_bulk.cache_clear()
-            list(quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6))
+            quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6)
         columns = sum(len(args[1]) for args in hermite)
         hermite.clear()
-        quadrature._position_bulk.cache_clear()
         grid = [(lam, a) for lam in lams for a in orders]
-        values = list(quadrature.position_moments(1.0, grid, 6))
+        values = quadrature.position_moments(1.0, grid, 6)
         assert len(hermite) == 1 and len(hermite[0][1]) == columns
         assert values == [entropic_moment_numeric(ModelParams(1.0, lam), 6, a) for lam, a in grid]
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_mixed_kinds_give_the_cells(self, monkeypatch, n):
-        # integer orders map no cusps, so each change of kind starts a pass
+        # integer orders map no cusps: the fractional classes take one pass
+        # and the integer ones another, whatever the order of the cells
         orders = [0.5, 1.0, 2.0, 1.5, 3.0, 0.714, 2.567, 4.0]
         cells = [entropic_moment_numeric(ModelParams(1.0, 0.4), n, a, "position") for a in orders]
-        quadrature._position_bulk.cache_clear()
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        assert list(quadrature.position_moments(1.0, [(0.4, a) for a in orders], n)) == cells
-        assert len(hermite) == 6  # F | I I | F | I | F F | I
+        assert quadrature.position_moments(1.0, [(0.4, a) for a in orders], n) == cells
+        assert len(hermite) == 2
+
+    def test_small_budget_leads_each_class_once_per_pass(self, monkeypatch):
+        # 12 classes of both kinds, interleaved lambda by lambda as a CLI grid
+        # lists them, under a budget of 3000 nodes: the passes take the cells
+        # class by class, and each pass lays out the head of every class it
+        # holds once (the segments from 0; its tails start at z_last), with
+        # the unsplit values
+        n, lams = 6, [0.0, 0.4, 3.0, 30.0]
+        orders = [0.3, 2.0, 1.25, 0.8, 3.0, 1.5, 2.567, 1.0, 4.0, 1.05, 3.5, 0.6]
+        grid = [(lam, a) for lam in lams for a in orders]
+        whole = quadrature.position_moments(1.0, grid, n)
+        grids = _spy(monkeypatch, "_panel_grid")
+        monkeypatch.setattr(quadrature, "_PASS_NODES", 3000)
+        assert quadrature.position_moments(1.0, grid, n) == whole
+        z_last = float(hermite_zeros(n)[-1])
+        classes = sorted((a.is_integer(), max(a, 1.0)) for _, a in grid)  # in pass order
+        for starts, *_ in grids:
+            tails = np.count_nonzero(starts == z_last)
+            held, classes = classes[:tails], classes[tails:]
+            assert np.count_nonzero(starts == 0.0) == len(set(held))
+        assert not classes and len(grids) > 3
+
+    def test_calls_keep_nothing(self, monkeypatch):
+        # a second call lays out and evaluates the first call's panels again
+        row = [(lam, a) for lam in (0.0, 0.4) for a in ROW_ORDERS]
+        grids = _spy(monkeypatch, "_panel_grid")
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        first = quadrature.position_moments(1.0, row, 7)
+        assert quadrature.position_moments(1.0, row, 7) == first
+        assert len(grids) == len(hermite) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(*grids))
+        assert np.array_equal(hermite[0][1], hermite[1][1])
+
+    def test_memory_is_one_pass(self):
+        # k orders above 1 are k layout classes, and nothing of a pass
+        # outlives it: a pass holds fewer than _PASS_NODES nodes and one cell
+        # more, and its arrays (nodes, weights, ln|H_n|, the recurrence's work
+        # arrays) are 16 of that length at most, whatever k
+        n, peaks = 60, []
+        cell = len(_log_density(ModelParams(1.0, 0.4), n, 2.99, 1)[0])  # the largest class's
+        for k in (100, 300):
+            cells = [(0.4, 1.0 + 2.0 * (j + 0.5) / k) for j in range(k)]
+            tracemalloc.start()
+            try:
+                quadrature.position_moments(1.0, cells, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16 * 8 * (quadrature._PASS_NODES + cell)
+        assert peaks[1] < 1.1 * peaks[0]
 
     def test_position_table_makes_two_passes_per_row(self, monkeypatch, capsys, tmp_path):
         # each of the 21 rows: its 7 fractional orders in one pass, Shannon in
         # another (order 2 takes the closed form); one of each per cell before
         from darboux3 import cli
 
-        quadrature._position_bulk.cache_clear()
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         assert cli.main(["table", "renyi_pos_d", "--out", str(tmp_path)]) == 0
@@ -601,15 +608,15 @@ class TestGradedTail:
         grids = _spy(monkeypatch, "_panel_grid")
         for n in range(0, 61, 4):
             y_g = math.sqrt(2 * n + 1) + 1.0
+            z_last = float(hermite_zeros(n)[-1]) if n else 0.0
             for alpha in (0.3, 1.0, 3.4):
                 for lam in (0.0, 1.0, 1000.0):
                     for refine in (1, 2):
                         params = ModelParams(1.0, lam)
                         _log_density(params, n, alpha, refine)
-                        _log_density(params, n, alpha, refine)  # a hit
-                        starts, ends = grids[-1][:2]  # the hit builds the tail alone
+                        starts, ends = grids[-1][:2]
                         assert np.array_equal(starts[1:], ends[:-1])
-                        tail = np.append(starts, ends[-1])
+                        tail = np.append(starts[starts >= z_last], ends[-1])  # past the head
                         L, widths = tail[-1], np.diff(tail)
                         d, past = widths[0], tail[:-1] > y_g
                         assert widths[~past] == pytest.approx(d, rel=1e-10)

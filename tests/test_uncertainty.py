@@ -13,7 +13,7 @@ from darboux3 import (
     xi_renyi,
     xi_tsallis,
 )
-from darboux3 import cli, quadrature
+from darboux3 import cli
 from darboux3.quadrature import entropic_moment_numeric, shannon_numeric
 from darboux3.uncertainty import _entropies, _xi_slacks
 
@@ -107,7 +107,6 @@ class TestCellLists:
         args = argparse.Namespace(omega=omega, command=f"xi-{kind}")
         for n in (0, 3):
             want = [one(ModelParams(omega, lam), n, a) for lam, a in cells]
-            quadrature._position_bulk.cache_clear()
             assert _xi_slacks(omega, cells, n, kind) == want
             assert cli._xi_block(args, n, cells) == [[[r.value, r.position_method]] for r in want]
 
@@ -117,7 +116,6 @@ class TestCellLists:
         cells = [(lam, a) for lam in (0.0, 0.4, 2.0) for a in (0.6, 1.0, 2.0, 2.5)]
         for n in (0, 3):
             want = [entropy(ModelParams(omega, lam), n, a, space, "tsallis") for lam, a in cells]
-            quadrature._position_bulk.cache_clear()
             assert _entropies(omega, cells, n, space, "tsallis") == want
 
 

@@ -114,6 +114,8 @@ def _argvs() -> list[str]:
         "xi-renyi --alpha 0.6,0.7,0.8,1.5 --lambda 0:1.5:0.1 --n 3",
         "renyi --alpha 0.5,2,2.5 --lambda 0:1.5:0.1 --n 3",
     ]
+    # an order scan over several lambdas whose cells fill several passes
+    lines += ["moment --alpha 0.52:3.02:0.02 --lambda 0,0.4,3,30 --n 40"]
     return lines
 
 
