@@ -18,7 +18,6 @@ import math
 import shutil
 import sys
 from collections.abc import Sequence
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -372,7 +371,7 @@ _GRID_COMMANDS = {
     "energy": (["energy"], _each(lambda p, n: [[energy(p, n)]])),
     "omega": (["omega_eff"], _each(lambda p, n: [[effective_frequency(p, n)]])),
     "disequilibrium": (["disequilibrium"], _each(lambda p, n: [[entropic_moment(p, n, 2)]])),
-    "weight-f": (["f", "complement"], _each(lambda p, n: [list(astuple(harmonic_weight(p, n)))])),
+    "weight-f": (["f", "complement"], _each(lambda p, n: [[(w := harmonic_weight(p, n)).f, w.complement]])),
     "renyi": (["space", "renyi"], _entropy_block),
     "tsallis": (["space", "tsallis"], _entropy_block),
     "moment": (["space", "moment"], _moment_block),

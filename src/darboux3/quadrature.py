@@ -25,9 +25,10 @@ disjoint segments of one :func:`_panel_grid` call, each class's head once
 in front of its first tail, and evaluates them in one Hermite pass; tail
 panels grow geometrically past the last lobe of h_n as the momentum
 tail's do (:func:`_position_log_density`).  In momentum space the zeros of
-the transform are located first: one FFT scan of a uniform momentum grid
-brackets them, and Newton's method, kept inside each bracket, refines all
-of them together
+the transform are located first: a scan brackets them (one FFT of a
+uniform momentum grid, or where that FFT would be long, the kernel on the
+dense head [0, p_feat] and a short FFT on the tail), and Newton's method,
+kept inside each bracket, refines all of them together
 (:func:`~darboux3.specfun.bracketed_newton`, which refines the density's
 critical points too), with g and g' from one kernel call per step (two or
 three calls at every tested profile).  The momentum panels are laid out
@@ -63,7 +64,8 @@ Poisson summation its error at p is the transform at the first alias
 2 pi / h - p, and h puts that alias beyond the momentum where the
 transform is below rounding.  On these nodes the kernel sums at the
 momenta k dp, dp = 2 pi / (M h), are one real FFT of the weighted
-wavefunction zero-padded to M; the profile's zero scan is that FFT.
+wavefunction zero-padded to M; the profile's zero scan is that FFT, or
+on a long scan its tail band (:func:`_zero_scan`).
 
 Truncation
 ----------
@@ -114,6 +116,7 @@ _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
 _PASS_NODES = 2**16  # position head and tail nodes one Hermite pass takes at most
+_TWO_BANDS = 2**16  # shortest single zero-scan FFT that two bands may replace
 
 _GL_U, _GL_W = leggauss(_ORDER)
 _GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0  # Gauss-Legendre nodes/weights on [0, 1]
@@ -324,7 +327,7 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan
     nodes that pad the last block have weight 0.
 
     Before allocating, it raises ``ArithmeticError`` where N, or the length
-    M of a zero scan at ``scan_step`` (:func:`_fft_scan`), passes what
+    M of one zero-scan FFT at ``scan_step`` (:func:`_zero_scan`), passes what
     lam / Omega = 1e3, n = 50 need at refine 1: N = 1,993,744 and M = 2^27.
     At lam = 1e6, n = 2 they would be 2.2e8 and 2^32.
     """
@@ -433,14 +436,14 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     With dp = 2 pi / (M h) the phase p_k x_j = 2 pi k j / M is periodic in
     k with period M, so one real FFT of ``fw`` zero-padded to M gives every
     sum exactly: the real part for cos, minus the imaginary part for sin
-    (negated again for k past M / 2).  ``fw`` must hold at most M nodes and
-    k must stay below M: a profile has N / M <= N h step / (2 pi), N h ~ L,
-    and k / M <= L_p h / (2 pi) <= 1/2 up to the ceiling while its cut L_p
-    is within the band, as 2 pi / h = (band + L_p) refine.  Over omega in
-    [1e-3, 1e4], lam / omega in [0, 1e4], n <= 100 and refine <= 4, L_p is
-    within the band, N / M below 0.1 and k / M at 0.5005 or less.
+    (negated again for k past M / 2).  M is at least the node count (an
+    rfft shorter than ``fw`` would drop its last nodes), and k stays below
+    M: k / M <= p_max h / (2 pi) <= 1/2 up to the ceiling while a profile's
+    cut L_p is within the band, as 2 pi / h = (band + L_p) refine.  Over
+    omega in [1e-3, 1e4], lam / omega in [0, 1e4], n <= 100 and refine <= 4,
+    L_p is within the band and k / M at 0.5005 or less.
     """
-    m = _fft_length(h, step)
+    m = _fft_length(h, step, len(fw))
     dp = 2.0 * math.pi / (m * h)
     k = np.arange(int(math.ceil(p_max / dp)) + 1)
     f = np.fft.rfft(fw, m)  # zero-pads fw to M
@@ -452,17 +455,62 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     return dp * k, vals
 
 
-def _fft_length(h: float, step: float) -> int:
-    """:func:`_fft_scan`'s length M, the least power of two with 2 pi / (M h) <= step."""
-    return 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
+def _fft_length(h: float, step: float, nodes: int = 1) -> int:
+    """:func:`_fft_scan`'s length M, the least power of two with
+    2 pi / (M h) <= step and M >= ``nodes``."""
+    return 1 << (max(int(math.ceil(2.0 * math.pi / (h * step))), nodes) - 1).bit_length()
 
 
-def _transform_zeros(n: int, origins, offsets, fw, L_p: float, step: float):
+def _scan_steps(n: int, p_feat: float, L_p: float) -> tuple[float, float]:
+    """The zero scan's steps on its head [0, p_feat], 48 (n + 2) points,
+    and on its tail [p_feat, L_p], 600 points."""
+    return p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599
+
+
+def _zero_scan(n: int, origins, offsets, fw, p_feat: float, L_p: float):
+    """The momenta of the zero scan over [0, L_p], increasing, and the
+    :func:`_ft_component` sums there, over the trapezoid lattice ``origins``
+    + ``offsets`` (step h = offsets[1]) with weighted wavefunction ``fw``.
+
+    The scan takes the :func:`_scan_steps`.  One FFT at the finer of them
+    is M = :func:`_fft_length` long, and it is the scan while it costs less
+    than two bands: the head band's P = 48 (n + 2) momenta k step_head, up
+    to p_feat, through the kernel, and the tail band through an FFT at the
+    tail step, read past the last head point, where the two runs of values
+    meet.  The tail FFT is as long as N or the tail step needs, far shorter
+    than M at large lam n, where the head step is the finer by far: M is
+    2^24 at lam = 1000, n = 6, and the tail FFT 2^19.
+
+    Measured on a 2-vCPU x86-64 VM (numpy 2.4, OpenBLAS on one thread),
+    the rfft took 0.5-0.8 ns per M log2 M up to M = 2^16 and 0.7-2.2 ns
+    past it, and the head band 27-68 ns per kernel phase, P (B + J) of
+    them.  So two bands run from M = ``_TWO_BANDS`` = 2^16 on, once
+    M log2 M >= 28 P (B + J): whole cold profiles so routed took 0.40-1.15
+    times their single-FFT time over lam in [1, 100] and n <= 20 (the
+    slowest at M = 2^16, where in a long-lived process the FFT's fresh
+    megabyte of arrays also costs page faults), and two bands at every
+    M >= 2^16 made (lam, n) = (1.5, 20) 1.42 times slower.
+    """
+    h = float(offsets[1])
+    head_step, tail_step = _scan_steps(n, p_feat, L_p)
+    step = min(head_step, tail_step)
+    m = _fft_length(h, step)
+    head = head_step * np.arange(round(p_feat / head_step) + 1)
+    if m < _TWO_BANDS or m * math.log2(m) < 28.0 * len(head) * (len(origins) + len(offsets)):
+        return _fft_scan(n, fw.ravel(), h, L_p, step)
+    p, vals = _fft_scan(n, fw.ravel(), h, L_p, tail_step)
+    tail = p > head[-1]
+    return (
+        np.concatenate([head, p[tail]]),
+        np.concatenate([_ft_component(n, origins, offsets, fw, head), vals[tail]]),
+    )
+
+
+def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     """Zeros of the transform in (0, 0.999 L_p), increasing, from the
-    kernel sum over the trapezoid lattice ``origins`` + ``offsets`` (step
-    offsets[1]) with weighted wavefunction ``fw``.
+    kernel sum over the trapezoid lattice ``origins`` + ``offsets`` with
+    weighted wavefunction ``fw``, bracketed by the :func:`_zero_scan`.
 
-    One FFT scans a uniform momentum grid with a step of ``step`` or less.
     Sign flips whose neighbourhood sits at the quadrature noise floor are
     underflow artefacts, not zeros.  Every kept bracket is refined at once
     by :func:`~darboux3.specfun.bracketed_newton`, with g and
@@ -473,7 +521,7 @@ def _transform_zeros(n: int, origins, offsets, fw, L_p: float, step: float):
     its bracket only by its last step, at most bound / |g'|: the zeros come
     out positive and increasing.  The cut keeps L_p the last layout bound.
     """
-    scan, vals = _fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step)
+    scan, vals = _zero_scan(n, origins, offsets, fw, p_feat, L_p)
     vals *= _SQRT_2_OVER_PI
     abs_fw = float(np.sum(np.abs(fw)))
     noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * abs_fw)
@@ -577,11 +625,9 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
     p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
-    # the zero scan is as fine as 48 (n + 2) points on [0, p_feat] and 600 on the tail
-    step = min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
-    lattice = _ft_x_nodes(params, n, L_p, refine, step)
+    lattice = _ft_x_nodes(params, n, L_p, refine, min(_scan_steps(n, p_feat, L_p)))
     fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
-    zeros = _transform_zeros(n, *lattice[:2], fw, L_p, step)
+    zeros = _transform_zeros(n, *lattice[:2], fw, p_feat, L_p)
 
     # panels: boundaries at 0, the zeros and the feature edge; cubic maps at
     # every zero (and at 0 for odd n) so fractional powers stay spectral

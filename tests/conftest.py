@@ -328,7 +328,7 @@ def reference_profile_nodes(params, n, refine=1):
     origins, offsets, wx = _ft_x_nodes(params, n, L_p, refine)
     fw = _lattice_values(lambda x: wavefunction(params, n, x), origins, offsets, wx)
     p_feat = _momentum_tail_start(params, n)
-    zeros = _transform_zeros(n, origins, offsets, fw, L_p, reference_scan_step(params, n, L_p))
+    zeros = _transform_zeros(n, origins, offsets, fw, p_feat, L_p)
     width = 0.45 * math.sqrt(om) / refine
     cusps = zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]])
 
@@ -351,19 +351,32 @@ def reference_profile_nodes(params, n, refine=1):
     return reference_panel_nodes(panels)
 
 
-def reference_scan_step(params, n, L_p):
-    """The step bound of a momentum profile's zero scan: 48 (n + 2) points
-    on [0, p_feat] and 600 on the tail [p_feat, L_p]."""
+def reference_scan_steps(params, n, L_p):
+    """The steps of a momentum profile's zero scan: 48 (n + 2) points on
+    the head [0, p_feat] and 600 on the tail [p_feat, L_p]."""
     from darboux3.quadrature import _momentum_tail_start
 
     p_feat = _momentum_tail_start(params, n)
-    return min(p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599)
+    return p_feat / (48 * (n + 2) - 1), (L_p - p_feat) / 599
+
+
+def reference_scan_step(params, n, L_p):
+    """The finer of the two :func:`reference_scan_steps`: the step of a
+    single-FFT scan over [0, L_p], whose length decides the scan's path."""
+    return min(reference_scan_steps(params, n, L_p))
 
 
 def scan_size(params, n, refine=1):
-    """(padded node count N, FFT length M, top momentum index K) of a
-    momentum profile's zero scan, from the layout rules of ``_ft_x_nodes``,
-    the profile's scan step and ``_fft_scan``, without building the lattice."""
+    """(padded node count N, single-FFT length M, FFT length and top
+    momentum index of the scan that runs, head band momenta) of a momentum
+    profile's zero scan, from the layout rules of ``_ft_x_nodes``, the
+    profile's scan steps and ``_fft_scan``, without building the lattice.
+
+    M is the length one FFT at the finer step would take.  That FFT is the
+    scan below M = 2^16 or while M log2 M < 28 P (B + J), with P = 48 (n + 2)
+    head momenta and a lattice of B offsets and J origins; past that the
+    head band takes the P kernel momenta and the tail an FFT at the tail
+    step, at least N long."""
     from darboux3.quadrature import _gaussian_cut, _momentum_cut, position_half_width
 
     om = effective_frequency(params, n)
@@ -373,9 +386,32 @@ def scan_size(params, n, refine=1):
     h = 2.0 * math.pi / ((band + L_p) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1
-    step = reference_scan_step(params, n, L_p)
+    nodes = -(-count // b) * b
+    head_step, tail_step = reference_scan_steps(params, n, L_p)
+
+    def length(step, at_least=1):
+        return 1 << (max(int(math.ceil(2.0 * math.pi / (h * step))), at_least) - 1).bit_length()
+
+    m, head = length(min(head_step, tail_step)), 48 * (n + 2)
+    if m < 2**16 or m * math.log2(m) < 28.0 * head * (b + nodes // b):
+        run, head = m, 0
+    else:
+        run = length(tail_step, nodes)
+    return nodes, m, run, int(math.ceil(L_p / (2.0 * math.pi / (run * h)))), head
+
+
+def reference_fft_scan(n, fw, h, p_max, step):
+    """The zero scan as one FFT over [0, p_max], as the package ran every
+    profile's scan before it had two bands (test oracle): the kernel sums
+    over x_j = j h at p_k = k dp, dp = 2 pi / (M h) with M the least power
+    of two for which dp <= ``step``, from one rfft of ``fw`` padded to M."""
     m = 1 << (int(math.ceil(2.0 * math.pi / (h * step))) - 1).bit_length()
-    return -(-count // b) * b, m, int(math.ceil(L_p / (2.0 * math.pi / (m * h))))
+    dp = 2.0 * math.pi / (m * h)
+    k = np.arange(int(math.ceil(p_max / dp)) + 1)
+    f = np.fft.rfft(fw, m)
+    r = np.minimum(k, m - k)
+    vals = f.real[r] if n % 2 == 0 else np.where(k == r, -1.0, 1.0) * f.imag[r]
+    return dp * k, vals
 
 
 # --------------------------------------------------------------------------

@@ -72,3 +72,17 @@ def test_cache_traffic_counts_one_round():
     traffic = _tool("cache_traffic").traffic("position-grid", 1)
     assert traffic["hermite_passes"] == 48
     assert traffic["caches"]["darboux3.specfun.hermite_zeros"] == [0, 48]
+
+
+def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
+    # one fresh child process per case: a small profile scans with one
+    # FFT, (30, 0) in two bands, and each record holds its stage times
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    out = tmp_path / "cost.json"
+    assert _tool("profile_cost").main(["0.4,3", "30,0", "--json", str(out)]) == 0
+    small, corner = json.loads(out.read_text())
+    assert (small["path"], small["zeros"], corner["path"], corner["zeros"]) == ("one fft", 2, "two bands", 1)
+    for rec in (small, corner):
+        stages = [rec[k] for k in ("lattice", "scan", "refine", "panels", "final")]
+        assert min(stages) > 0.0 and sum(stages) < rec["total"] and rec["peak_rss_mb"] > 0.0
+    assert capsys.readouterr().out.startswith("(0.4, 3) one fft: scan ")

@@ -35,6 +35,7 @@ from darboux3.specfun import hermite_zeros
 from conftest import (
     lattice_nodes,
     quadrature_entropy,
+    reference_fft_scan,
     reference_ft_sum,
     reference_panel_nodes,
     reference_position_moment,
@@ -43,6 +44,7 @@ from conftest import (
     reference_position_shannon,
     reference_profile_nodes,
     reference_scan_step,
+    reference_scan_steps,
     reference_segment_panels,
     reference_split,
     scan_size,
@@ -675,51 +677,95 @@ class TestFourierTransform:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fft_scan_is_the_kernel_sum(self, n):
-        # M = 16 here: 9 nodes are zero-padded to M and 16 fill it, and the
-        # momenta run past M / 2 but stay inside one period M, as a
+        # the step asks for M = 16 here: 9 nodes are zero-padded to M and
+        # 16 fill it, and 25 nodes take M = 32, as the short FFT of a
+        # two-band scan must (an rfft of 16 points would drop 9 of them);
+        # the momenta run past M / 2 but stay inside one period M, as a
         # profile's do (test_scan_nodes_fit_one_fft_length)
         rng = np.random.default_rng(7)
         h, step = 0.05, 8.0
         p_max = 0.9 * 2.0 * np.pi / h
-        for blocks in (3, 4):
+        for blocks, m in ((3, 16), (4, 16), (5, 32)):
             fw = rng.standard_normal((blocks, blocks))
             p, vals = _fft_scan(n, fw.ravel(), h, p_max, step)
+            assert p[1] - p[0] == pytest.approx(2.0 * np.pi / (m * h), rel=1e-15)
             assert p[1] - p[0] <= step and p[-1] >= p_max
             lattice = blocks * h * np.arange(blocks), h * np.arange(blocks)
             kernel = _ft_component(n, *lattice, fw, p)
             assert np.max(np.abs(vals - kernel)) < 1e-11
 
+    @pytest.mark.parametrize("lam,n", [(30.0, 1), (100.0, 0)])
+    def test_two_band_scan_is_the_kernel_sum(self, lam, n):
+        # the head band is the kernel at 48 (n + 2) momenta k step_head up
+        # to p_feat, and the tail band the short FFT past the last head
+        # point, every step within the tail step, out to L_p
+        params = ModelParams(1.0, lam)
+        L_p = quadrature._momentum_cut(params, n)
+        p_feat = quadrature._momentum_tail_start(params, n)
+        lattice = _ft_x_nodes(params, n, L_p)
+        fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+        head_step, tail_step = reference_scan_steps(params, n, L_p)
+        head = 48 * (n + 2)
+        assert scan_size(params, n)[4] == head  # two bands run here
+        p, vals = quadrature._zero_scan(n, *lattice[:2], fw, p_feat, L_p)
+        assert np.array_equal(p[:head], head_step * np.arange(head))
+        assert p[head - 1] == pytest.approx(p_feat, rel=1e-14)
+        assert np.all(np.diff(p[head - 1 :]) > 0.0)
+        assert np.all(np.diff(p[head - 1 :]) <= tail_step) and p[-1] >= L_p
+        assert np.array_equal(vals[:head], _ft_component(n, *lattice[:2], fw, p[:head]))
+        picks = np.arange(head, len(p), 7)
+        kernel = _ft_component(n, *lattice[:2], fw, p[picks])
+        assert np.max(np.abs(vals[picks] - kernel)) <= 1e-13 * np.abs(fw).sum()
+
     def test_scan_nodes_fit_one_fft_length(self, monkeypatch):
         # the scan zero-pads fw to M and reads the FFT at k without a
         # reduction mod M, so it needs padded N <= M and k < M: the oracle
-        # matches the live scan on small profiles, then sweeps the domain,
-        # where k stays within M / 2 up to the ceiling
+        # matches the live scan, its FFT and its head band, on small
+        # profiles and on two-band ones, then sweeps the domain, where k
+        # stays within M / 2 up to the ceiling.  A single FFT holds N nodes
+        # with room to spare; a two-band scan runs only where the head step
+        # binds, so its FFT is shorter than the single one
         sizes = []
 
         def spy(n, fw, h, p_max, step):
             p, vals = scan(n, fw, h, p_max, step)
-            sizes.append((len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h)), len(p) - 1))
+            sizes[-1] = (len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h)), len(p) - 1)
             return p, vals
 
-        scan = quadrature._fft_scan
+        def kernel_spy(n, origins, offsets, fw, p):
+            if sys._getframe(1).f_code.co_name == "_zero_scan":
+                heads[-1] = len(p)
+            return kernel(n, origins, offsets, fw, p)
+
+        scan, kernel = quadrature._fft_scan, quadrature._ft_component
         monkeypatch.setattr(quadrature, "_fft_scan", spy)
+        monkeypatch.setattr(quadrature, "_ft_component", kernel_spy)
         quadrature._profile_cached.cache_clear()
-        cases = []
+        cases, heads = [], []
         for om in (1e-3, 1.0, 1e4):
-            for lam, n in ((0.0, 3), (0.4, 20), (30.0, 1)):
+            for lam, n in ((0.0, 3), (0.4, 20), (30.0, 1), (100.0, 6)):
                 for refine in (1, 2):
                     cases.append((ModelParams(om, lam * om), n, refine))
+                    sizes.append(None)
+                    heads.append(0)
                     momentum_profile(*cases[-1])
-        assert sizes == [scan_size(*case) for case in cases]
-        worst = 0.0
+        quadrature._profile_cached.cache_clear()
+        want = [scan_size(*case) for case in cases]
+        assert [(nodes, run, top) for nodes, _, run, top, _ in want] == sizes
+        assert [head for *_, head in want] == heads and 0 < heads.count(0) < len(heads)
+        worst, bands = 0.0, 0
         for om in (1e-3, 0.03, 1.0, 31.6, 1e4):
             for lam in [0.0] + [10.0 ** (k / 4) for k in range(-16, 17)]:
                 for n in range(101):
                     for refine in (1, 2, 4):
-                        nodes, m, top = scan_size(ModelParams(om, lam * om), n, refine)
-                        worst = max(worst, nodes / m)
-                        assert top <= m // 2 + 1
-        assert worst < 0.1
+                        nodes, m, run, top, head = scan_size(ModelParams(om, lam * om), n, refine)
+                        assert nodes <= run and top <= run // 2 + 1
+                        if head:
+                            bands += 1
+                            assert run < m
+                        else:
+                            worst = max(worst, nodes / m)
+        assert worst < 0.1 and bands > 0
 
     def test_lattice_past_the_supported_corner_raises(self):
         # lam / omega = 1e3, n = 50 at refine 1 needs N = 1,993,744 nodes and
@@ -936,9 +982,8 @@ class TestTransformKernel:
         lattice = _ft_x_nodes(params, n, L_p)
         fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
         monkeypatch.setattr(quadrature, "_ft_component", spy)
-        zeros = quadrature._transform_zeros(
-            n, *lattice[:2], fw, L_p, reference_scan_step(params, n, L_p)
-        )
+        p_feat = quadrature._momentum_tail_start(params, n)
+        zeros = quadrature._transform_zeros(n, *lattice[:2], fw, p_feat, L_p)
         assert len(zeros) and len(calls) <= 8
         assert zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0) and zeros[-1] < 0.999 * L_p
         x = lattice_nodes(*lattice[:2], np.longdouble)
@@ -1014,6 +1059,105 @@ class TestMomentumDensity:
         expect = hermite_zeros(n)[hermite_zeros(n) > 0.0]
         assert len(found) == 1 and len(found[0]) == len(expect)
         assert np.max(np.abs(found[0] - expect)) <= 1e-12
+
+
+def _cold_strata():
+    """The (lam, n) of the benchmark's momentum-cold strata at the ends and
+    the middle of each one's jittered quarter: 13 log-equal strata of
+    [0.05, 30] (14 with the pinned corner lam = 30, n = 0), stratum i at
+    n = (7 i + 4) mod 11, drawn from the middle quarter of the stratum."""
+    step = math.log(30.0 / 0.05) / 14
+    return {
+        (i, u): (0.05 * math.exp((i + u) * step), (7 * i + 4) % 11)
+        for i in range(13)
+        for u in (0.375, 0.5, 0.625)
+    }
+
+
+class TestTwoBandScan:
+    # a zero scan whose single FFT would be 2^16 points or more, and cost
+    # more than the head band's kernel sums, takes two bands
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _zeros(lam, n):
+        params = ModelParams(1.0, lam)
+        L_p = quadrature._momentum_cut(params, n)
+        lattice = _ft_x_nodes(params, n, L_p)
+        fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
+        p_feat = quadrature._momentum_tail_start(params, n)
+        return lattice, fw, quadrature._transform_zeros(n, *lattice[:2], fw, p_feat, L_p)
+
+    @pytest.mark.parametrize("lam,n", [
+        (6.06, 8), (9.57, 4), (30.0, 0), (30.0, 1), (30.0, 10), (100.0, 0), (100.0, 6),
+        (6.0, 20), (20.0, 15), (100.0, 12),
+    ])
+    def test_two_bands_match_one_fft(self, lam, n, monkeypatch):
+        # against the single FFT (the switch held off): the same zero count,
+        # each zero within Newton's stopping bound over |g'| of the other,
+        # and W_1/2 and W_2 within 1e-15 relative
+        params = ModelParams(1.0, lam)
+        assert scan_size(params, n)[4]  # two bands run here
+        runs = []
+        for switch in (quadrature._TWO_BANDS, 2**62):
+            monkeypatch.setattr(quadrature, "_TWO_BANDS", switch)
+            quadrature._profile_cached.cache_clear()
+            moments = [entropic_moment_numeric(params, n, a, "momentum") for a in (0.5, 2.0)]
+            runs.append((self._zeros(lam, n), moments))
+        quadrature._profile_cached.cache_clear()
+        ((lattice, fw, two), w_two), ((_, _, one), w_one) = runs
+        assert len(two) == len(one) > 0
+        x = lattice[0][:, None] + lattice[1]
+        slope = _ft_component(n + 1, *lattice[:2], x * fw, one)
+        bound = self.EPS * (len(lattice[0]) + len(lattice[1])) * np.abs(fw).sum()
+        assert np.all(np.abs(two - one) <= bound / np.abs(slope))
+        assert w_two == pytest.approx(w_one, rel=1e-15)
+
+    def test_tables_and_cold_requests_take_one_fft(self, monkeypatch):
+        # every profile of the momentum tables (lam = 0 and 0.4, n <= 20),
+        # the benchmark's harmonic requests and its cold strata but two
+        # scan with the one FFT they took before two bands existed, bit for
+        # bit; strata 10 (n = 8) and 11 (n = 4) and the corner (30, 0) take
+        # two bands
+        scans = []
+
+        def spy(n, origins, offsets, fw, p_feat, L_p):
+            p, vals = zero_scan(n, origins, offsets, fw, p_feat, L_p)
+            scans.append((p, vals.copy()))  # the caller scales vals in place
+            step = reference_scan_step(ModelParams(1.0, lam), n, L_p)
+            want.append(reference_fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step))
+            return p, vals
+
+        zero_scan = quadrature._zero_scan
+        monkeypatch.setattr(quadrature, "_zero_scan", spy)
+        strata = _cold_strata()
+        cases = [(lam, n) for lam in (0.0, 0.4) for n in range(21)]
+        cases += [case for (i, u), case in strata.items() if i not in (10, 11)]
+        quadrature._profile_cached.cache_clear()
+        try:
+            for lam, n in cases:
+                want = []
+                momentum_profile(ModelParams(1.0, lam), n)
+                (p, vals), ((p_want, vals_want),) = scans.pop(), want
+                assert np.array_equal(p, p_want) and np.array_equal(vals, vals_want), (lam, n)
+            for lam, n in [strata[i, u] for i in (10, 11) for u in (0.375, 0.5, 0.625)] + [(30.0, 0)]:
+                assert scan_size(ModelParams(1.0, lam), n)[4] == 48 * (n + 2), (lam, n)
+        finally:
+            quadrature._profile_cached.cache_clear()
+
+    def test_large_profile_memory(self):
+        # the single FFT at lam = 1000, n = 6 was 2^24 points, and the
+        # profile peaked at 450 MB; two bands keep it under 64 MB
+        quadrature._profile_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            prof = momentum_profile(ModelParams(1.0, 1000.0), 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            quadrature._profile_cached.cache_clear()
+        assert 2.0 * float(prof.weights @ prof.gamma) == pytest.approx(1.0, abs=1e-6)
+        assert peak < 64 * 2**20
 
 
 def _tail_law(params, n, p):

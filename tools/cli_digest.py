@@ -116,6 +116,8 @@ def _argvs() -> list[str]:
     ]
     # an order scan over several lambdas whose cells fill several passes
     lines += ["moment --alpha 0.52:3.02:0.02 --lambda 0,0.4,3,30 --n 40"]
+    # momentum profiles large enough for the two-band zero scan
+    lines += ["renyi --space momentum --n 6 --lambda 100,1000 --alpha 0.5,2"]
     return lines
 
 
