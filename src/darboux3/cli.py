@@ -24,16 +24,7 @@ import numpy as np
 
 from .model import ModelParams, density_position, effective_frequency, energy
 from .position_entropy import BudgetExceededError, entropic_moment
-from .quadrature import (
-    _NORM_TOL,
-    GridSpec,
-    _momentum_cut,
-    fourier_transform,
-    grid_nodes,
-    position_half_width,
-    position_shannons,
-    shannon_numeric,
-)
+from .quadrature import _momentum_cut, fourier_transform, grid_log_moment, position_half_width
 from .strong_nonlinear import (
     approx_momentum_closed,
     bifurcation_threshold,
@@ -41,7 +32,7 @@ from .strong_nonlinear import (
     harmonic_weight,
 )
 from .tables import TABLE_IDS, verify_table
-from .uncertainty import _xi_slacks, entropy_from_log_moment, log_moments
+from .uncertainty import _entropies, _xi_slacks, entropy_from_log_moment, log_moments
 
 USAGE_EXIT = 2
 NUMERIC_EXIT = 3
@@ -142,7 +133,7 @@ def _validated(args):
     points, half = getattr(args, "grid_points", None), getattr(args, "half_width", None)
     if points is not None and points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got {points}")
-    if points is not None and points < 32 and "alpha" in args:  # a GridSpec's least
+    if points is not None and points < 32 and "alpha" in args:  # two 16-point panels
         raise _UsageError(f"--grid-points must be at least 32, got {points}")
     if points is not None and points > MAX_GRID_POINTS:
         raise _UsageError(f"--grid-points must be at most {MAX_GRID_POINTS}, got {points}")
@@ -153,30 +144,15 @@ def _validated(args):
 
 def _log_moments(args, n, cells):
     """ln W at each (lam, alpha) of ``cells``: :func:`log_moments`, or
-    quadrature on the user's grid, cell by cell, when --grid-points or
-    --half-width is given."""
+    :func:`grid_log_moment` cell by cell when --grid-points or --half-width
+    is given."""
     if args.grid_points is None and args.half_width is None:
         return [log_w for log_w, _ in log_moments(args.omega, cells, n, args.space)]
-    return [_grid_log_moment(args, ModelParams(args.omega, lam), n, a) for lam, a in cells]
-
-
-def _grid_log_moment(args, params, n, alpha):
-    """ln W for one cell by quadrature on the user's grid."""
     points = 512 if args.grid_points is None else args.grid_points
-    position, half = args.space == "position", args.half_width
-    if half is None and position:
-        half = position_half_width(params, n, alpha)
-    elif half is None:
-        half = _momentum_cut(params, n)
-    u, w = grid_nodes(GridSpec(half_width=half, points=points))
-    if position:
-        dens = density_position(params, n, u)
-    else:
-        dens = np.abs(fourier_transform(params, n, None, u)) ** 2
-        norm = float(w @ dens)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ArithmeticError(f"momentum density normalisation off by {norm - 1.0:.2e}")
-    return math.log(float(w @ np.power(dens, alpha)))
+    return [
+        grid_log_moment(ModelParams(args.omega, lam), n, a, args.space, points, args.half_width)
+        for lam, a in cells
+    ]
 
 
 def _grid_command(args, header, block):
@@ -225,11 +201,7 @@ def _moment_block(args, n, cells):
 
 
 def _shannon_block(args, n, cells):
-    lams = [lam for lam, _ in cells]
-    if args.space == "position":
-        values = position_shannons(args.omega, lams, n)
-    else:
-        values = (shannon_numeric(ModelParams(args.omega, lam), n, args.space) for lam in lams)
+    values = _entropies(args.omega, [(lam, 1.0) for lam, _ in cells], n, args.space, "renyi")
     return [[[args.space, s]] for s in values]
 
 

@@ -11,7 +11,7 @@ raised to a non-integer power have algebraic cusps |x - x0|^(2 alpha) at
 the density zeros, so panels are split exactly at the zeros and the two
 panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
 restores spectral convergence.  :func:`_panel_grid` lays out these panels,
-the momentum profile's and those of :func:`grid_nodes`; :func:`_gl_blocks`
+the momentum profile's and the equal ones of :func:`grid_log_moment`; :func:`_gl_blocks`
 lays out the equal-panel lattices of the phi_n transform and of
 :func:`fourier_transform` on a :class:`GridSpec`.  Both use array
 operations.  Position moments integrate in y = sqrt(Omega) x, where
@@ -75,9 +75,9 @@ below the saddle crossover p_c = Omega / sqrt(lam) (a shifted-line bound)
 and past it follows from the branch-point tail law of the transform
 (W_1/2 loses at most 1e-11), so a profile builds its nodes and Psi_n once.
 
-Both spaces integrate even densities on the half line:
-:func:`entropic_moment_numeric` and :func:`shannon_numeric` take ln rho on
-the position nodes and gamma on the profile nodes.
+Both spaces integrate even densities on the half line (a user's grid,
+:func:`grid_log_moment`, spans [-L, L]): :func:`entropic_moment_numeric` and
+:func:`shannon_numeric` take ln rho on the position nodes and gamma on the profile nodes.
 """
 
 from __future__ import annotations
@@ -91,18 +91,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .model import ModelParams, effective_frequency, log_norm_constant, wavefunction
+from .model import ModelParams, density_position, effective_frequency, log_norm_constant, wavefunction
 from .specfun import bracketed_newton, hermite_sign_logabs, hermite_zeros
 
 __all__ = [
     "GridSpec",
     "MomentumProfile",
-    "grid_nodes",
     "position_half_width",
     "entropic_moment_numeric",
     "shannon_numeric",
     "position_moments",
     "position_shannons",
+    "grid_log_moment",
     "fourier_transform",
     "momentum_profile",
 ]
@@ -181,12 +181,6 @@ def _grow_split(a: float, b: float, width: float, grow: float) -> list[float]:
         width *= grow
     edges.append(b)
     return edges
-
-
-def grid_nodes(grid: GridSpec):
-    """Nodes and weights realising a :class:`GridSpec` on [-L, L]."""
-    L, pts = grid.half_width, grid.points
-    return _panel_grid([-L], [L], [max(2, pts // _ORDER)])
 
 
 # --------------------------------------------------------------------------
@@ -787,3 +781,33 @@ def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine
     w, gamma = _momentum_density(params, n, space, refine)
     val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
     return -2.0 * float(w @ val)
+
+
+def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, points: int,
+                    half_width: float | None) -> float:
+    """ln W, W = integral density^alpha in ``space``, on max(2, points // 16) equal Gauss-Legendre
+    panels on [-L, L] (not split at the density zeros), L the ``half_width`` or the space's cut;
+    a density whose integral there misses 1 by more than ``_NORM_TOL`` raises ``ArithmeticError``."""
+    _check_order(alpha)
+    if space not in ("position", "momentum"):
+        raise ValueError(f"space must be 'position' or 'momentum', got {space!r}")
+    L = half_width
+    if L is None:
+        L = position_half_width(params, n, alpha) if space == "position" else _momentum_cut(params, n)
+    elif not 0.0 < L < math.inf:
+        raise ValueError(f"half_width must be positive and finite, got {L}")
+    x, w = _panel_grid([-L], [L], [max(2, points // _ORDER)])
+    if space == "position":
+        dens = density_position(params, n, x)
+    else:
+        dens = np.abs(fourier_transform(params, n, None, x)) ** 2
+    norm = float(w @ dens)
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ArithmeticError(f"{space} density normalisation off by {norm - 1.0:.2e}")
+    return _log_moment(float(w @ np.power(dens, alpha)), alpha, params.lam, n)
+
+
+def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
+    if w > 0.0:  # a W that underflowed to 0 has no logarithm
+        return math.log(w)
+    raise ArithmeticError(f"entropic moment of order {alpha} underflows to {w:g} at lam={lam}, n={n}")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .position_entropy import log_entropic_moment
-from .quadrature import entropic_moment_numeric, position_moments, shannon_numeric
+from .quadrature import (_log_moment, entropic_moment_numeric, position_moments,
+                         position_shannons, shannon_numeric)
 
 __all__ = [
     "XiResult",
@@ -72,18 +73,17 @@ def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, st
     engine "analytic"); the other position cells share one quadrature
     pass (:func:`position_moments`), and momentum space takes one profile
     per lambda (:func:`entropic_moment_numeric`), both engine "quadrature";
-    quadrature rejects orders that are not positive and finite.
+    quadrature rejects orders that are not positive and finite, and a W
+    that underflows to 0 raises ``ArithmeticError``.
     """
     cells = list(cells)
     exact = [space == "position" and a >= 1.0 and float(a).is_integer() for _, a in cells]
     rest = [cell for cell, e in zip(cells, exact) if not e]
-    numeric = iter(
-        position_moments(omega, rest, n) if space == "position"
-        else [entropic_moment_numeric(ModelParams(omega, lam), n, a, space) for lam, a in rest]
-    )
+    numeric = iter(position_moments(omega, rest, n) if space == "position"
+                   else [entropic_moment_numeric(ModelParams(omega, lam), n, a, space) for lam, a in rest])
     return [
         (log_entropic_moment(ModelParams(omega, lam), n, int(a)), "analytic") if e
-        else (math.log(next(numeric)), "quadrature")
+        else (_log_moment(next(numeric), a, lam, n), "quadrature")
         for (lam, a), e in zip(cells, exact)
     ]
 
@@ -102,20 +102,23 @@ def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
 def entropy(params: ModelParams, n: int, alpha: float, space: str, kind: str) -> float:
     """Rényi ln W / (1 - alpha) or Tsallis (1 - W) / (alpha - 1) entropy in
     ``space``, W = integral density^alpha (from :func:`log_moments`).  Both
-    tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns
-    :func:`shannon_numeric` for either kind."""
+    tend to the Shannon entropy as alpha -> 1, so alpha = 1 returns the
+    Shannon entropy for either kind."""
     return _entropies(params.omega, [(params.lam, alpha)], n, space, kind)[0]
 
 
 def _entropies(omega: float, cells: list, n: int, space: str, kind: str) -> list[float]:
-    """:func:`entropy` at each (lam, alpha) of ``cells``: one :func:`log_moments` call."""
+    """:func:`entropy` at each (lam, alpha) of ``cells``: one :func:`log_moments` call,
+    and order 1 from one :func:`position_shannons` pass or one profile per lambda."""
     if kind not in ("renyi", "tsallis"):
         raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
     log_ws = iter(log_moments(omega, [cell for cell in cells if cell[1] != 1.0], n, space))
+    lams = [lam for lam, a in cells if a == 1.0]
+    shannons = iter(position_shannons(omega, lams, n) if space == "position"
+                    else [shannon_numeric(ModelParams(omega, lam), n, space) for lam in lams])
     return [
-        shannon_numeric(ModelParams(omega, lam), n, space) if a == 1.0
-        else entropy_from_log_moment(next(log_ws)[0], a, kind)
-        for lam, a in cells
+        next(shannons) if a == 1.0 else entropy_from_log_moment(next(log_ws)[0], a, kind)
+        for _, a in cells
     ]
 
 

@@ -65,6 +65,37 @@ def test_bench_pairs_summary(monkeypatch):
     ]
 
 
+def _traced(metrics):
+    """A traced run of table-replay at seed 1 with the per-layer ``metrics``."""
+    return {"order": 1, "workload": "table-replay", "seed": 1, "trace": 1,
+            "result": {"correct": True, "attempted": 28, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": "count"} for k, v in metrics.items()}}}
+
+
+def test_bench_pairs_summary_with_a_traced_pair(monkeypatch):
+    # the medians come from the timed runs only; of the traced run's
+    # metrics, the counts that differ are printed and timings are not
+    bench_pairs = _tool("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "run", lambda *args: pytest.fail("started a run"))
+    parent = _canned([0.030, 0.028, 0.032], [4000.0, 4300.0, 4100.0])
+    change = _canned([0.031, 0.027, 0.033], [4000.0, 4400.0, 4000.0])
+    common = {"quadrature.momentum_profile.calls": 42.0, "model.wavefunction.points": 9.0e5,
+              "quadrature.momentum_profile.p_nodes_max": 1024.0}
+    parent["runs"].append(_traced({**common, "specfun.hermite_sign_logabs.points": 7.2e5,
+                                   "quadrature.shannon_numeric.self_s": 0.05}))
+    change["runs"].append(_traced({**common, "specfun.hermite_sign_logabs.points": 7.3e5,
+                                   "quadrature.shannon_numeric.self_s": 0.01}))
+    better = {"request_p50_s": "lower"}
+    timed = ["table-replay request_p50_s: 0.03 [0.028, 0.032] -> 0.031 (+3.3 %), change better in 1/3"]
+    assert bench_pairs.summary(change, parent, better) == timed + [
+        "table-replay specfun.hermite_sign_logabs.points (traced, seed 1): 720000 -> 730000",
+    ]
+    change["runs"][-1] = _traced({**common, "specfun.hermite_sign_logabs.points": 7.2e5})
+    assert bench_pairs.summary(change, parent, better) == timed + [
+        "table-replay: all 4 traced counts equal",
+    ]
+
+
 def test_cache_traffic_counts_one_round():
     # position-grid's seed-1 round: 48 of its requests make one position
     # pass each, and compute the Hermite zeros once, since every cache is

@@ -265,6 +265,42 @@ class TestExitCodes:
             "numeric failure in darboux3.specfun: Hermite zeros of order n=800 are not finite\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, space",
+        [
+            (["renyi", "--alpha", "2", "--lambda", "0.4", "--n", "0", "--half-width", "0.5"], "position"),
+            (["moment", "--alpha", "1", "--lambda", "0.4", "--n", "3", "--grid-points", "32"], "position"),
+            (["moment", "--alpha", "2", "--half-width", "1e300"], "position"),
+            (["renyi", "--space", "momentum", "--alpha", "2", "--lambda", "0.4", "--n", "0",
+              "--grid-points", "64", "--half-width", "2"], "momentum"),
+        ],
+        ids=["narrow", "coarse", "huge", "momentum"],
+    )
+    def test_user_grid_missing_normalisation_exits_3(self, capsys, argv, space):
+        # either space: a grid of the user's that misses the density's
+        # normalisation prints no value
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"numeric failure in darboux3.quadrature: {space} density normalisation off by -")
+
+    @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
+    @pytest.mark.parametrize("grid", [[], ["--grid-points", "4096"]], ids=["library", "user-grid"])
+    def test_underflowing_moment_exits_3(self, capsys, command, grid):
+        code, out, err = run_cli(capsys, command, "--alpha", "2000.5", "--lambda", "0.4", "--n", "0", *grid)
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure in darboux3.quadrature: "
+            "entropic moment of order 2000.5 underflows to 0 at lam=0.4, n=0\n"
+        )
+
+    def test_unwritable_out_is_io_error(self, capsys, tmp_path):
+        # --out under a regular file: the directory cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "table", "energy", "--out", str(blocker / "x"))
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ") and str(blocker) in err
+
     def test_short_momentum_cut_is_numeric_failure(self, capsys, monkeypatch):
         cut = quadrature._momentum_cut
         monkeypatch.setattr(quadrature, "_momentum_cut", lambda p, n: 0.5 * cut(p, n))
@@ -746,6 +782,17 @@ class TestProfiles:
         )
         assert code == 0 and built == [(1.0, 0.4, 1, 1)]
 
+    def test_even_grid_points_round_up_to_odd(self, tmp_path, capsys):
+        # an odd count puts a node at 0, so the symmetry check sees a mirror image
+        out = tmp_path / "rho.csv"
+        code, _, _ = run_cli(
+            capsys, "profile", "density-position", "--lambda", "0.4", "--n", "1",
+            "--grid-points", "200", "--out", str(out),
+        )
+        rows = out.read_text().splitlines()[1:]
+        assert code == 0 and len(rows) == 201
+        assert rows[100].split(",")[0] == "0"
+
     def test_profile_requires_out(self, capsys):
         code, _, _ = run_cli(capsys, "profile", "density-position", "--n", "0")
         assert code == 2
@@ -764,6 +811,10 @@ class TestTables:
         )
         assert code == 1
         assert "FAILED" in out
+
+    def test_unknown_table_id_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown table id 'nope'"):
+            verify_table("nope")
 
     def test_nongating_table_reports_but_passes(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "table", "xi_vs_lambda_b", "--out", str(tmp_path))

@@ -38,6 +38,19 @@ class TestParity:
     def test_values(self, n, expect):
         assert parity_nu(n) == expect
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: parity_nu(-1), "quantum number"),
+            (lambda: expansion_coefficients(-1, 2, 4), "quantum number"),
+            (lambda: expansion_coefficients(2, 2, -1), "j_max"),
+        ],
+        ids=["parity_nu", "expansion_n", "expansion_j_max"],
+    )
+    def test_negative_order_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"{message} must be non-negative"):
+            call()
+
 
 def _hermite_even_rational(order, y_sq):
     """H_order(z) for even order with z^2 = y_sq, exact rational arithmetic."""

@@ -61,28 +61,75 @@ class TestGridSpec:
             GridSpec(half_width=5.0, points=16)
 
 
-def _grid_integral(f, half_width, points):
-    x, w = quadrature.grid_nodes(GridSpec(half_width, points))
+def _grid_nodes(monkeypatch, half_width, points):
+    """The nodes and weights :func:`grid_log_moment` integrates over, taken
+    from its :func:`_panel_grid` call on the harmonic ground state."""
+    grids = []
+
+    def spy(*args):
+        grids.append(_panel_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(quadrature, "_panel_grid", spy)
+    quadrature.grid_log_moment(ModelParams(1.0, 0.0), 0, 1.0, "position", points, half_width)
+    monkeypatch.undo()
+    (grid,) = grids
+    return grid
+
+
+def _grid_integral(monkeypatch, f, half_width, points):
+    x, w = _grid_nodes(monkeypatch, half_width, points)
     return float(w @ f(x))
 
 
 class TestGridNodes:
-    def test_gaussian(self):
-        val = _grid_integral(lambda x: np.exp(-x * x), 8.0, 320)
+    def test_gaussian(self, monkeypatch):
+        val = _grid_integral(monkeypatch, lambda x: np.exp(-x * x), 8.0, 320)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
-    def test_odd_integrand(self):
-        val = _grid_integral(lambda x: x * np.exp(-x * x), 8.0, 320)
+    def test_odd_integrand(self, monkeypatch):
+        val = _grid_integral(monkeypatch, lambda x: x * np.exp(-x * x), 8.0, 320)
         assert abs(val) < 1e-14
 
-    def test_density_normalisation(self, deformed):
-        val = _grid_integral(lambda x: density_position(deformed, 0, x), 14.0, 480)
+    def test_density_normalisation(self, deformed, monkeypatch):
+        val = _grid_integral(monkeypatch, lambda x: density_position(deformed, 0, x), 14.0, 480)
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_doubling_convergence(self):
-        a = _grid_integral(lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 320)
-        b = _grid_integral(lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 640)
+    def test_doubling_convergence(self, monkeypatch):
+        a = _grid_integral(monkeypatch, lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 320)
+        b = _grid_integral(monkeypatch, lambda x: np.exp(-x * x) * np.cos(3 * x), 8.0, 640)
         assert abs(a - b) <= 1e-10 * abs(b)
+
+
+class TestGridLogMoment:
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_matches_the_library_value(self, deformed, space, alpha):
+        # integer orders have no cusps, so the equal panels converge spectrally
+        want = math.log(entropic_moment_numeric(deformed, 3, alpha, space))
+        assert quadrature.grid_log_moment(deformed, 3, alpha, space, 512, None) == pytest.approx(
+            want, abs=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "space, n, points, half_width",
+        [("position", 0, 512, 0.5), ("position", 3, 32, None), ("momentum", 0, 64, 2.0)],
+    )
+    def test_normalisation_checked_in_either_space(self, deformed, space, n, points, half_width):
+        with pytest.raises(ArithmeticError, match=f"^{space} density normalisation off by -"):
+            quadrature.grid_log_moment(deformed, n, 2.0, space, points, half_width)
+
+    @pytest.mark.parametrize("half_width", [0.0, -3.0, math.inf, math.nan])
+    def test_width_not_positive_and_finite_raises(self, deformed, half_width):
+        for space in ("position", "momentum"):
+            with pytest.raises(ValueError, match="half_width must be positive and finite"):
+                quadrature.grid_log_moment(deformed, 0, 2.0, space, 512, half_width)
+
+    def test_rejects_bad_space_and_order(self, deformed):
+        with pytest.raises(ValueError, match="space"):
+            quadrature.grid_log_moment(deformed, 0, 2.0, "energy", 512, None)
+        with pytest.raises(ValueError, match="alpha"):
+            quadrature.grid_log_moment(deformed, 0, 0.0, "momentum", 512, None)
 
 
 #: the 13 momentum-cold stratum midpoints and four corners, as (lam, n)
@@ -176,10 +223,10 @@ class TestPanelGrid:
         _assert_same((prof.p, prof.weights), reference_profile_nodes(params, n))
 
     @pytest.mark.parametrize("half_width,points", [(8.0, 320), (3.3, 33), (12.7, 1001)])
-    def test_grid_nodes(self, half_width, points):
+    def test_grid_nodes(self, half_width, points, monkeypatch):
         edges = np.linspace(-half_width, half_width, max(2, points // 16) + 1)
         want = reference_panel_nodes([(a, b, 0) for a, b in zip(edges[:-1], edges[1:])])
-        _assert_same(quadrature.grid_nodes(GridSpec(half_width, points)), want)
+        _assert_same(_grid_nodes(monkeypatch, half_width, points), want)
 
     @pytest.mark.parametrize("lam", [0.05, 10.0, 1000.0])
     def test_phi_transform_nodes(self, lam, monkeypatch):

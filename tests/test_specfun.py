@@ -28,6 +28,11 @@ class TestHermite:
     def test_h0(self):
         assert hermite(0, 3.7) == 1.0
 
+    @pytest.mark.parametrize("f", [hermite, hermite_pair_scaled])
+    def test_negative_order_rejected(self, f):
+        with pytest.raises(ValueError, match="Hermite order must be non-negative"):
+            f(-1, 0.5)
+
     def test_h1(self):
         assert hermite(1, 2.0) == 4.0
 

@@ -13,8 +13,8 @@ from darboux3 import (
     xi_renyi,
     xi_tsallis,
 )
-from darboux3 import cli
-from darboux3.quadrature import entropic_moment_numeric, shannon_numeric
+from darboux3 import cli, uncertainty
+from darboux3.quadrature import entropic_moment_numeric, grid_log_moment, shannon_numeric
 from darboux3.uncertainty import _entropies, _xi_slacks
 
 RENYI_TABLE_ALPHAS = (0.6, 0.7, 0.8, 0.9, 1.125, 4.0 / 3.0, 1.75, 3.0)
@@ -64,6 +64,18 @@ class TestLogMoment:
             with pytest.raises(ValueError, match="alpha"):
                 log_moments(1.0, [(0.0, alpha), (0.4, alpha)], 2, space)
 
+    @pytest.mark.parametrize("space, alpha", [("position", 2000.5), ("momentum", 5000.5)])
+    def test_underflowing_moment_raises(self, space, alpha):
+        # W underflows to 0 (the momentum peak is higher) and has no
+        # logarithm; the closed form at 2000 gives ln W itself
+        message = f"entropic moment of order {alpha} underflows to 0 at lam=0.4, n=0"
+        with pytest.raises(ArithmeticError, match=message):
+            log_moments(1.0, [(0.0, 2.0), (0.4, alpha)], 0, space)
+        with pytest.raises(ArithmeticError, match=message):
+            grid_log_moment(ModelParams(1.0, 0.4), 0, alpha, space, 512, None)
+        [(log_w, engine)] = log_moments(1.0, [(0.4, 2000.0)], 0, "position")
+        assert engine == "analytic" and log_w / (1.0 - 2000.0) == pytest.approx(0.891853528008)
+
 
 class TestEntropy:
     @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -109,6 +121,24 @@ class TestCellLists:
             want = [one(ModelParams(omega, lam), n, a) for lam, a in cells]
             assert _xi_slacks(omega, cells, n, kind) == want
             assert cli._xi_block(args, n, cells) == [[[r.value, r.position_method]] for r in want]
+
+    @pytest.mark.parametrize("omega", [1.0, 0.37])
+    @pytest.mark.parametrize("space", ["position", "momentum"])
+    def test_shannon_block_equals_one_cell_calls(self, omega, space, monkeypatch):
+        # the shannon command's order-1 cells: one position pass per n, or
+        # one profile per lambda, each cell the value of its own call
+        passes = []
+        batch = uncertainty.position_shannons
+        monkeypatch.setattr(uncertainty, "position_shannons", lambda *a: passes.append(a) or batch(*a))
+        lams = (0.0, 0.4, 2.0, 7.0)
+        args = argparse.Namespace(omega=omega, space=space)
+        for n in (0, 3):
+            want = [shannon_numeric(ModelParams(omega, lam), n, space) for lam in lams]
+            passes.clear()
+            assert cli._shannon_block(args, n, [(lam, None) for lam in lams]) == [
+                [[space, s]] for s in want
+            ]
+            assert len(passes) == (space == "position")
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("space", ["position", "momentum"])

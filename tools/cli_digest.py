@@ -118,6 +118,15 @@ def _argvs() -> list[str]:
     lines += ["moment --alpha 0.52:3.02:0.02 --lambda 0,0.4,3,30 --n 40"]
     # momentum profiles large enough for the two-band zero scan
     lines += ["renyi --space momentum --n 6 --lambda 100,1000 --alpha 0.5,2"]
+    # position grids of the user's that miss normalisation, and a W that
+    # underflows next to its closed-form neighbour (exit 3 but the last)
+    lines += [
+        "renyi --alpha 2 --lambda 0.4 --n 0 --half-width 0.5",
+        "moment --alpha 1 --lambda 0.4 --n 3 --grid-points 32",
+        "moment --alpha 2 --half-width 1e300",
+        "renyi --alpha 2000.5 --lambda 0.4 --n 0",
+        "renyi --alpha 2000 --lambda 0.4 --n 0",
+    ]
     return lines
 
 
