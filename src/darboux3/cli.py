@@ -139,6 +139,8 @@ def _validated(args):
         raise _UsageError(f"--grid-points must be at most {MAX_GRID_POINTS}, got {points}")
     if half is not None and not (half > 0 and math.isfinite(half)):
         raise _UsageError(f"--half-width must be positive and finite, got {half}")
+    if half is not None and not math.isfinite(2.0 * half):  # the grid spans [-L, L]
+        raise _UsageError(f"--half-width must be at most {sys.float_info.max / 2.0:.12g}, got {half}")
     return lams, ns, alphas
 
 

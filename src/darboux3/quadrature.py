@@ -74,6 +74,7 @@ of its peak.  The momentum cut, :func:`_momentum_cut`, is the Gaussian cut
 below the saddle crossover p_c = Omega / sqrt(lam) (a shifted-line bound)
 and past it follows from the branch-point tail law of the transform
 (W_1/2 loses at most 1e-11), so a profile builds its nodes and Psi_n once.
+Every momentum length is sqrt(omega) times a function of (lam / omega, n).
 
 Both spaces integrate even densities on the half line (a user's grid,
 :func:`grid_log_moment`, spans [-L, L]): :func:`entropic_moment_numeric` and
@@ -301,10 +302,10 @@ class MomentumProfile:
     weights: np.ndarray
 
 
-def _gaussian_cut(n: int, om: float) -> float:
+def _gaussian_cut(params: ModelParams, n: int, om: float) -> float:
     """Momentum beyond which the Gaussian part of the transform is below
-    e^-(2 _TAIL_LOG) of its peak."""
-    return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + 1.0
+    e^-(2 _TAIL_LOG) of its peak, with a margin of one sqrt(omega)."""
+    return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + math.sqrt(params.omega)
 
 
 def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan_step: float = 0.0):
@@ -327,7 +328,7 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan
     """
     om = effective_frequency(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(params, n, om))
     h = 2.0 * math.pi / ((band + p_max) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1  # ceil(sqrt(count)) for count >= 1
@@ -596,7 +597,7 @@ def _momentum_cut(params: ModelParams, n: int) -> float:
     rise monotonically to it.
     """
     om = effective_frequency(params, n)
-    L = _gaussian_cut(n, om)
+    L = _gaussian_cut(params, n, om)
     s = math.sqrt(params.lam)
     if L * s < om:  # below the crossover, lam = 0 included
         return L
@@ -674,7 +675,7 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
     Exactly real for even n and exactly imaginary for odd n: the kernel
     sums only the parity-allowed part.  With ``grid_x`` None the sum runs
     over the half-line trapezoid nodes that are alias-free up to max |p|
-    (at least 1); an explicit
+    (the first alias lies a band past it, at any max |p|); an explicit
     :class:`GridSpec` integrates over its full line [-L, L] and warns when
     it underresolves the phase.  A NaN or infinite momentum raises
     ``ValueError``.
@@ -682,7 +683,7 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
     pa = _momenta(p)
     p_max = float(np.max(np.abs(pa), initial=0.0))
     if grid_x is None:
-        lattice = _ft_x_nodes(params, n, max(p_max, 1.0))
+        lattice = _ft_x_nodes(params, n, p_max)
         scale = _SQRT_2_OVER_PI
     else:
         L = grid_x.half_width
@@ -794,8 +795,8 @@ def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, point
     L = half_width
     if L is None:
         L = position_half_width(params, n, alpha) if space == "position" else _momentum_cut(params, n)
-    elif not 0.0 < L < math.inf:
-        raise ValueError(f"half_width must be positive and finite, got {L}")
+    elif not 0.0 < 2.0 * L < math.inf:  # the grid spans [-L, L]
+        raise ValueError(f"half_width must be positive and finite, and so must 2 half_width, got {L}")
     x, w = _panel_grid([-L], [L], [max(2, points // _ORDER)])
     if space == "position":
         dens = density_position(params, n, x)
@@ -808,6 +809,7 @@ def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, point
 
 
 def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
-    if w > 0.0:  # a W that underflowed to 0 has no logarithm
+    if w >= np.finfo(float).tiny:  # 0 has no logarithm, and a subnormal W has lost digits
         return math.log(w)
-    raise ArithmeticError(f"entropic moment of order {alpha} underflows to {w:g} at lam={lam}, n={n}")
+    fault = f"is subnormal ({w:g})" if w > 0.0 else f"underflows to {w:g}"
+    raise ArithmeticError(f"entropic moment of order {alpha} {fault} at lam={lam}, n={n}")

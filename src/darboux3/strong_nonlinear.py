@@ -181,7 +181,7 @@ def g_series_transform(params: ModelParams, n: int, p):
     pa = _momenta(p)
     p_max = float(np.max(np.abs(pa), initial=0.0))
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    width = min(0.7 / math.sqrt(om), math.pi / max(p_max, 1.0))  # phase <= pi per panel
+    width = min(0.7 / math.sqrt(om), math.pi / max(p_max, math.sqrt(params.omega)))  # phase <= pi
     lattice = _gl_blocks(0.0, L, math.ceil(L / width))
     fw = _lattice_values(lambda x: approx_wavefunction(params, n, x), *lattice)
     g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, pa)

@@ -382,7 +382,7 @@ def scan_size(params, n, refine=1):
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(params, n, om))
     h = 2.0 * math.pi / ((band + L_p) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1

@@ -96,6 +96,71 @@ def test_bench_pairs_summary_with_a_traced_pair(monkeypatch):
     ]
 
 
+def _traffic(passes, misses):
+    """A cache_traffic result at seed 1: two caches and the Hermite passes."""
+    return {"seed": 1, "hermite_passes": passes, "hermite_points": 1000 * passes,
+            "caches": {"darboux3.specfun.hermite_zeros": [0, misses], "darboux3.quadrature._profile_cached": [3, 7]}}
+
+
+def test_bench_pairs_summary_with_cache_traffic(monkeypatch):
+    # each hit, miss, pass and point count that differs between the trees'
+    # cache_traffic is printed, or one line when all are equal
+    bench_pairs = _tool("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "traffic", lambda *args: pytest.fail("started a round"))
+    parent = _canned([0.030, 0.028, 0.032], [4000.0, 4300.0, 4100.0])
+    change = _canned([0.031, 0.027, 0.033], [4000.0, 4400.0, 4000.0])
+    parent["cache_traffic"] = {"table-replay": _traffic(48, 48)}
+    change["cache_traffic"] = {"table-replay": _traffic(12, 12)}
+    better = {"request_p50_s": "lower"}
+    timed = ["table-replay request_p50_s: 0.03 [0.028, 0.032] -> 0.031 (+3.3 %), change better in 1/3"]
+    assert bench_pairs.summary(change, parent, better) == timed + [
+        "table-replay hermite_passes (cache_traffic, seed 1): 48 -> 12",
+        "table-replay hermite_points (cache_traffic, seed 1): 48000 -> 12000",
+        "table-replay darboux3.specfun.hermite_zeros misses (cache_traffic, seed 1): 48 -> 12",
+    ]
+    change["cache_traffic"] = {"table-replay": _traffic(48, 48)}
+    assert bench_pairs.summary(change, parent, better) == timed + [
+        "table-replay: all 6 cache_traffic counts equal",
+    ]
+
+
+def test_bench_pairs_takes_cache_traffic_once_per_tree(tmp_path, monkeypatch, capsys):
+    # one round per checkout and workload, at the first seed and with that
+    # checkout's root, kept in both records; the pairs run as before
+    bench_pairs = _tool("bench_pairs")
+    trees = {side: tmp_path / side for side in ("change", "parent")}
+    for root in trees.values():
+        root.mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "request_p50_s", "better": "lower"}]}))
+    rounds = []
+    monkeypatch.setattr(bench_pairs, "machine", lambda root: {"nproc": 1})
+    monkeypatch.setattr(bench_pairs, "run", lambda root, workload, seed, trace: {
+        "metrics": {"request_p50_s": {"value": 0.03, "unit": "s"}}})
+    monkeypatch.setattr(bench_pairs, "traffic", lambda root, workload, seed: rounds.append(
+        (root.name, workload, seed)) or _traffic(48, 48))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(trees["parent"]), "--change", str(trees["change"]),
+                             "--workloads", "table-replay", "--seeds", "3-4", "--name", "canned"]) == 0
+    assert rounds == [("change", "table-replay", 3), ("parent", "table-replay", 3)]
+    for name in ("BENCH_canned.json", "BENCH_canned_parent.json"):
+        record = json.loads((tmp_path / name).read_text())
+        assert record["cache_traffic"] == {"table-replay": _traffic(48, 48)}
+        assert [(r["seed"], r["trace"]) for r in record["runs"]] == [(3, 1), (3, 0), (4, 0)]
+    assert capsys.readouterr().out.endswith("table-replay: all 6 cache_traffic counts equal\n")
+
+
+def test_cache_traffic_json(monkeypatch, capsys):
+    # --json prints one object keyed by workload, in place of the text
+    cache_traffic = _tool("cache_traffic")
+    monkeypatch.setattr(cache_traffic, "traffic", lambda workload, seed: {"seed": seed, "workload": workload})
+    assert cache_traffic.main(["--json", "--seed", "5", "position-grid", "table-replay"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "position-grid": {"seed": 5, "workload": "position-grid"},
+        "table-replay": {"seed": 5, "workload": "table-replay"},
+    }
+
+
 def test_cache_traffic_counts_one_round():
     # position-grid's seed-1 round: 48 of its requests make one position
     # pass each, and compute the Hermite zeros once, since every cache is

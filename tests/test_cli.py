@@ -191,6 +191,7 @@ class TestExitCodes:
             ["--half-width", "-3"],
             ["--half-width", "inf"],
             ["--half-width", "nan"],
+            ["--half-width", "1e308"],  # finite, but the grid's 2 L is not
             ["--grid-points", "0"],
             ["--grid-points", "-64"],
         ],
@@ -207,7 +208,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--lambda", "0.4", "--n", "0", *flags)
         assert code == 2
         assert out == ""
-        assert err.startswith("usage error:")
+        assert err.startswith(f"usage error: {flags[0]} must be")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("command", ["renyi", "tsallis", "moment"])
@@ -291,6 +292,16 @@ class TestExitCodes:
         assert err == (
             "numeric failure in darboux3.quadrature: "
             "entropic moment of order 2000.5 underflows to 0 at lam=0.4, n=0\n"
+        )
+
+    def test_subnormal_moment_exits_3(self, capsys):
+        # W = 3.7e-313 holds about 36 significant bits: no value is printed
+        code, out, err = run_cli(capsys, "moment", "--space", "momentum", "--alpha", "2150", "--lambda", "0.4",
+                                 "--n", "0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure in darboux3.quadrature: "
+            "entropic moment of order 2150.0 is subnormal (3.70516e-313) at lam=0.4, n=0\n"
         )
 
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):

@@ -119,11 +119,20 @@ class TestGridLogMoment:
         with pytest.raises(ArithmeticError, match=f"^{space} density normalisation off by -"):
             quadrature.grid_log_moment(deformed, n, 2.0, space, points, half_width)
 
-    @pytest.mark.parametrize("half_width", [0.0, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "half_width", [0.0, -3.0, math.inf, math.nan, 1e308, math.nextafter(sys.float_info.max / 2.0, math.inf)]
+    )
     def test_width_not_positive_and_finite_raises(self, deformed, half_width):
         for space in ("position", "momentum"):
             with pytest.raises(ValueError, match="half_width must be positive and finite"):
                 quadrature.grid_log_moment(deformed, 0, 2.0, space, 512, half_width)
+
+    def test_largest_width_reaches_the_numeric_checks(self, deformed):
+        # the grid spans 2 L, finite up to half the largest double, where the
+        # density misses normalisation (position) or the lattice its bound
+        for space in ("position", "momentum"):
+            with pytest.raises(ArithmeticError):
+                quadrature.grid_log_moment(deformed, 0, 2.0, space, 512, sys.float_info.max / 2.0)
 
     def test_rejects_bad_space_and_order(self, deformed):
         with pytest.raises(ValueError, match="space"):
@@ -1291,7 +1300,7 @@ class TestMomentumCut:
         params = ModelParams(1.0, lam)
         cut = quadrature._momentum_cut(params, n)
         assert momentum_profile(params, n).grid.half_width == cut
-        gauss = quadrature._gaussian_cut(n, effective_frequency(params, n))
+        gauss = quadrature._gaussian_cut(params, n, effective_frequency(params, n))
         assert cut >= gauss
         if cut > gauss:  # the root of L/s + 1.5 ln L = k, to rounding
             s = math.sqrt(lam)
@@ -1312,7 +1321,7 @@ class TestMomentumCut:
         params, harmonic = ModelParams(1.0, lam), ModelParams(1.0, 0.0)
         om = effective_frequency(params, n)
         cut = quadrature._momentum_cut(params, n)
-        assert cut == quadrature._gaussian_cut(n, om) < om / math.sqrt(lam)
+        assert cut == quadrature._gaussian_cut(params, n, om) < om / math.sqrt(lam)
         prof = momentum_profile(params, n)
         assert prof.grid.half_width == cut
         w_half = 2.0 * float(prof.weights @ np.sqrt(prof.gamma))

@@ -76,6 +76,19 @@ class TestLogMoment:
         [(log_w, engine)] = log_moments(1.0, [(0.4, 2000.0)], 0, "position")
         assert engine == "analytic" and log_w / (1.0 - 2000.0) == pytest.approx(0.891853528008)
 
+    @pytest.mark.parametrize("space, alpha", [("position", 800.5), ("momentum", 2150.0)])
+    def test_subnormal_moment_raises(self, space, alpha):
+        # 0 < W < 2.2e-308 holds fewer than 53 significant bits (3.7e-311
+        # and 3.7e-313 here), so it fails as a subnormal threshold does; a
+        # W in the normal range next to it keeps its logarithm
+        message = rf"^entropic moment of order {alpha} is subnormal \(3\.[0-9]+e-31[13]\) at lam=0\.4, n=0$"
+        with pytest.raises(ArithmeticError, match=message):
+            log_moments(1.0, [(0.4, alpha)], 0, space)
+        with pytest.raises(ArithmeticError, match=message):
+            grid_log_moment(ModelParams(1.0, 0.4), 0, alpha, space, 512, None)
+        [(log_w, _)] = log_moments(1.0, [(0.4, 2000.0)], 0, "momentum")
+        assert math.exp(log_w) == pytest.approx(1.88992879932e-291, rel=1e-11)
+
 
 class TestEntropy:
     @pytest.mark.parametrize("space", ["position", "momentum"])

@@ -1,6 +1,6 @@
 """Cache traffic and position Hermite passes over one perfbench round.
 
-    PYTHONPATH=src python tools/cache_traffic.py [--seed N] [WORKLOAD ...]
+    PYTHONPATH=src python tools/cache_traffic.py [--seed N] [--json] [WORKLOAD ...]
 
 Builds one seeded round of each named workload (all four by default) with
 ``perfbench/workloads.py``, which it imports and does not change, and
@@ -10,8 +10,10 @@ or on one of its classes is called before each request.  It prints, per
 workload, the hits and misses every darboux3 ``lru_cache`` recorded over
 the round (read after each request and summed) and the number of position
 Hermite passes, the calls of ``quadrature.hermite_sign_logabs``, with the
-points they evaluated.  Running
-it against two checkouts' ``src`` shows whether a change moved either.
+points they evaluated.  With ``--json`` it prints one JSON object instead,
+{workload: {"caches": {name: [hits, misses]}, "hermite_passes": count,
+"hermite_points": count}}.  Running it against two checkouts' ``src``
+shows whether a change moved either; ``tools/bench_pairs.py`` does so.
 """
 
 from __future__ import annotations
@@ -103,12 +105,16 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload", nargs="*", help=f"any of {', '.join(workloads.WORKLOADS)}")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", action="store_true", help="print one JSON object")
     args = ap.parse_args(argv)
     for workload in args.workload:
         if workload not in workloads.WORKLOADS:
             ap.error(f"unknown workload {workload!r}")
-    for workload in args.workload or workloads.WORKLOADS:
-        result = traffic(workload, args.seed)
+    results = {workload: traffic(workload, args.seed) for workload in args.workload or workloads.WORKLOADS}
+    if args.json:
+        print(json.dumps(results))
+        return 0
+    for workload, result in results.items():
         print(
             f"{workload} seed {args.seed}: {result['hermite_passes']} position Hermite passes"
             f" over {result['hermite_points']} points"

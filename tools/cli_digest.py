@@ -127,6 +127,23 @@ def _argvs() -> list[str]:
         "renyi --alpha 2000.5 --lambda 0.4 --n 0",
         "renyi --alpha 2000 --lambda 0.4 --n 0",
     ]
+    # a half-width whose double overflows (exit 2), and a subnormal W (exit 3)
+    lines += [
+        "renyi --alpha 2 --half-width 1e308",
+        "renyi --space momentum --alpha 2 --half-width 1e308",
+        "profile density-position --half-width 1e308 --out {out}/f.csv",
+        "moment --space momentum --alpha 2150 --lambda 0.4 --n 0",
+    ]
+    # momentum values at omega != 1, at lam = omega kappa for kappa = 0, 0.05, 2
+    for omega, lams in (("1e-3", "0,5e-05,0.002"), ("0.37", "0,0.0185,0.74"),
+                        ("2.5", "0,0.125,5"), ("1e4", "0,500,20000")):
+        lines += [
+            f"renyi --space momentum --omega {omega} --lambda {lams} --n 0,2 --alpha 0.5,2",
+            f"shannon --space momentum --omega {omega} --lambda {lams} --n 0:3:1",
+            f"xi-tsallis --omega {omega} --lambda {lams} --n 0,2 --alpha 0.6,0.8",
+            f"profile density-momentum --omega {omega} --lambda {lams.rsplit(',', 1)[1]} --n 2"
+            " --grid-points 301 --out {out}/g.csv",
+        ]
     return lines
 
 
