@@ -24,7 +24,13 @@ import numpy as np
 
 from .model import ModelParams, density_position, effective_frequency, energy
 from .position_entropy import BudgetExceededError, entropic_moment
-from .quadrature import _momentum_cut, fourier_transform, grid_log_moment, position_half_width
+from .quadrature import (
+    _momentum_cut,
+    _normal_moment,
+    fourier_transform,
+    grid_log_moment,
+    position_half_width,
+)
 from .strong_nonlinear import (
     approx_momentum_closed,
     bifurcation_threshold,
@@ -199,7 +205,10 @@ def _entropy_block(args, n, cells):
 
 
 def _moment_block(args, n, cells):
-    return [[[args.space, math.exp(v)]] for v in _log_moments(args, n, cells)]
+    return [
+        [[args.space, _normal_moment(math.exp(v), a, lam, n)]]
+        for v, (lam, a) in zip(_log_moments(args, n, cells), cells)
+    ]
 
 
 def _shannon_block(args, n, cells):

@@ -46,18 +46,23 @@ transform of phi_n all call it, so a transform is exactly real (even n) or
 exactly imaginary (odd n) by construction.
 
 The kernel sums over a separable node lattice x = X_J + d_b, the index split
-j = J B + b of Cooley & Tukey (Math. Comp. 19, 1965).  Angle addition turns
-the P N cosines of a direct sum at P momenta over N nodes into
-P (B + N / B) cosines and sines, cos/sin(p d_b) times the weights as two
-matrix products and cos/sin(p X_J) to combine the blocks, with no
-approximation.  Each phase p x is taken with the rounding error of its
-product (Dekker's exact two-product), so the sum is within a few eps
-sum |fw| of the exact sum over its nodes, whatever the size of p x.
+j = J B + b of Cooley & Tukey (Math. Comp. 19, 1965), and splits each side
+once more into two levels, X_J = a_c + a_f and d_b = b_c + b_f.  Angle
+addition, e^(ip(a + b)) = e^(ipa) e^(ipb), turns the P N cosines of a
+direct sum at P momenta over N nodes into cosines and sines of the level
+entries, about 4 P N^(1/4) of them, products of unit complex numbers for
+the side tables e^(ip d_b) and e^(ip X_J), one matrix product of the
+weights with the first and an elementwise combine with the second, with
+no approximation.  Each phase p x is taken with the rounding error of its
+product (Dekker's exact two-product), so the sum is within
+eps ((B + J) / 2 + 12) sum |fw| of the exact sum over its nodes, whatever
+the size of p x, and within a few eps sum |fw| in practice.
 
 The transform of Psi_n sums over half-line trapezoid nodes x_j = j h
 (weight h, h/2 at x = 0) in blocks of B = ceil(sqrt(N)), which minimises
-P (B + N / B); those of phi_n and of an explicit :class:`GridSpec` sum over
-equal Gauss-Legendre panels, one panel per block.  Psi_n is analytic in
+the P (B + N / B) entries of the side tables; those of phi_n and of an
+explicit :class:`GridSpec` sum over equal Gauss-Legendre panels, one panel
+per block, whose 16 offsets are one level.  Psi_n is analytic in
 the strip |Im x| < 1/sqrt(lam), so the trapezoid rule converges
 exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014): by
 Poisson summation its error at p is the transform at the first alias
@@ -87,9 +92,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .model import ModelParams, density_position, effective_frequency, log_norm_constant, wavefunction
@@ -318,8 +323,11 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan
     e^(-p / sqrt(lam)) has fallen by e^-40 past 40 sqrt(lam), and the
     Gaussian part is cut by :func:`_gaussian_cut`.  The N nodes split as
     j = J B + b (Cooley & Tukey, Math. Comp. 19, 1965) with B = ceil(sqrt N)
-    offsets b h, which minimises the kernel's P (B + N / B) trig calls; the
-    nodes that pad the last block have weight 0.
+    offsets b h, which minimises the P (B + N / B) entries of the kernel's
+    side tables; the nodes that pad the last block have weight 0.  Each
+    side is an arithmetic progression, given as two levels
+    (:func:`_progression`), so the kernel takes the cos and sin of about
+    2 (sqrt J + sqrt B) phases per momentum: 31 for N = 3192.
 
     Before allocating, it raises ``ArithmeticError`` where N, or the length
     M of one zero-scan FFT at ``scan_step`` (:func:`_zero_scan`), passes what
@@ -335,66 +343,104 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan
     size, m = -(-count // b) * b, _fft_length(h, scan_step) if scan_step else 0
     if size > 1_993_744 or m > 2**27:
         raise ArithmeticError(
-            f"momentum transform at omega={params.omega}, lam={params.lam}, n={n} needs N = {size}"
-            f" nodes and M = {m} scan points, more than lam/omega = 1e3, n = 50 need"
+            f"momentum transform at omega={params.omega}, lam={params.lam}, n={n} needs"
+            f" N = {_count(size)} nodes and M = {_count(m)} scan points, more than lam/omega = 1e3,"
+            " n = 50 need"
         )
     w = np.full(size, h)
     w[0] = 0.5 * h
     w[count:] = 0.0
-    return b * h * np.arange(len(w) // b), h * np.arange(b), w.reshape(-1, b)
+    return _progression(0.0, b * h, size // b), _progression(0.0, h, b), w.reshape(-1, b)
+
+
+def _count(k: int) -> str:
+    """A count in full, or past 10^15 in %.3e form."""
+    return str(k) if k < 10**15 else f"{k:.3e}"
+
+
+def _progression(start: float, step: float, count: int):
+    """start + i step for i < count as the two levels of a lattice side,
+    start + c F step for c < ceil(count / F) and f step for f < F =
+    ceil(sqrt(count)): the fewest level entries whose outer sum lists it."""
+    fine = math.isqrt(count - 1) + 1  # ceil(sqrt(count)) for count >= 1
+    return start + step * np.arange(0, count, fine), step * np.arange(fine)
 
 
 def _gl_blocks(a: float, b: float, panels: int):
     """``panels`` equal Gauss-Legendre panels on [a, b] as the lattice
     (origins, offsets, weights) of :func:`_ft_component`."""
     width = (b - a) / panels
-    return a + width * np.arange(panels), width * _GL_U, np.tile(width * _GL_W, (panels, 1))
+    return _progression(a, width, panels), (width * _GL_U,), np.tile(width * _GL_W, (panels, 1))
 
 
-def _ft_component(n, origins: np.ndarray, offsets: np.ndarray, fw: np.ndarray, p: np.ndarray):
+def _ft_component(n, origins, offsets, fw: np.ndarray, p: np.ndarray):
     """The package's one transform kernel: sum_(J, b) trig(p x) fw[..., J, b]
-    over the node lattice x = origins[J] + offsets[b], at the momenta ``p``
-    (1-d), with cos for even n and sin for odd n (the parity-allowed part).
+    over the node lattice x = X_J + d_b, at the momenta ``p`` (1-d), with
+    cos for even n and sin for odd n (the parity-allowed part).
 
     ``fw`` holds quadrature weights times Psi_n (or phi_n) at the nodes, one
     row per origin; a leading axis stacks several such functions, each
-    with its own entry of ``n``.  The sum is unscaled, and callers apply
-    the normalisation and the factor -i of odd n.  Angle addition,
-    cos(p (X + d)) = cos pX cos pd - sin pX sin pd and
-    sin(p (X + d)) = sin pX cos pd + cos pX sin pd, turns the P x J B trig
-    calls of a direct sum into P (J + B) and two matrix products, with no
-    approximation.  Each phase keeps the rounding error of its product
-    (:func:`_cos_sin_outer`), so the sum is within a few eps sum |fw| of
-    the exact sum over the lattice.  Momenta are taken in chunks whose
+    with its own entry of ``n``.  Each side, ``origins`` X_J and ``offsets``
+    d_b, is a tuple of levels (:func:`_side`; one level is the side itself).
+    The sum is unscaled, and callers apply the normalisation and the factor
+    -i of odd n.  Angle addition, e^(ip(a + b)) = e^(ipa) e^(ipb), turns the
+    P J B trig calls of a direct sum into one cos/sin pass over the P L
+    level entries (L = 31 at J B = 3192), products of unit numbers for the
+    side tables, one matrix product and a combine, with no approximation:
+    the real (even n) or imaginary (odd n) part of
+    sum_J e^(ipX_J) sum_b e^(ipd_b) fw.
+
+    Each phase keeps the rounding error of its product (:func:`_unit_phases`),
+    so a level entry's cos and sin are within eps; a product of unit numbers
+    adds sqrt(5) eps / 2 at most, which puts each term's factor within
+    10 eps, and the sums of B and of J terms add (B + J) eps / 2: the sum is
+    within eps ((B + J) / 2 + 12) sum |fw| of the exact sum over the lattice,
+    and a few eps sum |fw| in practice.  Momenta are taken in chunks whose
     arrays fit ``_FT_CHUNK_BYTES``, so memory stays bounded whatever the
     node count.
     """
     fw = np.asarray(fw, dtype=float)
-    rows, blocks = fw.shape[:-2], len(origins)
-    f = fw.reshape(-1, len(offsets))  # (K J, B)
+    rows, (blocks, width) = fw.shape[:-2], fw.shape[-2:]
+    f = fw.reshape(-1, width)  # (K J, B)
     k = f.shape[0] // blocks
     odd = [m % 2 == 1 for m in (n if rows else [n])]
+    levels = (*origins, *offsets)
+    x = np.concatenate(levels)
+    edges = list(accumulate(map(len, levels), initial=0))
     out = np.empty((k, len(p)))
-    chunk = max(1, _FT_CHUNK_BYTES // (8 * (4 * len(offsets) + (3 * k + 4) * blocks)))
-    offsets_split, origins_split = _split(offsets), _split(origins)
+    # complex entries per momentum: the level phases and their Dekker terms,
+    # the side tables before their cut, the block sums
+    chunk = max(1, _FT_CHUNK_BYTES // (16 * (3 * len(x) + 2 * (blocks + width) + k * blocks)))
+    x_split = _split(x)
     for i in range(0, len(p), chunk):
         q = p[i : i + chunk]
-        q_split = _split(q)
-        cd, sd = _cos_sin_outer(offsets, offsets_split, q, q_split)
-        c = (f @ cd).reshape(k, blocks, len(q))  # per block: sum_b cos(p d_b) fw
-        s = (f @ sd).reshape(k, blocks, len(q))
-        cx, sx = _cos_sin_outer(origins, origins_split, q, q_split)
+        e = _unit_phases(x, x_split, q, _split(q))
+        tables = [e[a:b] for a, b in zip(edges, edges[1:])]
+        ex = _side(tables[: len(origins)], blocks, np.multiply)  # e^(ipX_J)
+        ed = _side(tables[len(origins) :], width, np.multiply)  # e^(ipd_b)
+        g = (f @ ed.view(float)).view(complex).reshape(k, blocks, len(q))  # sum_b e^(ipd_b) fw
+        g *= ex
+        total = g.sum(axis=1)
         for r in range(k):
-            if odd[r]:
-                c[r] *= sx
-                s[r] *= cx
-                c[r] += s[r]
-            else:
-                c[r] *= cx
-                s[r] *= sx
-                c[r] -= s[r]
-        out[:, i : i + chunk] = c.sum(axis=1)
+            out[r, i : i + chunk] = total[r].imag if odd[r] else total[r].real
     return out.reshape(rows + (len(p),)) + 0.0  # + 0.0: the odd sum at p = 0 is +0
+
+
+def _lattice_nodes(origins, offsets, shape) -> np.ndarray:
+    """The nodes X_J + d_b of a :func:`_ft_component` lattice whose weights
+    have ``shape`` (J, B)."""
+    return _side(origins, shape[0])[:, None] + _side(offsets, shape[1])
+
+
+def _side(levels, count: int, op=np.add) -> np.ndarray:
+    """A lattice side from its levels: their outer sum, flattened and cut to
+    ``count``.  With ``op`` np.multiply and each level's e^(ipx) table (a row
+    of momenta per entry) in its place, the side's table, since
+    e^(ip(a + b)) = e^(ipa) e^(ipb)."""
+    x = levels[0]
+    for level in levels[1:]:
+        x = op(x[:, None], level).reshape((-1,) + level.shape[1:])
+    return x[:count]
 
 
 def _split(a: np.ndarray):
@@ -404,24 +450,28 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-def _cos_sin_outer(x: np.ndarray, x_split, q: np.ndarray, q_split):
-    """cos and sin of the phases x_i q_k, (len(x), len(q)), each to within
+def _unit_phases(x: np.ndarray, x_split, q: np.ndarray, q_split) -> np.ndarray:
+    """e^(i x_l q_k), (len(x), len(q)) complex, each part to within
     rounding of the exact product, from x and q and their :func:`_split`
     halves: the product's own rounding error e, from Dekker's two-product,
-    enters as cos(t + e) = cos t - e sin t.  (x_lo q is rounded, but only
-    at 2^-26 of e.)"""
+    enters as cos(t + e) = cos t - e sin t and sin(t + e) = sin t + e cos t.
+    (x_lo q is rounded, but only at 2^-26 of e.)"""
     (xh, xl), (qh, ql) = x_split, q_split
     t = np.multiply.outer(x, q)
     e = np.multiply.outer(xh, qh)
     e -= t
-    e += np.multiply.outer(xh, ql)
-    e += np.multiply.outer(xl, q)
-    c, s = np.cos(t), np.sin(t, out=t)
-    es = e * s
+    part = np.multiply.outer(xh, ql)
+    e += part
+    e += np.multiply.outer(xl, q, out=part)
+    out = np.empty(t.shape, dtype=complex)
+    c, s = out.real, out.imag
+    np.cos(t, out=c)
+    np.sin(t, out=s)
+    es = np.multiply(e, s, out=t)
     e *= c
     c -= es
     s += e
-    return c, s
+    return out
 
 
 def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
@@ -465,7 +515,8 @@ def _scan_steps(n: int, p_feat: float, L_p: float) -> tuple[float, float]:
 def _zero_scan(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     """The momenta of the zero scan over [0, L_p], increasing, and the
     :func:`_ft_component` sums there, over the trapezoid lattice ``origins``
-    + ``offsets`` (step h = offsets[1]) with weighted wavefunction ``fw``.
+    + ``offsets`` (step h, the second entry of the offsets' fine level) with
+    weighted wavefunction ``fw``.
 
     The scan takes the :func:`_scan_steps`.  One FFT at the finer of them
     is M = :func:`_fft_length` long, and it is the scan while it costs less
@@ -484,14 +535,17 @@ def _zero_scan(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     times their single-FFT time over lam in [1, 100] and n <= 20 (the
     slowest at M = 2^16, where in a long-lived process the FFT's fresh
     megabyte of arrays also costs page faults), and two bands at every
-    M >= 2^16 made (lam, n) = (1.5, 20) 1.42 times slower.
+    M >= 2^16 made (lam, n) = (1.5, 20) 1.42 times slower.  Those head
+    band times are from a kernel that took the trig of all B + J side
+    entries; the rule keeps its measure, though the kernel's level tables
+    now take about 2 (sqrt B + sqrt J) phases per momentum.
     """
-    h = float(offsets[1])
+    h = float(offsets[-1][1])
     head_step, tail_step = _scan_steps(n, p_feat, L_p)
     step = min(head_step, tail_step)
     m = _fft_length(h, step)
     head = head_step * np.arange(round(p_feat / head_step) + 1)
-    if m < _TWO_BANDS or m * math.log2(m) < 28.0 * len(head) * (len(origins) + len(offsets)):
+    if m < _TWO_BANDS or m * math.log2(m) < 28.0 * len(head) * sum(fw.shape):
         return _fft_scan(n, fw.ravel(), h, L_p, step)
     p, vals = _fft_scan(n, fw.ravel(), h, L_p, tail_step)
     tail = p > head[-1]
@@ -510,8 +564,8 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     underflow artefacts, not zeros.  Every kept bracket is refined at once
     by :func:`~darboux3.specfun.bracketed_newton`, with g and
     g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
-    |g| is within the kernel's rounding bound, eps (B + J) sum |fw| for
-    sums of B and of J terms.  The brackets are disjoint scan cells in
+    |g| is within the kernel's rounding bound, eps ((B + J) / 2 + 12)
+    sum |fw| (:func:`_ft_component`).  The brackets are disjoint scan cells in
     order, none at p = 0 (g(0) = 0 exactly for odd n), and a root leaves
     its bracket only by its last step, at most bound / |g'|: the zeros come
     out positive and increasing.  The cut keeps L_p the last layout bound.
@@ -519,13 +573,9 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     scan, vals = _zero_scan(n, origins, offsets, fw, p_feat, L_p)
     vals *= _SQRT_2_OVER_PI
     abs_fw = float(np.sum(np.abs(fw)))
-    noise = max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * abs_fw)
-    sgn = np.sign(vals)
-    flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
-    near = sliding_window_view(np.pad(np.abs(vals), (2, 3)), 6)[flips]  # |vals[i-2 : i+4]|
-    i = flips[near.max(axis=1, initial=0.0) > noise]
-    bound = np.finfo(float).eps * (len(origins) + len(offsets)) * abs_fw
-    pair = np.stack([fw, (origins[:, None] + offsets) * fw])
+    i = _sign_flips(vals, max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * abs_fw))
+    bound = np.finfo(float).eps * (0.5 * sum(fw.shape) + 12.0) * abs_fw
+    pair = np.stack([fw, _lattice_nodes(origins, offsets, fw.shape) * fw])
     slope_sign = 1.0 if n % 2 else -1.0  # g' = -+ the kernel sum of x fw
 
     def g_slope_bound(z):
@@ -536,6 +586,18 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
         g_slope_bound, scan[i], scan[i + 1], vals[i], vals[i + 1], "momentum zeros"
     )
     return z[z < 0.999 * L_p]
+
+
+def _sign_flips(vals: np.ndarray, noise: float) -> np.ndarray:
+    """The indices i where ``vals`` changes sign between i and i + 1 and
+    some |vals| in i - 2 .. i + 3 passes ``noise`` (the window is cut at
+    the ends)."""
+    sgn = np.sign(vals)
+    flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+    padded = np.zeros(len(vals) + 5)
+    padded[2:-3] = np.abs(vals)
+    near = padded[flips[:, None] + np.arange(6)]  # |vals[i-2 : i+4]|
+    return flips[near.max(axis=1, initial=0.0) > noise]
 
 
 def _momentum_tail_start(params: ModelParams, n: int) -> float:
@@ -700,8 +762,8 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
 
 
 def _lattice_values(f, origins, offsets, weights):
-    """weights times ``f`` at the lattice nodes origins[J] + offsets[b]."""
-    x = (origins[:, None] + offsets).ravel()
+    """weights times ``f`` at the nodes X_J + d_b of a :func:`_ft_component` lattice."""
+    x = _lattice_nodes(origins, offsets, weights.shape).ravel()
     return weights * np.asarray(f(x)).reshape(weights.shape)
 
 
@@ -809,7 +871,13 @@ def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, point
 
 
 def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
-    if w >= np.finfo(float).tiny:  # 0 has no logarithm, and a subnormal W has lost digits
-        return math.log(w)
+    return math.log(_normal_moment(w, alpha, lam, n))
+
+
+def _normal_moment(w: float, alpha: float, lam: float, n: int) -> float:
+    """The moment ``w`` if it is a normal double; ``ArithmeticError`` if it is
+    0, which has no logarithm, or subnormal, which has lost digits."""
+    if w >= np.finfo(float).tiny:
+        return w
     fault = f"is subnormal ({w:g})" if w > 0.0 else f"underflows to {w:g}"
     raise ArithmeticError(f"entropic moment of order {alpha} {fault} at lam={lam}, n={n}")

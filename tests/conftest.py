@@ -368,9 +368,15 @@ def reference_scan_step(params, n, L_p):
 
 def scan_size(params, n, refine=1):
     """(padded node count N, single-FFT length M, FFT length and top
-    momentum index of the scan that runs, head band momenta) of a momentum
-    profile's zero scan, from the layout rules of ``_ft_x_nodes``, the
-    profile's scan steps and ``_fft_scan``, without building the lattice.
+    momentum index of the scan that runs, head band momenta, kernel phases
+    per momentum) of a momentum profile's zero scan, from the layout rules
+    of ``_ft_x_nodes``, the profile's scan steps and ``_fft_scan``, without
+    building the lattice.
+
+    The N nodes form J origins and B offsets, B = ceil(sqrt N), and each
+    side of length K is listed by two levels of F = ceil(sqrt K) and
+    ceil(K / F) entries, so the kernel takes the cos and sin of that many
+    phases per momentum over both sides.
 
     M is the length one FFT at the finer step would take.  That FFT is the
     scan below M = 2^16 or while M log2 M < 28 P (B + J), with P = 48 (n + 2)
@@ -397,7 +403,13 @@ def scan_size(params, n, refine=1):
         run, head = m, 0
     else:
         run = length(tail_step, nodes)
-    return nodes, m, run, int(math.ceil(L_p / (2.0 * math.pi / (run * h)))), head
+
+    def levels(count):
+        fine = math.isqrt(count - 1) + 1
+        return fine + -(-count // fine)
+
+    phases = levels(nodes // b) + levels(b)
+    return nodes, m, run, int(math.ceil(L_p / (2.0 * math.pi / (run * h)))), head, phases
 
 
 def reference_fft_scan(n, fw, h, p_max, step):
@@ -420,10 +432,22 @@ def reference_fft_scan(n, fw, h, p_max, step):
 # double
 # --------------------------------------------------------------------------
 
-def lattice_nodes(origins, offsets, dtype=float):
-    """The nodes origins[J] + offsets[b] of a kernel lattice, flattened, with
-    the sum taken in ``dtype`` (long double keeps it exact to 2^-64)."""
-    return (np.asarray(origins, dtype=dtype)[:, None] + np.asarray(offsets, dtype=dtype)).ravel()
+def lattice_nodes(origins, offsets, shape, dtype=float):
+    """The nodes X_J + d_b of a kernel lattice with weights of ``shape``
+    (J, B), flattened.  Each side is a tuple of levels: X_J is the J-th
+    entry of the levels' flattened outer sum, and so is d_b.  Every sum is
+    taken in ``dtype`` (long double rounds it at 2^-64 relative, and keeps
+    it exact where the terms are multiples of one power of two and their
+    sum fits 64 bits)."""
+
+    def side(levels, count):
+        x = np.zeros(1, dtype=dtype)
+        for level in levels:
+            x = (x[:, None] + np.asarray(level, dtype=dtype)).ravel()
+        assert count <= len(x)
+        return x[:count]
+
+    return (side(origins, shape[0])[:, None] + side(offsets, shape[1])).ravel()
 
 
 def reference_ft_sum(n, x, fw, p, dtype=float):

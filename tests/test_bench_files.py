@@ -172,7 +172,14 @@ def test_cache_traffic_counts_one_round():
 
 def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
     # one fresh child process per case: a small profile scans with one
-    # FFT, (30, 0) in two bands, and each record holds its stage times
+    # FFT, (30, 0) in two bands, and each record holds its stage times and
+    # its kernel phases by stage, the level entries of the lattice times
+    # the momenta: 48 (n + 2) in the head band, every profile node in the
+    # final sum, one or more steps of one momentum per zero in Newton
+    from conftest import scan_size
+
+    from darboux3 import ModelParams
+
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     out = tmp_path / "cost.json"
     assert _tool("profile_cost").main(["0.4,3", "30,0", "--json", str(out)]) == 0
@@ -181,4 +188,9 @@ def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
     for rec in (small, corner):
         stages = [rec[k] for k in ("lattice", "scan", "refine", "panels", "final")]
         assert min(stages) > 0.0 and sum(stages) < rec["total"] and rec["peak_rss_mb"] > 0.0
+        levels = scan_size(ModelParams(1.0, rec["lam"]), rec["n"])[5]
+        phases = rec["phases"]
+        assert phases["head"] == (96 * levels if rec is corner else 0)
+        assert phases["final"] == rec["p_nodes"] * levels
+        assert phases["newton"] % (rec["zeros"] * levels) == 0 and phases["newton"] > 0
     assert capsys.readouterr().out.startswith("(0.4, 3) one fft: scan ")

@@ -304,6 +304,33 @@ class TestExitCodes:
             "entropic moment of order 2150.0 is subnormal (3.70516e-313) at lam=0.4, n=0\n"
         )
 
+    @pytest.mark.parametrize(
+        "order, fault",
+        [("800", "is subnormal (5.80785e-311)"), ("2000", "underflows to 0")],
+        ids=["800", "2000"],
+    )
+    def test_closed_form_moment_out_of_normal_range_exits_3(self, capsys, order, fault):
+        # an integer position order takes W from the closed form's ln W:
+        # moment applies the quadrature's normal-range rule to exp(ln W),
+        # while renyi prints its entropy from ln W itself
+        code, out, err = run_cli(capsys, "moment", "--alpha", order, "--lambda", "0.4", "--n", "0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure in darboux3.quadrature: "
+            f"entropic moment of order {float(order)} {fault} at lam=0.4, n=0\n"
+        )
+        entropy = {"800": "0.894048501783", "2000": "0.891853528008"}[order]
+        code, out, err = run_cli(capsys, "renyi", "--alpha", order, "--lambda", "0.4", "--n", "0")
+        assert (code, out, err) == (0, f"n,lambda,alpha,space,renyi\n0,0.4,{order},position,{entropy}\n", "")
+
+    def test_huge_lattice_refusal_is_short(self, capsys):
+        # a momentum near 8e307 asks for about 1e308 nodes: the refusal
+        # prints counts past 10^15 in %.3e form, not their 309 digits
+        code, out, err = run_cli(capsys, "renyi", "--space", "momentum", "--alpha", "2", "--half-width", "8e307")
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure in darboux3.quadrature: momentum transform at ")
+        assert "N = 1.313e+308 nodes" in err and len(err.encode()) < 200
+
     def test_unwritable_out_is_io_error(self, capsys, tmp_path):
         # --out under a regular file: the directory cannot be made
         blocker = tmp_path / "file"

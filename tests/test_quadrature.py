@@ -29,6 +29,7 @@ from darboux3.quadrature import (
     _ft_x_nodes,
     _lattice_values,
     _panel_grid,
+    _progression,
 )
 from darboux3.specfun import hermite_zeros
 
@@ -262,7 +263,9 @@ class TestPanelGrid:
                     [(a, b, 0) for a, b in reference_split(0.0, L, width)]
                 )
                 origins, offsets, fw = lattices.pop()
-                assert np.max(np.abs(lattice_nodes(origins, offsets) - x)) <= 4e-16 * L
+                # the nodes the kernel sums over: its levels' sums, exact in long double
+                x_ld = lattice_nodes(origins, offsets, fw.shape, np.longdouble)
+                assert np.max(np.abs(x_ld - x)) <= 4e-16 * L
                 # the per-panel widths b - a carry the rounding of the edges,
                 # eps L / width relative; the lattice width does not
                 phi = strong_nonlinear.approx_wavefunction(params, n, x)
@@ -746,7 +749,7 @@ class TestFourierTransform:
             p, vals = _fft_scan(n, fw.ravel(), h, p_max, step)
             assert p[1] - p[0] == pytest.approx(2.0 * np.pi / (m * h), rel=1e-15)
             assert p[1] - p[0] <= step and p[-1] >= p_max
-            lattice = blocks * h * np.arange(blocks), h * np.arange(blocks)
+            lattice = _progression(0.0, blocks * h, blocks), _progression(0.0, h, blocks)
             kernel = _ft_component(n, *lattice, fw, p)
             assert np.max(np.abs(vals - kernel)) < 1e-11
 
@@ -807,14 +810,14 @@ class TestFourierTransform:
                     momentum_profile(*cases[-1])
         quadrature._profile_cached.cache_clear()
         want = [scan_size(*case) for case in cases]
-        assert [(nodes, run, top) for nodes, _, run, top, _ in want] == sizes
-        assert [head for *_, head in want] == heads and 0 < heads.count(0) < len(heads)
+        assert [(nodes, run, top) for nodes, _, run, top, _, _ in want] == sizes
+        assert [head for *_, head, _ in want] == heads and 0 < heads.count(0) < len(heads)
         worst, bands = 0.0, 0
         for om in (1e-3, 0.03, 1.0, 31.6, 1e4):
             for lam in [0.0] + [10.0 ** (k / 4) for k in range(-16, 17)]:
                 for n in range(101):
                     for refine in (1, 2, 4):
-                        nodes, m, run, top, head = scan_size(ModelParams(om, lam * om), n, refine)
+                        nodes, m, run, top, head, _ = scan_size(ModelParams(om, lam * om), n, refine)
                         assert nodes <= run and top <= run // 2 + 1
                         if head:
                             bands += 1
@@ -866,8 +869,8 @@ class TestFourierTransform:
         # the kernel's arrays fill one chunk of bounded size; chunks of
         # 256 momenta over all nodes took about 400 MB here
         h = 40.0 / 99_999
-        origins, offsets = 317 * h * np.arange(316), h * np.arange(317)
-        x = lattice_nodes(origins, offsets)  # the 100,000 nodes j h, and 172 more
+        origins, offsets = _progression(0.0, 317 * h, 316), _progression(0.0, h, 317)
+        x = lattice_nodes(origins, offsets, (316, 317))  # the 100,000 nodes j h, and 172 more
         fw = (np.exp(-0.5 * x * x) * h).reshape(316, 317)
         p = np.linspace(0.0, 8.0, 300)
         tracemalloc.start()
@@ -948,32 +951,66 @@ class TestTransformKernel:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_lattices_against_oracles(self, seed):
-        # the kernel is within 4 eps sum|fw| of the long-double sum; the
-        # direct double sum also rounds each phase p x, by up to eps |p x|
+        # one level a side: the kernel is within 4 eps sum|fw| of the
+        # long-double sum; the direct double sum also rounds each phase
+        # p x, by up to eps |p x|
         rng = np.random.default_rng(seed)
         blocks, width = rng.integers(1, 50, size=2)
         scale = 10.0 ** rng.uniform(-1.0, 3.0)
-        origins = np.sort(rng.uniform(-scale, scale, blocks))
-        offsets = rng.uniform(0.0, scale / blocks, width)
-        fw = rng.standard_normal((2, blocks, width)) * np.exp(rng.uniform(-3, 3, (blocks, 1)))
-        p = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 40)])
-        x_ld = lattice_nodes(origins, offsets, np.longdouble)
-        x = lattice_nodes(origins, offsets)
-        stacked = _ft_component((seed, seed + 1), origins, offsets, fw, p)
-        for row, n in enumerate((seed, seed + 1)):
-            g = _ft_component(n, origins, offsets, fw[row], p)
+        origins = (np.sort(rng.uniform(-scale, scale, blocks)),)
+        offsets = (rng.uniform(0.0, scale / blocks, width),)
+        fw, p, sums = self._against_long_double(rng, seed, origins, offsets, (blocks, width))
+        x = lattice_nodes(origins, offsets, (blocks, width))
+        for row, (n, g) in enumerate(sums):
             abs_fw = np.abs(fw[row]).ravel()
-            oracle = reference_ft_sum(n, x_ld, fw[row], p, np.longdouble)
-            for got in (g, stacked[row]):
-                assert np.max(np.abs(got - oracle)) <= 4.0 * self.EPS * abs_fw.sum()
             direct = reference_ft_sum(n, x, fw[row], p)
             bound = self.EPS * (4.0 * abs_fw.sum() + np.abs(np.multiply.outer(p, x)) @ abs_fw)
             assert np.all(np.abs(g - direct) <= bound)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_multilevel_lattices_against_oracles(self, seed):
+        # sides of one to three random levels, each cut anywhere past its
+        # last level's first row, within 4 eps sum|fw| of the long-double
+        # sum over the levels' outer sums.  The level entries are multiples
+        # of 2^-52 of a power of two past them all, so that every node, a
+        # sum of up to six of them, is exact in long double; and |p x| stays
+        # below about 2e3, where the long-double phase, rounded to
+        # 2^-64 |p x|, is within eps / 2 of p x
+        rng = np.random.default_rng(100 + seed)
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        quantum = 2.0 ** (math.ceil(math.log2(scale)) - 52)
+        sides, shape = [], []
+        for span in (scale, scale / 8.0):
+            levels = tuple(
+                np.round(rng.uniform(-span, span, rng.integers(1, 9)) / quantum) * quantum
+                for _ in range(rng.integers(1, 4))
+            )
+            full = math.prod(len(level) for level in levels)
+            sides.append(levels)
+            shape.append(int(rng.integers(full - len(levels[-1]) + 1, full + 1)))
+        self._against_long_double(rng, seed, *sides, tuple(shape))
+
+    def _against_long_double(self, rng, seed, origins, offsets, shape):
+        """Random weights and momenta on the lattice; each row's kernel
+        sum, alone and stacked, against the long-double sum.  Returns the
+        weights, the momenta and each row's (n, sum)."""
+        fw = rng.standard_normal((2,) + shape) * np.exp(rng.uniform(-3, 3, (shape[0], 1)))
+        p = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 40)])
+        x_ld = lattice_nodes(origins, offsets, shape, np.longdouble)
+        stacked = _ft_component((seed, seed + 1), origins, offsets, fw, p)
+        sums = []
+        for row, n in enumerate((seed, seed + 1)):
+            g = _ft_component(n, origins, offsets, fw[row], p)
+            oracle = reference_ft_sum(n, x_ld, fw[row], p, np.longdouble)
+            for got in (g, stacked[row]):
+                assert np.max(np.abs(got - oracle)) <= 4.0 * self.EPS * np.abs(fw[row]).sum()
             if n % 2:  # the odd sum at p = 0 is +0
                 assert g[0] == 0.0 and math.copysign(1.0, g[0]) == 1.0
+            sums.append((n, g))
+        return fw, p, sums
 
     def test_empty_momenta(self):
-        origins, offsets = np.arange(3.0), 0.25 * np.arange(4)
+        origins, offsets = (np.arange(3.0),), _progression(0.0, 0.25, 4)
         assert _ft_component(0, origins, offsets, np.ones((3, 4)), np.array([])).shape == (0,)
         pair = _ft_component((0, 1), origins, offsets, np.ones((2, 3, 4)), np.array([]))
         assert pair.shape == (2, 0)
@@ -989,9 +1026,34 @@ class TestTransformKernel:
         fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
         p = prof.p[:: max(1, fw.size * len(prof.p) // 2_000_000)]
         g = _ft_component(n, *lattice[:2], fw, p)
-        x = lattice_nodes(*lattice[:2], np.longdouble)
+        x = lattice_nodes(*lattice[:2], fw.shape, np.longdouble)
         oracle = reference_ft_sum(n, x, fw, p, np.longdouble)
         assert np.max(np.abs(g - oracle)) <= 4.0 * self.EPS * np.abs(fw).sum()
+
+    def test_trig_pass_takes_the_level_entries(self, monkeypatch):
+        # each side of the profile lattice is two levels, so the kernel's
+        # one cos/sin pass per chunk takes the level entries, not the J + B
+        # side entries: 31 phases per momentum at (9.36, 4), where N = 3192
+        # and J + B = 113, in the head band, every Newton step and the
+        # final sum
+        passes = []
+
+        def spy(x, x_split, q, q_split):
+            passes.append((len(x), len(q)))
+            return unit_phases(x, x_split, q, q_split)
+
+        unit_phases = quadrature._unit_phases
+        monkeypatch.setattr(quadrature, "_unit_phases", spy)
+        params = ModelParams(1.0, 9.36)
+        quadrature._profile_cached.cache_clear()
+        try:
+            prof = momentum_profile(params, 4)
+        finally:
+            quadrature._profile_cached.cache_clear()
+        nodes, *_, head, levels = scan_size(params, 4)
+        assert (nodes, head, levels) == (3192, 288, 31)
+        assert passes[0] == (levels, head) and passes[-1] == (levels, len(prof.p))
+        assert all(phases <= levels for phases, _ in passes)
 
     def test_every_transform_calls_the_kernel(self, deformed, monkeypatch):
         from darboux3 import strong_nonlinear
@@ -1042,7 +1104,7 @@ class TestTransformKernel:
         zeros = quadrature._transform_zeros(n, *lattice[:2], fw, p_feat, L_p)
         assert len(zeros) and len(calls) <= 8
         assert zeros[0] > 0.0 and np.all(np.diff(zeros) > 0.0) and zeros[-1] < 0.999 * L_p
-        x = lattice_nodes(*lattice[:2], np.longdouble)
+        x = lattice_nodes(*lattice[:2], fw.shape, np.longdouble)
         z = zeros.astype(np.longdouble)
         for _ in range(3):
             g = reference_ft_sum(n, x, fw, z, np.longdouble)
@@ -1051,6 +1113,28 @@ class TestTransformKernel:
         assert np.max(np.abs(zeros / z - 1.0)) <= 1e-13
         slack = 4.0 * self.EPS * np.abs(fw).sum() / np.abs(dg)
         assert np.all(np.abs(zeros - z) <= slack + 2.0 * self.EPS * zeros)
+
+
+class TestSignFlips:
+    def test_window_is_the_padded_sliding_window(self):
+        # the noise filter's window |vals[i-2 : i+4]| around each sign flip,
+        # cut at the ends, read from a zero-padded copy: the same kept flips
+        # as np.pad and sliding_window_view give, with flips at both ends
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        rng = np.random.default_rng(11)
+        for size in (2, 3, 4, 7, 50, 600):
+            for _ in range(25):
+                vals = rng.standard_normal(size) * 10.0 ** rng.uniform(-20.0, 0.0, size)
+                vals[rng.random(size) < 0.05] = 0.0
+                vals[0], vals[1] = abs(vals[0]), -abs(vals[1])
+                vals[-2], vals[-1] = abs(vals[-2]), -abs(vals[-1])
+                noise = 10.0 ** rng.uniform(-20.0, 0.0)
+                sgn = np.sign(vals)
+                flips = np.flatnonzero(sgn[:-1] * sgn[1:] < 0)
+                near = sliding_window_view(np.pad(np.abs(vals), (2, 3)), 6)[flips]
+                want = flips[near.max(axis=1, initial=0.0) > noise]
+                assert np.array_equal(quadrature._sign_flips(vals, noise), want)
 
 
 class TestMomentumDensity:
@@ -1163,9 +1247,9 @@ class TestTwoBandScan:
         quadrature._profile_cached.cache_clear()
         ((lattice, fw, two), w_two), ((_, _, one), w_one) = runs
         assert len(two) == len(one) > 0
-        x = lattice[0][:, None] + lattice[1]
+        x = lattice_nodes(*lattice[:2], fw.shape).reshape(fw.shape)
         slope = _ft_component(n + 1, *lattice[:2], x * fw, one)
-        bound = self.EPS * (len(lattice[0]) + len(lattice[1])) * np.abs(fw).sum()
+        bound = self.EPS * (0.5 * sum(fw.shape) + 12.0) * np.abs(fw).sum()
         assert np.all(np.abs(two - one) <= bound / np.abs(slope))
         assert w_two == pytest.approx(w_one, rel=1e-15)
 
@@ -1181,7 +1265,7 @@ class TestTwoBandScan:
             p, vals = zero_scan(n, origins, offsets, fw, p_feat, L_p)
             scans.append((p, vals.copy()))  # the caller scales vals in place
             step = reference_scan_step(ModelParams(1.0, lam), n, L_p)
-            want.append(reference_fft_scan(n, fw.ravel(), float(offsets[1]), L_p, step))
+            want.append(reference_fft_scan(n, fw.ravel(), float(offsets[-1][1]), L_p, step))
             return p, vals
 
         zero_scan = quadrature._zero_scan

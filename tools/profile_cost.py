@@ -16,8 +16,12 @@ package, builds ``momentum_profile`` once and reports, in seconds:
 - ``final``: the kernel sum on the profile nodes;
 - ``total``: the whole ``momentum_profile`` call;
 
-and ``peak_rss_mb`` (``resource.getrusage``, the child's peak, imports
-included), the scan path (``one fft`` or ``two bands``), the zero count
+the kernel's trig phases by stage, ``phases``: the phase count (entries
+times momenta) of every cos/sin pass of the kernel (``_unit_phases``;
+``_cos_sin_outer`` in a checkout without it), summed over the head band
+of a two-band scan (``head``), the Newton steps (``newton``) and the
+final sum (``final``); and ``peak_rss_mb`` (``resource.getrusage``, the
+child's peak, imports included), the scan path (``one fft`` or ``two bands``), the zero count
 and the node counts.  The parent prints one line per run, and with
 ``--json`` writes every record to a file.  A checkout other than this one
 is measured by putting its ``src`` on ``PYTHONPATH``.  Standard library
@@ -40,7 +44,8 @@ def measure(lam: float, n: int) -> dict:
     from darboux3 import ModelParams, quadrature
 
     spent = {"lattice": 0.0, "scan": 0.0, "zeros": 0.0, "panels": 0.0, "final": 0.0}
-    paths = []
+    phases = {"head": 0, "newton": 0, "final": 0}
+    paths, current = [], []  # current: the stage of the running kernel call
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
@@ -52,16 +57,27 @@ def measure(lam: float, n: int) -> dict:
         return wrapper
 
     kernel = quadrature._ft_component
+    callers = {"_zero_scan": "head", "_profile_cached": "final"}  # any other caller refines zeros
 
     def ft_component(*args):
         caller = sys._getframe(1).f_code.co_name
         if caller == "_zero_scan":  # the head band of a two-band scan
             paths.append("two bands")
+        current[:] = [callers.get(caller, "newton")]
         if caller == "_profile_cached":
             return timed("final", kernel)(*args)
         return kernel(*args)
 
+    # a checkout from before the level tables takes its phases in _cos_sin_outer
+    trig_name = "_unit_phases" if hasattr(quadrature, "_unit_phases") else "_cos_sin_outer"
+    trig = getattr(quadrature, trig_name)
+
+    def counted_trig(x, x_split, q, q_split):
+        phases[current[0]] += len(x) * len(q)
+        return trig(x, x_split, q, q_split)
+
     quadrature._ft_component = ft_component
+    setattr(quadrature, trig_name, counted_trig)
     # a checkout from before the two-band scan has no _zero_scan: its scan is _fft_scan
     scan = "_zero_scan" if hasattr(quadrature, "_zero_scan") else "_fft_scan"
     for name, stage in (("_ft_x_nodes", "lattice"), ("_lattice_values", "lattice"),
@@ -91,6 +107,7 @@ def measure(lam: float, n: int) -> dict:
         "panels": spent["panels"],
         "final": spent["final"],
         "total": total,
+        "phases": phases,
         "peak_rss_mb": peak_kib / 1024.0,
         "zeros": len(zeros[0]),
         "p_nodes": len(prof.p),
@@ -129,7 +146,8 @@ def main(argv=None) -> int:
             print(
                 f"({lam:g}, {n}) {rec['path']}: scan {rec['scan']:.4f} refine {rec['refine']:.4f} "
                 f"panels {rec['panels']:.4f} final {rec['final']:.4f} total {rec['total']:.4f} s, "
-                f"peak RSS {rec['peak_rss_mb']:.1f} MB, {rec['zeros']} zeros, {rec['p_nodes']} p nodes",
+                "trig phases head {head} newton {newton} final {final}, ".format(**rec["phases"])
+                + f"peak RSS {rec['peak_rss_mb']:.1f} MB, {rec['zeros']} zeros, {rec['p_nodes']} p nodes",
                 flush=True,
             )
     if args.json:
