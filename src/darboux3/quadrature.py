@@ -19,12 +19,12 @@ rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
 lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
 enters only through that factor and the cut, so the panels up to the last
 Hermite zero and h_n on them depend only on (n, order class, refine).
-The (lam, alpha) cells of one n's CLI grid or table row are sorted by
-class into passes of bounded size: a pass lays its cells' tails out as
-disjoint segments of one :func:`_panel_grid` call, each class's head once
-in front of its first tail, and evaluates them in one Hermite pass; tail
-panels grow geometrically past the last lobe of h_n as the momentum
-tail's do (:func:`_position_log_density`).  In momentum space the zeros of
+Each class among the (lam, alpha) cells of one n's CLI grid or table row
+gets one half line, its head and one tail to its cells' largest cut, read
+whole by each; passes of bounded size lay whole lines out as segments of
+one :func:`_panel_grid` call and one Hermite pass; tail panels grow
+geometrically past the last lobe of h_n as the momentum tail's do
+(:func:`_position_log_density`).  In momentum space the zeros of
 the transform are located first: a scan brackets them (one FFT of a
 uniform momentum grid, or where that FFT would be long, the kernel on the
 dense head [0, p_feat] and a short FFT on the tail), and Newton's method,
@@ -222,18 +222,20 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     function, so ln rho_n = 2 ln N + ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2.
     The panels split at the positive Hermite zeros, each at most
     width = min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and
-    run out to sqrt(Omega) L with L the :func:`position_half_width`; every
-    zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
-    So the head [0, zeros..., z_last] and its Hermite values depend only on
-    the layout class (n, max(alpha, 1), whether alpha is fractional,
-    ``refine``), and each cell adds its tail [z_last, sqrt(Omega) L].  The
-    cells are sorted by class, fractional classes first (only they map the
-    cusps at the zeros), and go through passes of one kind: the tails are
-    disjoint segments of one :func:`_panel_grid` call and one Hermite pass,
-    which takes ``_PASS_NODES`` head and tail nodes at most, and each class
-    in a pass has its head laid out once, in front of its first tail.
-    Nothing is kept between calls.  Every value is elementwise, so each cell
-    gets the nodes, weights and ln rho_n a call of its own would, bit for bit.
+    run out to the cut sqrt(Omega) L, L the :func:`position_half_width`;
+    every zero lies inside, since (sqrt(Omega) L)^2 > 1.21 (42 + 5.2 n) > 2n + 1.
+    So the head [0, zeros..., z_last] depends only on the layout class
+    (n, max(alpha, 1), whether alpha is fractional, ``refine``).  Each class
+    of the call gets one half line, its head and then one tail to the
+    largest cut among its cells, and each of its cells reads that whole
+    line, adding only its ln(1 + kappa y^2) and ln N: past its own cut a
+    cell's integrand is below e^-42 of its peak.  The lines go, fractional
+    classes first (only they map the cusps at the zeros), into passes of
+    one kind, each one :func:`_panel_grid` call and one Hermite pass that
+    closes once it holds ``_PASS_NODES`` nodes.  Nothing is kept between
+    calls, and every value is elementwise: a class of one cell, and the cell
+    that sets its class's cut, get what a call of their own gives, bit for
+    bit, and a call's values depend on its set of cells only.
 
     The tail has no zeros.  The last lobe of h_n ends within one Airy
     length (2 sqrt(2n + 1))^(-1/3) < 1 of the turning point sqrt(2n + 1),
@@ -245,52 +247,47 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
     whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
-    cells = [(i, lam, float(alpha)) for i, (lam, alpha) in enumerate(cells)]
-    for cell in cells:
-        _check_order(cell[2])
-    cells.sort(key=lambda cell: (cell[2].is_integer(), max(cell[2], 1.0)))  # stable
+    classes = {}  # (integer, max(alpha, 1)): [largest cut, its cells]
+    for index, (lam, alpha) in enumerate(cells):
+        _check_order(alpha := float(alpha))
+        params = ModelParams(omega, lam)
+        om = effective_frequency(params, n)
+        line = classes.setdefault((alpha.is_integer(), max(alpha, 1.0)), [0.0, []])
+        line[0] = max(line[0], math.sqrt(om) * position_half_width(params, n, alpha))
+        line[1].append((index, alpha, params, om))
+    lines = sorted(classes.items())  # fractional classes first
     zeros = hermite_zeros(n)[n // 2 :]  # z >= 0, with 0 for odd n
     z_last = float(zeros[-1]) if n else 0.0
     y_g = math.sqrt(2 * n + 1) + 1.0  # past the last lobe
     head = np.concatenate([[0.0], zeros[n % 2 :]])  # 0, ..., z_last
     i = 0
-    while i < len(cells):
+    while i < len(lines):
         # fractional powers leave |y - z|^(2 alpha) cusps at the density zeros
-        integer = cells[i][2].is_integer()
-        batch, segments, heads, nodes = [], [], {}, 0
-        while i < len(cells) and cells[i][2].is_integer() == integer and nodes < _PASS_NODES:
-            index, lam, alpha = cells[i]
+        integer = lines[i][0][0]
+        batch, segments, nodes = [], [], 0
+        while i < len(lines) and lines[i][0][0] == integer and nodes < _PASS_NODES:
+            (_, order), (L, members) = lines[i]
             i += 1
-            order = max(alpha, 1.0)
             width = min(0.7, math.pi / (4.0 * order * math.sqrt(2 * n + 1))) / refine
-            if order not in heads:  # the class's first cell in this pass leads with its head
-                segments.append((head[:-1], head[1:], np.ceil(np.diff(head) / width)))
-                heads[order] = nodes, _ORDER * int(segments[-1][2].sum())
-                nodes += heads[order][1]
-            params = ModelParams(omega, lam)
-            om = effective_frequency(params, n)
-            L = math.sqrt(om) * position_half_width(params, n, alpha)
             d = (L - z_last) / math.ceil((L - z_last) / width)
             equal = np.arange(math.floor((y_g - z_last) / d) + 1) * d + z_last
-            tail = np.concatenate([equal, _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
-            segments.append((tail[:-1], tail[1:], np.ones(len(tail) - 1)))
-            start, nodes = nodes, nodes + _ORDER * (len(tail) - 1)
-            batch.append((index, alpha, params, om, heads[order], start, nodes))
+            edges = np.concatenate([head, equal[1:], _grow_split(float(equal[-1]), L, d, _GROW)[1:]])
+            counts = np.concatenate([np.ceil(np.diff(head) / width), np.ones(len(edges) - len(head))])
+            segments.append((edges[:-1], edges[1:], counts))
+            start, nodes = nodes, nodes + _ORDER * int(counts.sum())
+            batch.append((slice(start, nodes), members))
         starts, ends, counts = (np.concatenate(parts) for parts in zip(*segments))
         y, w = _panel_grid(starts, ends, counts, () if integer else zeros)
         log_h = 2.0 * hermite_sign_logabs(n, y)[1] - y * y  # -inf at an exact zero of H_n
-        grid = y, w, log_h
-        for index, alpha, params, om, (at, k), start, stop in batch:
-            if at + k == start:  # the head right before the tail: one slice
-                y_t, w_t, h_t = (a[at:stop] for a in grid)
-            else:
-                y_t, w_t, h_t = (np.concatenate([a[at : at + k], a[start:stop]]) for a in grid)
-            log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
-            log_rho *= params.lam / om
-            np.log1p(log_rho, out=log_rho)
-            log_rho += h_t
-            log_rho += 2.0 * log_norm_constant(params, n)
-            yield index, alpha, y_t, w_t / math.sqrt(om), log_rho
+        for at, members in batch:
+            y_t, w_t, h_t = y[at], w[at], log_h[at]
+            for index, alpha, params, om in members:
+                log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
+                log_rho *= params.lam / om
+                np.log1p(log_rho, out=log_rho)
+                log_rho += h_t
+                log_rho += 2.0 * log_norm_constant(params, n)
+                yield index, alpha, y_t, w_t / math.sqrt(om), log_rho
 
 
 # --------------------------------------------------------------------------
@@ -809,10 +806,11 @@ def position_moments(omega: float, cells, n: int, refine: int = 1) -> list[float
     """W = integral rho_n^alpha dx for each (lam, alpha) of ``cells`` (any
     iterable), in their order, at one (omega, n, refine), any finite
     alpha > 0, the cells laid out and evaluated together (:func:`_position_log_density`)."""
-    values = {
-        i: 2.0 * float(w @ np.exp(alpha * log_rho))
-        for i, alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine)
-    }
+    with np.errstate(over="ignore"):  # a W past the double range fails in _normal_moment
+        values = {
+            i: 2.0 * float(w @ np.exp(alpha * log_rho))
+            for i, alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine)
+        }
     return [values[i] for i in range(len(values))]
 
 
@@ -834,7 +832,8 @@ def entropic_moment_numeric(
         return position_moments(params.omega, [(params.lam, alpha)], n, refine)[0]
     _check_order(alpha)
     w, gamma = _momentum_density(params, n, space, refine)
-    return 2.0 * float(w @ np.power(gamma, alpha))
+    with np.errstate(over="ignore"):
+        return 2.0 * float(w @ np.power(gamma, alpha))
 
 
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
@@ -867,7 +866,8 @@ def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, point
     norm = float(w @ dens)
     if abs(norm - 1.0) > _NORM_TOL:
         raise ArithmeticError(f"{space} density normalisation off by {norm - 1.0:.2e}")
-    return _log_moment(float(w @ np.power(dens, alpha)), alpha, params.lam, n)
+    with np.errstate(over="ignore"):
+        return _log_moment(float(w @ np.power(dens, alpha)), alpha, params.lam, n)
 
 
 def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
@@ -875,9 +875,9 @@ def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
 
 
 def _normal_moment(w: float, alpha: float, lam: float, n: int) -> float:
-    """The moment ``w`` if it is a normal double; ``ArithmeticError`` if it is
-    0, which has no logarithm, or subnormal, which has lost digits."""
-    if w >= np.finfo(float).tiny:
+    """The moment ``w`` if it is a finite normal double; ``ArithmeticError`` if it
+    is 0 (no logarithm), subnormal (digits lost) or past the double range."""
+    if np.finfo(float).tiny <= w < math.inf:
         return w
-    fault = f"is subnormal ({w:g})" if w > 0.0 else f"underflows to {w:g}"
+    fault = f"overflows to {w:g}" if w > 1 else f"is subnormal ({w:g})" if w > 0 else f"underflows to {w:g}"
     raise ArithmeticError(f"entropic moment of order {alpha} {fault} at lam={lam}, n={n}")

@@ -74,7 +74,7 @@ def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, st
     pass (:func:`position_moments`), and momentum space takes one profile
     per lambda (:func:`entropic_moment_numeric`), both engine "quadrature";
     quadrature rejects orders that are not positive and finite, and a W
-    that underflows to 0 raises ``ArithmeticError``.
+    outside the normal double range raises ``ArithmeticError``.
     """
     cells = list(cells)
     exact = [space == "position" and a >= 1.0 and float(a).is_integer() for _, a in cells]

@@ -440,14 +440,16 @@ def lattice_nodes(origins, offsets, shape, dtype=float):
     it exact where the terms are multiples of one power of two and their
     sum fits 64 bits)."""
 
-    def side(levels, count):
-        x = np.zeros(1, dtype=dtype)
-        for level in levels:
-            x = (x[:, None] + np.asarray(level, dtype=dtype)).ravel()
-        assert count <= len(x)
-        return x[:count]
+    return (lattice_side(origins, shape[0], dtype)[:, None] + lattice_side(offsets, shape[1], dtype)).ravel()
 
-    return (side(origins, shape[0])[:, None] + side(offsets, shape[1])).ravel()
+
+def lattice_side(levels, count, dtype=float):
+    """The first ``count`` entries of the levels' flattened outer sum, in ``dtype``."""
+    x = np.zeros(1, dtype=dtype)
+    for level in levels:
+        x = (x[:, None] + np.asarray(level, dtype=dtype)).ravel()
+    assert count <= len(x)
+    return x[:count]
 
 
 def reference_ft_sum(n, x, fw, p, dtype=float):
@@ -461,6 +463,43 @@ def reference_ft_sum(n, x, fw, p, dtype=float):
     out = np.empty(len(p), dtype=dtype)
     for i in range(0, len(p), 64):
         out[i : i + 64] = trig(np.multiply.outer(p[i : i + 64], x)) @ fw
+    return out
+
+
+def _long_double_split(a):
+    """a = hi + lo in long double, each with at most 32 significant bits
+    (Dekker's split for a 64-bit significand)."""
+    c = np.longdouble(2**32 + 1) * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def reference_ft_sum_dd(n, origins, offsets, fw, p):
+    """:func:`reference_ft_sum` with phases in double-double (test oracle).
+    Each node X_J + d_b is the long-double two-sum x + x_lo of its sides'
+    sums, exact where those are (one level of doubles, or entries on one
+    grid as in ``lattice_nodes``).  Each p x is Dekker's exact two-product
+    h + e in long double, p and x split in halves of 32 bits, so the phase
+    is h + c, c = e + p x_lo, |c| <= 2^-63 |p x|, and trig(h + c) is taken
+    as trig(h) -+ trig'(h) c: long-double cos and sin reduce h exactly, and
+    the c^2 / 2 left out is below 1e-28 at |p x| < 1e5."""
+    ld = np.longdouble
+    shape = np.shape(fw)
+    X, d = lattice_side(origins, shape[0], ld)[:, None], lattice_side(offsets, shape[1], ld)
+    x = X + d
+    b = x - X
+    x_lo = ((X - (x - b)) + (d - b)).ravel()  # Knuth's two-sum: X + d = x + x_lo
+    x = x.ravel()
+    xh, xl = _long_double_split(x)
+    fw, p = np.asarray(fw, dtype=ld).ravel(), np.asarray(p, dtype=ld)
+    trig, slope = (np.cos, lambda t: -np.sin(t)) if n % 2 == 0 else (np.sin, np.cos)
+    out = np.empty(len(p), dtype=ld)
+    for i in range(0, len(p), 64):
+        q = p[i : i + 64, None]
+        qh, ql = _long_double_split(q)
+        h = q * x
+        c = (((qh * xh - h) + qh * xl + ql * xh) + ql * xl) + q * x_lo
+        out[i : i + 64] = (trig(h) + slope(h) * c) @ fw
     return out
 
 
@@ -702,3 +741,49 @@ def dense_scan_brackets(params, n):
         ["maximum", "minimum"], "mixed",
     )
     return list(zip(grid[i].tolist(), grid[i + 1].tolist(), kinds.tolist()))
+
+
+def batch_tolerances(omega, cells, n):
+    """For each (lam, alpha) of ``cells``, the relative distance the position
+    batch contract allows between the W (or the Shannon entropy at alpha = 1)
+    that one call over all ``cells`` at ``n`` gives it and the one a call of
+    its own gives.  A layout class, (alpha integer, max(alpha, 1)), reads one
+    half line out to its largest cut sqrt(Omega) L, so a cell whose cut that
+    is, as every class of one cell, is exact (0).  The others integrate past
+    their cut: 1e-13, but for cells README's Known limits and ROADMAP item 1
+    mark as under-resolved at refine 1, position Shannon (5e-9) and orders
+    below 1 at n <= 1 and lam / omega >= 1 (5e-7)."""
+    from darboux3.quadrature import position_half_width
+
+    keys, cuts = [], []
+    for lam, alpha in cells:
+        params = ModelParams(omega, lam)
+        keys.append((float(alpha).is_integer(), max(alpha, 1.0)))
+        cuts.append(math.sqrt(effective_frequency(params, n)) * position_half_width(params, n, alpha))
+    longest = {}
+    for key, cut in zip(keys, cuts):
+        longest[key] = max(longest.get(key, 0.0), cut)
+    return [
+        0.0 if cut == longest[key]
+        else 5e-9 if alpha == 1.0
+        else 5e-7 if n <= 1 and alpha < 1.0 and lam >= omega
+        else 1e-13
+        for (lam, alpha), key, cut in zip(cells, keys, cuts)
+    ]
+
+
+def assert_batch_contract(got, want, tolerances, spread=None):
+    """Each of ``got`` equals its ``want`` where its tolerance is 0, and lies
+    within the tolerance of it elsewhere: relative, or with a ``spread``
+    absolute and ``spread`` times as wide (a quantity that moves by at most
+    ``spread`` per relative move of W, such as ln W (1) or an entropy).
+    ``spread`` is one number or one per value (None: relative)."""
+    spreads = spread if isinstance(spread, list) else [spread] * len(got)
+    assert len(got) == len(want) == len(tolerances) == len(spreads)
+    for g, w, tol, spread in zip(got, want, tolerances, spreads):
+        if tol == 0.0:
+            assert g == w
+        elif spread is None:
+            assert g == pytest.approx(w, rel=tol, abs=0.0)
+        else:
+            assert g == pytest.approx(w, rel=0.0, abs=spread * tol)

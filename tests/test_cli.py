@@ -305,6 +305,31 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["renyi", "--omega", "1e4"],
+            ["tsallis", "--omega", "1e4"],
+            ["moment", "--omega", "1e4"],
+            ["renyi", "--space", "momentum", "--omega", "1e-4"],
+            ["renyi", "--omega", "1e4", "--grid-points", "512"],
+        ],
+        ids=["renyi", "tsallis", "moment", "momentum", "user-grid"],
+    )
+    def test_overflowing_moment_exits_3(self, capsys, argv):
+        # W_200.5 is about 1e348, past the double range: no value and one
+        # stderr line (an overflow RuntimeWarning would be an error under the
+        # suite's filter, and print another), while the closed form at
+        # order 200 prints its entropy from ln W
+        code, out, err = run_cli(capsys, *argv, "--alpha", "200.5", "--lambda", "0", "--n", "0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "numeric failure in darboux3.quadrature: "
+            "entropic moment of order 200.5 overflows to inf at lam=0.0, n=0\n"
+        )
+        code, out, err = run_cli(capsys, "renyi", "--omega", "1e4", "--alpha", "200", "--lambda", "0", "--n", "0")
+        assert (code, out, err) == (0, "n,lambda,alpha,space,renyi\n0,0,200,position,-4.01949288787\n", "")
+
+    @pytest.mark.parametrize(
         "order, fault",
         [("800", "is subnormal (5.80785e-311)"), ("2000", "underflows to 0")],
         ids=["800", "2000"],

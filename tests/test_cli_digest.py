@@ -52,3 +52,23 @@ def test_live_digest_matches_the_golden_file():
     ]
     assert not moved, "command lines whose digest moved:\n" + "\n".join(moved)
     assert len(live) == len(golden)
+
+
+def test_rows_print_each_output_row(monkeypatch, capsys):
+    # --rows prints each command line's exit code, then every row of its
+    # stdout, stderr and written files, each prefixed by the command line
+    stdout, written = "energy --lambda 0.4 --n 0,1", "energy --lambda 0,0.4 --n 2 --out {out}/e.csv"
+    monkeypatch.setattr(cli_digest, "_argvs", lambda: [stdout, written, "energy --lambda -0.5"])
+    assert cli_digest.main(["--rows"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert main(stdout.split()) == 0
+    energies = capsys.readouterr().out.splitlines()
+    assert rows[: 1 + len(energies)] == [f"{stdout}  |  exit 0"] + [f"{stdout}  |  stdout  |  {r}" for r in energies]
+    assert rows[1 + len(energies) :] == [
+        f"{written}  |  exit 0",
+        f"{written}  |  e.csv  |  n,lambda,energy",
+        f"{written}  |  e.csv  |  2,0,2.5",
+        f"{written}  |  e.csv  |  2,0.4,1.03553390593",
+        "energy --lambda -0.5  |  exit 2",
+        "energy --lambda -0.5  |  stderr  |  usage error: --lambda values must be non-negative",
+    ]

@@ -34,10 +34,13 @@ from darboux3.quadrature import (
 from darboux3.specfun import hermite_zeros
 
 from conftest import (
+    assert_batch_contract,
+    batch_tolerances,
     lattice_nodes,
     quadrature_entropy,
     reference_fft_scan,
     reference_ft_sum,
+    reference_ft_sum_dd,
     reference_panel_nodes,
     reference_position_moment,
     reference_position_moment_nodes,
@@ -427,14 +430,17 @@ SWEEP_LAMS = [0.0] + [float(v) for v in np.geomspace(1e-3, 1e3, 15)]
 
 
 class TestSweepBatch:
-    """A lambda sweep's tails go through one ``_panel_grid`` call and one
-    Hermite pass, and every value is the one a call of its own gives."""
+    """A lambda sweep's class reads one half line, laid out by one
+    ``_panel_grid`` call and evaluated by one Hermite pass, and every value
+    keeps the batch contract (``conftest.batch_tolerances``) against the one
+    a call of its own gives."""
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
     def test_batch_equals_cells(self, n, omega):
-        # the sweep evaluates the first lambda's whole half line, then every
-        # other tail together.  At n = 200 the Hermite recurrence rescales.
+        # the sweep evaluates one half line, out to the cut of the lambda
+        # that sets it: that cell is exact, the others integrate past their
+        # own cut.  At n = 200 the Hermite recurrence rescales.
         for refine in (1, 2):
             for alpha in (0.3, 0.714, 1.0, 2.567, 3.0):
                 column = [(lam, alpha) for lam in SWEEP_LAMS]
@@ -443,13 +449,30 @@ class TestSweepBatch:
                     entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
                     for lam in SWEEP_LAMS
                 ]
-                assert sweep == cells
+                assert_batch_contract(sweep, cells, batch_tolerances(omega, column, n))
             sweep = list(quadrature.position_shannons(omega, SWEEP_LAMS, n, refine))
             cells = [
                 shannon_numeric(ModelParams(omega, lam), n, "position", refine)
                 for lam in SWEEP_LAMS
             ]
-            assert sweep == cells
+            column = [(lam, 1.0) for lam in SWEEP_LAMS]
+            assert_batch_contract(sweep, cells, batch_tolerances(omega, column, n))
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 33])
+    def test_column_evaluates_one_line(self, monkeypatch, n):
+        # a 16-lambda column's one Hermite pass takes its class's head and
+        # one tail: the nodes a call of its own gives the lambda whose cut
+        # is the largest
+        column = [(lam, 0.714) for lam in SWEEP_LAMS]
+        [owner] = [lam for (lam, _), tol in zip(column, batch_tolerances(1.0, column, n)) if tol == 0.0]
+        hermite = _spy(monkeypatch, "hermite_sign_logabs")
+        grids = _spy(monkeypatch, "_panel_grid")
+        quadrature.position_moments(1.0, column, n)
+        assert len(hermite) == len(grids) == 1
+        y = hermite[0][1]
+        assert np.count_nonzero(grids[0][0] == 0.0) == 1  # one head
+        assert np.count_nonzero(grids[0][0] == (float(hermite_zeros(n)[-1]) if n else 0.0)) == 1  # one tail
+        assert np.array_equal(y, _log_density(ModelParams(1.0, owner), n, 0.714, 1)[0])
 
     @pytest.mark.parametrize("n", [0, 7])
     def test_sweeps_take_an_iterator(self, monkeypatch, n):
@@ -492,10 +515,10 @@ class TestSweepBatch:
         assert len(hermite) == len(ns.split(","))
 
     def test_chunks_give_the_same_bytes(self, monkeypatch, capsys):
-        # a node budget of 500 holds one to three cells: each n's grid goes
-        # through in several passes, each class's head leading its first tail
-        # in each, with the same output.  A pass closes once it holds 500
-        # nodes, so it holds fewer than 500 and one cell's head and tail.
+        # a node budget of 500 holds one class's half line or two: each n's
+        # grid goes through in several passes, each line whole in one, with
+        # the same output.  A pass closes once it holds 500 nodes, so it
+        # holds fewer than 500 and one line, no longer than a cell's own.
         from darboux3 import cli
 
         argv = ["renyi", "--alpha", "0.3,0.714,2.567", "--lambda", "0:30:2", "--n", "0,7"]
@@ -511,7 +534,7 @@ class TestSweepBatch:
         monkeypatch.setattr(quadrature, "_PASS_NODES", 500)
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == whole
-        assert len(hermite) >= 2 * 3 * 5
+        assert len(hermite) > 2  # 2 n, each with two classes
         assert max(len(args[1]) for args in hermite) < 500 + cell
 
 
@@ -521,14 +544,15 @@ ROW_ORDERS = (0.3, 0.5, 4.0 / 7.0, 0.714, 0.8, 1.25, 1.5, 1.75, 2.567)
 
 class TestRowPass:
     """The (lam, alpha) cells of a table row share one ``_panel_grid`` call
-    and one Hermite pass, whatever their layout classes, and every value is
-    the one a call of its own gives."""
+    and one Hermite pass, whatever their layout classes, and every value
+    keeps the batch contract against the one a call of its own gives."""
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
     def test_row_equals_cells(self, monkeypatch, n, omega):
-        # each class's head leads its first tail; a budget of 500 nodes or 1
-        # splits the row into several passes
+        # each class's half line is laid out once; a budget of 500 nodes or 1
+        # splits the row into several passes, and the reversed row gives
+        # the same values, bit for bit.  The orders below 1 share a class.
         lam = 0.4
         row = [(lam, alpha) for alpha in ROW_ORDERS]
         for refine in (1, 2):
@@ -536,9 +560,13 @@ class TestRowPass:
                 entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
                 for alpha in ROW_ORDERS
             ]
+            values = []
             for budget in (2**16, 500, 1):
                 monkeypatch.setattr(quadrature, "_PASS_NODES", budget)
-                assert quadrature.position_moments(omega, row, n, refine) == cells
+                values.append(quadrature.position_moments(omega, row, n, refine))
+            values.append(quadrature.position_moments(omega, row[::-1], n, refine)[::-1])
+            assert values[1] == values[2] == values[3] == values[0]
+            assert_batch_contract(values[0], cells, batch_tolerances(omega, row, n))
 
     @pytest.mark.parametrize("n", [0, 7])
     def test_row_makes_one_pass(self, monkeypatch, n):
@@ -552,36 +580,40 @@ class TestRowPass:
 
     def test_interleaved_classes_lead_once(self, monkeypatch):
         # 20 classes interleaved lambda by lambda, as a CLI grid lists them:
-        # each class's head is evaluated once in the call, so the pass takes
-        # the Hermite points of 20 columns, and every value is the one-cell value
+        # each class's half line is evaluated once in the call, so the pass
+        # takes the Hermite points of 20 columns, every value is its
+        # column's, and within the batch contract of its one-cell value
         orders = [1.05 + 0.1 * k for k in range(20)]
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        for a in orders:
-            quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6)
-        columns = sum(len(args[1]) for args in hermite)
+        columns = [quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6) for a in orders]
+        points = sum(len(args[1]) for args in hermite)
         hermite.clear()
         grid = [(lam, a) for lam in lams for a in orders]
         values = quadrature.position_moments(1.0, grid, 6)
-        assert len(hermite) == 1 and len(hermite[0][1]) == columns
-        assert values == [entropic_moment_numeric(ModelParams(1.0, lam), 6, a) for lam, a in grid]
+        assert len(hermite) == 1 and len(hermite[0][1]) == points
+        assert values == [column[j] for j in range(len(lams)) for column in columns]
+        cells = [entropic_moment_numeric(ModelParams(1.0, lam), 6, a) for lam, a in grid]
+        assert_batch_contract(values, cells, batch_tolerances(1.0, grid, 6))
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_mixed_kinds_give_the_cells(self, monkeypatch, n):
         # integer orders map no cusps: the fractional classes take one pass
         # and the integer ones another, whatever the order of the cells
         orders = [0.5, 1.0, 2.0, 1.5, 3.0, 0.714, 2.567, 4.0]
+        row = [(0.4, a) for a in orders]
         cells = [entropic_moment_numeric(ModelParams(1.0, 0.4), n, a, "position") for a in orders]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        assert quadrature.position_moments(1.0, [(0.4, a) for a in orders], n) == cells
+        values = quadrature.position_moments(1.0, row, n)
         assert len(hermite) == 2
+        assert quadrature.position_moments(1.0, row[::-1], n)[::-1] == values
+        assert_batch_contract(values, cells, batch_tolerances(1.0, row, n))
 
     def test_small_budget_leads_each_class_once_per_pass(self, monkeypatch):
-        # 12 classes of both kinds, interleaved lambda by lambda as a CLI grid
-        # lists them, under a budget of 3000 nodes: the passes take the cells
-        # class by class, and each pass lays out the head of every class it
-        # holds once (the segments from 0; its tails start at z_last), with
-        # the unsplit values
+        # 10 classes of both kinds, interleaved lambda by lambda as a CLI grid
+        # lists them, under a budget of 3000 nodes: the passes take the
+        # classes' half lines whole, each laid out once in the call (a head
+        # from 0 and one tail from z_last), with the unsplit values
         n, lams = 6, [0.0, 0.4, 3.0, 30.0]
         orders = [0.3, 2.0, 1.25, 0.8, 3.0, 1.5, 2.567, 1.0, 4.0, 1.05, 3.5, 0.6]
         grid = [(lam, a) for lam in lams for a in orders]
@@ -590,12 +622,10 @@ class TestRowPass:
         monkeypatch.setattr(quadrature, "_PASS_NODES", 3000)
         assert quadrature.position_moments(1.0, grid, n) == whole
         z_last = float(hermite_zeros(n)[-1])
-        classes = sorted((a.is_integer(), max(a, 1.0)) for _, a in grid)  # in pass order
-        for starts, *_ in grids:
-            tails = np.count_nonzero(starts == z_last)
-            held, classes = classes[:tails], classes[tails:]
-            assert np.count_nonzero(starts == 0.0) == len(set(held))
-        assert not classes and len(grids) > 3
+        heads = [np.count_nonzero(starts == 0.0) for starts, *_ in grids]
+        tails = [np.count_nonzero(starts == z_last) for starts, *_ in grids]
+        assert heads == tails and sum(heads) == len({(a.is_integer(), max(a, 1.0)) for a in orders})
+        assert len(grids) > 2  # more passes than kinds
 
     def test_calls_keep_nothing(self, monkeypatch):
         # a second call lays out and evaluates the first call's panels again
@@ -945,15 +975,16 @@ class TestFourierTransform:
 
 class TestTransformKernel:
     """The angle-addition kernel against the direct sum it replaced and
-    against the same sum in long double."""
+    against the same sum in long double, its phases in double-double."""
 
     EPS = np.finfo(float).eps
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_lattices_against_oracles(self, seed):
         # one level a side: the kernel is within 4 eps sum|fw| of the
-        # long-double sum; the direct double sum also rounds each phase
-        # p x, by up to eps |p x|
+        # long-double sum of exact phases (|p x| reaches 5e4, where a
+        # long-double product p x alone is off by up to 2.7e-15); the direct
+        # double sum also rounds each phase p x, by up to eps |p x|
         rng = np.random.default_rng(seed)
         blocks, width = rng.integers(1, 50, size=2)
         scale = 10.0 ** rng.uniform(-1.0, 3.0)
@@ -973,9 +1004,8 @@ class TestTransformKernel:
         # last level's first row, within 4 eps sum|fw| of the long-double
         # sum over the levels' outer sums.  The level entries are multiples
         # of 2^-52 of a power of two past them all, so that every node, a
-        # sum of up to six of them, is exact in long double; and |p x| stays
-        # below about 2e3, where the long-double phase, rounded to
-        # 2^-64 |p x|, is within eps / 2 of p x
+        # sum of up to six of them, is exact in long double, as the
+        # double-double phases need
         rng = np.random.default_rng(100 + seed)
         scale = 10.0 ** rng.uniform(-1.0, 1.0)
         quantum = 2.0 ** (math.ceil(math.log2(scale)) - 52)
@@ -992,16 +1022,15 @@ class TestTransformKernel:
 
     def _against_long_double(self, rng, seed, origins, offsets, shape):
         """Random weights and momenta on the lattice; each row's kernel
-        sum, alone and stacked, against the long-double sum.  Returns the
-        weights, the momenta and each row's (n, sum)."""
+        sum, alone and stacked, against the long-double sum with exact
+        phases.  Returns the weights, the momenta and each row's (n, sum)."""
         fw = rng.standard_normal((2,) + shape) * np.exp(rng.uniform(-3, 3, (shape[0], 1)))
         p = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 40)])
-        x_ld = lattice_nodes(origins, offsets, shape, np.longdouble)
         stacked = _ft_component((seed, seed + 1), origins, offsets, fw, p)
         sums = []
         for row, n in enumerate((seed, seed + 1)):
             g = _ft_component(n, origins, offsets, fw[row], p)
-            oracle = reference_ft_sum(n, x_ld, fw[row], p, np.longdouble)
+            oracle = reference_ft_sum_dd(n, origins, offsets, fw[row], p)
             for got in (g, stacked[row]):
                 assert np.max(np.abs(got - oracle)) <= 4.0 * self.EPS * np.abs(fw[row]).sum()
             if n % 2:  # the odd sum at p = 0 is +0

@@ -17,6 +17,8 @@ from darboux3 import cli, uncertainty
 from darboux3.quadrature import entropic_moment_numeric, grid_log_moment, shannon_numeric
 from darboux3.uncertainty import _entropies, _xi_slacks
 
+from conftest import assert_batch_contract, batch_tolerances
+
 RENYI_TABLE_ALPHAS = (0.6, 0.7, 0.8, 0.9, 1.125, 4.0 / 3.0, 1.75, 3.0)
 
 
@@ -49,14 +51,19 @@ class TestLogMoment:
     @pytest.mark.parametrize("space", ["position", "momentum"])
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     def test_sweep_equals_cells(self, omega, space):
-        # every cell of a sweep has the ln W of a one-cell call, to the bit,
-        # and the same engine
+        # every cell of a sweep has the engine of a one-cell call and its
+        # ln W: to the bit in momentum space (one profile per lambda), and
+        # in position space within the batch contract (ln W moves by the
+        # relative move of W)
         lams = [0.0, 0.05, 0.4, 2.0, 7.5] + ([30.0, 1e3] if space == "position" else [])
         for n in (0, 1, 6):
             for alpha in (0.3, 0.714, 1.0, 2.0, 2.567, 3.0):
-                log_ws = log_moments(omega, [(lam, alpha) for lam in lams], n, space)
-                cells = [log_moments(omega, [(lam, alpha)], n, space)[0] for lam in lams]
-                assert log_ws == cells
+                column = [(lam, alpha) for lam in lams]
+                log_ws = log_moments(omega, column, n, space)
+                cells = [log_moments(omega, [cell], n, space)[0] for cell in column]
+                assert [e for _, e in log_ws] == [e for _, e in cells]
+                tolerances = batch_tolerances(omega, column, n) if space == "position" else [0.0] * len(lams)
+                assert_batch_contract([v for v, _ in log_ws], [v for v, _ in cells], tolerances, spread=1.0)
 
     @pytest.mark.parametrize("space", ["position", "momentum"])
     def test_sweep_rejects_bad_order(self, space):
@@ -75,6 +82,21 @@ class TestLogMoment:
             grid_log_moment(ModelParams(1.0, 0.4), 0, alpha, space, 512, None)
         [(log_w, engine)] = log_moments(1.0, [(0.4, 2000.0)], 0, "position")
         assert engine == "analytic" and log_w / (1.0 - 2000.0) == pytest.approx(0.891853528008)
+
+    @pytest.mark.parametrize("space, omega", [("position", 1e4), ("momentum", 1e-4)])
+    def test_overflowing_moment_raises(self, space, omega):
+        # the density peaks near 56 (omega^(1/2) / pi^(1/2) in position
+        # space, omega^(-1/2) / pi^(1/2) in momentum space), so W_200.5 is
+        # about 1e348: past the double range, though ln W is not.  It fails
+        # as an underflow does, on the library's grid and a user's, with no
+        # overflow warning; the closed form at 200 gives ln W itself
+        message = r"^entropic moment of order 200\.5 overflows to inf at lam=0\.0, n=0$"
+        with pytest.raises(ArithmeticError, match=message):
+            log_moments(omega, [(0.0, 2.0), (0.0, 200.5)], 0, space)
+        with pytest.raises(ArithmeticError, match=message):
+            grid_log_moment(ModelParams(omega, 0.0), 0, 200.5, space, 512, None)
+        [(log_w, engine)] = log_moments(1e4, [(0.0, 200.0)], 0, "position")
+        assert engine == "analytic" and log_w / (1.0 - 200.0) == pytest.approx(-4.01949288787)
 
     @pytest.mark.parametrize("space, alpha", [("position", 800.5), ("momentum", 2150.0)])
     def test_subnormal_moment_raises(self, space, alpha):
@@ -119,7 +141,9 @@ class TestEntropy:
 
 class TestCellLists:
     """A list of (lam, alpha) cells at one n gives each cell its one-cell
-    value, to the bit, whatever the mix of engines in the list."""
+    engine and value, whatever the mix of engines in the list: to the bit
+    but for position quadrature cells, which keep the batch contract
+    (``conftest.batch_tolerances``) on their W."""
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("kind", ["renyi", "tsallis"])
@@ -130,10 +154,16 @@ class TestCellLists:
         one = xi_renyi if kind == "renyi" else xi_tsallis
         cells = [(lam, a) for lam in (0.0, 0.4, 2.0, 7.0) for a in orders]
         args = argparse.Namespace(omega=omega, command=f"xi-{kind}")
+        # a relative move e of the position W moves a Rényi slack by
+        # e / |1 - alpha| <= 4 e, and a Tsallis slack by
+        # (alpha / pi)^(1 / (4 alpha)) W^(1 / (2 alpha)) e / (2 alpha) < 2 e here
         for n in (0, 3):
             want = [one(ModelParams(omega, lam), n, a) for lam, a in cells]
-            assert _xi_slacks(omega, cells, n, kind) == want
-            assert cli._xi_block(args, n, cells) == [[[r.value, r.position_method]] for r in want]
+            got = _xi_slacks(omega, cells, n, kind)
+            assert [r.position_method for r in got] == [r.position_method for r in want]
+            tolerances = batch_tolerances(omega, cells, n)
+            assert_batch_contract([r.value for r in got], [r.value for r in want], tolerances, spread=4.0)
+            assert cli._xi_block(args, n, cells) == [[[r.value, r.position_method]] for r in got]
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("space", ["position", "momentum"])
@@ -148,9 +178,11 @@ class TestCellLists:
         for n in (0, 3):
             want = [shannon_numeric(ModelParams(omega, lam), n, space) for lam in lams]
             passes.clear()
-            assert cli._shannon_block(args, n, [(lam, None) for lam in lams]) == [
-                [[space, s]] for s in want
-            ]
+            rows = cli._shannon_block(args, n, [(lam, None) for lam in lams])
+            assert [row[0][0] for row in rows] == [space] * len(lams)
+            tolerances = batch_tolerances(omega, [(lam, 1.0) for lam in lams], n)
+            assert_batch_contract([row[0][1] for row in rows], want, tolerances if space == "position"
+                                  else [0.0] * len(lams))
             assert len(passes) == (space == "position")
 
     @pytest.mark.parametrize("omega", [1.0, 0.37])
@@ -159,7 +191,11 @@ class TestCellLists:
         cells = [(lam, a) for lam in (0.0, 0.4, 2.0) for a in (0.6, 1.0, 2.0, 2.5)]
         for n in (0, 3):
             want = [entropy(ModelParams(omega, lam), n, a, space, "tsallis") for lam, a in cells]
-            assert _entropies(omega, cells, n, space, "tsallis") == want
+            tolerances = batch_tolerances(omega, cells, n) if space == "position" else [0.0] * len(cells)
+            # a relative move e of W moves (1 - W) / (alpha - 1) by W e / |alpha - 1|;
+            # Shannon (order 1) keeps its relative bound
+            spread = [None if a == 1.0 else abs(1.0 / (a - 1.0) - t) for (_, a), t in zip(cells, want)]
+            assert_batch_contract(_entropies(omega, cells, n, space, "tsallis"), want, tolerances, spread)
 
 
 class TestConjugateOrder:

@@ -16,10 +16,18 @@ codes agree, so comparing the outputs of
 with ``diff`` lists every command line whose output moved.  The whole list
 takes a few seconds on one core.  ``tests/cli_digest.txt`` is this output
 under a header, and the test suite diffs the live digest against it.
+
+With ``--rows`` it prints each command line's output itself instead:
+
+    <argv>  |  exit <code>
+    <argv>  |  <stdout, stderr or a written file's name>  |  <one row>
+
+so ``diff`` of two checkouts' ``--rows`` output lists the rows that moved.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -147,8 +155,9 @@ def _argvs() -> list[str]:
     return lines
 
 
-def digest_line(argv: str) -> str:
-    """Run one command line in-process; its digest, exit code and argv."""
+def _run(argv: str) -> tuple[int, list[tuple[str, bytes]]]:
+    """Run one command line in-process: its exit code, and its stdout,
+    stderr and every file written, by name, as (name, bytes)."""
     from darboux3 import cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,17 +167,37 @@ def digest_line(argv: str) -> str:
                 code = cli.main(argv.replace("{out}", tmp).split())
             except SystemExit as exc:  # --help
                 code = exc.code
-        h = hashlib.sha256()
-        for part in (out.getvalue(), err.getvalue()):
-            h.update(part.replace(tmp, "{out}").encode() + b"\0")
-        for path in sorted(Path(tmp).rglob("*")):
-            h.update(path.relative_to(tmp).as_posix().encode() + b"\0" + path.read_bytes())
+        parts = [(name, text.getvalue().replace(tmp, "{out}").encode()) for name, text in
+                 (("stdout", out), ("stderr", err))]
+        parts += [(path.relative_to(tmp).as_posix(), path.read_bytes()) for path in sorted(Path(tmp).rglob("*"))]
+    return code, parts
+
+
+def digest_line(argv: str) -> str:
+    """Run one command line in-process; its digest, exit code and argv."""
+    code, parts = _run(argv)
+    h = hashlib.sha256()
+    for i, (name, data) in enumerate(parts):  # stdout and stderr, then the files
+        h.update(data + b"\0" if i < 2 else name.encode() + b"\0" + data)
     return f"{h.hexdigest()}  {code}  {argv}"
 
 
-def main() -> int:
+def row_lines(argv: str) -> list[str]:
+    """Run one command line in-process; its exit code and output rows, each
+    prefixed by the command line and where it was written."""
+    code, parts = _run(argv)
+    rows = [f"{argv}  |  exit {code}"]
+    for name, data in parts:
+        rows += [f"{argv}  |  {name}  |  {row}" for row in data.decode(errors="replace").splitlines()]
+    return rows
+
+
+def main(args: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", action="store_true", help="print the output rows instead of their digest")
+    rows = parser.parse_args(args).rows
     for argv in _argvs():
-        print(digest_line(argv), flush=True)
+        print("\n".join(row_lines(argv)) if rows else digest_line(argv), flush=True)
     return 0
 
 
