@@ -2,9 +2,9 @@
 
 No closed form exists for the transform of the deformed states, so the
 momentum density is tabulated on structure-aware quadrature nodes (panels
-split at the transform zeros, probed tail cut).  Increasing lam localises
-the momentum density and lowers its entropies; for large lam two side
-lobes appear.
+split at the transform zeros, cut where the transform's tail law puts it).
+Increasing lam localises the momentum density and lowers its entropies;
+for large lam two side lobes appear.
 """
 
 import numpy as np

@@ -25,8 +25,8 @@ import numpy as np
 from .model import ModelParams, density_position, effective_frequency, energy
 from .position_entropy import BudgetExceededError, entropic_moment
 from .quadrature import (
+    _exp_moment,
     _momentum_cut,
-    _normal_moment,
     fourier_transform,
     grid_log_moment,
     position_half_width,
@@ -206,7 +206,7 @@ def _entropy_block(args, n, cells):
 
 def _moment_block(args, n, cells):
     return [
-        [[args.space, _normal_moment(math.exp(v), a, lam, n)]]
+        [[args.space, _exp_moment(v, a, lam, n)]]
         for v, (lam, a) in zip(_log_moments(args, n, cells), cells)
     ]
 

@@ -77,12 +77,20 @@ def effective_frequency(params: ModelParams, n: int) -> float:
 
     The radicand is the perfect square (sqrt(lam^2 m^2 + omega^2) - lam m)^2
     with m = n + 1/2, so Omega_n = omega^2 / (sqrt(lam^2 m^2 + omega^2)
-    + lam m) exactly; that stable form is used here.
+    + lam m) exactly; that stable form is used here, and where it overflows
+    (omega > 1.34e154) at (omega, lam) 2^-k, omega 2^-k in [1/2, 1), times 2^k.
     """
     _check_level(n)
     m = n + 0.5
-    root = math.sqrt((params.lam * m) ** 2 + params.omega**2)
-    return params.omega**2 / (root + params.lam * m)
+    try:
+        den = math.sqrt((params.lam * m) ** 2 + params.omega**2) + params.lam * m
+    except OverflowError:  # a square past the double range
+        den = math.inf
+    if den < math.inf:
+        return params.omega**2 / den
+    k = math.frexp(params.omega)[1]
+    om, lam_m = math.ldexp(params.omega, -k), math.ldexp(params.lam * m, -k)
+    return math.ldexp(om**2 / (math.sqrt(lam_m**2 + om**2) + lam_m), k)
 
 
 def log_norm_constant(params: ModelParams, n: int) -> float:

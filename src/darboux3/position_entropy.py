@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .model import ModelParams, effective_frequency
+from .quadrature import _exp_moment
 
 __all__ = [
     "ExpansionCoefficients",
@@ -158,8 +159,19 @@ def _hermite_power(n: int, alpha: int) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=512)
-def _expansion_cached(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
+def expansion_coefficients(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
+    """Coefficients c_0..c_(j_max) and prefactor A of the Hermite-power
+    expansion of H_n^(2 alpha).
+
+    The harmonic case of :func:`entropic_moment_special` reads c_0; larger
+    ``j_max`` supports the pointwise reconstruction of the density power
+    itself.
+    """
+    if n < 0:
+        raise ValueError("quantum number must be non-negative")
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
+    alpha, j_max = _check_alpha_int(alpha), int(j_max)
     _check_budget(n, alpha, j_max)
     nu = parity_nu(n)
     q = _hermite_power(n, alpha)
@@ -178,21 +190,6 @@ def _expansion_cached(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
         )
         c_exact.append(Fraction((-4) ** j * math.factorial(j) * alpha ** (alpha * nu) * s, den))
     return ExpansionCoefficients(n=n, alpha=alpha, nu=nu, A=big_a, c_exact=tuple(c_exact))
-
-
-def expansion_coefficients(n: int, alpha: int, j_max: int) -> ExpansionCoefficients:
-    """Coefficients c_0..c_(j_max) and prefactor A of the Hermite-power
-    expansion of H_n^(2 alpha).
-
-    The harmonic case of :func:`entropic_moment_special` reads c_0; larger
-    ``j_max`` supports the pointwise reconstruction of the density power
-    itself.
-    """
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    if j_max < 0:
-        raise ValueError("j_max must be non-negative")
-    return _expansion_cached(n, _check_alpha_int(alpha), int(j_max))
 
 
 @lru_cache(maxsize=512)
@@ -241,8 +238,9 @@ def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
 
 
 def entropic_moment(params: ModelParams, n: int, alpha) -> float:
-    """Closed-form entropic moment W = integral rho_n^alpha dx, alpha integer >= 1."""
-    return math.exp(log_entropic_moment(params, n, alpha))
+    """Closed-form entropic moment W = integral rho_n^alpha dx, alpha integer >= 1;
+    a W outside the normal double range raises ``ArithmeticError`` (:func:`_exp_moment`)."""
+    return _exp_moment(log_entropic_moment(params, n, alpha), alpha, params.lam, n)
 
 
 def entropic_moment_special(params: ModelParams, n: int, alpha, case: str) -> float:

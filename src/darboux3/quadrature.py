@@ -13,8 +13,8 @@ panels touching each zero get a cubic endpoint map (x = x0 + w u^3), which
 restores spectral convergence.  :func:`_panel_grid` lays out these panels,
 the momentum profile's and the equal ones of :func:`grid_log_moment`; :func:`_gl_blocks`
 lays out the equal-panel lattices of the phi_n transform and of
-:func:`fourier_transform` on a :class:`GridSpec`.  Both use array
-operations.  Position moments integrate in y = sqrt(Omega) x, where
+:func:`fourier_transform` on a :class:`GridSpec` (:func:`_lattice_transform`
+sums them).  Both use array operations.  Position moments integrate in y = sqrt(Omega) x, where
 rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
 lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
 enters only through that factor and the cut, so the panels up to the last
@@ -40,10 +40,10 @@ Fourier transform
 Psi_n has parity (-1)^n, so its transform (2 pi)^(-1/2) integral
 e^(-ipx) Psi_n(x) dx is the cos transform for even n and -i times the sin
 transform for odd n.  One kernel, :func:`_ft_component`, computes the
-parity-allowed trig sum; :func:`fourier_transform`, the momentum profile
-(its zero refinement and its final sum) and the strong-nonlinearity
-transform of phi_n all call it, so a transform is exactly real (even n) or
-exactly imaginary (odd n) by construction.
+parity-allowed trig sum: the momentum profile calls it for its zero
+refinement and final sum, and the one assembly, :func:`_lattice_transform`,
+for :func:`fourier_transform` and the transform of phi_n, so a transform is
+exactly real (even n) or exactly imaginary (odd n) by construction.
 
 The kernel sums over a separable node lattice x = X_J + d_b, the index split
 j = J B + b of Cooley & Tukey (Math. Comp. 19, 1965), and splits each side
@@ -123,6 +123,7 @@ _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
 _PASS_NODES = 2**16  # position head and tail nodes one Hermite pass takes at most
 _TWO_BANDS = 2**16  # shortest single zero-scan FFT that two bands may replace
+_LOG_MAX = math.log(np.finfo(float).max)  # e^x overflows past it
 
 _GL_U, _GL_W = leggauss(_ORDER)
 _GL_U, _GL_W = (_GL_U + 1.0) / 2.0, _GL_W / 2.0  # Gauss-Legendre nodes/weights on [0, 1]
@@ -557,21 +558,20 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     kernel sum over the trapezoid lattice ``origins`` + ``offsets`` with
     weighted wavefunction ``fw``, bracketed by the :func:`_zero_scan`.
 
-    Sign flips whose neighbourhood sits at the quadrature noise floor are
-    underflow artefacts, not zeros.  Every kept bracket is refined at once
-    by :func:`~darboux3.specfun.bracketed_newton`, with g and
-    g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until
-    |g| is within the kernel's rounding bound, eps ((B + J) / 2 + 12)
-    sum |fw| (:func:`_ft_component`).  The brackets are disjoint scan cells in
+    A sign flip of the scan's kernel sums g is kept where some |g| near it
+    passes the kernel's rounding bound, eps ((B + J) / 2 + 12) sum |fw|
+    (:func:`_ft_component`), and 1e-13 max |g|, which drops real far-tail
+    sign changes of no weight.  Every kept bracket is refined at once by
+    :func:`~darboux3.specfun.bracketed_newton`, with g and
+    g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until |g|
+    is within the rounding bound.  The brackets are disjoint scan cells in
     order, none at p = 0 (g(0) = 0 exactly for odd n), and a root leaves
     its bracket only by its last step, at most bound / |g'|: the zeros come
     out positive and increasing.  The cut keeps L_p the last layout bound.
     """
     scan, vals = _zero_scan(n, origins, offsets, fw, p_feat, L_p)
-    vals *= _SQRT_2_OVER_PI
-    abs_fw = float(np.sum(np.abs(fw)))
-    i = _sign_flips(vals, max(1e-13 * float(np.max(np.abs(vals))), 50.0 * 1e-16 * abs_fw))
-    bound = np.finfo(float).eps * (0.5 * sum(fw.shape) + 12.0) * abs_fw
+    bound = np.finfo(float).eps * (0.5 * sum(fw.shape) + 12.0) * float(np.sum(np.abs(fw)))
+    i = _sign_flips(vals, max(1e-13 * float(np.max(np.abs(vals))), bound))
     pair = np.stack([fw, _lattice_nodes(origins, offsets, fw.shape) * fw])
     slope_sign = 1.0 if n % 2 else -1.0  # g' = -+ the kernel sum of x fw
 
@@ -739,8 +739,7 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
     it underresolves the phase.  A NaN or infinite momentum raises
     ``ValueError``.
     """
-    pa = _momenta(p)
-    p_max = float(np.max(np.abs(pa), initial=0.0))
+    pa, p_max = _momenta(p)
     if grid_x is None:
         lattice = _ft_x_nodes(params, n, p_max)
         scale = _SQRT_2_OVER_PI
@@ -754,8 +753,17 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
                 f"p*L/points = {p_max * L / grid_x.points:.2f} > 0.5",
                 stacklevel=2,
             )
-    fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
-    return _with_parity_phase(n, scale * _ft_component(n, *lattice[:2], fw, pa), p)
+    return _lattice_transform(n, lambda x: wavefunction(params, n, x), lattice, pa, p, scale)
+
+
+def _lattice_transform(n: int, f, lattice, pa: np.ndarray, p, scale: float = _SQRT_2_OVER_PI):
+    """The one transform assembly: g = ``scale`` ((2 pi)^(-1/2), doubled on a half line) times
+    the kernel sum of ``f`` on ``lattice`` at the :func:`_momenta` ``pa``, and g (even n) or
+    -i g (odd n), +0 as the zero part, in the shape of ``p`` (complex for scalar ``p``)."""
+    fw = _lattice_values(f, *lattice)
+    g = scale * _ft_component(n, *lattice[:2], fw, pa)
+    out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # -1j * 0.0 has imaginary part -0.0
+    return out.reshape(np.shape(p)) if np.ndim(p) else complex(out[0])
 
 
 def _lattice_values(f, origins, offsets, weights):
@@ -764,22 +772,14 @@ def _lattice_values(f, origins, offsets, weights):
     return weights * np.asarray(f(x)).reshape(weights.shape)
 
 
-def _momenta(p) -> np.ndarray:
-    """The momenta ``p`` as a flat float array for the kernel; a NaN or
-    infinite momentum raises ``ValueError``."""
+def _momenta(p) -> tuple[np.ndarray, float]:
+    """The momenta ``p`` as a flat float array for the kernel, and their
+    largest |p| (0 for none); a NaN or infinite momentum raises ``ValueError``."""
     pa = np.asarray(p, dtype=float).ravel()
     bad = pa[~np.isfinite(pa)]
     if len(bad):
         raise ValueError(f"momentum must be finite, got p={bad[0]}")
-    return pa
-
-
-def _with_parity_phase(n: int, g: np.ndarray, p):
-    """The transform from its parity-allowed part ``g`` at the flattened
-    momenta ``p``: g for even n, -i g for odd n, with +0 (not -0) as the
-    zero part, in the shape of ``p`` (complex for scalar ``p``)."""
-    out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # -1j * 0.0 has imaginary part -0.0
-    return out.reshape(np.shape(p)) if np.ndim(p) else complex(out[0])
+    return pa, float(np.max(np.abs(pa), initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -867,17 +867,21 @@ def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, point
     if abs(norm - 1.0) > _NORM_TOL:
         raise ArithmeticError(f"{space} density normalisation off by {norm - 1.0:.2e}")
     with np.errstate(over="ignore"):
-        return _log_moment(float(w @ np.power(dens, alpha)), alpha, params.lam, n)
+        return math.log(_normal_moment(float(w @ np.power(dens, alpha)), alpha, params.lam, n))
 
 
-def _log_moment(w: float, alpha: float, lam: float, n: int) -> float:
-    return math.log(_normal_moment(w, alpha, lam, n))
+def _exp_moment(log_w: float, alpha: float, lam: float | None = None, n: int | None = None) -> float:
+    """W = e^(ln W) by :func:`_normal_moment`'s rule, ln W past ln(max double) an overflow; without
+    ``lam`` and ``n`` (Tsallis) a W below the normal range passes and an overflow names the order."""
+    w = math.exp(log_w) if log_w <= _LOG_MAX else math.inf
+    return w if lam is None and w < math.inf else _normal_moment(w, alpha, lam, n)
 
 
-def _normal_moment(w: float, alpha: float, lam: float, n: int) -> float:
+def _normal_moment(w: float, alpha: float, lam: float | None = None, n: int | None = None) -> float:
     """The moment ``w`` if it is a finite normal double; ``ArithmeticError`` if it
     is 0 (no logarithm), subnormal (digits lost) or past the double range."""
     if np.finfo(float).tiny <= w < math.inf:
         return w
     fault = f"overflows to {w:g}" if w > 1 else f"is subnormal ({w:g})" if w > 0 else f"underflows to {w:g}"
-    raise ArithmeticError(f"entropic moment of order {alpha} {fault} at lam={lam}, n={n}")
+    at = "" if lam is None else f" at lam={lam}, n={n}"
+    raise ArithmeticError(f"entropic moment of order {alpha} {fault}{at}")

@@ -12,8 +12,8 @@ small the wave function is well approximated by the induced part alone,
 
 whose Fourier transform has Dawson-function closed forms for n = 0..3
 (:func:`approx_momentum_closed`).  :func:`g_series_transform` computes it
-for any n with the package's one transform kernel,
-:func:`~darboux3.quadrature._ft_component`, over equal half-line
+for any n with the package's one transform assembly,
+:func:`~darboux3.quadrature._lattice_transform`, over equal half-line
 Gauss-Legendre panels on [0, L] (L as for the momentum engine's nodes),
 each spanning at most pi of phase p x and each one block of the kernel's
 lattice.  The |x| factor gives phi_n a kink at x = 0, so the
@@ -68,15 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, effective_frequency, wavefunction
-from .quadrature import (
-    _SQRT_2_OVER_PI,
-    _ft_component,
-    _gl_blocks,
-    _lattice_values,
-    _momenta,
-    _with_parity_phase,
-    position_half_width,
-)
+from .quadrature import _gl_blocks, _lattice_transform, _momenta, position_half_width
 from .specfun import bracketed_newton, dawson_vec, hermite_pair_scaled, hermite_zeros
 
 __all__ = [
@@ -178,14 +170,11 @@ def g_series_transform(params: ModelParams, n: int, p):
     A NaN or infinite momentum raises ``ValueError``.
     """
     om = effective_frequency(params, n)
-    pa = _momenta(p)
-    p_max = float(np.max(np.abs(pa), initial=0.0))
+    pa, p_max = _momenta(p)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
     width = min(0.7 / math.sqrt(om), math.pi / max(p_max, math.sqrt(params.omega)))  # phase <= pi
     lattice = _gl_blocks(0.0, L, math.ceil(L / width))
-    fw = _lattice_values(lambda x: approx_wavefunction(params, n, x), *lattice)
-    g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, pa)
-    return _with_parity_phase(n, g, p)
+    return _lattice_transform(n, lambda x: approx_wavefunction(params, n, x), lattice, pa, p)
 
 
 # --------------------------------------------------------------------------

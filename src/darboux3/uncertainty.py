@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .position_entropy import log_entropic_moment
-from .quadrature import (_log_moment, entropic_moment_numeric, position_moments,
+from .quadrature import (_exp_moment, _normal_moment, entropic_moment_numeric, position_moments,
                          position_shannons, shannon_numeric)
 
 __all__ = [
@@ -83,7 +83,7 @@ def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, st
                    else [entropic_moment_numeric(ModelParams(omega, lam), n, a, space) for lam, a in rest])
     return [
         (log_entropic_moment(ModelParams(omega, lam), n, int(a)), "analytic") if e
-        else (_log_moment(next(numeric), a, lam, n), "quadrature")
+        else (math.log(_normal_moment(next(numeric), a, lam, n)), "quadrature")
         for (lam, a), e in zip(cells, exact)
     ]
 
@@ -95,7 +95,7 @@ def entropy_from_log_moment(log_w: float, alpha: float, kind: str) -> float:
     if kind == "renyi":
         return log_w / (1.0 - alpha)
     if kind == "tsallis":
-        return (1.0 - math.exp(log_w)) / (alpha - 1.0)
+        return (1.0 - _exp_moment(log_w, alpha)) / (alpha - 1.0)
     raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
 
 

@@ -310,25 +310,32 @@ def reference_hermite_pair_scaled(n, x):
     return h_prev, h, e
 
 
-def reference_profile_nodes(params, n, refine=1):
-    """The p nodes and weights of ``momentum_profile`` on the per-panel
-    layout, from the profile's own cut L_p and transform zeros."""
+def profile_zeros(params, n, refine=1):
+    """A momentum profile's cut L_p, feature edge p_feat and the transform
+    zeros it lays its panels out at, from its own lattice."""
     from darboux3.model import wavefunction
     from darboux3.quadrature import (
         _ft_x_nodes,
-        _grow_split,
         _lattice_values,
         _momentum_tail_start,
         _transform_zeros,
         momentum_profile,
     )
 
-    om = effective_frequency(params, n)
     L_p = momentum_profile(params, n, refine).grid.half_width
     origins, offsets, wx = _ft_x_nodes(params, n, L_p, refine)
     fw = _lattice_values(lambda x: wavefunction(params, n, x), origins, offsets, wx)
     p_feat = _momentum_tail_start(params, n)
-    zeros = _transform_zeros(n, origins, offsets, fw, p_feat, L_p)
+    return L_p, p_feat, _transform_zeros(n, origins, offsets, fw, p_feat, L_p)
+
+
+def reference_profile_nodes(params, n, refine=1):
+    """The p nodes and weights of ``momentum_profile`` on the per-panel
+    layout, from the profile's own cut L_p and transform zeros."""
+    from darboux3.quadrature import _grow_split
+
+    om = effective_frequency(params, n)
+    L_p, p_feat, zeros = profile_zeros(params, n, refine)
     width = 0.45 * math.sqrt(om) / refine
     cusps = zeros if n % 2 == 0 else np.concatenate([zeros, [0.0]])
 

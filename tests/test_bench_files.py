@@ -175,8 +175,9 @@ def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
     # FFT, (30, 0) in two bands, and each record holds its stage times and
     # its kernel phases by stage, the level entries of the lattice times
     # the momenta: 48 (n + 2) in the head band, every profile node in the
-    # final sum, one or more steps of one momentum per zero in Newton
-    from conftest import scan_size
+    # final sum, one or more steps of one momentum per zero in Newton;
+    # the zeros come back bit for bit, as float.hex strings
+    from conftest import profile_zeros, scan_size
 
     from darboux3 import ModelParams
 
@@ -193,4 +194,6 @@ def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
         assert phases["head"] == (96 * levels if rec is corner else 0)
         assert phases["final"] == rec["p_nodes"] * levels
         assert phases["newton"] % (rec["zeros"] * levels) == 0 and phases["newton"] > 0
+        zeros = profile_zeros(ModelParams(1.0, rec["lam"]), rec["n"])[2]
+        assert rec["zeros_hex"] == [float(z).hex() for z in zeros] and len(zeros) == rec["zeros"]
     assert capsys.readouterr().out.startswith("(0.4, 3) one fft: scan ")

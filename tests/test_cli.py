@@ -329,6 +329,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "renyi", "--omega", "1e4", "--alpha", "200", "--lambda", "0", "--n", "0")
         assert (code, out, err) == (0, "n,lambda,alpha,space,renyi\n0,0,200,position,-4.01949288787\n", "")
 
+    @pytest.mark.parametrize("command, at", [("moment", " at lam=0.0, n=0"), ("tsallis", "")])
+    def test_overflowing_closed_form_exits_3(self, capsys, command, at):
+        # W_200 ~ 1e346 from the closed form's ln W: one stderr line that
+        # names the order, while a W below the range leaves Tsallis 1 / 199
+        code, out, err = run_cli(capsys, command, "--omega", "1e4", "--alpha", "200", "--lambda", "0", "--n", "0")
+        assert (code, out) == (3, "")
+        assert err == f"numeric failure in darboux3.quadrature: entropic moment of order 200.0 overflows to inf{at}\n"
+        code, out, err = run_cli(capsys, "tsallis", "--omega", "1e-4", "--alpha", "200", "--lambda", "0", "--n", "0")
+        assert (code, out, err) == (0, "n,lambda,alpha,space,tsallis\n0,0,200,position,0.00502512562814\n", "")
+
+    def test_omega_past_the_square_range(self, capsys):
+        # omega^2 overflows at 1e200, and Omega = omega is taken scaled
+        code, out, err = run_cli(capsys, "energy", "--omega", "1e200", "--lambda", "0", "--n", "0")
+        assert (code, out, err) == (0, "n,lambda,energy\n0,0,5e+199\n", "")
+
     @pytest.mark.parametrize(
         "order, fault",
         [("800", "is subnormal (5.80785e-311)"), ("2000", "underflows to 0")],

@@ -85,6 +85,20 @@ class TestEffectiveFrequency:
             assert energy(p, 4) == (4.5 * p.omega if lam == 0.0 else energy(p, 4))
 
 
+    def test_past_the_square_range(self):
+        # omega^2 overflows above about 1.34e154; there Omega is taken at
+        # omega 2^-k in [1/2, 1) and scaled back by 2^k: omega itself at
+        # lam = 0, and homogeneous of degree 1 in (omega, lam) to within the
+        # rounding of the platform's pow
+        assert effective_frequency(ModelParams(1e200, 0.0), 0) == 1e200
+        assert energy(ModelParams(1e200, 0.0), 0) == 5e199
+        for lam, n in [(0.4, 3), (30.0, 7), (1.6170604092478382, 44)]:
+            want = effective_frequency(ModelParams(1.0, lam), n)
+            for k in (512, 600, 1000):
+                big = effective_frequency(ModelParams(math.ldexp(1.0, k), math.ldexp(lam, k)), n)
+                assert abs(math.ldexp(big, -k) / want - 1.0) <= 2.0 * np.finfo(float).eps
+
+
 class TestNormalisation:
     def test_gaussian_ground_state(self, harmonic):
         assert norm_constant(harmonic, 0) == pytest.approx(math.pi**-0.25, rel=1e-14)

@@ -16,7 +16,6 @@ from darboux3 import (
 )
 from darboux3.position_entropy import (
     BudgetExceededError,
-    _expansion_cached,
     _hermite_power,
     _moment_polynomial,
     log_entropic_moment,
@@ -212,7 +211,6 @@ class TestExpansionCoefficients:
 
     def test_cache_transparency(self):
         a = expansion_coefficients(5, 2, 7)
-        _expansion_cached.cache_clear()
         b = expansion_coefficients(5, 2, 7)
         assert a.c_exact == b.c_exact
         assert a.A == b.A

@@ -16,6 +16,8 @@ from darboux3 import (
     fourier_transform,
     entropy,
     entropy_from_log_moment,
+    g_series_transform,
+    harmonic_weight,
     momentum_profile,
     norm_constant,
     shannon_numeric,
@@ -254,7 +256,7 @@ class TestPanelGrid:
             lattices.append((origins, offsets, fw))
             return _ft_component(n, origins, offsets, fw, p)
 
-        monkeypatch.setattr(strong_nonlinear, "_ft_component", spy)
+        monkeypatch.setattr(quadrature, "_ft_component", spy)
         params = ModelParams(1.0, lam)
         for n in (0, 1, 8, 20):
             for p_max in (0.5, 12.0, 40.0):
@@ -1087,29 +1089,30 @@ class TestTransformKernel:
     def test_every_transform_calls_the_kernel(self, deformed, monkeypatch):
         from darboux3 import strong_nonlinear
 
-        callers = []
+        callers = []  # the kernel's caller and the function that called it
 
         def spy(*args):
-            callers.append(sys._getframe(1).f_code.co_name)
+            frame = sys._getframe(1)
+            callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
             return _ft_component(*args)
 
         monkeypatch.setattr(quadrature, "_ft_component", spy)
-        monkeypatch.setattr(strong_nonlinear, "_ft_component", spy)
         quadrature._profile_cached.cache_clear()
         try:
             momentum_profile(deformed, 3)
         finally:
             quadrature._profile_cached.cache_clear()
         # g_slope_bound: the function _transform_zeros hands to bracketed_newton
-        assert callers[0] == "g_slope_bound" and callers[-1] == "_profile_cached"
-        assert set(callers) == {"g_slope_bound", "_profile_cached"}
+        assert callers[0][0] == "g_slope_bound" and callers[-1][0] == "_profile_cached"
+        assert {caller for caller, _ in callers} == {"g_slope_bound", "_profile_cached"}
+        # both transforms through the one assembly
         for grid in (None, GridSpec(14.0, 1024)):
             callers.clear()
             fourier_transform(deformed, 3, grid, np.array([0.0, 1.5]))
-            assert callers == ["fourier_transform"]
+            assert callers == [("_lattice_transform", "fourier_transform")]
         callers.clear()
         strong_nonlinear.g_series_transform(deformed, 3, np.array([0.0, 1.5]))
-        assert callers == ["g_series_transform"]
+        assert callers == [("_lattice_transform", "g_series_transform")]
 
     @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
     def test_zero_refinement(self, lam, n, monkeypatch):
@@ -1241,6 +1244,41 @@ def _cold_strata():
         for i in range(13)
         for u in (0.375, 0.5, 0.625)
     }
+
+
+class TestMomentumIdentities:
+    """Momentum values against identities that share no layout with the profile."""
+
+    @pytest.mark.parametrize("lam,n", [(0.0, 0), (0.0, 3), (0.4, 0), (0.4, 7), (2.0, 3), (10.0, 3), (30.0, 0)])
+    def test_discrete_parseval(self, lam, n):
+        # W_2 = integral gamma^2 dp = (1 / 2 pi) integral C(u)^2 du with the
+        # autocorrelation C(u) = integral Psi(x) Psi(x + u) dx, whose
+        # transform is 2 pi gamma: both integrals by the trapezoid rule at
+        # one step h of the test's own.  The rule's error is the spectrum
+        # at 2 pi / h, put past the Gaussian extent of the transform's
+        # convolution square and 40 decay lengths sqrt(lam) of its
+        # branch-point tail; [-L, L] holds Psi to e^-40 of its peak
+        params = ModelParams(1.0, lam)
+        om = effective_frequency(params, n)
+        L = (math.sqrt(2 * n + 1) + 9.0) / math.sqrt(om)
+        h = 2.0 * math.pi / (9.0 * math.sqrt((2 * n + 1) * om) + 40.0 * math.sqrt(lam) + 10.0)
+        x = h * np.arange(-math.ceil(L / h), math.ceil(L / h) + 1)
+        psi = wavefunction(params, n, x)
+        c = h * np.correlate(psi, psi, "full")
+        w_2 = h * float(c @ c) / (2.0 * math.pi)
+        assert w_2 == pytest.approx(entropic_moment_numeric(params, n, 2.0, "momentum"), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam,n", [(0.05, 7), (0.4, 0), (2.0, 1), (10.0, 3), (30.0, 5)])
+    def test_plancherel_bound(self, lam, n):
+        # Psi - phi_n = N e^(-Omega x^2 / 2) H_n (sqrt(1 + lam x^2) - sqrt(lam) |x|)
+        # and the last factor lies in (0, 1], so ||Psi - phi_n||^2 <= f, the
+        # harmonic weight; by Plancherel so is ||g - g_phi||^2, here on the
+        # profile's nodes (0.35, 0.54, 0.029, 6.7e-4 and 4.9e-5 of f)
+        params = ModelParams(1.0, lam)
+        prof = momentum_profile(params, n)
+        g = fourier_transform(params, n, None, prof.p)
+        g_phi = g_series_transform(params, n, prof.p)
+        assert 2.0 * float(prof.weights @ np.abs(g - g_phi) ** 2) <= harmonic_weight(params, n).f
 
 
 class TestTwoBandScan:

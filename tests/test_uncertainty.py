@@ -7,6 +7,7 @@ import pytest
 from darboux3 import (
     ModelParams,
     conjugate_order,
+    entropic_moment,
     entropy,
     entropy_from_log_moment,
     log_moments,
@@ -97,6 +98,18 @@ class TestLogMoment:
             grid_log_moment(ModelParams(omega, 0.0), 0, 200.5, space, 512, None)
         [(log_w, engine)] = log_moments(1e4, [(0.0, 200.0)], 0, "position")
         assert engine == "analytic" and log_w / (1.0 - 200.0) == pytest.approx(-4.01949288787)
+
+    def test_overflowing_closed_form_raises(self):
+        # W_200 ~ 1e346 at omega = 1e4: the closed form's ln W is finite,
+        # and W from it fails by the quadrature's rule, naming the order
+        # (and lam and n where they are known); a W below the range leaves
+        # the Tsallis entropy (1 - W) / (alpha - 1) at 1 / 199
+        params = ModelParams(1e4, 0.0)
+        with pytest.raises(ArithmeticError, match=r"^entropic moment of order 200 overflows to inf at lam=0\.0, n=0$"):
+            entropic_moment(params, 0, 200)
+        with pytest.raises(ArithmeticError, match=r"^entropic moment of order 200\.0 overflows to inf$"):
+            entropy(params, 0, 200.0, "position", "tsallis")
+        assert entropy(ModelParams(1e-4, 0.0), 0, 200.0, "position", "tsallis") == 1.0 / 199.0
 
     @pytest.mark.parametrize("space, alpha", [("position", 800.5), ("momentum", 2150.0)])
     def test_subnormal_moment_raises(self, space, alpha):

@@ -22,7 +22,9 @@ times momenta) of every cos/sin pass of the kernel (``_unit_phases``;
 of a two-band scan (``head``), the Newton steps (``newton``) and the
 final sum (``final``); and ``peak_rss_mb`` (``resource.getrusage``, the
 child's peak, imports included), the scan path (``one fft`` or ``two bands``), the zero count
-and the node counts.  The parent prints one line per run, and with
+and the node counts, and the zeros themselves as ``float.hex`` strings
+(``zeros_hex``), so that a ``diff`` of two checkouts' records shows any
+zero that moved by one bit.  The parent prints one line per run, and with
 ``--json`` writes every record to a file.  A checkout other than this one
 is measured by putting its ``src`` on ``PYTHONPATH``.  Standard library
 and numpy only; Linux (``ru_maxrss`` in KiB).
@@ -110,6 +112,7 @@ def measure(lam: float, n: int) -> dict:
         "phases": phases,
         "peak_rss_mb": peak_kib / 1024.0,
         "zeros": len(zeros[0]),
+        "zeros_hex": [float(z).hex() for z in zeros[0]],
         "p_nodes": len(prof.p),
     }
 
