@@ -16,6 +16,7 @@ oscillator through the same code path; there is no special branch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,12 @@ def _check_level(n: int) -> None:
 
 def energy(params: ModelParams, n: int) -> float:
     """Energy eigenvalue E_n = (n + 1/2) Omega_n (module docstring); like
-    Omega_n, free of the textbook form's cancellation at large lam * n."""
-    return (n + 0.5) * effective_frequency(params, n)
+    Omega_n, free of the textbook form's cancellation at large lam * n.
+    An E_n past the double range raises ``ArithmeticError``."""
+    e = (n + 0.5) * effective_frequency(params, n)
+    if e == math.inf:
+        raise ArithmeticError(f"energy E_{n} overflows at omega={params.omega}, lam={params.lam}")
+    return e
 
 
 def effective_frequency(params: ModelParams, n: int) -> float:
@@ -77,17 +82,19 @@ def effective_frequency(params: ModelParams, n: int) -> float:
 
     The radicand is the perfect square (sqrt(lam^2 m^2 + omega^2) - lam m)^2
     with m = n + 1/2, so Omega_n = omega^2 / (sqrt(lam^2 m^2 + omega^2)
-    + lam m) exactly; that stable form is used here, and where it overflows
-    (omega > 1.34e154) at (omega, lam) 2^-k, omega 2^-k in [1/2, 1), times 2^k.
+    + lam m) exactly; that stable form is used here, and where omega^2 leaves
+    the normal range (omega > 1.34e154 overflows it, omega < 1.5e-154 makes
+    it subnormal or 0) at (omega, lam) 2^-k, omega 2^-k in [1/2, 1), times 2^k.
     """
     _check_level(n)
     m = n + 0.5
     try:
-        den = math.sqrt((params.lam * m) ** 2 + params.omega**2) + params.lam * m
+        square = params.omega**2
+        den = math.sqrt((params.lam * m) ** 2 + square) + params.lam * m
     except OverflowError:  # a square past the double range
         den = math.inf
-    if den < math.inf:
-        return params.omega**2 / den
+    if den < math.inf and square >= sys.float_info.min:
+        return square / den
     k = math.frexp(params.omega)[1]
     om, lam_m = math.ldexp(params.omega, -k), math.ldexp(params.lam * m, -k)
     return math.ldexp(om**2 / (math.sqrt(lam_m**2 + om**2) + lam_m), k)

@@ -216,10 +216,15 @@ def _moment_polynomial(n: int, alpha: int) -> tuple[tuple[int, ...], int]:
 
 def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
     """ln W for integer alpha >= 1: the exact moment polynomial at
-    r = lam / (alpha Omega), rounded only when its logarithm is taken."""
+    r = lam / (alpha Omega), rounded only when its logarithm is taken; an
+    alpha Omega past the double range raises ``ArithmeticError``."""
     a = _check_alpha_int(alpha)
     nums, den = _moment_polynomial(n, a)
     om = effective_frequency(params, n)
+    if a * om == math.inf:
+        raise ArithmeticError(
+            f"alpha Omega overflows for order {a} at omega={params.omega}, lam={params.lam}, n={n}"
+        )
     r_num, r_den = (params.lam / (a * om)).as_integer_ratio()
     # D r_den^alpha sum_k P_k r^k, by Horner on integers
     total = 0

@@ -40,10 +40,11 @@ Fourier transform
 Psi_n has parity (-1)^n, so its transform (2 pi)^(-1/2) integral
 e^(-ipx) Psi_n(x) dx is the cos transform for even n and -i times the sin
 transform for odd n.  One kernel, :func:`_ft_component`, computes the
-parity-allowed trig sum: the momentum profile calls it for its zero
-refinement and final sum, and the one assembly, :func:`_lattice_transform`,
-for :func:`fourier_transform` and the transform of phi_n, so a transform is
-exactly real (even n) or exactly imaginary (odd n) by construction.
+parity-allowed trig sum: the momentum profile calls it for the head band of
+a long zero scan, its zero refinement and its final sum, and the one
+assembly, :func:`_lattice_transform`, for :func:`fourier_transform` and the
+transform of phi_n, so a transform is exactly real (even n) or exactly
+imaginary (odd n) by construction.
 
 The kernel sums over a separable node lattice x = X_J + d_b, the index split
 j = J B + b of Cooley & Tukey (Math. Comp. 19, 1965), and splits each side
@@ -53,10 +54,14 @@ direct sum at P momenta over N nodes into cosines and sines of the level
 entries, about 4 P N^(1/4) of them, products of unit complex numbers for
 the side tables e^(ip d_b) and e^(ip X_J), one matrix product of the
 weights with the first and an elementwise combine with the second, with
-no approximation.  Each phase p x is taken with the rounding error of its
-product (Dekker's exact two-product), so the sum is within
-eps ((B + J) / 2 + 12) sum |fw| of the exact sum over its nodes, whatever
-the size of p x, and within a few eps sum |fw| in practice.
+no approximation; the first table is dropped before the second is built.
+The momenta are levels too: a progression p = Q_c + q_f (the zero scan's
+head band) takes e^(ixp) = e^(ixQ) e^(ixq) from about 2 sqrt(P) phases per
+level entry, one more unit product.  Each phase p x keeps the rounding
+error of its product (Dekker's exact two-product), so the sum is within
+eps ((B + J) / 2 + 12) sum |fw| of the exact sum over its nodes (+ 22 for
+two momentum levels), whatever the size of p x, and a few eps sum |fw| in
+practice.
 
 The transform of Psi_n sums over half-line trapezoid nodes x_j = j h
 (weight h, h/2 at x = 0) in blocks of B = ceil(sqrt(N)), which minimises
@@ -122,7 +127,6 @@ _W_HALF_TAIL = 1e-11  # share of momentum W_1/2 the cut may leave out
 _NORM_TOL = 5e-6  # |norm - 1| a momentum density may show
 _GROW = 1.35  # width ratio of successive tail panels, in either space
 _PASS_NODES = 2**16  # position head and tail nodes one Hermite pass takes at most
-_TWO_BANDS = 2**16  # shortest single zero-scan FFT that two bands may replace
 _LOG_MAX = math.log(np.finfo(float).max)  # e^x overflows past it
 
 _GL_U, _GL_W = leggauss(_ORDER)
@@ -371,57 +375,69 @@ def _gl_blocks(a: float, b: float, panels: int):
     return _progression(a, width, panels), (width * _GL_U,), np.tile(width * _GL_W, (panels, 1))
 
 
-def _ft_component(n, origins, offsets, fw: np.ndarray, p: np.ndarray):
+def _ft_component(n, origins, offsets, fw: np.ndarray, momenta):
     """The package's one transform kernel: sum_(J, b) trig(p x) fw[..., J, b]
-    over the node lattice x = X_J + d_b, at the momenta ``p`` (1-d), with
-    cos for even n and sin for odd n (the parity-allowed part).
+    over the node lattice x = X_J + d_b, at the momenta p, with cos for even
+    n and sin for odd n (the parity-allowed part).
 
     ``fw`` holds quadrature weights times Psi_n (or phi_n) at the nodes, one
     row per origin; a leading axis stacks several such functions, each
     with its own entry of ``n``.  Each side, ``origins`` X_J and ``offsets``
-    d_b, is a tuple of levels (:func:`_side`; one level is the side itself).
-    The sum is unscaled, and callers apply the normalisation and the factor
-    -i of odd n.  Angle addition, e^(ip(a + b)) = e^(ipa) e^(ipb), turns the
-    P J B trig calls of a direct sum into one cos/sin pass over the P L
-    level entries (L = 31 at J B = 3192), products of unit numbers for the
-    side tables, one matrix product and a combine, with no approximation:
-    the real (even n) or imaginary (odd n) part of
-    sum_J e^(ipX_J) sum_b e^(ipd_b) fw.
+    d_b, is a tuple of levels (:func:`_side`; one level is the side itself),
+    and so are the ``momenta``: the sums come at all of their levels' outer
+    sum, flattened.  The sum is unscaled, and callers apply the
+    normalisation and the factor -i of odd n.  Angle addition,
+    e^(ip(a + b)) = e^(ipa) e^(ipb), turns the P J B trig calls of a direct
+    sum into cos/sin passes over the level entries of the nodes (31 at
+    J B = 3192) times those of the momenta (about 2 sqrt(P) for two levels),
+    products of unit numbers for the side tables, one matrix product and a
+    combine, with no approximation: the real (even n) or imaginary (odd n)
+    part of sum_J e^(ipX_J) sum_b e^(ipd_b) fw.
 
     Each phase keeps the rounding error of its product (:func:`_unit_phases`),
-    so a level entry's cos and sin are within eps; a product of unit numbers
-    adds sqrt(5) eps / 2 at most, which puts each term's factor within
-    10 eps, and the sums of B and of J terms add (B + J) eps / 2: the sum is
-    within eps ((B + J) / 2 + 12) sum |fw| of the exact sum over the lattice,
-    and a few eps sum |fw| in practice.  Momenta are taken in chunks whose
-    arrays fit ``_FT_CHUNK_BYTES``, so memory stays bounded whatever the
-    node count.
+    so a level entry's cos and sin are within eps, and a product of unit
+    numbers adds sqrt(5) eps / 2 at most.  With two levels a side and m
+    momentum levels, a term's factor takes 4 m phases and 4 m - 1 products,
+    within (4 sqrt(2) m + sqrt(5) (4 m - 1) / 2) eps <= 10 m eps, and the
+    sums of B and of J terms add (B + J) eps / 2: the sum is within
+    eps ((B + J) / 2 + 2 + 10 m) sum |fw| of the exact sum over the lattice
+    (:func:`_rounding_bound`), and a few eps sum |fw| in practice.
     """
     fw = np.asarray(fw, dtype=float)
     rows, (blocks, width) = fw.shape[:-2], fw.shape[-2:]
     f = fw.reshape(-1, width)  # (K J, B)
     k = f.shape[0] // blocks
     odd = [m % 2 == 1 for m in (n if rows else [n])]
-    levels = (*origins, *offsets)
+    first, fine = momenta[0], momenta[1:]
+    per = math.prod(map(len, fine))  # momenta per entry of the first level
+    levels = (*offsets, *origins)
     x = np.concatenate(levels)
-    edges = list(accumulate(map(len, levels), initial=0))
-    out = np.empty((k, len(p)))
-    # complex entries per momentum: the level phases and their Dekker terms,
-    # the side tables before their cut, the block sums
-    chunk = max(1, _FT_CHUNK_BYTES // (16 * (3 * len(x) + 2 * (blocks + width) + k * blocks)))
     x_split = _split(x)
-    for i in range(0, len(p), chunk):
-        q = p[i : i + chunk]
+    fine_phases = [_unit_phases(x, x_split, q, _split(q)) for q in fine]
+    edges = list(accumulate(map(len, levels), initial=0))
+    # the chunk budget counts, per momentum, 3 complex entries per level entry,
+    # 2 per side-table entry and the block sums, more than is live (the level
+    # phases and one side table at a time, beside the block sums); it stays, as
+    # the matrix product's rounding depends on the chunk's column count
+    chunk = max(1, _FT_CHUNK_BYTES // (16 * (3 * len(x) + 2 * (blocks + width) + k * blocks)))
+    step = max(1, chunk // per)  # entries of the first level per chunk
+    out = np.empty((k, len(first) * per))
+    for i in range(0, len(first), step):
+        q = first[i : i + step]
         e = _unit_phases(x, x_split, q, _split(q))
+        for table in fine_phases:  # e^(ix(Q + q)) = e^(ixQ) e^(ixq)
+            e = (e[:, :, None] * table[:, None, :]).reshape(len(x), -1)
         tables = [e[a:b] for a, b in zip(edges, edges[1:])]
-        ex = _side(tables[: len(origins)], blocks, np.multiply)  # e^(ipX_J)
-        ed = _side(tables[len(origins) :], width, np.multiply)  # e^(ipd_b)
-        g = (f @ ed.view(float)).view(complex).reshape(k, blocks, len(q))  # sum_b e^(ipd_b) fw
-        g *= ex
+        # sum_b e^(ipd_b) fw: the offsets' table goes with the product, before
+        # the origins' table e^(ipX_J) is built
+        ed = _side(tables[: len(offsets)], width, np.multiply)
+        g = (f @ ed.view(float)).view(complex).reshape(k, blocks, -1)
+        del ed
+        g *= _side(tables[len(offsets) :], blocks, np.multiply)
         total = g.sum(axis=1)
         for r in range(k):
-            out[r, i : i + chunk] = total[r].imag if odd[r] else total[r].real
-    return out.reshape(rows + (len(p),)) + 0.0  # + 0.0: the odd sum at p = 0 is +0
+            out[r, i * per : i * per + total.shape[1]] = total[r].imag if odd[r] else total[r].real
+    return out.reshape(rows + (out.shape[1],)) + 0.0  # + 0.0: the odd sum at p = 0 is +0
 
 
 def _lattice_nodes(origins, offsets, shape) -> np.ndarray:
@@ -525,31 +541,33 @@ def _zero_scan(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     than M at large lam n, where the head step is the finer by far: M is
     2^24 at lam = 1000, n = 6, and the tail FFT 2^19.
 
-    Measured on a 2-vCPU x86-64 VM (numpy 2.4, OpenBLAS on one thread),
-    the rfft took 0.5-0.8 ns per M log2 M up to M = 2^16 and 0.7-2.2 ns
-    past it, and the head band 27-68 ns per kernel phase, P (B + J) of
-    them.  So two bands run from M = ``_TWO_BANDS`` = 2^16 on, once
-    M log2 M >= 28 P (B + J): whole cold profiles so routed took 0.40-1.15
-    times their single-FFT time over lam in [1, 100] and n <= 20 (the
-    slowest at M = 2^16, where in a long-lived process the FFT's fresh
-    megabyte of arrays also costs page faults), and two bands at every
-    M >= 2^16 made (lam, n) = (1.5, 20) 1.42 times slower.  Those head
-    band times are from a kernel that took the trig of all B + J side
-    entries; the rule keeps its measure, though the kernel's level tables
-    now take about 2 (sqrt B + sqrt J) phases per momentum.
+    The head band's momenta go to the kernel as the two levels of their
+    progression (:func:`_progression`), about 2 sqrt(P) trig phases per
+    level entry of the nodes in place of P, within the rounding bound of two
+    momentum levels; the third value is the head band's length (0: one FFT).
+
+    Two bands run from M = 2^16 on.  Measured on a 2-vCPU x86-64 VM (numpy
+    2.4, OpenBLAS on one thread), the least of 7 alternating cold builds of
+    each of 886 profiles (lam in [0.2, 100], n <= 20) in one long-lived
+    process took with two bands a median 1.13-1.18 times the single-FFT
+    time at M <= 2^14 (less at 2 of 271), 1.02 at 2^15 (0.90-1.38, less at
+    59 of 158), 0.87 at 2^16 (0.67-1.01, less at 153 of 156), 0.65 at 2^17
+    and 0.48 at 2^18.
     """
     h = float(offsets[-1][1])
     head_step, tail_step = _scan_steps(n, p_feat, L_p)
     step = min(head_step, tail_step)
-    m = _fft_length(h, step)
-    head = head_step * np.arange(round(p_feat / head_step) + 1)
-    if m < _TWO_BANDS or m * math.log2(m) < 28.0 * len(head) * sum(fw.shape):
-        return _fft_scan(n, fw.ravel(), h, L_p, step)
+    count = round(p_feat / head_step) + 1
+    if _fft_length(h, step) < 2**16:
+        return (*_fft_scan(n, fw.ravel(), h, L_p, step), 0)
+    momenta = _progression(0.0, head_step, count)
+    head = _side(momenta, count)
     p, vals = _fft_scan(n, fw.ravel(), h, L_p, tail_step)
     tail = p > head[-1]
     return (
         np.concatenate([head, p[tail]]),
-        np.concatenate([_ft_component(n, origins, offsets, fw, head), vals[tail]]),
+        np.concatenate([_ft_component(n, origins, offsets, fw, momenta)[:count], vals[tail]]),
+        count,
     )
 
 
@@ -560,8 +578,9 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
 
     A sign flip of the scan's kernel sums g is kept where some |g| near it
     passes the kernel's rounding bound, eps ((B + J) / 2 + 12) sum |fw|
-    (:func:`_ft_component`), and 1e-13 max |g|, which drops real far-tail
-    sign changes of no weight.  Every kept bracket is refined at once by
+    (:func:`_rounding_bound`; eps ((B + J) / 2 + 22) sum |fw| on a two-band
+    scan, whose head band sums at two momentum levels), and 1e-13 max |g|,
+    which drops real far-tail sign changes of no weight.  Every kept bracket is refined at once by
     :func:`~darboux3.specfun.bracketed_newton`, with g and
     g' = -+ sum x fw sin/cos(p x) from one kernel call per step, until |g|
     is within the rounding bound.  The brackets are disjoint scan cells in
@@ -569,20 +588,29 @@ def _transform_zeros(n: int, origins, offsets, fw, p_feat: float, L_p: float):
     its bracket only by its last step, at most bound / |g'|: the zeros come
     out positive and increasing.  The cut keeps L_p the last layout bound.
     """
-    scan, vals = _zero_scan(n, origins, offsets, fw, p_feat, L_p)
-    bound = np.finfo(float).eps * (0.5 * sum(fw.shape) + 12.0) * float(np.sum(np.abs(fw)))
-    i = _sign_flips(vals, max(1e-13 * float(np.max(np.abs(vals))), bound))
+    scan, vals, head = _zero_scan(n, origins, offsets, fw, p_feat, L_p)
+    bound = _rounding_bound(fw)
+    floor = _rounding_bound(fw, 2) if head else bound  # a head band sums at two momentum levels
+    i = _sign_flips(vals, max(1e-13 * float(np.max(np.abs(vals))), floor))
     pair = np.stack([fw, _lattice_nodes(origins, offsets, fw.shape) * fw])
     slope_sign = 1.0 if n % 2 else -1.0  # g' = -+ the kernel sum of x fw
 
     def g_slope_bound(z):
-        g, dg = _ft_component((n, n + 1), origins, offsets, pair, z)
+        g, dg = _ft_component((n, n + 1), origins, offsets, pair, (z,))
         return g, slope_sign * dg, bound
 
     z = bracketed_newton(
         g_slope_bound, scan[i], scan[i + 1], vals[i], vals[i + 1], "momentum zeros"
     )
     return z[z < 0.999 * L_p]
+
+
+def _rounding_bound(fw: np.ndarray, momentum_levels: int = 1) -> float:
+    """:func:`_ft_component`'s rounding bound on a lattice of two levels a
+    side with weights ``fw`` (J, B): eps ((B + J) / 2 + 2 + 10 m) sum |fw|
+    for m ``momentum_levels``."""
+    terms = 0.5 * sum(fw.shape) + 2.0 + 10.0 * momentum_levels
+    return np.finfo(float).eps * terms * float(np.sum(np.abs(fw)))
 
 
 def _sign_flips(vals: np.ndarray, noise: float) -> np.ndarray:
@@ -698,7 +726,7 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     counts = np.concatenate([np.ceil(np.diff(bulk) / width), np.ones(len(tail_edges))])
     cusps = zeros if n % 2 == 0 else np.append(zeros, 0.0)
     p_nodes, p_w = _panel_grid(bounds[:-1], bounds[1:], counts, cusps)
-    g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, p_nodes)
+    g = _SQRT_2_OVER_PI * _ft_component(n, *lattice[:2], fw, (p_nodes,))
     gamma = g * g
     norm = 2.0 * float(p_w @ gamma)
     if abs(norm - 1.0) > _NORM_TOL:
@@ -761,7 +789,7 @@ def _lattice_transform(n: int, f, lattice, pa: np.ndarray, p, scale: float = _SQ
     the kernel sum of ``f`` on ``lattice`` at the :func:`_momenta` ``pa``, and g (even n) or
     -i g (odd n), +0 as the zero part, in the shape of ``p`` (complex for scalar ``p``)."""
     fw = _lattice_values(f, *lattice)
-    g = scale * _ft_component(n, *lattice[:2], fw, pa)
+    g = scale * _ft_component(n, *lattice[:2], fw, (pa,))
     out = g + 0j if n % 2 == 0 else -1j * g + 0.0  # -1j * 0.0 has imaginary part -0.0
     return out.reshape(np.shape(p)) if np.ndim(p) else complex(out[0])
 

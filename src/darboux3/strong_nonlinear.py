@@ -226,7 +226,9 @@ def density_critical_points(
         maxima = [math.sqrt(0.25 * (7.0 / om + 3.0 / om))]  # lam -> 0 limit of the pair
     else:
         root = math.sqrt(41.0 * lam * lam + 12.0 * lam * om + 4.0 * om * om)
-        outer_sq = 0.25 * (7.0 / om - 2.0 / lam + root / (lam * om))
+        # -2/lam + root/(lam om) = (root - 2 om)/(lam om), without its cancellation:
+        # root - 2 om = lam (41 lam + 12 om) / (root + 2 om)
+        outer_sq = 0.25 * (7.0 / om + (41.0 * lam + 12.0 * om) / (om * (root + 2.0 * om)))
         inner_sq = 0.25 * (7.0 / om - 2.0 / lam - root / (lam * om))
         maxima = [math.sqrt(outer_sq)] + ([math.sqrt(inner_sq)] if inner_sq > 0.0 else [])
     return _symmetric_points(params, n, [(x, "maximum") for x in maxima])

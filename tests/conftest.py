@@ -386,10 +386,8 @@ def scan_size(params, n, refine=1):
     phases per momentum over both sides.
 
     M is the length one FFT at the finer step would take.  That FFT is the
-    scan below M = 2^16 or while M log2 M < 28 P (B + J), with P = 48 (n + 2)
-    head momenta and a lattice of B offsets and J origins; past that the
-    head band takes the P kernel momenta and the tail an FFT at the tail
-    step, at least N long."""
+    scan below M = 2^16; from there the head band takes P = 48 (n + 2)
+    kernel momenta and the tail an FFT at the tail step, at least N long."""
     from darboux3.quadrature import _gaussian_cut, _momentum_cut, position_half_width
 
     om = effective_frequency(params, n)
@@ -406,17 +404,19 @@ def scan_size(params, n, refine=1):
         return 1 << (max(int(math.ceil(2.0 * math.pi / (h * step))), at_least) - 1).bit_length()
 
     m, head = length(min(head_step, tail_step)), 48 * (n + 2)
-    if m < 2**16 or m * math.log2(m) < 28.0 * head * (b + nodes // b):
+    if m < 2**16:
         run, head = m, 0
     else:
         run = length(tail_step, nodes)
-
-    def levels(count):
-        fine = math.isqrt(count - 1) + 1
-        return fine + -(-count // fine)
-
-    phases = levels(nodes // b) + levels(b)
+    phases = level_entries(nodes // b) + level_entries(b)
     return nodes, m, run, int(math.ceil(L_p / (2.0 * math.pi / (run * h)))), head, phases
+
+
+def level_entries(count):
+    """The entries of the two levels that list a progression of ``count``
+    terms, F = ceil(sqrt(count)) and ceil(count / F) (``_progression``)."""
+    fine = math.isqrt(count - 1) + 1
+    return fine + -(-count // fine)
 
 
 def reference_fft_scan(n, fw, h, p_max, step):

@@ -172,12 +172,13 @@ def test_cache_traffic_counts_one_round():
 
 def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
     # one fresh child process per case: a small profile scans with one
-    # FFT, (30, 0) in two bands, and each record holds its stage times and
-    # its kernel phases by stage, the level entries of the lattice times
-    # the momenta: 48 (n + 2) in the head band, every profile node in the
-    # final sum, one or more steps of one momentum per zero in Newton;
+    # FFT, (30, 0) in two bands, and each record holds its stage times, its
+    # minor page faults by stage and its kernel phases by stage, the level
+    # entries of the lattice times the momentum entries: the two levels of
+    # the 48 (n + 2) head momenta in the head band, every profile node in
+    # the final sum, one or more steps of one momentum per zero in Newton;
     # the zeros come back bit for bit, as float.hex strings
-    from conftest import profile_zeros, scan_size
+    from conftest import level_entries, profile_zeros, scan_size
 
     from darboux3 import ModelParams
 
@@ -191,7 +192,11 @@ def test_profile_cost_reports_stages_and_path(tmp_path, monkeypatch, capsys):
         assert min(stages) > 0.0 and sum(stages) < rec["total"] and rec["peak_rss_mb"] > 0.0
         levels = scan_size(ModelParams(1.0, rec["lam"]), rec["n"])[5]
         phases = rec["phases"]
-        assert phases["head"] == (96 * levels if rec is corner else 0)
+        assert phases["head"] == (level_entries(96) * levels if rec is corner else 0)
+        faults = rec["faults"]
+        assert set(faults) == {"lattice", "scan", "refine", "panels", "final", "total"}
+        assert all(count >= 0 for count in faults.values())
+        assert faults["total"] >= sum(faults[k] for k in ("lattice", "scan", "refine", "panels", "final"))
         assert phases["final"] == rec["p_nodes"] * levels
         assert phases["newton"] % (rec["zeros"] * levels) == 0 and phases["newton"] > 0
         zeros = profile_zeros(ModelParams(1.0, rec["lam"]), rec["n"])[2]

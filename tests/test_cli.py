@@ -344,6 +344,29 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "energy", "--omega", "1e200", "--lambda", "0", "--n", "0")
         assert (code, out, err) == (0, "n,lambda,energy\n0,0,5e+199\n", "")
 
+    @pytest.mark.parametrize("omega, want", [("1e-160", "5e-161"), ("1e-200", "5e-201")])
+    def test_omega_below_the_square_range(self, capsys, omega, want):
+        # omega^2 is subnormal at 1e-160 and 0 at 1e-200: Omega is taken scaled
+        code, out, err = run_cli(capsys, "energy", "--omega", omega, "--lambda", "0", "--n", "0")
+        assert (code, out, err) == (0, f"n,lambda,energy\n0,0,{want}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["energy", "--n", "1"], "darboux3.model: energy E_1 overflows at omega=1.7e+308, lam=0.0"),
+            (["renyi", "--n", "0", "--alpha", "2"], "darboux3.position_entropy: alpha Omega overflows for order 2"
+             " at omega=1.7e+308, lam=0.0, n=0"),
+            (["disequilibrium", "--n", "0"], "darboux3.position_entropy: alpha Omega overflows for order 2"
+             " at omega=1.7e+308, lam=0.0, n=0"),
+        ],
+        ids=["energy", "renyi", "disequilibrium"],
+    )
+    def test_top_of_the_double_range_exits_3(self, capsys, argv, err):
+        # (n + 1/2) Omega and alpha Omega pass the double range at omega = 1.7e308:
+        # a numeric failure that names its module, not inf or a usage error
+        code, out, got = run_cli(capsys, *argv, "--omega", "1.7e308", "--lambda", "0")
+        assert (code, out, got) == (3, "", f"numeric failure in {err}\n")
+
     @pytest.mark.parametrize(
         "order, fault",
         [("800", "is subnormal (5.80785e-311)"), ("2000", "underflows to 0")],

@@ -98,6 +98,24 @@ class TestEffectiveFrequency:
                 big = effective_frequency(ModelParams(math.ldexp(1.0, k), math.ldexp(lam, k)), n)
                 assert abs(math.ldexp(big, -k) / want - 1.0) <= 2.0 * np.finfo(float).eps
 
+    def test_below_the_square_range(self):
+        # omega^2 is subnormal below omega ~ 1.5e-154 and 0 below ~ 1e-162; there
+        # Omega is taken scaled as past the overflow, so omega twins
+        # Omega(2^-k omega, 2^-k lam) = 2^-k Omega(omega, lam) hold: exactly
+        # among the scaled ones, and to within the rounding of the platform's
+        # pow against the direct form
+        assert effective_frequency(ModelParams(1e-160, 0.0), 0) == 1e-160
+        assert energy(ModelParams(1e-200, 0.0), 0) == 5e-201
+        for omega in (1.0, 0.37, 2.5):
+            for lam, n in [(0.0, 0), (0.4, 3), (30.0, 7), (1.6170604092478382, 44)]:
+                want = effective_frequency(ModelParams(omega, lam), n)
+                twins = [
+                    math.ldexp(effective_frequency(ModelParams(math.ldexp(omega, -k), math.ldexp(lam, -k)), n), k)
+                    for k in (520, 600, 1000)
+                ]
+                assert twins[0] == twins[1] == twins[2]
+                assert abs(twins[0] / want - 1.0) <= 2.0 * np.finfo(float).eps
+
 
 class TestNormalisation:
     def test_gaussian_ground_state(self, harmonic):

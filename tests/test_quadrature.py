@@ -1,7 +1,9 @@
+import json
 import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from conftest import (
     assert_batch_contract,
     batch_tolerances,
     lattice_nodes,
+    lattice_side,
+    level_entries,
     quadrature_entropy,
     reference_fft_scan,
     reference_ft_sum,
@@ -782,14 +786,15 @@ class TestFourierTransform:
             assert p[1] - p[0] == pytest.approx(2.0 * np.pi / (m * h), rel=1e-15)
             assert p[1] - p[0] <= step and p[-1] >= p_max
             lattice = _progression(0.0, blocks * h, blocks), _progression(0.0, h, blocks)
-            kernel = _ft_component(n, *lattice, fw, p)
+            kernel = _ft_component(n, *lattice, fw, (p,))
             assert np.max(np.abs(vals - kernel)) < 1e-11
 
     @pytest.mark.parametrize("lam,n", [(30.0, 1), (100.0, 0)])
     def test_two_band_scan_is_the_kernel_sum(self, lam, n):
         # the head band is the kernel at 48 (n + 2) momenta k step_head up
-        # to p_feat, and the tail band the short FFT past the last head
-        # point, every step within the tail step, out to L_p
+        # to p_feat, given as the two levels of their progression, and the
+        # tail band the short FFT past the last head point, every step
+        # within the tail step, out to L_p
         params = ModelParams(1.0, lam)
         L_p = quadrature._momentum_cut(params, n)
         p_feat = quadrature._momentum_tail_start(params, n)
@@ -798,14 +803,16 @@ class TestFourierTransform:
         head_step, tail_step = reference_scan_steps(params, n, L_p)
         head = 48 * (n + 2)
         assert scan_size(params, n)[4] == head  # two bands run here
-        p, vals = quadrature._zero_scan(n, *lattice[:2], fw, p_feat, L_p)
-        assert np.array_equal(p[:head], head_step * np.arange(head))
+        p, vals, count = quadrature._zero_scan(n, *lattice[:2], fw, p_feat, L_p)
+        levels = _progression(0.0, head_step, head)
+        assert count == head and np.array_equal(p[:head], lattice_side(levels, head))
+        assert p[:head] == pytest.approx(head_step * np.arange(head), rel=1e-15)
         assert p[head - 1] == pytest.approx(p_feat, rel=1e-14)
         assert np.all(np.diff(p[head - 1 :]) > 0.0)
         assert np.all(np.diff(p[head - 1 :]) <= tail_step) and p[-1] >= L_p
-        assert np.array_equal(vals[:head], _ft_component(n, *lattice[:2], fw, p[:head]))
+        assert np.array_equal(vals[:head], _ft_component(n, *lattice[:2], fw, levels)[:head])
         picks = np.arange(head, len(p), 7)
-        kernel = _ft_component(n, *lattice[:2], fw, p[picks])
+        kernel = _ft_component(n, *lattice[:2], fw, (p[picks],))
         assert np.max(np.abs(vals[picks] - kernel)) <= 1e-13 * np.abs(fw).sum()
 
     def test_scan_nodes_fit_one_fft_length(self, monkeypatch):
@@ -823,14 +830,13 @@ class TestFourierTransform:
             sizes[-1] = (len(fw), round(2.0 * math.pi / ((p[1] - p[0]) * h)), len(p) - 1)
             return p, vals
 
-        def kernel_spy(n, origins, offsets, fw, p):
-            if sys._getframe(1).f_code.co_name == "_zero_scan":
-                heads[-1] = len(p)
-            return kernel(n, origins, offsets, fw, p)
+        def zero_scan_spy(*args):
+            p, vals, heads[-1] = zero_scan(*args)
+            return p, vals, heads[-1]
 
-        scan, kernel = quadrature._fft_scan, quadrature._ft_component
+        scan, zero_scan = quadrature._fft_scan, quadrature._zero_scan
         monkeypatch.setattr(quadrature, "_fft_scan", spy)
-        monkeypatch.setattr(quadrature, "_ft_component", kernel_spy)
+        monkeypatch.setattr(quadrature, "_zero_scan", zero_scan_spy)
         quadrature._profile_cached.cache_clear()
         cases, heads = [], []
         for om in (1e-3, 1.0, 1e4):
@@ -881,7 +887,7 @@ class TestFourierTransform:
         for refine in (1, 2):
             lattice = _ft_x_nodes(params, n, prof.grid.half_width, refine)
             fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
-            g = _ft_component(n, *lattice[:2], fw, prof.p)
+            g = _ft_component(n, *lattice[:2], fw, (prof.p,))
             gammas.append(2.0 / np.pi * g * g)
         assert np.max(np.abs(gammas[0] - gammas[1])) <= 1e-13 * np.max(prof.gamma)
         assert np.max(np.abs(gammas[0] - prof.gamma)) <= 1e-13 * np.max(prof.gamma)
@@ -907,7 +913,7 @@ class TestFourierTransform:
         p = np.linspace(0.0, 8.0, 300)
         tracemalloc.start()
         try:
-            out = _ft_component(0, origins, offsets, fw, p)
+            out = _ft_component(0, origins, offsets, fw, (p,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1004,23 +1010,56 @@ class TestTransformKernel:
     def test_random_multilevel_lattices_against_oracles(self, seed):
         # sides of one to three random levels, each cut anywhere past its
         # last level's first row, within 4 eps sum|fw| of the long-double
-        # sum over the levels' outer sums.  The level entries are multiples
-        # of 2^-52 of a power of two past them all, so that every node, a
-        # sum of up to six of them, is exact in long double, as the
-        # double-double phases need
+        # sum over the levels' outer sums
         rng = np.random.default_rng(100 + seed)
+        self._against_long_double(rng, seed, *self._random_sides(rng))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_two_level_momenta(self, seed):
+        # momenta given as the two levels of a progression, start + c F step
+        # and f step, on random sides of two levels: the sums at their outer
+        # sums agree with the same momenta given as one level, and both with
+        # the double-double oracle, within the rounding bound of their m
+        # momentum levels, eps ((B + J) / 2 + 2 + 10 m) sum|fw|.  The step
+        # and start are multiples of 2^-16, so every momentum is exact
+        rng = np.random.default_rng(300 + seed)
+        origins, offsets, shape = self._random_sides(rng, depth=2)
+        fw = rng.standard_normal(shape) * np.exp(rng.uniform(-3, 3, (shape[0], 1)))
+        count = int(rng.integers(1, 200))
+        step = round(rng.uniform(0.05, 2.5) * 2.0**16) / 2.0**16
+        start = round(rng.uniform(-60.0, 10.0) * 2.0**16) / 2.0**16
+        momenta = _progression(start, step, count)
+        p = lattice_side(momenta, count)
+        assert np.array_equal(p, start + step * np.arange(count))
+        oracle = reference_ft_sum_dd(seed, origins, offsets, fw, p)
+        two = _ft_component(seed, origins, offsets, fw, momenta)
+        one = _ft_component(seed, origins, offsets, fw, (p,))
+        assert two.shape == (len(momenta[0]) * len(momenta[1]),)
+        bounds = [quadrature._rounding_bound(fw, m) for m in (1, 2)]
+        assert np.max(np.abs(one - oracle)) <= bounds[0]
+        assert np.max(np.abs(two[:count] - oracle)) <= bounds[1]
+        assert np.max(np.abs(two[:count] - one)) <= sum(bounds)
+
+    @staticmethod
+    def _random_sides(rng, depth=None):
+        """Origins and offsets of ``depth`` random levels each (one to three,
+        drawn, for None) and the weights' shape, each side cut anywhere past
+        its last level's first row.  The level entries are multiples of
+        2^-52 of a power of two past them all, so that every node, a sum of
+        up to six of them, is exact in long double, as the double-double
+        phases need."""
         scale = 10.0 ** rng.uniform(-1.0, 1.0)
         quantum = 2.0 ** (math.ceil(math.log2(scale)) - 52)
         sides, shape = [], []
         for span in (scale, scale / 8.0):
             levels = tuple(
                 np.round(rng.uniform(-span, span, rng.integers(1, 9)) / quantum) * quantum
-                for _ in range(rng.integers(1, 4))
+                for _ in range(depth or rng.integers(1, 4))
             )
             full = math.prod(len(level) for level in levels)
             sides.append(levels)
             shape.append(int(rng.integers(full - len(levels[-1]) + 1, full + 1)))
-        self._against_long_double(rng, seed, *sides, tuple(shape))
+        return (*sides, tuple(shape))
 
     def _against_long_double(self, rng, seed, origins, offsets, shape):
         """Random weights and momenta on the lattice; each row's kernel
@@ -1028,10 +1067,10 @@ class TestTransformKernel:
         phases.  Returns the weights, the momenta and each row's (n, sum)."""
         fw = rng.standard_normal((2,) + shape) * np.exp(rng.uniform(-3, 3, (shape[0], 1)))
         p = np.concatenate([[0.0], rng.uniform(-50.0, 50.0, 40)])
-        stacked = _ft_component((seed, seed + 1), origins, offsets, fw, p)
+        stacked = _ft_component((seed, seed + 1), origins, offsets, fw, (p,))
         sums = []
         for row, n in enumerate((seed, seed + 1)):
-            g = _ft_component(n, origins, offsets, fw[row], p)
+            g = _ft_component(n, origins, offsets, fw[row], (p,))
             oracle = reference_ft_sum_dd(n, origins, offsets, fw[row], p)
             for got in (g, stacked[row]):
                 assert np.max(np.abs(got - oracle)) <= 4.0 * self.EPS * np.abs(fw[row]).sum()
@@ -1042,8 +1081,8 @@ class TestTransformKernel:
 
     def test_empty_momenta(self):
         origins, offsets = (np.arange(3.0),), _progression(0.0, 0.25, 4)
-        assert _ft_component(0, origins, offsets, np.ones((3, 4)), np.array([])).shape == (0,)
-        pair = _ft_component((0, 1), origins, offsets, np.ones((2, 3, 4)), np.array([]))
+        assert _ft_component(0, origins, offsets, np.ones((3, 4)), (np.array([]),)).shape == (0,)
+        pair = _ft_component((0, 1), origins, offsets, np.ones((2, 3, 4)), (np.array([]),))
         assert pair.shape == (2, 0)
 
     @pytest.mark.parametrize("lam,n", PROFILE_PAIRS)
@@ -1056,7 +1095,7 @@ class TestTransformKernel:
         lattice = _ft_x_nodes(params, n, prof.grid.half_width)
         fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
         p = prof.p[:: max(1, fw.size * len(prof.p) // 2_000_000)]
-        g = _ft_component(n, *lattice[:2], fw, p)
+        g = _ft_component(n, *lattice[:2], fw, (p,))
         x = lattice_nodes(*lattice[:2], fw.shape, np.longdouble)
         oracle = reference_ft_sum(n, x, fw, p, np.longdouble)
         assert np.max(np.abs(g - oracle)) <= 4.0 * self.EPS * np.abs(fw).sum()
@@ -1065,16 +1104,23 @@ class TestTransformKernel:
         # each side of the profile lattice is two levels, so the kernel's
         # one cos/sin pass per chunk takes the level entries, not the J + B
         # side entries: 31 phases per momentum at (9.36, 4), where N = 3192
-        # and J + B = 113, in the head band, every Newton step and the
-        # final sum
-        passes = []
+        # and J + B = 113, in every Newton step and the final sum.  The head
+        # band's 288 momenta are two levels of 17 entries, a pass each, so
+        # it takes 31 (17 + 17) = 1054 phases where one level took
+        # 31 * 288 = 8928
+        passes = []  # (the kernel's caller, level entries, momenta) of each pass
 
         def spy(x, x_split, q, q_split):
-            passes.append((len(x), len(q)))
+            passes.append((caller[0], len(x), len(q)))
             return unit_phases(x, x_split, q, q_split)
 
-        unit_phases = quadrature._unit_phases
+        def kernel_spy(*args):
+            caller[0] = sys._getframe(1).f_code.co_name
+            return kernel(*args)
+
+        caller, unit_phases, kernel = [None], quadrature._unit_phases, quadrature._ft_component
         monkeypatch.setattr(quadrature, "_unit_phases", spy)
+        monkeypatch.setattr(quadrature, "_ft_component", kernel_spy)
         params = ModelParams(1.0, 9.36)
         quadrature._profile_cached.cache_clear()
         try:
@@ -1082,9 +1128,14 @@ class TestTransformKernel:
         finally:
             quadrature._profile_cached.cache_clear()
         nodes, *_, head, levels = scan_size(params, 4)
-        assert (nodes, head, levels) == (3192, 288, 31)
-        assert passes[0] == (levels, head) and passes[-1] == (levels, len(prof.p))
-        assert all(phases <= levels for phases, _ in passes)
+        assert (nodes, head, levels, level_entries(head)) == (3192, 288, 31, 34)
+        phases = {}
+        for name, entries, momenta in passes:
+            phases[name] = phases.get(name, 0) + entries * momenta
+        assert phases["_zero_scan"] == levels * level_entries(head)
+        assert phases["_profile_cached"] == levels * len(prof.p)
+        assert phases["g_slope_bound"] % levels == 0
+        assert {entries for _, entries, _ in passes} == {levels}
 
     def test_every_transform_calls_the_kernel(self, deformed, monkeypatch):
         from darboux3 import strong_nonlinear
@@ -1124,7 +1175,7 @@ class TestTransformKernel:
         calls = []
 
         def spy(*args):
-            calls.append(len(args[-1]))
+            calls.append(len(args[-1][0]))
             return _ft_component(*args)
 
         params = ModelParams(1.0, lam)
@@ -1282,13 +1333,12 @@ class TestMomentumIdentities:
 
 
 class TestTwoBandScan:
-    # a zero scan whose single FFT would be 2^16 points or more, and cost
-    # more than the head band's kernel sums, takes two bands
+    # a zero scan whose single FFT would be 2^16 points or more takes two bands
     EPS = np.finfo(float).eps
 
     @staticmethod
-    def _zeros(lam, n):
-        params = ModelParams(1.0, lam)
+    def _zeros(lam, n, omega=1.0):
+        params = ModelParams(omega, lam)
         L_p = quadrature._momentum_cut(params, n)
         lattice = _ft_x_nodes(params, n, L_p)
         fw = _lattice_values(lambda x: wavefunction(params, n, x), *lattice)
@@ -1297,17 +1347,22 @@ class TestTwoBandScan:
 
     @pytest.mark.parametrize("lam,n", [
         (6.06, 8), (9.57, 4), (30.0, 0), (30.0, 1), (30.0, 10), (100.0, 0), (100.0, 6),
-        (6.0, 20), (20.0, 15), (100.0, 12),
+        (6.0, 20), (20.0, 15), (100.0, 12), (1.778, 12), (2.371, 8), (3.162, 20),
     ])
     def test_two_bands_match_one_fft(self, lam, n, monkeypatch):
-        # against the single FFT (the switch held off): the same zero count,
-        # each zero within Newton's stopping bound over |g'| of the other,
-        # and W_1/2 and W_2 within 1e-15 relative
+        # against the single FFT (the oracle's scan in place of the switch):
+        # the same zero count, each zero within Newton's stopping bound over
+        # |g'| of the other, and W_1/2 and W_2 within 1e-15 relative
         params = ModelParams(1.0, lam)
         assert scan_size(params, n)[4]  # two bands run here
+
+        def one_fft(n, origins, offsets, fw, p_feat, L_p):
+            step = reference_scan_step(params, n, L_p)
+            return (*reference_fft_scan(n, fw.ravel(), float(offsets[-1][1]), L_p, step), 0)
+
         runs = []
-        for switch in (quadrature._TWO_BANDS, 2**62):
-            monkeypatch.setattr(quadrature, "_TWO_BANDS", switch)
+        for scan in (quadrature._zero_scan, one_fft):
+            monkeypatch.setattr(quadrature, "_zero_scan", scan)
             quadrature._profile_cached.cache_clear()
             moments = [entropic_moment_numeric(params, n, a, "momentum") for a in (0.5, 2.0)]
             runs.append((self._zeros(lam, n), moments))
@@ -1315,10 +1370,30 @@ class TestTwoBandScan:
         ((lattice, fw, two), w_two), ((_, _, one), w_one) = runs
         assert len(two) == len(one) > 0
         x = lattice_nodes(*lattice[:2], fw.shape).reshape(fw.shape)
-        slope = _ft_component(n + 1, *lattice[:2], x * fw, one)
+        slope = _ft_component(n + 1, *lattice[:2], x * fw, (one,))
         bound = self.EPS * (0.5 * sum(fw.shape) + 12.0) * np.abs(fw).sum()
         assert np.all(np.abs(two - one) <= bound / np.abs(slope))
         assert w_two == pytest.approx(w_one, rel=1e-15)
+
+    def test_zeros_against_the_recorded_table(self):
+        # every profile of a sweep, lam in [0, 30] at omega = 1 and twins at
+        # omega = 1e-3, 0.37 and 1e4, n <= 20, keeps its zero count, and each
+        # zero lies within Newton's stopping bound over |g'| of the one in
+        # momentum_zeros.json ("omega,lam,n": the zeros as float.hex), taken
+        # when the head band summed its momenta as one level and ran only
+        # where also M log2 M >= 28 P (B + J)
+        table = json.loads((Path(__file__).parent / "momentum_zeros.json").read_text())
+        bands = 0
+        for key, recorded in table.items():
+            omega, lam, n = (float(v) for v in key.split(","))
+            lattice, fw, zeros = self._zeros(lam, int(n), omega)
+            want = np.array([float.fromhex(z) for z in recorded.split()])
+            assert len(zeros) == len(want), key
+            x = lattice_nodes(*lattice[:2], fw.shape).reshape(fw.shape)
+            slope = _ft_component(int(n) + 1, *lattice[:2], x * fw, (want,))
+            assert np.all(np.abs(zeros - want) <= quadrature._rounding_bound(fw) / np.abs(slope)), key
+            bands += scan_size(ModelParams(omega, lam), int(n))[4] > 0
+        assert len(table) == 609 and bands > 0
 
     def test_tables_and_cold_requests_take_one_fft(self, monkeypatch):
         # every profile of the momentum tables (lam = 0 and 0.4, n <= 20),
@@ -1329,11 +1404,11 @@ class TestTwoBandScan:
         scans = []
 
         def spy(n, origins, offsets, fw, p_feat, L_p):
-            p, vals = zero_scan(n, origins, offsets, fw, p_feat, L_p)
-            scans.append((p, vals.copy()))  # the caller scales vals in place
+            p, vals, head = zero_scan(n, origins, offsets, fw, p_feat, L_p)
+            scans.append((p, vals))
             step = reference_scan_step(ModelParams(1.0, lam), n, L_p)
             want.append(reference_fft_scan(n, fw.ravel(), float(offsets[-1][1]), L_p, step))
-            return p, vals
+            return p, vals, head
 
         zero_scan = quadrature._zero_scan
         monkeypatch.setattr(quadrature, "_zero_scan", spy)

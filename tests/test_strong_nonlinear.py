@@ -270,6 +270,20 @@ class TestCriticalPoints:
             for c, d in zip(closed, numeric):
                 assert abs(c.x - d.x) < 1e-8
 
+    @pytest.mark.parametrize("omega", [1.0, 2.5, 1.53e24])
+    def test_n2_outer_maxima_at_small_kappa(self, omega):
+        # outer_sq without the cancellation of -2/lam against root/(lam Omega):
+        # the closed form agrees with the numeric engine for kappa = lam / omega
+        # down to 1e-15, where the cancelling form lost up to eps/kappa of it
+        # (and from kappa ~ 7e-18 went negative: critical-points --omega
+        # 1.53e24 --lambda 21.2 --n 2 raised a math domain error)
+        for kappa in [10.0 ** -k for k in range(16)] + [21.2 / 1.53e24]:
+            params = ModelParams(omega, kappa * omega)
+            closed = density_critical_points(params, 2)
+            numeric = density_critical_points(params, 2, numeric=True)
+            assert [c.kind for c in closed] == [c.kind for c in numeric], kappa
+            assert closed[-1].x == pytest.approx(numeric[-1].x, rel=1e-13), kappa
+
     @pytest.mark.parametrize("lam", [0.0, 0.4, 30.0])
     def test_density_zeros_are_scaled_hermite_zeros(self, lam):
         # the minima at density zeros are y_k / sqrt(Omega) exactly, with no

@@ -20,9 +20,12 @@ the kernel's trig phases by stage, ``phases``: the phase count (entries
 times momenta) of every cos/sin pass of the kernel (``_unit_phases``;
 ``_cos_sin_outer`` in a checkout without it), summed over the head band
 of a two-band scan (``head``), the Newton steps (``newton``) and the
-final sum (``final``); and ``peak_rss_mb`` (``resource.getrusage``, the
-child's peak, imports included), the scan path (``one fft`` or ``two bands``), the zero count
-and the node counts, and the zeros themselves as ``float.hex`` strings
+final sum (``final``); the minor page faults by stage, ``faults``
+(``resource.getrusage(...).ru_minflt``, with ``refine`` and ``total`` as
+for the times; a fresh process faults in its first arrays, so compare
+two checkouts' counts rather than read one alone); and ``peak_rss_mb``
+(``resource.getrusage``, the child's peak, imports included), the scan
+path (``one fft`` or ``two bands``), the zero count and the node counts, and the zeros themselves as ``float.hex`` strings
 (``zeros_hex``), so that a ``diff`` of two checkouts' records shows any
 zero that moved by one bit.  The parent prints one line per run, and with
 ``--json`` writes every record to a file.  A checkout other than this one
@@ -41,21 +44,27 @@ import sys
 import time
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def measure(lam: float, n: int) -> dict:
     """One cold profile in this process, with each stage timed by a wrapper."""
     from darboux3 import ModelParams, quadrature
 
     spent = {"lattice": 0.0, "scan": 0.0, "zeros": 0.0, "panels": 0.0, "final": 0.0}
+    faults = dict.fromkeys(spent, 0)
     phases = {"head": 0, "newton": 0, "final": 0}
     paths, current = [], []  # current: the stage of the running kernel call
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
-            t0 = time.perf_counter()
+            f0, t0 = _minor_faults(), time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 spent[stage] += time.perf_counter() - t0
+                faults[stage] += _minor_faults() - f0
         return wrapper
 
     kernel = quadrature._ft_component
@@ -94,9 +103,11 @@ def measure(lam: float, n: int) -> dict:
         return zeros[-1]
 
     quadrature._transform_zeros = keep_zeros
-    t0 = time.perf_counter()
+    f0, t0 = _minor_faults(), time.perf_counter()
     prof = quadrature.momentum_profile(ModelParams(1.0, lam), n)
     total = time.perf_counter() - t0
+    faults["total"] = _minor_faults() - f0
+    faults["refine"] = faults.pop("zeros") - faults["scan"]
     peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "lam": lam,
@@ -110,6 +121,7 @@ def measure(lam: float, n: int) -> dict:
         "final": spent["final"],
         "total": total,
         "phases": phases,
+        "faults": faults,
         "peak_rss_mb": peak_kib / 1024.0,
         "zeros": len(zeros[0]),
         "zeros_hex": [float(z).hex() for z in zeros[0]],
@@ -150,6 +162,7 @@ def main(argv=None) -> int:
                 f"({lam:g}, {n}) {rec['path']}: scan {rec['scan']:.4f} refine {rec['refine']:.4f} "
                 f"panels {rec['panels']:.4f} final {rec['final']:.4f} total {rec['total']:.4f} s, "
                 "trig phases head {head} newton {newton} final {final}, ".format(**rec["phases"])
+                + "faults scan {scan} refine {refine} final {final} total {total}, ".format(**rec["faults"])
                 + f"peak RSS {rec['peak_rss_mb']:.1f} MB, {rec['zeros']} zeros, {rec['p_nodes']} p nodes",
                 flush=True,
             )
