@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ModelParams, effective_frequency
+from .model import ModelParams, effective_frequency, log_unit, unit_twin
 from .quadrature import _exp_moment
 
 __all__ = [
@@ -215,17 +215,14 @@ def _moment_polynomial(n: int, alpha: int) -> tuple[tuple[int, ...], int]:
 
 
 def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
-    """ln W for integer alpha >= 1: the exact moment polynomial at
-    r = lam / (alpha Omega), rounded only when its logarithm is taken; an
-    alpha Omega past the double range raises ``ArithmeticError``."""
+    """ln W for integer alpha >= 1: the twin's exact moment polynomial at
+    r = kappa / (alpha Omega), rounded only when its logarithm is taken, plus
+    (1 - alpha) times the :func:`~darboux3.model.log_unit`."""
     a = _check_alpha_int(alpha)
     nums, den = _moment_polynomial(n, a)
-    om = effective_frequency(params, n)
-    if a * om == math.inf:
-        raise ArithmeticError(
-            f"alpha Omega overflows for order {a} at omega={params.omega}, lam={params.lam}, n={n}"
-        )
-    r_num, r_den = (params.lam / (a * om)).as_integer_ratio()
+    unit = unit_twin(params)
+    om = effective_frequency(unit, n)
+    r_num, r_den = (unit.lam / (a * om)).as_integer_ratio()
     # D r_den^alpha sum_k P_k r^k, by Horner on integers
     total = 0
     for k, n_k in enumerate(reversed(nums)):
@@ -237,9 +234,9 @@ def log_entropic_moment(params: ModelParams, n: int, alpha) -> float:
     return (
         0.5 * math.log(math.pi / (a * om))
         + 0.5 * a * math.log(om / math.pi)
-        - a * math.log1p((n + 0.5) * params.lam / om)
+        - a * math.log1p((n + 0.5) * unit.lam / om)
         + _log_of_fraction(Fraction(total, den * r_den**a))
-    )
+    ) + (1 - a) * log_unit(params.omega, "position")
 
 
 def entropic_moment(params: ModelParams, n: int, alpha) -> float:

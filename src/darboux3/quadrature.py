@@ -14,12 +14,15 @@ restores spectral convergence.  :func:`_panel_grid` lays out these panels,
 the momentum profile's and the equal ones of :func:`grid_log_moment`; :func:`_gl_blocks`
 lays out the equal-panel lattices of the phi_n transform and of
 :func:`fourier_transform` on a :class:`GridSpec` (:func:`_lattice_transform`
-sums them).  Both use array operations.  Position moments integrate in y = sqrt(Omega) x, where
-rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy (kappa =
-lam / Omega, m = n + 1/2, h_n the normalised harmonic function): lambda
+sums them).  Both use array operations.  Every layout is that of the
+twin (1, kappa), kappa = lam / omega (:func:`~darboux3.model.unit_twin`):
+values at omega follow by the model's scalings, applied once.  Position
+moments integrate in y = sqrt(Omega) x, where
+rho_n(x) dx = [(1 + c y^2) / (1 + m c)] h_n(y)^2 dy (c = kappa / Omega,
+m = n + 1/2, h_n the normalised harmonic function): kappa
 enters only through that factor and the cut, so the panels up to the last
 Hermite zero and h_n on them depend only on (n, order class, refine).
-Each class among the (lam, alpha) cells of one n's CLI grid or table row
+Each class among the (kappa, alpha) cells of one n's CLI grid or table row
 gets one half line, its head and one tail to its cells' largest cut, read
 whole by each; passes of bounded size lay whole lines out as segments of
 one :func:`_panel_grid` call and one Hermite pass; tail panels grow
@@ -84,7 +87,8 @@ of its peak.  The momentum cut, :func:`_momentum_cut`, is the Gaussian cut
 below the saddle crossover p_c = Omega / sqrt(lam) (a shifted-line bound)
 and past it follows from the branch-point tail law of the transform
 (W_1/2 loses at most 1e-11), so a profile builds its nodes and Psi_n once.
-Every momentum length is sqrt(omega) times a function of (lam / omega, n).
+A profile is its twin's, momenta and weights times sqrt(omega) and
+densities over it, and the twin's is cached on (kappa, n, refine).
 
 Both spaces integrate even densities on the half line (a user's grid,
 :func:`grid_log_moment`, spans [-L, L]): :func:`entropic_moment_numeric` and
@@ -102,7 +106,8 @@ from itertools import accumulate
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import ModelParams, density_position, effective_frequency, log_norm_constant, wavefunction
+from .model import (ModelParams, density_position, effective_frequency, log_norm_constant, log_unit,
+                    unit_twin, wavefunction)
 from .specfun import bracketed_newton, hermite_sign_logabs, hermite_zeros
 
 __all__ = [
@@ -202,29 +207,31 @@ def position_half_width(
     params: ModelParams, n: int, alpha: float, tail_log: float = _TAIL_LOG
 ) -> float:
     """Half-width L with the density^alpha envelope below e^-tail_log of its
-    peak; orders alpha > 1 take the order-1 width."""
-    om = effective_frequency(params, n)
+    peak, the twin's over sqrt(omega); orders alpha > 1 take the order-1 width."""
+    unit = unit_twin(params)
+    om = effective_frequency(unit, n)
     a = min(alpha, 1.0)
     L2 = tail_log / (a * om) + (2 * n + 1) / om
     for _ in range(8):
         L = math.sqrt(L2)
         L2 = (
             tail_log / a
-            + math.log1p(params.lam * L * L)
+            + math.log1p(unit.lam * L * L)
             + 2.0 * n * math.log1p(2.0 * math.sqrt(om) * L)
         ) / om
-    return 1.1 * math.sqrt(L2)
+    return 1.1 * math.sqrt(L2) / math.sqrt(params.omega)
 
 
-def _position_log_density(omega: float, cells, n: int, refine: int):
-    """For each (lam, alpha) of ``cells``, its index in ``cells``, alpha and
-    the half-line nodes y = sqrt(Omega) x, their weights in x and ln rho_n
-    there, for integrating rho_n^alpha (an even integrand); every alpha must
-    be finite and > 0.  The cells come class by class (see below).
+def _position_log_density(cells, n: int, refine: int):
+    """For each (kappa, alpha) of ``cells``, its index in ``cells``, alpha
+    and the half-line nodes y = sqrt(Omega) x of the twin (1, kappa), their
+    weights in x and ln rho_n there, for integrating rho_n^alpha (an even
+    integrand); every alpha must be finite and > 0.  The cells come class by
+    class (see below).
 
-    rho_n(x) dx = [(1 + kappa y^2) / (1 + m kappa)] h_n(y)^2 dy with
-    kappa = lam / Omega, m = n + 1/2 and h_n the normalised harmonic
-    function, so ln rho_n = 2 ln N + ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2.
+    rho_n(x) dx = [(1 + c y^2) / (1 + m c)] h_n(y)^2 dy with c = kappa /
+    Omega, m = n + 1/2 and h_n the normalised harmonic function, so
+    ln rho_n = 2 ln N + ln(1 + c y^2) + 2 ln|H_n(y)| - y^2.
     The panels split at the positive Hermite zeros, each at most
     width = min(0.7, pi / (4 max(alpha, 1) sqrt(2n + 1))) / refine wide, and
     run out to the cut sqrt(Omega) L, L the :func:`position_half_width`;
@@ -233,7 +240,7 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     (n, max(alpha, 1), whether alpha is fractional, ``refine``).  Each class
     of the call gets one half line, its head and then one tail to the
     largest cut among its cells, and each of its cells reads that whole
-    line, adding only its ln(1 + kappa y^2) and ln N: past its own cut a
+    line, adding only its ln(1 + c y^2) and ln N: past its own cut a
     cell's integrand is below e^-42 of its peak.  The lines go, fractional
     classes first (only they map the cusps at the zeros), into passes of
     one kind, each one :func:`_panel_grid` call and one Hermite pass that
@@ -248,14 +255,14 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
     y_g = sqrt(2n + 1) + 1, and past y_g each piece is ``_GROW`` times the
     one before it, as in the momentum tail.  Such a piece [a, a + w] has
     a / w >= min(y_g / (_GROW d), 1 / (_GROW - 1)) > 2.1, so the branch
-    points +-i / sqrt(kappa) of (1 + kappa y^2)^alpha lie outside its
+    points +-i / sqrt(c) of (1 + c y^2)^alpha lie outside its
     Bernstein ellipse rho = t + sqrt(t^2 - 1), t = 1 + 2 a / w > 5.2,
-    whatever kappa: the 16-point rule's error bound scales as rho^-32 < 1e-32.
+    whatever c: the 16-point rule's error bound scales as rho^-32 < 1e-32.
     """
     classes = {}  # (integer, max(alpha, 1)): [largest cut, its cells]
-    for index, (lam, alpha) in enumerate(cells):
+    for index, (kappa, alpha) in enumerate(cells):
         _check_order(alpha := float(alpha))
-        params = ModelParams(omega, lam)
+        params = ModelParams(1.0, kappa)
         om = effective_frequency(params, n)
         line = classes.setdefault((alpha.is_integer(), max(alpha, 1.0)), [0.0, []])
         line[0] = max(line[0], math.sqrt(om) * position_half_width(params, n, alpha))
@@ -287,7 +294,7 @@ def _position_log_density(omega: float, cells, n: int, refine: int):
         for at, members in batch:
             y_t, w_t, h_t = y[at], w[at], log_h[at]
             for index, alpha, params, om in members:
-                log_rho = np.multiply(y_t, y_t)  # ln(1 + kappa y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
+                log_rho = np.multiply(y_t, y_t)  # ln(1 + c y^2) + 2 ln|H_n(y)| - y^2 + 2 ln N
                 log_rho *= params.lam / om
                 np.log1p(log_rho, out=log_rho)
                 log_rho += h_t
@@ -309,15 +316,16 @@ class MomentumProfile:
     weights: np.ndarray
 
 
-def _gaussian_cut(params: ModelParams, n: int, om: float) -> float:
-    """Momentum beyond which the Gaussian part of the transform is below
-    e^-(2 _TAIL_LOG) of its peak, with a margin of one sqrt(omega)."""
-    return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + math.sqrt(params.omega)
+def _gaussian_cut(n: int, om: float) -> float:
+    """Momentum beyond which the Gaussian part of the twin's transform is
+    below e^-(2 _TAIL_LOG) of its peak, with a margin of one unit."""
+    return 1.3 * math.sqrt((_TAIL_LOG * 2.0 + 3.0 * (2 * n + 1)) * om) + 1.0
 
 
 def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan_step: float = 0.0):
-    """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0),
-    as the lattice (origins, offsets, weights) of :func:`_ft_component`.
+    """Half-line trapezoid nodes x_j = j h on [0, L] (weight h, h/2 at 0) of
+    the twin ``params`` (omega = 1), as the lattice (origins, offsets,
+    weights) of :func:`_ft_component`.
 
     By Poisson summation the rule's error at p is the transform at the
     first alias 2 pi / h - p, so h puts that alias beyond ``band``, where
@@ -338,7 +346,7 @@ def _ft_x_nodes(params: ModelParams, n: int, p_max: float, refine: int = 1, scan
     """
     om = effective_frequency(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(params, n, om))
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
     h = 2.0 * math.pi / ((band + p_max) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1  # ceil(sqrt(count)) for count >= 1
@@ -499,8 +507,7 @@ def _fft_scan(n: int, fw: np.ndarray, h: float, p_max: float, step: float):
     rfft shorter than ``fw`` would drop its last nodes), and k stays below
     M: k / M <= p_max h / (2 pi) <= 1/2 up to the ceiling while a profile's
     cut L_p is within the band, as 2 pi / h = (band + L_p) refine.  Over
-    omega in [1e-3, 1e4], lam / omega in [0, 1e4], n <= 100 and refine <= 4,
-    L_p is within the band and k / M at 0.5005 or less.
+    kappa in [0, 1e4], n <= 100 and refine <= 4, L_p is within the band and k / M at 0.5005 or less.
     """
     m = _fft_length(h, step, len(fw))
     dp = 2.0 * math.pi / (m * h)
@@ -658,9 +665,10 @@ def _position_second_moment(params: ModelParams, n: int) -> float:
 
 
 def _momentum_cut(params: ModelParams, n: int) -> float:
-    """The profile's momentum cut L_p: :func:`_gaussian_cut`, or beyond it
-    and past the saddle crossover p_c = Omega / sqrt(lam) the branch-point
-    tail law cut for W_1/2.
+    """The profile's momentum cut L_p, sqrt(omega) times the twin's (1,
+    kappa): :func:`_gaussian_cut`, or beyond it and past the saddle
+    crossover p_c = Omega / sqrt(lam) the branch-point tail law cut for
+    W_1/2, lam and Omega the twin's.
 
     Psi_n is analytic in the strip |Im x| < 1/sqrt(lam), so moving the line
     of integration to Im x = -c inside it gives the shifted-line bound
@@ -683,27 +691,27 @@ def _momentum_cut(params: ModelParams, n: int) -> float:
     increasing and concave in L, so Newton's iterates from below the root
     rise monotonically to it.
     """
-    om = effective_frequency(params, n)
-    L = _gaussian_cut(params, n, om)
-    s = math.sqrt(params.lam)
-    if L * s < om:  # below the crossover, lam = 0 included
-        return L
-    k = (
-        0.5 * _log_tail_amplitude(params, n)
-        + math.log(2.0 * s / _W_HALF_TAIL)
-        + 0.25 * math.log(_position_second_moment(params, n))
-    )
-    for _ in range(50):
-        step = (k - L / s - 1.5 * math.log(L)) / (1.0 / s + 1.5 / L)
-        if step <= 1e-12 * L:
-            break
-        L += step
-    return L
+    unit = unit_twin(params)
+    om = effective_frequency(unit, n)
+    L = _gaussian_cut(n, om)
+    s = math.sqrt(unit.lam)
+    if L * s >= om:  # past the crossover, so lam > 0
+        k = (
+            0.5 * _log_tail_amplitude(unit, n)
+            + math.log(2.0 * s / _W_HALF_TAIL)
+            + 0.25 * math.log(_position_second_moment(unit, n))
+        )
+        for _ in range(50):
+            step = (k - L / s - 1.5 * math.log(L)) / (1.0 / s + 1.5 / L)
+            if step <= 1e-12 * L:
+                break
+            L += step
+    return math.sqrt(params.omega) * L
 
 
 @lru_cache(maxsize=512)
-def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumProfile:
-    params = ModelParams(omega, lam)
+def _profile_cached(kappa: float, n: int, refine: int) -> MomentumProfile:
+    params = ModelParams(1.0, kappa)
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
     p_feat = _momentum_tail_start(params, n)  # below the Gaussian cut, so below L_p
@@ -732,17 +740,17 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
     if abs(norm - 1.0) > _NORM_TOL:
         raise ArithmeticError(
             f"momentum density normalisation off by {norm - 1.0:.2e} "
-            f"for omega={omega}, lam={lam}, n={n}"
+            f"for omega=1.0, lam={kappa}, n={n}"
         )
     # the cut's guarantee, checked on the computed transform: W_1/2's tail
     # past the last node, |g| there times the decay length sqrt(lam) +
     # Omega / p of the branch-point and Gaussian tails, stays within ten
     # times the design share (it is below the share itself at every tested cut)
-    tail_share = abs(g[-1]) * (math.sqrt(lam) + om / L_p) / float(p_w @ np.abs(g))
+    tail_share = abs(g[-1]) * (math.sqrt(kappa) + om / L_p) / float(p_w @ np.abs(g))
     if tail_share > 10.0 * _W_HALF_TAIL:
         raise ArithmeticError(
             f"momentum cut {L_p:.6g} short: W_1/2 tail {tail_share:.2e} of the total "
-            f"for omega={omega}, lam={lam}, n={n}"
+            f"for omega=1.0, lam={kappa}, n={n}"
         )
     grid = GridSpec(half_width=float(L_p), points=len(p_nodes))
     for arr in (p_nodes, p_w, gamma):
@@ -751,8 +759,15 @@ def _profile_cached(omega: float, lam: float, n: int, refine: int) -> MomentumPr
 
 
 def momentum_profile(params: ModelParams, n: int, refine: int = 1) -> MomentumProfile:
-    """Half-line momentum profile (p >= 0 nodes; densities are even in p)."""
-    return _profile_cached(params.omega, params.lam, n, refine)
+    """Half-line momentum profile (p >= 0 nodes; densities are even in p):
+    the twin's, cached, with momenta and weights times sqrt(omega) and
+    densities over it."""
+    prof = _profile_cached(unit_twin(params).lam, n, refine)
+    if params.omega == 1.0:
+        return prof
+    root = math.sqrt(params.omega)
+    grid = GridSpec(root * prof.grid.half_width, prof.grid.points)
+    return MomentumProfile(grid, root * prof.p, prof.gamma / root, root * prof.weights)
 
 
 def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
@@ -768,20 +783,20 @@ def fourier_transform(params: ModelParams, n: int, grid_x: GridSpec | None, p):
     ``ValueError``.
     """
     pa, p_max = _momenta(p)
-    if grid_x is None:
-        lattice = _ft_x_nodes(params, n, p_max)
-        scale = _SQRT_2_OVER_PI
-    else:
-        L = grid_x.half_width
-        lattice = _gl_blocks(-L, L, max(2, grid_x.points // _ORDER))
-        scale = 1.0 / _SQRT_2PI
-        if p_max * L / grid_x.points > 0.5:
-            warnings.warn(
-                "momentum grid underresolves the e^(-ipx) phase: "
-                f"p*L/points = {p_max * L / grid_x.points:.2f} > 0.5",
-                stacklevel=2,
-            )
-    return _lattice_transform(n, lambda x: wavefunction(params, n, x), lattice, pa, p, scale)
+    if grid_x is None:  # the twin's transform at p / sqrt(omega), times omega^(-1/4)
+        unit, root = unit_twin(params), math.sqrt(params.omega)
+        lattice = _ft_x_nodes(unit, n, p_max / root)
+        scale = _SQRT_2_OVER_PI / params.omega**0.25
+        return _lattice_transform(n, lambda x: wavefunction(unit, n, x), lattice, pa / root, p, scale)
+    L = grid_x.half_width
+    if p_max * L / grid_x.points > 0.5:
+        warnings.warn(
+            "momentum grid underresolves the e^(-ipx) phase: "
+            f"p*L/points = {p_max * L / grid_x.points:.2f} > 0.5",
+            stacklevel=2,
+        )
+    lattice = _gl_blocks(-L, L, max(2, grid_x.points // _ORDER))
+    return _lattice_transform(n, lambda x: wavefunction(params, n, x), lattice, pa, p, 1.0 / _SQRT_2PI)
 
 
 def _lattice_transform(n: int, f, lattice, pa: np.ndarray, p, scale: float = _SQRT_2_OVER_PI):
@@ -830,23 +845,25 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
 
 
-def position_moments(omega: float, cells, n: int, refine: int = 1) -> list[float]:
-    """W = integral rho_n^alpha dx for each (lam, alpha) of ``cells`` (any
-    iterable), in their order, at one (omega, n, refine), any finite
-    alpha > 0, the cells laid out and evaluated together (:func:`_position_log_density`)."""
+def position_moments(cells, n: int, refine: int = 1) -> list[float]:
+    """W = integral rho_n^alpha dx of the twin (1, kappa) for each
+    (kappa, alpha) of ``cells`` (any iterable), in their order, at one
+    (n, refine), any finite alpha > 0, the cells laid out and evaluated
+    together (:func:`_position_log_density`)."""
     with np.errstate(over="ignore"):  # a W past the double range fails in _normal_moment
         values = {
             i: 2.0 * float(w @ np.exp(alpha * log_rho))
-            for i, alpha, _, w, log_rho in _position_log_density(omega, cells, n, refine)
+            for i, alpha, _, w, log_rho in _position_log_density(cells, n, refine)
         }
     return [values[i] for i in range(len(values))]
 
 
-def position_shannons(omega: float, lams, n: int, refine: int = 1) -> list[float]:
+def position_shannons(kappas, n: int, refine: int = 1) -> list[float]:
     """The position Shannon entropy -integral rho_n ln rho_n dx (0 ln 0
-    taken as 0) for each lambda of ``lams``, as :func:`position_moments`."""
+    taken as 0) of the twin (1, kappa) for each kappa of ``kappas``, as
+    :func:`position_moments`."""
     values = {}
-    for i, _, _, w, log_rho in _position_log_density(omega, ((lam, 1.0) for lam in lams), n, refine):
+    for i, _, _, w, log_rho in _position_log_density(((kappa, 1.0) for kappa in kappas), n, refine):
         rho = np.exp(log_rho)
         values[i] = -2.0 * float(w @ (rho * np.where(rho > 0.0, log_rho, 0.0)))
     return [values[i] for i in range(len(values))]
@@ -855,22 +872,32 @@ def position_shannons(omega: float, lams, n: int, refine: int = 1) -> list[float
 def entropic_moment_numeric(
     params: ModelParams, n: int, alpha: float, space: str = "position", refine: int = 1
 ) -> float:
-    """W = integral density^alpha over the grid, either space, any finite alpha > 0."""
-    if space == "position":
-        return position_moments(params.omega, [(params.lam, alpha)], n, refine)[0]
-    _check_order(alpha)
-    w, gamma = _momentum_density(params, n, space, refine)
+    """W = integral density^alpha over the grid, either space, any finite
+    alpha > 0: the twin's W times e^((1 - alpha) u), u the :func:`log_unit`;
+    a W of 0 or inf stays so."""
+    unit = unit_twin(params)
     with np.errstate(over="ignore"):
-        return 2.0 * float(w @ np.power(gamma, alpha))
+        if space == "position":
+            w = position_moments([(unit.lam, alpha)], n, refine)[0]
+        else:
+            _check_order(alpha)
+            weights, gamma = _momentum_density(unit, n, space, refine)
+            w = 2.0 * float(weights @ np.power(gamma, alpha))
+        factor = float(np.exp((1.0 - alpha) * log_unit(params.omega, space)))
+    return w * factor if 0.0 < w < math.inf else w
 
 
 def shannon_numeric(params: ModelParams, n: int, space: str = "position", refine: int = 1) -> float:
-    """Shannon entropy -integral density ln density (0 ln 0 taken as 0)."""
+    """Shannon entropy -integral density ln density (0 ln 0 taken as 0):
+    the twin's plus the :func:`log_unit`."""
+    unit = unit_twin(params)
     if space == "position":
-        return position_shannons(params.omega, [params.lam], n, refine)[0]
-    w, gamma = _momentum_density(params, n, space, refine)
-    val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
-    return -2.0 * float(w @ val)
+        h = position_shannons([unit.lam], n, refine)[0]
+    else:
+        w, gamma = _momentum_density(unit, n, space, refine)
+        val = np.where(gamma > 0.0, gamma * np.log(np.where(gamma > 0.0, gamma, 1.0)), 0.0)
+        h = -2.0 * float(w @ val)
+    return h + log_unit(params.omega, space)
 
 
 def grid_log_moment(params: ModelParams, n: int, alpha: float, space: str, points: int,

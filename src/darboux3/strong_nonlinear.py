@@ -67,8 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, effective_frequency, wavefunction
-from .quadrature import _gl_blocks, _lattice_transform, _momenta, position_half_width
+from .model import ModelParams, effective_frequency, unit_twin, wavefunction
+from .quadrature import _SQRT_2_OVER_PI, _gl_blocks, _lattice_transform, _momenta, position_half_width
 from .specfun import bracketed_newton, dawson_vec, hermite_pair_scaled, hermite_zeros
 
 __all__ = [
@@ -100,9 +100,9 @@ class CriticalPoint:
 
 
 def harmonic_weight(params: ModelParams, n: int) -> DensitySplit:
-    """Exact split f = 1 / (1 + (n + 1/2) lam / Omega); f = 1 at lam = 0."""
-    om = effective_frequency(params, n)
-    f = 1.0 / (1.0 + (n + 0.5) * params.lam / om)
+    """Exact split f = 1 / (1 + (n + 1/2) lam / Omega), the twin's; f = 1 at lam = 0."""
+    unit = unit_twin(params)
+    f = 1.0 / (1.0 + (n + 0.5) * unit.lam / effective_frequency(unit, n))
     return DensitySplit(f=f, complement=1.0 - f)
 
 
@@ -125,15 +125,17 @@ def approx_wavefunction(params: ModelParams, n: int, x) -> float | np.ndarray:
 # --------------------------------------------------------------------------
 
 def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarray:
-    """Dawson-function closed forms of FT phi_n for n in {0, 1, 2, 3}.
+    """Dawson-function closed forms of FT phi_n for n in {0, 1, 2, 3}: the
+    twin's at p / sqrt(omega), times omega^(-1/4).
 
     Real for even n, purely imaginary for odd n.
     """
     if n not in (0, 1, 2, 3):
         raise ValueError(f"closed forms exist for n = 0..3 only, got {n}")
-    pa = np.atleast_1d(np.asarray(p, dtype=float))
-    lam = params.lam
-    om = effective_frequency(params, n)
+    pa = np.atleast_1d(np.asarray(p, dtype=float)) / math.sqrt(params.omega)
+    unit = unit_twin(params)
+    lam = unit.lam
+    om = effective_frequency(unit, n)
     F = dawson_vec(pa / math.sqrt(2.0 * om))
     pi34 = math.pi ** 0.75
     if n == 0:
@@ -154,6 +156,7 @@ def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarr
             math.sqrt(2.0) * (2.0 * pa**4 - 9.0 * pa**2 * om + 3.0 * om**2) * F
             + pa * math.sqrt(om) * (7.0 * om - 2.0 * pa**2)
         )
+    out /= params.omega**0.25
     return out if np.asarray(p).ndim else complex(out[0])
 
 
@@ -163,18 +166,21 @@ def approx_momentum_closed(params: ModelParams, n: int, p) -> complex | np.ndarr
 
 def g_series_transform(params: ModelParams, n: int, p):
     """FT of phi_n for any n >= 0, real for even n and imaginary for odd n,
-    in the shape of ``p`` (complex for scalar ``p``).
+    in the shape of ``p`` (complex for scalar ``p``): the twin's at
+    p / sqrt(omega), times omega^(-1/4).
 
     The kernel sum over half-line Gauss-Legendre panels (module docstring);
     agrees with :func:`approx_momentum_closed` for n <= 3 to 1e-10 relative.
     A NaN or infinite momentum raises ``ValueError``.
     """
-    om = effective_frequency(params, n)
+    unit, root = unit_twin(params), math.sqrt(params.omega)
+    om = effective_frequency(unit, n)
     pa, p_max = _momenta(p)
-    L = position_half_width(params, n, 1.0, tail_log=88.0)
-    width = min(0.7 / math.sqrt(om), math.pi / max(p_max, math.sqrt(params.omega)))  # phase <= pi
+    L = position_half_width(unit, n, 1.0, tail_log=88.0)
+    width = min(0.7 / math.sqrt(om), math.pi / max(p_max / root, 1.0))  # phase <= pi
     lattice = _gl_blocks(0.0, L, math.ceil(L / width))
-    return _lattice_transform(n, lambda x: approx_wavefunction(params, n, x), lattice, pa, p)
+    scale = _SQRT_2_OVER_PI / params.omega**0.25
+    return _lattice_transform(n, lambda x: approx_wavefunction(unit, n, x), lattice, pa / root, p, scale)
 
 
 # --------------------------------------------------------------------------
@@ -193,35 +199,37 @@ def _origin_kind(params: ModelParams, n: int) -> str:
     return "minimum" if disc > 0.0 else "maximum"
 
 
-def _symmetric_points(params: ModelParams, n: int, positive) -> list[CriticalPoint]:
+def _symmetric_points(params: ModelParams, n: int, sqrt_omega: float, positive) -> list[CriticalPoint]:
     """The origin, every (x, kind) of ``positive`` (x > 0) with its mirror
     image, and the density zeros x = +-y_k / sqrt(Omega) at the Hermite
-    zeros y_k, which are minima; sorted by position."""
+    zeros y_k, which are minima, of the twin ``params``; each x over
+    ``sqrt_omega``, sorted by position."""
     y = hermite_zeros(n)  # exactly antisymmetric, with an exact 0 for odd n
     zeros = y[y > 0.0] / math.sqrt(effective_frequency(params, n))
     positive = positive + [(float(z), "minimum") for z in zeros]
     pts = [CriticalPoint(0.0, _origin_kind(params, n))]
     for x, kind in positive:
-        pts += [CriticalPoint(x, kind), CriticalPoint(-x, kind)]
+        pts += [CriticalPoint(x / sqrt_omega, kind), CriticalPoint(-x / sqrt_omega, kind)]
     return sorted(pts, key=lambda c: c.x)
 
 
 def density_critical_points(
     params: ModelParams, n: int, *, numeric: bool = False
 ) -> list[CriticalPoint]:
-    """Critical points of rho_n, sorted by position.
+    """Critical points of rho_n, sorted by position: the twin's over sqrt(omega).
 
     Closed forms for n in {0, 2}; every other n, and any n with
     ``numeric=True``, refines the roots of the extremum function E by
     bracketed Newton steps.  Kinds as in the module docstring.
     """
+    params, sqrt_omega = unit_twin(params), math.sqrt(params.omega)  # the twin's points, scaled
     if numeric or n not in (0, 2):
-        return _critical_points_numeric(params, n)
+        return _critical_points_numeric(params, n, sqrt_omega)
     lam = params.lam
     om = effective_frequency(params, n)
     if n == 0:
         maxima = [math.sqrt((lam - om) / (lam * om))] if lam > om else []
-        return _symmetric_points(params, n, [(x, "maximum") for x in maxima])
+        return _symmetric_points(params, n, sqrt_omega, [(x, "maximum") for x in maxima])
     if lam == 0.0:
         maxima = [math.sqrt(0.25 * (7.0 / om + 3.0 / om))]  # lam -> 0 limit of the pair
     else:
@@ -231,7 +239,7 @@ def density_critical_points(
         outer_sq = 0.25 * (7.0 / om + (41.0 * lam + 12.0 * om) / (om * (root + 2.0 * om)))
         inner_sq = 0.25 * (7.0 / om - 2.0 / lam - root / (lam * om))
         maxima = [math.sqrt(outer_sq)] + ([math.sqrt(inner_sq)] if inner_sq > 0.0 else [])
-    return _symmetric_points(params, n, [(x, "maximum") for x in maxima])
+    return _symmetric_points(params, n, sqrt_omega, [(x, "maximum") for x in maxima])
 
 
 def _extremum_function(params: ModelParams, n: int, x: np.ndarray, *, newton: bool = False):
@@ -288,7 +296,7 @@ def _scan_grid(om: float, n: int, knots: np.ndarray, split: bool) -> np.ndarray:
     return np.concatenate([halved, grid[1:]])
 
 
-def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]:
+def _critical_points_numeric(params: ModelParams, n: int, sqrt_omega: float) -> list[CriticalPoint]:
     om = effective_frequency(params, n)
     y = hermite_zeros(n)
     zeros = y[y > 0.0] / math.sqrt(om)
@@ -310,7 +318,7 @@ def _critical_points_numeric(params: ModelParams, n: int) -> list[CriticalPoint]
         lambda t: _extremum_function(params, n, t, newton=True),
         grid[i], grid[i + 1], vals[i], vals[i + 1], "density critical points",
     )
-    return _symmetric_points(params, n, list(zip(roots.tolist(), kinds.tolist())))
+    return _symmetric_points(params, n, sqrt_omega, list(zip(roots.tolist(), kinds.tolist())))
 
 
 def bifurcation_threshold(params: ModelParams, n: int) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, kappa_of, log_unit
 from .position_entropy import log_entropic_moment
 from .quadrature import (_exp_moment, _normal_moment, entropic_moment_numeric, position_moments,
                          position_shannons, shannon_numeric)
@@ -75,16 +75,21 @@ def log_moments(omega: float, cells, n: int, space: str) -> list[tuple[float, st
     per lambda (:func:`entropic_moment_numeric`), both engine "quadrature";
     quadrature rejects orders that are not positive and finite, and a W
     outside the normal double range raises ``ArithmeticError``.
+
+    Each engine runs at the twin (1, lam / omega), and its ln W shifts by
+    (1 - alpha) times the :func:`log_unit`; the range rule applies to the twin's W.
     """
     cells = list(cells)
+    kappas = [kappa_of(omega, lam) for lam, _ in cells]
     exact = [space == "position" and a >= 1.0 and float(a).is_integer() for _, a in cells]
-    rest = [cell for cell, e in zip(cells, exact) if not e]
-    numeric = iter(position_moments(omega, rest, n) if space == "position"
-                   else [entropic_moment_numeric(ModelParams(omega, lam), n, a, space) for lam, a in rest])
+    rest = [(k, a) for k, (_, a), e in zip(kappas, cells, exact) if not e]
+    numeric = iter(position_moments(rest, n) if space == "position"
+                   else [entropic_moment_numeric(ModelParams(1.0, k), n, a, space) for k, a in rest])
+    unit = log_unit(omega, space)
     return [
-        (log_entropic_moment(ModelParams(omega, lam), n, int(a)), "analytic") if e
-        else (math.log(_normal_moment(next(numeric), a, lam, n)), "quadrature")
-        for (lam, a), e in zip(cells, exact)
+        (log_entropic_moment(ModelParams(1.0, k), n, int(a)) + (1.0 - a) * unit, "analytic") if e
+        else (math.log(_normal_moment(next(numeric), a, lam, n)) + (1.0 - a) * unit, "quadrature")
+        for k, (lam, a), e in zip(kappas, cells, exact)
     ]
 
 
@@ -109,15 +114,17 @@ def entropy(params: ModelParams, n: int, alpha: float, space: str, kind: str) ->
 
 def _entropies(omega: float, cells: list, n: int, space: str, kind: str) -> list[float]:
     """:func:`entropy` at each (lam, alpha) of ``cells``: one :func:`log_moments` call,
-    and order 1 from one :func:`position_shannons` pass or one profile per lambda."""
+    and order 1 from one :func:`position_shannons` pass or one profile per lambda, at
+    the twins (1, lam / omega) and shifted by the :func:`log_unit`."""
     if kind not in ("renyi", "tsallis"):
         raise ValueError(f"kind must be 'renyi' or 'tsallis', got {kind!r}")
     log_ws = iter(log_moments(omega, [cell for cell in cells if cell[1] != 1.0], n, space))
-    lams = [lam for lam, a in cells if a == 1.0]
-    shannons = iter(position_shannons(omega, lams, n) if space == "position"
-                    else [shannon_numeric(ModelParams(omega, lam), n, space) for lam in lams])
+    kappas = [kappa_of(omega, lam) for lam, a in cells if a == 1.0]
+    shannons = iter(position_shannons(kappas, n) if space == "position"
+                    else [shannon_numeric(ModelParams(1.0, k), n, space) for k in kappas])
+    unit = log_unit(omega, space)
     return [
-        next(shannons) if a == 1.0 else entropy_from_log_moment(next(log_ws)[0], a, kind)
+        next(shannons) + unit if a == 1.0 else entropy_from_log_moment(next(log_ws)[0], a, kind)
         for _, a in cells
     ]
 

@@ -387,13 +387,15 @@ def scan_size(params, n, refine=1):
 
     M is the length one FFT at the finer step would take.  That FFT is the
     scan below M = 2^16; from there the head band takes P = 48 (n + 2)
-    kernel momenta and the tail an FFT at the tail step, at least N long."""
+    kernel momenta and the tail an FFT at the tail step, at least N long.
+    The profile is laid out at the twin (1, lam / omega) of ``params``."""
     from darboux3.quadrature import _gaussian_cut, _momentum_cut, position_half_width
 
+    params = ModelParams(1.0, params.lam / params.omega)
     om = effective_frequency(params, n)
     L_p = _momentum_cut(params, n)
     L = position_half_width(params, n, 1.0, tail_log=88.0)
-    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(params, n, om))
+    band = max(40.0 * math.sqrt(params.lam), _gaussian_cut(n, om))
     h = 2.0 * math.pi / ((band + L_p) * refine)
     count = int(math.ceil(L / h)) + 1
     b = math.isqrt(count - 1) + 1
@@ -532,22 +534,24 @@ def reference_hermite_power(n, alpha):
 def reference_log_entropic_moment(params, n, alpha, poly):
     """``position_entropy.log_entropic_moment`` with the moment polynomial
     ``poly`` (P_0..P_alpha as ``Fraction``s) summed by ``Fraction`` Horner
-    at r = Fraction(lam / (alpha Omega)) (test oracle)."""
+    at r = Fraction(kappa / (alpha Omega)), Omega the twin's (1, kappa = lam / omega),
+    plus (alpha - 1) ln(omega) / 2 (test oracle)."""
     from fractions import Fraction
 
     from darboux3.position_entropy import _log_of_fraction
 
-    om = effective_frequency(params, n)
-    r = Fraction(params.lam / (alpha * om))
+    kappa = params.lam / params.omega
+    om = effective_frequency(ModelParams(1.0, kappa), n)
+    r = Fraction(kappa / (alpha * om))
     total = Fraction(0)
     for p_k in reversed(poly):
         total = total * r + p_k
     return (
         0.5 * math.log(math.pi / (alpha * om))
         + 0.5 * alpha * math.log(om / math.pi)
-        - alpha * math.log1p((n + 0.5) * params.lam / om)
+        - alpha * math.log1p((n + 0.5) * kappa / om)
         + _log_of_fraction(total)
-    )
+    ) + (1 - alpha) * -0.5 * math.log(params.omega)
 
 
 def reference_expansion(n, alpha, j_max):
@@ -719,11 +723,18 @@ def extremum_roots(params, n):
     from darboux3.specfun import hermite_zeros
 
     y = hermite_zeros(n)
-    zeros = set((y[y > 0.0] / math.sqrt(effective_frequency(params, n))).tolist())
+    zeros = y[y > 0.0] / math.sqrt(effective_frequency(params, n))
     x = np.array([c.x for c in density_critical_points(params, n, numeric=True)
-                  if c.x > 0.0 and c.x not in zeros])
+                  if c.x > 0.0 and not is_knot(c.x, zeros)])
     _, slope, bound = strong_nonlinear._extremum_function(params, n, x, newton=True)
     return x, bound / np.abs(slope)
+
+
+def is_knot(x, knots):
+    """Whether x is one of ``knots`` to 1e-14 relative: a density zero y_k /
+    sqrt(Omega) at omega != 1 comes from the twin (1, lam / omega) as
+    y_k / sqrt(Omega_twin) / sqrt(omega), a few roundings from this form."""
+    return bool(np.any(np.abs(np.asarray(knots) - x) <= 1e-14 * abs(x)))
 
 
 def dense_scan_brackets(params, n):

@@ -305,27 +305,36 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, at",
         [
-            ["renyi", "--omega", "1e4"],
-            ["tsallis", "--omega", "1e4"],
-            ["moment", "--omega", "1e4"],
-            ["renyi", "--space", "momentum", "--omega", "1e-4"],
-            ["renyi", "--omega", "1e4", "--grid-points", "512"],
+            (["tsallis", "--omega", "1e4"], ""),
+            (["moment", "--omega", "1e4"], " at lam=0.0, n=0"),
+            (["renyi", "--omega", "1e4", "--grid-points", "512"], " at lam=0.0, n=0"),
         ],
-        ids=["renyi", "tsallis", "moment", "momentum", "user-grid"],
+        ids=["tsallis", "moment", "user-grid"],
     )
-    def test_overflowing_moment_exits_3(self, capsys, argv):
-        # W_200.5 is about 1e348, past the double range: no value and one
-        # stderr line (an overflow RuntimeWarning would be an error under the
-        # suite's filter, and print another), while the closed form at
-        # order 200 prints its entropy from ln W
+    def test_overflowing_moment_exits_3(self, capsys, argv, at):
+        # W_200.5 is about 1e348, past the double range: a command that needs
+        # W prints no value and one stderr line (an overflow RuntimeWarning
+        # would be an error under the suite's filter, and print another)
         code, out, err = run_cli(capsys, *argv, "--alpha", "200.5", "--lambda", "0", "--n", "0")
         assert (code, out) == (3, "")
-        assert err == (
-            "numeric failure in darboux3.quadrature: "
-            "entropic moment of order 200.5 overflows to inf at lam=0.0, n=0\n"
-        )
+        assert err == f"numeric failure in darboux3.quadrature: entropic moment of order 200.5 overflows to inf{at}\n"
+
+    @pytest.mark.parametrize(
+        "space, omega, want",
+        [("position", "1e4", "-4.01951999432"), ("momentum", "1e-4", "-4.01951999432")],
+    )
+    def test_renyi_past_the_moment_range(self, capsys, space, omega, want):
+        # the Rényi entropy comes from ln W, the twin's shifted by
+        # (1 - alpha) ln(omega^-+1/2): finite where W_200.5 ~ 1e348 is not,
+        # the twin's value 0.585650... minus ln(1e4) / 2, as the closed
+        # form at order 200 prints its entropy
+        twin = run_cli(capsys, "renyi", "--space", space, "--alpha", "200.5", "--lambda", "0", "--n", "0")[1]
+        assert float(twin.splitlines()[1].split(",")[-1]) - 0.5 * math.log(1e4) == pytest.approx(float(want), abs=1e-11)
+        argv = ["renyi", "--space", space, "--omega", omega, "--alpha", "200.5", "--lambda", "0", "--n", "0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, f"n,lambda,alpha,space,renyi\n0,0,200.5,{space},{want}\n", "")
         code, out, err = run_cli(capsys, "renyi", "--omega", "1e4", "--alpha", "200", "--lambda", "0", "--n", "0")
         assert (code, out, err) == (0, "n,lambda,alpha,space,renyi\n0,0,200,position,-4.01949288787\n", "")
 
@@ -350,22 +359,79 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "energy", "--omega", omega, "--lambda", "0", "--n", "0")
         assert (code, out, err) == (0, f"n,lambda,energy\n0,0,{want}\n", "")
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (["energy", "--n", "1"], "darboux3.model: energy E_1 overflows at omega=1.7e+308, lam=0.0"),
-            (["renyi", "--n", "0", "--alpha", "2"], "darboux3.position_entropy: alpha Omega overflows for order 2"
-             " at omega=1.7e+308, lam=0.0, n=0"),
-            (["disequilibrium", "--n", "0"], "darboux3.position_entropy: alpha Omega overflows for order 2"
-             " at omega=1.7e+308, lam=0.0, n=0"),
-        ],
-        ids=["energy", "renyi", "disequilibrium"],
-    )
-    def test_top_of_the_double_range_exits_3(self, capsys, argv, err):
-        # (n + 1/2) Omega and alpha Omega pass the double range at omega = 1.7e308:
-        # a numeric failure that names its module, not inf or a usage error
-        code, out, got = run_cli(capsys, *argv, "--omega", "1.7e308", "--lambda", "0")
+    @pytest.mark.parametrize("argv, err", [
+        ("energy --omega 5e-324 --lambda 0 --n 0,3",
+         "effective frequency Omega_0 is subnormal (4.94066e-324) at omega=5e-324, lam=0.0"),
+        ("omega --omega 1e-320 --lambda 0 --n 0",
+         "effective frequency Omega_0 is subnormal (9.99989e-321) at omega=1e-320, lam=0.0"),
+        ("energy --omega 1 --lambda 1e160 --n 0", "(lam/omega (n + 1/2))^2 overflows at lam/omega=1e+160, n=0"),
+        ("weight-f --omega 1e-300 --lambda 1 --n 0",
+         "(lam/omega (n + 1/2))^2 overflows at lam/omega=9.999999999999999e+299, n=0"),
+    ], ids=["energy-subnormal", "omega-subnormal", "energy-kappa", "weight-kappa"])
+    def test_double_range_failures_name_the_quantity(self, capsys, argv, err):
+        # a subnormal Omega_n (digits lost) or a (kappa (n + 1/2))^2 past the
+        # double range: exit 3 with the quantity named, not a value or errno
+        code, out, got = run_cli(capsys, *argv.split())
+        assert (code, out, got) == (3, "", f"numeric failure in darboux3.model: {err}\n")
+
+    @pytest.mark.parametrize("argv, omega, scale", [
+        ("renyi --space momentum --omega 1.7e308 --lambda 0 --n 0 --alpha 2", 1.7e308, "shift"),
+        ("renyi --omega 1e308 --lambda 0 --n 0 --alpha 2,2.5", 1e308, "shift"),
+        ("moment --space momentum --omega 1e-200 --lambda 0 --n 0 --alpha 2", 1e-200, "moment"),
+        ("tsallis --space momentum --omega 1e-266 --lambda 0 --n 0 --alpha 0.5", 1e-266, "tsallis"),
+        ("tsallis --space momentum --omega 1e-250 --lambda 1e-250 --n 2 --alpha 0.7", 1e-250, "tsallis"),
+        ("critical-points --omega 1e300 --lambda 1e300 --n 3", 1e300, "length"),
+    ], ids=["renyi-momentum", "renyi-position", "moment", "tsallis", "tsallis-kappa", "critical-points"])
+    def test_double_range_lines_print_the_twin_scaled(self, capsys, argv, omega, scale):
+        # each line prints its omega = 1 twin's values scaled (they exited 3
+        # or printed a wrong value when the numerics ran at omega)
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        words = argv.split()
+        at = words.index("--lambda") + 1
+        words[at] = repr(float(words[at]) / omega)
+        words[words.index("--omega") + 1] = "1"
+        twin = run_cli(capsys, *words)[1]
+        space = "--space" in words and words[words.index("--space") + 1] or "position"
+        for row, twin_row in zip(out.splitlines()[1:], twin.splitlines()[1:]):
+            value, want = row.split(",")[-1 - (scale == "length")], float(twin_row.split(",")[-1 - (scale == "length")])
+            alpha = float(row.split(",")[2]) if scale != "length" else None
+            if scale == "shift":
+                want += (0.5 if space == "momentum" else -0.5) * math.log(omega)
+            elif scale == "moment":
+                want *= omega ** ((1.0 - alpha) / 2.0)
+            elif scale == "tsallis":
+                w = 1.0 - (alpha - 1.0) * want  # the twin's W
+                want = (1.0 - w * omega ** ((1.0 - alpha) / 2.0)) / (alpha - 1.0)
+            else:
+                want /= math.sqrt(omega)
+            assert float(value) == pytest.approx(want, rel=1e-11, abs=1e-300), (row, twin_row)
+
+    def test_top_of_the_double_range_exits_3(self, capsys):
+        # (n + 1/2) Omega passes the double range at omega = 1.7e308: a
+        # numeric failure that names its module and quantity, not inf or a
+        # usage error
+        code, out, got = run_cli(capsys, "energy", "--n", "1", "--omega", "1.7e308", "--lambda", "0")
+        err = "darboux3.model: energy E_1 overflows to inf at omega=1.7e+308, lam=0.0"
         assert (code, out, got) == (3, "", f"numeric failure in {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, row",
+        [
+            (["renyi", "--n", "0", "--alpha", "2"], "0,0,2,position,-353.944479913"),
+            (["disequilibrium", "--n", "0"], "0,0,5.20157094786e+153"),
+        ],
+        ids=["renyi", "disequilibrium"],
+    )
+    def test_top_of_the_double_range_scales(self, capsys, argv, row):
+        # the closed form runs at omega = 1 and scales: ln W_2 shifts by
+        # ln(omega) / 2, so the Rényi entropy is the twin's minus ln(omega) / 2
+        # and W_2 = sqrt(omega / (2 pi)) is a normal double
+        code, out, err = run_cli(capsys, *argv, "--omega", "1.7e308", "--lambda", "0")
+        assert (code, err) == (0, "") and out.splitlines()[1] == row
+        assert float(row.split(",")[-1]) == pytest.approx(
+            0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(1.7e308) if argv[0] == "renyi"
+            else math.sqrt(1.7e308 / (2.0 * math.pi)), rel=1e-11)  # 12 printed digits
 
     @pytest.mark.parametrize(
         "order, fault",
@@ -881,7 +947,7 @@ class TestProfiles:
         code, _, _ = run_cli(
             capsys, "moment", "--space", "momentum", "--alpha", "2", "--lambda", "0.4", "--n", "1",
         )
-        assert code == 0 and built == [(1.0, 0.4, 1, 1)]
+        assert code == 0 and built == [(0.4, 1, 1)]  # the profile of kappa = 0.4
 
     def test_even_grid_points_round_up_to_odd(self, tmp_path, capsys):
         # an odd count puts a node at 0, so the symmetry check sees a mirror image

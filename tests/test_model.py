@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from darboux3 import (
     density_position,
     effective_frequency,
     energy,
+    harmonic_weight,
     norm_constant,
     wavefunction,
 )
@@ -86,10 +88,9 @@ class TestEffectiveFrequency:
 
 
     def test_past_the_square_range(self):
-        # omega^2 overflows above about 1.34e154; there Omega is taken at
-        # omega 2^-k in [1/2, 1) and scaled back by 2^k: omega itself at
-        # lam = 0, and homogeneous of degree 1 in (omega, lam) to within the
-        # rounding of the platform's pow
+        # omega^2 would overflow above about 1.34e154; Omega = omega / (twin's
+        # denominator) forms no omega^2: omega itself at lam = 0, and
+        # homogeneous of degree 1 in (omega, lam) to within two roundings
         assert effective_frequency(ModelParams(1e200, 0.0), 0) == 1e200
         assert energy(ModelParams(1e200, 0.0), 0) == 5e199
         for lam, n in [(0.4, 3), (30.0, 7), (1.6170604092478382, 44)]:
@@ -99,11 +100,10 @@ class TestEffectiveFrequency:
                 assert abs(math.ldexp(big, -k) / want - 1.0) <= 2.0 * np.finfo(float).eps
 
     def test_below_the_square_range(self):
-        # omega^2 is subnormal below omega ~ 1.5e-154 and 0 below ~ 1e-162; there
-        # Omega is taken scaled as past the overflow, so omega twins
-        # Omega(2^-k omega, 2^-k lam) = 2^-k Omega(omega, lam) hold: exactly
-        # among the scaled ones, and to within the rounding of the platform's
-        # pow against the direct form
+        # omega^2 would be subnormal below omega ~ 1.5e-154 and 0 below ~ 1e-162;
+        # Omega forms no omega^2, so omega twins Omega(2^-k omega, 2^-k lam) =
+        # 2^-k Omega(omega, lam) hold: exactly among the scaled ones, and to
+        # within two roundings against omega = 1, 0.37 or 2.5
         assert effective_frequency(ModelParams(1e-160, 0.0), 0) == 1e-160
         assert energy(ModelParams(1e-200, 0.0), 0) == 5e-201
         for omega in (1.0, 0.37, 2.5):
@@ -115,6 +115,32 @@ class TestEffectiveFrequency:
                 ]
                 assert twins[0] == twins[1] == twins[2]
                 assert abs(twins[0] / want - 1.0) <= 2.0 * np.finfo(float).eps
+
+
+    @pytest.mark.parametrize("omega, n, what", [
+        (5e-324, 0, "effective frequency Omega_0 is subnormal (4.94066e-324)"),
+        (1e-320, 3, "effective frequency Omega_3 is subnormal (9.99989e-321)"),
+        (3e-308, 0, "energy E_0 is subnormal (1.5e-308)"),  # Omega_0 = 3e-308 is normal
+    ])
+    def test_subnormal_values_raise(self, omega, n, what):
+        # a subnormal Omega_n or E_n has lost digits: refused by the rule
+        # the moments and thresholds keep, in a message that names it
+        with pytest.raises(ArithmeticError, match=re.escape(f"{what} at omega={omega}, lam=0.0")):
+            energy(ModelParams(omega, 0.0), n)
+        assert energy(ModelParams(1e-307, 0.0), 0) == 5e-308
+
+    @pytest.mark.parametrize("omega, lam, what", [
+        (1.0, 1e160, "(lam/omega (n + 1/2))^2 overflows at lam/omega=1e+160, n=0"),
+        (1e-300, 1.0, "(lam/omega (n + 1/2))^2 overflows at lam/omega=9.999999999999999e+299, n=0"),
+        (1e-300, 1e10, "lam/omega overflows at omega=1e-300, lam=10000000000.0"),
+    ])
+    def test_kappa_past_the_double_range_raises(self, omega, lam, what):
+        # Omega's twin form squares kappa (n + 1/2); past the double range
+        # that is a numeric failure naming lam/omega, not a usage error
+        params = ModelParams(omega, lam)
+        for quantity in (energy, effective_frequency, harmonic_weight):
+            with pytest.raises(ArithmeticError, match=re.escape(what)):
+                quantity(params, 0)
 
 
 class TestNormalisation:

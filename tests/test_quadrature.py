@@ -173,9 +173,10 @@ def _spy(monkeypatch, name):
 
 
 def _log_density(params, n, alpha, refine):
-    """``_position_log_density``'s (y, w, ln rho) for the one cell (lambda of ``params``, ``alpha``)."""
-    cells = [(params.lam, alpha)]
-    [(index, _, *nodes)] = quadrature._position_log_density(params.omega, cells, n, refine)
+    """``_position_log_density``'s (y, w, ln rho) for the one cell (kappa = lam / omega of
+    ``params``, ``alpha``): the nodes, weights and ln rho of the twin (1, kappa)."""
+    cells = [(params.lam / params.omega, alpha)]
+    [(index, _, *nodes)] = quadrature._position_log_density(cells, n, refine)
     assert index == 0
     return nodes
 
@@ -444,25 +445,27 @@ class TestSweepBatch:
     @pytest.mark.parametrize("omega", [1.0, 0.37])
     @pytest.mark.parametrize("n", [0, 1, 6, 33, 60, 200])
     def test_batch_equals_cells(self, n, omega):
-        # the sweep evaluates one half line, out to the cut of the lambda
+        # the sweep evaluates one half line, out to the cut of the kappa
         # that sets it: that cell is exact, the others integrate past their
-        # own cut.  At n = 200 the Hermite recurrence rescales.
+        # own cut.  At n = 200 the Hermite recurrence rescales.  The sweep
+        # runs at the twins (1, lam / omega) of the lambdas at omega.
+        kappas = [lam / omega for lam in SWEEP_LAMS]
         for refine in (1, 2):
             for alpha in (0.3, 0.714, 1.0, 2.567, 3.0):
-                column = [(lam, alpha) for lam in SWEEP_LAMS]
-                sweep = list(quadrature.position_moments(omega, column, n, refine))
+                column = [(kappa, alpha) for kappa in kappas]
+                sweep = list(quadrature.position_moments(column, n, refine))
                 cells = [
-                    entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
-                    for lam in SWEEP_LAMS
+                    entropic_moment_numeric(ModelParams(1.0, kappa), n, alpha, "position", refine)
+                    for kappa in kappas
                 ]
-                assert_batch_contract(sweep, cells, batch_tolerances(omega, column, n))
-            sweep = list(quadrature.position_shannons(omega, SWEEP_LAMS, n, refine))
+                assert_batch_contract(sweep, cells, batch_tolerances(1.0, column, n))
+            sweep = list(quadrature.position_shannons(kappas, n, refine))
             cells = [
-                shannon_numeric(ModelParams(omega, lam), n, "position", refine)
-                for lam in SWEEP_LAMS
+                shannon_numeric(ModelParams(1.0, kappa), n, "position", refine)
+                for kappa in kappas
             ]
-            column = [(lam, 1.0) for lam in SWEEP_LAMS]
-            assert_batch_contract(sweep, cells, batch_tolerances(omega, column, n))
+            column = [(kappa, 1.0) for kappa in kappas]
+            assert_batch_contract(sweep, cells, batch_tolerances(1.0, column, n))
 
     @pytest.mark.parametrize("n", [0, 1, 6, 33])
     def test_column_evaluates_one_line(self, monkeypatch, n):
@@ -473,7 +476,7 @@ class TestSweepBatch:
         [owner] = [lam for (lam, _), tol in zip(column, batch_tolerances(1.0, column, n)) if tol == 0.0]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
         grids = _spy(monkeypatch, "_panel_grid")
-        quadrature.position_moments(1.0, column, n)
+        quadrature.position_moments(column, n)
         assert len(hermite) == len(grids) == 1
         y = hermite[0][1]
         assert np.count_nonzero(grids[0][0] == 0.0) == 1  # one head
@@ -485,8 +488,8 @@ class TestSweepBatch:
         # a generator of lambdas, read a few tails at a time, gives the list's values
         monkeypatch.setattr(quadrature, "_PASS_NODES", 500)
         sweeps = [
-            (lambda cells: quadrature.position_moments(1.0, cells, n), [(lam, 0.714) for lam in SWEEP_LAMS]),
-            (lambda lams: quadrature.position_shannons(1.0, lams, n), SWEEP_LAMS),
+            (lambda cells: quadrature.position_moments(cells, n), [(lam, 0.714) for lam in SWEEP_LAMS]),
+            (lambda lams: quadrature.position_shannons(lams, n), SWEEP_LAMS),
         ]
         for sweep, cells in sweeps:
             assert sweep(cell for cell in cells) == sweep(cells)
@@ -559,27 +562,27 @@ class TestRowPass:
         # each class's half line is laid out once; a budget of 500 nodes or 1
         # splits the row into several passes, and the reversed row gives
         # the same values, bit for bit.  The orders below 1 share a class.
-        lam = 0.4
-        row = [(lam, alpha) for alpha in ROW_ORDERS]
+        kappa = 0.4 / omega  # the twin of lam = 0.4 at omega
+        row = [(kappa, alpha) for alpha in ROW_ORDERS]
         for refine in (1, 2):
             cells = [
-                entropic_moment_numeric(ModelParams(omega, lam), n, alpha, "position", refine)
+                entropic_moment_numeric(ModelParams(1.0, kappa), n, alpha, "position", refine)
                 for alpha in ROW_ORDERS
             ]
             values = []
             for budget in (2**16, 500, 1):
                 monkeypatch.setattr(quadrature, "_PASS_NODES", budget)
-                values.append(quadrature.position_moments(omega, row, n, refine))
-            values.append(quadrature.position_moments(omega, row[::-1], n, refine)[::-1])
+                values.append(quadrature.position_moments(row, n, refine))
+            values.append(quadrature.position_moments(row[::-1], n, refine)[::-1])
             assert values[1] == values[2] == values[3] == values[0]
-            assert_batch_contract(values[0], cells, batch_tolerances(omega, row, n))
+            assert_batch_contract(values[0], cells, batch_tolerances(1.0, row, n))
 
     @pytest.mark.parametrize("n", [0, 7])
     def test_row_makes_one_pass(self, monkeypatch, n):
         # five layout classes, each head in front of its first tail
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        quadrature.position_moments(1.0, [(0.4, alpha) for alpha in ROW_ORDERS], n)
+        quadrature.position_moments([(0.4, alpha) for alpha in ROW_ORDERS], n)
         assert len(grids) == len(hermite) == 1
         if n:  # the heads start at 0 (at n = 0 they are empty and the tails start there)
             assert np.count_nonzero(grids[0][0] == 0.0) == 5
@@ -592,11 +595,11 @@ class TestRowPass:
         orders = [1.05 + 0.1 * k for k in range(20)]
         lams = [0.0, 0.25, 0.5, 0.75, 1.0]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        columns = [quadrature.position_moments(1.0, [(lam, a) for lam in lams], 6) for a in orders]
+        columns = [quadrature.position_moments([(lam, a) for lam in lams], 6) for a in orders]
         points = sum(len(args[1]) for args in hermite)
         hermite.clear()
         grid = [(lam, a) for lam in lams for a in orders]
-        values = quadrature.position_moments(1.0, grid, 6)
+        values = quadrature.position_moments(grid, 6)
         assert len(hermite) == 1 and len(hermite[0][1]) == points
         assert values == [column[j] for j in range(len(lams)) for column in columns]
         cells = [entropic_moment_numeric(ModelParams(1.0, lam), 6, a) for lam, a in grid]
@@ -610,9 +613,9 @@ class TestRowPass:
         row = [(0.4, a) for a in orders]
         cells = [entropic_moment_numeric(ModelParams(1.0, 0.4), n, a, "position") for a in orders]
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        values = quadrature.position_moments(1.0, row, n)
+        values = quadrature.position_moments(row, n)
         assert len(hermite) == 2
-        assert quadrature.position_moments(1.0, row[::-1], n)[::-1] == values
+        assert quadrature.position_moments(row[::-1], n)[::-1] == values
         assert_batch_contract(values, cells, batch_tolerances(1.0, row, n))
 
     def test_small_budget_leads_each_class_once_per_pass(self, monkeypatch):
@@ -623,10 +626,10 @@ class TestRowPass:
         n, lams = 6, [0.0, 0.4, 3.0, 30.0]
         orders = [0.3, 2.0, 1.25, 0.8, 3.0, 1.5, 2.567, 1.0, 4.0, 1.05, 3.5, 0.6]
         grid = [(lam, a) for lam in lams for a in orders]
-        whole = quadrature.position_moments(1.0, grid, n)
+        whole = quadrature.position_moments(grid, n)
         grids = _spy(monkeypatch, "_panel_grid")
         monkeypatch.setattr(quadrature, "_PASS_NODES", 3000)
-        assert quadrature.position_moments(1.0, grid, n) == whole
+        assert quadrature.position_moments(grid, n) == whole
         z_last = float(hermite_zeros(n)[-1])
         heads = [np.count_nonzero(starts == 0.0) for starts, *_ in grids]
         tails = [np.count_nonzero(starts == z_last) for starts, *_ in grids]
@@ -638,8 +641,8 @@ class TestRowPass:
         row = [(lam, a) for lam in (0.0, 0.4) for a in ROW_ORDERS]
         grids = _spy(monkeypatch, "_panel_grid")
         hermite = _spy(monkeypatch, "hermite_sign_logabs")
-        first = quadrature.position_moments(1.0, row, 7)
-        assert quadrature.position_moments(1.0, row, 7) == first
+        first = quadrature.position_moments(row, 7)
+        assert quadrature.position_moments(row, 7) == first
         assert len(grids) == len(hermite) == 2
         assert all(np.array_equal(a, b) for a, b in zip(*grids))
         assert np.array_equal(hermite[0][1], hermite[1][1])
@@ -655,7 +658,7 @@ class TestRowPass:
             cells = [(0.4, 1.0 + 2.0 * (j + 0.5) / k) for j in range(k)]
             tracemalloc.start()
             try:
-                quadrature.position_moments(1.0, cells, n)
+                quadrature.position_moments(cells, n)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -845,6 +848,7 @@ class TestFourierTransform:
                     cases.append((ModelParams(om, lam * om), n, refine))
                     sizes.append(None)
                     heads.append(0)
+                    quadrature._profile_cached.cache_clear()  # the omega twins share one profile
                     momentum_profile(*cases[-1])
         quadrature._profile_cached.cache_clear()
         want = [scan_size(*case) for case in cases]
@@ -1526,7 +1530,7 @@ class TestMomentumCut:
         params = ModelParams(1.0, lam)
         cut = quadrature._momentum_cut(params, n)
         assert momentum_profile(params, n).grid.half_width == cut
-        gauss = quadrature._gaussian_cut(params, n, effective_frequency(params, n))
+        gauss = quadrature._gaussian_cut(n, effective_frequency(params, n))
         assert cut >= gauss
         if cut > gauss:  # the root of L/s + 1.5 ln L = k, to rounding
             s = math.sqrt(lam)
@@ -1547,7 +1551,7 @@ class TestMomentumCut:
         params, harmonic = ModelParams(1.0, lam), ModelParams(1.0, 0.0)
         om = effective_frequency(params, n)
         cut = quadrature._momentum_cut(params, n)
-        assert cut == quadrature._gaussian_cut(params, n, om) < om / math.sqrt(lam)
+        assert cut == quadrature._gaussian_cut(n, om) < om / math.sqrt(lam)
         prof = momentum_profile(params, n)
         assert prof.grid.half_width == cut
         w_half = 2.0 * float(prof.weights @ np.sqrt(prof.gamma))

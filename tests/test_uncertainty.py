@@ -88,12 +88,16 @@ class TestLogMoment:
     def test_overflowing_moment_raises(self, space, omega):
         # the density peaks near 56 (omega^(1/2) / pi^(1/2) in position
         # space, omega^(-1/2) / pi^(1/2) in momentum space), so W_200.5 is
-        # about 1e348: past the double range, though ln W is not.  It fails
-        # as an underflow does, on the library's grid and a user's, with no
-        # overflow warning; the closed form at 200 gives ln W itself
+        # about 1e348: past the double range, though ln W is not.  The
+        # engine rule takes ln W from the twin at omega = 1 and shifts it,
+        # so it returns that ln W; a user's grid, which sums W itself,
+        # fails as an underflow does, with no overflow warning; the closed
+        # form at 200 gives ln W itself
+        [_, (log_w, engine)] = log_moments(omega, [(0.0, 2.0), (0.0, 200.5)], 0, space)
+        [(twin, _)] = log_moments(1.0, [(0.0, 200.5)], 0, space)
+        assert engine == "quadrature" and log_w > math.log(np.finfo(float).max)
+        assert log_w == pytest.approx(twin + 199.5 * 0.5 * math.log(1e4), rel=0.0, abs=1e-12)
         message = r"^entropic moment of order 200\.5 overflows to inf at lam=0\.0, n=0$"
-        with pytest.raises(ArithmeticError, match=message):
-            log_moments(omega, [(0.0, 2.0), (0.0, 200.5)], 0, space)
         with pytest.raises(ArithmeticError, match=message):
             grid_log_moment(ModelParams(omega, 0.0), 0, 200.5, space, 512, None)
         [(log_w, engine)] = log_moments(1e4, [(0.0, 200.0)], 0, "position")

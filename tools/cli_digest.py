@@ -152,6 +152,22 @@ def _argvs() -> list[str]:
             f"profile density-momentum --omega {omega} --lambda {lams.rsplit(',', 1)[1]} --n 2"
             " --grid-points 301 --out {out}/g.csv",
         ]
+    # the ends of the double range: the omega = 1 twin's values scaled, or
+    # exit 3 naming a subnormal Omega_n or an overflowing lam/omega
+    lines += [
+        "profile density-position --omega 1e-300 --lambda 0 --n 0 --grid-points 5 --out {out}/r.csv",
+        "renyi --space momentum --omega 1.7e308 --lambda 0 --n 0 --alpha 2",
+        "moment --space momentum --omega 1e-200 --lambda 0 --n 0 --alpha 2",
+        "tsallis --space momentum --omega 1e-266 --lambda 0 --n 0 --alpha 0.5",
+        "tsallis --space momentum --omega 1e-250 --lambda 1e-250 --n 2 --alpha 0.7",
+        "energy --omega 5e-324 --lambda 0 --n 0,3",
+        "omega --omega 1e-320 --lambda 0 --n 0",
+        "energy --omega 1 --lambda 1e160 --n 0",
+        "weight-f --omega 1e-300 --lambda 1 --n 0",
+        "critical-points --omega 1e300 --lambda 1e300 --n 3",
+        "renyi --omega 1e308 --lambda 0 --n 0 --alpha 2",
+        "renyi --omega 1e308 --lambda 0 --n 0 --alpha 2.5",
+    ]
     return lines
 
 
